@@ -624,11 +624,9 @@ let fleet () =
 
 (* ---- interp: host wall-clock throughput of the execution engine ---- *)
 
-(* A self-contained interpreter rig: a register-mix hot loop plus filler
-   images, so the per-step linear-resolve baseline pays a representative
-   registry scan (a twin world holds the dom0 driver, both twin instances
-   and support images). Simulated cycles/steps are identical across every
-   engine mode — only host wall-clock differs. *)
+(* A self-contained interpreter rig: one register-mix hot loop. Simulated
+   cycles/steps are identical across every engine — only host wall-clock
+   differs. *)
 let interp_stack_top = 0x0100_0000
 
 let interp_rig () =
@@ -640,15 +638,6 @@ let interp_rig () =
     ~vaddr:(interp_stack_top - (stack_pages * Td_mem.Layout.page_size))
     ~pages:stack_pages;
   let registry = Td_cpu.Code_registry.create () in
-  let filler i =
-    let b = Builder.create (Printf.sprintf "filler%d" i) in
-    Builder.label b "entry";
-    for _ = 1 to 8 do
-      Builder.nop b
-    done;
-    Builder.ret b;
-    Program.assemble ~base:(0x0020_0000 + (i * 0x1_0000)) (Builder.finish b)
-  in
   let b = Builder.create "hot" in
   Builder.(
     label b "entry";
@@ -680,91 +669,68 @@ let interp_rig () =
     jne b "loop";
     ret b);
   let hot = Program.assemble ~base:0x0080_0000 (Builder.finish b) in
-  (* the hot image registers first — like a boot-time driver image — and
-     the support images after it, so the pre-engine newest-first list
-     scan pays its full representative depth on every fetch *)
   Td_cpu.Code_registry.register registry hot;
-  for i = 0 to 6 do
-    Td_cpu.Code_registry.register registry (filler i)
-  done;
   (space, registry, Program.addr_of_label hot "entry")
 
-let interp_variant ?hook dispatch =
+(* [?hook] forces the per-instruction slow path: a no-op hook measures
+   what any per-step observer costs *)
+let interp_variant ?hook () =
   let space, registry, entry = interp_rig () in
   let st = Td_cpu.State.create space in
   Td_cpu.State.set st Td_misa.Reg.ESP interp_stack_top;
   let natives = Td_cpu.Native.create () in
-  let i = Td_cpu.Interp.create ?hook st registry natives in
-  Td_cpu.Interp.set_dispatch i dispatch;
-  (st, i, entry)
+  (st, Td_cpu.Interp.create ?hook st registry natives, entry)
+
+(* host seconds on the monotonic clock (wall time, not process CPU) *)
+let mono_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 (* Minsn/s over a fixed wall-clock window, plus the per-call simulated
-   (cycles, steps) signature so the modes can be checked for identity. *)
+   (cycles, steps) signature so the variants can be checked for identity. *)
 let interp_measure (st, i, entry) =
   ignore (Td_cpu.Interp.call ~max_steps:max_int i ~entry ~args:[]);
   let c0 = st.Td_cpu.State.cycles and s0 = st.Td_cpu.State.steps in
   ignore (Td_cpu.Interp.call ~max_steps:max_int i ~entry ~args:[]);
   let sim_sig = (st.Td_cpu.State.cycles - c0, st.Td_cpu.State.steps - s0) in
   let s1 = st.Td_cpu.State.steps in
-  let t0 = Sys.time () in
-  while Sys.time () -. t0 < 0.4 do
+  let t0 = mono_s () in
+  while mono_s () -. t0 < 0.4 do
     ignore (Td_cpu.Interp.call ~max_steps:max_int i ~entry ~args:[])
   done;
-  let dt = Sys.time () -. t0 in
+  let dt = mono_s () -. t0 in
   (float_of_int (st.Td_cpu.State.steps - s1) /. dt /. 1e6, sim_sig, i)
 
 let interp () =
   header
     "Interp engine: host wall-clock throughput (simulated results unchanged)";
-  let compiled, sig_compiled, eng =
-    interp_measure (interp_variant Td_cpu.Interp.Compiled)
+  let compiled, sig_compiled, eng = interp_measure (interp_variant ()) in
+  let hooked, sig_hooked, _ =
+    interp_measure (interp_variant ~hook:(fun _ _ -> ()) ())
   in
-  let block, sig_block, beng =
-    interp_measure (interp_variant Td_cpu.Interp.Block)
-  in
-  let watcher, sig_watch, _ =
-    interp_measure (interp_variant ~hook:(fun _ _ -> ()) Td_cpu.Interp.Block)
-  in
-  let legacy, sig_legacy, _ =
-    interp_measure (interp_variant Td_cpu.Interp.Per_step)
-  in
-  let identical =
-    sig_block = sig_watch && sig_block = sig_legacy
-    && sig_block = sig_compiled
-  in
-  let speedup = block /. legacy in
-  let speedup_compiled = compiled /. legacy in
-  Printf.printf "%-42s %10s\n" "engine mode" "Minsn/s";
-  Printf.printf "%-42s %10.1f\n" "compiled superblocks, hook-free" compiled;
-  Printf.printf "%-42s %10.1f\n" "basic-block, hook-free" block;
-  Printf.printf "%-42s %10.1f\n" "basic-block, no-op watcher installed" watcher;
-  Printf.printf "%-42s %10.1f\n" "per-step resolve (pre-engine baseline)"
-    legacy;
+  let identical = sig_compiled = sig_hooked in
+  let speedup = compiled /. hooked in
+  Printf.printf "%-42s %10s\n" "engine" "Minsn/s";
+  Printf.printf "%-42s %10.1f\n" "compiled superblocks (default)" compiled;
+  Printf.printf "%-42s %10.1f\n" "per-step slow path (no-op hook)" hooked;
   Printf.printf
-    "\nblock engine vs per-step baseline:    %.1fx   (informational)\n\
-     compiled engine vs per-step baseline: %.1fx   (acceptance floor: 10x)\n\
-     simulated (cycles, steps) per call identical across modes: %b\n"
-    speedup speedup_compiled identical;
+    "\ncompiled vs per-step slow path: %.1fx\n\
+     simulated (cycles, steps) per call identical across engines: %b\n"
+    speedup identical;
   Td_cpu.Interp.publish_metrics eng;
-  (* fig8-style simulated receive throughput: first watcher on vs off (the
-     stlb watcher is the only always-installed hook, so switching it off
-     via tuning puts the whole world on the closure-free fast path), then
-     the hook-free run repeated under every dispatch engine. Simulated
-     cycles per packet must not move in either dimension. *)
-  let rx ~exact ~mode =
-    let tuning =
-      { Config.default_tuning with Config.stlb_exact_hits = exact }
-    in
-    let w = World.create ~nics:1 ~tuning Config.Xen_twin in
-    Td_cpu.Interp.set_dispatch (World.interp w) mode;
+  (* fig8-style simulated receive on a twin world: the default path
+     (probe sites counted inline, compiled tier) against the same run
+     forced per-step by a no-op hook. Simulated cycles per packet must
+     not move. *)
+  let rx ?hook () =
+    let w = World.create ~nics:1 Config.Xen_twin in
+    Option.iter (Td_cpu.Interp.add_hook (World.interp w)) hook;
     let payload = String.make 1500 'r' in
-    let t0 = Sys.time () in
+    let t0 = mono_s () in
     for i = 1 to 2000 do
       World.inject_rx w ~nic:0 ~payload;
       if i mod 8 = 0 then World.pump w
     done;
     World.pump w;
-    let host = Sys.time () -. t0 in
+    let host = mono_s () -. t0 in
     let cycles =
       List.fold_left
         (fun acc c -> acc + Td_xen.Ledger.total (World.ledger w) c)
@@ -773,42 +739,30 @@ let interp () =
     let frames = World.delivered_rx_frames w in
     (float_of_int cycles /. float_of_int frames, frames, host)
   in
-  let cpp_on, frames_on, host_on = rx ~exact:true ~mode:Td_cpu.Interp.Compiled in
-  let cpp_off, frames_off, host_off =
-    rx ~exact:false ~mode:Td_cpu.Interp.Compiled
-  in
-  let cpp_blk, frames_blk, _ = rx ~exact:false ~mode:Td_cpu.Interp.Block in
-  let cpp_ps, frames_ps, _ = rx ~exact:false ~mode:Td_cpu.Interp.Per_step in
-  let rx_identical =
-    cpp_on = cpp_off && cpp_on = cpp_blk && cpp_on = cpp_ps
-    && frames_on = frames_off && frames_on = frames_blk
-    && frames_on = frames_ps
-  in
+  let cpp_fast, frames_fast, host_fast = rx () in
+  let cpp_slow, frames_slow, host_slow = rx ~hook:(fun _ _ -> ()) () in
+  let rx_identical = cpp_fast = cpp_slow && frames_fast = frames_slow in
   Printf.printf
-    "\nfig8-style rx, 2000 frames: %.0f cycles/pkt with the stlb watcher, \
-     %.0f without\n\
-     (identical across watcher on/off and all three engines: %b); \
-     host %.2fs -> %.2fs\n"
-    cpp_on cpp_off rx_identical host_on host_off;
+    "\nfig8-style twin rx, 2000 frames: %.0f cycles/pkt default, %.0f \
+     per-step\n\
+     (identical: %b); host %.2fs per-step -> %.2fs default\n"
+    cpp_fast cpp_slow rx_identical host_slow host_fast;
   bench_json "interp"
     [
       ( "host",
         Json.Obj
           [
-            ("compiled_hook_free_minsn_s", Json.Float compiled);
-            ("block_hook_free_minsn_s", Json.Float block);
-            ("block_watcher_minsn_s", Json.Float watcher);
-            ("per_step_resolve_minsn_s", Json.Float legacy);
-            ("speedup_block_over_per_step", Json.Float speedup);
-            ("speedup_compiled_over_per_step", Json.Float speedup_compiled);
+            ("compiled_minsn_s", Json.Float compiled);
+            ("hooked_minsn_s", Json.Float hooked);
+            ("speedup_compiled_over_hooked", Json.Float speedup);
           ] );
       ("simulated_identical_across_modes", Json.Bool identical);
       ( "block_cache",
         Json.Obj
           [
-            ("hits", Json.Int (Td_cpu.Interp.block_hits beng));
-            ("misses", Json.Int (Td_cpu.Interp.block_misses beng));
-            ("invalidations", Json.Int (Td_cpu.Interp.invalidations beng));
+            ("hits", Json.Int (Td_cpu.Interp.block_hits eng));
+            ("misses", Json.Int (Td_cpu.Interp.block_misses eng));
+            ("invalidations", Json.Int (Td_cpu.Interp.invalidations eng));
           ] );
       ( "compiled_cache",
         Json.Obj
@@ -822,14 +776,12 @@ let interp () =
       ( "simulated_rx",
         Json.Obj
           [
-            ("frames", Json.Int frames_on);
-            ("cycles_per_packet_watcher", Json.Float cpp_on);
-            ("cycles_per_packet_hook_free", Json.Float cpp_off);
-            ("cycles_per_packet_block", Json.Float cpp_blk);
-            ("cycles_per_packet_per_step", Json.Float cpp_ps);
+            ("frames", Json.Int frames_fast);
+            ("cycles_per_packet_default", Json.Float cpp_fast);
+            ("cycles_per_packet_hooked", Json.Float cpp_slow);
             ("bit_identical_cycles", Json.Bool rx_identical);
-            ("host_s_watcher", Json.Float host_on);
-            ("host_s_hook_free", Json.Float host_off);
+            ("host_s_default", Json.Float host_fast);
+            ("host_s_hooked", Json.Float host_slow);
           ] );
     ]
 

@@ -34,7 +34,6 @@ type tuning = {
   map_window_pages : int;
   notify_batch : int;
   recovery : recovery;
-  stlb_exact_hits : bool;
   compile_threshold : int;
   superblock_cap : int;
   doorbell : bool;
@@ -53,7 +52,6 @@ let default_tuning =
     map_window_pages = Td_mem.Layout.map_window_pages;
     notify_batch = 1;
     recovery = Fail_stop;
-    stlb_exact_hits = true;
     compile_threshold = 8;
     superblock_cap = 64;
     doorbell = false;

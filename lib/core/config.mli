@@ -38,19 +38,10 @@ type tuning = {
           interrupt (1 = kick every frame, the paper's baseline).
           Flushed on ring pressure, {!World.pump} and {!World.tick}. *)
   recovery : recovery;  (** driver supervisor policy on abort. *)
-  stlb_exact_hits : bool;
-      (** Install the interpreter watcher that counts inline stlb probe
-          hits exactly ([stlb.hit]). On by default; switching it off
-          removes the only always-installed hook, putting the interpreter
-          on its closure-free basic-block fast path (the [interp] bench
-          measures the difference). Simulated cycles are identical either
-          way — only the [stlb.hit] metric and host wall-clock change. *)
   compile_threshold : int;
       (** Dispatches of a block entry before the interpreter promotes it
-          to a compiled superblock (default 8). Only observable with
-          [stlb_exact_hits = false] — the watcher forces the
-          per-instruction slow path. Simulated cycles are identical
-          either way. *)
+          to a compiled superblock (default 8). Simulated cycles are
+          identical for any threshold — only host wall-clock changes. *)
   superblock_cap : int;
       (** Maximum instructions traced into one compiled superblock,
           including blocks stitched across unconditional jumps and

@@ -949,21 +949,15 @@ let init (w : t) =
         }
   | _ -> ());
   (* exact stlb.hit accounting: the inline probe's hit path is the xor
-     against an stlb entry's second word (offset +4) — watch for it in the
-     interpreter and credit the runtime that owns that stlb. The watched
-     register still holds the pre-xor dom0 address when the hook fires. *)
+     against an stlb entry's second word (offset +4), so each stlb's
+     hit word is a probe site crediting the runtime that owns it *)
   (match (w.svm_hyp, w.svm_vm) with
-  | Some hyp_rt, Some (vm_rt, vm_stlb) when w.tuning.Config.stlb_exact_hits ->
-      let hyp_hit = w.hyp_stlb_vaddr + 4 and vm_hit = vm_stlb + 4 in
-      Interp.add_hook w.interp (fun st insn ->
-          match insn with
-          | Insn.Alu (Insn.Xor, Operand.Mem m, Operand.Reg r)
-            when m.Operand.sym = None && m.Operand.base <> None ->
-              if m.Operand.disp = hyp_hit then
-                Td_svm.Runtime.note_inline_hit hyp_rt (State.get st r)
-              else if m.Operand.disp = vm_hit then
-                Td_svm.Runtime.note_inline_hit vm_rt (State.get st r)
-          | _ -> ())
+  | Some hyp_rt, Some (vm_rt, vm_stlb) ->
+      Interp.set_probes w.interp
+        [
+          (w.hyp_stlb_vaddr + 4, Td_svm.Runtime.note_inline_hit hyp_rt);
+          (vm_stlb + 4, Td_svm.Runtime.note_inline_hit vm_rt);
+        ]
   | _ -> ());
   (* run e1000_init for every NIC using the dom0-side instance (the VM
      driver "performs the initialization of the NIC and the driver data

@@ -5,10 +5,6 @@
    fresh driver over a dead twin's range). *)
 type t = {
   mutable programs : Td_misa.Program.t array; (* sorted by base, ascending *)
-  mutable linear : Td_misa.Program.t list;
-      (* registration-ordered mirror (newest first), kept so
-         [find_linear] reproduces the pre-block-engine lookup — same data
-         structure, same traversal — as the measured baseline *)
   mutable generation : int;
 }
 
@@ -20,7 +16,7 @@ type t = {
    interpreter's unfilled-cache sentinel is 0; stamps start at 1. *)
 let stamp = Atomic.make 1
 let next_stamp () = Atomic.fetch_and_add stamp 1
-let create () = { programs = [||]; linear = []; generation = next_stamp () }
+let create () = { programs = [||]; generation = next_stamp () }
 let generation t = t.generation
 
 let overlaps (a : Td_misa.Program.t) (b : Td_misa.Program.t) =
@@ -57,7 +53,6 @@ let register t p =
         (Printf.sprintf "Code_registry: %s overlaps %s" p.Td_misa.Program.name
            q.Td_misa.Program.name)
   | None -> ());
-  t.linear <- p :: t.linear;
   insert_sorted t p
 
 (* Reload semantics: the driver supervisor re-runs the MISA loader at the
@@ -69,7 +64,6 @@ let replace t p =
       (List.filter
          (fun q -> not (overlaps p q))
          (Array.to_list t.programs));
-  t.linear <- p :: List.filter (fun q -> not (overlaps p q)) t.linear;
   insert_sorted t p
 
 (* rightmost program whose base is <= addr; containment decides the rest
@@ -94,12 +88,3 @@ let resolve t addr =
   | Some p -> (p, Td_misa.Program.index_of_addr p addr)
   | None -> raise Not_found
 
-(* the verbatim pre-engine implementation: a closure-allocating scan of a
-   registration-ordered linked list *)
-let find_linear t addr =
-  List.find_opt (fun p -> Td_misa.Program.contains p addr) t.linear
-
-let resolve_linear t addr =
-  match find_linear t addr with
-  | Some p -> (p, Td_misa.Program.index_of_addr p addr)
-  | None -> raise Not_found

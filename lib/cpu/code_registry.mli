@@ -36,7 +36,3 @@ val find : t -> int -> Td_misa.Program.t option
 val resolve : t -> int -> Td_misa.Program.t * int
 (** [(program, index)] for a code address. Raises [Not_found]. *)
 
-val resolve_linear : t -> int -> Td_misa.Program.t * int
-(** Like {!resolve} but via a linear scan of the registered programs —
-    the pre-block-engine fetch path, kept as the measured baseline for
-    the [interp] benchmark. Raises [Not_found]. *)

@@ -6,8 +6,6 @@
 exception Fault = Semantics.Fault
 exception Timeout = Semantics.Timeout
 
-type dispatch = Block | Per_step | Compiled
-
 (* Direct-mapped block cache: pc -> (program, index), valid only while
    [bc_gen] matches the registry generation. 512 slots keyed on the
    instruction index bits of the pc; collisions just re-resolve. The
@@ -23,7 +21,7 @@ type t = {
   registry : Code_registry.t;
   natives : Native.t;
   mutable hook : (State.t -> Td_misa.Insn.t -> unit) option;
-  mutable dispatch : dispatch;
+  mutable probes : Superblock.probes;
   mutable bc_gen : int;
   bc_addr : int array; (* -1 = empty slot *)
   bc_prog : Td_misa.Program.t option array;
@@ -50,7 +48,7 @@ let create ?hook state registry natives =
     registry;
     natives;
     hook;
-    dispatch = Compiled;
+    probes = [];
     bc_gen = 0;
     bc_addr = Array.make bc_size (-1);
     bc_prog = Array.make bc_size None;
@@ -69,7 +67,8 @@ let create ?hook state registry natives =
     stlb_elided = ref 0;
   }
 
-let set_dispatch t d = t.dispatch <- d
+let state t = t.state
+let registry t = t.registry
 let set_compile_threshold t n = t.compile_threshold <- max 1 n
 let set_superblock_cap t n = t.superblock_cap <- max 1 n
 
@@ -77,6 +76,20 @@ let add_hook t h =
   match t.hook with
   | None -> t.hook <- Some h
   | Some g -> t.hook <- Some (fun st insn -> g st insn; h st insn)
+
+(* Compiled superblocks bake the table in, so a new table must never
+   meet a closure compiled against the old one: forget the cached
+   generation, which flushes both caches before the next dispatch. *)
+let set_probes t probes =
+  t.probes <- probes;
+  t.bc_gen <- 0
+
+let probes t = t.probes
+
+let fire_probe t st insn =
+  match Superblock.probe_site t.probes insn with
+  | Some (r, on_hit) -> on_hit (State.get st r)
+  | None -> ()
 
 let ret_sentinel = Semantics.ret_sentinel
 
@@ -117,15 +130,6 @@ let resolve_uncached t pc =
              (Printf.sprintf "execution at misaligned code address 0x%x" pc));
       (p, off lsr 2)
 
-(* the pre-block-engine fetch path, selectable as the [Per_step]
-   dispatch mode so the interp benchmark can measure the old cost with
-   the same harness *)
-let resolve_legacy t pc =
-  match Code_registry.resolve_linear t.registry pc with
-  | res -> res
-  | exception Not_found -> unmapped pc
-  | exception Invalid_argument msg -> raise (Fault msg)
-
 (* A program was registered or replaced: drop every cached block AND
    every compiled superblock, so a dead twin's image can never execute
    after a supervised reload — not even a closure compiled in the same
@@ -162,29 +166,25 @@ let resolve_cached t pc =
 
 let step t =
   let st = t.state in
-  let prog, idx =
-    match t.dispatch with
-    | Block | Compiled -> resolve_cached t st.State.pc
-    | Per_step -> resolve_legacy t st.State.pc
-  in
+  let prog, idx = resolve_cached t st.State.pc in
   let insn = prog.Program.code.(idx) in
+  fire_probe t st insn;
   (match t.hook with Some h -> h st insn | None -> ());
-  if
-    Td_fault.Engine.active ()
-    && Td_fault.Engine.fire Td_fault.Interp_bitflip
-  then inject_bitflip st;
+  if Td_fault.Engine.fire Td_fault.Interp_bitflip then inject_bitflip st;
   st.State.steps <- st.State.steps + 1;
   exec_insn t insn
 
-(* Watchers (profiler, stlb-hit counter, fault injection) need to observe
-   every instruction; without them dispatch is closure-free. Hooks are
-   installed and fault plans change only outside driver execution, and a
-   [Call] ends a block, so checking once per control transfer is exactly
-   equivalent to the old per-instruction checks. *)
+(* Only per-instruction observers need the slow path: an installed hook
+   (the profiler) or an armed bitflip plan, which draws once per
+   instruction. Probe sites are recognised inline by both engines, and
+   any other fault site fires identically in every engine ([fire] never
+   draws at a zero rate). Hooks are installed and fault plans change
+   only outside driver execution, and a [Call] ends a block, so checking
+   once per control transfer is exactly equivalent to checking per
+   instruction. *)
 let needs_slow_path t =
   (match t.hook with Some _ -> true | None -> false)
-  || (match t.dispatch with Per_step -> true | Block | Compiled -> false)
-  || Td_fault.Engine.active ()
+  || Td_fault.Engine.armed Td_fault.Interp_bitflip
 
 (* straight-line fast path: resolve once, execute to the end of the
    basic block by array index. In-block instructions only fall through
@@ -207,7 +207,9 @@ let exec_block t =
   let i = ref idx in
   try
     while !i <= last do
-      Semantics.exec_insn ~natives st (Array.unsafe_get code !i);
+      let insn = Array.unsafe_get code !i in
+      if t.probes != [] then fire_probe t st insn;
+      Semantics.exec_insn ~natives st insn;
       incr i
     done
   with e ->
@@ -218,7 +220,7 @@ let compile_at t pc =
   match resolve_uncached t pc with
   | prog, idx ->
       Superblock.compile ~natives:t.natives ~costs:t.state.State.costs
-        ~elided:t.stlb_elided ~cap:t.superblock_cap prog idx
+        ~elided:t.stlb_elided ~probes:t.probes ~cap:t.superblock_cap prog idx
   | exception Fault _ -> None
 
 (* Compiled dispatch: count the entry hot, promote it to a superblock at
@@ -287,10 +289,7 @@ let call ?(max_steps = 1_000_000) t ~entry ~args =
           st.State.fuel <- st.State.fuel - 1;
           step t
         end
-        else
-          match t.dispatch with
-          | Compiled -> exec_compiled t
-          | Block | Per_step -> exec_block t
+        else exec_compiled t
       done);
   (* pop the arguments (caller cleans up, cdecl) *)
   State.set st Reg.ESP (State.get st Reg.ESP + (4 * List.length args));

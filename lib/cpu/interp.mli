@@ -4,7 +4,8 @@
     the architectural {!State.t}. Costs are charged per instruction and per
     memory access (TLB and cache models included), so the measured
     native-vs-rewritten driver slowdown is an output of execution, not an
-    assumption. Three dispatch engines share one instruction semantics
+    assumption. Three engines — per-instruction steps, basic blocks and
+    compiled {!Superblock}s — share one instruction semantics
     ({!Semantics}) and produce bit-identical simulated (cycles, steps);
     the full pipeline is documented in docs/INTERPRETER.md. *)
 
@@ -17,58 +18,19 @@ exception Timeout of int
     paper delegates to VINO-style timeouts (§4.5.2). (The same exception
     as {!Semantics.Timeout}.) *)
 
-type dispatch =
-  | Block
-      (** resolve the program once per control transfer through a
-          generation-stamped block cache, then execute straight-line by
-          array index *)
-  | Per_step
-      (** resolve every instruction through a linear registry scan — the
-          pre-block-engine fetch path, kept as the measured baseline for
-          the [interp] benchmark *)
-  | Compiled
-      (** the default: like [Block], but a hotness counter per block
-          entry promotes hot blocks to compiled {!Superblock}s — fused
-          closures with static cycle accounting, lazy flags and in-block
-          stlb-redundancy elimination. Falls back to the block engine
-          for cold, uncompilable or bailed-out entries. *)
-
-type t = {
-  state : State.t;
-  registry : Code_registry.t;
-  natives : Native.t;
-  mutable hook : (State.t -> Td_misa.Insn.t -> unit) option;
-  mutable dispatch : dispatch;
-  mutable bc_gen : int;
-  bc_addr : int array;
-  bc_prog : Td_misa.Program.t option array;
-  bc_idx : int array;
-  mutable block_hits : int;
-  mutable block_misses : int;
-  mutable invalidations : int;
-  cc_addr : int array;
-  cc_hot : int array;
-  cc_blk : Superblock.t option array;
-  mutable compile_threshold : int;
-  mutable superblock_cap : int;
-  mutable compiled_blocks : int;
-  mutable compiled_hits : int;
-  mutable compiled_bailouts : int;
-  stlb_elided : int ref;
-}
-(** Construct only through {!create}; the cache fields are exposed for
-    the record type's sake and are not part of the stable API. *)
+type t
 
 val create :
   ?hook:(State.t -> Td_misa.Insn.t -> unit) ->
   State.t -> Code_registry.t -> Native.t -> t
 
-val set_dispatch : t -> dispatch -> unit
+val state : t -> State.t
+val registry : t -> Code_registry.t
 
 val set_compile_threshold : t -> int -> unit
 (** Dispatches of a block entry before it is promoted to compiled form
-    (default 8; clamped to at least 1). Only meaningful in [Compiled]
-    dispatch. *)
+    (default 8; clamped to at least 1). [max_int] never promotes, which
+    leaves every entry on the basic-block engine. *)
 
 val set_superblock_cap : t -> int -> unit
 (** Maximum instructions traced into one superblock, including stitched
@@ -77,10 +39,22 @@ val set_superblock_cap : t -> int -> unit
 val add_hook : t -> (State.t -> Td_misa.Insn.t -> unit) -> unit
 (** Compose a per-instruction hook with any already installed (existing
     hooks run first). Hooks fire before the instruction executes, so
-    register reads observe pre-execution state. Use this instead of
-    assigning [hook] directly — a profiler and an instrumentation watcher
-    must not clobber each other. Installing any hook forces the
-    per-instruction slow path (see {!call}). *)
+    register reads observe pre-execution state. Installing any hook
+    forces the per-instruction slow path for
+    every later {!call}, so it is for observers that really need every
+    instruction (the profiler); to count inline stlb hits, register
+    probe sites with {!set_probes} instead. *)
+
+val set_probes : t -> Superblock.probes -> unit
+(** Replace the probe-site table (see {!Superblock.probe_site}). Every
+    engine calls a site's callback before the xor executes, with the
+    register's pre-xor value, exactly once per executed site; compiled
+    superblocks resolve the sites when they are built. Registering sites
+    does not leave the fast path. Flushes the block and compiled caches,
+    so no closure built against the old table survives. *)
+
+val probes : t -> Superblock.probes
+(** The table installed by {!set_probes} (initially empty). *)
 
 val ret_sentinel : int
 (** Pseudo return address marking the bottom of a simulated call; popping
@@ -92,11 +66,13 @@ val call : ?max_steps:int -> t -> entry:int -> args:int list -> int
     [ESP] must already point to a valid stack. Default [max_steps] is
     1_000_000. The budget is charged per executed instruction and per
     [rep] string element, so a corrupted huge ECX times out rather than
-    spinning forever. With a hook installed or a fault plan active,
-    execution takes the per-instruction slow path regardless of the
-    dispatch mode; otherwise it proceeds a basic block — or a compiled
-    superblock — at a time. Simulated cycles, steps and metrics are
-    identical on every path, only host wall-clock differs. *)
+    spinning forever. With a hook installed, or a fault plan whose
+    [interp_bitflip] rate is above zero and not suspended, execution
+    takes the per-instruction slow path; otherwise it proceeds a
+    compiled superblock — or, for cold or bailed-out entries, a basic
+    block — at a time. Probe sites fire on every path. Simulated cycles,
+    steps and metrics are identical on every path, only host wall-clock
+    differs. *)
 
 val exec_insn : t -> Td_misa.Insn.t -> unit
 (** Execute one instruction (for tests); [state.pc] must identify it. *)

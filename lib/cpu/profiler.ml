@@ -31,7 +31,7 @@ let attach interp =
       interp;
       regions = Hashtbl.create 64;
       label_maps = Hashtbl.create 8;
-      last_cycles = interp.Interp.state.State.cycles;
+      last_cycles = (Interp.state interp).State.cycles;
       current = None;
     }
   in
@@ -42,7 +42,7 @@ let attach interp =
     | Some r -> r.cycles <- r.cycles + (st.State.cycles - t.last_cycles)
     | None -> ());
     t.last_cycles <- st.State.cycles;
-    match Code_registry.find t.interp.Interp.registry st.State.pc with
+    match Code_registry.find (Interp.registry t.interp) st.State.pc with
     | None -> t.current <- None
     | Some prog ->
         let pname = prog.Td_misa.Program.name in
@@ -82,7 +82,7 @@ let total_cycles t =
 let reset t =
   Hashtbl.reset t.regions;
   t.current <- None;
-  t.last_cycles <- t.interp.Interp.state.State.cycles
+  t.last_cycles <- (Interp.state t.interp).State.cycles
 
 let publish t =
   List.iter

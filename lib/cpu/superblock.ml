@@ -582,6 +582,24 @@ let gen_straight ctx ~natives ~flags insn (k : State.t -> unit) : State.t -> uni
               k st)
   | _ -> generic ()
 
+(* --- probe sites --- *)
+
+type probes = (int * (int -> unit)) list
+
+(* The inline stlb probe's hit path (Fig 4) is [xor [r1+stlb+4], r2]:
+   an xor of an stlb entry's second word into the register holding the
+   dom0 address. A registered displacement makes the instruction a
+   probe-hit site; its callback reads the register before the xor. *)
+let probe_site (probes : probes) = function
+  | Insn.Alu
+      ( Insn.Xor,
+        Operand.Mem { Operand.base = Some _; sym = None; disp; _ },
+        Operand.Reg r ) -> (
+      match List.assoc_opt disp probes with
+      | Some on_hit -> Some (r, on_hit)
+      | None -> None)
+  | _ -> None
+
 (* --- the compiled block --- *)
 
 type t = {
@@ -598,7 +616,7 @@ type t = {
 let entry_pc blk = blk.entry_pc
 let max_steps blk = blk.max_steps
 
-let compile ~natives ~costs ~elided ~cap (prog : Program.t) idx =
+let compile ~natives ~costs ~elided ~probes ~cap (prog : Program.t) idx =
   let trace, exit_pc = build_trace ~cap prog idx in
   match trace with
   | [] -> None
@@ -652,9 +670,17 @@ let compile ~natives ~costs ~elided ~cap (prog : Program.t) idx =
                   ~pslot:exc_slot.(s) ~pc:target
               in
               fun st -> if Semantics.cond_true st c then taken st else k st
-          | K_straight ->
-              gen_straight ctx ~natives ~flags:(not (elide_flags ents s))
-                e.e_insn k
+          | K_straight -> (
+              let op =
+                gen_straight ctx ~natives ~flags:(not (elide_flags ents s))
+                  e.e_insn k
+              in
+              match probe_site probes e.e_insn with
+              | Some (r, on_hit) ->
+                  fun st ->
+                    on_hit (State.get st r);
+                    op st
+              | None -> op)
         in
         (* only faulting-capable steps pay for position tracking *)
         let op =

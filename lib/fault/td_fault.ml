@@ -152,6 +152,11 @@ module Engine = struct
   let active () =
     match current () with Some e -> e.suspend_depth = 0 | None -> false
 
+  let armed site =
+    match current () with
+    | Some e -> e.suspend_depth = 0 && rate e.plan site > 0.
+    | None -> false
+
   let fire site =
     match current () with
     | None -> false

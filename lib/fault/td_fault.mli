@@ -82,6 +82,10 @@ module Engine : sig
   val active : unit -> bool
   (** An engine is visible and injection is not {!suspend}ed. *)
 
+  val armed : site -> bool
+  (** {!active}, and the visible plan's rate at [site] is above [0.] —
+      exactly when {!fire} at [site] could consult its stream. *)
+
   val fire : site -> bool
   (** One injection opportunity at [site]. [true] means the caller must
       inject its fault now; the engine has already counted it, bumped

@@ -326,7 +326,7 @@ let test_rep_consumes_call_budget () =
    as [Interp.Fault] (so recovery policies apply), never as the
    [Invalid_argument] that [Program.index_of_addr] raises internally *)
 let test_fault_on_bad_jump () =
-  let faults dispatch target =
+  let faults ?hook target =
     let m = Harness.make_machine () in
     let b = Builder.create "mis" in
     Builder.label b "entry";
@@ -338,7 +338,7 @@ let test_fault_on_bad_jump () =
     Code_registry.register m.Harness.registry prog;
     let st = Harness.dom0_cpu m in
     let interp = Harness.interp_of m st in
-    Interp.set_dispatch interp dispatch;
+    Option.iter (Interp.add_hook interp) hook;
     match
       Interp.call interp
         ~entry:(Program.addr_of_label prog "entry")
@@ -350,17 +350,11 @@ let test_fault_on_bad_jump () =
   in
   let misaligned = Td_mem.Layout.vm_driver_code_base + 2 in
   let out_of_range = Td_mem.Layout.vm_driver_code_base + 0x1000 in
-  check bool_c "misaligned, block engine" true (faults Interp.Block misaligned);
-  check bool_c "misaligned, per-step engine" true
-    (faults Interp.Per_step misaligned);
-  check bool_c "misaligned, compiled engine" true
-    (faults Interp.Compiled misaligned);
-  check bool_c "out of range, block engine" true
-    (faults Interp.Block out_of_range);
-  check bool_c "out of range, per-step engine" true
-    (faults Interp.Per_step out_of_range);
-  check bool_c "out of range, compiled engine" true
-    (faults Interp.Compiled out_of_range)
+  let hook _ _ = () in
+  check bool_c "misaligned, fast path" true (faults misaligned);
+  check bool_c "misaligned, per-step path" true (faults ~hook misaligned);
+  check bool_c "out of range, fast path" true (faults out_of_range);
+  check bool_c "out of range, per-step path" true (faults ~hook out_of_range)
 
 let test_block_cache_invalidation_on_replace () =
   let m = Harness.make_machine () in
@@ -384,7 +378,7 @@ let test_block_cache_invalidation_on_replace () =
   check bool_c "block cache was flushed" true (Interp.invalidations interp >= 1)
 
 let test_engine_modes_identical_results () =
-  let run_mode ?hook dispatch =
+  let run_mode ?hook threshold =
     let m = Harness.make_machine () in
     let b = Builder.create "sum" in
     Builder.label b "entry";
@@ -402,20 +396,20 @@ let test_engine_modes_identical_results () =
     Code_registry.register m.Harness.registry prog;
     let st = Harness.dom0_cpu m in
     let interp = Interp.create ?hook st m.Harness.registry m.Harness.natives in
-    Interp.set_dispatch interp dispatch;
+    Interp.set_compile_threshold interp threshold;
     let r =
       Interp.call interp ~entry:(Program.addr_of_label prog "entry") ~args:[]
     in
     (r, st.State.cycles, st.State.steps)
   in
-  let free = run_mode Interp.Block in
-  let hooked = run_mode ~hook:(fun _ _ -> ()) Interp.Block in
-  let legacy = run_mode Interp.Per_step in
-  let compiled = run_mode Interp.Compiled in
-  check bool_c "watcher does not change simulated results" true (free = hooked);
-  check bool_c "per-step does not change simulated results" true (free = legacy);
+  (* a [max_int] threshold never promotes: the basic-block engine only *)
+  let block = run_mode max_int in
+  let hooked = run_mode ~hook:(fun _ _ -> ()) 1 in
+  let compiled = run_mode 1 in
+  check bool_c "per-step does not change simulated results" true
+    (block = hooked);
   check bool_c "compiled does not change simulated results" true
-    (free = compiled)
+    (block = compiled)
 
 (* Regression: a block promoted to a compiled superblock in the same pump
    as a [Code_registry.replace] (the supervised-reload path) must never
@@ -435,7 +429,6 @@ let test_compiled_invalidation_on_replace () =
   Code_registry.register m.Harness.registry p1;
   let st = Harness.dom0_cpu m in
   let interp = Harness.interp_of m st in
-  Interp.set_dispatch interp Interp.Compiled;
   Interp.set_compile_threshold interp 1;
   let entry = Program.addr_of_label p1 "entry" in
   (* warm: count hot, promote, then dispatch the compiled closure *)
@@ -454,7 +447,7 @@ let test_compiled_invalidation_on_replace () =
    through the same base register to the same page) and must not change
    the result or the simulated cycles vs the per-step engine. *)
 let test_compiled_stlb_elision () =
-  let run_mode dispatch =
+  let run_mode ?hook () =
     let m = Harness.make_machine () in
     let buf = Td_mem.Addr_space.heap_alloc m.Harness.dom0 64 in
     let b = Builder.create "mem" in
@@ -472,7 +465,7 @@ let test_compiled_stlb_elision () =
     Code_registry.register m.Harness.registry prog;
     let st = Harness.dom0_cpu m in
     let interp = Harness.interp_of m st in
-    Interp.set_dispatch interp dispatch;
+    Option.iter (Interp.add_hook interp) hook;
     Interp.set_compile_threshold interp 1;
     let entry = Program.addr_of_label prog "entry" in
     let r = ref 0 in
@@ -481,8 +474,8 @@ let test_compiled_stlb_elision () =
     done;
     (!r, st.State.cycles, st.State.steps, Interp.stlb_elided interp)
   in
-  let rc, cc, sc, elided = run_mode Interp.Compiled in
-  let rp, cp, sp, elided_ps = run_mode Interp.Per_step in
+  let rc, cc, sc, elided = run_mode () in
+  let rp, cp, sp, elided_ps = run_mode ~hook:(fun _ _ -> ()) () in
   check int_c "compiled result" 42 rc;
   check int_c "per-step result" 42 rp;
   check bool_c "cycles identical" true (cc = cp);

@@ -167,7 +167,7 @@ let prop_emit b ~nsegs ~seg v =
       | _ -> Builder.sarl b c (Builder.reg dst))
   | _ -> Builder.nop b
 
-let prop_run dispatch segs =
+let prop_run ?hook threshold segs =
   let m = Harness.make_machine () in
   let buf = Td_mem.Addr_space.heap_alloc m.Harness.dom0 64 in
   let nsegs = List.length segs in
@@ -194,9 +194,10 @@ let prop_run dispatch segs =
   Td_cpu.Code_registry.register m.Harness.registry prog;
   let st = Harness.dom0_cpu m in
   let interp = Harness.interp_of m st in
-  Td_cpu.Interp.set_dispatch interp dispatch;
-  (* threshold 1 so the second call runs compiled code in Compiled mode *)
-  Td_cpu.Interp.set_compile_threshold interp 1;
+  Option.iter (Td_cpu.Interp.add_hook interp) hook;
+  (* threshold 1: the second call runs compiled code unless a hook forces
+     per-step; [max_int]: never promoted, the basic-block engine only *)
+  Td_cpu.Interp.set_compile_threshold interp threshold;
   let entry = Program.addr_of_label prog "entry" in
   let r = ref 0 in
   for _ = 1 to 3 do
@@ -231,9 +232,9 @@ let engine_equivalence_prop =
               (fun ops -> String.concat "," (List.map string_of_int ops))
               segs)))
     (fun segs ->
-      let per_step = prop_run Td_cpu.Interp.Per_step segs in
-      let block = prop_run Td_cpu.Interp.Block segs in
-      let compiled = prop_run Td_cpu.Interp.Compiled segs in
+      let per_step = prop_run ~hook:(fun _ _ -> ()) 1 segs in
+      let block = prop_run max_int segs in
+      let compiled = prop_run 1 segs in
       per_step = block && per_step = compiled)
 
 (* --- ledger arithmetic --- *)

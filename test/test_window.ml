@@ -1,5 +1,5 @@
-(* Map-window reclaim, straddle poisoning, multi-frame delivery and
-   notification-batch equivalence. *)
+(* Map-window reclaim, straddle poisoning, multi-frame delivery,
+   notification-batch equivalence and inline stlb-hit accounting. *)
 
 open Td_mem
 open Td_misa
@@ -178,7 +178,7 @@ let test_obs_counters () =
           | Td_obs.Trace.Window_reclaim _ -> true
           | _ -> false)))
 
-(* the interpreter watcher credits inline fast-path hits, so a twin
+(* the interpreter's probe sites credit inline fast-path hits, so a twin
    transmit run shows far more stlb.hit than the handful the host-side
    translate calls used to account for *)
 let test_inline_hits_credited () =
@@ -195,6 +195,134 @@ let test_inline_hits_credited () =
       World.pump w;
       check bool_c "inline hits counted" true
         (Td_obs.Metrics.counter_value "stlb.hit" > 50))
+
+(* --- probe sites: the default path against a forced per-step path --- *)
+
+let tx_cadence ?(nics = 1) w ~frames =
+  let payload = String.make 1500 'x' in
+  for i = 0 to frames - 1 do
+    ignore (Twindrivers.World.transmit w ~nic:(i mod nics) ~payload);
+    if i mod 8 = 7 then Twindrivers.World.pump w
+  done;
+  Twindrivers.World.pump w
+
+(* any hook forces per-step dispatch; a no-op one changes nothing else *)
+let force_slow_path w =
+  Td_cpu.Interp.add_hook (Twindrivers.World.interp w) (fun _ _ -> ())
+
+(* the per-instruction watcher the probe table replaced, as the
+   reference: it takes over the world's probe sites, forces per-step
+   dispatch and credits each hit before the xor executes *)
+let install_reference_watcher w =
+  let interp = Twindrivers.World.interp w in
+  let probes = Td_cpu.Interp.probes interp in
+  Td_cpu.Interp.set_probes interp [];
+  Td_cpu.Interp.add_hook interp (fun st insn ->
+      match insn with
+      | Insn.Alu (Insn.Xor, Operand.Mem m, Operand.Reg r)
+        when m.Operand.sym = None && m.Operand.base <> None -> (
+          match List.assoc_opt m.Operand.disp probes with
+          | Some on_hit -> on_hit (Td_cpu.State.get st r)
+          | None -> ())
+      | _ -> ())
+
+let metrics_c = Alcotest.(list (pair string (float 0.)))
+let ledger_c = Alcotest.(list (pair string int))
+
+let ledger_rows w =
+  List.map
+    (fun (c, v) -> (Td_xen.Ledger.category_name c, v))
+    (Td_xen.Ledger.snapshot (Twindrivers.World.ledger w))
+
+(* stlb.hit — and every other metric and the ledger — is exactly what
+   the old watcher counted, at the figs 5-8 transmit and receive
+   cadences *)
+let test_exact_hits_match_watcher () =
+  let open Twindrivers in
+  Td_obs.Control.enable ();
+  Fun.protect ~finally:Td_obs.Control.disable (fun () ->
+      let run ~reference dir =
+        Td_obs.Metrics.reset_all ();
+        Td_obs.Trace.clear ();
+        let w = World.create ~nics:1 Config.Xen_twin in
+        if reference then install_reference_watcher w;
+        let r =
+          if dir = "tx" then Measure.run_transmit ~packets:256 w
+          else Measure.run_receive ~packets:256 w
+        in
+        (r.Measure.metrics, ledger_rows w)
+      in
+      List.iter
+        (fun dir ->
+          let m_fast, l_fast = run ~reference:false dir in
+          let m_ref, l_ref = run ~reference:true dir in
+          check bool_c (dir ^ ": inline hits counted") true
+            (List.assoc "stlb.hit" m_fast > 1000.);
+          check metrics_c (dir ^ ": metrics equal the watcher's") m_ref m_fast;
+          check ledger_c (dir ^ ": ledger equals the watcher's") l_ref l_fast)
+        [ "tx"; "rx" ])
+
+(* a window smaller than the dom0 pages transmit touches (a small skb
+   pool keeps the pinned pairs few) makes the clock reclaim fire. Which
+   pair it evicts depends on every hit marking its pair referenced, so
+   reclaims, ledger and wire traffic must match the per-step path. *)
+let test_reclaim_parity () =
+  let open Twindrivers in
+  Td_obs.Control.enable ();
+  Fun.protect ~finally:Td_obs.Control.disable (fun () ->
+      let run ~slow =
+        Td_obs.Metrics.reset_all ();
+        let tuning =
+          { Config.default_tuning with Config.map_window_pages = 32 }
+        in
+        let w = World.create ~nics:2 ~pool_entries:8 ~tuning Config.Xen_twin in
+        if slow then force_slow_path w;
+        tx_cadence w ~nics:2 ~frames:256;
+        ( Td_obs.Metrics.counter_value "svm.window_reclaim",
+          ledger_rows w,
+          (World.wire_tx_frames w, World.wire_tx_bytes w) )
+      in
+      let r_fast, l_fast, wire_fast = run ~slow:false in
+      let r_slow, l_slow, wire_slow = run ~slow:true in
+      check bool_c "the clock reclaimed" true (r_fast > 0);
+      check int_c "same reclaims" r_slow r_fast;
+      check ledger_c "same ledger" l_slow l_fast;
+      check (Alcotest.pair int_c int_c) "same wire traffic" wire_slow wire_fast)
+
+(* the default path is the fast path: a twin world runs compiled code,
+   and so does one whose fault plan arms only a site outside the
+   interpreter, with the ledger of the per-step path; a plan arming
+   [interp_bitflip] still dispatches per-step, since it draws per
+   instruction *)
+let test_default_is_fast () =
+  let open Twindrivers in
+  let run ?plan ~slow () =
+    let tuning = { Config.default_tuning with Config.fault_plan = plan } in
+    let w = World.create ~nics:1 ~tuning Config.Xen_twin in
+    if slow then force_slow_path w;
+    (* the plan is scoped around traffic, not around creation *)
+    let hits0 = Td_cpu.Interp.compiled_hits (World.interp w) in
+    tx_cadence w ~frames:256;
+    ( Td_cpu.Interp.compiled_hits (World.interp w) - hits0,
+      ledger_rows w,
+      World.fault_injected w )
+  in
+  let hits, _, _ = run ~slow:false () in
+  check bool_c "default world runs compiled" true (hits > 0);
+  let lost_irq =
+    { Td_fault.zero_plan with Td_fault.seed = 7; nic_lost_irq = 0.05 }
+  in
+  let hits, l_fast, inj_fast = run ~plan:lost_irq ~slow:false () in
+  let _, l_slow, inj_slow = run ~plan:lost_irq ~slow:true () in
+  check bool_c "nic_lost_irq world runs compiled" true (hits > 0);
+  check bool_c "interrupts were lost" true (inj_fast > 0);
+  check int_c "same injections as per-step" inj_slow inj_fast;
+  check ledger_c "same ledger as per-step" l_slow l_fast;
+  let bitflip =
+    { Td_fault.zero_plan with Td_fault.seed = 7; interp_bitflip = 1e-9 }
+  in
+  let hits, _, _ = run ~plan:bitflip ~slow:false () in
+  check int_c "interp_bitflip world dispatches per-step" 0 hits
 
 let suite =
   [
@@ -217,4 +345,8 @@ let suite =
       test_obs_counters;
     Alcotest.test_case "inline stlb hits credited" `Quick
       test_inline_hits_credited;
+    Alcotest.test_case "exact hits match the watcher" `Quick
+      test_exact_hits_match_watcher;
+    Alcotest.test_case "reclaim parity" `Quick test_reclaim_parity;
+    Alcotest.test_case "default path is compiled" `Quick test_default_is_fast;
   ]
