@@ -1117,7 +1117,7 @@ let transmit w ~nic ~payload =
         let skb =
           Skb.alloc w.km w.dom0_space ~size:(String.length frame + 64)
         in
-        Skb.put skb (Bytes.of_string frame);
+        Skb.put_string skb frame ~off:0 ~len:(String.length frame);
         let r =
           run_dom0_driver w ~entry:w.dom0_driver.e_xmit
             ~args:[ skb.Skb.addr; p.nd.Netdev.addr ]
@@ -1184,7 +1184,7 @@ let transmit w ~nic ~payload =
             charge_xen_cat w
               (int_of_float
                  (float_of_int hdr *. w.costs.Sys_costs.copy_per_byte));
-            Skb.put skb (Bytes.of_string (String.sub frame 0 hdr));
+            Skb.put_string skb frame ~off:0 ~len:hdr;
             if String.length frame > hdr then begin
               charge_xen_cat w w.costs.Sys_costs.twin_frag_chain;
               let rest = String.length frame - hdr in
@@ -1192,8 +1192,8 @@ let transmit w ~nic ~payload =
               (* chaining is a remap in the paper, not a copy: the bytes are
                  placed functionally but only the constant chain cost is
                  charged *)
-              Addr_space.write_block w.dom0_space frag
-                (Bytes.of_string (String.sub frame hdr rest));
+              Addr_space.write_string w.dom0_space frag frame ~off:hdr
+                ~len:rest;
               Skb.set_frag skb ~page:frag ~len:rest
             end;
             (* refetch the image: a recovery may have reloaded it *)

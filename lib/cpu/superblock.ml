@@ -281,7 +281,8 @@ let gen_load32 ctx (m : Operand.mem) : State.t -> int =
           if slot.s_stamp = !stamp && slot.s_page = page then begin
             (* translation reused: the TLB and cache models still see
                the access (simulated cycles are bit-identical), only the
-               two page-table hashtable walks are skipped *)
+               two-level page-table walk and the frame-array lookup
+               are skipped *)
             let cost = ref costs.Cost_model.mem_access in
             if not (Tlb.access st.State.tlb page) then
               cost := !cost + costs.Cost_model.tlb_miss;

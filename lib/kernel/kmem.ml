@@ -18,9 +18,6 @@ let free_list t cls =
       Hashtbl.replace t.free_lists cls l;
       l
 
-let zero t addr bytes =
-  Td_mem.Addr_space.write_block t.space addr (Bytes.make bytes '\000')
-
 let alloc t bytes =
   if bytes <= 0 then invalid_arg "Kmem.alloc: non-positive size";
   if bytes > Td_mem.Layout.page_size then begin
@@ -45,7 +42,7 @@ let alloc t bytes =
           done;
           page
     in
-    zero t addr cls;
+    Td_mem.Addr_space.fill t.space addr cls '\000';
     t.live <- t.live + cls;
     addr
   end

@@ -62,15 +62,19 @@ let free kmem t =
    invariant violation: raise a typed, counted Guest_fault (attributed to
    the address space holding the buffer) that the driver supervisor
    contains, never a bare failwith that would take dom0 down. *)
-let put t payload =
+let put_string t s ~off ~len:n =
   let d = data t and l = len t in
-  if d + l + Bytes.length payload > end_ t then
+  if d + l + n > end_ t then
     Td_xen.Guest_fault.fail
       ~domain:(Td_mem.Addr_space.name t.space)
-      ~op:"Skb.put" "overflow: %d staged + %d new > %d capacity" l
-      (Bytes.length payload) (capacity t);
-  Td_mem.Addr_space.write_block t.space (d + l) payload;
-  set_len t (l + Bytes.length payload)
+      ~op:"Skb.put" "overflow: %d staged + %d new > %d capacity" l n
+      (capacity t);
+  Td_mem.Addr_space.write_string t.space (d + l) s ~off ~len:n;
+  set_len t (l + n)
+
+let put t payload =
+  put_string t (Bytes.unsafe_to_string payload) ~off:0
+    ~len:(Bytes.length payload)
 
 let pull t n =
   if n > len t then

@@ -52,6 +52,10 @@ val put : t -> bytes -> unit
     a typed, counted {!Td_xen.Guest_fault.Fault} attributed to the
     buffer's address space, which the driver supervisor contains. *)
 
+val put_string : t -> string -> off:int -> len:int -> unit
+(** [put_string t s ~off ~len] is {!put} of [String.sub s off len],
+    copied straight from [s]. *)
+
 val pull : t -> int -> unit
 (** Advance [data] by [n] (consume a header), shrinking [len]. Underflow
     raises {!Td_xen.Guest_fault.Fault} like {!put}. *)

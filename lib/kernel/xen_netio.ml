@@ -379,7 +379,8 @@ let frontend_rx_deliver t costs (gref, gvaddr, len, stamp) =
     Td_obs.Metrics.bump "netio.rx";
     Td_obs.Trace.emit (Td_obs.Trace.Netio_rx { bytes = len })
   end;
-  t.guest_rx (Bytes.to_string frame);
+  (* [frame] is a fresh buffer nothing else holds: hand it over as is *)
+  t.guest_rx (Bytes.unsafe_to_string frame);
   Ledger.note_latency (Hypervisor.ledger t.hyp) `Rx (now t - stamp);
   Queue.push (gref, gvaddr) t.rx_posted
 

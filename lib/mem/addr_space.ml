@@ -16,33 +16,82 @@ let () =
              space requested)
     | _ -> None)
 
+(* An x86-style two-level page table over the 32-bit space: the top ten
+   bits of a vpage pick a directory slot, the low ten an entry in that
+   slot's leaf. Entries hold the very [mapping option] that [lookup]
+   returns, so a walk is two array loads and allocates nothing. *)
+let leaf_bits = 10
+let leaf_size = 1 lsl leaf_bits
+let leaf_mask = leaf_size - 1
+let vpages = Layout.addr_limit lsr Layout.page_shift
+
+(* Stands in for every leaf not yet allocated; never written. *)
+let empty_leaf : mapping option array = Array.make leaf_size None
+
 type t = {
   name : string;
   phys : Phys_mem.t;
-  table : (int, mapping) Hashtbl.t;
+  dir : mapping option array array;
+  mutable mapped : int;
   mutable heap_next : int;
   mutable heap_limit : int;
 }
 
 let create ~name phys =
-  { name; phys; table = Hashtbl.create 256; heap_next = 0; heap_limit = 0 }
+  {
+    name;
+    phys;
+    dir = Array.make (vpages lsr leaf_bits) empty_leaf;
+    mapped = 0;
+    heap_next = 0;
+    heap_limit = 0;
+  }
 
 let name t = t.name
 let phys t = t.phys
-let map t ~vpage frame = Hashtbl.replace t.table vpage (Frame frame)
-let map_device t ~vpage dev = Hashtbl.replace t.table vpage (Device dev)
-let unmap t ~vpage = Hashtbl.remove t.table vpage
-let lookup t ~vpage = Hashtbl.find_opt t.table vpage
-let is_mapped t ~vpage = Hashtbl.mem t.table vpage
+
+let in_range vpage = vpage >= 0 && vpage < vpages
+
+let lookup t ~vpage =
+  if not (in_range vpage) then None
+  else
+    Array.unsafe_get
+      (Array.unsafe_get t.dir (vpage lsr leaf_bits))
+      (vpage land leaf_mask)
+
+let check_vpage vpage =
+  if not (in_range vpage) then
+    invalid_arg (Printf.sprintf "Addr_space.map: vpage %#x out of range" vpage)
+
+let set t ~vpage m =
+  check_vpage vpage;
+  let d = vpage lsr leaf_bits in
+  if t.dir.(d) == empty_leaf then t.dir.(d) <- Array.make leaf_size None;
+  let leaf = t.dir.(d) in
+  let i = vpage land leaf_mask in
+  if Option.is_none leaf.(i) then t.mapped <- t.mapped + 1;
+  leaf.(i) <- Some m
+
+let map t ~vpage frame = set t ~vpage (Frame frame)
+let map_device t ~vpage dev = set t ~vpage (Device dev)
+
+let unmap t ~vpage =
+  if Option.is_some (lookup t ~vpage) then begin
+    t.dir.(vpage lsr leaf_bits).(vpage land leaf_mask) <- None;
+    t.mapped <- t.mapped - 1
+  end
+
+let is_mapped t ~vpage = Option.is_some (lookup t ~vpage)
 
 let frame_of_vpage t ~vpage =
   match lookup t ~vpage with
   | Some (Frame f) -> Some f
   | Some (Device _) | None -> None
 
-let mapped_pages t = Hashtbl.length t.table
+let mapped_pages t = t.mapped
 
 let alloc_page t ~vpage =
+  check_vpage vpage;
   let f = Phys_mem.alloc_frame t.phys in
   map t ~vpage f;
   f
@@ -84,68 +133,105 @@ let read t addr w =
     !v
   end
 
+(* Raise whatever fault an access to [addr] would, without accessing. *)
+let resolve t addr =
+  match mapping_of t addr with
+  | Frame f -> ignore (Phys_mem.page t.phys f)
+  | Device _ -> ()
+
 let write t addr w v =
   if not (straddles addr w) then write_within t addr w v
-  else
+  else begin
+    (* Resolve both pages before touching either, so a fault on the
+       second leaves the first untouched (a precise x86 fault). *)
     let n = Td_misa.Width.bytes w in
+    resolve t addr;
+    resolve t (Layout.page_base (addr + n - 1));
     for i = 0 to n - 1 do
       write_within t (addr + i) Td_misa.Width.W8 ((v lsr (8 * i)) land 0xff)
     done
+  end
 
+(* The block copies below go a page at a time, straight between the
+   caller's buffer and the frame's, and fault at the first unmapped page
+   (after the chunks before it). Written out rather than through a
+   shared chunk iterator, whose closure would allocate on every call. *)
 let read_block t addr len =
   let out = Bytes.create len in
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let chunk = min (len - !pos) (Layout.page_size - Layout.offset_of a) in
+    let off = Layout.offset_of a in
+    let chunk = min (len - !pos) (Layout.page_size - off) in
     (match mapping_of t a with
-    | Frame f ->
-        Bytes.blit
-          (Phys_mem.read_bytes t.phys f (Layout.offset_of a) chunk)
-          0 out !pos chunk
+    | Frame f -> Bytes.blit (Phys_mem.page t.phys f) off out !pos chunk
     | Device d ->
         for i = 0 to chunk - 1 do
           Bytes.set out (!pos + i)
-            (Char.chr (d.dev_read (Layout.offset_of a + i) Td_misa.Width.W8))
+            (Char.chr (d.dev_read (off + i) Td_misa.Width.W8))
         done);
     pos := !pos + chunk
   done;
   out
 
-let write_block t addr src =
-  let len = Bytes.length src in
+let write_string t addr src ~off:src_off ~len =
+  if src_off < 0 || len < 0 || src_off > String.length src - len then
+    invalid_arg "Addr_space.write_string: range outside the source";
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
-    let chunk = min (len - !pos) (Layout.page_size - Layout.offset_of a) in
+    let off = Layout.offset_of a in
+    let chunk = min (len - !pos) (Layout.page_size - off) in
     (match mapping_of t a with
     | Frame f ->
-        Phys_mem.write_bytes t.phys f (Layout.offset_of a)
-          (Bytes.sub src !pos chunk)
+        Bytes.blit_string src (src_off + !pos) (Phys_mem.page t.phys f) off
+          chunk
     | Device d ->
         for i = 0 to chunk - 1 do
-          d.dev_write
-            (Layout.offset_of a + i)
-            Td_misa.Width.W8
-            (Char.code (Bytes.get src (!pos + i)))
+          d.dev_write (off + i) Td_misa.Width.W8
+            (Char.code src.[src_off + !pos + i])
         done);
     pos := !pos + chunk
   done
 
-(* Snapshot-and-sort so traversal (and anything built from it, like the
-   free list a bulk release rebuilds) is deterministic regardless of the
-   hash table's internal order. *)
+(* [write_string] only reads [src], so viewing it as a string is safe. *)
+let write_block t addr src =
+  write_string t addr (Bytes.unsafe_to_string src) ~off:0
+    ~len:(Bytes.length src)
+
+let fill t addr len c =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let off = Layout.offset_of a in
+    let chunk = min (len - !pos) (Layout.page_size - off) in
+    (match mapping_of t a with
+    | Frame f -> Bytes.fill (Phys_mem.page t.phys f) off chunk c
+    | Device d ->
+        for i = 0 to chunk - 1 do
+          d.dev_write (off + i) Td_misa.Width.W8 (Char.code c)
+        done);
+    pos := !pos + chunk
+  done
+
+(* Directory order is vpage order, so traversal (and anything built from
+   it, like the free list a bulk release rebuilds) is deterministic. *)
 let iter_frames t f =
-  Hashtbl.fold
-    (fun vpage m acc ->
-      match m with Frame fr -> (vpage, fr) :: acc | Device _ -> acc)
-    t.table []
-  |> List.sort compare
-  |> List.iter (fun (vpage, fr) -> f ~vpage fr)
+  Array.iteri
+    (fun d leaf ->
+      if leaf != empty_leaf then
+        Array.iteri
+          (fun i m ->
+            match m with
+            | Some (Frame fr) -> f ~vpage:((d lsl leaf_bits) lor i) fr
+            | Some (Device _) | None -> ())
+          leaf)
+    t.dir
 
 let release t =
   iter_frames t (fun ~vpage:_ fr -> Phys_mem.free_frame t.phys fr);
-  Hashtbl.reset t.table;
+  Array.fill t.dir 0 (Array.length t.dir) empty_leaf;
+  t.mapped <- 0;
   t.heap_next <- 0;
   t.heap_limit <- 0
 

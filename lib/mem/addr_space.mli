@@ -3,7 +3,15 @@
 
     Accesses may be unaligned and may straddle a page boundary (the Intel
     ISA permits this; the paper maps {e two} consecutive pages per stlb miss
-    for exactly this reason) — straddling accesses are split here. *)
+    for exactly this reason) — straddling accesses are split here.
+
+    Representation: an x86-style two-level page table over the 32-bit
+    space. A 1024-slot directory points to 1024-entry leaves, a leaf is
+    allocated on the first {!map} into its 4 MiB, and each entry holds
+    the [mapping option] that {!lookup} returns — so a translation is two
+    array loads and allocates nothing. A vpage outside
+    [0 .. Layout.addr_limit / page_size - 1] (a negative address, or one
+    at or above 2{^32}) always reads as unmapped. *)
 
 type device = {
   dev_read : int -> Td_misa.Width.t -> int;
@@ -27,7 +35,12 @@ val name : t -> string
 val phys : t -> Phys_mem.t
 
 val map : t -> vpage:int -> Phys_mem.frame -> unit
+(** Map (or remap) [vpage]. Precondition: [0 <= vpage < 2{^20}]; raises
+    [Invalid_argument] otherwise. *)
+
 val map_device : t -> vpage:int -> device -> unit
+(** As {!map}, same precondition. *)
+
 val unmap : t -> vpage:int -> unit
 val lookup : t -> vpage:int -> mapping option
 val is_mapped : t -> vpage:int -> bool
@@ -35,9 +48,11 @@ val frame_of_vpage : t -> vpage:int -> Phys_mem.frame option
 (** [None] for unmapped or device pages. *)
 
 val mapped_pages : t -> int
+(** Frame and device pages currently mapped (a counter, O(1)). *)
 
 val alloc_page : t -> vpage:int -> Phys_mem.frame
-(** Allocate a fresh frame and map it at [vpage]. *)
+(** Allocate a fresh frame and map it at [vpage] (same precondition as
+    {!map}, checked before the frame is taken). *)
 
 val alloc_region : t -> vaddr:int -> pages:int -> unit
 (** Back [pages] consecutive pages starting at [vaddr] with fresh frames. *)
@@ -47,14 +62,32 @@ val read : t -> int -> Td_misa.Width.t -> int
     unmapped pages. *)
 
 val write : t -> int -> Td_misa.Width.t -> int -> unit
+(** Virtual write. A page-straddling write resolves both pages before
+    storing any byte, so a {!Page_fault} (or a {!Phys_mem.Bad_frame}
+    through a stale mapping) on either leaves memory untouched, like a
+    precise x86 fault. *)
 
 val read_block : t -> int -> int -> bytes
+(** [read_block t addr len] copies [len] bytes into a fresh buffer,
+    straight from the backing frames. *)
+
 val write_block : t -> int -> bytes -> unit
+(** Copy a buffer in, page by page, straight into the backing frames. A
+    fault part-way leaves the pages before it written. *)
+
+val write_string : t -> int -> string -> off:int -> len:int -> unit
+(** [write_string t addr s ~off ~len] is {!write_block} of
+    [String.sub s off len] without the intermediate copy. Raises
+    [Invalid_argument] when the range is outside [s]. *)
+
+val fill : t -> int -> int -> char -> unit
+(** [fill t addr len c] stores [len] copies of [c] from [addr], in place. *)
 
 val iter_frames : t -> (vpage:int -> Phys_mem.frame -> unit) -> unit
 (** Visit every frame-backed mapping in ascending [vpage] order (device
-    pages are skipped). The order is deterministic — independent of hash
-    internals — so bulk teardown reproduces bit-identically. *)
+    pages are skipped) by walking the table in place, so bulk teardown
+    reproduces bit-identically. The callback must not map or unmap pages
+    of [t]. *)
 
 val release : t -> unit
 (** Destroy the space's contents: return every backing frame to the

@@ -11,41 +11,67 @@ let () =
         Some (Printf.sprintf "Td_mem.Phys_mem.Out_of_frames(%d frames)" capacity)
     | _ -> None)
 
+(* Marks a free (or never-allocated) slot. Every live frame owns a
+   [page_size] buffer, so a zero-length one can never be confused with
+   it. *)
+let absent = Bytes.empty
+
 type t = {
   capacity : int;
-  pages : (frame, bytes) Hashtbl.t;
+  mutable pages : bytes array;  (** indexed by frame; grows by doubling *)
   mutable next : frame;
   mutable free : frame list;
+  mutable allocated : int;
 }
 
 let create ?(frames = 65536) () =
-  { capacity = frames; pages = Hashtbl.create 1024; next = 1; free = [] }
+  {
+    capacity = frames;
+    pages = Array.make (max 1 (min frames 1024)) absent;
+    next = 1;
+    free = [];
+    allocated = 0;
+  }
+
+(* [next] steps by one, so doubling once always makes room for it. *)
+let grow t =
+  let n = Array.length t.pages in
+  let pages = Array.make (min (2 * n) t.capacity) absent in
+  Array.blit t.pages 0 pages 0 n;
+  t.pages <- pages
 
 let alloc_frame t =
-  match t.free with
-  | f :: rest ->
-      t.free <- rest;
-      Hashtbl.replace t.pages f (Bytes.make Layout.page_size '\000');
-      f
-  | [] ->
-      if t.next >= t.capacity then raise (Out_of_frames { capacity = t.capacity });
-      let f = t.next in
-      t.next <- t.next + 1;
-      Hashtbl.replace t.pages f (Bytes.make Layout.page_size '\000');
-      f
+  let f =
+    match t.free with
+    | f :: rest ->
+        t.free <- rest;
+        f
+    | [] ->
+        if t.next >= t.capacity then
+          raise (Out_of_frames { capacity = t.capacity });
+        let f = t.next in
+        t.next <- t.next + 1;
+        if f >= Array.length t.pages then grow t;
+        f
+  in
+  t.pages.(f) <- Bytes.make Layout.page_size '\000';
+  t.allocated <- t.allocated + 1;
+  f
+
+let live t f = f > 0 && f < Array.length t.pages && t.pages.(f) != absent
 
 let free_frame t f =
-  if Hashtbl.mem t.pages f then begin
-    Hashtbl.remove t.pages f;
+  if live t f then begin
+    t.pages.(f) <- absent;
+    t.allocated <- t.allocated - 1;
     t.free <- f :: t.free
   end
 
-let frames_allocated t = Hashtbl.length t.pages
+let frames_allocated t = t.allocated
 
 let page t f =
-  match Hashtbl.find_opt t.pages f with
-  | Some b -> b
-  | None -> raise (Bad_frame { frame = f })
+  if live t f then Array.unsafe_get t.pages f
+  else raise (Bad_frame { frame = f })
 
 let check_bounds off w =
   if off < 0 || off + Td_misa.Width.bytes w > Layout.page_size then
@@ -76,5 +102,3 @@ let write_bytes t f off src =
   if off < 0 || off + Bytes.length src > Layout.page_size then
     invalid_arg "Phys_mem.write_bytes: crosses frame boundary";
   Bytes.blit src 0 (page t f) off (Bytes.length src)
-
-let fill t f c = Bytes.fill (page t f) 0 Layout.page_size c

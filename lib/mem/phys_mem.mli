@@ -2,7 +2,11 @@
 
     A single [t] models the machine's RAM and is shared by all address
     spaces — exactly what lets the hypervisor driver instance and the dom0
-    driver instance see a {e single} copy of the driver data. *)
+    driver instance see a {e single} copy of the driver data.
+
+    Representation: an array of page buffers indexed by frame number,
+    grown by doubling up to the capacity (never preallocated to it), with
+    a shared zero-length buffer marking free slots. *)
 
 type frame = int
 (** Physical frame number. *)
@@ -25,15 +29,21 @@ val alloc_frame : t -> frame
     exhausted. *)
 
 val free_frame : t -> frame -> unit
+(** Return a frame to the pool. Freeing frame 0, a free frame or a
+    never-allocated frame is ignored. *)
+
 val frames_allocated : t -> int
+(** Frames currently allocated (a counter, O(1)). *)
 
 val page : t -> frame -> bytes
-(** The backing buffer of an allocated frame. Exposed for the
-    interpreter's compiled superblocks, which cache the buffer of a
+(** The backing buffer of an allocated frame: one bounds check and an
+    array load. Block copies blit straight into and out of it, and the
+    interpreter's compiled superblocks cache the buffer of a
     just-translated page so repeated accesses through the same base
     register skip the page-table walk; the buffer stays valid (and
     observes concurrent DMA writes) for as long as the frame is
-    allocated. Raises {!Bad_frame} on an unallocated frame. *)
+    allocated. Raises {!Bad_frame} on frame 0, a freed frame or a
+    never-allocated one. *)
 
 val read : t -> frame -> int -> Td_misa.Width.t -> int
 (** [read mem f off w] reads a little-endian value of width [w] at byte
@@ -44,5 +54,3 @@ val write : t -> frame -> int -> Td_misa.Width.t -> int -> unit
 
 val read_bytes : t -> frame -> int -> int -> bytes
 val write_bytes : t -> frame -> int -> bytes -> unit
-
-val fill : t -> frame -> char -> unit

@@ -294,7 +294,8 @@ let receive_frame ?queue t frame =
     match
       let d = desc_addr base head in
       let buf = dma_read32 t (d + Regs.d_buf) in
-      Td_mem.Addr_space.write_block t.dma buf (Bytes.of_string frame);
+      Td_mem.Addr_space.write_string t.dma buf frame ~off:0
+        ~len:(String.length frame);
       dma_write32 t (d + Regs.d_len) (String.length frame);
       dma_write32 t (d + Regs.d_sta) (Regs.sta_dd lor Regs.sta_eop)
     with

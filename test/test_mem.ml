@@ -134,6 +134,453 @@ let test_heap_alloc_distinct () =
   let b = Addr_space.heap_alloc s 10 in
   check bool_c "regions disjoint" true (b >= a + Layout.page_size)
 
+let test_straddle_write_fault_is_precise () =
+  (* a W32 store at 0xC000_3FFE whose second page is unmapped must fault
+     before storing the two bytes that land on the mapped first page *)
+  let phys = Phys_mem.create () in
+  let s = Addr_space.create ~name:"s" phys in
+  ignore (Addr_space.alloc_page s ~vpage:0xC0003);
+  Addr_space.write s 0xC0003FFE Width.W16 0xABCD;
+  check bool_c "faults at the second page" true
+    (match Addr_space.write s 0xC0003FFE Width.W32 0x11223344 with
+    | exception Addr_space.Page_fault { addr = 0xC0004000; _ } -> true
+    | _ -> false);
+  check int_c "first page untouched" 0xABCD
+    (Addr_space.read s 0xC0003FFE Width.W16)
+
+let test_addresses_outside_32_bits () =
+  let phys = Phys_mem.create () in
+  let s = Addr_space.create ~name:"s" phys in
+  ignore (Addr_space.alloc_page s ~vpage:0);
+  ignore (Addr_space.alloc_page s ~vpage:0xFFFFF);
+  List.iter
+    (fun addr ->
+      check bool_c (Printf.sprintf "%#x faults" addr) true
+        (match Addr_space.read s addr Width.W8 with
+        | exception Addr_space.Page_fault _ -> true
+        | _ -> false))
+    [ -1; -4096; Layout.addr_limit; Layout.addr_limit + 4096 ];
+  List.iter
+    (fun vpage ->
+      check bool_c (Printf.sprintf "map %#x rejected" vpage) true
+        (match Addr_space.map s ~vpage 1 with
+        | exception Invalid_argument _ -> true
+        | () -> false))
+    [ -1; Layout.addr_limit lsr Layout.page_shift ];
+  check int_c "rejected maps leave no trace" 2 (Addr_space.mapped_pages s);
+  Addr_space.write s 0xFFFFFFFC Width.W32 0x55;
+  check int_c "top page usable" 0x55 (Addr_space.read s 0xFFFFFFFC Width.W32)
+
+let test_phys_growth () =
+  (* past the initial array, freed slots and frame 0 stay Bad_frame *)
+  let m = Phys_mem.create ~frames:5000 () in
+  let fs = List.init 3000 (fun _ -> Phys_mem.alloc_frame m) in
+  check int_c "allocated" 3000 (Phys_mem.frames_allocated m);
+  check int_c "distinct" 3000 (List.length (List.sort_uniq compare fs));
+  let last = List.nth fs 2999 in
+  Phys_mem.write m last 8 Width.W32 77;
+  check int_c "last frame usable" 77 (Phys_mem.read m last 8 Width.W32);
+  Phys_mem.free_frame m last;
+  Phys_mem.free_frame m last;
+  Phys_mem.free_frame m 0;
+  Phys_mem.free_frame m 4999;
+  check int_c "bogus frees ignored" 2999 (Phys_mem.frames_allocated m);
+  List.iter
+    (fun f ->
+      check bool_c (Printf.sprintf "frame %d is bad" f) true
+        (match Phys_mem.page m f with
+        | exception Phys_mem.Bad_frame { frame } -> frame = f
+        | _ -> false))
+    [ 0; last; 4999; -3 ]
+
+(* --- model-based: the page table and frames against reference maps --- *)
+
+type op =
+  | Map_fresh of int  (** alloc_page *)
+  | Map_alias of int * int  (** map vpage to the frame behind another *)
+  | Map_device of int * int
+  | Unmap of int
+  | Alloc_region of int * int
+  | Free_behind of int  (** free the frame behind a vpage, leaving it mapped *)
+  | Read of int * Width.t
+  | Write of int * Width.t * int
+  | Read_block of int * int
+  | Write_block of int * int * int
+  | Fill of int * int * char
+  | Release
+
+let show_op = function
+  | Map_fresh v -> Printf.sprintf "map_fresh %#x" v
+  | Map_alias (v, w) -> Printf.sprintf "map_alias %#x<-%#x" v w
+  | Map_device (v, d) -> Printf.sprintf "map_device %#x dev%d" v d
+  | Unmap v -> Printf.sprintf "unmap %#x" v
+  | Alloc_region (v, n) -> Printf.sprintf "alloc_region %#x x%d" v n
+  | Free_behind v -> Printf.sprintf "free_behind %#x" v
+  | Read (a, w) -> Printf.sprintf "read %#x w%d" a (Width.bytes w)
+  | Write (a, w, x) -> Printf.sprintf "write %#x w%d %#x" a (Width.bytes w) x
+  | Read_block (a, n) -> Printf.sprintf "read_block %#x %d" a n
+  | Write_block (a, n, seed) -> Printf.sprintf "write_block %#x %d #%d" a n seed
+  | Fill (a, n, c) -> Printf.sprintf "fill %#x %d %C" a n c
+  | Release -> "release"
+
+(* Few vpages so ops collide: both ends of the 32-bit space, a leaf
+   boundary, a straddle pair, and vpages outside the space. *)
+let vpage_pool =
+  [| 0; 1; 0x3FF; 0x400; 0xC0003; 0xC0004; 0xFFFFE; 0xFFFFF; 0x100000; -1 |]
+
+let gen_op =
+  let open QCheck.Gen in
+  let vpage = oneofa vpage_pool in
+  let addr =
+    map2
+      (fun v off -> (v * Layout.page_size) + off)
+      vpage
+      (oneof [ oneofl [ 0; 1; 2; 4093; 4094; 4095 ]; int_range 0 4095 ])
+  in
+  let width = oneofl [ Width.W8; Width.W16; Width.W32 ] in
+  let len = oneof [ int_range 0 16; int_range 0 9000 ] in
+  frequency
+    [
+      (4, map (fun v -> Map_fresh v) vpage);
+      (2, map2 (fun v w -> Map_alias (v, w)) vpage vpage);
+      (1, map2 (fun v d -> Map_device (v, d)) vpage (int_range 0 1));
+      (2, map (fun v -> Unmap v) vpage);
+      (1, map2 (fun v n -> Alloc_region (v, n)) vpage (int_range 1 3));
+      (1, map (fun v -> Free_behind v) vpage);
+      (5, map2 (fun a w -> Read (a, w)) addr width);
+      (5, map3 (fun a w x -> Write (a, w, x)) addr width (int_bound 0x3FFFFFFF));
+      (2, map2 (fun a n -> Read_block (a, n)) addr len);
+      (2, map3 (fun a n seed -> Write_block (a, n, seed)) addr len nat);
+      (2, map3 (fun a n c -> Fill (a, n, c)) addr len printable);
+      (1, return Release);
+    ]
+
+(* a device page that behaves like a little-endian byte store *)
+let byte_device buf =
+  let get off n =
+    let v = ref 0 in
+    for i = n - 1 downto 0 do
+      v := (!v lsl 8) lor Char.code (Bytes.get buf (off + i))
+    done;
+    !v
+  in
+  let set off n v =
+    for i = 0 to n - 1 do
+      Bytes.set buf (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+    done
+  in
+  {
+    Addr_space.dev_read = (fun off w -> get off (Width.bytes w));
+    dev_write = (fun off w v -> set off (Width.bytes w) v);
+  }
+
+type m_mapping = M_frame of int | M_device of int
+
+type model = {
+  pt : (int, m_mapping) Hashtbl.t;  (** vpage -> mapping *)
+  frames : (int, bytes) Hashtbl.t;  (** live frame -> contents *)
+  devs : bytes array;
+}
+
+let in_range v = v >= 0 && v < Layout.addr_limit lsr Layout.page_shift
+
+type outcome =
+  | Value of int
+  | Block of string
+  | Unit
+  | Fault of int  (** Page_fault addr *)
+  | Bad of int  (** Bad_frame frame *)
+  | Invalid
+
+let show_outcome = function
+  | Value v -> Printf.sprintf "value %#x" v
+  | Block b -> Printf.sprintf "block of %d (md5 %s)" (String.length b)
+                 (Digest.to_hex (Digest.string b))
+  | Unit -> "unit"
+  | Fault a -> Printf.sprintf "page fault %#x" a
+  | Bad f -> Printf.sprintf "bad frame %d" f
+  | Invalid -> "invalid_argument"
+
+exception M_fault of int
+exception M_bad of int
+
+let run_model f =
+  match f () with
+  | v -> v
+  | exception M_fault a -> Fault a
+  | exception M_bad fr -> Bad fr
+  | exception Invalid_argument _ -> Invalid
+
+let run_real f =
+  match f () with
+  | v -> v
+  | exception Addr_space.Page_fault { addr; _ } -> Fault addr
+  | exception Phys_mem.Bad_frame { frame } -> Bad frame
+  | exception Invalid_argument _ -> Invalid
+
+(* The byte store behind [addr], or the fault an access raises. *)
+let m_resolve md addr =
+  match Hashtbl.find_opt md.pt (Layout.page_of addr) with
+  | None -> raise (M_fault addr)
+  | Some (M_device d) -> md.devs.(d)
+  | Some (M_frame f) -> (
+      match Hashtbl.find_opt md.frames f with
+      | Some b -> b
+      | None -> raise (M_bad f))
+
+let m_get md a = Char.code (Bytes.get (m_resolve md a) (Layout.offset_of a))
+let m_set md a c = Bytes.set (m_resolve md a) (Layout.offset_of a) c
+
+(* Block ops go a page at a time, faulting at the first bad chunk. *)
+let m_chunks md addr len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let chunk = min (len - !pos) (Layout.page_size - Layout.offset_of a) in
+    ignore (m_resolve md a);
+    for i = 0 to chunk - 1 do
+      f (!pos + i) (a + i)
+    done;
+    pos := !pos + chunk
+  done
+
+let block_data n seed = String.init n (fun i -> Char.chr ((i * 31 + seed) land 0xff))
+
+let m_alloc md ~vpage real_frame =
+  Hashtbl.replace md.frames real_frame (Bytes.make Layout.page_size '\000');
+  Hashtbl.replace md.pt vpage (M_frame real_frame)
+
+let read_block_both s md a n =
+  let r =
+    run_real (fun () -> Block (Bytes.to_string (Addr_space.read_block s a n)))
+  in
+  let m =
+    run_model (fun () ->
+        let out = Bytes.create n in
+        m_chunks md a n (fun i addr -> Bytes.set out i (Char.chr (m_get md addr)));
+        Block (Bytes.to_string out))
+  in
+  (r, m)
+
+let step phys s real_devs md op =
+  match op with
+  | Map_fresh v ->
+      (* the model cannot predict frame numbers: it accepts any frame
+         that is neither 0 nor live, and expects no frame taken when the
+         vpage is out of range *)
+      let r = run_real (fun () -> Value (Addr_space.alloc_page s ~vpage:v)) in
+      let m =
+        match r with
+        | Value f when in_range v && not (Hashtbl.mem md.frames f) && f > 0 ->
+            m_alloc md ~vpage:v f;
+            r
+        | _ -> if in_range v then Value (-1) else Invalid
+      in
+      (r, m)
+  | Map_alias (v, w) -> (
+      match Addr_space.frame_of_vpage s ~vpage:w with
+      | None -> (Unit, Unit)
+      | Some f ->
+          let r = run_real (fun () -> Addr_space.map s ~vpage:v f; Unit) in
+          let m =
+            run_model (fun () ->
+                if not (in_range v) then invalid_arg "map";
+                Hashtbl.replace md.pt v (M_frame f);
+                Unit)
+          in
+          (r, m))
+  | Map_device (v, d) ->
+      let r =
+        run_real (fun () -> Addr_space.map_device s ~vpage:v real_devs.(d); Unit)
+      in
+      let m =
+        run_model (fun () ->
+            if not (in_range v) then invalid_arg "map_device";
+            Hashtbl.replace md.pt v (M_device d);
+            Unit)
+      in
+      (r, m)
+  | Unmap v ->
+      Addr_space.unmap s ~vpage:v;
+      Hashtbl.remove md.pt v;
+      (Unit, Unit)
+  | Alloc_region (v, n) ->
+      (* pages before the first out-of-range one are mapped *)
+      let frames_before = Phys_mem.frames_allocated phys in
+      let r =
+        run_real (fun () ->
+            Addr_space.alloc_region s ~vaddr:(v * Layout.page_size) ~pages:n;
+            Unit)
+      in
+      let fresh = ref [] in
+      let m =
+        run_model (fun () ->
+            for i = 0 to n - 1 do
+              if not (in_range (v + i)) then invalid_arg "alloc_region";
+              fresh := (v + i) :: !fresh
+            done;
+            Unit)
+      in
+      List.iter
+        (fun vp ->
+          match Addr_space.frame_of_vpage s ~vpage:vp with
+          | Some f -> m_alloc md ~vpage:vp f
+          | None -> ())
+        !fresh;
+      (* exactly one frame per in-range page, none for the rejected one *)
+      let grown = Phys_mem.frames_allocated phys - frames_before in
+      (r, if grown = List.length !fresh then m else Value grown)
+  | Free_behind v -> (
+      match Addr_space.frame_of_vpage s ~vpage:v with
+      | None -> (Unit, Unit)
+      | Some f ->
+          Phys_mem.free_frame phys f;
+          Hashtbl.remove md.frames f;
+          (Unit, Unit))
+  | Read (a, w) ->
+      let n = Width.bytes w in
+      let r = run_real (fun () -> Value (Addr_space.read s a w)) in
+      let m =
+        run_model (fun () ->
+            (* a single-page read faults at [a]; a straddling one goes
+               byte by byte from the top *)
+            if Layout.offset_of a + n <= Layout.page_size then
+              ignore (m_resolve md a);
+            let v = ref 0 in
+            for i = n - 1 downto 0 do
+              v := (!v lsl 8) lor m_get md (a + i)
+            done;
+            Value !v)
+      in
+      (r, m)
+  | Write (a, w, x) ->
+      let n = Width.bytes w in
+      let r = run_real (fun () -> Addr_space.write s a w x; Unit) in
+      let m =
+        run_model (fun () ->
+            (* a precise fault: every page resolves before any store *)
+            ignore (m_resolve md a);
+            ignore (m_resolve md (Layout.page_base (a + n - 1)));
+            for i = 0 to n - 1 do
+              m_set md (a + i) (Char.chr ((x lsr (8 * i)) land 0xff))
+            done;
+            Unit)
+      in
+      (r, m)
+  | Read_block (a, n) -> read_block_both s md a n
+  | Write_block (a, n, seed) ->
+      let data = block_data n seed in
+      let r =
+        run_real (fun () ->
+            if seed land 1 = 0 then
+              Addr_space.write_block s a (Bytes.of_string data)
+            else Addr_space.write_string s a ("xy" ^ data) ~off:2 ~len:n;
+            Unit)
+      in
+      let m =
+        run_model (fun () ->
+            m_chunks md a n (fun i addr -> m_set md addr data.[i]);
+            Unit)
+      in
+      (r, m)
+  | Fill (a, n, c) ->
+      let r = run_real (fun () -> Addr_space.fill s a n c; Unit) in
+      let m = run_model (fun () -> m_chunks md a n (fun _ addr -> m_set md addr c); Unit) in
+      (r, m)
+  | Release ->
+      Addr_space.release s;
+      let frames =
+        Hashtbl.fold
+          (fun vp m acc -> match m with M_frame f -> (vp, f) :: acc | M_device _ -> acc)
+          md.pt []
+      in
+      List.iter (fun (_, f) -> Hashtbl.remove md.frames f) frames;
+      Hashtbl.reset md.pt;
+      (Unit, Unit)
+
+let memory_model_prop =
+  QCheck.Test.make ~name:"address space matches a reference model" ~count:100
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 60) gen_op)
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops)))
+    (fun ops ->
+      let phys = Phys_mem.create ~frames:4096 () in
+      let s = Addr_space.create ~name:"m" phys in
+      let md =
+        {
+          pt = Hashtbl.create 16;
+          frames = Hashtbl.create 16;
+          devs = Array.init 2 (fun _ -> Bytes.make Layout.page_size '\000');
+        }
+      in
+      let real_devs =
+        Array.init 2 (fun _ -> byte_device (Bytes.make Layout.page_size '\000'))
+      in
+      (* a backing region larger than the frame array starts with, so
+         every case runs on a grown [Phys_mem] *)
+      let big = 0x80000 in
+      Addr_space.alloc_region s ~vaddr:(big * Layout.page_size) ~pages:1100;
+      for i = 0 to 1099 do
+        match Addr_space.frame_of_vpage s ~vpage:(big + i) with
+        | Some f -> m_alloc md ~vpage:(big + i) f
+        | None -> QCheck.Test.fail_reportf "region page %d unmapped" i
+      done;
+      List.iteri
+        (fun k op ->
+          let r, m = step phys s real_devs md op in
+          if r <> m then
+            QCheck.Test.fail_reportf "op %d (%s): real %s, model %s" k
+              (show_op op) (show_outcome r) (show_outcome m);
+          (* every page the ops can reach holds what the model holds, so
+             a torn or short store shows even if no later op reads it *)
+          Hashtbl.iter
+            (fun vp _ ->
+              if vp < big || vp >= big + 1100 then
+                let r, m = read_block_both s md (vp * Layout.page_size) Layout.page_size in
+                if r <> m then
+                  QCheck.Test.fail_reportf "op %d (%s): page %#x real %s, model %s"
+                    k (show_op op) vp (show_outcome r) (show_outcome m))
+            md.pt;
+          if Addr_space.mapped_pages s <> Hashtbl.length md.pt then
+            QCheck.Test.fail_reportf "op %d (%s): mapped_pages %d, model %d" k
+              (show_op op) (Addr_space.mapped_pages s) (Hashtbl.length md.pt);
+          if Phys_mem.frames_allocated phys <> Hashtbl.length md.frames then
+            QCheck.Test.fail_reportf "op %d (%s): frames_allocated %d, model %d"
+              k (show_op op)
+              (Phys_mem.frames_allocated phys)
+              (Hashtbl.length md.frames))
+        ops;
+      let seen = ref [] in
+      Addr_space.iter_frames s (fun ~vpage f -> seen := (vpage, f) :: !seen);
+      let expected =
+        Hashtbl.fold
+          (fun vp m acc -> match m with M_frame f -> (vp, f) :: acc | M_device _ -> acc)
+          md.pt []
+        |> List.sort compare
+      in
+      List.rev !seen = expected)
+
+let test_walk_allocates_nothing () =
+  let phys = Phys_mem.create () in
+  let s = Addr_space.create ~name:"s" phys in
+  Addr_space.heap_init s ~base:Layout.dom0_heap_base ~limit:Layout.dom0_heap_limit;
+  let va = Addr_space.heap_alloc s (4 * Layout.page_size) in
+  let km = Td_kernel.Kmem.create s in
+  (* warm the 2 KB class so the measured alloc reuses a carved page *)
+  Td_kernel.Kmem.free km (Td_kernel.Kmem.alloc km 2048) 2048;
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let a = va + ((i * 4) land 0x3FFC) in
+    Addr_space.write s a Width.W32 i;
+    sum := !sum + Addr_space.read s a Width.W32
+  done;
+  Td_kernel.Kmem.free km (Td_kernel.Kmem.alloc km 2048) 2048;
+  let words = Gc.minor_words () -. before in
+  check int_c "reads saw the writes" (9_999 * 10_000 / 2) !sum;
+  check bool_c (Printf.sprintf "%.0f minor words < 100" words) true
+    (words < 100.)
+
 let suite =
   [
     Alcotest.test_case "layout invariants" `Quick test_layout_invariants;
@@ -148,4 +595,12 @@ let suite =
     Alcotest.test_case "space aliasing" `Quick test_space_aliasing;
     Alcotest.test_case "device pages" `Quick test_device_pages;
     Alcotest.test_case "heap alloc distinct" `Quick test_heap_alloc_distinct;
+    Alcotest.test_case "straddling write fault is precise" `Quick
+      test_straddle_write_fault_is_precise;
+    Alcotest.test_case "addresses outside 32 bits" `Quick
+      test_addresses_outside_32_bits;
+    Alcotest.test_case "phys growth" `Quick test_phys_growth;
+    Alcotest.test_case "walk allocates nothing" `Quick
+      test_walk_allocates_nothing;
+    QCheck_alcotest.to_alcotest memory_model_prop;
   ]
