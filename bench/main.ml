@@ -684,7 +684,8 @@ let interp_variant ?hook () =
 (* host seconds on the monotonic clock (wall time, not process CPU) *)
 let mono_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
-(* Minsn/s over a fixed wall-clock window, plus the per-call simulated
+(* Minsn/s over a fixed wall-clock window, minor words allocated per
+   instruction over the window's first call, and the per-call simulated
    (cycles, steps) signature so the variants can be checked for identity. *)
 let interp_measure (st, i, entry) =
   ignore (Td_cpu.Interp.call ~max_steps:max_int i ~entry ~args:[]);
@@ -693,24 +694,33 @@ let interp_measure (st, i, entry) =
   let sim_sig = (st.Td_cpu.State.cycles - c0, st.Td_cpu.State.steps - s0) in
   let s1 = st.Td_cpu.State.steps in
   let t0 = mono_s () in
+  let w0 = Gc.minor_words () in
+  ignore (Td_cpu.Interp.call ~max_steps:max_int i ~entry ~args:[]);
+  let words =
+    (Gc.minor_words () -. w0) /. float_of_int (st.Td_cpu.State.steps - s1)
+  in
   while mono_s () -. t0 < 0.4 do
     ignore (Td_cpu.Interp.call ~max_steps:max_int i ~entry ~args:[])
   done;
   let dt = mono_s () -. t0 in
-  (float_of_int (st.Td_cpu.State.steps - s1) /. dt /. 1e6, sim_sig, i)
+  (float_of_int (st.Td_cpu.State.steps - s1) /. dt /. 1e6, words, sim_sig, i)
 
 let interp () =
   header
     "Interp engine: host wall-clock throughput (simulated results unchanged)";
-  let compiled, sig_compiled, eng = interp_measure (interp_variant ()) in
-  let hooked, sig_hooked, _ =
+  let compiled, compiled_words, sig_compiled, eng =
+    interp_measure (interp_variant ())
+  in
+  let hooked, hooked_words, sig_hooked, _ =
     interp_measure (interp_variant ~hook:(fun _ _ -> ()) ())
   in
   let identical = sig_compiled = sig_hooked in
   let speedup = compiled /. hooked in
-  Printf.printf "%-42s %10s\n" "engine" "Minsn/s";
-  Printf.printf "%-42s %10.1f\n" "compiled superblocks (default)" compiled;
-  Printf.printf "%-42s %10.1f\n" "per-step slow path (no-op hook)" hooked;
+  Printf.printf "%-42s %10s %12s\n" "engine" "Minsn/s" "words/insn";
+  Printf.printf "%-42s %10.1f %12.3f\n" "compiled superblocks (default)"
+    compiled compiled_words;
+  Printf.printf "%-42s %10.1f %12.3f\n" "per-step slow path (no-op hook)"
+    hooked hooked_words;
   Printf.printf
     "\ncompiled vs per-step slow path: %.1fx\n\
      simulated (cycles, steps) per call identical across engines: %b\n"
@@ -755,6 +765,8 @@ let interp () =
             ("compiled_minsn_s", Json.Float compiled);
             ("hooked_minsn_s", Json.Float hooked);
             ("speedup_compiled_over_hooked", Json.Float speedup);
+            ("compiled_words_per_insn", Json.Float compiled_words);
+            ("hooked_words_per_insn", Json.Float hooked_words);
           ] );
       ("simulated_identical_across_modes", Json.Bool identical);
       ( "block_cache",

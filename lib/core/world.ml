@@ -43,6 +43,7 @@ type nic_port = {
   nd : Netdev.t;
   mac : string;
   gmac : string;
+  cmac : string;  (** the wire-side client's MAC *)
   wire : Td_nic.Wire.counters;
   mutable pending_irq : int;
   mutable quarantined : bool;
@@ -58,6 +59,7 @@ type guest_slot = {
   gs_space : Addr_space.t;
   mutable gs_netios : (int * Xen_netio.t) array;
       (** (NIC index, channel), in attach order; Xen_domU only *)
+  gs_macs : string array;  (** the guest's vif MAC on each NIC *)
   gs_rx_pending : string Queue.t;  (** demuxed, awaiting guest schedule *)
   mutable gs_rx_count : int;
 }
@@ -215,10 +217,19 @@ let scoped w f =
 let host_mac i = Printf.sprintf "\x02\x00\x00\x00\x00%c" (Char.chr i)
 let vif_mac g i = Printf.sprintf "\x02\x01%c\x00\x00%c" (Char.chr g) (Char.chr i)
 let client_mac i = Printf.sprintf "\x02\x02\x00\x00\x00%c" (Char.chr i)
-let ethertype_ip = "\x08\x00"
 let eth_header_bytes = 14
 
-let build_frame ~dst ~src ~payload = dst ^ src ^ ethertype_ip ^ payload
+(* One allocation per frame: the header and payload are blitted into a
+   single buffer that becomes the frame string. *)
+let build_frame ~dst ~src ~payload =
+  let n = String.length payload in
+  let b = Bytes.create (eth_header_bytes + n) in
+  Bytes.blit_string dst 0 b 0 6;
+  Bytes.blit_string src 0 b 6 6;
+  Bytes.set b 12 '\x08';
+  Bytes.set b 13 '\x00';
+  Bytes.blit_string payload 0 b eth_header_bytes n;
+  Bytes.unsafe_to_string b
 
 let entries_of (prog : Program.t) =
   {
@@ -341,6 +352,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
           nd;
           mac;
           gmac = vif_mac 0 i;
+          cmac = client_mac i;
           wire;
           pending_irq = 0;
           quarantined = false;
@@ -532,6 +544,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
                 gs_dom = guest_doms.(g);
                 gs_space = guest_spaces.(g);
                 gs_netios = [||];
+                gs_macs = Array.init nics (vif_mac g);
                 gs_rx_pending = Queue.create ();
                 gs_rx_count = 0;
               });
@@ -1107,7 +1120,7 @@ let transmit w ~nic ~payload =
   scoped w @@ fun () ->
   let p = w.nics.(nic) in
   if p.quarantined then raise (Nic_quarantined { nic });
-  let frame = build_frame ~dst:(client_mac nic) ~src:p.mac ~payload in
+  let frame = build_frame ~dst:p.cmac ~src:p.mac ~payload in
   match w.cfg with
   | Config.Native_linux | Config.Xen_dom0 ->
       charge_dom0_cat w w.costs.Sys_costs.kernel_tx_path;
@@ -1215,9 +1228,12 @@ let inject_rx ?(guest = 0) w ~nic ~payload =
     | Config.Native_linux | Config.Xen_dom0 -> p.mac
     (* guest 0's vif MAC is the historical [p.gmac], so the default is
        bit-identical to the single-guest path *)
-    | Config.Xen_domU | Config.Xen_twin -> vif_mac guest nic
+    | Config.Xen_domU | Config.Xen_twin -> (
+        match slot_opt w guest with
+        | Some s -> s.gs_macs.(nic)
+        | None -> vif_mac guest nic)
   in
-  let frame = build_frame ~dst ~src:(client_mac nic) ~payload in
+  let frame = build_frame ~dst ~src:p.cmac ~payload in
   Td_nic.E1000_dev.receive_frame p.dev frame
 
 let service_interrupt w ~nic =
@@ -1560,13 +1576,14 @@ let create_guest ?nic w =
       gs_dom = dom;
       gs_space = space;
       gs_netios = [||];
+      gs_macs = Array.init (Array.length w.nics) (vif_mac g);
       gs_rx_pending = Queue.create ();
       gs_rx_count = 0;
     }
   in
   w.slots <- Array.append w.slots [| Some s |];
   (* the guest's vif MACs demux to its slot on every NIC (twin path) *)
-  Array.iteri (fun i _ -> Hashtbl.replace w.gmac_index (vif_mac g i) g) w.nics;
+  Array.iter (fun mac -> Hashtbl.replace w.gmac_index mac g) s.gs_macs;
   (match w.cfg with
   | Config.Xen_domU when Array.length w.nics > 0 ->
       (* one netfront channel, striped over the NICs unless pinned; the
@@ -1575,9 +1592,7 @@ let create_guest ?nic w =
         match nic with Some n -> n | None -> g mod Array.length w.nics
       in
       let port = attach_channel w ~guest:g ~nic in
-      Array.iteri
-        (fun i _ -> Bridge.learn w.vswitch ~mac:(vif_mac g i) port)
-        w.nics
+      Array.iter (fun mac -> Bridge.learn w.vswitch ~mac port) s.gs_macs
   | _ -> ());
   g
 
@@ -1595,11 +1610,11 @@ let destroy_guest w ~guest:g =
   Array.iter
     (fun (n, _) -> Bridge.remove_port w.vswitch (Printf.sprintf "vif%d.%d" g n))
     s.gs_netios;
-  Array.iteri
-    (fun i _ ->
-      Bridge.forget w.vswitch ~mac:(vif_mac g i);
-      Hashtbl.remove w.gmac_index (vif_mac g i))
-    w.nics;
+  Array.iter
+    (fun mac ->
+      Bridge.forget w.vswitch ~mac;
+      Hashtbl.remove w.gmac_index mac)
+    s.gs_macs;
   Scheduler.remove w.sched s.gs_dom;
   (match w.hyp with Some h -> Hypervisor.remove_domain h s.gs_dom | None -> ());
   Quota.forget ~domain:(Domain.name s.gs_dom);
@@ -1642,7 +1657,7 @@ let transmit_from ?nic w ~guest:g ~payload =
       charge_domU_cat w w.costs.Sys_costs.kernel_tx_path;
       charge_dom0_cat w w.costs.Sys_costs.dom0_tx_kernel;
       let frame =
-        build_frame ~dst:(client_mac n) ~src:(vif_mac g n) ~payload
+        build_frame ~dst:w.nics.(n).cmac ~src:s.gs_macs.(n) ~payload
       in
       match Xen_netio.guest_transmit io frame with
       | () -> true

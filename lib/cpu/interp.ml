@@ -146,27 +146,30 @@ let check_generation t =
     t.invalidations <- t.invalidations + 1
   end
 
+(* Returns the cache slot now holding [pc]'s (program, index) in
+   [bc_prog]/[bc_idx], rather than a pair: a hit allocates nothing. *)
 let resolve_cached t pc =
   check_generation t;
   let slot = (pc lsr 2) land (bc_size - 1) in
-  if Array.unsafe_get t.bc_addr slot = pc then begin
-    t.block_hits <- t.block_hits + 1;
-    match Array.unsafe_get t.bc_prog slot with
-    | Some p -> (p, Array.unsafe_get t.bc_idx slot)
-    | None -> assert false
-  end
+  if Array.unsafe_get t.bc_addr slot = pc then t.block_hits <- t.block_hits + 1
   else begin
     t.block_misses <- t.block_misses + 1;
-    let ((p, i) as res) = resolve_uncached t pc in
+    let p, i = resolve_uncached t pc in
     t.bc_addr.(slot) <- pc;
     t.bc_prog.(slot) <- Some p;
-    t.bc_idx.(slot) <- i;
-    res
-  end
+    t.bc_idx.(slot) <- i
+  end;
+  slot
+
+let cached_prog t slot =
+  match Array.unsafe_get t.bc_prog slot with
+  | Some p -> p
+  | None -> assert false
 
 let step t =
   let st = t.state in
-  let prog, idx = resolve_cached t st.State.pc in
+  let slot = resolve_cached t st.State.pc in
+  let prog = cached_prog t slot and idx = Array.unsafe_get t.bc_idx slot in
   let insn = prog.Program.code.(idx) in
   fire_probe t st insn;
   (match t.hook with Some h -> h st insn | None -> ());
@@ -192,7 +195,8 @@ let needs_slow_path t =
    re-check until the block is done. *)
 let exec_block t =
   let st = t.state in
-  let prog, idx = resolve_cached t st.State.pc in
+  let slot = resolve_cached t st.State.pc in
+  let prog = cached_prog t slot and idx = Array.unsafe_get t.bc_idx slot in
   let stop = Array.unsafe_get prog.Program.block_end idx in
   let avail = stop - idx + 1 in
   let n = if avail > st.State.fuel then st.State.fuel else avail in

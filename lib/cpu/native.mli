@@ -6,7 +6,12 @@
     {!Td_mem.Layout.native_base}; a [call] that targets such an address
     leaves the simulated ISA and runs the closure. Arguments follow cdecl:
     the closure reads them with {!State.stack_arg} and leaves its result in
-    [EAX]. *)
+    [EAX].
+
+    Addresses are handed out 16 bytes apart in registration order and
+    never reused, so the registry is one array indexed by
+    [(addr - native_base) / 16]: dispatch is a bounds and alignment check
+    plus a load, with no hashing and no allocation. *)
 
 type fn = State.t -> unit
 
@@ -21,6 +26,12 @@ val register : t -> string -> fn -> int
 
 val address_of : t -> string -> int option
 val name_of : t -> int -> string option
+
 val lookup : t -> int -> fn option
+(** The routine registered at an address; [None] for a misaligned,
+    unregistered or out-of-range address. Allocates nothing: it returns
+    the option stored at registration, on the path of every simulated
+    [call] into native code. *)
+
 val is_native_addr : int -> bool
 val count : t -> int

@@ -15,32 +15,72 @@ open Td_misa
 
 (* --- memory access with cost accounting --- *)
 
-let charge_access st addr w =
-  let cost = ref st.State.costs.Cost_model.mem_access in
+(* The cost model for one access to [addr], whose page resolved to [m]
+   (the stored option of [Addr_space.lookup]): base cost, TLB model, and
+   either the physical cache model or the MMIO surcharge. *)
+let charge st addr m =
+  let costs = st.State.costs in
+  let cost = ref costs.Cost_model.mem_access in
   if not (Tlb.access st.State.tlb (Td_mem.Layout.page_of addr)) then
-    cost := !cost + st.State.costs.Cost_model.tlb_miss;
-  (let space = State.space_for st addr in
-   match
-     Td_mem.Addr_space.frame_of_vpage space ~vpage:(Td_mem.Layout.page_of addr)
-   with
-   | Some frame ->
-       let paddr = (frame * Td_mem.Layout.page_size) + Td_mem.Layout.offset_of addr in
-       if not (Cache.access st.State.cache paddr) then
-         cost := !cost + st.State.costs.Cost_model.cache_miss
-   | None ->
-       (* device page or unmapped (the access itself will fault if
-          unmapped); MMIO is an uncached PCI transaction *)
-       cost := !cost + st.State.costs.Cost_model.mmio);
-  ignore w;
+    cost := !cost + costs.Cost_model.tlb_miss;
+  (match m with
+  | Some (Td_mem.Addr_space.Frame frame) ->
+      let paddr =
+        (frame lsl Td_mem.Layout.page_shift) lor Td_mem.Layout.offset_of addr
+      in
+      if not (Cache.access st.State.cache paddr) then
+        cost := !cost + costs.Cost_model.cache_miss
+  | Some (Td_mem.Addr_space.Device _) | None ->
+      (* device page or unmapped (the access itself will fault if
+         unmapped); MMIO is an uncached PCI transaction *)
+      cost := !cost + costs.Cost_model.mmio);
   State.add_cycles st !cost
 
+let lookup space addr =
+  Td_mem.Addr_space.lookup space ~vpage:(Td_mem.Layout.page_of addr)
+
+let charge_access st addr w =
+  ignore w;
+  charge st addr (lookup (State.space_for st addr) addr)
+
+let straddles addr w =
+  Td_mem.Layout.offset_of addr + Width.bytes w > Td_mem.Layout.page_size
+
+let page_fault space addr =
+  raise
+    (Td_mem.Addr_space.Page_fault { space = Td_mem.Addr_space.name space; addr })
+
+(* One page-table walk serves both the cost model and the data access.
+   A page-straddling access goes through [Addr_space] for its precise
+   split; an unmapped page faults after the charge, and a stale mapping
+   to a freed frame raises [Bad_frame] from [Phys_mem]. *)
 let load st addr w =
-  charge_access st addr w;
-  State.read_mem st addr w
+  let space = State.space_for st addr in
+  let m = lookup space addr in
+  charge st addr m;
+  if straddles addr w then Td_mem.Addr_space.read space addr w
+  else
+    match m with
+    | Some (Td_mem.Addr_space.Frame f) ->
+        Td_mem.Phys_mem.read (Td_mem.Addr_space.phys space) f
+          (Td_mem.Layout.offset_of addr) w
+    | Some (Td_mem.Addr_space.Device d) ->
+        d.Td_mem.Addr_space.dev_read (Td_mem.Layout.offset_of addr) w
+    | None -> page_fault space addr
 
 let store st addr w v =
-  charge_access st addr w;
-  State.write_mem st addr w v
+  let space = State.space_for st addr in
+  let m = lookup space addr in
+  charge st addr m;
+  if straddles addr w then Td_mem.Addr_space.write space addr w v
+  else
+    match m with
+    | Some (Td_mem.Addr_space.Frame f) ->
+        Td_mem.Phys_mem.write (Td_mem.Addr_space.phys space) f
+          (Td_mem.Layout.offset_of addr) w v
+    | Some (Td_mem.Addr_space.Device d) ->
+        d.Td_mem.Addr_space.dev_write (Td_mem.Layout.offset_of addr) w v
+    | None -> page_fault space addr
 
 (* --- operand evaluation --- *)
 

@@ -22,15 +22,25 @@ val ret_sentinel : int
 val mask32 : int -> int
 val sign_bit : int
 
+val charge :
+  State.t -> int -> Td_mem.Addr_space.mapping option -> unit
+(** [charge st addr m] charges the cycle cost of one memory access at
+    [addr], whose page resolved to [m] ({!Td_mem.Addr_space.lookup}):
+    base cost, TLB model, then the physical cache model for a frame or
+    the MMIO surcharge for a device or unmapped page. Mutates the TLB
+    and cache; allocates nothing. *)
+
 val charge_access : State.t -> int -> Td_misa.Width.t -> unit
-(** Charge the cycle cost of one memory access at the given address:
-    base cost, TLB model, physical cache model, MMIO surcharge for
-    device or unmapped pages. Mutates the TLB and cache. *)
+(** {!charge} after looking the page up in the space [addr] selects. *)
 
 val load : State.t -> int -> Td_misa.Width.t -> int
-(** {!charge_access} + {!State.read_mem}. *)
+(** {!charge_access} + {!State.read_mem}, with one page-table walk
+    serving both and no allocation. A page-straddling access is split
+    by {!Td_mem.Addr_space.read}; an unmapped page raises
+    {!Td_mem.Addr_space.Page_fault} after the charge. *)
 
 val store : State.t -> int -> Td_misa.Width.t -> int -> unit
+(** As {!load}, for {!State.write_mem}. *)
 
 val addr_of_mem : State.t -> Td_misa.Operand.mem -> int
 val eval : State.t -> Td_misa.Width.t -> Td_misa.Operand.t -> int

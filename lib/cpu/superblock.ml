@@ -20,9 +20,10 @@
      possible fault) skips materialising them;
 
    - redundant stlb translations are eliminated: two accesses through
-     the same base register to the same page reuse the translated
-     frame, skipping the page-table walks while still driving the TLB
-     and cache models with the exact per-access arguments.
+     the same base register to the same page, or two absolute operands
+     on the same page, reuse the translated frame, skipping the
+     page-table walks while still driving the TLB and cache models with
+     the exact per-access arguments.
 
    Abort accounting: a fault inside the closure charges the cycles,
    steps and fuel of the prefix up to and including the faulting
@@ -172,159 +173,114 @@ let elide_flags ents s =
 
 (* --- stlb-redundancy elimination --- *)
 
-(* One memo per base register: the last page translated through it and
-   the frame/buffer it resolved to. Valid only while [c_stamp] matches —
-   the stamp is bumped at every block entry and after any device access
-   (a device hook may remap pages, e.g. the SVM window reclaim). *)
+(* A translation memo: the last page translated through it, the mapping
+   the page-table walk returned for it and that frame's buffer. Valid
+   only while [s_stamp] matches [c_stamp] — the stamp is bumped at every
+   block entry and after any device access (a device hook may remap
+   pages, e.g. the SVM window reclaim). *)
 type slot = {
   mutable s_stamp : int;
   mutable s_page : int;
-  mutable s_frame : int;
+  mutable s_map : Td_mem.Addr_space.mapping option;  (* always [Some (Frame _)] *)
   mutable s_bytes : Bytes.t;
 }
 
 type ctx = {
-  c_costs : Cost_model.t;
   c_stamp : int ref;
   c_elided : int ref;
-  c_slots : (int, slot) Hashtbl.t; (* base-register index -> memo *)
+  c_regs : (int, slot) Hashtbl.t;  (* base-register index -> memo *)
+  c_pages : (int, slot) Hashtbl.t;  (* page of an absolute operand -> memo *)
 }
 
-let slot_for ctx ri =
-  match Hashtbl.find_opt ctx.c_slots ri with
+let slot_in tbl key =
+  match Hashtbl.find_opt tbl key with
   | Some s -> s
   | None ->
-      let s = { s_stamp = -1; s_page = -1; s_frame = 0; s_bytes = Bytes.empty } in
-      Hashtbl.add ctx.c_slots ri s;
+      let s = { s_stamp = -1; s_page = -1; s_map = None; s_bytes = Bytes.empty } in
+      Hashtbl.add tbl key s;
       s
 
-(* Memoisable access: one base register, no index, resolved symbol, full
-   width. Everything else takes the ordinary [Semantics] path. *)
+(* Memoisable access: a resolved symbol, no index, and either one base
+   register (memo per register) or none at all — an absolute [disp], such
+   as an SVM spill slot, memoised per constant page. Everything else
+   takes the ordinary [Semantics] path. *)
+type memo = No_memo | Memo_reg of int * int | Memo_abs of int
+
 let memo_mem (m : Operand.mem) =
   match (m.Operand.base, m.Operand.index, m.Operand.sym) with
-  | Some r, None, None -> Some (Reg.index r, m.Operand.disp)
-  | _ -> None
+  | Some r, None, None -> Memo_reg (Reg.index r, m.Operand.disp)
+  | None, None, None -> Memo_abs (mask32 m.Operand.disp)
+  | _ -> No_memo
 
-(* Replicates [Semantics.charge_access] + [Addr_space.read_within] with a
-   single page-table lookup, filling the memo on frame-backed pages. *)
-let load32_miss ctx slot st addr page off =
-  let costs = ctx.c_costs in
-  let cost = ref costs.Cost_model.mem_access in
-  if not (Tlb.access st.State.tlb page) then
-    cost := !cost + costs.Cost_model.tlb_miss;
-  let space = State.space_for st addr in
-  match Td_mem.Addr_space.lookup space ~vpage:page with
-  | Some (Td_mem.Addr_space.Frame f) ->
-      if not (Cache.access st.State.cache ((f lsl pshift) lor off)) then
-        cost := !cost + costs.Cost_model.cache_miss;
-      State.add_cycles st !cost;
-      let b = Td_mem.Phys_mem.page (Td_mem.Addr_space.phys space) f in
-      slot.s_stamp <- !(ctx.c_stamp);
-      slot.s_page <- page;
-      slot.s_frame <- f;
-      slot.s_bytes <- b;
-      Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
-  | Some (Td_mem.Addr_space.Device d) ->
-      cost := !cost + costs.Cost_model.mmio;
-      State.add_cycles st !cost;
-      incr ctx.c_stamp;
-      d.Td_mem.Addr_space.dev_read off Width.W32
-  | None ->
-      cost := !cost + costs.Cost_model.mmio;
-      State.add_cycles st !cost;
-      raise
-        (Td_mem.Addr_space.Page_fault
-           { space = Td_mem.Addr_space.name space; addr })
+(* Translate [addr]'s page through the memo and charge the access as
+   [Semantics.load] would. On a hit the TLB and cache models still see
+   the access (simulated cycles are bit-identical); only the two-level
+   page-table walk and the frame-array lookup are skipped. A miss makes
+   that one walk and refills the memo on a frame-backed page. Returns
+   the page's mapping; for a frame, its buffer is in [slot.s_bytes]. *)
+let translate ctx slot st addr page =
+  if slot.s_stamp = !(ctx.c_stamp) && slot.s_page = page then begin
+    Semantics.charge st addr slot.s_map;
+    incr ctx.c_elided;
+    slot.s_map
+  end
+  else begin
+    let space = State.space_for st addr in
+    let m = Td_mem.Addr_space.lookup space ~vpage:page in
+    Semantics.charge st addr m;
+    (match m with
+    | Some (Td_mem.Addr_space.Frame f) ->
+        slot.s_stamp <- !(ctx.c_stamp);
+        slot.s_page <- page;
+        slot.s_map <- m;
+        slot.s_bytes <- Td_mem.Phys_mem.page (Td_mem.Addr_space.phys space) f
+    | Some (Td_mem.Addr_space.Device _) -> incr ctx.c_stamp
+    | None ->
+        raise
+          (Td_mem.Addr_space.Page_fault
+             { space = Td_mem.Addr_space.name space; addr }));
+    m
+  end
 
-let store32_miss ctx slot st addr page off v =
-  let costs = ctx.c_costs in
-  let cost = ref costs.Cost_model.mem_access in
-  if not (Tlb.access st.State.tlb page) then
-    cost := !cost + costs.Cost_model.tlb_miss;
-  let space = State.space_for st addr in
-  match Td_mem.Addr_space.lookup space ~vpage:page with
-  | Some (Td_mem.Addr_space.Frame f) ->
-      if not (Cache.access st.State.cache ((f lsl pshift) lor off)) then
-        cost := !cost + costs.Cost_model.cache_miss;
-      State.add_cycles st !cost;
-      let b = Td_mem.Phys_mem.page (Td_mem.Addr_space.phys space) f in
-      slot.s_stamp <- !(ctx.c_stamp);
-      slot.s_page <- page;
-      slot.s_frame <- f;
-      slot.s_bytes <- b;
-      Bytes.set_int32_le b off (Int32.of_int v)
-  | Some (Td_mem.Addr_space.Device d) ->
-      cost := !cost + costs.Cost_model.mmio;
-      State.add_cycles st !cost;
-      incr ctx.c_stamp;
-      d.Td_mem.Addr_space.dev_write off Width.W32 v
-  | None ->
-      cost := !cost + costs.Cost_model.mmio;
-      State.add_cycles st !cost;
-      raise
-        (Td_mem.Addr_space.Page_fault
-           { space = Td_mem.Addr_space.name space; addr })
+let memo_load ctx slot st addr =
+  let off = addr land pmask in
+  if off > pmax32 then Semantics.load st addr Width.W32 (* straddle *)
+  else
+    match translate ctx slot st addr (addr lsr pshift) with
+    | Some (Td_mem.Addr_space.Device d) -> d.Td_mem.Addr_space.dev_read off Width.W32
+    | Some (Td_mem.Addr_space.Frame _) | None ->
+        Int32.to_int (Bytes.get_int32_le slot.s_bytes off) land 0xFFFFFFFF
+
+let memo_store ctx slot st addr v =
+  let off = addr land pmask in
+  if off > pmax32 then Semantics.store st addr Width.W32 v
+  else
+    match translate ctx slot st addr (addr lsr pshift) with
+    | Some (Td_mem.Addr_space.Device d) ->
+        d.Td_mem.Addr_space.dev_write off Width.W32 v
+    | Some (Td_mem.Addr_space.Frame _) | None ->
+        Bytes.set_int32_le slot.s_bytes off (Int32.of_int v)
 
 let gen_load32 ctx (m : Operand.mem) : State.t -> int =
   match memo_mem m with
-  | None -> fun st -> Semantics.load st (Semantics.addr_of_mem st m) Width.W32
-  | Some (ri, disp) ->
-      let slot = slot_for ctx ri in
-      let costs = ctx.c_costs in
-      let stamp = ctx.c_stamp in
-      let elided = ctx.c_elided in
-      fun st ->
-        let addr = (rd st ri + disp) land 0xFFFFFFFF in
-        let off = addr land pmask in
-        if off <= pmax32 then begin
-          let page = addr lsr pshift in
-          if slot.s_stamp = !stamp && slot.s_page = page then begin
-            (* translation reused: the TLB and cache models still see
-               the access (simulated cycles are bit-identical), only the
-               two-level page-table walk and the frame-array lookup
-               are skipped *)
-            let cost = ref costs.Cost_model.mem_access in
-            if not (Tlb.access st.State.tlb page) then
-              cost := !cost + costs.Cost_model.tlb_miss;
-            if
-              not (Cache.access st.State.cache ((slot.s_frame lsl pshift) lor off))
-            then cost := !cost + costs.Cost_model.cache_miss;
-            State.add_cycles st !cost;
-            incr elided;
-            Int32.to_int (Bytes.get_int32_le slot.s_bytes off) land 0xFFFFFFFF
-          end
-          else load32_miss ctx slot st addr page off
-        end
-        else Semantics.load st addr Width.W32 (* page straddle: slow path *)
+  | No_memo -> fun st -> Semantics.load st (Semantics.addr_of_mem st m) Width.W32
+  | Memo_reg (ri, disp) ->
+      let slot = slot_in ctx.c_regs ri in
+      fun st -> memo_load ctx slot st ((rd st ri + disp) land 0xFFFFFFFF)
+  | Memo_abs addr ->
+      let slot = slot_in ctx.c_pages (addr lsr pshift) in
+      fun st -> memo_load ctx slot st addr
 
 let gen_store32 ctx (m : Operand.mem) : State.t -> int -> unit =
   match memo_mem m with
-  | None ->
+  | No_memo ->
       fun st v -> Semantics.store st (Semantics.addr_of_mem st m) Width.W32 v
-  | Some (ri, disp) ->
-      let slot = slot_for ctx ri in
-      let costs = ctx.c_costs in
-      let stamp = ctx.c_stamp in
-      let elided = ctx.c_elided in
-      fun st v ->
-        let addr = (rd st ri + disp) land 0xFFFFFFFF in
-        let off = addr land pmask in
-        if off <= pmax32 then begin
-          let page = addr lsr pshift in
-          if slot.s_stamp = !stamp && slot.s_page = page then begin
-            let cost = ref costs.Cost_model.mem_access in
-            if not (Tlb.access st.State.tlb page) then
-              cost := !cost + costs.Cost_model.tlb_miss;
-            if
-              not (Cache.access st.State.cache ((slot.s_frame lsl pshift) lor off))
-            then cost := !cost + costs.Cost_model.cache_miss;
-            State.add_cycles st !cost;
-            incr elided;
-            Bytes.set_int32_le slot.s_bytes off (Int32.of_int v)
-          end
-          else store32_miss ctx slot st addr page off v
-        end
-        else Semantics.store st addr Width.W32 v
+  | Memo_reg (ri, disp) ->
+      let slot = slot_in ctx.c_regs ri in
+      fun st v -> memo_store ctx slot st ((rd st ri + disp) land 0xFFFFFFFF) v
+  | Memo_abs addr ->
+      let slot = slot_in ctx.c_pages (addr lsr pshift) in
+      fun st v -> memo_store ctx slot st addr v
 
 let gen_eval32 ctx : Operand.t -> State.t -> int = function
   | Operand.Imm n ->
@@ -644,8 +600,8 @@ let compile ~natives ~costs ~elided ~probes ~cap (prog : Program.t) idx =
         ents;
       let stamp = ref 0 and cur = ref 0 in
       let ctx =
-        { c_costs = costs; c_stamp = stamp; c_elided = elided;
-          c_slots = Hashtbl.create 4 }
+        { c_stamp = stamp; c_elided = elided; c_regs = Hashtbl.create 4;
+          c_pages = Hashtbl.create 4 }
       in
       let mk_exit ~steps ~cycles ~pslot ~pc st =
         st.State.cycles <- st.State.cycles + cycles;

@@ -7,9 +7,11 @@
     [Hlt] end the trace just before themselves. The closure aggregates
     issue-cycle/step accounting statically, skips provably-dead flag
     computation, and memoises stlb translations within a run (same base
-    register, same page → reuse the translated frame) — all without
-    changing the simulated (cycles, steps), which stay bit-identical
-    with per-step execution. See docs/INTERPRETER.md. *)
+    register, or the same constant page of an absolute [disp] operand →
+    reuse the translated frame) — all without changing the simulated
+    (cycles, steps), which stay bit-identical with per-step execution.
+    A compiled run allocates nothing per instruction. See
+    docs/INTERPRETER.md. *)
 
 type t
 

@@ -21,23 +21,25 @@ let create ?(entries = 256) () =
     miss_count = 0;
   }
 
+(* A plain loop over the set's ways: no closure, no option, so an access
+   allocates nothing. *)
 let access t vpage =
   let set = vpage land (t.sets - 1) in
   let base = set * t.ways in
-  let rec probe w =
-    if w >= t.ways then None
-    else if t.slots.(base + w) = vpage then Some w
-    else probe (w + 1)
-  in
-  match probe 0 with
-  | Some _ ->
-      t.hit_count <- t.hit_count + 1;
-      true
-  | None ->
-      t.slots.(base + t.rr.(set)) <- vpage;
-      t.rr.(set) <- (t.rr.(set) + 1) mod t.ways;
-      t.miss_count <- t.miss_count + 1;
-      false
+  let w = ref 0 in
+  while !w < t.ways && Array.unsafe_get t.slots (base + !w) <> vpage do
+    incr w
+  done;
+  if !w < t.ways then begin
+    t.hit_count <- t.hit_count + 1;
+    true
+  end
+  else begin
+    t.slots.(base + t.rr.(set)) <- vpage;
+    t.rr.(set) <- (t.rr.(set) + 1) mod t.ways;
+    t.miss_count <- t.miss_count + 1;
+    false
+  end
 
 let flush t =
   Array.fill t.slots 0 (Array.length t.slots) (-1);

@@ -61,16 +61,27 @@ let free kmem t =
    rings, so an out-of-range value is guest-controlled input, not an
    invariant violation: raise a typed, counted Guest_fault (attributed to
    the address space holding the buffer) that the driver supervisor
-   contains, never a bare failwith that would take dom0 down. *)
-let put_string t s ~off ~len:n =
+   contains, never a bare failwith that would take dom0 down. Every put
+   runs this overflow check before any byte moves; it returns the tail
+   address. *)
+let reserve t n =
   let d = data t and l = len t in
   if d + l + n > end_ t then
     Td_xen.Guest_fault.fail
       ~domain:(Td_mem.Addr_space.name t.space)
       ~op:"Skb.put" "overflow: %d staged + %d new > %d capacity" l n
       (capacity t);
-  Td_mem.Addr_space.write_string t.space (d + l) s ~off ~len:n;
-  set_len t (l + n)
+  d + l
+
+let put_string t s ~off ~len:n =
+  let tail = reserve t n in
+  Td_mem.Addr_space.write_string t.space tail s ~off ~len:n;
+  set_len t (len t + n)
+
+let put_from t ~src ~len:n =
+  let tail = reserve t n in
+  Td_mem.Addr_space.copy t.space ~src ~dst:tail ~len:n;
+  set_len t (len t + n)
 
 let put t payload =
   put_string t (Bytes.unsafe_to_string payload) ~off:0

@@ -56,6 +56,12 @@ val put_string : t -> string -> off:int -> len:int -> unit
 (** [put_string t s ~off ~len] is {!put} of [String.sub s off len],
     copied straight from [s]. *)
 
+val put_from : t -> src:int -> len:int -> unit
+(** [put_from t ~src ~len] appends [len] bytes read from [src] in the
+    buffer's own address space, copied in place by
+    {!Td_mem.Addr_space.copy}. The overflow check runs first, and a fault
+    on either range leaves the buffer untouched. *)
+
 val pull : t -> int -> unit
 (** Advance [data] by [n] (consume a header), shrinking [len]. Underflow
     raises {!Td_xen.Guest_fault.Fault} like {!put}. *)

@@ -229,7 +229,7 @@ let backend_tx_one t costs =
     gref;
   charge_dom0 t costs.Sys_costs.netback;
   let skb = Skb.alloc t.kmem (Domain.space t.dom0) ~size:(len + 64) in
-  Skb.put skb (Td_mem.Addr_space.read_block (Domain.space t.dom0) vaddr len);
+  Skb.put_from skb ~src:vaddr ~len;
   charge_dom0 t costs.Sys_costs.bridge;
   t.driver_tx skb;
   Grant_table.unmap t.grants ~hyp:t.hyp ~from:t.dom0

@@ -214,6 +214,35 @@ let fill t addr len c =
     pos := !pos + chunk
   done
 
+(* Fault as touching [len] bytes from [addr] would, without touching. *)
+let resolve_range t addr len =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    resolve t a;
+    pos := !pos + Layout.page_size - Layout.offset_of a
+  done
+
+let copy t ~src ~dst ~len =
+  resolve_range t src len;
+  resolve_range t dst len;
+  let pos = ref 0 in
+  while !pos < len do
+    let s = src + !pos and d = dst + !pos in
+    let soff = Layout.offset_of s and doff = Layout.offset_of d in
+    let chunk = min (len - !pos) (Layout.page_size - max soff doff) in
+    (match (mapping_of t s, mapping_of t d) with
+    | Frame fs, Frame fd ->
+        Bytes.blit (Phys_mem.page t.phys fs) soff (Phys_mem.page t.phys fd)
+          doff chunk
+    | _ ->
+        for i = 0 to chunk - 1 do
+          write_within t (d + i) Td_misa.Width.W8
+            (read_within t (s + i) Td_misa.Width.W8)
+        done);
+    pos := !pos + chunk
+  done
+
 (* Directory order is vpage order, so traversal (and anything built from
    it, like the free list a bulk release rebuilds) is deterministic. *)
 let iter_frames t f =

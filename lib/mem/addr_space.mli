@@ -80,6 +80,14 @@ val write_string : t -> int -> string -> off:int -> len:int -> unit
     [String.sub s off len] without the intermediate copy. Raises
     [Invalid_argument] when the range is outside [s]. *)
 
+val copy : t -> src:int -> dst:int -> len:int -> unit
+(** [copy t ~src ~dst ~len] moves [len] bytes from [src] to [dst] within
+    [t], a page-sized chunk at a time with no intermediate buffer. Every
+    source page, then every destination page, is resolved before the
+    first byte moves, so a {!Page_fault} (or a {!Phys_mem.Bad_frame}
+    through a stale mapping) leaves memory untouched. The two ranges must
+    not overlap. *)
+
 val fill : t -> int -> int -> char -> unit
 (** [fill t addr len c] stores [len] copies of [c] from [addr], in place. *)
 

@@ -165,6 +165,10 @@ let decode ?(name = "disassembled") data =
   ignore (u8 c);
   let base = u32 c in
   let count = u32 c in
+  (* every instruction takes at least its opcode byte: a corrupted count
+     must not size the array *)
+  if count > Bytes.length data - c.pos then
+    raise (Malformed "instruction count exceeds the data");
   let raws = Array.init count (fun _ -> insn_of c) in
   if c.pos <> Bytes.length data then raise (Malformed "trailing bytes");
   (* rediscover labels: every in-range target becomes a local label *)

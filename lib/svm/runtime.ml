@@ -1,5 +1,16 @@
 exception Fault of { addr : int; reason : string }
 
+(* Both tables are keyed by a dom0 page base. An inline hash (the page
+   number, whose low bits spread consecutive pages over the buckets) and
+   [Int.equal] keep a probe-hit lookup free of C calls; nothing iterates
+   either table, so bucket order never shows. *)
+module Page_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash page = page lsr Td_mem.Layout.page_shift
+end)
+
 type mode = Translate | Identity
 
 (* One pair of consecutive window pages (the unit of mapping: every miss
@@ -28,10 +39,10 @@ type t = {
   dom0 : Td_mem.Addr_space.t;
   target : Td_mem.Addr_space.t;  (** space receiving window mappings *)
   stlb : Stlb.t;
-  chain : (int, int) Hashtbl.t;  (** dom0 page base -> mapped page base *)
+  chain : int Page_tbl.t;  (** dom0 page base -> mapped page base *)
   window_pages : int;  (** window size in pages (2 per slot) *)
   slots : slot option array;
-  slot_of_page : (int, int) Hashtbl.t;  (** dom0 page base -> slot index *)
+  slot_of_page : int Page_tbl.t;  (** dom0 page base -> slot index *)
   mutable window_next : int;  (** next never-used slot index *)
   mutable free_slots : int list;  (** released by invalidate_page *)
   mutable clock_hand : int;
@@ -54,10 +65,10 @@ let create_hypervisor ?(map_pairs = true)
     dom0;
     target = hyp;
     stlb = Stlb.create ~space:hyp ~vaddr:stlb_vaddr;
-    chain = Hashtbl.create 256;
+    chain = Page_tbl.create 256;
     window_pages;
     slots = Array.make (window_pages / 2) None;
-    slot_of_page = Hashtbl.create 256;
+    slot_of_page = Page_tbl.create 256;
     window_next = 0;
     free_slots = [];
     clock_hand = 0;
@@ -76,10 +87,10 @@ let create_identity ~dom0 ~stlb_vaddr =
     dom0;
     target = dom0;
     stlb = Stlb.create ~space:dom0 ~vaddr:stlb_vaddr;
-    chain = Hashtbl.create 256;
+    chain = Page_tbl.create 256;
     window_pages = 0;
     slots = [||];
-    slot_of_page = Hashtbl.create 1;
+    slot_of_page = Page_tbl.create 1;
     window_next = 0;
     free_slots = [];
     clock_hand = 0;
@@ -95,7 +106,7 @@ let mode t = t.mode
 let stlb t = t.stlb
 let window_pages t = t.window_pages
 let window_reclaims t = t.reclaim_count
-let window_pages_in_use t = 2 * Hashtbl.length t.slot_of_page
+let window_pages_in_use t = 2 * Page_tbl.length t.slot_of_page
 let set_reclaim_hook t f = t.reclaim_hook <- Some f
 let set_window_guard t g = t.window_guard <- Some g
 
@@ -122,11 +133,12 @@ let valid_dom0_page t addr =
 let mapped_base idx =
   Td_mem.Layout.map_window_base + (2 * idx * Td_mem.Layout.page_size)
 
+(* On every probe hit: [find] (not [find_opt]) so a lookup allocates
+   nothing. *)
 let mark_referenced t page =
-  match Hashtbl.find_opt t.slot_of_page page with
-  | Some i -> (
-      match t.slots.(i) with Some s -> s.referenced <- true | None -> ())
-  | None -> ()
+  match Page_tbl.find t.slot_of_page page with
+  | i -> (match t.slots.(i) with Some s -> s.referenced <- true | None -> ())
+  | exception Not_found -> ()
 
 let update_inuse_gauge t =
   if Td_obs.Control.enabled () then
@@ -141,8 +153,8 @@ let evict_slot t idx =
   let s = match t.slots.(idx) with Some s -> s | None -> assert false in
   guard_release t s;
   let victim = s.dom0_page in
-  Hashtbl.remove t.chain victim;
-  Hashtbl.remove t.slot_of_page victim;
+  Page_tbl.remove t.chain victim;
+  Page_tbl.remove t.slot_of_page victim;
   Stlb.invalidate t.stlb ~dom0_page:victim;
   let vpage = Td_mem.Layout.page_of (mapped_base idx) in
   Td_mem.Addr_space.unmap t.target ~vpage;
@@ -236,14 +248,14 @@ let map_pair t page =
         (poison_device t succ_page));
   t.slots.(idx) <-
     Some { dom0_page = page; referenced = true; pinned = false; owner };
-  Hashtbl.replace t.slot_of_page page idx;
+  Page_tbl.replace t.slot_of_page page idx;
   update_inuse_gauge t;
   mapped
 
 let miss t addr =
   t.miss_count <- t.miss_count + 1;
   let page = Td_mem.Layout.page_base addr in
-  match Hashtbl.find_opt t.chain page with
+  match Page_tbl.find_opt t.chain page with
   | Some mapped ->
       (* hash collision: the translation exists but was evicted from the
          direct-mapped stlb; refill from the chain *)
@@ -278,12 +290,12 @@ let miss t addr =
         | Identity -> page
         | Translate -> map_pair t page
       in
-      Hashtbl.replace t.chain page mapped;
+      Page_tbl.replace t.chain page mapped;
       Stlb.install t.stlb ~dom0_page:page ~mapped_page:mapped;
       if Td_obs.Control.enabled () then
         Td_obs.Metrics.set
           (Td_obs.Metrics.gauge "svm.pages_mapped")
-          (float_of_int (Hashtbl.length t.chain));
+          (float_of_int (Page_tbl.length t.chain));
       addr lxor (page lxor mapped)
 
 let translate t addr =
@@ -299,7 +311,7 @@ let translate t addr =
 
 let persistent_map t addr =
   let mapped = translate t addr in
-  (match Hashtbl.find_opt t.slot_of_page (Td_mem.Layout.page_base addr) with
+  (match Page_tbl.find_opt t.slot_of_page (Td_mem.Layout.page_base addr) with
   | Some i -> (
       match t.slots.(i) with Some s -> s.pinned <- true | None -> ())
   | None -> ());
@@ -317,15 +329,15 @@ let note_inline_hit t addr =
 
 let invalidate_page t addr =
   let page = Td_mem.Layout.page_base addr in
-  Hashtbl.remove t.chain page;
+  Page_tbl.remove t.chain page;
   Stlb.invalidate t.stlb ~dom0_page:page;
   (* release the window pair so the slot can be reused — otherwise a stale
      slot still claiming [page] could later be reclaimed and tear down a
      NEWER translation of the same page *)
-  (match Hashtbl.find_opt t.slot_of_page page with
+  (match Page_tbl.find_opt t.slot_of_page page with
   | Some i ->
       (match t.slots.(i) with Some s -> guard_release t s | None -> ());
-      Hashtbl.remove t.slot_of_page page;
+      Page_tbl.remove t.slot_of_page page;
       let vpage = Td_mem.Layout.page_of (mapped_base i) in
       Td_mem.Addr_space.unmap t.target ~vpage;
       Td_mem.Addr_space.unmap t.target ~vpage:(vpage + 1);
@@ -339,7 +351,7 @@ let invalidate_page t addr =
    restarts an aborted driver. Pinned pairs go too — the caller re-pins
    whatever must persist (the sk_buff pool) on the fresh instance. *)
 let flush t =
-  Hashtbl.reset t.chain;
+  Page_tbl.reset t.chain;
   Stlb.clear t.stlb;
   Array.iteri
     (fun i slot ->
@@ -352,7 +364,7 @@ let flush t =
           Td_mem.Addr_space.unmap t.target ~vpage:(vpage + 1);
           t.slots.(i) <- None)
     t.slots;
-  Hashtbl.reset t.slot_of_page;
+  Page_tbl.reset t.slot_of_page;
   t.window_next <- 0;
   t.free_slots <- [];
   t.clock_hand <- 0;
@@ -361,7 +373,7 @@ let flush t =
 let misses t = t.miss_count
 let collisions t = t.collision_count
 let faults t = t.fault_count
-let pages_mapped t = Hashtbl.length t.chain
+let pages_mapped t = Page_tbl.length t.chain
 
 let mode_suffix t = match t.mode with Translate -> "hyp" | Identity -> "vm"
 let miss_symbol t = "__svm_miss@" ^ mode_suffix t

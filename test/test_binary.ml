@@ -36,7 +36,11 @@ let test_malformed_rejected () =
   let truncated = Bytes.sub good 0 (Bytes.length good - 5) in
   check bool_c "truncated" true (reject truncated);
   let trailing = Bytes.cat good (Bytes.of_string "junk") in
-  check bool_c "trailing bytes" true (reject trailing)
+  check bool_c "trailing bytes" true (reject trailing);
+  (* the count's high byte corrupted: ~3.5 billion instructions *)
+  let inflated = Bytes.copy good in
+  Bytes.set inflated 15 '\xD1';
+  check bool_c "inflated instruction count" true (reject inflated)
 
 let test_driver_roundtrip_structure () =
   let prog = assemble_driver () in

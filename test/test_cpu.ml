@@ -444,19 +444,21 @@ let test_compiled_invalidation_on_replace () =
     (Interp.invalidations interp >= 1)
 
 (* The in-block stlb-redundancy elimination must fire (two accesses
-   through the same base register to the same page) and must not change
-   the result or the simulated cycles vs the per-step engine. *)
+   through the same base register, or two absolute operands, to the same
+   page) and must not change the result or the simulated cycles vs the
+   per-step engine. *)
 let test_compiled_stlb_elision () =
-  let run_mode ?hook () =
+  let run_mode ~abs ?hook () =
     let m = Harness.make_machine () in
     let buf = Td_mem.Addr_space.heap_alloc m.Harness.dom0 64 in
+    let at k = if abs then Builder.mem (buf + k) else Builder.mem ~base:Reg.EDX k in
     let b = Builder.create "mem" in
     Builder.label b "entry";
     Builder.movl b (Builder.imm buf) (Builder.reg Reg.EDX);
-    Builder.movl b (Builder.imm 40) (Builder.mem ~base:Reg.EDX 0);
-    Builder.movl b (Builder.imm 2) (Builder.mem ~base:Reg.EDX 4);
-    Builder.movl b (Builder.mem ~base:Reg.EDX 0) (Builder.reg Reg.EAX);
-    Builder.addl b (Builder.mem ~base:Reg.EDX 4) (Builder.reg Reg.EAX);
+    Builder.movl b (Builder.imm 40) (at 0);
+    Builder.movl b (Builder.imm 2) (at 4);
+    Builder.movl b (at 0) (Builder.reg Reg.EAX);
+    Builder.addl b (at 4) (Builder.reg Reg.EAX);
     Builder.ret b;
     let prog =
       Program.assemble ~base:Td_mem.Layout.vm_driver_code_base
@@ -474,14 +476,219 @@ let test_compiled_stlb_elision () =
     done;
     (!r, st.State.cycles, st.State.steps, Interp.stlb_elided interp)
   in
-  let rc, cc, sc, elided = run_mode () in
-  let rp, cp, sp, elided_ps = run_mode ~hook:(fun _ _ -> ()) () in
-  check int_c "compiled result" 42 rc;
-  check int_c "per-step result" 42 rp;
-  check bool_c "cycles identical" true (cc = cp);
-  check bool_c "steps identical" true (sc = sp);
-  check bool_c "compiled run elided stlb translations" true (elided > 0);
-  check int_c "per-step run elides nothing" 0 elided_ps
+  List.iter
+    (fun abs ->
+      let what = if abs then "absolute: " else "base register: " in
+      let rc, cc, sc, elided = run_mode ~abs () in
+      let rp, cp, sp, elided_ps = run_mode ~abs ~hook:(fun _ _ -> ()) () in
+      check int_c (what ^ "compiled result") 42 rc;
+      check int_c (what ^ "per-step result") 42 rp;
+      check bool_c (what ^ "cycles identical") true (cc = cp);
+      check bool_c (what ^ "steps identical") true (sc = sp);
+      (* the third call runs compiled: three of its four accesses hit *)
+      check int_c (what ^ "compiled run elided stlb translations") 3 elided;
+      check int_c (what ^ "per-step run elides nothing") 0 elided_ps)
+    [ false; true ]
+
+(* A page-straddling access splits across both pages on every engine,
+   and a straddling store whose second page is unmapped faults before
+   touching the first, charged identically by both engines. *)
+let test_straddling_access () =
+  let run_mode ?hook () =
+    let m = Harness.make_machine () in
+    (* two lone pages: the third is unmapped *)
+    let buf = 0xC080_0000 in
+    Td_mem.Addr_space.alloc_region m.Harness.dom0 ~vaddr:buf ~pages:2;
+    let edge = buf + (2 * Td_mem.Layout.page_size) - 2 in
+    let b = Builder.create "straddle" in
+    Builder.label b "entry";
+    Builder.movl b (Builder.imm buf) (Builder.reg Reg.EBP);
+    Builder.movl b (Builder.imm 0x11223344)
+      (Builder.mem ~base:Reg.EBP (Td_mem.Layout.page_size - 2));
+    Builder.movl b (Builder.mem ~base:Reg.EBP (Td_mem.Layout.page_size - 2))
+      (Builder.reg Reg.EAX);
+    Builder.movl b (Builder.imm 0x5566) (Builder.mem (edge - 2));
+    Builder.movl b (Builder.reg Reg.EAX) (Builder.mem edge);
+    Builder.ret b;
+    let prog =
+      Program.assemble ~base:Td_mem.Layout.vm_driver_code_base (Builder.finish b)
+    in
+    Code_registry.register m.Harness.registry prog;
+    let st = Harness.dom0_cpu m in
+    let interp = Harness.interp_of m st in
+    Option.iter (Interp.add_hook interp) hook;
+    Interp.set_compile_threshold interp 1;
+    let entry = Program.addr_of_label prog "entry" in
+    let faults =
+      List.init 3 (fun _ ->
+          match Interp.call interp ~entry ~args:[] with
+          | _ -> "none"
+          | exception Td_mem.Addr_space.Page_fault { addr; _ } ->
+              Printf.sprintf "%#x" (addr - buf))
+    in
+    ( faults,
+      State.get st Reg.EAX,
+      Semantics.load st (edge - 2) Width.W32 land 0xFFFF,
+      st.State.cycles,
+      st.State.steps )
+  in
+  let ((faults, eax, tail, _, _) as compiled) = run_mode () in
+  check bool_c "faults at the unmapped page" true
+    (faults = List.init 3 (fun _ -> "0x2000"));
+  check int_c "straddling load" 0x11223344 eax;
+  check int_c "first page untouched" 0x5566 tail;
+  check bool_c "per-step identical" true (run_mode ~hook:(fun _ _ -> ()) () = compiled)
+
+(* --- allocation guards: the memory-access path allocates nothing --- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let check_words name words =
+  check bool_c (Printf.sprintf "%s: %.0f minor words < 100" name words) true
+    (words < 100.)
+
+(* A compiled loop of 10k iterations with register-based and absolute
+   memory operands. *)
+let test_compiled_trace_allocates_nothing () =
+  let m = Harness.make_machine () in
+  let buf = Td_mem.Addr_space.heap_alloc m.Harness.dom0 64 in
+  let scratch = Td_mem.Layout.hyp_scratch_base in
+  let b = Builder.create "loop" in
+  Builder.(
+    label b "entry";
+    movl b (imm 10_000) (reg Reg.ECX);
+    movl b (imm 0) (reg Reg.EAX);
+    movl b (imm buf) (reg Reg.EBP);
+    label b "loop";
+    movl b (reg Reg.ECX) (mem ~base:Reg.EBP 0);
+    addl b (mem ~base:Reg.EBP 0) (reg Reg.EAX);
+    movl b (reg Reg.EAX) (mem (scratch + 8));
+    addl b (mem (scratch + 8)) (reg Reg.EDX);
+    movl b (reg Reg.EDX) (mem (buf + 4));
+    decl b (reg Reg.ECX);
+    jne b "loop";
+    ret b);
+  let prog =
+    Program.assemble ~base:Td_mem.Layout.vm_driver_code_base (Builder.finish b)
+  in
+  Code_registry.register m.Harness.registry prog;
+  let st = Harness.dom0_cpu m in
+  let interp = Harness.interp_of m st in
+  let entry = Program.addr_of_label prog "entry" in
+  let call () = ignore (Interp.call ~max_steps:max_int interp ~entry ~args:[]) in
+  call ();
+  let hits = Interp.compiled_hits interp in
+  let words = minor_words call in
+  check bool_c "ran compiled" true (Interp.compiled_hits interp - hits >= 9_000);
+  check_words "compiled trace" words
+
+let test_semantics_access_allocates_nothing () =
+  let m = Harness.make_machine () in
+  let st = Harness.dom0_cpu m in
+  let buf = Td_mem.Addr_space.heap_alloc m.Harness.dom0 Td_mem.Layout.page_size in
+  let scratch = Td_mem.Layout.hyp_scratch_base in
+  let sum = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for i = 0 to 9_999 do
+          let a = (if i land 1 = 0 then buf else scratch) + ((i * 4) land 0xFFC) in
+          Semantics.store st a Width.W32 i;
+          sum := !sum + Semantics.load st a Width.W32
+        done)
+  in
+  check int_c "loads saw the stores" (9_999 * 10_000 / 2) !sum;
+  check_words "Semantics.load/store" words
+
+let test_tlb_access_allocates_nothing () =
+  let tlb = Tlb.create () in
+  let hits = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for i = 0 to 9_999 do
+          (* 256 pages: every set fills once, then hits *)
+          if Tlb.access tlb ((i * 7) land 0xFF) then incr hits
+        done)
+  in
+  check int_c "hits counted" (Tlb.hits tlb) !hits;
+  check bool_c "hits and misses" true (!hits > 0 && Tlb.misses tlb > 0);
+  check_words "Tlb.access" words
+
+let test_native_dispatch_allocates_nothing () =
+  let m = Harness.make_machine () in
+  let calls = ref 0 in
+  let a = Native.register m.Harness.natives "count" (fun _ -> incr calls) in
+  let st = Harness.dom0_cpu m in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          Semantics.do_call ~natives:m.Harness.natives st a
+        done)
+  in
+  check int_c "every call ran" 10_000 !calls;
+  check_words "native dispatch" words
+
+(* --- native registry --- *)
+
+let test_native_dispatch_faults () =
+  let m = Harness.make_machine () in
+  let natives = m.Harness.natives in
+  let a = Native.register natives "a" (fun _ -> ()) in
+  let _b = Native.register natives "b" (fun _ -> ()) in
+  let st = Harness.dom0_cpu m in
+  let faults addr =
+    match Semantics.do_call ~natives st addr with
+    | () -> false
+    | exception Semantics.Fault msg ->
+        String.starts_with ~prefix:"call to unregistered native" msg
+  in
+  List.iter
+    (fun (what, addr) ->
+      check bool_c (what ^ " faults") true (faults addr);
+      check bool_c (what ^ " has no name") true
+        (Native.name_of natives addr = None))
+    [
+      ("misaligned", a + 4);
+      ("unregistered", a + 32);
+      ("past the end", a + (16 * 100_000));
+      ("top of the space", 0xFFFF_FFE0);
+    ];
+  check bool_c "registered call runs" true
+    (match Semantics.do_call ~natives st a with () -> true)
+
+let test_native_reregister_keeps_address () =
+  let natives = Native.create () in
+  let hit = ref "" in
+  let x = Native.register natives "x" (fun _ -> hit := "old") in
+  let y = Native.register natives "y" (fun _ -> ()) in
+  let x' = Native.register natives "x" (fun _ -> hit := "new") in
+  check int_c "same address" x x';
+  check bool_c "distinct addresses" true (x <> y);
+  check int_c "count unchanged" 2 (Native.count natives);
+  check bool_c "name" true (Native.name_of natives x = Some "x");
+  check bool_c "address_of" true (Native.address_of natives "x" = Some x);
+  (Option.get (Native.lookup natives x))
+    (State.create
+       (Td_mem.Addr_space.create ~name:"s" (Td_mem.Phys_mem.create ~frames:4 ())));
+  check Alcotest.string "new implementation" "new" !hit
+
+(* More routines than the registry's initial array holds. *)
+let test_native_registry_grows () =
+  let natives = Native.create () in
+  let addrs =
+    List.init 200 (fun i ->
+        Native.register natives (Printf.sprintf "n%d" i) (fun _ -> ()))
+  in
+  List.iteri
+    (fun i addr ->
+      check int_c "dense addresses" (Td_mem.Layout.native_base + (16 * i)) addr;
+      check bool_c "name_of" true
+        (Native.name_of natives addr = Some (Printf.sprintf "n%d" i)))
+    addrs;
+  check bool_c "lookup past the end" true
+    (Native.lookup natives (Td_mem.Layout.native_base + (16 * 200)) = None)
 
 let suite =
   [
@@ -518,4 +725,19 @@ let suite =
       test_compiled_invalidation_on_replace;
     Alcotest.test_case "compiled stlb elision" `Quick
       test_compiled_stlb_elision;
+    Alcotest.test_case "straddling access" `Quick test_straddling_access;
+    Alcotest.test_case "compiled trace allocates nothing" `Quick
+      test_compiled_trace_allocates_nothing;
+    Alcotest.test_case "semantics access allocates nothing" `Quick
+      test_semantics_access_allocates_nothing;
+    Alcotest.test_case "tlb access allocates nothing" `Quick
+      test_tlb_access_allocates_nothing;
+    Alcotest.test_case "native dispatch allocates nothing" `Quick
+      test_native_dispatch_allocates_nothing;
+    Alcotest.test_case "native dispatch faults" `Quick
+      test_native_dispatch_faults;
+    Alcotest.test_case "native re-register keeps address" `Quick
+      test_native_reregister_keeps_address;
+    Alcotest.test_case "native registry grows" `Quick
+      test_native_registry_grows;
   ]

@@ -66,6 +66,35 @@ let test_skb_lifecycle () =
   check int_c "faults attributed to dom0" (faults0 + 2)
     (Td_xen.Guest_fault.total_for "dom0")
 
+(* Netback's in-place fill: bytes copied within the buffer's own space,
+   the overflow check before any byte moves, and a source fault leaving
+   the buffer untouched. *)
+let test_skb_put_from () =
+  let m, km = make () in
+  let space = m.Harness.dom0 in
+  (* a lone page: the next one is unmapped *)
+  let src = 0xC080_0000 in
+  ignore (Td_mem.Addr_space.alloc_page space ~vpage:(Td_mem.Layout.page_of src));
+  Td_mem.Addr_space.write_string space src "0123456789" ~off:0 ~len:10;
+  let skb = Skb.alloc km space ~size:16 in
+  Skb.put_from skb ~src ~len:6;
+  check bool_c "copied" true (Bytes.to_string (Skb.contents skb) = "012345");
+  check bool_c "overflow rejected" true
+    (match Skb.put_from skb ~src ~len:11 with
+    | exception Td_xen.Guest_fault.Fault { op = "Skb.put"; _ } -> true
+    | _ -> false);
+  (* the source runs off the end of its page into an unmapped one *)
+  let edge = src + Td_mem.Layout.page_size - 4 in
+  check bool_c "source fault" true
+    (match Skb.put_from skb ~src:edge ~len:8 with
+    | exception Td_mem.Addr_space.Page_fault _ -> true
+    | _ -> false);
+  check int_c "len unchanged" 6 (Skb.len skb);
+  check bool_c "tail untouched" true
+    (Bytes.to_string
+       (Td_mem.Addr_space.read_block space (Skb.data skb + 6) 4)
+    = "\000\000\000\000")
+
 let test_skb_refcount () =
   let m, km = make () in
   let live0 = Kmem.allocated_bytes km in
@@ -260,4 +289,5 @@ let suite =
     Alcotest.test_case "support registry" `Quick test_support_registry_basics;
     Alcotest.test_case "support call counting" `Quick
       test_support_dom0_call_counting;
+    Alcotest.test_case "skb put_from" `Quick test_skb_put_from;
   ]

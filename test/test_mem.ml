@@ -148,6 +148,23 @@ let test_straddle_write_fault_is_precise () =
   check int_c "first page untouched" 0xABCD
     (Addr_space.read s 0xC0003FFE Width.W16)
 
+let test_copy_fault_is_precise () =
+  (* the destination runs off its page into an unmapped one: the copy
+     faults there before moving a byte onto the mapped first page *)
+  let phys = Phys_mem.create () in
+  let s = Addr_space.create ~name:"s" phys in
+  ignore (Addr_space.alloc_page s ~vpage:0xC0003);
+  ignore (Addr_space.alloc_page s ~vpage:0xC0010);
+  Addr_space.fill s 0xC0010000 16 'x';
+  check bool_c "faults at the destination's second page" true
+    (match Addr_space.copy s ~src:0xC0010000 ~dst:0xC0003FFC ~len:8 with
+    | exception Addr_space.Page_fault { addr = 0xC0004000; _ } -> true
+    | _ -> false);
+  check int_c "first page untouched" 0
+    (Addr_space.read s 0xC0003FFC Width.W32);
+  Addr_space.copy s ~src:0xC0010000 ~dst:0xC0003FFC ~len:4;
+  check int_c "in-page copy" 0x78787878 (Addr_space.read s 0xC0003FFC Width.W32)
+
 let test_addresses_outside_32_bits () =
   let phys = Phys_mem.create () in
   let s = Addr_space.create ~name:"s" phys in
@@ -207,6 +224,7 @@ type op =
   | Read_block of int * int
   | Write_block of int * int * int
   | Fill of int * int * char
+  | Copy of int * int * int  (** src, dst, len *)
   | Release
 
 let show_op = function
@@ -221,6 +239,7 @@ let show_op = function
   | Read_block (a, n) -> Printf.sprintf "read_block %#x %d" a n
   | Write_block (a, n, seed) -> Printf.sprintf "write_block %#x %d #%d" a n seed
   | Fill (a, n, c) -> Printf.sprintf "fill %#x %d %C" a n c
+  | Copy (a, d, n) -> Printf.sprintf "copy %#x -> %#x %d" a d n
   | Release -> "release"
 
 (* Few vpages so ops collide: both ends of the 32-bit space, a leaf
@@ -252,6 +271,7 @@ let gen_op =
       (2, map2 (fun a n -> Read_block (a, n)) addr len);
       (2, map3 (fun a n seed -> Write_block (a, n, seed)) addr len nat);
       (2, map3 (fun a n c -> Fill (a, n, c)) addr len printable);
+      (3, map3 (fun a d n -> Copy (a, d, n)) addr addr len);
       (1, return Release);
     ]
 
@@ -343,6 +363,16 @@ let m_chunks md addr len f =
     done;
     pos := !pos + chunk
   done
+
+(* Every page a block op touches, in order, as the address it starts at. *)
+let m_pages addr len =
+  let rec go pos acc =
+    if pos >= len then List.rev acc
+    else
+      let a = addr + pos in
+      go (pos + Layout.page_size - Layout.offset_of a) (a :: acc)
+  in
+  go 0 []
 
 let block_data n seed = String.init n (fun i -> Char.chr ((i * 31 + seed) land 0xff))
 
@@ -487,6 +517,30 @@ let step phys s real_devs md op =
       let r = run_real (fun () -> Addr_space.fill s a n c; Unit) in
       let m = run_model (fun () -> m_chunks md a n (fun _ addr -> m_set md addr c); Unit) in
       (r, m)
+  | Copy (a, d, n) ->
+      (* [copy] requires disjoint ranges: skip a copy whose ranges share
+         a backing page (the same vpage, an alias or a device) *)
+      let stores addr =
+        List.filter_map
+          (fun p -> match m_resolve md p with b -> Some b | exception _ -> None)
+          (m_pages addr n)
+      in
+      let ds = stores d in
+      if List.exists (fun x -> List.exists (fun y -> x == y) ds) (stores a) then
+        (Unit, Unit)
+      else
+        let r = run_real (fun () -> Addr_space.copy s ~src:a ~dst:d ~len:n; Unit) in
+        let m =
+          run_model (fun () ->
+              (* every page of both ranges resolves before a byte moves *)
+              List.iter (fun p -> ignore (m_resolve md p)) (m_pages a n);
+              List.iter (fun p -> ignore (m_resolve md p)) (m_pages d n);
+              for i = 0 to n - 1 do
+                m_set md (d + i) (Char.chr (m_get md (a + i)))
+              done;
+              Unit)
+        in
+        (r, m)
   | Release ->
       Addr_space.release s;
       let frames =
@@ -603,4 +657,6 @@ let suite =
     Alcotest.test_case "walk allocates nothing" `Quick
       test_walk_allocates_nothing;
     QCheck_alcotest.to_alcotest memory_model_prop;
+    Alcotest.test_case "copy fault is precise" `Quick
+      test_copy_fault_is_precise;
   ]

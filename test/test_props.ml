@@ -121,15 +121,32 @@ let decode_valid_prefix_prop =
    generator emits multi-segment programs whose segments end in
    unconditional jumps to the next segment, so compiled traces stitch
    across block boundaries, and conditional forward jumps give the
-   superblocks side exits. *)
+   superblocks side exits. Absolute [disp] operands exercise the
+   compiled tier's per-page memo, some on an unmapped page so fault
+   accounting is compared too; push/pop pairs run through its generic
+   fallback. *)
 
 let prop_dst = Td_misa.Reg.[| EAX; EBX; EDX; ESI; EDI |]
 let prop_conds = Cond.[| NE; E; L; GE; A; BE |]
 
+(* Absolute operands: a dom0 word of [buf], a hypervisor scratch word
+   (the SVM spill-slot pattern), or one time in sixteen an unmapped
+   hypervisor page. *)
+let prop_scratch = Td_mem.Layout.hyp_scratch_base
+let prop_unmapped = Td_mem.Layout.hyp_scratch_base + (4 * Td_mem.Layout.page_size)
+
+let prop_abs ~buf k =
+  let word = 4 * (k mod 8) in
+  match k mod 16 with
+  | 0 -> Builder.mem (prop_unmapped + word)
+  | j when j < 8 -> Builder.mem (buf + word)
+  | _ -> Builder.mem (prop_scratch + word)
+
 (* Decode one generator int into one instruction (plus an optional
-   forward conditional jump). [nsegs] segments exist; jump targets are
-   always in [seg+1 .. nsegs], where [nsegs] is the final ret. *)
-let prop_emit b ~nsegs ~seg v =
+   forward conditional jump, or a push/pop pair). [nsegs] segments exist;
+   jump targets are always in [seg+1 .. nsegs], where [nsegs] is the
+   final ret. *)
+let prop_emit b ~buf ~nsegs ~seg v =
   let lbl j = if j >= nsegs then "done" else Printf.sprintf "seg%d" j in
   let dst = prop_dst.((v / 7) mod 5) in
   let src =
@@ -138,7 +155,7 @@ let prop_emit b ~nsegs ~seg v =
     | 1 -> Builder.reg prop_dst.((v / 36) mod 5)
     | _ -> Builder.mem ~base:Td_misa.Reg.EBP (4 * ((v / 36) mod 8))
   in
-  match v mod 12 with
+  match v mod 16 with
   | 0 -> Builder.addl b src (Builder.reg dst)
   | 1 -> Builder.subl b src (Builder.reg dst)
   | 2 -> Builder.xorl b src (Builder.reg dst)
@@ -165,6 +182,19 @@ let prop_emit b ~nsegs ~seg v =
       | 0 -> Builder.shll b c (Builder.reg dst)
       | 1 -> Builder.shrl b c (Builder.reg dst)
       | _ -> Builder.sarl b c (Builder.reg dst))
+  | 12 ->
+      let a = prop_abs ~buf (v / 36) in
+      if (v / 12) mod 2 = 0 then Builder.movl b a (Builder.reg dst)
+      else Builder.addl b a (Builder.reg dst)
+  | 13 ->
+      let s =
+        if (v / 12) mod 2 = 0 then Builder.imm ((v / 36) land 0xFFFF)
+        else Builder.reg dst
+      in
+      Builder.movl b s (prop_abs ~buf (v / 36))
+  | 14 ->
+      Builder.pushl b src;
+      Builder.popl b (Builder.reg dst)
   | _ -> Builder.nop b
 
 let prop_run ?hook threshold segs =
@@ -180,7 +210,7 @@ let prop_run ?hook threshold segs =
   List.iteri
     (fun i ops ->
       Builder.label b (Printf.sprintf "seg%d" i);
-      List.iter (prop_emit b ~nsegs ~seg:i) ops;
+      List.iter (prop_emit b ~buf ~nsegs ~seg:i) ops;
       (* segment termination: explicit jump to the next segment (a
          stitch edge for the superblock compiler) or plain fallthrough *)
       if List.fold_left ( + ) i ops mod 2 = 0 then
@@ -199,13 +229,16 @@ let prop_run ?hook threshold segs =
      per-step; [max_int]: never promoted, the basic-block engine only *)
   Td_cpu.Interp.set_compile_threshold interp threshold;
   let entry = Program.addr_of_label prog "entry" in
-  let r = ref 0 in
+  let r = ref 0 and faults = ref [] in
   for _ = 1 to 3 do
-    r := Td_cpu.Interp.call interp ~entry ~args:[]
+    match Td_cpu.Interp.call interp ~entry ~args:[] with
+    | v -> r := v
+    | exception e -> faults := Printexc.to_string e :: !faults
   done;
   let open Td_cpu in
   let snapshot =
     ( !r,
+      !faults,
       Array.to_list (Array.map (Td_cpu.State.get st) prop_dst),
       st.State.cycles,
       st.State.steps,
@@ -214,8 +247,9 @@ let prop_run ?hook threshold segs =
   (* data memory readback after the architectural snapshot (the loads
      charge cycles, but the snapshot above is already taken) *)
   let mem =
-    List.init 8 (fun k ->
-        Semantics.load st (buf + (4 * k)) Td_misa.Width.W32)
+    List.init 16 (fun k ->
+        let base = if k < 8 then buf else prop_scratch in
+        Semantics.load st (base + (4 * (k mod 8))) Td_misa.Width.W32)
   in
   (snapshot, mem)
 

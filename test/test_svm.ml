@@ -186,6 +186,25 @@ let test_window_guard () =
   Runtime.flush rt;
   check int_c "flush released" 0 !held
 
+(* Probe-hit bookkeeping runs on every inline stlb hit: with
+   observability off it allocates nothing, for a mapped pair and for a
+   page with no pair alike. *)
+let test_probe_hit_allocates_nothing () =
+  let m = Harness.make_machine () in
+  let rt = Harness.hyp_runtime m in
+  let va = Addr_space.heap_alloc m.Harness.dom0 Layout.page_size in
+  ignore (Runtime.miss rt va);
+  let was_on = Td_obs.Control.enabled () in
+  Td_obs.Control.disable ();
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    Runtime.note_inline_hit rt (if i land 1 = 0 then va + 8 else va + 0x100000)
+  done;
+  let words = Gc.minor_words () -. before in
+  if was_on then Td_obs.Control.enable ();
+  check bool_c (Printf.sprintf "%.0f minor words < 100" words) true
+    (words < 100.)
+
 let suite =
   [
     Alcotest.test_case "stlb index bits" `Quick test_index_bits;
@@ -199,4 +218,6 @@ let suite =
       test_persistent_map_and_invalidate;
     Alcotest.test_case "call table" `Quick test_call_table;
     Alcotest.test_case "window guard" `Quick test_window_guard;
+    Alcotest.test_case "probe hit allocates nothing" `Quick
+      test_probe_hit_allocates_nothing;
   ]
