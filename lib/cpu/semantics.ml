@@ -46,10 +46,6 @@ let charge_access st addr w =
 let straddles addr w =
   Td_mem.Layout.offset_of addr + Width.bytes w > Td_mem.Layout.page_size
 
-let page_fault space addr =
-  raise
-    (Td_mem.Addr_space.Page_fault { space = Td_mem.Addr_space.name space; addr })
-
 (* One page-table walk serves both the cost model and the data access.
    A page-straddling access goes through [Addr_space] for its precise
    split; an unmapped page faults after the charge, and a stale mapping
@@ -59,28 +55,14 @@ let load st addr w =
   let m = lookup space addr in
   charge st addr m;
   if straddles addr w then Td_mem.Addr_space.read space addr w
-  else
-    match m with
-    | Some (Td_mem.Addr_space.Frame f) ->
-        Td_mem.Phys_mem.read (Td_mem.Addr_space.phys space) f
-          (Td_mem.Layout.offset_of addr) w
-    | Some (Td_mem.Addr_space.Device d) ->
-        d.Td_mem.Addr_space.dev_read (Td_mem.Layout.offset_of addr) w
-    | None -> page_fault space addr
+  else Td_mem.Addr_space.read_mapped space m addr w
 
 let store st addr w v =
   let space = State.space_for st addr in
   let m = lookup space addr in
   charge st addr m;
   if straddles addr w then Td_mem.Addr_space.write space addr w v
-  else
-    match m with
-    | Some (Td_mem.Addr_space.Frame f) ->
-        Td_mem.Phys_mem.write (Td_mem.Addr_space.phys space) f
-          (Td_mem.Layout.offset_of addr) w v
-    | Some (Td_mem.Addr_space.Device d) ->
-        d.Td_mem.Addr_space.dev_write (Td_mem.Layout.offset_of addr) w v
-    | None -> page_fault space addr
+  else Td_mem.Addr_space.write_mapped space m addr w v
 
 (* --- operand evaluation --- *)
 

@@ -235,10 +235,7 @@ let translate ctx slot st addr page =
         slot.s_map <- m;
         slot.s_bytes <- Td_mem.Phys_mem.page (Td_mem.Addr_space.phys space) f
     | Some (Td_mem.Addr_space.Device _) -> incr ctx.c_stamp
-    | None ->
-        raise
-          (Td_mem.Addr_space.Page_fault
-             { space = Td_mem.Addr_space.name space; addr }));
+    | None -> Td_mem.Addr_space.page_fault space addr);
     m
   end
 

@@ -102,21 +102,33 @@ let alloc_region t ~vaddr ~pages =
     ignore (alloc_page t ~vpage:(Layout.page_of vaddr + i))
   done
 
+let page_fault t addr = raise (Page_fault { space = t.name; addr })
+
 let mapping_of t addr =
   match lookup t ~vpage:(Layout.page_of addr) with
   | Some m -> m
-  | None -> raise (Page_fault { space = t.name; addr })
+  | None -> page_fault t addr
+
+(* The one rule for a single-page access through a resolved mapping: a
+   frame goes to [Phys_mem], a device to its hook, no mapping faults. *)
+let read_mapped t m addr w =
+  match m with
+  | Some (Frame f) -> Phys_mem.read t.phys f (Layout.offset_of addr) w
+  | Some (Device d) -> d.dev_read (Layout.offset_of addr) w
+  | None -> page_fault t addr
+
+let write_mapped t m addr w v =
+  match m with
+  | Some (Frame f) -> Phys_mem.write t.phys f (Layout.offset_of addr) w v
+  | Some (Device d) -> d.dev_write (Layout.offset_of addr) w v
+  | None -> page_fault t addr
 
 (* Single-page access (never straddles). *)
 let read_within t addr w =
-  match mapping_of t addr with
-  | Frame f -> Phys_mem.read t.phys f (Layout.offset_of addr) w
-  | Device d -> d.dev_read (Layout.offset_of addr) w
+  read_mapped t (lookup t ~vpage:(Layout.page_of addr)) addr w
 
 let write_within t addr w v =
-  match mapping_of t addr with
-  | Frame f -> Phys_mem.write t.phys f (Layout.offset_of addr) w v
-  | Device d -> d.dev_write (Layout.offset_of addr) w v
+  write_mapped t (lookup t ~vpage:(Layout.page_of addr)) addr w v
 
 let straddles addr w =
   Layout.offset_of addr + Td_misa.Width.bytes w > Layout.page_size

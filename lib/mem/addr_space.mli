@@ -57,6 +57,20 @@ val alloc_page : t -> vpage:int -> Phys_mem.frame
 val alloc_region : t -> vaddr:int -> pages:int -> unit
 (** Back [pages] consecutive pages starting at [vaddr] with fresh frames. *)
 
+val page_fault : t -> int -> 'a
+(** [page_fault t addr] raises {!Page_fault} for [addr] in [t]. *)
+
+val read_mapped : t -> mapping option -> int -> Td_misa.Width.t -> int
+(** [read_mapped t m addr w] reads an access that stays within one page,
+    through [m], the {!lookup} of [addr]'s page: a frame is read from
+    physical memory, a device through its hook, and [None] raises
+    {!Page_fault}. Lets a caller that already walked the table for its
+    own purposes (the CPU's cost model) access memory without a second
+    walk. The caller must not pass a page-straddling access. *)
+
+val write_mapped : t -> mapping option -> int -> Td_misa.Width.t -> int -> unit
+(** As {!read_mapped}, for a write. *)
+
 val read : t -> int -> Td_misa.Width.t -> int
 (** Virtual read; splits page-straddling accesses. Raises {!Page_fault} on
     unmapped pages. *)
