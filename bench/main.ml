@@ -1,9 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§6) on the simulated substrate and prints paper-vs-measured
-   rows. `main.exe` runs everything (except bechamel);
+   rows. `main.exe` runs everything (except bechamel and trajectory);
    `main.exe <experiment>` runs one of: fig5 fig6 fig7 fig8 fig9 fig10
    table1 rewrite-stats slowdown effort profile sensitivity ablations
-   bechamel.
+   bechamel. `main.exe trajectory`, run from the repository root, checks
+   bench/trajectory.json and prints its last two rows side by side.
 
    Observability is enabled for the whole run: every experiment returns a
    JSON payload that the dispatcher writes to BENCH_<name>.json (schema
@@ -595,6 +596,8 @@ let fleet () =
     r.Experiments.fl_dangling_doorbells;
   Printf.printf "deterministic across runs: %b  digest %s\n"
     r.Experiments.fl_deterministic r.Experiments.fl_digest;
+  Printf.printf "frames allocated %d, resident %d\n"
+    r.Experiments.fl_frames_allocated r.Experiments.fl_frames_resident;
   bench_json "fleet"
     [
       ("domains", Json.Int r.Experiments.fl_domains);
@@ -620,6 +623,8 @@ let fleet () =
       ("dangling_doorbells", Json.Int r.Experiments.fl_dangling_doorbells);
       ("deterministic", Json.Bool r.Experiments.fl_deterministic);
       ("digest", Json.String r.Experiments.fl_digest);
+      ("frames_allocated", Json.Int r.Experiments.fl_frames_allocated);
+      ("frames_resident", Json.Int r.Experiments.fl_frames_resident);
     ]
 
 (* ---- interp: host wall-clock throughput of the execution engine ---- *)
@@ -1031,6 +1036,98 @@ let adversary () =
           ] );
     ]
 
+(* ---- trajectory: the committed per-PR end-to-end medians ---- *)
+
+let trajectory_file = "bench/trajectory.json"
+
+type trajectory_row = {
+  pr : int;
+  claim : string;
+  medians : (string * (string * float) list) list;  (** workload -> metric *)
+}
+
+(* A row must carry every suite workload and every end-to-end metric,
+   and rows must come in increasing PR order. *)
+let trajectory_rows json =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let workloads = List.map (fun w -> w.Td_suite.Workload.name) Td_suite.Workload.all in
+  let metrics = List.map (fun m -> m.Td_suite.Catalog.name) Td_suite.Catalog.end_to_end in
+  let row j =
+    let pr =
+      match Json.member "pr" j with Some (Json.Int n) -> n | _ -> fail "a row has no \"pr\""
+    in
+    let claim =
+      match Json.member "claim" j with
+      | Some (Json.String c) -> c
+      | _ -> fail "PR %d: no \"claim\"" pr
+    in
+    let medians =
+      List.map
+        (fun w ->
+          let ms =
+            match Option.bind (Json.member "medians" j) (Json.member w) with
+            | Some ms -> ms
+            | None -> fail "PR %d: no medians for %s" pr w
+          in
+          ( w,
+            List.map
+              (fun m ->
+                match Option.bind (Json.member m ms) Td_suite.Json_read.to_float with
+                | Some v -> (m, v)
+                | None -> fail "PR %d: no %s median for %s" pr m w)
+              metrics ))
+        workloads
+    in
+    { pr; claim; medians }
+  in
+  let rows =
+    match Json.member "rows" json with
+    | Some (Json.List rs) -> List.map row rs
+    | _ -> fail "no \"rows\" list"
+  in
+  ignore
+    (List.fold_left
+       (fun prev r ->
+         if r.pr <= prev then fail "PR %d comes after PR %d: rows out of PR order" r.pr prev;
+         r.pr)
+       min_int rows);
+  rows
+
+let trajectory () =
+  header (Printf.sprintf "Perf trajectory (%s): the last two PRs" trajectory_file);
+  let rows =
+    match trajectory_rows (Td_suite.Json_read.of_file trajectory_file) with
+    | rows -> rows
+    | exception (Failure msg | Td_suite.Json_read.Error msg) ->
+        Printf.eprintf "%s: %s\n" trajectory_file msg;
+        exit 1
+    | exception Sys_error msg ->
+        Printf.eprintf "%s (run from the repository root)\n" msg;
+        exit 1
+  in
+  let prev, last =
+    match List.rev rows with
+    | last :: prev :: _ -> (prev, last)
+    | [ only ] -> (only, only)
+    | [] ->
+        Printf.eprintf "%s: no rows\n" trajectory_file;
+        exit 1
+  in
+  List.iter (fun r -> Printf.printf "PR %d claim: %s\n" r.pr r.claim) [ prev; last ];
+  Printf.printf "%-14s %-22s %12s %12s %8s\n" "workload" "metric"
+    (Printf.sprintf "PR %d" prev.pr) (Printf.sprintf "PR %d" last.pr) "change";
+  List.iter
+    (fun (w, ms) ->
+      List.iter
+        (fun (m, v) ->
+          let p = List.assoc m (List.assoc w prev.medians) in
+          Printf.printf "%-14s %-22s %12.6g %12.6g %+7.1f%%\n" w m p v
+            (100. *. (v -. p) /. p))
+        ms)
+    last.medians;
+  bench_json "trajectory"
+    [ ("rows", Json.Int (List.length rows)); ("last_pr", Json.Int last.pr) ]
+
 let experiments =
   [
     ("fig5", fig5);
@@ -1054,6 +1151,7 @@ let experiments =
     ("interp", interp);
     ("adversary", adversary);
     ("bechamel", bechamel);
+    ("trajectory", trajectory);
   ]
 
 let run_and_export (name, f) =
@@ -1074,7 +1172,9 @@ let () =
   match Sys.argv with
   | [| _ |] ->
       List.iter
-        (fun (name, f) -> if name <> "bechamel" then run_and_export (name, f))
+        (fun (name, f) ->
+          if name <> "bechamel" && name <> "trajectory" then
+            run_and_export (name, f))
         experiments
   | [| _; name |] -> (
       match List.assoc_opt name experiments with

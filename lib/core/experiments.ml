@@ -774,6 +774,8 @@ type fleet_report = {
   fl_dangling_doorbells : int;
   fl_digest : string;
   fl_deterministic : bool;
+  fl_frames_allocated : int;
+  fl_frames_resident : int;
 }
 
 (* every per-run number a reader could gate on goes into the digest, so
@@ -919,6 +921,7 @@ let fleet_run ~domains ~frames ~nics ~seed ~churn ~quota ~fault_rate () =
     Option.value ~default:0.0 (Td_xen.Ledger.latency_percentile led dir p)
   in
   let live = World.guest_count w in
+  let phys = Td_mem.Addr_space.phys (World.dom0_space w) in
   let live_doorbells =
     (* one doorbell page per open channel (tuning.doorbell is on) *)
     World.doorbell_pages_mapped w
@@ -953,6 +956,8 @@ let fleet_run ~domains ~frames ~nics ~seed ~churn ~quota ~fault_rate () =
     fl_dangling_doorbells = max 0 (live_doorbells - !open_channels);
     fl_digest = fleet_digest w ~offered_tx:!offered_tx ~rx_injected:!rx_injected;
     fl_deterministic = true;
+    fl_frames_allocated = Td_mem.Phys_mem.frames_allocated phys;
+    fl_frames_resident = Td_mem.Phys_mem.frames_resident phys;
   }
 
 let fleet ?(domains = 200) ?(frames = 1_000_000) ?(nics = 4) ?(seed = 7)

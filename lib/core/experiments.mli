@@ -269,6 +269,10 @@ type fleet_report = {
           non-zero means a destroyed guest leaked its mapping *)
   fl_digest : string;  (** canonical digest of the whole observable run *)
   fl_deterministic : bool;  (** every run produced [fl_digest] *)
+  fl_frames_allocated : int;  (** physical frames allocated at the end *)
+  fl_frames_resident : int;
+      (** of those, frames with their own buffer; the rest were never
+          written and share the zero page *)
 }
 
 val fleet :

@@ -217,7 +217,10 @@ let memo_mem (m : Operand.mem) =
    the access (simulated cycles are bit-identical); only the two-level
    page-table walk and the frame-array lookup are skipped. A miss makes
    that one walk and refills the memo on a frame-backed page. Returns
-   the page's mapping; for a frame, its buffer is in [slot.s_bytes]. *)
+   the page's mapping; for a frame, its buffer is in [slot.s_bytes].
+   The memo serves stores as well as loads and outlives the access, so
+   it takes the frame's own writable buffer ([Phys_mem.page]), never the
+   shared zero page a never-written frame reads through. *)
 let translate ctx slot st addr page =
   if slot.s_stamp = !(ctx.c_stamp) && slot.s_page = page then begin
     Semantics.charge st addr slot.s_map;

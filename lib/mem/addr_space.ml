@@ -148,7 +148,7 @@ let read t addr w =
 (* Raise whatever fault an access to [addr] would, without accessing. *)
 let resolve t addr =
   match mapping_of t addr with
-  | Frame f -> ignore (Phys_mem.page t.phys f)
+  | Frame f -> ignore (Phys_mem.page_ro t.phys f)
   | Device _ -> ()
 
 let write t addr w v =
@@ -167,7 +167,9 @@ let write t addr w v =
 (* The block copies below go a page at a time, straight between the
    caller's buffer and the frame's, and fault at the first unmapped page
    (after the chunks before it). Written out rather than through a
-   shared chunk iterator, whose closure would allocate on every call. *)
+   shared chunk iterator, whose closure would allocate on every call.
+   Reads take [Phys_mem.page_ro], so they leave a never-written frame on
+   the zero page; writes take [Phys_mem.page]. *)
 let read_block t addr len =
   let out = Bytes.create len in
   let pos = ref 0 in
@@ -176,7 +178,7 @@ let read_block t addr len =
     let off = Layout.offset_of a in
     let chunk = min (len - !pos) (Layout.page_size - off) in
     (match mapping_of t a with
-    | Frame f -> Bytes.blit (Phys_mem.page t.phys f) off out !pos chunk
+    | Frame f -> Bytes.blit (Phys_mem.page_ro t.phys f) off out !pos chunk
     | Device d ->
         for i = 0 to chunk - 1 do
           Bytes.set out (!pos + i)
@@ -218,7 +220,7 @@ let fill t addr len c =
     let off = Layout.offset_of a in
     let chunk = min (len - !pos) (Layout.page_size - off) in
     (match mapping_of t a with
-    | Frame f -> Bytes.fill (Phys_mem.page t.phys f) off chunk c
+    | Frame f -> Phys_mem.fill t.phys f off chunk c
     | Device d ->
         for i = 0 to chunk - 1 do
           d.dev_write (off + i) Td_misa.Width.W8 (Char.code c)
@@ -245,7 +247,7 @@ let copy t ~src ~dst ~len =
     let chunk = min (len - !pos) (Layout.page_size - max soff doff) in
     (match (mapping_of t s, mapping_of t d) with
     | Frame fs, Frame fd ->
-        Bytes.blit (Phys_mem.page t.phys fs) soff (Phys_mem.page t.phys fd)
+        Bytes.blit (Phys_mem.page_ro t.phys fs) soff (Phys_mem.page t.phys fd)
           doff chunk
     | _ ->
         for i = 0 to chunk - 1 do

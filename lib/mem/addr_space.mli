@@ -103,7 +103,9 @@ val copy : t -> src:int -> dst:int -> len:int -> unit
     not overlap. *)
 
 val fill : t -> int -> int -> char -> unit
-(** [fill t addr len c] stores [len] copies of [c] from [addr], in place. *)
+(** [fill t addr len c] stores [len] copies of [c] from [addr], in place.
+    A zero fill leaves never-written frames on the shared zero page (see
+    {!Phys_mem}), so zeroing a fresh object costs nothing. *)
 
 val iter_frames : t -> (vpage:int -> Phys_mem.frame -> unit) -> unit
 (** Visit every frame-backed mapping in ascending [vpage] order (device

@@ -11,10 +11,15 @@ let () =
         Some (Printf.sprintf "Td_mem.Phys_mem.Out_of_frames(%d frames)" capacity)
     | _ -> None)
 
-(* Marks a free (or never-allocated) slot. Every live frame owns a
+(* Marks a free (or never-allocated) slot. Every live frame holds a
    [page_size] buffer, so a zero-length one can never be confused with
    it. *)
 let absent = Bytes.empty
+
+(* The one buffer every allocated but never-written frame holds, in every
+   [t] and every domain. Nothing writes to it: [page] swaps in a private
+   buffer first, so sharing it needs no lock. *)
+let zero = Bytes.make Layout.page_size '\000'
 
 type t = {
   capacity : int;
@@ -22,6 +27,7 @@ type t = {
   mutable next : frame;
   mutable free : frame list;
   mutable allocated : int;
+  mutable resident : int;  (** allocated frames with their own buffer *)
 }
 
 let create ?(frames = 65536) () =
@@ -31,6 +37,7 @@ let create ?(frames = 65536) () =
     next = 1;
     free = [];
     allocated = 0;
+    resident = 0;
   }
 
 (* [next] steps by one, so doubling once always makes room for it. *)
@@ -54,7 +61,7 @@ let alloc_frame t =
         if f >= Array.length t.pages then grow t;
         f
   in
-  t.pages.(f) <- Bytes.make Layout.page_size '\000';
+  t.pages.(f) <- zero;
   t.allocated <- t.allocated + 1;
   f
 
@@ -62,16 +69,31 @@ let live t f = f > 0 && f < Array.length t.pages && t.pages.(f) != absent
 
 let free_frame t f =
   if live t f then begin
+    if t.pages.(f) != zero then t.resident <- t.resident - 1;
     t.pages.(f) <- absent;
     t.allocated <- t.allocated - 1;
     t.free <- f :: t.free
   end
 
 let frames_allocated t = t.allocated
+let frames_resident t = t.resident
 
-let page t f =
+(* Inlined so that [page], like [page_ro], costs one call to [live]. *)
+let[@inline] slot t f =
   if live t f then Array.unsafe_get t.pages f
   else raise (Bad_frame { frame = f })
+
+let page_ro t f = slot t f
+
+let page t f =
+  let b = slot t f in
+  if b != zero then b
+  else begin
+    let b = Bytes.make Layout.page_size '\000' in
+    Array.unsafe_set t.pages f b;
+    t.resident <- t.resident + 1;
+    b
+  end
 
 let check_bounds off w =
   if off < 0 || off + Td_misa.Width.bytes w > Layout.page_size then
@@ -79,7 +101,7 @@ let check_bounds off w =
 
 let read t f off w =
   check_bounds off w;
-  let b = page t f in
+  let b = page_ro t f in
   match w with
   | Td_misa.Width.W8 -> Char.code (Bytes.get b off)
   | Td_misa.Width.W16 -> Bytes.get_uint16_le b off
@@ -93,12 +115,20 @@ let write t f off w v =
   | Td_misa.Width.W16 -> Bytes.set_uint16_le b off (v land 0xffff)
   | Td_misa.Width.W32 -> Bytes.set_int32_le b off (Int32.of_int v)
 
+let check_range what off len =
+  if off < 0 || len < 0 || off + len > Layout.page_size then
+    invalid_arg (Printf.sprintf "Phys_mem.%s: crosses frame boundary" what)
+
 let read_bytes t f off len =
-  if off < 0 || off + len > Layout.page_size then
-    invalid_arg "Phys_mem.read_bytes: crosses frame boundary";
-  Bytes.sub (page t f) off len
+  check_range "read_bytes" off len;
+  Bytes.sub (page_ro t f) off len
 
 let write_bytes t f off src =
-  if off < 0 || off + Bytes.length src > Layout.page_size then
-    invalid_arg "Phys_mem.write_bytes: crosses frame boundary";
+  check_range "write_bytes" off (Bytes.length src);
   Bytes.blit src 0 (page t f) off (Bytes.length src)
+
+(* A zero fill of a never-written frame changes nothing, so it leaves the
+   frame on the shared page. *)
+let fill t f off len c =
+  check_range "fill" off len;
+  if c <> '\000' || slot t f != zero then Bytes.fill (page t f) off len c

@@ -6,7 +6,14 @@
 
     Representation: an array of page buffers indexed by frame number,
     grown by doubling up to the capacity (never preallocated to it), with
-    a shared zero-length buffer marking free slots. *)
+    a shared zero-length buffer marking free slots.
+
+    Memory is demand-zero: every allocated frame starts on one shared,
+    read-only zero page and gets its own buffer only when {!page} is
+    first called on it — by a write, or by a caller that keeps the
+    buffer. So heap use follows the frames written, not the frames
+    allocated. The zero page is never written, which is what lets every
+    [t] and every OCaml domain share it without a lock. *)
 
 type frame = int
 (** Physical frame number. *)
@@ -25,8 +32,10 @@ val create : ?frames:int -> unit -> t
 (** Fresh memory with the given capacity (default 65536 frames = 256 MiB). *)
 
 val alloc_frame : t -> frame
-(** Allocate a zeroed frame. Raises {!Out_of_frames} when memory is
-    exhausted. *)
+(** Allocate a frame that reads as zeros. It builds no buffer: the frame
+    holds the shared zero page until its first write. Frame numbers come
+    from the free list (most recently freed first), then in increasing
+    order. Raises {!Out_of_frames} when memory is exhausted. *)
 
 val free_frame : t -> frame -> unit
 (** Return a frame to the pool. Freeing frame 0, a free frame or a
@@ -35,15 +44,28 @@ val free_frame : t -> frame -> unit
 val frames_allocated : t -> int
 (** Frames currently allocated (a counter, O(1)). *)
 
+val frames_resident : t -> int
+(** Allocated frames that have their own buffer, i.e. that {!page} has
+    been called on since they were allocated (a counter, O(1)). The rest
+    share the zero page. *)
+
 val page : t -> frame -> bytes
-(** The backing buffer of an allocated frame: one bounds check and an
-    array load. Block copies blit straight into and out of it, and the
+(** The frame's own backing buffer, built (zeroed) on the first call
+    after the frame is allocated; later calls are one bounds check and an
+    array load. This is the only accessor whose result may be written,
+    and the only one whose result may be kept between accesses: the
     interpreter's compiled superblocks cache the buffer of a
-    just-translated page so repeated accesses through the same base
-    register skip the page-table walk; the buffer stays valid (and
-    observes concurrent DMA writes) for as long as the frame is
-    allocated. Raises {!Bad_frame} on frame 0, a freed frame or a
-    never-allocated one. *)
+    just-translated page for loads and stores alike, and it stays the
+    frame's buffer, seeing every write made through any path, for as
+    long as the frame is allocated. Raises {!Bad_frame} on frame 0, a
+    freed frame or a never-allocated one. *)
+
+val page_ro : t -> frame -> bytes
+(** The frame's current contents for one read: its own buffer, or the
+    shared zero page if it was never written. Never makes the frame
+    resident. Callers must not write to the result or keep it past the
+    access — a later write may give the frame a new buffer. Raises
+    {!Bad_frame} as {!page} does. *)
 
 val read : t -> frame -> int -> Td_misa.Width.t -> int
 (** [read mem f off w] reads a little-endian value of width [w] at byte
@@ -54,3 +76,8 @@ val write : t -> frame -> int -> Td_misa.Width.t -> int -> unit
 
 val read_bytes : t -> frame -> int -> int -> bytes
 val write_bytes : t -> frame -> int -> bytes -> unit
+
+val fill : t -> frame -> int -> int -> char -> unit
+(** [fill mem f off len c] sets [len] bytes from offset [off] to [c]. A
+    zero fill of a never-written frame does nothing, so the frame stays
+    on the zero page. *)

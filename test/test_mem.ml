@@ -224,7 +224,10 @@ type op =
   | Read_block of int * int
   | Write_block of int * int * int
   | Fill of int * int * char
+  | Zero_fill of int * int
   | Copy of int * int * int  (** src, dst, len *)
+  | Recycle of int * int
+      (** write to the frame behind a vpage, free it, alloc_page again *)
   | Release
 
 let show_op = function
@@ -239,6 +242,8 @@ let show_op = function
   | Read_block (a, n) -> Printf.sprintf "read_block %#x %d" a n
   | Write_block (a, n, seed) -> Printf.sprintf "write_block %#x %d #%d" a n seed
   | Fill (a, n, c) -> Printf.sprintf "fill %#x %d %C" a n c
+  | Zero_fill (a, n) -> Printf.sprintf "zero_fill %#x %d" a n
+  | Recycle (v, x) -> Printf.sprintf "recycle %#x %#x" v x
   | Copy (a, d, n) -> Printf.sprintf "copy %#x -> %#x %d" a d n
   | Release -> "release"
 
@@ -271,7 +276,9 @@ let gen_op =
       (2, map2 (fun a n -> Read_block (a, n)) addr len);
       (2, map3 (fun a n seed -> Write_block (a, n, seed)) addr len nat);
       (2, map3 (fun a n c -> Fill (a, n, c)) addr len printable);
+      (2, map2 (fun a n -> Zero_fill (a, n)) addr len);
       (3, map3 (fun a d n -> Copy (a, d, n)) addr addr len);
+      (1, map2 (fun v x -> Recycle (v, x)) vpage (int_range 1 0xFF));
       (1, return Release);
     ]
 
@@ -392,7 +399,11 @@ let read_block_both s md a n =
   in
   (r, m)
 
-let step phys s real_devs md op =
+(* Whether [f] has its own buffer: a never-written frame reads through
+   [zero], the shared zero page. *)
+let resident phys ~zero f = Phys_mem.page_ro phys f != zero
+
+let step phys ~zero s real_devs md op =
   match op with
   | Map_fresh v ->
       (* the model cannot predict frame numbers: it accepts any frame
@@ -517,6 +528,25 @@ let step phys s real_devs md op =
       let r = run_real (fun () -> Addr_space.fill s a n c; Unit) in
       let m = run_model (fun () -> m_chunks md a n (fun _ addr -> m_set md addr c); Unit) in
       (r, m)
+  | Zero_fill (a, n) ->
+      (* besides matching the model, a zero fill gives no frame a buffer *)
+      let shared =
+        Hashtbl.fold
+          (fun f _ acc -> if resident phys ~zero f then acc else f :: acc)
+          md.frames []
+      in
+      let r = run_real (fun () -> Addr_space.fill s a n '\000'; Unit) in
+      let m =
+        run_model (fun () ->
+            m_chunks md a n (fun _ addr -> m_set md addr '\000');
+            Unit)
+      in
+      List.iter
+        (fun f ->
+          if resident phys ~zero f then
+            QCheck.Test.fail_reportf "zero_fill %#x %d gave frame %d a buffer" a n f)
+        shared;
+      (r, m)
   | Copy (a, d, n) ->
       (* [copy] requires disjoint ranges: skip a copy whose ranges share
          a backing page (the same vpage, an alias or a device) *)
@@ -541,6 +571,18 @@ let step phys s real_devs md op =
               Unit)
         in
         (r, m)
+  | Recycle (v, x) -> (
+      match Addr_space.frame_of_vpage s ~vpage:v with
+      | Some f when Hashtbl.mem md.frames f ->
+          Phys_mem.write phys f 0 Width.W8 x;
+          Phys_mem.free_frame phys f;
+          Hashtbl.remove md.frames f;
+          (* the free list hands the frame straight back, zeroed: every
+             alias of it reads zero too *)
+          let r = run_real (fun () -> Value (Addr_space.alloc_page s ~vpage:v)) in
+          m_alloc md ~vpage:v f;
+          (r, Value f)
+      | Some _ | None -> (Unit, Unit))
   | Release ->
       Addr_space.release s;
       let frames =
@@ -560,6 +602,14 @@ let memory_model_prop =
     (fun ops ->
       let phys = Phys_mem.create ~frames:4096 () in
       let s = Addr_space.create ~name:"m" phys in
+      (* the shared zero page, seen through a frame allocated and freed
+         before any op runs *)
+      let zero =
+        let f = Phys_mem.alloc_frame phys in
+        let z = Phys_mem.page_ro phys f in
+        Phys_mem.free_frame phys f;
+        z
+      in
       let md =
         {
           pt = Hashtbl.create 16;
@@ -581,7 +631,7 @@ let memory_model_prop =
       done;
       List.iteri
         (fun k op ->
-          let r, m = step phys s real_devs md op in
+          let r, m = step phys ~zero s real_devs md op in
           if r <> m then
             QCheck.Test.fail_reportf "op %d (%s): real %s, model %s" k
               (show_op op) (show_outcome r) (show_outcome m);
@@ -602,8 +652,23 @@ let memory_model_prop =
             QCheck.Test.fail_reportf "op %d (%s): frames_allocated %d, model %d"
               k (show_op op)
               (Phys_mem.frames_allocated phys)
-              (Hashtbl.length md.frames))
+              (Hashtbl.length md.frames);
+          let resident_frames =
+            Hashtbl.fold
+              (fun f _ n -> if resident phys ~zero f then n + 1 else n)
+              md.frames 0
+          in
+          if Phys_mem.frames_resident phys <> resident_frames then
+            QCheck.Test.fail_reportf "op %d (%s): frames_resident %d, counted %d"
+              k (show_op op)
+              (Phys_mem.frames_resident phys)
+              resident_frames)
         ops;
+      if not (Bytes.equal zero (Bytes.make Layout.page_size '\000')) then
+        QCheck.Test.fail_reportf "the shared zero page was written";
+      let fresh = Phys_mem.alloc_frame phys in
+      if Phys_mem.read_bytes phys fresh 0 Layout.page_size <> zero then
+        QCheck.Test.fail_reportf "a fresh frame does not read zero";
       let seen = ref [] in
       Addr_space.iter_frames s (fun ~vpage f -> seen := (vpage, f) :: !seen);
       let expected =
@@ -635,6 +700,90 @@ let test_walk_allocates_nothing () =
   check bool_c (Printf.sprintf "%.0f minor words < 100" words) true
     (words < 100.)
 
+(* --- demand-zero frames: the shared zero page until the first write --- *)
+
+let zeros = Bytes.make Layout.page_size '\000'
+
+let test_fresh_frame_not_resident () =
+  let m = Phys_mem.create () in
+  let f = Phys_mem.alloc_frame m in
+  check int_c "reads zero" 0 (Phys_mem.read m f 4092 Width.W32);
+  check bool_c "whole page zero" true
+    (Bytes.equal zeros (Phys_mem.read_bytes m f 0 Layout.page_size));
+  check int_c "allocated" 1 (Phys_mem.frames_allocated m);
+  check int_c "not resident" 0 (Phys_mem.frames_resident m)
+
+let test_zero_fill_not_resident () =
+  let m = Phys_mem.create () in
+  let s = Addr_space.create ~name:"s" m in
+  Addr_space.alloc_region s ~vaddr:0x10000 ~pages:2;
+  Addr_space.fill s 0x10000 (2 * Layout.page_size) '\000';
+  check int_c "zero fill: none resident" 0 (Phys_mem.frames_resident m);
+  Addr_space.fill s 0x10ffc 8 'x';
+  check int_c "non-zero fill: both pages resident" 2
+    (Phys_mem.frames_resident m);
+  Addr_space.fill s 0x10ffc 8 '\000';
+  check int_c "zero fill of a written page clears it" 0
+    (Addr_space.read s 0x10ffc Width.W32)
+
+let test_first_write_resident () =
+  let m = Phys_mem.create () in
+  let fs = Array.init 3 (fun _ -> Phys_mem.alloc_frame m) in
+  Phys_mem.write m fs.(1) 10 Width.W16 0xBEEF;
+  check int_c "exactly one resident" 1 (Phys_mem.frames_resident m);
+  check bool_c "the written one" true
+    (Phys_mem.page_ro m fs.(1) != Phys_mem.page_ro m fs.(0));
+  check bool_c "the others share a page" true
+    (Phys_mem.page_ro m fs.(0) == Phys_mem.page_ro m fs.(2));
+  check int_c "value" 0xBEEF (Phys_mem.read m fs.(1) 10 Width.W16);
+  Phys_mem.write m fs.(1) 12 Width.W8 1;
+  check int_c "a second write adds none" 1 (Phys_mem.frames_resident m);
+  check bool_c "shared page still zero" true
+    (Bytes.equal zeros (Phys_mem.page_ro m fs.(0)))
+
+let test_realloc_reads_zero () =
+  let m = Phys_mem.create () in
+  let f = Phys_mem.alloc_frame m in
+  Phys_mem.write_bytes m f 0 (Bytes.make Layout.page_size '\xff');
+  check int_c "resident" 1 (Phys_mem.frames_resident m);
+  Phys_mem.free_frame m f;
+  check int_c "freed: none resident" 0 (Phys_mem.frames_resident m);
+  let g = Phys_mem.alloc_frame m in
+  check int_c "same frame back" f g;
+  check bool_c "reads zero" true
+    (Bytes.equal zeros (Phys_mem.read_bytes m g 0 Layout.page_size));
+  check int_c "not resident" 0 (Phys_mem.frames_resident m)
+
+let test_reads_leave_frame_shared () =
+  let m = Phys_mem.create () in
+  let s = Addr_space.create ~name:"s" m in
+  Addr_space.alloc_region s ~vaddr:0x10000 ~pages:2;
+  let src = Option.get (Addr_space.frame_of_vpage s ~vpage:0x10) in
+  let dst = Option.get (Addr_space.frame_of_vpage s ~vpage:0x11) in
+  let shared = Phys_mem.page_ro m src in
+  ignore (Phys_mem.read_bytes m src 100 200);
+  ignore (Addr_space.read_block s 0x10800 Layout.page_size);
+  check int_c "reads: none resident" 0 (Phys_mem.frames_resident m);
+  Addr_space.copy s ~src:0x10000 ~dst:0x11000 ~len:64;
+  check int_c "copy: one resident" 1 (Phys_mem.frames_resident m);
+  check bool_c "the destination" true (Phys_mem.page_ro m dst != shared);
+  check bool_c "source still shared" true (Phys_mem.page_ro m src == shared)
+
+let test_shared_frame_two_spaces () =
+  (* a grant: one frame mapped into two spaces, neither having written *)
+  let m = Phys_mem.create () in
+  let a = Addr_space.create ~name:"a" m in
+  let b = Addr_space.create ~name:"b" m in
+  let f = Addr_space.alloc_page a ~vpage:0x20 in
+  Addr_space.map b ~vpage:0x77 f;
+  check int_c "b reads zero" 0 (Addr_space.read b 0x77010 Width.W32);
+  Addr_space.write a 0x20010 Width.W32 0xCAFE;
+  check int_c "b sees a's first write" 0xCAFE (Addr_space.read b 0x77010 Width.W32);
+  Addr_space.write_block b 0x77100 (Bytes.of_string "grant");
+  check bool_c "a sees b's write" true
+    (Bytes.to_string (Addr_space.read_block a 0x20100 5) = "grant");
+  check int_c "one resident frame" 1 (Phys_mem.frames_resident m)
+
 let suite =
   [
     Alcotest.test_case "layout invariants" `Quick test_layout_invariants;
@@ -656,6 +805,18 @@ let suite =
     Alcotest.test_case "phys growth" `Quick test_phys_growth;
     Alcotest.test_case "walk allocates nothing" `Quick
       test_walk_allocates_nothing;
+    Alcotest.test_case "fresh frame reads zero, not resident" `Quick
+      test_fresh_frame_not_resident;
+    Alcotest.test_case "zero fill leaves frames shared" `Quick
+      test_zero_fill_not_resident;
+    Alcotest.test_case "first write makes one frame resident" `Quick
+      test_first_write_resident;
+    Alcotest.test_case "written frame reallocated reads zero" `Quick
+      test_realloc_reads_zero;
+    Alcotest.test_case "reads leave frames shared" `Quick
+      test_reads_leave_frame_shared;
+    Alcotest.test_case "frame shared by two spaces" `Quick
+      test_shared_frame_two_spaces;
     QCheck_alcotest.to_alcotest memory_model_prop;
     Alcotest.test_case "copy fault is precise" `Quick
       test_copy_fault_is_precise;

@@ -124,23 +124,29 @@ let decode_valid_prefix_prop =
    superblocks side exits. Absolute [disp] operands exercise the
    compiled tier's per-page memo, some on an unmapped page so fault
    accounting is compared too (only that page's [Page_fault] is caught;
-   any other exception fails the property); push/pop pairs run through
-   its generic fallback. *)
+   any other exception fails the property), and some on a page whose
+   frame is freed and allocated again before every call, so each call —
+   the compiled ones included — first touches it while it is still on
+   the shared zero page. After the runs, a frame nothing ever wrote must
+   still read zero: a memo that cached the read-only zero page would
+   store into it. Push/pop pairs run through the generic fallback. *)
 
 let prop_dst = Td_misa.Reg.[| EAX; EBX; EDX; ESI; EDI |]
 let prop_conds = Cond.[| NE; E; L; GE; A; BE |]
 
 (* Absolute operands: a dom0 word of [buf], a hypervisor scratch word
-   (the SVM spill-slot pattern), or one time in sixteen an unmapped
-   hypervisor page. *)
+   (the SVM spill-slot pattern), a word of the never-written hypervisor
+   page, or one time in sixteen an unmapped hypervisor page. *)
 let prop_scratch = Td_mem.Layout.hyp_scratch_base
+let prop_fresh = Td_mem.Layout.hyp_scratch_base + (2 * Td_mem.Layout.page_size)
 let prop_unmapped = Td_mem.Layout.hyp_scratch_base + (4 * Td_mem.Layout.page_size)
 
 let prop_abs ~buf k =
   let word = 4 * (k mod 8) in
   match k mod 16 with
   | 0 -> Builder.mem (prop_unmapped + word)
-  | j when j < 8 -> Builder.mem (buf + word)
+  | j when j < 6 -> Builder.mem (buf + word)
+  | j when j < 11 -> Builder.mem (prop_fresh + word)
   | _ -> Builder.mem (prop_scratch + word)
 
 (* Decode one generator int into one instruction (plus an optional
@@ -230,8 +236,16 @@ let prop_run ?hook threshold segs =
      per-step; [max_int]: never promoted, the basic-block engine only *)
   Td_cpu.Interp.set_compile_threshold interp threshold;
   let entry = Program.addr_of_label prog "entry" in
+  let hyp = m.Harness.hyp and phys = m.Harness.phys in
+  let fresh_vpage = Td_mem.Layout.page_of prop_fresh in
+  let untouched = Td_mem.Phys_mem.alloc_frame phys in
   let r = ref 0 and faults = ref [] in
   for _ = 1 to 3 do
+    (* the free list hands back the frame just freed, on the zero page *)
+    Option.iter
+      (Td_mem.Phys_mem.free_frame phys)
+      (Td_mem.Addr_space.frame_of_vpage hyp ~vpage:fresh_vpage);
+    ignore (Td_mem.Addr_space.alloc_page hyp ~vpage:fresh_vpage);
     match Td_cpu.Interp.call interp ~entry ~args:[] with
     | v -> r := v
     | exception Td_mem.Addr_space.Page_fault { addr; _ }
@@ -250,11 +264,16 @@ let prop_run ?hook threshold segs =
   (* data memory readback after the architectural snapshot (the loads
      charge cycles, but the snapshot above is already taken) *)
   let mem =
-    List.init 16 (fun k ->
-        let base = if k < 8 then buf else prop_scratch in
+    List.init 24 (fun k ->
+        let base = [| buf; prop_scratch; prop_fresh |].(k / 8) in
         Semantics.load st (base + (4 * (k mod 8))) Td_misa.Width.W32)
   in
-  (snapshot, mem)
+  let untouched_zero =
+    Bytes.for_all
+      (fun c -> c = '\000')
+      (Td_mem.Phys_mem.read_bytes phys untouched 0 Td_mem.Layout.page_size)
+  in
+  (snapshot, mem, untouched_zero)
 
 let engine_equivalence_prop =
   QCheck.Test.make
@@ -272,7 +291,8 @@ let engine_equivalence_prop =
       let per_step = prop_run ~hook:(fun _ _ -> ()) 1 segs in
       let block = prop_run max_int segs in
       let compiled = prop_run 1 segs in
-      per_step = block && per_step = compiled)
+      let _, _, zero = compiled in
+      zero && per_step = block && per_step = compiled)
 
 (* --- ledger arithmetic --- *)
 

@@ -64,6 +64,19 @@ let test_twin_no_switch_on_data_path () =
   check int_c "no world switches on tx fast path" sw
     (Td_xen.Hypervisor.switches h)
 
+(* Set-up writes almost nothing: the sk_buff pool and its fragment frames
+   stay on the shared zero page until traffic touches them. A memset in a
+   pool constructor, or any other eager writer, trips this. *)
+let test_twin_setup_leaves_frames_shared () =
+  let w = World.create ~nics:1 Config.Xen_twin in
+  let phys = Td_mem.Addr_space.phys (World.dom0_space w) in
+  let allocated = Td_mem.Phys_mem.frames_allocated phys in
+  let resident = Td_mem.Phys_mem.frames_resident phys in
+  check bool_c (Printf.sprintf "%d frames allocated >= 1600" allocated) true
+    (allocated >= 1600);
+  check bool_c (Printf.sprintf "%d frames resident <= 64" resident) true
+    (resident <= 64)
+
 let test_twin_upcalls_when_demoted () =
   let w =
     World.create ~nics:1 ~upcall_set:[ "spin_trylock"; "spin_unlock_irqrestore" ]
@@ -345,6 +358,8 @@ let suite =
   @ [
       Alcotest.test_case "twin: no switch on data path" `Quick
         test_twin_no_switch_on_data_path;
+      Alcotest.test_case "twin: set-up leaves frames shared" `Quick
+        test_twin_setup_leaves_frames_shared;
       Alcotest.test_case "twin: demoted routines upcall" `Quick
         test_twin_upcalls_when_demoted;
       Alcotest.test_case "twin: vif defers interrupt" `Quick
