@@ -608,20 +608,20 @@ let quotas_cmd =
       r.Td_adv.Fuzz.violations;
     Format.printf "@.%-10s %-18s %8s %10s@." "domain" "resource" "inuse"
       "throttled";
+    let q = Option.get r.Td_adv.Fuzz.quota in
     List.iter
       (fun domain ->
         List.iter
           (fun res ->
-            let inuse = Td_xen.Quota.inuse ~domain res in
-            let thr = Td_xen.Quota.throttled_for ~domain res in
+            let inuse = Td_xen.Quota.inuse q ~domain res in
+            let thr = Td_xen.Quota.throttled_for q ~domain res in
             if inuse > 0 || thr > 0 then
               Format.printf "%-10s %-18s %8d %10d@." domain
                 (Td_xen.Quota.resource_name res)
                 inuse thr)
           Td_xen.Quota.all_resources)
-      (Td_xen.Quota.domains ());
-    Format.printf "@.total throttled   %d@." (Td_xen.Quota.throttled ());
-    Td_xen.Quota.clear ();
+      (Td_xen.Quota.domains q);
+    Format.printf "@.total throttled   %d@." (Td_xen.Quota.throttled q);
     if r.Td_adv.Fuzz.violations = [] then 0 else 1
   in
   let doc =

@@ -10,6 +10,9 @@ type report = {
   churned : int;  (** ephemeral domains created (and later destroyed) *)
   checksum : int;  (** deterministic fold over (surface, outcome) *)
   violations : string list;  (** empty on a clean run *)
+  quota : Td_xen.Quota.state option;
+      (** the run's quota engine ({!Harness.env.quota}), for reading its
+          per-domain counters *)
 }
 
 (* 63-bit xorshift, one independent stream per fuzz surface plus a master
@@ -304,7 +307,7 @@ let churn_destroy (env : Harness.env) cs ((dom, space, io) as entry) violations
         (Domain.name dom) (Xen_netio.grants_active io)
       :: !violations;
   Hypervisor.remove_domain env.hyp dom;
-  Quota.forget ~domain:(Domain.name dom);
+  Option.iter (fun q -> Quota.forget q ~domain:(Domain.name dom)) env.quota;
   Td_mem.Addr_space.release space;
   cs.churn_live <- List.filter (fun e -> e != entry) cs.churn_live;
   cs.churn_dead <- keep 8 (io :: cs.churn_dead)
@@ -323,7 +326,8 @@ let op_churn (env : Harness.env) streams cs violations =
       let dom = Domain.create ~id ~name ~kind:Domain.Guest ~space in
       Hypervisor.add_domain env.hyp dom;
       let io =
-        Xen_netio.create ~hyp:env.hyp ~dom0:env.dom0 ~guest:dom ~kmem:env.kmem
+        Xen_netio.create ?quota:env.quota ~hyp:env.hyp ~dom0:env.dom0 ~guest:dom
+          ~kmem:env.kmem
           ~driver_tx:(fun skb -> Skb.free env.kmem skb)
           ()
       in
@@ -461,6 +465,7 @@ let run ?(seed = 1) ?quota ~ops () =
       churned = cs.churn_count;
       checksum = !checksum;
       violations = List.rev !violations;
+      quota = env.quota;
     }
   in
   if Td_obs.Control.enabled () then begin

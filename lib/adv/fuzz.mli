@@ -34,10 +34,13 @@ type report = {
   churned : int;  (** ephemeral domains created (and later destroyed) *)
   checksum : int;  (** deterministic fold over (surface, outcome) *)
   violations : string list;  (** empty on a clean run *)
+  quota : Td_xen.Quota.state option;
+      (** the run's quota engine ({!Harness.env.quota}), for reading its
+          per-domain counters *)
 }
 
 val run : ?seed:int -> ?quota:Td_xen.Quota.limits -> ops:int -> unit -> report
-(** Build a fresh {!Harness.env} (installing [quota] if given) and run
+(** Build a fresh {!Harness.env} (with a [quota] engine if given) and run
     [ops] fuzzed operations. [seed] defaults to 1. The [adv.*] metrics
     are bumped when observability is on; with it off the run leaves no
     trace beyond the returned report. *)

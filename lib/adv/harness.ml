@@ -21,6 +21,7 @@ type env = {
   dom0 : Domain.t;
   attacker : Domain.t;
   victim : Domain.t;
+  quota : Quota.state option;
   att_grants : Grant_table.t;
   svm : Td_svm.Runtime.t;
   calls : Td_svm.Call_table.t;
@@ -83,12 +84,13 @@ let make ?quota ?(attacker_doorbell = true) () =
   Hypervisor.add_domain hyp attacker;
   (* quotas first, so every allocation below is accounted like a real
      boot would be; dom0 is exempt (see World) *)
-  (match quota with
-  | Some l ->
-      Quota.install
-        ~now:(fun () -> float_of_int (Ledger.grand_total ledger) /. 3e9)
-        ~exempt:[ "dom0" ] l
-  | None -> Quota.clear ());
+  let quota =
+    Option.map
+      (Quota.make
+         ~now:(fun () -> float_of_int (Ledger.grand_total ledger) /. 3e9)
+         ~exempt:[ "dom0" ])
+      quota
+  in
   let svm =
     Td_svm.Runtime.create_hypervisor ~dom0:dom0_space ~hyp:hyp_space ()
   in
@@ -97,18 +99,22 @@ let make ?quota ?(attacker_doorbell = true) () =
       Td_svm.Runtime.acquire =
         (fun ~pages ->
           let domain = Domain.name (Hypervisor.current hyp) in
-          Quota.acquire ~domain Quota.Map_window_pages pages;
+          Option.iter
+            (fun q -> Quota.acquire q ~domain Quota.Map_window_pages pages)
+            quota;
           domain);
       release =
         (fun ~owner ~pages ->
-          Quota.release ~domain:owner Quota.Map_window_pages pages);
+          Option.iter
+            (fun q -> Quota.release q ~domain:owner Quota.Map_window_pages pages)
+            quota);
     };
   let calls =
     Td_svm.Call_table.create ~vm_code_base:Td_mem.Layout.vm_driver_code_base
       ~vm_code_size:Td_mem.Layout.page_size
       ~resolver:(fun _ -> None)
   in
-  let att_grants = Grant_table.create ~owner:attacker in
+  let att_grants = Grant_table.create ?quota ~owner:attacker () in
   let kmem = Kmem.create dom0_space in
   let att_wire = ref 0 and vic_wire = ref 0 in
   let doorbell =
@@ -118,14 +124,14 @@ let make ?quota ?(attacker_doorbell = true) () =
     else None
   in
   let att_netio =
-    Xen_netio.create ~batch:4 ?doorbell ~hyp ~dom0 ~guest:attacker ~kmem
+    Xen_netio.create ~batch:4 ?doorbell ?quota ~hyp ~dom0 ~guest:attacker ~kmem
       ~driver_tx:(fun skb ->
         incr att_wire;
         Skb.free kmem skb)
       ()
   in
   let vic_netio =
-    Xen_netio.create ~batch:1 ~hyp ~dom0 ~guest:victim ~kmem
+    Xen_netio.create ~batch:1 ?quota ~hyp ~dom0 ~guest:victim ~kmem
       ~driver_tx:(fun skb ->
         incr vic_wire;
         Skb.free kmem skb)
@@ -171,6 +177,7 @@ let make ?quota ?(attacker_doorbell = true) () =
     dom0;
     attacker;
     victim;
+    quota;
     att_grants;
     svm;
     calls;

@@ -39,6 +39,9 @@ type env = {
   dom0 : Td_xen.Domain.t;
   attacker : Td_xen.Domain.t;
   victim : Td_xen.Domain.t;
+  quota : Td_xen.Quota.state option;
+      (** the rig's quota engine, shared by its grant table, both
+          channels and the SVM window guard *)
   att_grants : Td_xen.Grant_table.t;
   svm : Td_svm.Runtime.t;
   calls : Td_svm.Call_table.t;
@@ -59,9 +62,10 @@ type env = {
 }
 
 val make : ?quota:Td_xen.Quota.limits -> ?attacker_doorbell:bool -> unit -> env
-(** Build the rig. [quota] installs the global {!Td_xen.Quota} engine
-    (dom0 exempt, simulated clock from the rig's ledger) before any
-    allocation, like a real boot; omitted, the engine is cleared.
+(** Build the rig. [quota] builds one {!Td_xen.Quota} engine (dom0
+    exempt, simulated clock from the rig's ledger) before any
+    allocation, like a real boot, and hands it to the grant table, both
+    channels and the SVM window guard; omitted, nothing is checked.
     [attacker_doorbell] (default true) gives the attacker's channel a
     doorbell page pinned in always-poll, exposing the guest-writable
     sequence words as a fuzz surface. Installs the SVM window guard

@@ -66,20 +66,19 @@ type tuning = {
       (** Per-domain resource quotas (map-window pages, grant entries and
           maps, upcall/notification/doorbell rates, rx deliveries,
           grant-copy bytes), enforced against every domain except dom0.
-          [None] (the default) installs nothing: all checks are no-ops
-          and runs are bit-identical to the pre-quota system. The
-          engine is private to the world (scoped around its entry
-          points), so N worlds — and N parallel shards — enforce
-          independently. *)
+          [None] (the default) configures no engine: nothing is
+          checked and runs are bit-identical to the pre-quota system.
+          The world builds its own engine and hands it to its grant
+          tables, I/O channels, upcall stubs and map-window guard, so N
+          worlds — and N parallel shards — enforce independently. *)
   fault_plan : Td_fault.plan option;
-      (** Private fault-injection plan for this world, armed at
-          creation and scoped around the world's entry points exactly
-          like [quota] — the per-world alternative to the ambient
-          {!Td_fault.Engine.install}, and the only shard-safe way to
-          inject under {!Mq} with [shards > 1]. [None] (the default)
-          arms nothing for the world itself but leaves an ambient
-          engine visible, preserving the historical install-after-create
-          pattern. *)
+      (** Fault-injection plan for this world. The world builds its own
+          engine from it at creation, boots with it suspended (boot
+          draws nothing) and hands it to its SVM runtimes, interpreter,
+          NICs and upcall stubs, so N worlds — and N parallel shards —
+          inject independently. [None] (the default) injects nothing;
+          the world then owns a {!Td_fault.zero_plan} engine that only
+          counts its lost frames. *)
   queues : int;
       (** tx/rx ring pairs per NIC (MSI-X style, default 1). Queue 0
           keeps the legacy register block and legacy INTx cause bits, so

@@ -669,70 +669,70 @@ let soak_plan ~seed rate =
   }
 
 let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
-  let tuning = { Config.default_tuning with Config.recovery = policy } in
+  let tuning =
+    {
+      Config.default_tuning with
+      Config.recovery = policy;
+      fault_plan = (if rate > 0.0 then Some (soak_plan ~seed rate) else None);
+    }
+  in
   (* a demoted fast-path routine keeps the upcall site hot on every
-     transmit; world construction happens before the plan is installed so
-     boot is never perturbed *)
+     transmit; the world boots with its fault engine suspended, so boot
+     is never perturbed *)
   let w =
     World.create ~nics:5 ~upcall_set:[ "spin_trylock" ] ~tuning
       Config.Xen_twin
   in
   let payload = String.init 1500 (fun i -> Char.chr (i land 0xff)) in
   let nics = World.nic_count w in
-  if rate > 0.0 then Td_fault.Engine.install (soak_plan ~seed rate)
-  else Td_fault.Engine.clear ();
-  Td_fault.Engine.reset_counters ();
   let guest_faults_before = Td_xen.Guest_fault.total () in
-  Fun.protect
-    ~finally:(fun () -> Td_fault.Engine.clear ())
-    (fun () ->
-      for i = 0 to frames - 1 do
-        (match World.transmit w ~nic:(i mod nics) ~payload with
-        | (_ : bool) -> ()
-        | exception World.Driver_aborted _ -> ()
-        | exception World.Nic_quarantined _ -> ());
-        (* keep the receive path hot too: its losses are counted in
-           fault.lost_frames, not in TX availability *)
-        if i mod 16 = 15 then begin
-          (try World.inject_rx w ~nic:(i mod nics) ~payload:"rx probe"
-           with World.Driver_aborted _ | World.Nic_quarantined _ -> ());
-          try World.pump w
-          with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
-        end;
-        (* frequent ticks bound the watchdog's hang-detection latency and
-           with it the frames lost to a stuck TX DMA engine *)
-        if i mod 2 = 1 then
-          try World.tick w
-          with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
-      done;
-      (try World.pump w
+  for i = 0 to frames - 1 do
+    (match World.transmit w ~nic:(i mod nics) ~payload with
+    | (_ : bool) -> ()
+    | exception World.Driver_aborted _ -> ()
+    | exception World.Nic_quarantined _ -> ());
+    (* keep the receive path hot too: its losses are counted in
+       fault.lost_frames, not in TX availability *)
+    if i mod 16 = 15 then begin
+      (try World.inject_rx w ~nic:(i mod nics) ~payload:"rx probe"
        with World.Driver_aborted _ | World.Nic_quarantined _ -> ());
-      (* teardown invariant: nothing the soak staged may still be parked
-         on an I/O channel, and every staged frame must be accounted for
-         (completed or counted as dropped) after a full drain *)
-      (try World.shutdown w
-       with World.Driver_aborted _ | World.Nic_quarantined _ -> ());
-      if World.staged_frames w <> 0 then
-        failwith "Experiments.recovery_soak: frames staged after shutdown";
-      if not (World.netio_conserved w) then
-        failwith "Experiments.recovery_soak: frame conservation violated";
-      let delivered = World.wire_tx_frames w in
-      let recoveries = World.recoveries w in
-      {
-        policy;
-        fault_rate = rate;
-        offered = frames;
-        delivered;
-        availability = float_of_int delivered /. float_of_int (max 1 frames);
-        injected = Td_fault.Engine.injected ();
-        recoveries;
-        replayed = World.replayed_frames w;
-        lost = Td_fault.Engine.lost_frames ();
-        guest_faults = Td_xen.Guest_fault.total () - guest_faults_before;
-        frames_to_recover =
-          float_of_int (frames - delivered) /. float_of_int (max 1 recoveries);
-        serviceable = World.all_serviceable w;
-      })
+      try World.pump w
+      with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
+    end;
+    (* frequent ticks bound the watchdog's hang-detection latency and
+       with it the frames lost to a stuck TX DMA engine *)
+    if i mod 2 = 1 then
+      try World.tick w
+      with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
+  done;
+  (try World.pump w
+   with World.Driver_aborted _ | World.Nic_quarantined _ -> ());
+  (* teardown invariant: nothing the soak staged may still be parked
+     on an I/O channel, and every staged frame must be accounted for
+     (completed or counted as dropped) after a full drain *)
+  (try World.shutdown w
+   with World.Driver_aborted _ | World.Nic_quarantined _ -> ());
+  if World.staged_frames w <> 0 then
+    failwith "Experiments.recovery_soak: frames staged after shutdown";
+  if not (World.netio_conserved w) then
+    failwith "Experiments.recovery_soak: frame conservation violated";
+  let delivered = World.wire_tx_frames w in
+  let recoveries = World.recoveries w in
+  {
+    policy;
+    fault_rate = rate;
+    offered = frames;
+    delivered;
+    availability = float_of_int delivered /. float_of_int (max 1 frames);
+    injected = World.fault_injected w;
+    recoveries;
+    replayed = World.replayed_frames w;
+    lost = Td_fault.Engine.lost_frames (World.fault_engine w);
+    guest_faults = Td_xen.Guest_fault.total () - guest_faults_before;
+    frames_to_recover =
+      float_of_int (frames - delivered) /. float_of_int (max 1 recoveries);
+    serviceable = World.all_serviceable w;
+  }
 
 let recovery_sweep ?(frames = 2_000) ?(rates = [ 0.0; 0.002; 0.01 ])
     ?(policies = Config.all_recoveries) ?(seed = 42) () =

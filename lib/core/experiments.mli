@@ -193,7 +193,7 @@ val ablations : ?packets:int -> unit -> ablation list
 
 (** Fault-injection recovery sweep (docs/FAULTS.md): a transmit soak with
     periodic receive traffic and timer ticks, run for each (recovery
-    policy, fault rate) cell. [rate] 0.0 runs with no plan installed at
+    policy, fault rate) cell. [rate] 0.0 runs with no plan configured at
     all — the bit-identity baseline. Availability is wire-delivered TX
     frames over offered frames; receive-side losses show up in [lost]
     instead. *)

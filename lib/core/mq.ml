@@ -8,14 +8,11 @@
    Each context is a complete single-queue world pinned to its own
    stlb partition (World ~shard) and its own doorbell word-pair
    (Xen_netio ~queue), so contexts share no simulated state at all.
-   Quota and fault engines are per-world (each context scopes its own
-   private engines around every entry point), so quotas and fault
-   plans compose with shards > 1; the one remaining process-global a
-   parallel run could race on is the metric registry, which Shard.run
-   disables around the whole run (both paths). An ambient (globally
-   installed) engine is lifted into each context's tuning at [create]
-   so spawned shard workers — whose ambient slots start empty — see
-   the same plan/limits the sequential path would. *)
+   Each context builds its own quota and fault engines from the shared
+   tuning, so quotas and fault plans compose with shards > 1; the one
+   remaining process-global a parallel run could race on is the metric
+   registry, which Shard.run disables around the whole run (both
+   paths). *)
 
 module Rss = Td_nic.Rss
 
@@ -35,25 +32,8 @@ let create ?(nics = 1) ?(tuning = Config.default_tuning) cfg =
          Td_nic.Regs.max_queues queues);
   (* Each context is a single-queue world: the multi-queue steering
      happens up here, one context per queue, exactly mirroring what the
-     device-level RSS demux does across its rings. Ambient engines are
-     lifted into the context tuning so every context gets a private
-     engine with the same configuration — a shard worker's empty
-     ambient slots then don't matter, and sequential and sharded runs
-     stay bit-identical. *)
-  let ctx_tuning =
-    {
-      tuning with
-      Config.queues = 1;
-      quota =
-        (match tuning.Config.quota with
-        | Some _ as q -> q
-        | None -> Td_xen.Quota.limits ());
-      fault_plan =
-        (match tuning.Config.fault_plan with
-        | Some _ as p -> p
-        | None -> Td_fault.Engine.plan ());
-    }
-  in
+     device-level RSS demux does across its rings. *)
+  let ctx_tuning = { tuning with Config.queues = 1 } in
   let ctxs =
     Array.init queues (fun q ->
         World.create ~nics ~guests:1 ~shard:q ~tuning:ctx_tuning cfg)

@@ -18,12 +18,10 @@ type t
 val create : ?nics:int -> ?tuning:Config.tuning -> Config.t -> t
 (** One single-queue world per [tuning.queues] (validated against
     {!Td_nic.Regs.max_queues}), context [q] created with
-    [World.create ~shard:q]. Quota limits and fault plans are per-world
-    (each context owns private engines), so [tuning.quota] and
-    [tuning.fault_plan] compose with any shard count; an ambient
-    (globally installed) engine is lifted into every context's tuning at
-    creation, making sequential and sharded runs bit-identical either
-    way. *)
+    [World.create ~shard:q]. Each context builds its own engines from
+    [tuning.quota] and [tuning.fault_plan], so quotas and fault plans
+    compose with any shard count and sequential and sharded runs stay
+    bit-identical. *)
 
 val config : t -> Config.t
 val queues : t -> int

@@ -10,12 +10,9 @@
    race on (the metric registry is an unsynchronised Hashtbl): it is
    switched off around the whole run — in BOTH paths, so the sequential
    engine stays bit-identical to the parallel one — and restored after.
-   The fault and quota engines are per-OCaml-domain ambient state plus
-   per-world private engines scoped around every World entry point, so
-   jobs confined to their own world race on neither: a spawned worker
-   starts with empty ambient slots and each world brings its own
-   engines (Mq lifts an ambient configuration into per-context tuning
-   at creation). *)
+   The fault and quota engines are plain values owned by each world and
+   handed to its components, so jobs confined to their own world race
+   on neither. *)
 
 (* NOTE: Stdlib.Domain (OCaml 5 threading domains), not Td_xen.Domain. *)
 

@@ -84,15 +84,15 @@ type t = {
   dom0 : Domain.t option;
   guest : Domain.t option;  (** first guest, when any *)
   mutable slots : guest_slot option array;  (** the domain registry *)
-  quota_engine : Quota.state option;
-      (** this world's private quota engine ({!Config.tuning.quota});
-          scoped ambient around every entry point, so two worlds (e.g.
-          {!Mq} contexts, {!Shard} workers) never share token buckets *)
-  mutable fault_engine : Td_fault.Engine.state option;
-      (** private injection engine ({!Config.tuning.fault_plan}), armed
-          after {!init} so boot is never perturbed; [None] leaves any
-          ambient (globally installed) engine visible — the historical
-          install-after-create pattern *)
+  quota : Quota.state option;
+      (** this world's quota engine ({!Config.tuning.quota}), handed at
+          construction to its grant tables, I/O channels, upcall stubs
+          and map-window guard *)
+  fault : Td_fault.Engine.state;
+      (** this world's fault engine ({!Config.tuning.fault_plan}; a
+          zero-plan one without, which never draws), handed at
+          construction to its SVM runtimes, interpreter, NICs and upcall
+          stubs; it also counts the world's lost frames *)
   dom0_stack_top : int;
   costs : Sys_costs.t;
   nics : nic_port array;
@@ -197,20 +197,9 @@ let netio_on w ~nic =
           match acc with Some _ -> acc | None -> if n = nic then Some io else None)
         None s.gs_netios
 
-(* Per-world engine scoping: every public entry point runs with this
-   world's private quota/fault engines (when configured) ambient on the
-   calling OCaml domain, restoring whatever was ambient before on exit.
-   Worlds without a private engine leave the ambient one visible — the
-   historical install-after-create composition keeps working. *)
-let scoped w f =
-  let f =
-    match w.fault_engine with
-    | Some st -> fun () -> Td_fault.Engine.with_state st f
-    | None -> f
-  in
-  match w.quota_engine with
-  | Some st -> Quota.with_state st f
-  | None -> f ()
+(* the fault paths that only a configured plan enables (model-fault
+   containment, the lost-interrupt rescue) key on the world's own plan *)
+let planned w = Option.is_some w.tuning.Config.fault_plan
 
 (* ---- construction ---- *)
 
@@ -269,8 +258,7 @@ let stlb_partition_base shard =
 
 let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
     ?(costs = Sys_costs.default) ?spill_everything ?rewrite_style
-    ?cache_probes ?(map_pairs = true) ?(shard = 0)
-    ?(tuning = Config.default_tuning) cfg =
+    ?cache_probes ?(map_pairs = true) ?(shard = 0) ~tuning ~fault cfg =
   if guests < 1 then invalid_arg "World.create: guests must be >= 1";
   if guests > 256 then invalid_arg "World.create: at most 256 guests";
   if shard < 0 then invalid_arg "World.create: shard must be >= 0";
@@ -334,13 +322,27 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
     else (None, None, [||])
   in
   let guest = if Array.length guest_doms > 0 then Some guest_doms.(0) else None in
+  (* per-world engines: the quota engine built here and the fault engine
+     passed in are handed below to every component that checks them, so
+     two worlds (Mq contexts, shard workers) never share token buckets
+     or fault streams. dom0 is exempt from quotas — throttling the
+     driver domain's service work would deadlock the paths that drain on
+     behalf of throttled guests. Simulated time for the token buckets is
+     ledger cycles at the nominal 3 GHz. *)
+  let quota =
+    Option.map
+      (Quota.make
+         ~now:(fun () -> float_of_int (Ledger.grand_total led) /. 3e9)
+         ~exempt:[ (match dom0 with Some d -> Domain.name d | None -> "dom0") ])
+      tuning.Config.quota
+  in
   (* NICs + netdevs *)
   let ports =
     Array.init nics (fun i ->
         let wire = Td_nic.Wire.fresh_counters () in
         let mac = host_mac i in
         let dev =
-          Td_nic.E1000_dev.create ~dma:dom0_space ~mac
+          Td_nic.E1000_dev.create ~fault ~dma:dom0_space ~mac
             ~queues:tuning.Config.queues ~rss_seed:tuning.Config.rss_seed
             ~tx_frame:(Td_nic.Wire.sink wire) ()
         in
@@ -401,7 +403,10 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         (* VM instance: identity stlb, dom0-resolved symbols *)
         let vm_stlb = Addr_space.heap_alloc dom0_space (4096 * 8) in
         let vm_scratch = Kmem.alloc km 64 in
-        let vm_rt = Td_svm.Runtime.create_identity ~dom0:dom0_space ~stlb_vaddr:vm_stlb in
+        let vm_rt =
+          Td_svm.Runtime.create_identity ~fault ~dom0:dom0_space
+            ~stlb_vaddr:vm_stlb ()
+        in
         Td_svm.Runtime.register_natives vm_rt natives;
         ignore
           (Native.register natives "__svm_call@vm" (fun st ->
@@ -427,7 +432,8 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         let hyp_rt =
           Td_svm.Runtime.create_hypervisor ~map_pairs
             ~window_pages:tuning.Config.map_window_pages
-            ~stlb_vaddr:hyp_stlb_vaddr ~dom0:dom0_space ~hyp:xen_space ()
+            ~stlb_vaddr:hyp_stlb_vaddr ~fault ~dom0:dom0_space ~hyp:xen_space
+            ()
         in
         Td_svm.Runtime.register_natives hyp_rt natives;
         let pool =
@@ -456,7 +462,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
             (fun n -> not (List.mem n upcall_set))
             Support.fast_path_names
         in
-        Support.register_hyp_natives sup natives ~ctx ~native_set;
+        Support.register_hyp_natives ?quota ~fault sup natives ~ctx ~native_set;
         let ct =
           Td_svm.Call_table.create ~vm_code_base:Layout.vm_driver_code_base
             ~vm_code_size:(Program.size_bytes vm_prog)
@@ -500,25 +506,6 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
                  ~base:Layout.vm_driver_code_base ~symbols:vm_syms ~registry)),
           Some (fun () -> load_hyp Td_rewriter.Loader.reload) )
   in
-  (* per-domain quotas: a private, per-world engine — scoped ambient
-     around every entry point rather than installed process-globally, so
-     concurrent worlds (Mq contexts, shard workers) cannot share or
-     clobber each other's buckets. dom0 is exempt — throttling the driver
-     domain's service work would deadlock the paths that drain on behalf
-     of throttled guests. Simulated time for the token buckets is ledger
-     cycles at the nominal 3 GHz. *)
-  let quota_engine =
-    match tuning.Config.quota with
-    | Some l ->
-        let exempt =
-          match dom0 with Some d -> [ Domain.name d ] | None -> [ "dom0" ]
-        in
-        Some
-          (Quota.make
-             ~now:(fun () -> float_of_int (Ledger.grand_total led) /. 3e9)
-             ~exempt l)
-    | None -> None
-  in
   let w =
     {
       cfg;
@@ -548,8 +535,8 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
                 gs_rx_pending = Queue.create ();
                 gs_rx_count = 0;
               });
-      quota_engine;
-      fault_engine = None;
+      quota;
+      fault;
       dom0_stack_top;
       costs;
       nics = ports;
@@ -568,7 +555,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
       demux_skb = None;
       gmac_index = Hashtbl.create 8;
       interp =
-        (let i = Interp.create cpu registry natives in
+        (let i = Interp.create ~fault cpu registry natives in
          Interp.set_compile_threshold i tuning.Config.compile_threshold;
          Interp.set_superblock_cap i tuning.Config.superblock_cap;
          i);
@@ -630,11 +617,11 @@ let run_driver w ~entry ~args ~stack =
     (* under fault injection a corrupted driver can drive the model into
        states the pristine system never reaches (bogus register numbers,
        unresolved indirect calls); contain them as aborts — but only when
-       a plan is installed, so genuine model bugs still crash loudly *)
+       the world has a plan, so genuine model bugs still crash loudly *)
     | ( Invalid_argument _ | Failure _ | Interp.Fault _
       | Phys_mem.Bad_frame _ | Phys_mem.Out_of_frames _
       | Addr_space.Heap_exhausted _ | Hypervisor.No_domains _ ) as e
-      when Option.is_some (Td_fault.Engine.plan ()) ->
+      when planned w ->
         abort (Printf.sprintf "model fault: %s" (Printexc.to_string e))
   in
   Ledger.charge w.led Ledger.Driver (w.cpu.State.cycles - before);
@@ -742,7 +729,7 @@ let recover w ~nic ~reason =
   Fun.protect
     ~finally:(fun () -> w.in_recovery <- false)
     (fun () ->
-      Td_fault.Engine.suspend (fun () ->
+      Td_fault.Engine.suspend w.fault (fun () ->
           (* 1. invalidate all translations and unmap the window pairs *)
           Option.iter Td_svm.Runtime.flush w.svm_hyp;
           (match w.svm_vm with
@@ -769,7 +756,7 @@ let recover w ~nic ~reason =
           Array.iter
             (fun q ->
               teardown_driver_memory w q;
-              Td_fault.Engine.note_lost (Td_nic.E1000_dev.reset q.dev);
+              Td_fault.Engine.note_lost w.fault (Td_nic.E1000_dev.reset q.dev);
               q.pending_irq <- 0;
               Netdev.repair q.nd ~mmio_base:q.shadow.s_mmio_base ~mac:q.mac
                 ~mtu:q.shadow.s_mtu;
@@ -825,18 +812,18 @@ let replay_tx w attempt =
   match w.tuning.Config.recovery with
   | Config.Fail_stop -> false (* unreachable: supervised re-raised *)
   | Config.Restart ->
-      Td_fault.Engine.note_lost 1;
+      Td_fault.Engine.note_lost w.fault 1;
       false
   | Config.Restart_replay -> (
       w.replayed <- w.replayed + 1;
       if Td_obs.Control.enabled () then Td_obs.Metrics.bump "fault.replayed";
       match
-        Td_fault.Engine.suspend (fun () ->
+        Td_fault.Engine.suspend w.fault (fun () ->
             try Some (attempt ()) with Driver_aborted _ -> None)
       with
       | Some ok -> ok
       | None ->
-          Td_fault.Engine.note_lost 1;
+          Td_fault.Engine.note_lost w.fault 1;
           false)
 
 let run_tx w ~nic attempt =
@@ -891,7 +878,7 @@ let attach_channel w ~guest:g ~nic =
   in
   let netio =
     Xen_netio.create ~batch:w.tuning.Config.notify_batch ~queue:w.shard
-      ?doorbell ~hyp:h ~dom0:d0 ~guest:s.gs_dom ~kmem:w.km
+      ?doorbell ?quota:w.quota ~hyp:h ~dom0:d0 ~guest:s.gs_dom ~kmem:w.km
       ~driver_tx:(fun skb ->
         (* netback's call into the driver: the sk_buff is kmem memory
            and survives a restart, so replay can re-run the transmit on
@@ -944,21 +931,21 @@ let init (w : t) =
       Td_svm.Runtime.set_reclaim_hook rt (fun () ->
           charge_xen_cat w w.costs.Sys_costs.window_reclaim))
     w.svm_hyp;
-  (* with quotas installed, mapped-page window pairs are charged to the
+  (* with a quota engine, mapped-page window pairs are charged to the
      domain on whose behalf the hypervisor driver is running; the guard
      lives here because td_svm cannot depend on td_xen *)
-  (match (w.svm_hyp, w.hyp) with
-  | Some rt, Some h when w.tuning.Config.quota <> None ->
+  (match (w.svm_hyp, w.hyp, w.quota) with
+  | Some rt, Some h, Some q ->
       Td_svm.Runtime.set_window_guard rt
         {
           Td_svm.Runtime.acquire =
             (fun ~pages ->
               let domain = Domain.name (Hypervisor.current h) in
-              Quota.acquire ~domain Quota.Map_window_pages pages;
+              Quota.acquire q ~domain Quota.Map_window_pages pages;
               domain);
           release =
             (fun ~owner ~pages ->
-              Quota.release ~domain:owner Quota.Map_window_pages pages);
+              Quota.release q ~domain:owner Quota.Map_window_pages pages);
         }
   | _ -> ());
   (* exact stlb.hit accounting: the inline probe's hit path is the xor
@@ -1096,28 +1083,25 @@ let init (w : t) =
   w
 
 let create ?nics ?guests ?upcall_set ?pool_entries ?costs ?spill_everything
-    ?rewrite_style ?cache_probes ?map_pairs ?shard ?tuning cfg =
-  let w =
-    create ?nics ?guests ?upcall_set ?pool_entries ?costs ?spill_everything
-      ?rewrite_style ?cache_probes ?map_pairs ?shard ?tuning cfg
+    ?rewrite_style ?cache_probes ?map_pairs ?shard
+    ?(tuning = Config.default_tuning) cfg =
+  let fault =
+    Td_fault.Engine.make
+      (Option.value tuning.Config.fault_plan ~default:Td_fault.zero_plan)
   in
-  (* init runs under the world's quota engine (grant-table and map-window
-     acquires during channel setup charge the right buckets, as the
-     historical install-before-init did) but never under its fault
-     engine: boot is deterministic, injection arms only afterwards *)
-  let w =
-    match w.quota_engine with
-    | Some st -> Quota.with_state st (fun () -> init w)
-    | None -> init w
-  in
-  w.fault_engine <-
-    Option.map Td_fault.Engine.make w.tuning.Config.fault_plan;
-  w
+  (* boot is deterministic: construction and init charge the world's
+     quota engine (grant-table and map-window acquires during channel
+     setup) but run with its fault engine suspended, so they draw
+     nothing *)
+  Td_fault.Engine.suspend fault (fun () ->
+      init
+        (create ?nics ?guests ?upcall_set ?pool_entries ?costs
+           ?spill_everything ?rewrite_style ?cache_probes ?map_pairs ?shard
+           ~tuning ~fault cfg))
 
 (* ---- traffic ---- *)
 
 let transmit w ~nic ~payload =
-  scoped w @@ fun () ->
   let p = w.nics.(nic) in
   if p.quarantined then raise (Nic_quarantined { nic });
   let frame = build_frame ~dst:p.cmac ~src:p.mac ~payload in
@@ -1221,7 +1205,6 @@ let transmit w ~nic ~payload =
       run_tx w ~nic attempt
 
 let inject_rx ?(guest = 0) w ~nic ~payload =
-  scoped w @@ fun () ->
   let p = w.nics.(nic) in
   let dst =
     match w.cfg with
@@ -1329,7 +1312,6 @@ let deliver_pending w =
       done
 
 let pump w =
-  scoped w @@ fun () ->
   let progress = ref true in
   while !progress do
     progress := false;
@@ -1337,10 +1319,11 @@ let pump w =
       (fun i p ->
         (* lost-interrupt rescue: an injected lost IRQ leaves its cause
            latched in ICR with no handler call; the pump's poll sweep
-           re-kicks it. Gated on an installed plan so unplanned runs keep
+           re-kicks it. Gated on the world's plan so unplanned runs keep
            their exact interrupt timing. *)
         if
-          Td_fault.Engine.active ()
+          planned w
+          && Td_fault.Engine.active w.fault
           && p.pending_irq = 0
           && (not p.quarantined)
           && Td_nic.E1000_dev.irq_pending p.dev
@@ -1393,7 +1376,6 @@ let shadow_mtu w ~nic = w.nics.(nic).shadow.s_mtu
 let shadow_promisc w ~nic = w.nics.(nic).shadow.s_promisc
 
 let reset_measurement w =
-  scoped w @@ fun () ->
   (* zero the whole registry and trace first, then the ledger (whose reset
      re-zeroes its registry mirrors — keeping both views aligned so the
      Measure cross-check can compare them at the end of the run) *)
@@ -1418,7 +1400,7 @@ let reset_measurement w =
   w.twin_tx_pushes <- 0;
   w.recoveries <- 0;
   w.replayed <- 0;
-  Td_fault.Engine.reset_counters ()
+  Td_fault.Engine.reset_counters w.fault
 
 (* ---- housekeeping ---- *)
 
@@ -1430,7 +1412,7 @@ let supervised_retry w ~nic attempt =
   | Some out -> out
   | None -> (
       match
-        Td_fault.Engine.suspend (fun () ->
+        Td_fault.Engine.suspend w.fault (fun () ->
             try Some (attempt ()) with Driver_aborted _ -> None)
       with
       | Some out -> out
@@ -1439,7 +1421,6 @@ let supervised_retry w ~nic attempt =
           raise (Nic_quarantined { nic }))
 
 let run_watchdog w ~nic =
-  scoped w @@ fun () ->
   if w.nics.(nic).quarantined then raise (Nic_quarantined { nic });
   check_hang w ~nic;
   if not w.nics.(nic).quarantined then
@@ -1449,7 +1430,6 @@ let run_watchdog w ~nic =
              ~args:[ w.nics.(nic).nd.Netdev.addr ]))
 
 let read_stats w ~nic =
-  scoped w @@ fun () ->
   if w.nics.(nic).quarantined then raise (Nic_quarantined { nic });
   supervised_retry w ~nic (fun () ->
       let dest = Kmem.alloc w.km 32 in
@@ -1464,7 +1444,6 @@ let read_stats w ~nic =
       out)
 
 let run_set_rx_mode w ~nic ~promisc =
-  scoped w @@ fun () ->
   let p = w.nics.(nic) in
   if p.quarantined then raise (Nic_quarantined { nic });
   supervised_retry w ~nic (fun () ->
@@ -1475,7 +1454,6 @@ let run_set_rx_mode w ~nic ~promisc =
   p.shadow.s_promisc <- promisc
 
 let run_set_mtu w ~nic ~mtu =
-  scoped w @@ fun () ->
   let p = w.nics.(nic) in
   if p.quarantined then raise (Nic_quarantined { nic });
   supervised_retry w ~nic (fun () ->
@@ -1485,7 +1463,6 @@ let run_set_mtu w ~nic ~mtu =
   p.shadow.s_mtu <- mtu
 
 let tick w =
-  scoped w @@ fun () ->
   (* the timer service bounds how long a partial batch can stay staged;
      it is also the adaptive doorbell's window boundary (poll entry /
      idle-hysteresis fallback) *)
@@ -1493,7 +1470,6 @@ let tick w =
   Timer_wheel.tick w.timers
 
 let shutdown w =
-  scoped w @@ fun () ->
   (* guest quiesce: drain every channel completely — partially staged
      batches must not be dropped on teardown *)
   iter_netios w Xen_netio.teardown;
@@ -1528,14 +1504,12 @@ let mask_dom0_interrupts w =
   Option.iter Domain.mask_interrupts w.dom0
 
 let unmask_dom0_interrupts w =
-  scoped w @@ fun () ->
   Option.iter Domain.unmask_interrupts w.dom0;
   deliver_pending w
 
 (* ---- the domain registry: runtime create / destroy / traffic ---- *)
 
 let create_guest ?nic w =
-  scoped w @@ fun () ->
   if not (needs_guest w.cfg) then
     raise
       (Config_error
@@ -1597,7 +1571,6 @@ let create_guest ?nic w =
   g
 
 let destroy_guest w ~guest:g =
-  scoped w @@ fun () ->
   let s = slot_exn w g ~op:"World.destroy_guest" in
   (* frames queued on the twin path still belong to the guest: deliver
      them while the slot is alive, before the channels come down *)
@@ -1617,13 +1590,12 @@ let destroy_guest w ~guest:g =
     s.gs_macs;
   Scheduler.remove w.sched s.gs_dom;
   (match w.hyp with Some h -> Hypervisor.remove_domain h s.gs_dom | None -> ());
-  Quota.forget ~domain:(Domain.name s.gs_dom);
+  Option.iter (fun q -> Quota.forget q ~domain:(Domain.name s.gs_dom)) w.quota;
   Ledger.retire_domain w.led ~domain:(Domain.name s.gs_dom);
   Addr_space.release s.gs_space;
   w.slots.(g) <- None
 
 let transmit_from ?nic w ~guest:g ~payload =
-  scoped w @@ fun () ->
   let s = slot_exn w g ~op:"World.transmit_from" in
   (match w.cfg with
   | Config.Xen_domU -> ()
@@ -1670,9 +1642,11 @@ let transmit_from ?nic w ~guest:g ~payload =
 
 (* ---- per-world engine observability ---- *)
 
-let fault_injected w = scoped w Td_fault.Engine.injected
-let fault_lost w = scoped w Td_fault.Engine.lost_frames
-let quota_throttled w = scoped w Quota.throttled
+let fault_engine w = w.fault
+let fault_injected w = Td_fault.Engine.injected w.fault
+
+let quota_throttled w =
+  match w.quota with Some q -> Quota.throttled q | None -> 0
 
 let doorbell_pages_mapped w =
   let base, limit = Xen_netio.doorbell_window in

@@ -34,7 +34,11 @@ val create :
     DESIGN.md ablations (Xen_twin only). [tuning] (default
     {!Config.default_tuning}) sets the SVM map-window size and the
     notification batch factor; batching changes only when notifications
-    are sent, never the frame payloads or their order.
+    are sent, never the frame payloads or their order. The world builds
+    its own quota and fault engines from [tuning.quota] and
+    [tuning.fault_plan] and hands them to the components that check
+    them; boot runs with the fault engine suspended, so it draws
+    nothing, but charges the quota engine.
 
     [shard] (default 0) marks this world as one (guest, queue) execution
     context of a sharded simulation ({!Mq}): it selects the world's stlb
@@ -189,15 +193,19 @@ val netio_rx_mode : t -> nic:int -> Td_kernel.Xen_netio.mode
 (** Adaptive state of the boot guest's channel on [nic] (always
     [Interrupt] with the doorbell off or the channel gone). *)
 
-(* per-world engine observability *)
+(* per-world engines *)
+
+val fault_engine : t -> Td_fault.Engine.state
+(** This world's fault engine (a zero-plan one when [tuning.fault_plan]
+    is [None]): its injection and lost-frame counters, and
+    {!Td_fault.Engine.suspend} to mask injection around a stretch of
+    traffic. *)
 
 val fault_injected : t -> int
-val fault_lost : t -> int
-(** This world's injection/lost-frame counters — read under its private
-    fault engine when it has one, the ambient engine otherwise. *)
+(** Injections drawn by this world's fault engine. *)
 
 val quota_throttled : t -> int
-(** Quota denials under this world's engine (ambient when none). *)
+(** Quota denials on this world's engine (0 without [tuning.quota]). *)
 
 val doorbell_pages_mapped : t -> int
 (** Doorbell pages currently mapped in dom0's doorbell window — one per

@@ -21,6 +21,7 @@ type t = {
   registry : Code_registry.t;
   natives : Native.t;
   mutable hook : (State.t -> Td_misa.Insn.t -> unit) option;
+  fault : Td_fault.Engine.state option;  (** the bitflip site's engine *)
   mutable probes : Superblock.probes;
   mutable bc_gen : int;
   bc_addr : int array; (* -1 = empty slot *)
@@ -42,12 +43,13 @@ type t = {
   stlb_elided : int ref;
 }
 
-let create ?hook state registry natives =
+let create ?hook ?fault state registry natives =
   {
     state;
     registry;
     natives;
     hook;
+    fault;
     probes = [];
     bc_gen = 0;
     bc_addr = Array.make bc_size (-1);
@@ -100,13 +102,13 @@ let exec_insn t insn = Semantics.exec_insn ~natives:t.natives t.state insn
    flags, the kind of corruption the SVM containment story must absorb *)
 let flip_regs = Td_misa.Reg.[| EAX; EBX; ECX; EDX; ESI; EDI |]
 
-let inject_bitflip st =
-  match Td_fault.Engine.pick Td_fault.Interp_bitflip 8 with
+let inject_bitflip e st =
+  match Td_fault.Engine.pick e Td_fault.Interp_bitflip 8 with
   | 6 -> st.State.zf <- not st.State.zf
   | 7 -> st.State.cf <- not st.State.cf
   | r ->
       let reg = flip_regs.(r) in
-      let bit = Td_fault.Engine.pick Td_fault.Interp_bitflip 32 in
+      let bit = Td_fault.Engine.pick e Td_fault.Interp_bitflip 32 in
       State.set st reg (State.get st reg lxor (1 lsl bit))
 
 (* --- instruction fetch --- *)
@@ -173,7 +175,10 @@ let step t =
   let insn = prog.Program.code.(idx) in
   fire_probe t st insn;
   (match t.hook with Some h -> h st insn | None -> ());
-  if Td_fault.Engine.fire Td_fault.Interp_bitflip then inject_bitflip st;
+  (match t.fault with
+  | Some e when Td_fault.Engine.fire e Td_fault.Interp_bitflip ->
+      inject_bitflip e st
+  | Some _ | None -> ());
   st.State.steps <- st.State.steps + 1;
   exec_insn t insn
 
@@ -181,13 +186,16 @@ let step t =
    (the profiler) or an armed bitflip plan, which draws once per
    instruction. Probe sites are recognised inline by both engines, and
    any other fault site fires identically in every engine ([fire] never
-   draws at a zero rate). Hooks are installed and fault plans change
-   only outside driver execution, and a [Call] ends a block, so checking
-   once per control transfer is exactly equivalent to checking per
-   instruction. *)
+   draws at a zero rate). Hooks are installed and the fault engine is
+   suspended or resumed only outside driver execution, and a [Call] ends
+   a block, so checking once per control transfer is exactly equivalent
+   to checking per instruction. *)
 let needs_slow_path t =
   (match t.hook with Some _ -> true | None -> false)
-  || Td_fault.Engine.armed Td_fault.Interp_bitflip
+  ||
+  match t.fault with
+  | Some e -> Td_fault.Engine.armed e Td_fault.Interp_bitflip
+  | None -> false
 
 (* straight-line fast path: resolve once, execute to the end of the
    basic block by array index. In-block instructions only fall through

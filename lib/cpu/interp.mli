@@ -22,7 +22,10 @@ type t
 
 val create :
   ?hook:(State.t -> Td_misa.Insn.t -> unit) ->
+  ?fault:Td_fault.Engine.state ->
   State.t -> Code_registry.t -> Native.t -> t
+(** [fault] is the engine the {!Td_fault.Interp_bitflip} site draws
+    from; omitted, nothing is injected. *)
 
 val state : t -> State.t
 val registry : t -> Code_registry.t
@@ -66,7 +69,7 @@ val call : ?max_steps:int -> t -> entry:int -> args:int list -> int
     [ESP] must already point to a valid stack. Default [max_steps] is
     1_000_000. The budget is charged per executed instruction and per
     [rep] string element, so a corrupted huge ECX times out rather than
-    spinning forever. With a hook installed, or a fault plan whose
+    spinning forever. With a hook installed, or a fault engine whose
     [interp_bitflip] rate is above zero and not suspended, execution
     takes the per-instruction slow path; otherwise it proceeds a
     compiled superblock — or, for cold or bailed-out entries, a basic

@@ -105,27 +105,6 @@ module Engine = struct
       lost = 0;
     }
 
-  (* The ambient engine slot is per OCaml domain (DLS), so parallel
-     shards never observe each other's engines: a spawned shard worker
-     starts with no ambient engine, and a World carrying a private
-     engine scopes it around its entry points with [with_state]. *)
-  let slot : state option ref Stdlib.Domain.DLS.key =
-    Stdlib.Domain.DLS.new_key (fun () -> ref None)
-
-  let current () = !(Stdlib.Domain.DLS.get slot)
-
-  let with_state st f =
-    let r = Stdlib.Domain.DLS.get slot in
-    let saved = !r in
-    r := Some st;
-    Fun.protect ~finally:(fun () -> r := saved) f
-
-  (* Lost frames are counted even when no engine is armed (organic
-     aborts under a Restart policy still drop frames); they land in a
-     per-OCaml-domain orphan counter so the accounting stays visible. *)
-  let orphan_lost : int ref Stdlib.Domain.DLS.key =
-    Stdlib.Domain.DLS.new_key (fun () -> ref 0)
-
   let next streams i =
     let x = streams.(i) in
     let x = x lxor ((x lsl 13) land mask) in
@@ -136,80 +115,47 @@ module Engine = struct
 
   let uniform streams i = float_of_int (next streams i land 0xFFFFFF) /. 16777216.
 
-  let reset_counters () =
-    (match current () with
-    | Some e ->
-        e.injected_total <- 0;
-        Array.fill e.injected_per_site 0 n_sites 0;
-        e.lost <- 0
-    | None -> ());
-    Stdlib.Domain.DLS.get orphan_lost := 0
+  let reset_counters e =
+    e.injected_total <- 0;
+    Array.fill e.injected_per_site 0 n_sites 0;
+    e.lost <- 0
 
-  let install plan = Stdlib.Domain.DLS.get slot := Some (make plan)
-  let clear () = Stdlib.Domain.DLS.get slot := None
-  let plan () = Option.map (fun e -> e.plan) (current ())
+  let active e = e.suspend_depth = 0
+  let armed e site = e.suspend_depth = 0 && rate e.plan site > 0.
 
-  let active () =
-    match current () with Some e -> e.suspend_depth = 0 | None -> false
+  let fire e site =
+    e.suspend_depth = 0
+    && rate e.plan site > 0.
+    &&
+    let i = site_index site in
+    uniform e.streams i < rate e.plan site
+    &&
+    (e.injected_total <- e.injected_total + 1;
+     e.injected_per_site.(i) <- e.injected_per_site.(i) + 1;
+     if Td_obs.Control.enabled () then begin
+       Td_obs.Metrics.bump "fault.injected";
+       Td_obs.Metrics.bump ("fault.injected." ^ site_name site);
+       Td_obs.Trace.emit (Td_obs.Trace.Fault_injected { site = site_name site })
+     end;
+     true)
 
-  let armed site =
-    match current () with
-    | Some e -> e.suspend_depth = 0 && rate e.plan site > 0.
-    | None -> false
-
-  let fire site =
-    match current () with
-    | None -> false
-    | Some e ->
-        e.suspend_depth = 0
-        && rate e.plan site > 0.
-        &&
-        let i = site_index site in
-        uniform e.streams i < rate e.plan site
-        &&
-        (e.injected_total <- e.injected_total + 1;
-         e.injected_per_site.(i) <- e.injected_per_site.(i) + 1;
-         if Td_obs.Control.enabled () then begin
-           Td_obs.Metrics.bump "fault.injected";
-           Td_obs.Metrics.bump ("fault.injected." ^ site_name site);
-           Td_obs.Trace.emit
-             (Td_obs.Trace.Fault_injected { site = site_name site })
-         end;
-         true)
-
-  let pick site bound =
+  let pick e site bound =
     if bound <= 0 then invalid_arg "Td_fault.Engine.pick";
-    match current () with
-    | None -> 0
-    | Some e -> next e.streams (site_index site) mod bound
+    next e.streams (site_index site) mod bound
 
-  let suspend f =
-    match current () with
-    | None -> f ()
-    | Some e ->
-        e.suspend_depth <- e.suspend_depth + 1;
-        Fun.protect ~finally:(fun () -> e.suspend_depth <- e.suspend_depth - 1) f
+  let suspend e f =
+    e.suspend_depth <- e.suspend_depth + 1;
+    Fun.protect ~finally:(fun () -> e.suspend_depth <- e.suspend_depth - 1) f
 
-  let injected () = match current () with Some e -> e.injected_total | None -> 0
+  let injected e = e.injected_total
+  let injected_at e site = e.injected_per_site.(site_index site)
 
-  let injected_at site =
-    match current () with
-    | Some e -> e.injected_per_site.(site_index site)
-    | None -> 0
-
-  let note_lost n =
+  let note_lost e n =
     if n > 0 then begin
-      (match current () with
-      | Some e -> e.lost <- e.lost + n
-      | None ->
-          let r = Stdlib.Domain.DLS.get orphan_lost in
-          r := !r + n);
+      e.lost <- e.lost + n;
       if Td_obs.Control.enabled () then
         Td_obs.Metrics.bump_by "fault.lost_frames" n
     end
 
-  let lost_frames () =
-    match current () with
-    | Some e -> e.lost
-    | None -> !(Stdlib.Domain.DLS.get orphan_lost)
+  let lost_frames e = e.lost
 end

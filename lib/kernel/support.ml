@@ -364,7 +364,7 @@ let dom0_symtab t natives name =
     Native.address_of natives (name ^ "@dom0")
   else None
 
-let register_hyp_natives t natives ~ctx ~native_set =
+let register_hyp_natives ?quota ?fault t natives ~ctx ~native_set =
   t.hyp_ctx <- Some ctx;
   List.iter
     (fun n ->
@@ -381,8 +381,8 @@ let register_hyp_natives t natives ~ctx ~native_set =
               hyp_fn st
         | Some _ | None ->
             let stub =
-              Td_xen.Upcall.make_stub ~hyp:ctx.hyp ~dom0:ctx.dom0 ~name
-                ~impl:r.dom0_fn t.upcall_stats
+              Td_xen.Upcall.make_stub ?quota ?fault ~hyp:ctx.hyp
+                ~dom0:ctx.dom0 ~name ~impl:r.dom0_fn t.upcall_stats
             in
             fun st ->
               r.upcall_calls <- r.upcall_calls + 1;

@@ -59,11 +59,18 @@ type hyp_ctx = {
 }
 
 val register_hyp_natives :
-  t -> Td_cpu.Native.t -> ctx:hyp_ctx -> native_set:string list -> unit
+  ?quota:Td_xen.Quota.state ->
+  ?fault:Td_fault.Engine.state ->
+  t ->
+  Td_cpu.Native.t ->
+  ctx:hyp_ctx ->
+  native_set:string list ->
+  unit
 (** Register the hypervisor-side resolution of every routine: a native
     hypervisor implementation for routines in [native_set] (must be
     fast-path routines), an upcall stub into dom0 for the rest. Symbols
-    are ["<name>@hyp"]. Varying [native_set] reproduces Figure 10. *)
+    are ["<name>@hyp"]. Varying [native_set] reproduces Figure 10. The
+    stubs consult [quota] and [fault] ({!Td_xen.Upcall.make_stub}). *)
 
 val hyp_symtab : t -> Td_cpu.Native.t -> string -> int option
 

@@ -41,6 +41,9 @@ type t = {
   guest : Domain.t;
   kmem : Kmem.t;
   driver_tx : Skb.t -> unit;
+  quota : Quota.state option;
+      (** checks notifications, doorbells and rx deliveries; also handed
+          to [grants] *)
   grants : Grant_table.t;
   batch : int;  (** notifications coalesced per kick (1 = every frame) *)
   tx_pages : (int * Grant_table.grant_ref) array;
@@ -120,13 +123,13 @@ let grant_guest_page gspace grants =
   in
   (page, Grant_table.grant grants ~frame)
 
-let create ?(batch = 1) ?(queue = 0) ?doorbell ~hyp ~dom0 ~guest ~kmem
-    ~driver_tx () =
+let create ?(batch = 1) ?(queue = 0) ?doorbell ?quota ~hyp ~dom0 ~guest
+    ~kmem ~driver_tx () =
   if batch < 1 then invalid_arg "Xen_netio: batch must be >= 1";
   if queue < 0 || queue > max_queue_index then
     invalid_arg "Xen_netio: queue out of range";
   let gspace = Domain.space guest in
-  let grants = Grant_table.create ~owner:guest in
+  let grants = Grant_table.create ?quota ~owner:guest () in
   (* Without a doorbell the staging ring is exactly [batch] pages and the
      producer cursor walks it in lockstep with the (always fully drained)
      staged queue — page-for-page the historical layout. With one, drains
@@ -189,6 +192,7 @@ let create ?(batch = 1) ?(queue = 0) ?doorbell ~hyp ~dom0 ~guest ~kmem
     guest;
     kmem;
     driver_tx;
+    quota;
     grants;
     batch;
     tx_pages;
@@ -321,8 +325,9 @@ let guest_transmit t frame =
      (almost) nothing — the guest's credit check happens before the skb
      is even built, so dom0 and Xen never see it, which is what keeps a
      hostile neighbour from taxing the victim *)
-  if Quota.active () then
-    Quota.take ~domain:(Domain.name t.guest) Quota.Notifications;
+  (match t.quota with
+  | Some q -> Quota.take q ~domain:(Domain.name t.guest) Quota.Notifications
+  | None -> ());
   charge_guest t costs.Sys_costs.netfront;
   let slots = Array.length t.tx_pages in
   (match t.doorbell with
@@ -345,8 +350,9 @@ let guest_transmit t frame =
          the store, and the consumer's leftover check (staged queue
          non-empty) still drains the frame on the next poll *)
       if
-        (not (Quota.active ()))
-        || Quota.try_take ~domain:(Domain.name t.guest) Quota.Doorbells
+        match t.quota with
+        | Some q -> Quota.try_take q ~domain:(Domain.name t.guest) Quota.Doorbells
+        | None -> true
       then
         ring_doorbell t db.tx ~space:(Domain.space t.guest)
           ~vaddr:(db.page + db.tx_off) ~charge:charge_guest;
@@ -454,8 +460,10 @@ let deliver_to_guest t skb =
     Skb.free t.kmem skb
   end
   else if
-    Quota.active ()
-    && not (Quota.try_take ~domain:(Domain.name t.guest) Quota.Rx_deliveries)
+    match t.quota with
+    | Some q ->
+        not (Quota.try_take q ~domain:(Domain.name t.guest) Quota.Rx_deliveries)
+    | None -> false
   then rx_throttle_drop t skb
   else begin
     let gref, gvaddr = Queue.pop t.rx_posted in

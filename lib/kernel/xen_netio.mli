@@ -58,6 +58,7 @@ val create :
   ?batch:int ->
   ?queue:int ->
   ?doorbell:doorbell_cfg ->
+  ?quota:Td_xen.Quota.state ->
   hyp:Td_xen.Hypervisor.t ->
   dom0:Td_xen.Domain.t ->
   guest:Td_xen.Domain.t ->
@@ -75,7 +76,11 @@ val create :
     NIC: it selects which pair of doorbell sequence words the channel
     owns — queue [q] uses bytes [8q]/[8q + 4] — so the per-queue words
     ring independently. Queue 0 keeps the historical 0/4 layout and is
-    bit-identical to a pre-multi-queue channel. *)
+    bit-identical to a pre-multi-queue channel.
+
+    [quota] gates the guest's notifications, doorbell kicks and rx
+    deliveries, and the channel's grant table; omitted, nothing is
+    checked. *)
 
 val set_guest_rx : t -> (string -> unit) -> unit
 (** Guest-side consumer of received frames. *)

@@ -5,6 +5,9 @@ type t = {
   fault_domain : unit -> string option;
       (** attributes guest-reachable faults (ring contents are guest
           memory when the device is driven by a domU) *)
+  fault : Td_fault.Engine.state option;
+      (** injects stuck DMA, lost IRQs and corrupt rx; counts the rx
+          frames it drops *)
   ring_entries : int;
   queues : int;  (** tx/rx ring pairs; queue 0 is the legacy block *)
   rss : Rss.t option;  (** steers unqueued rx frames when [queues > 1] *)
@@ -49,8 +52,8 @@ let set t off v = t.regs.(word t off) <- v land 0xFFFFFFFF
    unvalidated 32-bit value from guest memory must not size an allocation *)
 let max_desc_len = 16384
 
-let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?(queues = 1)
-    ?(rss_seed = 0x2A8F) ~dma ~mac ~tx_frame () =
+let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?fault
+    ?(queues = 1) ?(rss_seed = 0x2A8F) ~dma ~mac ~tx_frame () =
   if String.length mac <> 6 then invalid_arg "E1000_dev.create: mac must be 6 bytes";
   if queues < 1 || queues > Regs.max_queues then
     invalid_arg "E1000_dev.create: queues out of range";
@@ -60,6 +63,7 @@ let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?(queues = 1)
       mac;
       tx_frame;
       fault_domain;
+      fault;
       ring_entries;
       queues;
       rss = (if queues > 1 then Some (Rss.of_seed rss_seed) else None);
@@ -109,6 +113,9 @@ let dma_stuck t = t.dma_stuck
 
 let irq_pending t = get t Regs.icr land get t Regs.ims <> 0
 
+let fires t site =
+  match t.fault with Some e -> Td_fault.Engine.fire e site | None -> false
+
 let raise_cause ?(vector = 0) t cause =
   set t Regs.icr (get t Regs.icr lor cause);
   match (if vector > 0 then t.msix.(vector) else None) with
@@ -117,10 +124,7 @@ let raise_cause ?(vector = 0) t cause =
          throttle (each queue has its own moderation on real silicon —
          unmodelled). The lost-irq injection site stays symmetric with
          the legacy path; the cause is latched in ICR either way. *)
-      if
-        Td_fault.Engine.active ()
-        && Td_fault.Engine.fire Td_fault.Nic_lost_irq
-      then ()
+      if fires t Td_fault.Nic_lost_irq then ()
       else begin
         t.irq_count <- t.irq_count + 1;
         Td_obs.Metrics.bump "nic.irq";
@@ -135,10 +139,7 @@ let raise_cause ?(vector = 0) t cause =
           (* fault-injection site: the assertion edge is dropped on the
              floor — the cause stays latched in ICR ([irq_pending]), so a
              poll can still find and service it, as real drivers do *)
-          if
-            Td_fault.Engine.active ()
-            && Td_fault.Engine.fire Td_fault.Nic_lost_irq
-          then ()
+          if fires t Td_fault.Nic_lost_irq then ()
           else begin
             t.irq_count <- t.irq_count + 1;
             Td_obs.Metrics.bump "nic.irq";
@@ -160,11 +161,8 @@ let process_tx ?(queue = 0) t =
   (* fault-injection site: the DMA engine wedges — doorbells are ignored
      until the supervisor resets the device, and the frames queued in
      the ring never reach the wire *)
-  if
-    (not t.dma_stuck)
-    && Td_fault.Engine.active ()
-    && Td_fault.Engine.fire Td_fault.Nic_stuck_dma
-  then t.dma_stuck <- true;
+  if (not t.dma_stuck) && fires t Td_fault.Nic_stuck_dma then
+    t.dma_stuck <- true;
   if t.dma_stuck then ()
   else begin
   let r_tdbal = Regs.tdbal_q queue
@@ -273,13 +271,11 @@ let receive_frame ?queue t frame =
     end;
     set t Regs.mpc (get t Regs.mpc + 1)
   end
-  else if
-    Td_fault.Engine.active () && Td_fault.Engine.fire Td_fault.Nic_corrupt_rx
-  then begin
+  else if fires t Td_fault.Nic_corrupt_rx then begin
     (* fault-injection site: the descriptor is corrupted in flight — the
        device discards the frame as a bad packet and counts it missed *)
     t.dropped <- t.dropped + 1;
-    Td_fault.Engine.note_lost 1;
+    Option.iter (fun e -> Td_fault.Engine.note_lost e 1) t.fault;
     if Td_obs.Control.enabled () then begin
       Td_obs.Metrics.bump "nic.rx.dropped";
       Td_obs.Trace.emit

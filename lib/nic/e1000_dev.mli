@@ -30,6 +30,7 @@ val effective_rate_bps : packet_bytes:int -> float
 val create :
   ?ring_entries:int ->
   ?fault_domain:(unit -> string option) ->
+  ?fault:Td_fault.Engine.state ->
   ?queues:int ->
   ?rss_seed:int ->
   dma:Td_mem.Addr_space.t ->
@@ -43,7 +44,9 @@ val create :
     validation faults (bad register offsets, out-of-range ring cursors,
     descriptors pointing outside mapped memory) are attributed; they
     raise the typed {!Td_xen.Guest_fault.Fault} instead of
-    [Invalid_argument].
+    [Invalid_argument]. [fault] is the engine the device's injection
+    sites draw from (stuck TX DMA, lost interrupts, corrupt rx, whose
+    dropped frames it counts as lost); omitted, nothing is injected.
 
     [queues] (default 1, max {!Regs.max_queues}) enables MSI-X-style
     multi-queue: each queue gets its own tx/rx descriptor ring pair

@@ -49,6 +49,8 @@ type t = {
   mutable reclaim_count : int;
   mutable reclaim_hook : (unit -> unit) option;
   mutable window_guard : window_guard option;
+  fault_engine : Td_fault.Engine.state option;
+      (** injects wild accesses on the slow path *)
   mutable miss_count : int;
   mutable collision_count : int;
   mutable fault_count : int;
@@ -56,7 +58,7 @@ type t = {
 
 let create_hypervisor ?(map_pairs = true)
     ?(window_pages = Td_mem.Layout.map_window_pages)
-    ?(stlb_vaddr = Td_mem.Layout.stlb_base) ~dom0 ~hyp () =
+    ?(stlb_vaddr = Td_mem.Layout.stlb_base) ?fault ~dom0 ~hyp () =
   if window_pages < 2 || window_pages land 1 <> 0 then
     invalid_arg "Svm.Runtime: window_pages must be even and >= 2";
   {
@@ -75,12 +77,13 @@ let create_hypervisor ?(map_pairs = true)
     reclaim_count = 0;
     reclaim_hook = None;
     window_guard = None;
+    fault_engine = fault;
     miss_count = 0;
     collision_count = 0;
     fault_count = 0;
   }
 
-let create_identity ~dom0 ~stlb_vaddr =
+let create_identity ?fault ~dom0 ~stlb_vaddr () =
   {
     mode = Identity;
     map_pairs = true;
@@ -97,6 +100,7 @@ let create_identity ~dom0 ~stlb_vaddr =
     reclaim_count = 0;
     reclaim_hook = None;
     window_guard = None;
+    fault_engine = fault;
     miss_count = 0;
     collision_count = 0;
     fault_count = 0;
@@ -276,10 +280,10 @@ let miss t addr =
       (* fault-injection site: a planned wild access manifests exactly
          like a driver bug — a first-touch address past the dom0 range
          failing validation on the slow path *)
-      if
-        Td_fault.Engine.active ()
-        && Td_fault.Engine.fire Td_fault.Svm_wild_access
-      then fault t addr "injected wild access outside dom0 range";
+      (match t.fault_engine with
+      | Some e when Td_fault.Engine.fire e Td_fault.Svm_wild_access ->
+          fault t addr "injected wild access outside dom0 range"
+      | Some _ | None -> ());
       let ok = valid_dom0_page t addr in
       if Td_obs.Control.enabled () then begin
         Td_obs.Metrics.bump "svm.validate";

@@ -31,6 +31,7 @@ val create_hypervisor :
   ?map_pairs:bool ->
   ?window_pages:int ->
   ?stlb_vaddr:int ->
+  ?fault:Td_fault.Engine.state ->
   dom0:Td_mem.Addr_space.t ->
   hyp:Td_mem.Addr_space.t ->
   unit ->
@@ -48,8 +49,16 @@ val create_hypervisor :
     off), its window page is backed by a poison device so a straddling
     access raises {!Fault} instead of reading stale window contents. *)
 
-val create_identity : dom0:Td_mem.Addr_space.t -> stlb_vaddr:int -> t
-(** VM instance runtime: stlb at [stlb_vaddr] in dom0 space. *)
+val create_identity :
+  ?fault:Td_fault.Engine.state ->
+  dom0:Td_mem.Addr_space.t ->
+  stlb_vaddr:int ->
+  unit ->
+  t
+(** VM instance runtime: stlb at [stlb_vaddr] in dom0 space. For both
+    constructors, [fault] is the engine whose
+    {!Td_fault.Svm_wild_access} site the slow path fires; omitted,
+    nothing is injected. *)
 
 val mode : t -> mode
 val stlb : t -> Stlb.t

@@ -10,6 +10,7 @@ type entry = {
 
 type t = {
   owner : Domain.t;
+  quota : Quota.state option;
   entries : (grant_ref, entry) Hashtbl.t;
   revoked : (grant_ref, unit) Hashtbl.t;
       (** tombstones: refs that once existed; using one is a typed fault
@@ -18,9 +19,10 @@ type t = {
   mutable map_count : int;
 }
 
-let create ~owner =
+let create ?quota ~owner () =
   {
     owner;
+    quota;
     entries = Hashtbl.create 64;
     revoked = Hashtbl.create 16;
     next = 1;
@@ -29,8 +31,24 @@ let create ~owner =
 
 let owner_name t = Domain.name t.owner
 
+(* quota gates, charged to the granting domain; no engine, no check *)
+let acquire t res =
+  match t.quota with
+  | Some q -> Quota.acquire q ~domain:(owner_name t) res 1
+  | None -> ()
+
+let release t res =
+  match t.quota with
+  | Some q -> Quota.release q ~domain:(owner_name t) res 1
+  | None -> ()
+
+let take_bytes t n =
+  match t.quota with
+  | Some q -> Quota.take_n q ~domain:(owner_name t) Quota.Grant_copy_bytes n
+  | None -> ()
+
 let grant t ~frame =
-  Quota.acquire ~domain:(owner_name t) Quota.Grant_entries 1;
+  acquire t Quota.Grant_entries;
   let r = t.next in
   t.next <- t.next + 1;
   Hashtbl.replace t.entries r { frame; mappings = [] };
@@ -76,13 +94,13 @@ let revoke t r =
       (fun (space, vpage) ->
         Td_mem.Addr_space.unmap space ~vpage;
         Td_mem.Addr_space.map_device space ~vpage (revoked_poison t r);
-        Quota.release ~domain:(owner_name t) Quota.Grant_maps 1)
+        release t Quota.Grant_maps)
       e.mappings;
     e.mappings <- []
   end;
   Hashtbl.remove t.entries r;
   Hashtbl.replace t.revoked r ();
-  Quota.release ~domain:(owner_name t) Quota.Grant_entries 1
+  release t Quota.Grant_entries
 
 let map t ~hyp ~into ~at_vpage r =
   let e = find t ~op:"Grant_table.map" r in
@@ -92,7 +110,7 @@ let map t ~hyp ~into ~at_vpage r =
   if Td_mem.Addr_space.is_mapped space ~vpage:at_vpage then
     Guest_fault.fail ~domain:(owner_name t) ~op:"Grant_table.map"
       "grant ref %d: vpage 0x%x is already mapped" r at_vpage;
-  Quota.acquire ~domain:(owner_name t) Quota.Grant_maps 1;
+  acquire t Quota.Grant_maps;
   Hypervisor.charge_xen_for hyp ~domain:(owner_name t)
     (Hypervisor.costs hyp).Sys_costs.grant_map;
   Td_mem.Addr_space.map space ~vpage:at_vpage e.frame;
@@ -125,7 +143,7 @@ let unmap t ~hyp ~from ~at_vpage r =
         end
         else true)
       e.mappings;
-  Quota.release ~domain:(owner_name t) Quota.Grant_maps 1;
+  release t Quota.Grant_maps;
   if Td_obs.Control.enabled () then begin
     Td_obs.Metrics.bump "grant.unmap";
     Td_obs.Trace.emit (Td_obs.Trace.Grant_unmap { gref = r })
@@ -146,8 +164,7 @@ let copy_to t ~hyp r ~offset ~src =
   (* grant-copy bandwidth is billed to the granting domain (the guest
      whose buffer is being filled/drained), before any cycle is charged:
      a throttled copy costs dom0 nothing *)
-  Quota.take_n ~domain:(owner_name t) Quota.Grant_copy_bytes
-    (Bytes.length src);
+  take_bytes t (Bytes.length src);
   let cost =
     int_of_float
       (float_of_int (Bytes.length src)
@@ -164,7 +181,7 @@ let copy_to t ~hyp r ~offset ~src =
 let copy_from t ~hyp r ~offset ~len =
   let e = find t ~op:"Grant_table.copy_from" r in
   check_copy_bounds t ~op:"Grant_table.copy_from" ~offset ~len r;
-  Quota.take_n ~domain:(owner_name t) Quota.Grant_copy_bytes len;
+  take_bytes t len;
   let cost =
     int_of_float
       (float_of_int len *. (Hypervisor.costs hyp).Sys_costs.grant_copy_per_byte)

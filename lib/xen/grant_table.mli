@@ -7,11 +7,14 @@ type grant_ref = int
 
 type t
 
-val create : owner:Domain.t -> t
+val create : ?quota:Quota.state -> owner:Domain.t -> unit -> t
+(** A table for [owner]'s grants. With [quota], entries, mappings and
+    copy bytes are charged to [owner] on that engine; without, nothing
+    is checked. *)
 
 val grant : t -> frame:Td_mem.Phys_mem.frame -> grant_ref
 (** Guest-side: make a frame available. Subject to the
-    {!Quota.Grant_entries} cap when quotas are installed. *)
+    {!Quota.Grant_entries} cap when the table has a quota engine. *)
 
 val revoke : t -> grant_ref -> unit
 (** Guest-side: take the page back — always succeeds for a live ref.

@@ -1,9 +1,8 @@
-(* Per-domain resource quotas. Engine state is first-class (make /
-   with_state), with a per-OCaml-domain ambient slot like
-   Td_fault.Engine: no engine visible means every check is a no-op,
-   keeping zero-quota runs bit-identical to the seed. Rate buckets
-   refill on the simulated clock supplied at construction time, so
-   enforcement is deterministic. *)
+(* Per-domain resource quotas. An engine is a plain value that its
+   World hands to every component that checks it; a component without
+   one checks nothing, keeping zero-quota runs bit-identical to the
+   seed. Rate buckets refill on the simulated clock supplied at
+   construction time, so enforcement is deterministic. *)
 
 type limits = {
   map_window_pages : int;
@@ -97,20 +96,6 @@ type state = {
   mutable throttled : int;
 }
 
-(* The ambient engine slot is per OCaml domain (DLS): spawned shard
-   workers start with no ambient engine, and a World carrying a private
-   engine scopes it around its entry points with [with_state]. *)
-let slot : state option ref Stdlib.Domain.DLS.key =
-  Stdlib.Domain.DLS.new_key (fun () -> ref None)
-
-let current () = !(Stdlib.Domain.DLS.get slot)
-
-let with_state st f =
-  let r = Stdlib.Domain.DLS.get slot in
-  let saved = !r in
-  r := Some st;
-  Fun.protect ~finally:(fun () -> r := saved) f
-
 let resource_index = function
   | Map_window_pages -> 0
   | Grant_entries -> 1
@@ -147,13 +132,6 @@ let make ?(now = fun () -> 0.) ?(exempt = []) lim =
   let ex = Hashtbl.create 4 in
   List.iter (fun d -> Hashtbl.replace ex d ()) exempt;
   { lim; now; exempt = ex; doms = Hashtbl.create 8; throttled = 0 }
-
-let install ?now ?exempt lim =
-  Stdlib.Domain.DLS.get slot := Some (make ?now ?exempt lim)
-
-let clear () = Stdlib.Domain.DLS.get slot := None
-let active () = Option.is_some (current ())
-let limits () = Option.map (fun e -> e.lim) (current ())
 
 let dom_state e domain =
   match Hashtbl.find_opt e.doms domain with
@@ -193,119 +171,89 @@ let note_throttle e d domain res =
 let exceeded domain res =
   raise (Quota_exceeded { domain; resource = resource_name res })
 
-let acquire ~domain res n =
-  match current () with
-  | None -> ()
-  | Some e ->
-      if not (Hashtbl.mem e.exempt domain) then begin
-        let limit = cap e.lim res in
-        let d = dom_state e domain in
-        let i = resource_index res in
-        if limit > 0 && d.held.(i) + n > limit then begin
-          note_throttle e d domain res;
-          exceeded domain res
-        end;
-        d.held.(i) <- d.held.(i) + n;
-        inuse_gauge domain res d.held.(i)
-      end
+let acquire e ~domain res n =
+  if not (Hashtbl.mem e.exempt domain) then begin
+    let limit = cap e.lim res in
+    let d = dom_state e domain in
+    let i = resource_index res in
+    if limit > 0 && d.held.(i) + n > limit then begin
+      note_throttle e d domain res;
+      exceeded domain res
+    end;
+    d.held.(i) <- d.held.(i) + n;
+    inuse_gauge domain res d.held.(i)
+  end
 
-let release ~domain res n =
-  match current () with
-  | None -> ()
-  | Some e ->
-      if not (Hashtbl.mem e.exempt domain) then begin
-        let d = dom_state e domain in
-        let i = resource_index res in
-        d.held.(i) <- max 0 (d.held.(i) - n);
-        inuse_gauge domain res d.held.(i)
-      end
+let release e ~domain res n =
+  if not (Hashtbl.mem e.exempt domain) then begin
+    let d = dom_state e domain in
+    let i = resource_index res in
+    d.held.(i) <- max 0 (d.held.(i) - n);
+    inuse_gauge domain res d.held.(i)
+  end
 
-let try_take_n ~domain res n =
-  match current () with
-  | None -> true
-  | Some e ->
-      Hashtbl.mem e.exempt domain
-      ||
-      let r = rate e.lim res in
-      if r <= 0. then true
-      else begin
-        let burst = burst_of e.lim res in
-        let d = dom_state e domain in
-        let i = resource_index res in
-        let b =
-          match d.buckets.(i) with
-          | Some b -> b
-          | None ->
-              let b = { tokens = burst; last = e.now () } in
-              d.buckets.(i) <- Some b;
-              b
-        in
-        let t = e.now () in
-        if t > b.last then begin
-          b.tokens <- Float.min burst (b.tokens +. ((t -. b.last) *. r));
-          b.last <- t
-        end;
-        let want = float_of_int n in
-        if b.tokens >= want then begin
-          b.tokens <- b.tokens -. want;
-          true
-        end
-        else begin
-          note_throttle e d domain res;
-          false
-        end
-      end
+let try_take_n e ~domain res n =
+  Hashtbl.mem e.exempt domain
+  ||
+  let r = rate e.lim res in
+  if r <= 0. then true
+  else begin
+    let burst = burst_of e.lim res in
+    let d = dom_state e domain in
+    let i = resource_index res in
+    let b =
+      match d.buckets.(i) with
+      | Some b -> b
+      | None ->
+          let b = { tokens = burst; last = e.now () } in
+          d.buckets.(i) <- Some b;
+          b
+    in
+    let t = e.now () in
+    if t > b.last then begin
+      b.tokens <- Float.min burst (b.tokens +. ((t -. b.last) *. r));
+      b.last <- t
+    end;
+    let want = float_of_int n in
+    if b.tokens >= want then begin
+      b.tokens <- b.tokens -. want;
+      true
+    end
+    else begin
+      note_throttle e d domain res;
+      false
+    end
+  end
 
-let try_take ~domain res = try_take_n ~domain res 1
+let try_take e ~domain res = try_take_n e ~domain res 1
 
-let take_n ~domain res n =
-  if not (try_take_n ~domain res n) then exceeded domain res
+let take_n e ~domain res n =
+  if not (try_take_n e ~domain res n) then exceeded domain res
 
-let take ~domain res = take_n ~domain res 1
+let take e ~domain res = take_n e ~domain res 1
 
-let inuse ~domain res =
-  match current () with
+let inuse e ~domain res =
+  match Hashtbl.find_opt e.doms domain with
   | None -> 0
-  | Some e -> (
-      match Hashtbl.find_opt e.doms domain with
-      | None -> 0
-      | Some d -> d.held.(resource_index res))
+  | Some d -> d.held.(resource_index res)
 
-let throttled () = match current () with None -> 0 | Some e -> e.throttled
+let throttled e = e.throttled
 
-let throttled_for ~domain res =
-  match current () with
+let throttled_for e ~domain res =
+  match Hashtbl.find_opt e.doms domain with
   | None -> 0
-  | Some e -> (
-      match Hashtbl.find_opt e.doms domain with
-      | None -> 0
-      | Some d -> d.throttles.(resource_index res))
+  | Some d -> d.throttles.(resource_index res)
 
-let domains () =
-  match current () with
-  | None -> []
-  | Some e ->
-      Hashtbl.fold (fun k _ acc -> k :: acc) e.doms [] |> List.sort compare
+let domains e =
+  Hashtbl.fold (fun k _ acc -> k :: acc) e.doms [] |> List.sort compare
 
-let forget ~domain =
-  match current () with
+let forget e ~domain =
+  match Hashtbl.find_opt e.doms domain with
   | None -> ()
-  | Some e ->
-      (match Hashtbl.find_opt e.doms domain with
-      | None -> ()
-      | Some d ->
-          if Td_obs.Control.enabled () then
-            List.iter
-              (fun res ->
-                if d.held.(resource_index res) <> 0 then inuse_gauge domain res 0)
-              all_resources;
-          Hashtbl.remove e.doms domain)
-
-let reset_counters () =
-  match current () with
-  | None -> ()
-  | Some e ->
-      e.throttled <- 0;
-      Hashtbl.iter
-        (fun _ d -> Array.fill d.throttles 0 n_resources 0)
-        e.doms
+  | Some d ->
+      if Td_obs.Control.enabled () then
+        List.iter
+          (fun res ->
+            if d.held.(resource_index res) <> 0 then inuse_gauge domain res 0)
+          all_resources;
+      Hashtbl.remove e.doms domain

@@ -8,18 +8,17 @@
       or raises; {!release} returns the units.
     - {b Rate caps} (upcalls, channel notifications, doorbell kicks): a
       token bucket per (domain, resource) refilled on {e simulated} time —
-      the clock passed to {!install}, typically ledger cycles divided by
+      the clock passed to {!make}, typically ledger cycles divided by
       the simulated CPU frequency — so enforcement is deterministic and
       bit-identical across runs.
 
-    Like {!Td_fault.Engine}, engine state is first-class ({!make}) and
-    each OCaml domain carries an ambient slot (domain-local storage)
-    that {!install}/{!clear} set directly and {!with_state} scopes
-    around a callback — a [World] with a private quota engine wraps its
-    entry points in it, so N worlds (and N parallel shards) enforce
-    independently. The slot is {e empty} by default: with no engine
-    visible every check is a no-op costing nothing, so zero-quota runs
-    are bit-identical to the seed. Denials raise the typed
+    Like {!Td_fault.Engine}, an engine is a plain value: a [World]
+    builds one from its [Config.tuning.quota] and hands it, at
+    construction, to the components that check it — its grant tables,
+    I/O channels, upcall stubs and SVM map-window guard — so N worlds
+    (and N parallel shards) enforce independently. A component built
+    without an engine checks nothing, so zero-quota runs are
+    bit-identical to the seed. Denials raise the typed
     {!Quota_exceeded} (contained by callers exactly like
     {!Guest_fault.Fault}) and are counted — always in plain counters,
     additionally in the [xen.quota_throttled]/[xen.quota_inuse.*] metrics
@@ -52,7 +51,7 @@ type limits = {
 }
 
 val unlimited : limits
-(** Every cap disabled — installing this is equivalent to not installing. *)
+(** Every cap disabled. *)
 
 val default_limits : limits
 (** Finite caps sized for the bench/tdctl demos. *)
@@ -81,60 +80,41 @@ val make : ?now:(unit -> float) -> ?exempt:string list -> limits -> state
     (default: a frozen clock, so rate buckets never refill past
     [burst]); [exempt] domains (typically dom0) pass every check. *)
 
-val with_state : state -> (unit -> 'a) -> 'a
-(** Run [f] with [state] as the calling OCaml domain's ambient engine,
-    restoring whatever was visible before on exit (exception-safe).
-    Held units, buckets and throttle counters accumulate in [state]
-    across calls. *)
-
-val install : ?now:(unit -> float) -> ?exempt:string list -> limits -> unit
-(** Arm the ambient slot with a fresh engine ({!make} + set), so all
-    counters start from zero. *)
-
-val clear : unit -> unit
-(** Empties the ambient slot; module-level readers return zero/empty
-    once no engine is visible. *)
-
-val active : unit -> bool
-val limits : unit -> limits option
-
-val acquire : domain:string -> resource -> int -> unit
+val acquire : state -> domain:string -> resource -> int -> unit
 (** Claim [n] units of a concurrency-capped resource; raises
     {!Quota_exceeded} (and counts the throttle) if the domain would
-    exceed its cap. No-op while inactive. *)
+    exceed its cap. *)
 
-val release : domain:string -> resource -> int -> unit
+val release : state -> domain:string -> resource -> int -> unit
 
-val try_take : domain:string -> resource -> bool
+val try_take : state -> domain:string -> resource -> bool
 (** Draw one token from a rate bucket. [false] (counted as a throttle)
     when the bucket is dry — for callers that degrade gracefully (skip
-    the kick, leave the frame staged). Always [true] while inactive. *)
+    the kick, leave the frame staged). *)
 
-val take : domain:string -> resource -> unit
+val take : state -> domain:string -> resource -> unit
 (** {!try_take} for callers that cannot proceed: raises
     {!Quota_exceeded} when the bucket is dry. *)
 
-val try_take_n : domain:string -> resource -> int -> bool
+val try_take_n : state -> domain:string -> resource -> int -> bool
 (** Draw [n] tokens at once — the whole draw succeeds or none of it
     does. Byte-denominated resources ([Grant_copy_bytes]) refill into a
     [grant_copy_burst_bytes]-deep bucket. *)
 
-val take_n : domain:string -> resource -> int -> unit
+val take_n : state -> domain:string -> resource -> int -> unit
 (** {!try_take_n} raising {!Quota_exceeded} on a dry bucket. *)
 
-val inuse : domain:string -> resource -> int
+val inuse : state -> domain:string -> resource -> int
 (** Current units held (concurrency resources; 0 for rate resources). *)
 
-val throttled : unit -> int
-(** Total denials since {!install} (or {!reset_counters}). *)
+val throttled : state -> int
+(** Total denials since {!make}. *)
 
-val throttled_for : domain:string -> resource -> int
-val domains : unit -> string list
+val throttled_for : state -> domain:string -> resource -> int
+val domains : state -> string list
 
-val forget : domain:string -> unit
-(** Drop the visible engine's state for [domain] — held units, buckets
-    and per-domain throttle counts (aggregate {!throttled} is kept).
-    Called when a domain is destroyed so the registry leaves no
-    dangling quota rows. No-op while inactive. *)
-
-val reset_counters : unit -> unit
+val forget : state -> domain:string -> unit
+(** Drop the engine's state for [domain] — held units, buckets and
+    per-domain throttle counts (aggregate {!throttled} is kept). Called
+    when a domain is destroyed so the registry leaves no dangling quota
+    rows. *)

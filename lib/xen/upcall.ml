@@ -10,7 +10,7 @@ let () =
         Some (Printf.sprintf "Td_xen.Upcall.Upcall_failed(%s)" routine)
     | _ -> None)
 
-let make_stub ~hyp ~dom0 ~name ~impl stats : Td_cpu.Native.fn =
+let make_stub ?quota ?fault ~hyp ~dom0 ~name ~impl stats : Td_cpu.Native.fn =
   (* pre-register the counters so snapshots report an explicit zero for
      runs that never leave the fast path (the paper's headline case) *)
   if Td_obs.Control.enabled () then begin
@@ -36,13 +36,16 @@ let make_stub ~hyp ~dom0 ~name ~impl stats : Td_cpu.Native.fn =
   (* fault-injection site: dom0 fails or times out the upcall — the
      world switch was paid, but the support routine never ran and the
      hypervisor driver instance cannot make progress *)
-  if
-    Td_fault.Engine.active () && Td_fault.Engine.fire Td_fault.Upcall_fail
-  then raise (Upcall_failed { routine = name });
+  (match fault with
+  | Some e when Td_fault.Engine.fire e Td_fault.Upcall_fail ->
+      raise (Upcall_failed { routine = name })
+  | Some _ | None -> ());
   (* quota gate: each upcall draws a token from the invoking domain's
      bucket — one tenant hammering support routines cannot monopolise
      dom0 (raises the typed Quota_exceeded when dry) *)
-  if Quota.active () then Quota.take ~domain:(Domain.name prev) Quota.Upcalls;
+  (match quota with
+  | Some q -> Quota.take q ~domain:(Domain.name prev) Quota.Upcalls
+  | None -> ());
   Hypervisor.run_in hyp dom0 (fun () ->
       (* synchronous virtual interrupt into dom0: the registered handler
          recovers parameters and invokes the support routine *)

@@ -19,6 +19,8 @@ exception Upcall_failed of { routine : string }
     hypervisor driver instance aborts and the supervisor restarts it. *)
 
 val make_stub :
+  ?quota:Quota.state ->
+  ?fault:Td_fault.Engine.state ->
   hyp:Hypervisor.t ->
   dom0:Domain.t ->
   name:string ->
@@ -27,6 +29,8 @@ val make_stub :
   Td_cpu.Native.fn
 (** Wrap the dom0 support-routine implementation [impl] into an upcall
     stub suitable for registration under the routine's symbol in the
-    hypervisor driver's symbol table. *)
+    hypervisor driver's symbol table. Each call may fail on [fault]
+    ({!Td_fault.Upcall_fail}) and draws one [Upcalls] token from the
+    invoking domain's bucket on [quota]. *)
 
 val fresh_stats : unit -> stats

@@ -54,7 +54,7 @@ let hyp_runtime m =
 (* Identity runtime for the VM instance: stlb and scratch in dom0 heap. *)
 let vm_runtime m =
   let stlb_vaddr = Addr_space.heap_alloc m.dom0 (4096 * 8) in
-  let rt = Td_svm.Runtime.create_identity ~dom0:m.dom0 ~stlb_vaddr in
+  let rt = Td_svm.Runtime.create_identity ~dom0:m.dom0 ~stlb_vaddr () in
   Td_svm.Runtime.register_natives rt m.natives;
   (rt, stlb_vaddr)
 

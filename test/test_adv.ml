@@ -8,15 +8,7 @@ let check = Alcotest.check
 let int_c = Alcotest.int
 let bool_c = Alcotest.bool
 
-(* Every test leaves the process-global quota engine cleared, like the
-   fault-plan tests do with Td_fault. *)
-let with_clean_quota f =
-  Fun.protect ~finally:Quota.clear (fun () ->
-      Quota.clear ();
-      f ())
-
 let test_replay_bit_identical () =
-  with_clean_quota @@ fun () ->
   let quota =
     { Quota.default_limits with Quota.notifications_per_s = 5_000. }
   in
@@ -47,86 +39,90 @@ let test_replay_bit_identical () =
   check bool_c "still no violations" true (r3.Td_adv.Fuzz.violations = [])
 
 let test_fuzz_without_quota () =
-  with_clean_quota @@ fun () ->
   let r = Td_adv.Fuzz.run ~seed:3 ~ops:2048 () in
   check bool_c "no violations without quotas" true
     (r.Td_adv.Fuzz.violations = []);
   check int_c "no denials without quotas" 0 r.Td_adv.Fuzz.quota_denials
 
 let test_token_bucket () =
-  with_clean_quota @@ fun () ->
   let clock = ref 0.0 in
-  Quota.install
-    ~now:(fun () -> !clock)
-    ~exempt:[ "dom0" ]
-    {
-      Quota.unlimited with
-      Quota.notifications_per_s = 10.;
-      upcalls_per_s = 10.;
-      burst = 3.;
-    };
+  let q =
+    Quota.make
+      ~now:(fun () -> !clock)
+      ~exempt:[ "dom0" ]
+      {
+        Quota.unlimited with
+        Quota.notifications_per_s = 10.;
+        upcalls_per_s = 10.;
+        burst = 3.;
+      }
+  in
   (* the bucket starts full at [burst] *)
   for _ = 1 to 3 do
-    check bool_c "burst token" true (Quota.try_take ~domain:"g" Quota.Notifications)
+    check bool_c "burst token" true (Quota.try_take q ~domain:"g" Quota.Notifications)
   done;
-  check bool_c "bucket dry" false (Quota.try_take ~domain:"g" Quota.Notifications);
+  check bool_c "bucket dry" false (Quota.try_take q ~domain:"g" Quota.Notifications);
   check bool_c "take raises when dry" true
-    (match Quota.take ~domain:"g" Quota.Notifications with
+    (match Quota.take q ~domain:"g" Quota.Notifications with
     | exception Quota.Quota_exceeded { domain = "g"; resource } ->
         resource = Quota.resource_name Quota.Notifications
     | _ -> false);
   (* simulated time refills at 10 tokens/s, capped at burst *)
   clock := !clock +. 0.1;
   check bool_c "one token refilled" true
-    (Quota.try_take ~domain:"g" Quota.Notifications);
-  check bool_c "only one" false (Quota.try_take ~domain:"g" Quota.Notifications);
+    (Quota.try_take q ~domain:"g" Quota.Notifications);
+  check bool_c "only one" false (Quota.try_take q ~domain:"g" Quota.Notifications);
   clock := !clock +. 100.0;
   for _ = 1 to 3 do
     check bool_c "refill capped at burst" true
-      (Quota.try_take ~domain:"g" Quota.Notifications)
+      (Quota.try_take q ~domain:"g" Quota.Notifications)
   done;
-  check bool_c "capped" false (Quota.try_take ~domain:"g" Quota.Notifications);
+  check bool_c "capped" false (Quota.try_take q ~domain:"g" Quota.Notifications);
   (* per-(domain, resource) buckets are independent *)
   check bool_c "other domain unaffected" true
-    (Quota.try_take ~domain:"h" Quota.Notifications);
+    (Quota.try_take q ~domain:"h" Quota.Notifications);
   check bool_c "other resource unaffected" true
-    (Quota.try_take ~domain:"g" Quota.Upcalls);
+    (Quota.try_take q ~domain:"g" Quota.Upcalls);
   (* exempt domains never throttle *)
   for _ = 1 to 50 do
-    check bool_c "dom0 exempt" true (Quota.try_take ~domain:"dom0" Quota.Notifications)
+    check bool_c "dom0 exempt" true (Quota.try_take q ~domain:"dom0" Quota.Notifications)
   done;
-  check bool_c "throttles counted" true (Quota.throttled () >= 2);
+  check bool_c "throttles counted" true (Quota.throttled q >= 2);
   check bool_c "per-domain throttles" true
-    (Quota.throttled_for ~domain:"g" Quota.Notifications >= 2)
+    (Quota.throttled_for q ~domain:"g" Quota.Notifications >= 2)
 
 let test_concurrency_caps () =
-  with_clean_quota @@ fun () ->
-  Quota.install ~exempt:[ "dom0" ]
-    { Quota.unlimited with Quota.map_window_pages = 4 };
-  Quota.acquire ~domain:"g" Quota.Map_window_pages 2;
-  Quota.acquire ~domain:"g" Quota.Map_window_pages 2;
-  check int_c "inuse" 4 (Quota.inuse ~domain:"g" Quota.Map_window_pages);
+  let q =
+    Quota.make ~exempt:[ "dom0" ]
+      { Quota.unlimited with Quota.map_window_pages = 4 }
+  in
+  Quota.acquire q ~domain:"g" Quota.Map_window_pages 2;
+  Quota.acquire q ~domain:"g" Quota.Map_window_pages 2;
+  check int_c "inuse" 4 (Quota.inuse q ~domain:"g" Quota.Map_window_pages);
   check bool_c "cap enforced" true
-    (match Quota.acquire ~domain:"g" Quota.Map_window_pages 2 with
+    (match Quota.acquire q ~domain:"g" Quota.Map_window_pages 2 with
     | exception Quota.Quota_exceeded _ -> true
     | _ -> false);
-  Quota.release ~domain:"g" Quota.Map_window_pages 2;
-  check int_c "released" 2 (Quota.inuse ~domain:"g" Quota.Map_window_pages);
-  Quota.acquire ~domain:"g" Quota.Map_window_pages 2;
-  (* inactive engine: everything passes *)
-  Quota.clear ();
-  Quota.acquire ~domain:"g" Quota.Map_window_pages 1000;
+  Quota.release q ~domain:"g" Quota.Map_window_pages 2;
+  check int_c "released" 2 (Quota.inuse q ~domain:"g" Quota.Map_window_pages);
+  Quota.acquire q ~domain:"g" Quota.Map_window_pages 2;
+  (* no engine, no check: a rig built without quotas admits what an
+     engine would refuse *)
+  let env = Td_adv.Harness.make () in
+  check bool_c "rig has no engine" true (Option.is_none env.Td_adv.Harness.quota);
+  let _, frame = env.Td_adv.Harness.pool.(0) in
+  for _ = 1 to 1000 do
+    ignore (Grant_table.grant env.Td_adv.Harness.att_grants ~frame)
+  done;
   check bool_c "cleared engine admits all" true
-    (Quota.try_take ~domain:"g" Quota.Notifications)
+    (Grant_table.active env.Td_adv.Harness.att_grants >= 1000)
 
 let test_neighbour_protection () =
-  with_clean_quota @@ fun () ->
   let tight =
     { Quota.unlimited with Quota.notifications_per_s = 25_000.; burst = 16. }
   in
   let solo = Td_adv.Harness.contend ~attack_per_frame:0 () in
   let on = Td_adv.Harness.contend ~quota:tight () in
-  Quota.clear ();
   let off = Td_adv.Harness.contend () in
   let mbps (c : Td_adv.Harness.contention) =
     float_of_int c.Td_adv.Harness.victim_wire
@@ -146,7 +142,6 @@ let test_neighbour_protection () =
     (on.Td_adv.Harness.attacker_row > 0)
 
 let test_isolation_sweep () =
-  with_clean_quota @@ fun () ->
   let env = Td_adv.Harness.make () in
   check bool_c "fresh rig isolated" true
     (Td_adv.Harness.isolation_violations env = []);

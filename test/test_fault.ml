@@ -15,43 +15,44 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let with_plan plan f =
-  Td_fault.Engine.install plan;
-  Fun.protect ~finally:(fun () -> Td_fault.Engine.clear ()) f
+(* a world armed with [plan] from creation; [unplanned] masks its engine
+   around the stretches of traffic that must run without injection *)
+let planned_tuning ?(tuning = Config.default_tuning) plan =
+  { tuning with Config.fault_plan = Some plan }
+
+let unplanned w f = Td_fault.Engine.suspend (World.fault_engine w) f
 
 (* --- engine: same plan, same stream --- *)
 
 let test_engine_deterministic () =
-  let sample () =
-    with_plan { (Td_fault.uniform_plan ~seed:7 0.3) with interp_bitflip = 0.3 }
-      (fun () ->
-        List.init 200 (fun _ -> Td_fault.Engine.fire Td_fault.Interp_bitflip))
+  let sample seed =
+    let e =
+      Td_fault.Engine.make
+        { (Td_fault.uniform_plan ~seed 0.3) with interp_bitflip = 0.3 }
+    in
+    List.init 200 (fun _ -> Td_fault.Engine.fire e Td_fault.Interp_bitflip)
   in
-  let a = sample () and b = sample () in
+  let a = sample 7 and b = sample 7 in
   check bool_c "same seed, same injection sequence" true (a = b);
   check bool_c "some fired" true (List.mem true a);
   check bool_c "some did not" true (List.mem false a);
-  let c =
-    with_plan { (Td_fault.uniform_plan ~seed:8 0.3) with interp_bitflip = 0.3 }
-      (fun () ->
-        List.init 200 (fun _ -> Td_fault.Engine.fire Td_fault.Interp_bitflip))
-  in
+  let c = sample 8 in
   check bool_c "different seed, different sequence" true (a <> c)
 
 let test_engine_counters () =
-  with_plan (Td_fault.uniform_plan ~seed:3 1.0) (fun () ->
-      ignore (Td_fault.Engine.fire Td_fault.Nic_corrupt_rx);
-      ignore (Td_fault.Engine.fire Td_fault.Upcall_fail);
-      check int_c "two injections counted" 2 (Td_fault.Engine.injected ());
-      check int_c "per-site count" 1
-        (Td_fault.Engine.injected_at Td_fault.Nic_corrupt_rx);
-      Td_fault.Engine.suspend (fun () ->
-          check bool_c "suspended engine never fires" false
-            (Td_fault.Engine.fire Td_fault.Nic_corrupt_rx));
-      Td_fault.Engine.note_lost 3;
-      check int_c "lost frames ledger" 3 (Td_fault.Engine.lost_frames ());
-      Td_fault.Engine.reset_counters ();
-      check int_c "counters reset" 0 (Td_fault.Engine.injected ()))
+  let e = Td_fault.Engine.make (Td_fault.uniform_plan ~seed:3 1.0) in
+  ignore (Td_fault.Engine.fire e Td_fault.Nic_corrupt_rx);
+  ignore (Td_fault.Engine.fire e Td_fault.Upcall_fail);
+  check int_c "two injections counted" 2 (Td_fault.Engine.injected e);
+  check int_c "per-site count" 1
+    (Td_fault.Engine.injected_at e Td_fault.Nic_corrupt_rx);
+  Td_fault.Engine.suspend e (fun () ->
+      check bool_c "suspended engine never fires" false
+        (Td_fault.Engine.fire e Td_fault.Nic_corrupt_rx));
+  Td_fault.Engine.note_lost e 3;
+  check int_c "lost frames ledger" 3 (Td_fault.Engine.lost_frames e);
+  Td_fault.Engine.reset_counters e;
+  check int_c "counters reset" 0 (Td_fault.Engine.injected e)
 
 (* --- zero plan: bit-identical to no plan at all --- *)
 
@@ -72,27 +73,29 @@ let run_workload w =
 
 let test_zero_plan_bit_identical () =
   let baseline = run_workload (World.create ~nics:2 Config.Xen_twin) in
-  let zeroed =
-    with_plan Td_fault.zero_plan (fun () ->
-        run_workload (World.create ~nics:2 Config.Xen_twin))
+  let zw =
+    World.create ~nics:2 ~tuning:(planned_tuning Td_fault.zero_plan)
+      Config.Xen_twin
   in
+  let zeroed = run_workload zw in
   check bool_c "ledger and wire identical under zero plan" true
     (baseline = zeroed);
-  check int_c "zero plan injected nothing" 0 (Td_fault.Engine.injected ())
+  check int_c "zero plan injected nothing" 0 (World.fault_injected zw)
 
 (* --- SVM wild access: abort contained, hypervisor survives --- *)
 
 let wild_only = { Td_fault.zero_plan with Td_fault.svm_wild_access = 1.0 }
 
 let test_wild_access_contained () =
-  let w = World.create ~nics:2 Config.Xen_twin in
-  with_plan wild_only (fun () ->
-      check bool_c "transmit aborts" true
-        (match World.transmit w ~nic:0 ~payload with
-        | exception World.Driver_aborted reason ->
-            (* the injected wild access surfaces as an SVM fault *)
-            contains ~sub:"fault" reason || contains ~sub:"injected" reason
-        | _ -> false));
+  let w =
+    World.create ~nics:2 ~tuning:(planned_tuning wild_only) Config.Xen_twin
+  in
+  check bool_c "transmit aborts" true
+    (match World.transmit w ~nic:0 ~payload with
+    | exception World.Driver_aborted reason ->
+        (* the injected wild access surfaces as an SVM fault *)
+        contains ~sub:"fault" reason || contains ~sub:"injected" reason
+    | _ -> false);
   (* fail-stop: the NIC is quarantined, with typed errors *)
   check bool_c "nic quarantined" true (World.is_quarantined w ~nic:0);
   check bool_c "read_stats raises typed error" true
@@ -104,25 +107,31 @@ let test_wild_access_contained () =
     | exception World.Nic_quarantined { nic = 0 } -> true
     | _ -> false);
   (* containment: the hypervisor and the other NIC keep working *)
-  check bool_c "other NIC unaffected" true (World.transmit w ~nic:1 ~payload);
-  World.pump w;
+  unplanned w (fun () ->
+      check bool_c "other NIC unaffected" true
+        (World.transmit w ~nic:1 ~payload);
+      World.pump w);
   check bool_c "frames still reach the wire" true (World.wire_tx_frames w >= 1)
 
 (* --- recovery: shadow state restored after restart --- *)
 
 let test_recovery_restores_shadow () =
-  let tuning = { Config.default_tuning with Config.recovery = Config.Restart } in
+  let tuning =
+    planned_tuning
+      ~tuning:{ Config.default_tuning with Config.recovery = Config.Restart }
+      wild_only
+  in
   let w = World.create ~nics:2 ~tuning Config.Xen_twin in
-  World.run_set_mtu w ~nic:0 ~mtu:1400;
-  World.run_set_rx_mode w ~nic:0 ~promisc:true;
+  unplanned w (fun () ->
+      World.run_set_mtu w ~nic:0 ~mtu:1400;
+      World.run_set_rx_mode w ~nic:0 ~promisc:true);
   check int_c "shadow captured mtu" 1400 (World.shadow_mtu w ~nic:0);
   check bool_c "shadow captured promisc" true (World.shadow_promisc w ~nic:0);
   (* scribble the netdev's mtu as a corrupted instance would, then force
      an abort so the supervisor restarts and repairs from shadow *)
   Td_kernel.Netdev.set_mtu (World.netdev w ~nic:0) 9999;
-  with_plan wild_only (fun () ->
-      check bool_c "restart absorbs the abort" false
-        (World.transmit w ~nic:0 ~payload));
+  check bool_c "restart absorbs the abort" false
+    (World.transmit w ~nic:0 ~payload);
   check bool_c "a recovery ran" true (World.recoveries w >= 1);
   check bool_c "all NICs serviceable again" true (World.all_serviceable w);
   check int_c "netdev mtu restored from shadow" 1400
@@ -130,21 +139,24 @@ let test_recovery_restores_shadow () =
   check bool_c "promisc restored via the driver" true
     (World.shadow_promisc w ~nic:0);
   (* the restarted instance still moves packets *)
-  check bool_c "transmit works after recovery" true
-    (World.transmit w ~nic:0 ~payload);
-  World.pump w;
+  unplanned w (fun () ->
+      check bool_c "transmit works after recovery" true
+        (World.transmit w ~nic:0 ~payload);
+      World.pump w);
   check bool_c "frame delivered" true (World.wire_tx_frames w >= 1)
 
 let test_replay_policy_delivers () =
   let tuning =
-    { Config.default_tuning with Config.recovery = Config.Restart_replay }
+    planned_tuning
+      ~tuning:
+        { Config.default_tuning with Config.recovery = Config.Restart_replay }
+      wild_only
   in
   let w = World.create ~nics:1 ~tuning Config.Xen_twin in
-  with_plan wild_only (fun () ->
-      (* the abort recovers and the frame is replayed on the fresh twin *)
-      check bool_c "replayed transmit succeeds" true
-        (World.transmit w ~nic:0 ~payload));
-  World.pump w;
+  (* the abort recovers and the frame is replayed on the fresh twin *)
+  check bool_c "replayed transmit succeeds" true
+    (World.transmit w ~nic:0 ~payload);
+  unplanned w (fun () -> World.pump w);
   check int_c "replayed frame reached the wire" 1 (World.wire_tx_frames w);
   check bool_c "replay counted" true (World.replayed_frames w >= 1);
   check bool_c "recovery counted" true (World.recoveries w >= 1)
@@ -241,7 +253,7 @@ let test_guest_fault_bad_grant () =
   let owner =
     Td_xen.Domain.create ~id:9 ~name:"g" ~kind:Td_xen.Domain.Guest ~space
   in
-  let gt = Td_xen.Grant_table.create ~owner in
+  let gt = Td_xen.Grant_table.create ~owner () in
   (* a bad grant reference is a typed, counted fault — not a crash *)
   let before = Td_xen.Guest_fault.total () in
   check bool_c "bad ref typed fault" true
@@ -261,6 +273,102 @@ let test_no_domains_names_operation () =
     (match Td_xen.Hypervisor.run_in h dom (fun () -> ()) with
     | exception Td_xen.Hypervisor.No_domains { op } -> op = "run_in"
     | _ -> false)
+
+(* --- per-world engines: boot rules and isolation --- *)
+
+(* boot runs with the fault engine suspended: even a plan that fires at
+   every opportunity draws nothing while the world is built *)
+let test_boot_draws_nothing () =
+  List.iter
+    (fun cfg ->
+      let w =
+        World.create ~nics:2
+          ~tuning:(planned_tuning (Td_fault.uniform_plan 1.0))
+          cfg
+      in
+      check int_c
+        (Config.name cfg ^ ": no injection at boot")
+        0 (World.fault_injected w))
+    [ Config.Xen_twin; Config.Xen_domU ]
+
+(* ... but boot does charge the quota engine: four channels' grant
+   pages exceed the default grant-entry cap *)
+let test_boot_charges_quota () =
+  let tuning =
+    { Config.default_tuning with Config.quota = Some Td_xen.Quota.default_limits }
+  in
+  check bool_c "4-NIC domU boot exceeds grant entries" true
+    (match World.create ~nics:4 ~tuning Config.Xen_domU with
+    | exception Td_xen.Quota.Quota_exceeded { domain = "guest0"; resource } ->
+        resource = Td_xen.Quota.resource_name Td_xen.Quota.Grant_entries
+    | _ -> false)
+
+let isolated_world ~seed ~notifications_per_s =
+  let tuning =
+    {
+      Config.default_tuning with
+      Config.recovery = Config.Restart_replay;
+      quota =
+        Some { Td_xen.Quota.default_limits with Td_xen.Quota.notifications_per_s };
+      fault_plan =
+        Some
+          {
+            Td_fault.zero_plan with
+            Td_fault.seed;
+            nic_lost_irq = 0.05;
+            nic_corrupt_rx = 0.02;
+          };
+    }
+  in
+  World.create ~nics:1 ~tuning Config.Xen_domU
+
+(* one frame of traffic: a transmit, and on every fourth frame a
+   received frame and a pump *)
+let isolation_frame w i =
+  let payload = String.make 600 'i' in
+  let contained f =
+    try f () with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
+  in
+  contained (fun () -> ignore (World.transmit w ~nic:0 ~payload));
+  if i mod 4 = 3 then begin
+    contained (fun () -> World.inject_rx w ~nic:0 ~payload);
+    contained (fun () -> World.pump w)
+  end
+
+let engine_totals w =
+  ( World.fault_injected w,
+    World.quota_throttled w,
+    Td_xen.Ledger.grand_total (World.ledger w) )
+
+(* two worlds driven frame by frame on one OCaml domain give exactly
+   what each gives alone: no fault stream, token bucket or counter is
+   shared *)
+let test_worlds_share_no_engine_state () =
+  let frames = 2000 in
+  let a_cfg = (5, 2_000.) and b_cfg = (9, 50_000.) in
+  let make (seed, notifications_per_s) =
+    isolated_world ~seed ~notifications_per_s
+  in
+  let alone cfg =
+    let w = make cfg in
+    for i = 0 to frames - 1 do
+      isolation_frame w i
+    done;
+    engine_totals w
+  in
+  let a_alone = alone a_cfg and b_alone = alone b_cfg in
+  let a = make a_cfg and b = make b_cfg in
+  for i = 0 to frames - 1 do
+    isolation_frame a i;
+    isolation_frame b i
+  done;
+  let totals = Alcotest.(triple int int int) in
+  check totals "A interleaved = A alone" a_alone (engine_totals a);
+  check totals "B interleaved = B alone" b_alone (engine_totals b);
+  (* the worlds really differ, so a shared engine would show *)
+  let ai, at, _ = a_alone and bi, bt, _ = b_alone in
+  check bool_c "both inject" true (ai > 0 && bi > 0);
+  check bool_c "different throttling" true (at <> bt)
 
 let suite =
   [
@@ -282,4 +390,8 @@ let suite =
       test_guest_fault_bad_grant;
     Alcotest.test_case "no-domains error names op" `Quick
       test_no_domains_names_operation;
+    Alcotest.test_case "boot draws no fault" `Quick test_boot_draws_nothing;
+    Alcotest.test_case "boot charges the quota" `Quick test_boot_charges_quota;
+    Alcotest.test_case "worlds share no engine state" `Quick
+      test_worlds_share_no_engine_state;
   ]

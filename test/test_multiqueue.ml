@@ -195,7 +195,7 @@ type netio_rig = {
   netio : Td_kernel.Xen_netio.t;
 }
 
-let make_netio_rig ?batch ?queue ?doorbell () =
+let make_netio_rig ?batch ?queue ?doorbell ?quota () =
   let open Td_xen in
   let m = Harness.make_machine () in
   let ledger = Ledger.create () in
@@ -215,7 +215,7 @@ let make_netio_rig ?batch ?queue ?doorbell () =
   Hypervisor.add_domain hyp guest;
   let km = Td_kernel.Kmem.create m.Harness.dom0 in
   let netio =
-    Td_kernel.Xen_netio.create ?batch ?queue ?doorbell ~hyp ~dom0 ~guest
+    Td_kernel.Xen_netio.create ?batch ?queue ?doorbell ?quota ~hyp ~dom0 ~guest
       ~kmem:km
       ~driver_tx:(fun _ -> ())
       ()
@@ -266,24 +266,24 @@ let test_rx_quota_throttles_delivery () =
   let open Td_kernel in
   (* frozen quota clock: the bucket holds exactly [burst] tokens and
      never refills, so the outcome is deterministic *)
-  Td_xen.Quota.install
-    { Td_xen.Quota.unlimited with Td_xen.Quota.rx_per_s = 1.; burst = 2. };
-  Fun.protect ~finally:Td_xen.Quota.clear (fun () ->
-      let rig = make_netio_rig () in
-      let io = rig.netio in
-      let got = ref 0 in
-      Xen_netio.set_guest_rx io (fun _ -> incr got);
-      Xen_netio.post_rx_buffers io 8;
-      for _ = 1 to 5 do
-        deliver rig
-      done;
-      check int_c "burst-sized prefix delivered" 2 (Xen_netio.rx_count io);
-      check int_c "guest saw the delivered frames" 2 !got;
-      check int_c "remainder throttled, not errored" 3
-        (Xen_netio.rx_throttled io);
-      check int_c "throttle is not the no-buffer drop path" 0
-        (Xen_netio.rx_dropped io);
-      check int_c "quota recorded the denials" 3 (Td_xen.Quota.throttled ()))
+  let quota =
+    Td_xen.Quota.make
+      { Td_xen.Quota.unlimited with Td_xen.Quota.rx_per_s = 1.; burst = 2. }
+  in
+  let rig = make_netio_rig ~quota () in
+  let io = rig.netio in
+  let got = ref 0 in
+  Xen_netio.set_guest_rx io (fun _ -> incr got);
+  Xen_netio.post_rx_buffers io 8;
+  for _ = 1 to 5 do
+    deliver rig
+  done;
+  check int_c "burst-sized prefix delivered" 2 (Xen_netio.rx_count io);
+  check int_c "guest saw the delivered frames" 2 !got;
+  check int_c "remainder throttled, not errored" 3 (Xen_netio.rx_throttled io);
+  check int_c "throttle is not the no-buffer drop path" 0
+    (Xen_netio.rx_dropped io);
+  check int_c "quota recorded the denials" 3 (Td_xen.Quota.throttled quota)
 
 let test_grant_copy_byte_quota () =
   let open Td_xen in
@@ -298,7 +298,15 @@ let test_grant_copy_byte_quota () =
     Domain.create ~id:1 ~name:"guest" ~kind:Domain.Guest ~space:gspace
   in
   Hypervisor.add_domain hyp guest;
-  let gt = Grant_table.create ~owner:guest in
+  let quota =
+    Quota.make
+      {
+        Quota.unlimited with
+        Quota.grant_copy_bytes_per_s = 1.;
+        grant_copy_burst_bytes = 100.;
+      }
+  in
+  let gt = Grant_table.create ~quota ~owner:guest () in
   let gpage = Td_mem.Addr_space.heap_alloc gspace 4096 in
   let frame =
     Option.get
@@ -306,29 +314,20 @@ let test_grant_copy_byte_quota () =
          ~vpage:(Td_mem.Layout.page_of gpage))
   in
   let r = Grant_table.grant gt ~frame in
-  Quota.install
-    {
-      Quota.unlimited with
-      Quota.grant_copy_bytes_per_s = 1.;
-      grant_copy_burst_bytes = 100.;
-    };
-  Fun.protect ~finally:Quota.clear (fun () ->
-      (* 64 bytes fit the 100-byte bucket; the next 64 do not — the draw
-         is all-or-nothing, so the second copy is denied in full *)
-      Grant_table.copy_to gt ~hyp r ~offset:0 ~src:(Bytes.make 64 'x');
-      check bool_c "second copy denied" true
-        (match
-           Grant_table.copy_to gt ~hyp r ~offset:0 ~src:(Bytes.make 64 'y')
-         with
-        | exception Quota.Quota_exceeded { domain; _ } -> domain = "guest"
-        | () -> false);
-      check bool_c "copy_from drains the same bucket" true
-        (match Grant_table.copy_from gt ~hyp r ~offset:0 ~len:64 with
-        | exception Quota.Quota_exceeded _ -> true
-        | _ -> false);
-      (* a draw that fits the remaining 36 tokens still succeeds *)
-      check bool_c "small copy still admitted" true
-        (Bytes.length (Grant_table.copy_from gt ~hyp r ~offset:0 ~len:16) = 16))
+  (* 64 bytes fit the 100-byte bucket; the next 64 do not — the draw is
+     all-or-nothing, so the second copy is denied in full *)
+  Grant_table.copy_to gt ~hyp r ~offset:0 ~src:(Bytes.make 64 'x');
+  check bool_c "second copy denied" true
+    (match Grant_table.copy_to gt ~hyp r ~offset:0 ~src:(Bytes.make 64 'y') with
+    | exception Quota.Quota_exceeded { domain; _ } -> domain = "guest"
+    | () -> false);
+  check bool_c "copy_from drains the same bucket" true
+    (match Grant_table.copy_from gt ~hyp r ~offset:0 ~len:64 with
+    | exception Quota.Quota_exceeded _ -> true
+    | _ -> false);
+  (* a draw that fits the remaining 36 tokens still succeeds *)
+  check bool_c "small copy still admitted" true
+    (Bytes.length (Grant_table.copy_from gt ~hyp r ~offset:0 ~len:16) = 16)
 
 (* ---- per-shard code registries ---- *)
 

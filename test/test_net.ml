@@ -124,15 +124,6 @@ let test_webserver_deterministic () =
     (a.Webserver.completed = b.Webserver.completed
     && a.Webserver.timed_out = b.Webserver.timed_out)
 
-let test_stats_helpers () =
-  check bool_c "mean" true (Td_sim.Stats.mean [ 1.; 2.; 3. ] = 2.0);
-  check bool_c "percentile" true
-    (Td_sim.Stats.percentile 50. [ 5.; 1.; 3. ] = 3.0);
-  let c = Td_sim.Stats.counter () in
-  Td_sim.Stats.incr c;
-  Td_sim.Stats.add c 4;
-  check int_c "counter" 5 (Td_sim.Stats.count c)
-
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -147,5 +138,4 @@ let suite =
       test_webserver_open_loop_monotone_offered;
     Alcotest.test_case "webserver deterministic" `Quick
       test_webserver_deterministic;
-    Alcotest.test_case "stats helpers" `Quick test_stats_helpers;
   ]

@@ -4,9 +4,6 @@
 
 open Td_misa
 
-let check = Alcotest.check
-let bool_c = Alcotest.bool
-
 (* --- stlb vs a reference model --- *)
 
 let stlb_model_prop =
@@ -313,17 +310,6 @@ let ledger_prop =
       Td_xen.Ledger.grand_total led
       = List.fold_left (fun acc (_, n) -> acc + n) 0 charges)
 
-let test_stats_percentile_edge () =
-  check bool_c "single element" true (Td_sim.Stats.percentile 99. [ 5. ] = 5.);
-  check bool_c "p0 -> min" true
-    (Td_sim.Stats.percentile 0. [ 3.; 1.; 2. ] = 1.);
-  check bool_c "p100 -> max" true
-    (Td_sim.Stats.percentile 100. [ 3.; 1.; 2. ] = 3.);
-  check bool_c "empty raises" true
-    (match Td_sim.Stats.percentile 50. [] with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest stlb_model_prop;
@@ -332,6 +318,4 @@ let suite =
     QCheck_alcotest.to_alcotest decode_valid_prefix_prop;
     QCheck_alcotest.to_alcotest engine_equivalence_prop;
     QCheck_alcotest.to_alcotest ledger_prop;
-    Alcotest.test_case "stats percentile edges" `Quick
-      test_stats_percentile_edge;
   ]

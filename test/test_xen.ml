@@ -92,7 +92,7 @@ let test_vif_is_shared_memory () =
 
 let test_grant_map_copy () =
   let m, hyp, dom0, guest = make_xen () in
-  let gt = Grant_table.create ~owner:guest in
+  let gt = Grant_table.create ~owner:guest () in
   let gpage = Td_mem.Addr_space.heap_alloc (Domain.space guest) 4096 in
   Td_mem.Addr_space.write (Domain.space guest) gpage Td_misa.Width.W32 0xFEED;
   let frame =
@@ -150,7 +150,7 @@ let test_grant_isolation () =
       (Td_mem.Addr_space.frame_of_vpage other_space
          ~vpage:(Td_mem.Layout.page_of other_page))
   in
-  let gt = Grant_table.create ~owner:guest in
+  let gt = Grant_table.create ~owner:guest () in
   let gpage = Td_mem.Addr_space.heap_alloc (Domain.space guest) 4096 in
   let gframe =
     Option.get
