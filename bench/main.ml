@@ -4,7 +4,9 @@
    `main.exe <experiment>` runs one of: fig5 fig6 fig7 fig8 fig9 fig10
    table1 rewrite-stats slowdown effort profile sensitivity ablations
    bechamel. `main.exe trajectory`, run from the repository root, checks
-   bench/trajectory.json and prints its last two rows side by side.
+   bench/trajectory.json and prints its last two rows side by side;
+   `main.exe trajectory --check BENCH_suite.json` fails if a suite
+   report's allocated words per frame rose above the last row.
 
    Observability is enabled for the whole run: every experiment returns a
    JSON payload that the dispatcher writes to BENCH_<name>.json (schema
@@ -1093,18 +1095,19 @@ let trajectory_rows json =
        min_int rows);
   rows
 
+let load_trajectory () =
+  match trajectory_rows (Td_suite.Json_read.of_file trajectory_file) with
+  | rows -> rows
+  | exception (Failure msg | Td_suite.Json_read.Error msg) ->
+      Printf.eprintf "%s: %s\n" trajectory_file msg;
+      exit 1
+  | exception Sys_error msg ->
+      Printf.eprintf "%s (run from the repository root)\n" msg;
+      exit 1
+
 let trajectory () =
   header (Printf.sprintf "Perf trajectory (%s): the last two PRs" trajectory_file);
-  let rows =
-    match trajectory_rows (Td_suite.Json_read.of_file trajectory_file) with
-    | rows -> rows
-    | exception (Failure msg | Td_suite.Json_read.Error msg) ->
-        Printf.eprintf "%s: %s\n" trajectory_file msg;
-        exit 1
-    | exception Sys_error msg ->
-        Printf.eprintf "%s (run from the repository root)\n" msg;
-        exit 1
-  in
+  let rows = load_trajectory () in
   let prev, last =
     match List.rev rows with
     | last :: prev :: _ -> (prev, last)
@@ -1127,6 +1130,61 @@ let trajectory () =
     last.medians;
   bench_json "trajectory"
     [ ("rows", Json.Int (List.length rows)); ("last_pr", Json.Int last.pr) ]
+
+(* The allocation gate: allocated words per frame are exact for a given
+   seed, so a suite report (any run length; the metric comes from pass 1)
+   may exceed the last trajectory row by at most this share on any
+   workload. *)
+let alloc_tolerance = 0.01
+
+let trajectory_check report =
+  header
+    (Printf.sprintf "Allocation gate: %s against the last row of %s" report
+       trajectory_file);
+  let last =
+    match List.rev (load_trajectory ()) with
+    | last :: _ -> last
+    | [] ->
+        Printf.eprintf "%s: no rows\n" trajectory_file;
+        exit 1
+  in
+  let workloads =
+    match Json.member "workloads" (Td_suite.Json_read.of_file report) with
+    | Some ws -> ws
+    | None | (exception (Sys_error _ | Td_suite.Json_read.Error _)) ->
+        Printf.eprintf "%s: not a suite report\n" report;
+        exit 1
+  in
+  Printf.printf "%-14s %12s %12s %8s\n" "workload"
+    (Printf.sprintf "PR %d" last.pr) "report" "change";
+  let failures =
+    List.filter_map
+      (fun (w, ms) ->
+        let base = List.assoc "alloc_words_per_frame" ms in
+        let value =
+          let ( let* ) = Option.bind in
+          let* body = Json.member w workloads in
+          let* metrics = Json.member "metrics" body in
+          let* m = Json.member "alloc_words_per_frame" metrics in
+          let* v = Json.member "value" m in
+          Td_suite.Json_read.to_float v
+        in
+        match value with
+        | None -> Some (Printf.sprintf "%s: no alloc_words_per_frame in %s" w report)
+        | Some v ->
+            Printf.printf "%-14s %12.2f %12.2f %+7.2f%%\n" w base v
+              (100. *. (v -. base) /. base);
+            if v > base *. (1. +. alloc_tolerance) then
+              Some
+                (Printf.sprintf "%s: %.2f words/frame, more than %.0f%% above PR %d's %.2f"
+                   w v (100. *. alloc_tolerance) last.pr base)
+            else None)
+      last.medians
+  in
+  List.iter (Printf.printf "FAILED %s\n") failures;
+  if failures <> [] then exit 1;
+  bench_json "trajectory"
+    [ ("checked", Json.String report); ("last_pr", Json.Int last.pr) ]
 
 let experiments =
   [
@@ -1176,6 +1234,8 @@ let () =
           if name <> "bechamel" && name <> "trajectory" then
             run_and_export (name, f))
         experiments
+  | [| _; "trajectory"; "--check"; report |] ->
+      run_and_export ("trajectory", fun () -> trajectory_check report)
   | [| _; name |] -> (
       match List.assoc_opt name experiments with
       | Some f -> run_and_export (name, f)
@@ -1184,5 +1244,6 @@ let () =
             (String.concat " " (List.map fst experiments));
           exit 1)
   | _ ->
-      Printf.eprintf "usage: %s [experiment]\n" Sys.argv.(0);
+      Printf.eprintf "usage: %s [experiment | trajectory --check REPORT]\n"
+        Sys.argv.(0);
       exit 1

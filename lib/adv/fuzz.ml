@@ -256,10 +256,10 @@ let op_nic (env : Harness.env) streams =
 let op_netio (env : Harness.env) streams =
   let io = env.att_netio in
   match Rng.below streams s_netio 8 with
-  | 0 -> Xen_netio.guest_transmit io (String.make (60 + Rng.below streams s_netio 1440) 'a')
+  | 0 -> Xen_netio.guest_transmit io ~hdr:"" (String.make (60 + Rng.below streams s_netio 1440) 'a')
   | 1 ->
       (* oversized frame: typed fault, charged to the attacker *)
-      Xen_netio.guest_transmit io
+      Xen_netio.guest_transmit io ~hdr:""
         (String.make (Td_mem.Layout.page_size + 1 + Rng.below streams s_netio 1000) 'a')
   | 2 -> (
       (* scribble the shared doorbell sequence words *)
@@ -344,7 +344,7 @@ let op_churn (env : Harness.env) streams cs violations =
       match pick streams s_churn cs.churn_dead with
       | None -> Hypervisor.hypercall env.hyp ()
       | Some io ->
-          Xen_netio.guest_transmit io
+          Xen_netio.guest_transmit io ~hdr:""
             (String.make (60 + Rng.below streams s_churn 200) 'c'))
   | 4 -> (
       match pick streams s_churn cs.churn_dead with
@@ -355,7 +355,7 @@ let op_churn (env : Harness.env) streams cs violations =
       match pick streams s_churn cs.churn_live with
       | None -> Hypervisor.hypercall env.hyp ()
       | Some (_, _, io) ->
-          Xen_netio.guest_transmit io
+          Xen_netio.guest_transmit io ~hdr:""
             (String.make (60 + Rng.below streams s_churn 1000) 'c'))
   | 6 -> (
       match pick streams s_churn cs.churn_live with

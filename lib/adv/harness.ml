@@ -144,7 +144,7 @@ let make ?quota ?(attacker_doorbell = true) () =
     Td_nic.E1000_dev.create
       ~fault_domain:(fun () -> Some (Domain.name attacker))
       ~dma:att_space ~mac:"\x02ADV00"
-      ~tx_frame:(fun _ -> incr att_wire)
+      ~tx_frame:(fun _ _ -> incr att_wire)
       ()
   in
   Td_nic.E1000_dev.attach nic ~space:att_space ~vaddr:nic_mmio_vaddr;
@@ -265,12 +265,12 @@ let contend ?quota ?(frames = 200) ?(attack_per_frame = 20)
       Hypervisor.run_in env.hyp env.attacker (fun () ->
           for _ = 1 to attack_per_frame do
             incr attempts;
-            match Xen_netio.guest_transmit env.att_netio attack with
+            match Xen_netio.guest_transmit env.att_netio ~hdr:"" attack with
             | () -> ()
             | exception Quota.Quota_exceeded _ -> incr throttled
           done);
     Hypervisor.run_in env.hyp env.victim (fun () ->
-        match Xen_netio.guest_transmit env.vic_netio payload with
+        match Xen_netio.guest_transmit env.vic_netio ~hdr:"" payload with
         | () -> ()
         | exception Quota.Quota_exceeded _ -> incr vic_throttled);
     Hypervisor.charge_xen env.hyp idle_cycles

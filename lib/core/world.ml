@@ -44,6 +44,9 @@ type nic_port = {
   mac : string;
   gmac : string;
   cmac : string;  (** the wire-side client's MAC *)
+  tx_hdr : string;
+      (** client MAC, NIC MAC, IPv4 ethertype: the Ethernet header of
+          every frame {!transmit} sends on this port *)
   wire : Td_nic.Wire.counters;
   mutable pending_irq : int;
   mutable quarantined : bool;
@@ -60,6 +63,9 @@ type guest_slot = {
   mutable gs_netios : (int * Xen_netio.t) array;
       (** (NIC index, channel), in attach order; Xen_domU only *)
   gs_macs : string array;  (** the guest's vif MAC on each NIC *)
+  gs_tx_hdrs : string array;
+      (** per NIC: client MAC, vif MAC, IPv4 ethertype — the Ethernet
+          header of the guest's {!transmit_from} frames *)
   gs_rx_pending : string Queue.t;  (** demuxed, awaiting guest schedule *)
   mutable gs_rx_count : int;
 }
@@ -208,8 +214,24 @@ let vif_mac g i = Printf.sprintf "\x02\x01%c\x00\x00%c" (Char.chr g) (Char.chr i
 let client_mac i = Printf.sprintf "\x02\x02\x00\x00\x00%c" (Char.chr i)
 let eth_header_bytes = 14
 
-(* One allocation per frame: the header and payload are blitted into a
-   single buffer that becomes the frame string. *)
+(* Transmit headers are built once per port or guest slot; the transmit
+   paths write header and payload straight into simulated memory. *)
+let eth_header ~dst ~src = dst ^ src ^ "\x08\x00"
+
+let fresh_slot ~dom ~space ~nics g =
+  {
+    gs_dom = dom;
+    gs_space = space;
+    gs_netios = [||];
+    gs_macs = Array.init nics (vif_mac g);
+    gs_tx_hdrs =
+      Array.init nics (fun i -> eth_header ~dst:(client_mac i) ~src:(vif_mac g i));
+    gs_rx_pending = Queue.create ();
+    gs_rx_count = 0;
+  }
+
+(* A frame arriving from the wire: one allocation, the header and
+   payload blitted into a single buffer that becomes the frame string. *)
 let build_frame ~dst ~src ~payload =
   let n = String.length payload in
   let b = Bytes.create (eth_header_bytes + n) in
@@ -355,6 +377,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
           mac;
           gmac = vif_mac 0 i;
           cmac = client_mac i;
+          tx_hdr = eth_header ~dst:(client_mac i) ~src:mac;
           wire;
           pending_irq = 0;
           quarantined = false;
@@ -527,14 +550,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
       slots =
         Array.init (Array.length guest_doms) (fun g ->
             Some
-              {
-                gs_dom = guest_doms.(g);
-                gs_space = guest_spaces.(g);
-                gs_netios = [||];
-                gs_macs = Array.init nics (vif_mac g);
-                gs_rx_pending = Queue.create ();
-                gs_rx_count = 0;
-              });
+              (fresh_slot ~dom:guest_doms.(g) ~space:guest_spaces.(g) ~nics g));
       quota;
       fault;
       dom0_stack_top;
@@ -987,18 +1003,20 @@ let init (w : t) =
                        ~args:[ p.nd.Netdev.addr ]))
           end))
     w.nics;
-  (* configuration-specific receive plumbing *)
+  (* configuration-specific receive plumbing; [Skb.contents] and
+     [read_block] return fresh buffers nothing else holds, so the
+     receive paths turn them into strings without a copy *)
   (match w.cfg with
   | Config.Native_linux ->
       Support.set_netif_rx w.sup (fun skb ->
           charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
-          count_rx w (Bytes.to_string (Skb.contents skb));
+          count_rx w (Bytes.unsafe_to_string (Skb.contents skb));
           free_any_skb w skb)
   | Config.Xen_dom0 ->
       Support.set_netif_rx w.sup (fun skb ->
           charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
           charge_xen_cat w w.costs.Sys_costs.virt_overhead_rx;
-          count_rx w (Bytes.to_string (Skb.contents skb));
+          count_rx w (Bytes.unsafe_to_string (Skb.contents skb));
           free_any_skb w skb)
   | Config.Xen_domU ->
       let h = Option.get w.hyp and g = Option.get w.guest in
@@ -1033,15 +1051,15 @@ let init (w : t) =
       Support.set_netif_rx w.sup (fun skb ->
           charge_dom0_cat w w.costs.Sys_costs.dom0_rx_kernel;
           let hdr =
-            Addr_space.read_block w.dom0_space
-              (Skb.data skb - eth_header_bytes)
-              eth_header_bytes
+            Bytes.unsafe_to_string
+              (Addr_space.read_block w.dom0_space
+                 (Skb.data skb - eth_header_bytes)
+                 eth_header_bytes)
           in
-          let dst = Bytes.sub_string hdr 0 6 in
-          match Bridge.lookup w.vswitch ~mac:dst with
+          match Bridge.lookup w.vswitch ~mac:(String.sub hdr 0 6) with
           | Some _ ->
               w.demux_skb <- Some skb;
-              Bridge.forward w.vswitch (Bytes.to_string hdr)
+              Bridge.forward w.vswitch hdr
           | None ->
               charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
               free_any_skb w skb);
@@ -1057,17 +1075,19 @@ let init (w : t) =
           let ctx_rx skb =
             charge_xen_cat w
               (w.costs.Sys_costs.twin_demux + w.costs.Sys_costs.twin_rx_queue);
-            let hdr =
-              Addr_space.read_block w.dom0_space
-                (Skb.data skb - eth_header_bytes)
-                eth_header_bytes
+            let dst =
+              Bytes.unsafe_to_string
+                (Addr_space.read_block w.dom0_space
+                   (Skb.data skb - eth_header_bytes)
+                   6)
             in
-            let dst = Bytes.sub_string hdr 0 6 in
             (match Hashtbl.find_opt w.gmac_index dst with
             | Some gi -> (
                 match slot_opt w gi with
                 | Some s ->
-                    Queue.push (Bytes.to_string (Skb.contents skb)) s.gs_rx_pending
+                    Queue.push
+                      (Bytes.unsafe_to_string (Skb.contents skb))
+                      s.gs_rx_pending
                 | None ->
                     (* destroyed since the MAC was learned: dom0-local *)
                     charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path)
@@ -1104,17 +1124,17 @@ let create ?nics ?guests ?upcall_set ?pool_entries ?costs ?spill_everything
 let transmit w ~nic ~payload =
   let p = w.nics.(nic) in
   if p.quarantined then raise (Nic_quarantined { nic });
-  let frame = build_frame ~dst:p.cmac ~src:p.mac ~payload in
+  let n = String.length payload in
+  let frame_len = eth_header_bytes + n in
   match w.cfg with
   | Config.Native_linux | Config.Xen_dom0 ->
       charge_dom0_cat w w.costs.Sys_costs.kernel_tx_path;
       if w.cfg = Config.Xen_dom0 then
         charge_xen_cat w w.costs.Sys_costs.virt_overhead_tx;
       let attempt () =
-        let skb =
-          Skb.alloc w.km w.dom0_space ~size:(String.length frame + 64)
-        in
-        Skb.put_string skb frame ~off:0 ~len:(String.length frame);
+        let skb = Skb.alloc w.km w.dom0_space ~size:(frame_len + 64) in
+        Skb.put_string skb p.tx_hdr ~off:0 ~len:eth_header_bytes;
+        Skb.put_string skb payload ~off:0 ~len:n;
         let r =
           run_dom0_driver w ~entry:w.dom0_driver.e_xmit
             ~args:[ skb.Skb.addr; p.nd.Netdev.addr ]
@@ -1143,7 +1163,7 @@ let transmit w ~nic ~payload =
                })
       (* the driver runs from netback's flush, already supervised there *)
       | Some io -> (
-          match Xen_netio.guest_transmit io frame with
+          match Xen_netio.guest_transmit io ~hdr:p.tx_hdr payload with
           | () -> true
           | exception Quota.Quota_exceeded _ ->
               (* throttled tenant: the frame dies at the frontend edge
@@ -1177,19 +1197,21 @@ let transmit w ~nic ~payload =
                the rest of the guest packet is chained through the page
                fragment pointer using a preallocated dom0 frame (§5.3) *)
             let pool = Option.get w.skb_pool in
-            let hdr = min 96 (String.length frame) in
+            let linear = min 96 frame_len in
             charge_xen_cat w
               (int_of_float
-                 (float_of_int hdr *. w.costs.Sys_costs.copy_per_byte));
-            Skb.put_string skb frame ~off:0 ~len:hdr;
-            if String.length frame > hdr then begin
+                 (float_of_int linear *. w.costs.Sys_costs.copy_per_byte));
+            Skb.put_string skb p.tx_hdr ~off:0 ~len:eth_header_bytes;
+            let head = linear - eth_header_bytes in
+            Skb.put_string skb payload ~off:0 ~len:head;
+            if frame_len > linear then begin
               charge_xen_cat w w.costs.Sys_costs.twin_frag_chain;
-              let rest = String.length frame - hdr in
+              let rest = frame_len - linear in
               let frag = Skb_pool.frag_buffer pool skb in
               (* chaining is a remap in the paper, not a copy: the bytes are
                  placed functionally but only the constant chain cost is
                  charged *)
-              Addr_space.write_string w.dom0_space frag frame ~off:hdr
+              Addr_space.write_string w.dom0_space frag payload ~off:head
                 ~len:rest;
               Skb.set_frag skb ~page:frag ~len:rest
             end;
@@ -1545,16 +1567,7 @@ let create_guest ?nic w =
   in
   Hypervisor.add_domain h dom;
   Scheduler.add w.sched dom;
-  let s =
-    {
-      gs_dom = dom;
-      gs_space = space;
-      gs_netios = [||];
-      gs_macs = Array.init (Array.length w.nics) (vif_mac g);
-      gs_rx_pending = Queue.create ();
-      gs_rx_count = 0;
-    }
-  in
+  let s = fresh_slot ~dom ~space ~nics:(Array.length w.nics) g in
   w.slots <- Array.append w.slots [| Some s |];
   (* the guest's vif MACs demux to its slot on every NIC (twin path) *)
   Array.iter (fun mac -> Hashtbl.replace w.gmac_index mac g) s.gs_macs;
@@ -1628,10 +1641,7 @@ let transmit_from ?nic w ~guest:g ~payload =
       if w.nics.(n).quarantined then raise (Nic_quarantined { nic = n });
       charge_domU_cat w w.costs.Sys_costs.kernel_tx_path;
       charge_dom0_cat w w.costs.Sys_costs.dom0_tx_kernel;
-      let frame =
-        build_frame ~dst:w.nics.(n).cmac ~src:s.gs_macs.(n) ~payload
-      in
-      match Xen_netio.guest_transmit io frame with
+      match Xen_netio.guest_transmit io ~hdr:s.gs_tx_hdrs.(n) payload with
       | () -> true
       | exception Quota.Quota_exceeded _ ->
           (* throttled tenant: the frame dies at the frontend edge *)

@@ -286,23 +286,30 @@ let call ?(max_steps = 1_000_000) t ~entry ~args =
   State.push st ret_sentinel;
   st.State.pc <- entry;
   (* natives re-enter the interpreter (upcalls), so each nested call gets
-     its own budget and the outer one is restored on the way out *)
+     its own budget and the outer one is restored on the way out, normal
+     or exceptional (written out: [Fun.protect]'s closures would allocate
+     on every driver call) *)
   let saved_fuel = st.State.fuel and saved_cap = st.State.fuel_cap in
   st.State.fuel <- max_steps;
   st.State.fuel_cap <- max_steps;
-  Fun.protect
-    ~finally:(fun () ->
+  (match
+     while st.State.pc <> ret_sentinel do
+       if st.State.fuel <= 0 then raise (Timeout st.State.fuel_cap);
+       if needs_slow_path t then begin
+         st.State.fuel <- st.State.fuel - 1;
+         step t
+       end
+       else exec_compiled t
+     done
+   with
+  | () ->
       st.State.fuel <- saved_fuel;
-      st.State.fuel_cap <- saved_cap)
-    (fun () ->
-      while st.State.pc <> ret_sentinel do
-        if st.State.fuel <= 0 then raise (Timeout st.State.fuel_cap);
-        if needs_slow_path t then begin
-          st.State.fuel <- st.State.fuel - 1;
-          step t
-        end
-        else exec_compiled t
-      done);
+      st.State.fuel_cap <- saved_cap
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      st.State.fuel <- saved_fuel;
+      st.State.fuel_cap <- saved_cap;
+      Printexc.raise_with_backtrace e bt);
   (* pop the arguments (caller cleans up, cdecl) *)
   State.set st Reg.ESP (State.get st Reg.ESP + (4 * List.length args));
   State.get st Reg.EAX

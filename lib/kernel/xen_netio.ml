@@ -308,12 +308,13 @@ let poll_tx t db =
     backend_drain_tx t ~budget:db.cfg.poll_budget
   end
 
-let guest_transmit t frame =
+let guest_transmit t ~hdr payload =
   if t.closed then
     Guest_fault.fail ~domain:(Domain.name t.guest)
       ~op:"Xen_netio.guest_transmit" "channel closed";
   let costs = Hypervisor.costs t.hyp in
-  let len = String.length frame in
+  let hlen = String.length hdr in
+  let len = hlen + String.length payload in
   if len > Td_mem.Layout.page_size then
     Guest_fault.fail ~domain:(Domain.name t.guest)
       ~op:"Xen_netio.guest_transmit" "frame of %d bytes exceeds the page" len;
@@ -338,8 +339,10 @@ let guest_transmit t frame =
   | _ -> ());
   let page, gref = t.tx_pages.(t.tx_prod mod slots) in
   t.tx_prod <- t.tx_prod + 1;
-  Td_mem.Addr_space.write_block (Domain.space t.guest) page
-    (Bytes.of_string frame);
+  let gspace = Domain.space t.guest in
+  Td_mem.Addr_space.write_string gspace page hdr ~off:0 ~len:hlen;
+  Td_mem.Addr_space.write_string gspace (page + hlen) payload ~off:0
+    ~len:(String.length payload);
   Hypervisor.charge_xen_for t.hyp ~domain:(Domain.name t.guest)
     costs.Sys_costs.io_channel;
   Queue.push (page, gref, len, now t) t.tx_staged;

@@ -85,9 +85,14 @@ val create :
 val set_guest_rx : t -> (string -> unit) -> unit
 (** Guest-side consumer of received frames. *)
 
-val guest_transmit : t -> string -> unit
-(** Frontend transmit path for one frame: stage in a granted page, push
-    on the I/O channel, and — once [batch] requests are pending — kick
+val guest_transmit : t -> hdr:string -> string -> unit
+(** [guest_transmit t ~hdr payload] is the frontend transmit path for
+    the frame [hdr ^ payload]. The two parts are written one after the
+    other straight into a granted page, with no copy of the whole frame
+    on the host; a caller that already holds a whole frame passes
+    [~hdr:""]. A frame larger than a page is a typed, attributed
+    {!Td_xen.Guest_fault.Fault}. The path stages the frame, pushes it
+    on the I/O channel, and — once [batch] requests are pending — kicks
     the backend, which maps, forwards and unmaps each staged frame in
     ring order. In polling mode the kick is replaced by a doorbell write;
     a full staging ring stalls the frontend on an inline backend poll. *)

@@ -170,22 +170,28 @@ let write t addr w v =
    shared chunk iterator, whose closure would allocate on every call.
    Reads take [Phys_mem.page_ro], so they leave a never-written frame on
    the zero page; writes take [Phys_mem.page]. *)
-let read_block t addr len =
-  let out = Bytes.create len in
+let read_into t addr dst ~pos:dst_pos ~len =
+  if dst_pos < 0 || len < 0 || dst_pos > Bytes.length dst - len then
+    invalid_arg "Addr_space.read_into: range outside the destination";
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
     let off = Layout.offset_of a in
     let chunk = min (len - !pos) (Layout.page_size - off) in
     (match mapping_of t a with
-    | Frame f -> Bytes.blit (Phys_mem.page_ro t.phys f) off out !pos chunk
+    | Frame f ->
+        Bytes.blit (Phys_mem.page_ro t.phys f) off dst (dst_pos + !pos) chunk
     | Device d ->
         for i = 0 to chunk - 1 do
-          Bytes.set out (!pos + i)
+          Bytes.set dst (dst_pos + !pos + i)
             (Char.chr (d.dev_read (off + i) Td_misa.Width.W8))
         done);
     pos := !pos + chunk
-  done;
+  done
+
+let read_block t addr len =
+  let out = Bytes.create len in
+  read_into t addr out ~pos:0 ~len;
   out
 
 let write_string t addr src ~off:src_off ~len =

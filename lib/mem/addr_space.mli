@@ -81,9 +81,15 @@ val write : t -> int -> Td_misa.Width.t -> int -> unit
     through a stale mapping) on either leaves memory untouched, like a
     precise x86 fault. *)
 
+val read_into : t -> int -> bytes -> pos:int -> len:int -> unit
+(** [read_into t addr buf ~pos ~len] copies [len] bytes from [addr] into
+    [buf] at [pos], page by page, straight from the backing frames. A
+    fault part-way leaves the bytes before it copied. Raises
+    [Invalid_argument] when the range is outside [buf]. *)
+
 val read_block : t -> int -> int -> bytes
-(** [read_block t addr len] copies [len] bytes into a fresh buffer,
-    straight from the backing frames. *)
+(** [read_block t addr len] is {!read_into} on a fresh buffer of [len]
+    bytes. *)
 
 val write_block : t -> int -> bytes -> unit
 (** Copy a buffer in, page by page, straight into the backing frames. A

@@ -1,7 +1,7 @@
 type t = {
   dma : Td_mem.Addr_space.t;
   mac : string;
-  tx_frame : string -> unit;
+  tx_frame : bytes -> int -> unit;
   fault_domain : unit -> string option;
       (** attributes guest-reachable faults (ring contents are guest
           memory when the device is driven by a domU) *)
@@ -16,7 +16,10 @@ type t = {
   msix : (unit -> unit) option array;
       (** per-queue MSI-X vectors; vector 0 falls back to [irq_handler] *)
   mutable itr_pending : int;  (** cause events since the last assertion *)
-  tx_accs : Buffer.t array;  (** per-queue frame assembled across descriptors *)
+  tx_bufs : bytes array;
+      (** per-queue DMA buffer the frame is assembled in across
+          descriptors; grows by doubling and is reused for every frame *)
+  tx_lens : int array;  (** bytes of [tx_bufs.(q)] assembled so far *)
   mutable tx_count : int;
   mutable rx_count : int;
   txq_counts : int array;
@@ -71,7 +74,8 @@ let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?fault
       irq_handler = None;
       msix = Array.make Regs.max_queues None;
       itr_pending = 0;
-      tx_accs = Array.init queues (fun _ -> Buffer.create 2048);
+      tx_bufs = Array.init queues (fun _ -> Bytes.create 2048);
+      tx_lens = Array.make queues 0;
       tx_count = 0;
       rx_count = 0;
       txq_counts = Array.make queues 0;
@@ -157,6 +161,20 @@ let desc_addr base i = base + (i * Regs.desc_bytes)
 
 (* --- transmit path --- *)
 
+(* Make room for [need] bytes in queue [q]'s frame buffer, keeping the
+   bytes assembled so far. *)
+let reserve t q need =
+  let buf = t.tx_bufs.(q) in
+  if need > Bytes.length buf then begin
+    let cap = ref (Bytes.length buf) in
+    while !cap < need do
+      cap := 2 * !cap
+    done;
+    let grown = Bytes.create !cap in
+    Bytes.blit buf 0 grown 0 t.tx_lens.(q);
+    t.tx_bufs.(q) <- grown
+  end
+
 let process_tx ?(queue = 0) t =
   (* fault-injection site: the DMA engine wedges — doorbells are ignored
      until the supervisor resets the device, and the frames queued in
@@ -180,7 +198,6 @@ let process_tx ?(queue = 0) t =
   if get t r_tdh >= entries then
     guest_err t ~op:"E1000_dev.process_tx" "TDH %d outside ring of %d entries"
       (get t r_tdh) entries;
-  let tx_acc = t.tx_accs.(queue) in
   let head = ref (get t r_tdh) in
   let any = ref false in
   (* a corrupted TDT (e.g. an injected bit-flip upstream of the doorbell
@@ -202,21 +219,24 @@ let process_tx ?(queue = 0) t =
     if len > max_desc_len then
       guest_err t ~op:"E1000_dev.process_tx"
         "descriptor %d length %d exceeds %d" !head len max_desc_len;
-    (let payload =
-       try Td_mem.Addr_space.read_block t.dma buf len
-       with Td_mem.Addr_space.Page_fault { addr; _ } ->
-         guest_err t ~op:"E1000_dev.process_tx"
-           "descriptor %d buffer DMA faulted at 0x%x" !head addr
-     in
-     Buffer.add_bytes tx_acc payload);
+    (* a fault leaves the assembled length alone, so the partial frame
+       is exactly what it was before this descriptor *)
+    let acc = t.tx_lens.(queue) in
+    reserve t queue (acc + len);
+    (try
+       Td_mem.Addr_space.read_into t.dma buf t.tx_bufs.(queue) ~pos:acc ~len
+     with Td_mem.Addr_space.Page_fault { addr; _ } ->
+       guest_err t ~op:"E1000_dev.process_tx"
+         "descriptor %d buffer DMA faulted at 0x%x" !head addr);
+    t.tx_lens.(queue) <- acc + len;
     if Td_obs.Control.enabled () then begin
       Td_obs.Metrics.bump_by "nic.dma.read_bytes" len;
       Td_obs.Trace.emit (Td_obs.Trace.Nic_dma { dir = `Read; bytes = len })
     end;
     if cmd land Regs.cmd_eop <> 0 then begin
-      let frame_bytes = Buffer.length tx_acc in
-      t.tx_frame (Buffer.contents tx_acc);
-      Buffer.clear tx_acc;
+      let frame_bytes = t.tx_lens.(queue) in
+      t.tx_frame t.tx_bufs.(queue) frame_bytes;
+      t.tx_lens.(queue) <- 0;
       t.tx_count <- t.tx_count + 1;
       t.txq_counts.(queue) <- t.txq_counts.(queue) + 1;
       if Td_obs.Control.enabled () then begin
@@ -359,7 +379,7 @@ let reset t =
   set t Regs.rah (b 4 lor (b 5 lsl 8) lor 0x8000_0000);
   t.itr_pending <- 0;
   t.dma_stuck <- false;
-  Array.iter Buffer.clear t.tx_accs;
+  Array.fill t.tx_lens 0 t.queues 0;
   lost
 
 (* --- MMIO dispatch --- *)

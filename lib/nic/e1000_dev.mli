@@ -35,12 +35,15 @@ val create :
   ?rss_seed:int ->
   dma:Td_mem.Addr_space.t ->
   mac:string ->
-  tx_frame:(string -> unit) ->
+  tx_frame:(bytes -> int -> unit) ->
   unit ->
   t
 (** [dma] is the address space the device's bus master sees (dom0);
     [mac] is a 6-byte string; [tx_frame] is the wire on the transmit
-    side. [fault_domain] names the domain to which guest-reachable
+    side. The device assembles each frame by DMA into a per-queue buffer
+    it reuses, and calls [tx_frame buf len] with the frame in the first
+    [len] bytes of [buf]. The buffer is valid only during the call: a
+    consumer copies what it keeps ([Bytes.sub_string buf 0 len]). [fault_domain] names the domain to which guest-reachable
     validation faults (bad register offsets, out-of-range ring cursors,
     descriptors pointing outside mapped memory) are attributed; they
     raise the typed {!Td_xen.Guest_fault.Fault} instead of

@@ -18,7 +18,7 @@ let rx_hdr_bytes = 4
 type t = {
   dma : Td_mem.Addr_space.t;
   mac : string;
-  tx_frame : string -> unit;
+  tx_frame : bytes -> int -> unit;
   fault_domain : unit -> string option;
       (** attributes guest-reachable faults (see {!E1000_dev}) *)
   regs : int array;
@@ -92,7 +92,7 @@ let start_tx t n size =
       (Td_obs.Trace.Nic_dma { dir = `Read; bytes = Bytes.length frame });
     Td_obs.Trace.emit (Td_obs.Trace.Nic_tx { bytes = Bytes.length frame })
   end;
-  t.tx_frame (Bytes.to_string frame);
+  t.tx_frame frame (Bytes.length frame);
   t.tx_count <- t.tx_count + 1;
   (* slot becomes free again, transmit-OK *)
   set t (tsd n) (tsd_own lor tsd_tok);

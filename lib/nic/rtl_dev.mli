@@ -45,12 +45,14 @@ val create :
   ?fault_domain:(unit -> string option) ->
   dma:Td_mem.Addr_space.t ->
   mac:string ->
-  tx_frame:(string -> unit) ->
+  tx_frame:(bytes -> int -> unit) ->
   unit ->
   t
 (** [fault_domain] as in {!E1000_dev.create}: guest-reachable validation
     failures raise the typed {!Td_xen.Guest_fault.Fault}, attributed to
-    the named domain. *)
+    the named domain. [tx_frame buf len] follows the {!E1000_dev.create}
+    contract: the frame is the first [len] bytes of [buf], valid only
+    during the call. *)
 
 val attach : t -> space:Td_mem.Addr_space.t -> vaddr:int -> unit
 val set_irq_handler : t -> (unit -> unit) -> unit

@@ -244,6 +244,70 @@ let test_fault_on_unmapped_code () =
     | exception Interp.Fault _ -> true
     | _ -> false)
 
+(* [Interp.call] gives each call its own budget and hands the caller's
+   back on every exit: normal return, a timeout, a fault, and a native
+   that re-enters the interpreter (an upcall). *)
+let test_call_restores_fuel () =
+  let m = Harness.make_machine () in
+  let st = Harness.dom0_cpu m in
+  let interp_ref = ref None in
+  let interp () = Option.get !interp_ref in
+  let b = Builder.create "t" in
+  Builder.label b "spin";
+  Builder.jmp b "spin";
+  Builder.label b "seven";
+  Builder.movl b (Builder.imm 7) (Builder.reg Reg.EAX);
+  Builder.ret b;
+  Builder.label b "upcall";
+  Builder.call b "reenter";
+  Builder.ret b;
+  let prog = ref None in
+  let addr l = Program.addr_of_label (Option.get !prog) l in
+  (* inside the native, the outer call's budget must survive each nested
+     call whatever way that call ends *)
+  let inner_ok = ref [] in
+  ignore
+    (Native.register m.Harness.natives "reenter" (fun st ->
+         let fuel = st.State.fuel and cap = st.State.fuel_cap in
+         let same () = st.State.fuel = fuel && st.State.fuel_cap = cap in
+         let r = Interp.call ~max_steps:50 (interp ()) ~entry:(addr "seven") ~args:[] in
+         inner_ok := (r = 7 && same ()) :: !inner_ok;
+         (match Interp.call ~max_steps:20 (interp ()) ~entry:(addr "spin") ~args:[] with
+         | exception Interp.Timeout _ -> inner_ok := same () :: !inner_ok
+         | _ -> inner_ok := false :: !inner_ok);
+         (match Interp.call (interp ()) ~entry:0x12345678 ~args:[] with
+         | exception Interp.Fault _ -> inner_ok := same () :: !inner_ok
+         | _ -> inner_ok := false :: !inner_ok);
+         State.set st Reg.EAX r));
+  let symbols name = Native.address_of m.Harness.natives name in
+  prog :=
+    Some
+      (Program.assemble ~symbols ~base:Td_mem.Layout.vm_driver_code_base
+         (Builder.finish b));
+  Code_registry.register m.Harness.registry (Option.get !prog);
+  interp_ref := Some (Harness.interp_of m st);
+  st.State.fuel <- 4242;
+  st.State.fuel_cap <- 9999;
+  let restored what =
+    check int_c (what ^ ": fuel") 4242 st.State.fuel;
+    check int_c (what ^ ": fuel_cap") 9999 st.State.fuel_cap
+  in
+  check bool_c "timeout raised" true
+    (match Interp.call ~max_steps:100 (interp ()) ~entry:(addr "spin") ~args:[] with
+    | exception Interp.Timeout 100 -> true
+    | _ -> false);
+  restored "after a timeout";
+  check bool_c "fault raised" true
+    (match Interp.call (interp ()) ~entry:0x12345678 ~args:[] with
+    | exception Interp.Fault _ -> true
+    | _ -> false);
+  restored "after a fault";
+  check int_c "upcall result" 7
+    (Interp.call ~max_steps:1000 (interp ()) ~entry:(addr "upcall") ~args:[]);
+  check (Alcotest.list bool_c) "outer budget kept across nested calls"
+    [ true; true; true ] !inner_ok;
+  restored "after a re-entrant native"
+
 let test_cycles_accumulate () =
   let _, st, _ =
     run (fun b _ ->
@@ -711,6 +775,8 @@ let suite =
     Alcotest.test_case "pushf/popf" `Quick test_pushf_popf;
     Alcotest.test_case "timeout" `Quick test_timeout;
     Alcotest.test_case "fault unmapped code" `Quick test_fault_on_unmapped_code;
+    Alcotest.test_case "call restores the caller's fuel" `Quick
+      test_call_restores_fuel;
     Alcotest.test_case "cycles accumulate" `Quick test_cycles_accumulate;
     Alcotest.test_case "tlb flush on switch" `Quick test_tlb_flush_on_switch;
     Alcotest.test_case "imul overflow flags" `Quick test_imul_overflow_flags;

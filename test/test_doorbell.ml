@@ -71,7 +71,7 @@ let test_mode_transitions () =
     (Xen_netio.tx_mode io);
   (* window 1: four frames at batch=1 = four kicks, at the threshold *)
   for _ = 1 to 4 do
-    Xen_netio.guest_transmit io (String.make 64 'a')
+    Xen_netio.guest_transmit io ~hdr:"" (String.make 64 'a')
   done;
   check int_c "burst was interrupt-driven" 4 (Xen_netio.flushes io);
   Xen_netio.on_tick io;
@@ -79,7 +79,7 @@ let test_mode_transitions () =
     (Xen_netio.tx_mode io);
   (* window 2: polling — no kicks, frames sit staged until a poll *)
   for _ = 1 to 3 do
-    Xen_netio.guest_transmit io (String.make 64 'b')
+    Xen_netio.guest_transmit io ~hdr:"" (String.make 64 'b')
   done;
   check int_c "no further notifications" 4 (Xen_netio.flushes io);
   check int_c "frames staged, not flushed" 3 (Xen_netio.staged io);
@@ -101,7 +101,7 @@ let test_mode_transitions () =
     (Xen_netio.tx_mode io);
   check int_c "two transitions recorded" 2 (Xen_netio.mode_switches io);
   (* traffic is interrupt-driven again *)
-  Xen_netio.guest_transmit io (String.make 64 'c');
+  Xen_netio.guest_transmit io ~hdr:"" (String.make 64 'c');
   check int_c "kick resumed" 5 (Xen_netio.flushes io)
 
 (* the rx direction runs the same state machine, driven by completions *)
@@ -170,8 +170,8 @@ let test_poll_budget_fairness () =
   let a = mk () and b = mk () in
   Hypervisor.switch_to hyp guest;
   for _ = 1 to 3 do
-    Xen_netio.guest_transmit a (String.make 64 'a');
-    Xen_netio.guest_transmit b (String.make 64 'b')
+    Xen_netio.guest_transmit a ~hdr:"" (String.make 64 'a');
+    Xen_netio.guest_transmit b ~hdr:"" (String.make 64 'b')
   done;
   check int_c "a staged" 3 (Xen_netio.staged a);
   check int_c "b staged" 3 (Xen_netio.staged b);
@@ -200,7 +200,7 @@ let test_cross_mode_bit_identity () =
     Xen_netio.set_guest_rx io (fun _ -> incr got);
     Xen_netio.post_rx_buffers io 8;
     for i = 1 to 10 do
-      Xen_netio.guest_transmit io (String.make (100 + i) 'x')
+      Xen_netio.guest_transmit io ~hdr:"" (String.make (100 + i) 'x')
     done;
     for _ = 1 to 5 do
       let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:512 in
@@ -239,7 +239,7 @@ let test_teardown_flushes_partial_batches () =
   (* stage partial batches both ways: 5 tx (< batch and > poll budget),
      3 rx completions *)
   for _ = 1 to 5 do
-    Xen_netio.guest_transmit io (String.make 64 't')
+    Xen_netio.guest_transmit io ~hdr:"" (String.make 64 't')
   done;
   for _ = 1 to 3 do
     let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:256 in

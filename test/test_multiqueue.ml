@@ -84,7 +84,7 @@ let make_mq_rig ~queues () =
   let dev =
     E1000_dev.create ~ring_entries:entries ~queues ~rss_seed:0x2A8F ~dma:space
       ~mac:"\x02\x00\x00\x00\x00\x07"
-      ~tx_frame:(fun f -> sent := f :: !sent)
+      ~tx_frame:(fun b len -> sent := Bytes.sub_string b 0 len :: !sent)
       ()
   in
   let mmio = E1000_dev.mmio_vaddr 0 in
@@ -240,13 +240,13 @@ let test_per_queue_doorbell_words () =
   Xen_netio.set_guest_rx io (fun _ -> ());
   Xen_netio.post_rx_buffers io 8;
   (* one kick per direction crosses the entry threshold at the tick *)
-  Xen_netio.guest_transmit io (String.make 64 'a');
+  Xen_netio.guest_transmit io ~hdr:"" (String.make 64 'a');
   deliver rig;
   Xen_netio.on_tick io;
   check bool_c "tx entered polling" true
     (Xen_netio.tx_mode io = Xen_netio.Polling);
   (* polling-mode traffic rings the queue-1 word pair *)
-  Xen_netio.guest_transmit io (String.make 64 'b');
+  Xen_netio.guest_transmit io ~hdr:"" (String.make 64 'b');
   deliver rig;
   let page = Option.get (Xen_netio.doorbell_vaddr io) in
   let gspace = Td_xen.Domain.space rig.guest in

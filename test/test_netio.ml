@@ -45,7 +45,7 @@ let test_guest_transmit_reaches_driver () =
   let rig = make_rig () in
   Hypervisor.switch_to rig.hyp rig.guest;
   let frame = "0123456789" ^ String.make 200 't' in
-  Xen_netio.guest_transmit rig.netio frame;
+  Xen_netio.guest_transmit rig.netio ~hdr:"" frame;
   (match !(rig.driver_frames) with
   | [ skb ] ->
       check bool_c "driver got the exact bytes" true
@@ -89,7 +89,7 @@ let test_costs_charged_per_direction () =
   let led = Hypervisor.ledger rig.hyp in
   Hypervisor.switch_to rig.hyp rig.guest;
   Ledger.reset led;
-  Xen_netio.guest_transmit rig.netio (String.make 100 'x');
+  Xen_netio.guest_transmit rig.netio ~hdr:"" (String.make 100 'x');
   check bool_c "tx charges guest work" true (Ledger.total led Ledger.DomU > 0);
   check bool_c "tx charges dom0 work" true (Ledger.total led Ledger.Dom0 > 0);
   check bool_c "tx charges xen work" true (Ledger.total led Ledger.Xen > 0);
@@ -110,12 +110,39 @@ let test_oversized_frame_rejected () =
   let rig = make_rig () in
   check bool_c "bigger than a page is refused" true
     (match
-       Xen_netio.guest_transmit rig.netio (String.make 5000 'x')
+       Xen_netio.guest_transmit rig.netio ~hdr:"" (String.make 5000 'x')
      with
     | exception
         Guest_fault.Fault { op = "Xen_netio.guest_transmit"; _ } ->
         true
     | _ -> false)
+
+(* The frontend writes [hdr] and then [payload] straight into the granted
+   page: the backend sees exactly their concatenation, a frame of exactly
+   one page is accepted, and one byte more is the typed fault the whole
+   frame would raise. *)
+let test_transmit_header_and_payload () =
+  let rig = make_rig () in
+  Hypervisor.switch_to rig.hyp rig.guest;
+  let hdr = "\x02\x02\x00\x00\x00\x00\x02\x01\x00\x00\x00\x00\x08\x00" in
+  let sent payload =
+    Xen_netio.guest_transmit rig.netio ~hdr payload;
+    match !(rig.driver_frames) with
+    | skb :: _ -> Bytes.to_string (Skb.contents skb)
+    | [] -> Alcotest.fail "no skb reached the driver"
+  in
+  let payload = String.init 200 (fun i -> Char.chr (i land 0xff)) in
+  check bool_c "staged frame is hdr ^ payload" true (sent payload = hdr ^ payload);
+  let full = String.make (Td_mem.Layout.page_size - String.length hdr) 'p' in
+  check bool_c "a page-sized frame is accepted" true (sent full = hdr ^ full);
+  check bool_c "a shorter frame after it is exact" true (sent "short" = hdr ^ "short");
+  check int_c "three frames" 3 (Xen_netio.tx_count rig.netio);
+  check (Alcotest.option Alcotest.string) "one byte over a page is refused"
+    (Some "Xen_netio.guest_transmit: frame of 4097 bytes exceeds the page")
+    (match Xen_netio.guest_transmit rig.netio ~hdr (full ^ "x") with
+    | () -> None
+    | exception Guest_fault.Fault { op; reason } -> Some (op ^ ": " ^ reason));
+  check int_c "the refused frame was not sent" 3 (Xen_netio.tx_count rig.netio)
 
 let suite =
   [
@@ -129,4 +156,6 @@ let suite =
       test_costs_charged_per_direction;
     Alcotest.test_case "oversized frame rejected" `Quick
       test_oversized_frame_rejected;
+    Alcotest.test_case "transmit writes header then payload" `Quick
+      test_transmit_header_and_payload;
   ]

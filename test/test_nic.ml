@@ -29,7 +29,7 @@ let make_rig () =
   let dev =
     E1000_dev.create ~ring_entries:entries ~dma:space
       ~mac:"\x02\x00\x00\x00\x00\x07"
-      ~tx_frame:(fun f -> sent := f :: !sent)
+      ~tx_frame:(fun b len -> sent := Bytes.sub_string b 0 len :: !sent)
       ()
   in
   let mmio = E1000_dev.mmio_vaddr 0 in
@@ -106,6 +106,70 @@ let test_tx_ring_wrap () =
   set_reg rig Regs.tdt 2;
   check int_c "wrapped to ten" 10 (E1000_dev.tx_count rig.dev);
   check int_c "head wrapped" 2 (reg rig Regs.tdh)
+
+(* Stage [data] in a fresh buffer behind tx descriptor [i]. *)
+let stage_tx rig i data ~eop =
+  let buf = Addr_space.heap_alloc rig.space (max 1 (String.length data)) in
+  Addr_space.write_string rig.space buf data ~off:0 ~len:(String.length data);
+  set_desc rig rig.tx_ring i Regs.d_buf buf;
+  set_desc rig rig.tx_ring i Regs.d_len (String.length data);
+  set_desc rig rig.tx_ring i Regs.d_cmd
+    (if eop then Regs.cmd_eop lor Regs.cmd_rs else Regs.cmd_rs)
+
+(* A ~9,000 B frame over three descriptors outgrows the device's initial
+   2,048 B frame buffer; a short frame after it must carry no stale tail
+   of the long one. *)
+let test_tx_jumbo_then_short () =
+  let rig = make_rig () in
+  let parts =
+    List.init 3 (fun i -> String.init 3000 (fun j -> Char.chr ((7 * j + i) land 0xff)))
+  in
+  List.iteri (fun i d -> stage_tx rig i d ~eop:(i = 2)) parts;
+  set_reg rig Regs.tdt 3;
+  check bool_c "jumbo frame intact" true (!(rig.sent) = [ String.concat "" parts ]);
+  stage_tx rig 3 "frame-two" ~eop:true;
+  set_reg rig Regs.tdt 4;
+  check bool_c "short frame has no stale tail" true
+    (List.hd !(rig.sent) = "frame-two");
+  check int_c "two frames" 2 (E1000_dev.tx_count rig.dev)
+
+(* A descriptor whose buffer is unmapped faults at that descriptor and
+   leaves the bytes assembled before it as they were; a reset then drops
+   them, so the next frame is clean. *)
+let test_tx_fault_mid_frame_then_reset () =
+  let rig = make_rig () in
+  stage_tx rig 0 "head|" ~eop:false;
+  set_desc rig rig.tx_ring 1 Regs.d_buf 0x10;
+  set_desc rig rig.tx_ring 1 Regs.d_len 64;
+  set_desc rig rig.tx_ring 1 Regs.d_cmd (Regs.cmd_eop lor Regs.cmd_rs);
+  let kick () =
+    match set_reg rig Regs.tdt 2 with
+    | () -> "no fault"
+    | exception Td_xen.Guest_fault.Fault { op; reason } -> op ^ ": " ^ reason
+  in
+  check Alcotest.string "typed fault at descriptor 1"
+    "E1000_dev.process_tx: descriptor 1 buffer DMA faulted at 0x10" (kick ());
+  check bool_c "nothing sent" true (!(rig.sent) = []);
+  (* the walk restarts at TDH = 0 on the next doorbell: the faulted
+     descriptor added nothing to the 5 bytes already assembled *)
+  stage_tx rig 1 "tail" ~eop:true;
+  set_reg rig Regs.tdt 2;
+  check bool_c "assembled length untouched by the fault" true
+    (!(rig.sent) = [ "head|head|tail" ]);
+  stage_tx rig 2 "part|" ~eop:false;
+  set_desc rig rig.tx_ring 3 Regs.d_buf 0x10;
+  set_desc rig rig.tx_ring 3 Regs.d_len 64;
+  set_desc rig rig.tx_ring 3 Regs.d_cmd (Regs.cmd_eop lor Regs.cmd_rs);
+  (match set_reg rig Regs.tdt 4 with
+  | () -> Alcotest.fail "unmapped buffer did not fault"
+  | exception Td_xen.Guest_fault.Fault _ -> ());
+  ignore (E1000_dev.reset rig.dev);
+  set_reg rig Regs.tdbal rig.tx_ring;
+  set_reg rig Regs.tdlen (entries * Regs.desc_bytes);
+  stage_tx rig 0 "clean" ~eop:true;
+  set_reg rig Regs.tdt 1;
+  check bool_c "next frame clean after reset" true
+    (List.hd !(rig.sent) = "clean")
 
 let prime_rx rig n =
   let bufs =
@@ -191,6 +255,10 @@ let suite =
     Alcotest.test_case "tx multi-descriptor frame" `Quick
       test_tx_multi_descriptor_frame;
     Alcotest.test_case "tx ring wrap" `Quick test_tx_ring_wrap;
+    Alcotest.test_case "tx jumbo frame, then a short one" `Quick
+      test_tx_jumbo_then_short;
+    Alcotest.test_case "tx fault mid-frame, then reset" `Quick
+      test_tx_fault_mid_frame_then_reset;
     Alcotest.test_case "rx delivery" `Quick test_rx_delivery;
     Alcotest.test_case "rx overflow drops" `Quick test_rx_overflow_drops;
     Alcotest.test_case "icr read clears" `Quick test_icr_read_clears;

@@ -37,7 +37,7 @@ let make_rig ~twin () =
   let wire = ref [] and delivered = ref [] in
   let dev =
     Td_nic.Rtl_dev.create ~dma:m.Harness.dom0 ~mac
-      ~tx_frame:(fun f -> wire := f :: !wire)
+      ~tx_frame:(fun b len -> wire := Bytes.sub_string b 0 len :: !wire)
       ()
   in
   let mmio = 0xC0F8_0000 in

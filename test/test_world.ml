@@ -77,6 +77,37 @@ let test_twin_setup_leaves_frames_shared () =
   check bool_c (Printf.sprintf "%d frames resident <= 64" resident) true
     (resident <= 64)
 
+(* Host allocation per MTU transmit, after warm-up, with observability
+   off: the frame goes from the caller's payload to the wire only through
+   simulated memory, so no step copies it into an OCaml value. A 1514 B
+   copy costs 191 words, so one reintroduced copy breaks either budget. *)
+let tx_words_per_frame cfg =
+  let w = World.create ~nics:1 cfg in
+  let payload = String.make 1500 'm' in
+  let run n =
+    for i = 1 to n do
+      ignore (World.transmit w ~nic:0 ~payload);
+      if i mod 8 = 0 then World.pump w
+    done
+  in
+  let was_on = Td_obs.Control.enabled () in
+  Td_obs.Control.disable ();
+  run 64;
+  let before = Gc.minor_words () in
+  run 256;
+  let words = (Gc.minor_words () -. before) /. 256. in
+  if was_on then Td_obs.Control.enable ();
+  check int_c "every frame on the wire" 320 (World.wire_tx_frames w);
+  words
+
+let test_tx_allocation_budget () =
+  let twin = tx_words_per_frame Config.Xen_twin in
+  check bool_c (Printf.sprintf "twin: %.1f words/frame < 120" twin) true
+    (twin < 120.);
+  let domu = tx_words_per_frame Config.Xen_domU in
+  check bool_c (Printf.sprintf "domU: %.1f words/frame < 250" domu) true
+    (domu < 250.)
+
 let test_twin_upcalls_when_demoted () =
   let w =
     World.create ~nics:1 ~upcall_set:[ "spin_trylock"; "spin_unlock_irqrestore" ]
@@ -360,6 +391,8 @@ let suite =
         test_twin_no_switch_on_data_path;
       Alcotest.test_case "twin: set-up leaves frames shared" `Quick
         test_twin_setup_leaves_frames_shared;
+      Alcotest.test_case "tx allocation budget (twin, domU)" `Quick
+        test_tx_allocation_budget;
       Alcotest.test_case "twin: demoted routines upcall" `Quick
         test_twin_upcalls_when_demoted;
       Alcotest.test_case "twin: vif defers interrupt" `Quick
