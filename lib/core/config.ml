@@ -34,8 +34,6 @@ type tuning = {
   map_window_pages : int;
   notify_batch : int;
   recovery : recovery;
-  compile_threshold : int;
-  superblock_cap : int;
   doorbell : bool;
   poll_entry_kicks : int;
   idle_hysteresis : int;
@@ -52,8 +50,6 @@ let default_tuning =
     map_window_pages = Td_mem.Layout.map_window_pages;
     notify_batch = 1;
     recovery = Fail_stop;
-    compile_threshold = 8;
-    superblock_cap = 64;
     doorbell = false;
     poll_entry_kicks = 8;
     idle_hysteresis = 3;

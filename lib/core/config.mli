@@ -38,14 +38,6 @@ type tuning = {
           interrupt (1 = kick every frame, the paper's baseline).
           Flushed on ring pressure, {!World.pump} and {!World.tick}. *)
   recovery : recovery;  (** driver supervisor policy on abort. *)
-  compile_threshold : int;
-      (** Dispatches of a block entry before the interpreter promotes it
-          to a compiled superblock (default 8). Simulated cycles are
-          identical for any threshold — only host wall-clock changes. *)
-  superblock_cap : int;
-      (** Maximum instructions traced into one compiled superblock,
-          including blocks stitched across unconditional jumps and
-          fallthrough edges (default 64). *)
   doorbell : bool;
       (** Give each I/O channel a shared doorbell page with NAPI-style
           adaptive mode switching (see {!Xen_netio.doorbell_cfg}). Off by
@@ -80,11 +72,10 @@ type tuning = {
           the world then owns a {!Td_fault.zero_plan} engine that only
           counts its lost frames. *)
   queues : int;
-      (** tx/rx ring pairs per NIC (MSI-X style, default 1). Queue 0
-          keeps the legacy register block and legacy INTx cause bits, so
-          [queues = 1] is bit-identical to the single-queue model. With
-          more queues the device steers rx frames with the RSS demux and
-          raises one interrupt vector per queue. *)
+      (** Execution contexts of an {!Mq} run (default 1, at most 8): one
+          single-queue world per queue, with flows steered onto them by
+          the RSS demux. {!World.create} requires 1 — the simulated NIC
+          has one ring pair. *)
   shards : int;
       (** OCaml domains used by {!Mq} to advance independent
           (guest, queue) execution contexts in parallel (default 1 =

@@ -511,8 +511,8 @@ let mq_leg ?(clock = fun () -> 0.0) ~queues ~shards ~frames () =
   let wall = clock () -. t0 in
   (mq, wall)
 
-let multiqueue ?(frames = 2048) ?(queue_counts = [ 1; 2; 4; 8 ])
-    ?(shard_counts = [ 1; 2; 4 ]) ?(clock = fun () -> 0.0) () =
+let multiqueue ?(clock = fun () -> 0.0) () =
+  let frames = 2048 in
   (* leg A: simulated-throughput scaling with the queue count, always
      sequential — the simulated numbers may not depend on the host *)
   let mq_points_queues =
@@ -532,7 +532,7 @@ let multiqueue ?(frames = 2048) ?(queue_counts = [ 1; 2; 4; 8 ])
             (if sim_s = 0. then 0.
              else float_of_int (bytes * 8) /. sim_s /. 1e6);
         })
-      queue_counts
+      [ 1; 2; 4; 8 ]
   in
   (* leg B: host wall-clock and ledger digests across shard counts at
      the full queue fan-out *)
@@ -545,7 +545,7 @@ let multiqueue ?(frames = 2048) ?(queue_counts = [ 1; 2; 4; 8 ])
           mq_wall_s = wall;
           mq_digest = mq_digest (Mq.merged_ledger mq);
         })
-      shard_counts
+      [ 1; 2; 4 ]
   in
   let mq_ledger_bit_identical =
     match mq_points_shards with

@@ -141,12 +141,13 @@ val doorbell :
   unit ->
   doorbell_point list
 
-(** Multi-queue / sharded-simulation bench (docs/MULTIQUEUE.md): leg A
-    sweeps the queue count with sequential execution and reports
+(** Multi-queue / sharded-simulation bench (docs/MULTIQUEUE.md), 2048
+    frames per leg: leg A sweeps the queue count (1, 2, 4, 8) with
+    sequential execution and reports
     simulated transmit throughput (near-linear scaling expected — the
     contexts advance concurrently in simulated time, so elapsed cycles
     are the max per-context total); leg B fixes eight queues and sweeps
-    the shard count, measuring host wall-clock with [clock] (pass
+    the shard count (1, 2, 4), measuring host wall-clock with [clock] (pass
     [Unix.gettimeofday]; simulated results must digest identically for
     every shard count); leg C checks the feature-off aggregate is
     indistinguishable from a plain unsharded world. *)
@@ -177,13 +178,7 @@ type mq_report = {
   mq_single_queue_identical : bool;  (** leg C *)
 }
 
-val multiqueue :
-  ?frames:int ->
-  ?queue_counts:int list ->
-  ?shard_counts:int list ->
-  ?clock:(unit -> float) ->
-  unit ->
-  mq_report
+val multiqueue : ?clock:(unit -> float) -> unit -> mq_report
 
 (** Ablations (DESIGN.md §5). *)
 

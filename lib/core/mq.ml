@@ -1,18 +1,16 @@
-(* The sharded multi-queue simulation: one World per (guest, queue)
-   execution context, an RSS demux steering traffic onto contexts the
-   same way the multi-queue e1000 steers frames onto rings, and a
-   Shard runner advancing the contexts — sequentially or on OCaml
-   domains — followed by a deterministic merge of the per-context
-   cycle ledgers.
+(* The multi-queue simulation: one World per (guest, queue) execution
+   context, an RSS demux steering flows onto contexts the way a
+   multi-queue NIC steers frames onto rings, and a Shard runner
+   advancing the contexts — sequentially or on OCaml domains — followed
+   by a deterministic merge of the per-context cycle ledgers.
 
-   Each context is a complete single-queue world pinned to its own
-   stlb partition (World ~shard) and its own doorbell word-pair
-   (Xen_netio ~queue), so contexts share no simulated state at all.
-   Each context builds its own quota and fault engines from the shared
-   tuning, so quotas and fault plans compose with shards > 1; the one
-   remaining process-global a parallel run could race on is the metric
-   registry, which Shard.run disables around the whole run (both
-   paths). *)
+   Each context is a complete single-queue world with its own simulated
+   memory, so contexts share no simulated state at all, and a context's
+   queue index changes nothing inside it. Each context builds its own
+   quota and fault engines from the shared tuning, so quotas and fault
+   plans compose with shards > 1; the one remaining process-global a
+   parallel run could race on is the metric registry, which Shard.run
+   disables around the whole run (both paths). *)
 
 module Rss = Td_nic.Rss
 
@@ -24,19 +22,20 @@ type t = {
   ctxs : World.t array;
 }
 
+let max_queues = 8
+
 let create ?(nics = 1) ?(tuning = Config.default_tuning) cfg =
   let queues = tuning.Config.queues in
-  if queues < 1 || queues > Td_nic.Regs.max_queues then
+  if queues < 1 || queues > max_queues then
     invalid_arg
-      (Printf.sprintf "Mq.create: queues must be 1..%d (got %d)"
-         Td_nic.Regs.max_queues queues);
+      (Printf.sprintf "Mq.create: queues must be 1..%d (got %d)" max_queues
+         queues);
   (* Each context is a single-queue world: the multi-queue steering
-     happens up here, one context per queue, exactly mirroring what the
-     device-level RSS demux does across its rings. *)
+     happens up here, one context per queue. *)
   let ctx_tuning = { tuning with Config.queues = 1 } in
   let ctxs =
-    Array.init queues (fun q ->
-        World.create ~nics ~guests:1 ~shard:q ~tuning:ctx_tuning cfg)
+    Array.init queues (fun _ ->
+        World.create ~nics ~guests:1 ~tuning:ctx_tuning cfg)
   in
   { cfg; tuning; queues; rss = Rss.of_seed tuning.Config.rss_seed; ctxs }
 

@@ -1,10 +1,12 @@
-(** The sharded multi-queue simulation.
+(** The multi-queue simulation, and the only multi-queue model: the
+    simulated e1000 itself has one ring pair.
 
     An {!Mq.t} is an array of {!World.t} execution contexts — one per
-    NIC queue, each a complete single-queue world pinned to its own
-    stlb partition and per-queue doorbell words — plus the same RSS
-    demux the multi-queue e1000 uses to steer frames onto rings
-    ({!Td_nic.Rss}), lifted up to steer whole flows onto contexts.
+    NIC queue, each a complete single-queue world with its own
+    simulated memory — plus an RSS demux ({!Td_nic.Rss}) that steers
+    whole flows onto contexts. Contexts share no simulated state, and a
+    context's queue index changes nothing inside it: each context's
+    ledger equals a plain {!World.t} driven with the same traffic.
 
     {!run} advances the contexts with {!Shard.run}: sequentially when
     [tuning.shards <= 1], else round-robin over that many OCaml 5
@@ -16,9 +18,9 @@
 type t
 
 val create : ?nics:int -> ?tuning:Config.tuning -> Config.t -> t
-(** One single-queue world per [tuning.queues] (validated against
-    {!Td_nic.Regs.max_queues}), context [q] created with
-    [World.create ~shard:q]. Each context builds its own engines from
+(** One single-queue world per [tuning.queues] (1..8),
+    each created by {!World.create} with [tuning.queues = 1] and one
+    guest. Each context builds its own engines from
     [tuning.quota] and [tuning.fault_plan], so quotas and fault plans
     compose with any shard count and sequential and sharded runs stay
     bit-identical. *)

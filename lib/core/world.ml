@@ -73,10 +73,6 @@ type guest_slot = {
 type t = {
   cfg : Config.t;
   tuning : Config.tuning;
-  shard : int;
-      (** this world's shard index: selects its stlb partition and the
-          per-queue doorbell words of its I/O channels ({!Mq}) *)
-  hyp_stlb_vaddr : int;  (** base of this shard's stlb partition *)
   phys : Phys_mem.t;
   dom0_space : Addr_space.t;
   xen_space : Addr_space.t;
@@ -144,7 +140,6 @@ type t = {
 let rx_queue_capacity = 4096
 
 let config t = t.cfg
-let shard t = t.shard
 let nic_count t = Array.length t.nics
 let ledger t = t.led
 let support t = t.sup
@@ -266,27 +261,13 @@ let needs_guest = function
   | Config.Native_linux | Config.Xen_dom0 -> false
   | Config.Xen_domU | Config.Xen_twin -> true
 
-(* stlb partitions: the region between [Layout.stlb_base] and
-   [Layout.hyp_scratch_base] (1 MiB) holds 32 disjoint 32 KiB stlb
-   tables; shard [s] owns partition [s mod 32]. Partition 0 IS the
-   historical table, so shard 0 is bit-identical to an unsharded world. *)
-let stlb_partitions =
-  (Layout.hyp_scratch_base - Layout.stlb_base)
-  / (Layout.stlb_entries * Layout.stlb_entry_bytes)
-
-let stlb_partition_base shard =
-  Layout.stlb_base
-  + (shard mod stlb_partitions) * (Layout.stlb_entries * Layout.stlb_entry_bytes)
-
 let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
     ?(costs = Sys_costs.default) ?spill_everything ?rewrite_style
-    ?cache_probes ?(map_pairs = true) ?(shard = 0) ~tuning ~fault cfg =
+    ?cache_probes ?(map_pairs = true) ~tuning ~fault cfg =
   if guests < 1 then invalid_arg "World.create: guests must be >= 1";
   if guests > 256 then invalid_arg "World.create: at most 256 guests";
-  if shard < 0 then invalid_arg "World.create: shard must be >= 0";
   if tuning.Config.notify_batch < 1 then
     invalid_arg "World.create: notify_batch must be >= 1";
-  let hyp_stlb_vaddr = stlb_partition_base shard in
   let phys = Phys_mem.create ~frames:200_000 () in
   let dom0_space = Addr_space.create ~name:"dom0" phys in
   Addr_space.heap_init dom0_space ~base:Layout.dom0_heap_base
@@ -365,7 +346,6 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         let mac = host_mac i in
         let dev =
           Td_nic.E1000_dev.create ~fault ~dma:dom0_space ~mac
-            ~queues:tuning.Config.queues ~rss_seed:tuning.Config.rss_seed
             ~tx_frame:(Td_nic.Wire.sink wire) ()
         in
         let mmio = Td_nic.E1000_dev.mmio_vaddr i in
@@ -387,14 +367,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
   Array.iter
     (fun p ->
       Td_nic.E1000_dev.set_irq_handler p.dev (fun () ->
-          p.pending_irq <- p.pending_irq + 1);
-      (* per-queue MSI-X vectors all funnel into the same pending count:
-         the single simulated vCPU services them through one pump, so
-         queues>1 changes steering/vectors but not interrupt accounting *)
-      for v = 1 to Td_nic.E1000_dev.queues p.dev - 1 do
-        Td_nic.E1000_dev.set_msix_handler p.dev ~vector:v (fun () ->
-            p.pending_irq <- p.pending_irq + 1)
-      done)
+          p.pending_irq <- p.pending_irq + 1))
     ports;
   (* support natives & driver images *)
   Support.register_dom0_natives sup natives;
@@ -454,9 +427,8 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         let h = Option.get hyp and d0 = Option.get dom0 in
         let hyp_rt =
           Td_svm.Runtime.create_hypervisor ~map_pairs
-            ~window_pages:tuning.Config.map_window_pages
-            ~stlb_vaddr:hyp_stlb_vaddr ~fault ~dom0:dom0_space ~hyp:xen_space
-            ()
+            ~window_pages:tuning.Config.map_window_pages ~fault
+            ~dom0:dom0_space ~hyp:xen_space ()
         in
         Td_svm.Runtime.register_natives hyp_rt natives;
         let pool =
@@ -502,7 +474,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
         let hyp_syms =
           Td_rewriter.Loader.overlay
             (Td_rewriter.Loader.svm_symbols ~runtime:hyp_rt ~natives
-               ~stlb_vaddr:hyp_stlb_vaddr
+               ~stlb_vaddr:Layout.stlb_base
                ~scratch_vaddr:Layout.hyp_scratch_base)
             (Td_rewriter.Loader.overlay
                (fun n ->
@@ -533,8 +505,6 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
     {
       cfg;
       tuning;
-      shard;
-      hyp_stlb_vaddr;
       phys;
       dom0_space;
       xen_space;
@@ -570,11 +540,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
       vswitch = Bridge.create ();
       demux_skb = None;
       gmac_index = Hashtbl.create 8;
-      interp =
-        (let i = Interp.create ~fault cpu registry natives in
-         Interp.set_compile_threshold i tuning.Config.compile_threshold;
-         Interp.set_superblock_cap i tuning.Config.superblock_cap;
-         i);
+      interp = Interp.create ~fault cpu registry natives;
       timers = Timer_wheel.create ();
       sched =
         (let sc = Scheduler.create () in
@@ -893,8 +859,8 @@ let attach_channel w ~guest:g ~nic =
     else None
   in
   let netio =
-    Xen_netio.create ~batch:w.tuning.Config.notify_batch ~queue:w.shard
-      ?doorbell ?quota:w.quota ~hyp:h ~dom0:d0 ~guest:s.gs_dom ~kmem:w.km
+    Xen_netio.create ~batch:w.tuning.Config.notify_batch ?doorbell
+      ?quota:w.quota ~hyp:h ~dom0:d0 ~guest:s.gs_dom ~kmem:w.km
       ~driver_tx:(fun skb ->
         (* netback's call into the driver: the sk_buff is kmem memory
            and survives a restart, so replay can re-run the transmit on
@@ -971,7 +937,7 @@ let init (w : t) =
   | Some hyp_rt, Some (vm_rt, vm_stlb) ->
       Interp.set_probes w.interp
         [
-          (w.hyp_stlb_vaddr + 4, Td_svm.Runtime.note_inline_hit hyp_rt);
+          (Layout.stlb_base + 4, Td_svm.Runtime.note_inline_hit hyp_rt);
           (vm_stlb + 4, Td_svm.Runtime.note_inline_hit vm_rt);
         ]
   | _ -> ());
@@ -1103,8 +1069,16 @@ let init (w : t) =
   w
 
 let create ?nics ?guests ?upcall_set ?pool_entries ?costs ?spill_everything
-    ?rewrite_style ?cache_probes ?map_pairs ?shard
-    ?(tuning = Config.default_tuning) cfg =
+    ?rewrite_style ?cache_probes ?map_pairs ?(tuning = Config.default_tuning)
+    cfg =
+  (* the device has one ring pair: multi-queue runs are Mq's, one
+     single-queue world per queue *)
+  if tuning.Config.queues <> 1 then
+    invalid_arg
+      (Printf.sprintf
+         "World.create: tuning.queues must be 1 (got %d); use Mq.create for \
+          multi-queue runs"
+         tuning.Config.queues);
   let fault =
     Td_fault.Engine.make
       (Option.value tuning.Config.fault_plan ~default:Td_fault.zero_plan)
@@ -1116,8 +1090,8 @@ let create ?nics ?guests ?upcall_set ?pool_entries ?costs ?spill_everything
   Td_fault.Engine.suspend fault (fun () ->
       init
         (create ?nics ?guests ?upcall_set ?pool_entries ?costs
-           ?spill_everything ?rewrite_style ?cache_probes ?map_pairs ?shard
-           ~tuning ~fault cfg))
+           ?spill_everything ?rewrite_style ?cache_probes ?map_pairs ~tuning
+           ~fault cfg))
 
 (* ---- traffic ---- *)
 

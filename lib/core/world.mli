@@ -21,7 +21,6 @@ val create :
   ?rewrite_style:Td_rewriter.Rewrite.style ->
   ?cache_probes:bool ->
   ?map_pairs:bool ->
-  ?shard:int ->
   ?tuning:Config.tuning ->
   Config.t ->
   t
@@ -40,19 +39,12 @@ val create :
     them; boot runs with the fault engine suspended, so it draws
     nothing, but charges the quota engine.
 
-    [shard] (default 0) marks this world as one (guest, queue) execution
-    context of a sharded simulation ({!Mq}): it selects the world's stlb
-    partition (32 KiB tables packed between [Layout.stlb_base] and the
-    hypervisor scratch page, partition [shard mod 32]) and the per-queue
-    doorbell words of its I/O channels. Shard 0 uses the historical
-    table base and is bit-identical to an unsharded world. *)
+    A world's NICs have one ring pair each, so [tuning.queues] must be 1
+    ([Invalid_argument] otherwise). Multi-queue runs go through {!Mq},
+    which builds one single-queue world per queue; every world owns its
+    own simulated memory, so those worlds share no state. *)
 
 val config : t -> Config.t
-
-(** [shard t] is the shard index this world was created with (0 by
-    default). *)
-
-val shard : t -> int
 val nic_count : t -> int
 val ledger : t -> Td_xen.Ledger.t
 val support : t -> Td_kernel.Support.t

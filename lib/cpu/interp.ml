@@ -36,7 +36,6 @@ type t = {
   cc_hot : int array; (* min_int = known uncompilable *)
   cc_blk : Superblock.t option array;
   mutable compile_threshold : int;
-  mutable superblock_cap : int;
   mutable compiled_blocks : int;
   mutable compiled_hits : int;
   mutable compiled_bailouts : int;
@@ -62,7 +61,6 @@ let create ?hook ?fault state registry natives =
     cc_hot = Array.make bc_size 0;
     cc_blk = Array.make bc_size None;
     compile_threshold = default_compile_threshold;
-    superblock_cap = default_superblock_cap;
     compiled_blocks = 0;
     compiled_hits = 0;
     compiled_bailouts = 0;
@@ -72,7 +70,6 @@ let create ?hook ?fault state registry natives =
 let state t = t.state
 let registry t = t.registry
 let set_compile_threshold t n = t.compile_threshold <- max 1 n
-let set_superblock_cap t n = t.superblock_cap <- max 1 n
 
 let add_hook t h =
   match t.hook with
@@ -232,7 +229,8 @@ let compile_at t pc =
   match resolve_uncached t pc with
   | prog, idx ->
       Superblock.compile ~natives:t.natives ~costs:t.state.State.costs
-        ~elided:t.stlb_elided ~probes:t.probes ~cap:t.superblock_cap prog idx
+        ~elided:t.stlb_elided ~probes:t.probes ~cap:default_superblock_cap prog
+        idx
   | exception Fault _ -> None
 
 (* Compiled dispatch: count the entry hot, promote it to a superblock at

@@ -35,10 +35,6 @@ val set_compile_threshold : t -> int -> unit
     (default 8; clamped to at least 1). [max_int] never promotes, which
     leaves every entry on the basic-block engine. *)
 
-val set_superblock_cap : t -> int -> unit
-(** Maximum instructions traced into one superblock, including stitched
-    continuation blocks (default 64; clamped to at least 1). *)
-
 val add_hook : t -> (State.t -> Td_misa.Insn.t -> unit) -> unit
 (** Compose a per-instruction hook with any already installed (existing
     hooks run first). Hooks fire before the instruction executes, so

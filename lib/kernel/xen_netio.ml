@@ -29,8 +29,6 @@ type doorbell = {
   page : int;  (** guest vaddr of the shared doorbell page *)
   dom0_vaddr : int;  (** persistent dom0 mapping of the same frame *)
   db_gref : Grant_table.grant_ref;
-  tx_off : int;  (** byte offset of this queue's tx sequence word *)
-  rx_off : int;  (** byte offset of this queue's rx sequence word *)
   tx : dir_state;
   rx : dir_state;
 }
@@ -50,7 +48,6 @@ type t = {
       (** granted guest pages used to stage transmitted frames; sized
           [batch] without a doorbell, wider with one so budget-limited
           drains never reuse a still-staged slot *)
-  queue : int;  (** queue index: selects this channel's doorbell words *)
   tx_staged : (int * Grant_table.grant_ref * int * int) Queue.t;
       (** (guest vaddr, grant, length, stage stamp) pushed on the ring,
           kick pending; the stamp is the simulated clock at staging, for
@@ -81,13 +78,11 @@ let grant_map_base = 0xC7F0_0000
 let doorbell_map_base = 0xC7E0_0000
 let doorbell_window = (doorbell_map_base, grant_map_base)
 
-(* doorbell page layout: one pair of little-endian 32-bit sequence words
-   per queue — queue [q] owns bytes [8q .. 8q+7]: the tx word (guest
-   stores, dom0 loads) at [8q], the rx word (dom0 stores, guest loads)
-   at [8q + 4]. Queue 0 therefore keeps the historical 0/4 layout. *)
-let tx_word_off ~queue = 8 * queue
-let rx_word_off ~queue = (8 * queue) + 4
-let max_queue_index = (Td_mem.Layout.page_size / 8) - 1
+(* doorbell page layout: two little-endian 32-bit sequence words — the
+   tx word (guest stores, dom0 loads) at byte 0, the rx word (dom0
+   stores, guest loads) at byte 4 *)
+let tx_off = 0
+let rx_off = 4
 
 (* window exhaustion is reachable by a guest opening channels in a loop,
    so it faults typed and attributed instead of invalid_arg *)
@@ -123,11 +118,9 @@ let grant_guest_page gspace grants =
   in
   (page, Grant_table.grant grants ~frame)
 
-let create ?(batch = 1) ?(queue = 0) ?doorbell ?quota ~hyp ~dom0 ~guest
-    ~kmem ~driver_tx () =
+let create ?(batch = 1) ?doorbell ?quota ~hyp ~dom0 ~guest ~kmem ~driver_tx
+    () =
   if batch < 1 then invalid_arg "Xen_netio: batch must be >= 1";
-  if queue < 0 || queue > max_queue_index then
-    invalid_arg "Xen_netio: queue out of range";
   let gspace = Domain.space guest in
   let grants = Grant_table.create ?quota ~owner:guest () in
   (* Without a doorbell the staging ring is exactly [batch] pages and the
@@ -150,7 +143,6 @@ let create ?(batch = 1) ?(queue = 0) ?doorbell ?quota ~hyp ~dom0 ~guest
         if cfg.idle_hysteresis < 1 then
           invalid_arg "Xen_netio: idle_hysteresis must be >= 1";
         let page, db_gref = grant_guest_page gspace grants in
-        let tx_off = tx_word_off ~queue and rx_off = rx_word_off ~queue in
         Td_mem.Addr_space.write gspace (page + tx_off) Td_misa.Width.W32 0;
         Td_mem.Addr_space.write gspace (page + rx_off) Td_misa.Width.W32 0;
         let dom0_vaddr = alloc_doorbell_vaddr ~guest (Domain.space dom0) in
@@ -180,8 +172,6 @@ let create ?(batch = 1) ?(queue = 0) ?doorbell ?quota ~hyp ~dom0 ~guest
             page;
             dom0_vaddr;
             db_gref;
-            tx_off;
-            rx_off;
             tx = mk "tx";
             rx = mk "rx";
           }
@@ -196,7 +186,6 @@ let create ?(batch = 1) ?(queue = 0) ?doorbell ?quota ~hyp ~dom0 ~guest
     grants;
     batch;
     tx_pages;
-    queue;
     tx_staged = Queue.create ();
     tx_prod = 0;
     map_cursor = grant_map_base;
@@ -301,7 +290,7 @@ let poll_tx t db =
   if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.doorbell_polls";
   let seq =
     Td_mem.Addr_space.read (Domain.space t.dom0)
-      (db.dom0_vaddr + db.tx_off) Td_misa.Width.W32
+      (db.dom0_vaddr + tx_off) Td_misa.Width.W32
   in
   if seq <> db.tx.seen || not (Queue.is_empty t.tx_staged) then begin
     db.tx.seen <- seq;
@@ -358,7 +347,7 @@ let guest_transmit t ~hdr payload =
         | None -> true
       then
         ring_doorbell t db.tx ~space:(Domain.space t.guest)
-          ~vaddr:(db.page + db.tx_off) ~charge:charge_guest;
+          ~vaddr:(db.page + tx_off) ~charge:charge_guest;
       note_suppressed t db.tx ~metric:"netio.suppressed_hypercalls"
   | _ ->
       if Queue.length t.tx_staged >= t.batch then flush_tx t
@@ -431,7 +420,7 @@ let poll_rx t db =
   if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.doorbell_polls";
   let seq =
     Td_mem.Addr_space.read (Domain.space t.guest)
-      (db.page + db.rx_off) Td_misa.Width.W32
+      (db.page + rx_off) Td_misa.Width.W32
   in
   if seq <> db.rx.seen || not (Queue.is_empty t.rx_staged) then begin
     db.rx.seen <- seq;
@@ -489,7 +478,7 @@ let deliver_to_guest t skb =
                consumer-side paths must always make progress (teardown
                loops) *)
             ring_doorbell t db.rx ~space:(Domain.space t.dom0)
-              ~vaddr:(db.dom0_vaddr + db.rx_off) ~charge:charge_dom0;
+              ~vaddr:(db.dom0_vaddr + rx_off) ~charge:charge_dom0;
             note_suppressed t db.rx ~metric:"netio.suppressed_virqs"
         | _ ->
             if Queue.length t.rx_staged >= t.batch then flush_rx t
@@ -610,7 +599,6 @@ let tx_count t = t.tx_count
 let rx_count t = t.rx_count
 let rx_dropped t = t.rx_dropped
 let rx_throttled t = t.rx_throttled
-let queue t = t.queue
 let flushes t = t.flush_count
 let tx_staged_total t = t.tx_staged_total
 let rx_staged_total t = t.rx_staged_total

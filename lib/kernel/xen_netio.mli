@@ -56,7 +56,6 @@ type t
 
 val create :
   ?batch:int ->
-  ?queue:int ->
   ?doorbell:doorbell_cfg ->
   ?quota:Td_xen.Quota.state ->
   hyp:Td_xen.Hypervisor.t ->
@@ -71,12 +70,6 @@ val create :
     staged per notification; raises [Invalid_argument] if < 1. [doorbell]
     enables the shared doorbell page and adaptive mode switching; omitted,
     the channel is bit-identical to the pre-doorbell implementation.
-
-    [queue] (default 0) is this channel's queue index on a multi-queue
-    NIC: it selects which pair of doorbell sequence words the channel
-    owns — queue [q] uses bytes [8q]/[8q + 4] — so the per-queue words
-    ring independently. Queue 0 keeps the historical 0/4 layout and is
-    bit-identical to a pre-multi-queue channel.
 
     [quota] gates the guest's notifications, doorbell kicks and rx
     deliveries, and the channel's grant table; omitted, nothing is
@@ -156,9 +149,6 @@ val rx_throttled : t -> int
 (** Deliveries denied by the per-domain rx or grant-copy quota and
     dropped at the netback boundary (before the grant copy — a flooded
     guest costs dom0 almost nothing). Not counted in {!rx_dropped}. *)
-
-val queue : t -> int
-(** The channel's queue index (0 without multi-queue). *)
 
 val flushes : t -> int
 (** Notifications actually sent (tx kicks + rx interrupts). *)

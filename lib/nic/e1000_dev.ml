@@ -9,21 +9,15 @@ type t = {
       (** injects stuck DMA, lost IRQs and corrupt rx; counts the rx
           frames it drops *)
   ring_entries : int;
-  queues : int;  (** tx/rx ring pairs; queue 0 is the legacy block *)
-  rss : Rss.t option;  (** steers unqueued rx frames when [queues > 1] *)
   regs : int array;  (** 1024 32-bit registers = one 4 KiB page *)
   mutable irq_handler : (unit -> unit) option;
-  msix : (unit -> unit) option array;
-      (** per-queue MSI-X vectors; vector 0 falls back to [irq_handler] *)
   mutable itr_pending : int;  (** cause events since the last assertion *)
-  tx_bufs : bytes array;
-      (** per-queue DMA buffer the frame is assembled in across
-          descriptors; grows by doubling and is reused for every frame *)
-  tx_lens : int array;  (** bytes of [tx_bufs.(q)] assembled so far *)
+  mutable tx_buf : bytes;
+      (** DMA buffer the frame is assembled in across descriptors; grows
+          by doubling and is reused for every frame *)
+  mutable tx_len : int;  (** bytes of [tx_buf] assembled so far *)
   mutable tx_count : int;
   mutable rx_count : int;
-  txq_counts : int array;
-  rxq_counts : int array;
   mutable dropped : int;
   mutable irq_count : int;
   mutable dma_stuck : bool;  (** injected: TX DMA engine wedged *)
@@ -55,11 +49,9 @@ let set t off v = t.regs.(word t off) <- v land 0xFFFFFFFF
    unvalidated 32-bit value from guest memory must not size an allocation *)
 let max_desc_len = 16384
 
-let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?fault
-    ?(queues = 1) ?(rss_seed = 0x2A8F) ~dma ~mac ~tx_frame () =
+let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?fault ~dma
+    ~mac ~tx_frame () =
   if String.length mac <> 6 then invalid_arg "E1000_dev.create: mac must be 6 bytes";
-  if queues < 1 || queues > Regs.max_queues then
-    invalid_arg "E1000_dev.create: queues out of range";
   let t =
     {
       dma;
@@ -68,18 +60,13 @@ let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?fault
       fault_domain;
       fault;
       ring_entries;
-      queues;
-      rss = (if queues > 1 then Some (Rss.of_seed rss_seed) else None);
       regs = Array.make 1024 0;
       irq_handler = None;
-      msix = Array.make Regs.max_queues None;
       itr_pending = 0;
-      tx_bufs = Array.init queues (fun _ -> Bytes.create 2048);
-      tx_lens = Array.make queues 0;
+      tx_buf = Bytes.create 2048;
+      tx_len = 0;
       tx_count = 0;
       rx_count = 0;
-      txq_counts = Array.make queues 0;
-      rxq_counts = Array.make queues 0;
       dropped = 0;
       irq_count = 0;
       dma_stuck = false;
@@ -93,24 +80,9 @@ let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?fault
   t
 
 let set_irq_handler t fn = t.irq_handler <- Some fn
-
-let set_msix_handler t ~vector fn =
-  if vector < 1 || vector >= t.queues then
-    invalid_arg "E1000_dev.set_msix_handler: vector out of range";
-  t.msix.(vector) <- Some fn
-
 let mac t = t.mac
-let queues t = t.queues
 let tx_count t = t.tx_count
 let rx_count t = t.rx_count
-let txq_count t q = t.txq_counts.(q)
-let rxq_count t q = t.rxq_counts.(q)
-
-let rx_queue_of t frame =
-  match t.rss with
-  | Some rss when t.queues > 1 -> Rss.queue_of_frame rss ~queues:t.queues frame
-  | _ -> 0
-
 let dropped t = t.dropped
 let irq_count t = t.irq_count
 let dma_stuck t = t.dma_stuck
@@ -120,37 +92,24 @@ let irq_pending t = get t Regs.icr land get t Regs.ims <> 0
 let fires t site =
   match t.fault with Some e -> Td_fault.Engine.fire e site | None -> false
 
-let raise_cause ?(vector = 0) t cause =
+let raise_cause t cause =
   set t Regs.icr (get t Regs.icr lor cause);
-  match (if vector > 0 then t.msix.(vector) else None) with
-  | Some fn ->
-      (* MSI-X vector: not subject to the legacy IMS mask or ITR
-         throttle (each queue has its own moderation on real silicon —
-         unmodelled). The lost-irq injection site stays symmetric with
-         the legacy path; the cause is latched in ICR either way. *)
+  if get t Regs.icr land get t Regs.ims <> 0 then begin
+    t.itr_pending <- t.itr_pending + 1;
+    let throttle = get t Regs.itr in
+    if throttle = 0 || t.itr_pending >= throttle then begin
+      t.itr_pending <- 0;
+      (* fault-injection site: the assertion edge is dropped on the
+         floor — the cause stays latched in ICR ([irq_pending]), so a
+         poll can still find and service it, as real drivers do *)
       if fires t Td_fault.Nic_lost_irq then ()
       else begin
         t.irq_count <- t.irq_count + 1;
         Td_obs.Metrics.bump "nic.irq";
-        fn ()
+        match t.irq_handler with Some fn -> fn () | None -> ()
       end
-  | None ->
-      if get t Regs.icr land get t Regs.ims <> 0 then begin
-        t.itr_pending <- t.itr_pending + 1;
-        let throttle = get t Regs.itr in
-        if throttle = 0 || t.itr_pending >= throttle then begin
-          t.itr_pending <- 0;
-          (* fault-injection site: the assertion edge is dropped on the
-             floor — the cause stays latched in ICR ([irq_pending]), so a
-             poll can still find and service it, as real drivers do *)
-          if fires t Td_fault.Nic_lost_irq then ()
-          else begin
-            t.irq_count <- t.irq_count + 1;
-            Td_obs.Metrics.bump "nic.irq";
-            match t.irq_handler with Some fn -> fn () | None -> ()
-          end
-        end
-      end
+    end
+  end
 
 (* --- DMA helpers (bus address = dom0 kernel virtual address) --- *)
 
@@ -159,23 +118,28 @@ let dma_write32 t addr v = Td_mem.Addr_space.write t.dma addr Td_misa.Width.W32 
 
 let desc_addr base i = base + (i * Regs.desc_bytes)
 
+(* descriptors in the ring whose length register is [len_reg], capped at
+   the device's ring size *)
+let ring_size t len_reg =
+  min t.ring_entries (max 1 (get t len_reg / Regs.desc_bytes))
+
 (* --- transmit path --- *)
 
-(* Make room for [need] bytes in queue [q]'s frame buffer, keeping the
-   bytes assembled so far. *)
-let reserve t q need =
-  let buf = t.tx_bufs.(q) in
+(* Make room for [need] bytes in the frame buffer, keeping the bytes
+   assembled so far. *)
+let reserve t need =
+  let buf = t.tx_buf in
   if need > Bytes.length buf then begin
     let cap = ref (Bytes.length buf) in
     while !cap < need do
       cap := 2 * !cap
     done;
     let grown = Bytes.create !cap in
-    Bytes.blit buf 0 grown 0 t.tx_lens.(q);
-    t.tx_bufs.(q) <- grown
+    Bytes.blit buf 0 grown 0 t.tx_len;
+    t.tx_buf <- grown
   end
 
-let process_tx ?(queue = 0) t =
+let process_tx t =
   (* fault-injection site: the DMA engine wedges — doorbells are ignored
      until the supervisor resets the device, and the frames queued in
      the ring never reach the wire *)
@@ -183,22 +147,18 @@ let process_tx ?(queue = 0) t =
     t.dma_stuck <- true;
   if t.dma_stuck then ()
   else begin
-  let r_tdbal = Regs.tdbal_q queue
-  and r_tdlen = Regs.tdlen_q queue
-  and r_tdh = Regs.tdh_q queue
-  and r_tdt = Regs.tdt_q queue in
-  let base = get t r_tdbal in
-  let tail = get t r_tdt in
-  let entries = min t.ring_entries (max 1 (get t r_tdlen / Regs.desc_bytes)) in
+  let base = get t Regs.tdbal in
+  let tail = get t Regs.tdt in
+  let entries = ring_size t Regs.tdlen in
   (* head/tail are guest-reachable ring state: an out-of-range cursor
      would index descriptors past the programmed ring *)
   if tail >= entries then
     guest_err t ~op:"E1000_dev.process_tx" "TDT %d outside ring of %d entries"
       tail entries;
-  if get t r_tdh >= entries then
+  if get t Regs.tdh >= entries then
     guest_err t ~op:"E1000_dev.process_tx" "TDH %d outside ring of %d entries"
-      (get t r_tdh) entries;
-  let head = ref (get t r_tdh) in
+      (get t Regs.tdh) entries;
+  let head = ref (get t Regs.tdh) in
   let any = ref false in
   (* a corrupted TDT (e.g. an injected bit-flip upstream of the doorbell
      write) may never equal any in-range head value: bound the walk to
@@ -221,29 +181,26 @@ let process_tx ?(queue = 0) t =
         "descriptor %d length %d exceeds %d" !head len max_desc_len;
     (* a fault leaves the assembled length alone, so the partial frame
        is exactly what it was before this descriptor *)
-    let acc = t.tx_lens.(queue) in
-    reserve t queue (acc + len);
+    let acc = t.tx_len in
+    reserve t (acc + len);
     (try
-       Td_mem.Addr_space.read_into t.dma buf t.tx_bufs.(queue) ~pos:acc ~len
+       Td_mem.Addr_space.read_into t.dma buf t.tx_buf ~pos:acc ~len
      with Td_mem.Addr_space.Page_fault { addr; _ } ->
        guest_err t ~op:"E1000_dev.process_tx"
          "descriptor %d buffer DMA faulted at 0x%x" !head addr);
-    t.tx_lens.(queue) <- acc + len;
+    t.tx_len <- acc + len;
     if Td_obs.Control.enabled () then begin
       Td_obs.Metrics.bump_by "nic.dma.read_bytes" len;
       Td_obs.Trace.emit (Td_obs.Trace.Nic_dma { dir = `Read; bytes = len })
     end;
     if cmd land Regs.cmd_eop <> 0 then begin
-      let frame_bytes = t.tx_lens.(queue) in
-      t.tx_frame t.tx_bufs.(queue) frame_bytes;
-      t.tx_lens.(queue) <- 0;
+      let frame_bytes = t.tx_len in
+      t.tx_frame t.tx_buf frame_bytes;
+      t.tx_len <- 0;
       t.tx_count <- t.tx_count + 1;
-      t.txq_counts.(queue) <- t.txq_counts.(queue) + 1;
       if Td_obs.Control.enabled () then begin
         Td_obs.Metrics.bump "nic.tx.frames";
         Td_obs.Metrics.bump_by "nic.tx.bytes" frame_bytes;
-        if t.queues > 1 then
-          Td_obs.Metrics.bump (Printf.sprintf "nic.queue%d.tx" queue);
         Td_obs.Metrics.observe
           (Td_obs.Metrics.histogram "nic.tx.frame_bytes")
           frame_bytes;
@@ -260,27 +217,17 @@ let process_tx ?(queue = 0) t =
     head := (!head + 1) mod entries;
     any := true
   done;
-  set t r_tdh !head;
-  if !any then raise_cause ~vector:queue t (Regs.icr_txq queue)
+  set t Regs.tdh !head;
+  if !any then raise_cause t Regs.icr_txdw
   end
 
 (* --- receive path --- *)
 
-let receive_frame ?queue t frame =
-  (* steering: an explicit queue wins (tests/benches); otherwise the RSS
-     demux hashes the frame's 4-tuple, and a single-queue device always
-     lands on the legacy ring *)
-  let queue = match queue with Some q -> q | None -> rx_queue_of t frame in
-  if queue < 0 || queue >= t.queues then
-    guest_err t ~op:"E1000_dev.receive_frame" "queue %d out of range" queue;
-  let r_rdbal = Regs.rdbal_q queue
-  and r_rdlen = Regs.rdlen_q queue
-  and r_rdh = Regs.rdh_q queue
-  and r_rdt = Regs.rdt_q queue in
-  let base = get t r_rdbal in
-  let entries = min t.ring_entries (max 1 (get t r_rdlen / Regs.desc_bytes)) in
-  let head = get t r_rdh in
-  let tail = get t r_rdt in
+let receive_frame t frame =
+  let base = get t Regs.rdbal in
+  let entries = ring_size t Regs.rdlen in
+  let head = get t Regs.rdh in
+  let tail = get t Regs.rdt in
   if head = tail || base = 0 then begin
     (* no free descriptors: missed packet *)
     t.dropped <- t.dropped + 1;
@@ -316,20 +263,17 @@ let receive_frame ?queue t frame =
       dma_write32 t (d + Regs.d_sta) (Regs.sta_dd lor Regs.sta_eop)
     with
     | () ->
-        set t r_rdh ((head + 1) mod entries);
+        set t Regs.rdh ((head + 1) mod entries);
         t.rx_count <- t.rx_count + 1;
-        t.rxq_counts.(queue) <- t.rxq_counts.(queue) + 1;
         if Td_obs.Control.enabled () then begin
           Td_obs.Metrics.bump "nic.rx.frames";
           Td_obs.Metrics.bump_by "nic.dma.write_bytes" (String.length frame);
-          if t.queues > 1 then
-            Td_obs.Metrics.bump (Printf.sprintf "nic.queue%d.rx" queue);
           Td_obs.Trace.emit
             (Td_obs.Trace.Nic_dma { dir = `Write; bytes = String.length frame });
           Td_obs.Trace.emit (Td_obs.Trace.Nic_rx { bytes = String.length frame })
         end;
         set t Regs.gprc (get t Regs.gprc + 1);
-        raise_cause ~vector:queue t (Regs.icr_rxq queue)
+        raise_cause t Regs.icr_rxt0
     | exception Td_mem.Addr_space.Page_fault _ ->
         t.dropped <- t.dropped + 1;
         if Td_obs.Control.enabled () then begin
@@ -346,28 +290,24 @@ let receive_frame ?queue t frame =
    in-flight frames a device reset discards. *)
 let pending_tx_frames t =
   let frames = ref 0 in
-  for q = 0 to t.queues - 1 do
-    let base = get t (Regs.tdbal_q q) in
-    let entries =
-      min t.ring_entries (max 1 (get t (Regs.tdlen_q q) / Regs.desc_bytes))
-    in
-    let tail = get t (Regs.tdt_q q) in
-    let head = ref (get t (Regs.tdh_q q)) in
-    let budget = ref entries in
-    if base <> 0 then
-      while !head <> tail && !budget > 0 do
-        decr budget;
-        (* tolerant of torn ring state: this runs during supervisor reset
-           of a possibly-hostile or wedged device — an unreadable
-           descriptor counts as no frame rather than aborting recovery *)
-        let cmd =
-          try dma_read32 t (desc_addr base !head + Regs.d_cmd)
-          with Td_mem.Addr_space.Page_fault _ -> 0
-        in
-        if cmd land Regs.cmd_eop <> 0 then incr frames;
-        head := (!head + 1) mod entries
-      done
-  done;
+  let base = get t Regs.tdbal in
+  let entries = ring_size t Regs.tdlen in
+  let tail = get t Regs.tdt in
+  let head = ref (get t Regs.tdh) in
+  let budget = ref entries in
+  if base <> 0 then
+    while !head <> tail && !budget > 0 do
+      decr budget;
+      (* tolerant of torn ring state: this runs during supervisor reset
+         of a possibly-hostile or wedged device — an unreadable
+         descriptor counts as no frame rather than aborting recovery *)
+      let cmd =
+        try dma_read32 t (desc_addr base !head + Regs.d_cmd)
+        with Td_mem.Addr_space.Page_fault _ -> 0
+      in
+      if cmd land Regs.cmd_eop <> 0 then incr frames;
+      head := (!head + 1) mod entries
+    done;
   !frames
 
 let reset t =
@@ -379,7 +319,7 @@ let reset t =
   set t Regs.rah (b 4 lor (b 5 lsl 8) lor 0x8000_0000);
   t.itr_pending <- 0;
   t.dma_stuck <- false;
-  Array.fill t.tx_lens 0 t.queues 0;
+  t.tx_len <- 0;
   lost
 
 (* --- MMIO dispatch --- *)
@@ -409,12 +349,6 @@ let mmio_write t off (w : Td_misa.Width.t) v =
   else begin
     set t off v;
     if off = Regs.tdt then process_tx t
-    else if
-      t.queues > 1
-      && off >= Regs.txq_base
-      && off < Regs.txq_base + ((t.queues - 1) * Regs.q_stride)
-      && (off - Regs.txq_base) mod Regs.q_stride = 0x18
-    then process_tx ~queue:(((off - Regs.txq_base) / Regs.q_stride) + 1) t
   end
 
 let device_page t =

@@ -31,8 +31,6 @@ val create :
   ?ring_entries:int ->
   ?fault_domain:(unit -> string option) ->
   ?fault:Td_fault.Engine.state ->
-  ?queues:int ->
-  ?rss_seed:int ->
   dma:Td_mem.Addr_space.t ->
   mac:string ->
   tx_frame:(bytes -> int -> unit) ->
@@ -40,8 +38,8 @@ val create :
   t
 (** [dma] is the address space the device's bus master sees (dom0);
     [mac] is a 6-byte string; [tx_frame] is the wire on the transmit
-    side. The device assembles each frame by DMA into a per-queue buffer
-    it reuses, and calls [tx_frame buf len] with the frame in the first
+    side. The device assembles each frame by DMA into a buffer it
+    reuses, and calls [tx_frame buf len] with the frame in the first
     [len] bytes of [buf]. The buffer is valid only during the call: a
     consumer copies what it keeps ([Bytes.sub_string buf 0 len]). [fault_domain] names the domain to which guest-reachable
     validation faults (bad register offsets, out-of-range ring cursors,
@@ -51,14 +49,9 @@ val create :
     sites draw from (stuck TX DMA, lost interrupts, corrupt rx, whose
     dropped frames it counts as lost); omitted, nothing is injected.
 
-    [queues] (default 1, max {!Regs.max_queues}) enables MSI-X-style
-    multi-queue: each queue gets its own tx/rx descriptor ring pair
-    (queue 0 on the legacy registers, the rest at
-    {!Regs.txq_base}/{!Regs.rxq_base}), its own interrupt cause bits
-    and, once registered via {!set_msix_handler}, its own vector. With
-    [queues > 1] the RSS demux — a Toeplitz hash keyed from [rss_seed]
-    (see {!Rss}) — steers arriving frames onto rx queues. A one-queue
-    device is bit-identical to the pre-multi-queue model. *)
+    The device has one tx/rx ring pair and signals on the legacy INTx
+    line, like the paper's single-queue e1000; multi-queue traffic is
+    modelled above the device, one world per queue ({!Twindrivers.Mq}). *)
 
 val device_page : t -> Td_mem.Addr_space.device
 (** The MMIO register page, for mapping at {!mmio_vaddr}. *)
@@ -72,23 +65,10 @@ val set_irq_handler : t -> (unit -> unit) -> unit
     the {!Regs.itr} throttle. Causes latched in ICR are never lost; a
     throttled handler drains them all on its next run. *)
 
-val set_msix_handler : t -> vector:int -> (unit -> unit) -> unit
-(** Register the MSI-X handler for queue [vector] (1 ≤ vector <
-    [queues]). MSI-X vectors bypass the legacy IMS mask and ITR
-    throttle; their causes still latch in ICR. Queue 0 always signals
-    through the legacy {!set_irq_handler} path. *)
-
-val receive_frame : ?queue:int -> t -> string -> unit
-(** A frame arrives from the wire. Without [?queue] the RSS demux
-    steers it (queue 0 on a single-queue device); an explicit [queue]
-    overrides steering — out-of-range values are a guest fault. *)
+val receive_frame : t -> string -> unit
+(** A frame arrives from the wire and lands in the descriptor at RDH. *)
 
 val mac : t -> string
-val queues : t -> int
-
-val rx_queue_of : t -> string -> int
-(** The queue RSS would steer this frame to — the pure steering
-    decision, no delivery. *)
 
 (* fault handling (driver supervisor interface) *)
 
@@ -113,10 +93,5 @@ val reset : t -> int
 
 val tx_count : t -> int
 val rx_count : t -> int
-
-val txq_count : t -> int -> int
-(** Frames transmitted from / received onto one queue. *)
-
-val rxq_count : t -> int -> int
 val dropped : t -> int
 val irq_count : t -> int

@@ -25,25 +25,6 @@ let icr_txdw = 0x01
 let icr_rxt0 = 0x80
 let icr_lsc = 0x04
 
-(* MSI-X multi-queue extension: queue 0 keeps the legacy register block
-   and legacy cause bits above; queues 1..max_queues-1 get 0x40-byte
-   register blocks in otherwise-unused page regions (0xC00.. for rx,
-   0xE00.. for tx) and dedicated cause bits clear of the legacy ones. *)
-let max_queues = 8
-let rxq_base = 0xC00
-let txq_base = 0xE00
-let q_stride = 0x40
-let tdbal_q q = if q = 0 then tdbal else txq_base + ((q - 1) * q_stride)
-let tdlen_q q = if q = 0 then tdlen else txq_base + ((q - 1) * q_stride) + 0x8
-let tdh_q q = if q = 0 then tdh else txq_base + ((q - 1) * q_stride) + 0x10
-let tdt_q q = if q = 0 then tdt else txq_base + ((q - 1) * q_stride) + 0x18
-let rdbal_q q = if q = 0 then rdbal else rxq_base + ((q - 1) * q_stride)
-let rdlen_q q = if q = 0 then rdlen else rxq_base + ((q - 1) * q_stride) + 0x8
-let rdh_q q = if q = 0 then rdh else rxq_base + ((q - 1) * q_stride) + 0x10
-let rdt_q q = if q = 0 then rdt else rxq_base + ((q - 1) * q_stride) + 0x18
-let icr_txq q = if q = 0 then icr_txdw else 1 lsl (8 + q)
-let icr_rxq q = if q = 0 then icr_rxt0 else 1 lsl (16 + q)
-
 let desc_bytes = 16
 let d_buf = 0
 let d_len = 4

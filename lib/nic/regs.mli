@@ -48,29 +48,6 @@ val icr_txdw : int
 val icr_rxt0 : int
 val icr_lsc : int
 
-(** MSI-X multi-queue extension. Queue 0 is the legacy block above
-    (so single-queue devices are register-for-register unchanged);
-    queues [1 .. max_queues - 1] get [q_stride]-byte tx/rx register
-    blocks at [txq_base]/[rxq_base] and per-queue interrupt cause bits
-    ([icr_txq]/[icr_rxq], bits 9+ / 17+) disjoint from the legacy
-    [icr_txdw]/[icr_rxt0]/[icr_lsc] bits. The [*_q] accessors return
-    the legacy offsets for [q = 0]. *)
-
-val max_queues : int
-val rxq_base : int
-val txq_base : int
-val q_stride : int
-val tdbal_q : int -> int
-val tdlen_q : int -> int
-val tdh_q : int -> int
-val tdt_q : int -> int
-val rdbal_q : int -> int
-val rdlen_q : int -> int
-val rdh_q : int -> int
-val rdt_q : int -> int
-val icr_txq : int -> int
-val icr_rxq : int -> int
-
 (** Descriptor geometry: 16-byte descriptors with buffer address, length,
     command and status words. *)
 

@@ -1,9 +1,10 @@
 (* Receive-side scaling: a Toeplitz hash over the connection 4-tuple
-   selects the rx queue, exactly as MSI-X multi-queue NICs do it. The
-   40-byte key is expanded deterministically from a small seed, so the
-   same (seed, 4-tuple) pair maps to the same queue on every run, on
-   every host, and for every shard count — the property the sharded
-   simulation's deterministic merge rests on. *)
+   selects the queue, as multi-queue NICs do it; {!Mq} uses it to steer
+   flows onto its per-queue worlds. The 40-byte key is expanded
+   deterministically from a small seed, so the same (seed, 4-tuple)
+   pair maps to the same queue on every run, on every host, and for
+   every shard count — the property the sharded simulation's
+   deterministic merge rests on. *)
 
 type tuple = {
   src_ip : int;
@@ -76,29 +77,23 @@ let hash t { src_ip; dst_ip; src_port; dst_port } =
 let queue_of_hash h ~queues =
   if queues <= 1 then 0 else h land 0x7F mod queues
 
-let ethertype_ipv4 = 0x0800
 let proto_tcp = 6
 let proto_udp = 17
 
-(* Parse an IPv4 header at [off]; non-IP (or truncated) input falls back
-   to a deterministic pseudo-tuple over the first bytes, so every frame
-   still demuxes to a stable queue. *)
-let tuple_at ~off frame =
-  let len = String.length frame in
-  let b i = Char.code frame.[i] in
+(* Parse the IPv4 header at offset 0; non-IP (or truncated) input falls
+   back to a deterministic pseudo-tuple over the first bytes, so every
+   payload still demuxes to a stable queue. *)
+let tuple_of_payload payload =
+  let len = String.length payload in
+  let b i = Char.code payload.[i] in
   let be16 i = (b i lsl 8) lor b (i + 1) in
   let be32 i = (be16 i lsl 16) lor be16 (i + 2) in
-  if len >= off + 20 && b off lsr 4 = 4 then begin
-    let ihl = (b off land 0xF) * 4 in
-    let proto = b (off + 9) in
-    let src_ip = be32 (off + 12) and dst_ip = be32 (off + 16) in
-    if (proto = proto_tcp || proto = proto_udp) && len >= off + ihl + 4 then
-      {
-        src_ip;
-        dst_ip;
-        src_port = be16 (off + ihl);
-        dst_port = be16 (off + ihl + 2);
-      }
+  if len >= 20 && b 0 lsr 4 = 4 then begin
+    let ihl = (b 0 land 0xF) * 4 in
+    let proto = b 9 in
+    let src_ip = be32 12 and dst_ip = be32 16 in
+    if (proto = proto_tcp || proto = proto_udp) && len >= ihl + 4 then
+      { src_ip; dst_ip; src_port = be16 ihl; dst_port = be16 (ihl + 2) }
     else { src_ip; dst_ip; src_port = 0; dst_port = 0 }
   end
   else
@@ -111,27 +106,13 @@ let tuple_at ~off frame =
     in
     { src_ip = fold 0 3; dst_ip = fold 4 7; src_port = 0; dst_port = 0 }
 
-let eth_header_bytes = 14
-
-let tuple_of_frame frame =
-  if
-    String.length frame >= eth_header_bytes + 20
-    && (Char.code frame.[12] lsl 8) lor Char.code frame.[13] = ethertype_ipv4
-  then tuple_at ~off:eth_header_bytes frame
-  else tuple_at ~off:eth_header_bytes frame (* fallback path inside *)
-
-let tuple_of_payload payload = tuple_at ~off:0 payload
-
-let queue_of_frame t ~queues frame =
-  queue_of_hash (hash t (tuple_of_frame frame)) ~queues
-
 let queue_of_payload t ~queues payload =
   queue_of_hash (hash t (tuple_of_payload payload)) ~queues
 
 (* Minimal IPv4/UDP payload carrying the given 4-tuple — what benches
-   and tests feed {!World.transmit}/{!World.inject_rx} so the device and
-   the {!Mq} front both recover the same tuple. [len] is the total
-   payload length (header included), padded with a fixed byte. *)
+   and tests feed {!Mq.transmit}/{!Mq.inject_rx} so the demux recovers
+   the tuple. [len] is the total payload length (header included),
+   padded with a fixed byte. *)
 let ipv4_udp_payload ?(len = 64) tuple =
   let len = max len 28 in
   let buf = Bytes.make len 'p' in

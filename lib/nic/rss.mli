@@ -1,5 +1,7 @@
 (** Receive-side scaling: deterministic Toeplitz hashing of the
-    connection 4-tuple onto rx queues, as MSI-X multi-queue NICs do it.
+    connection 4-tuple onto queues, as multi-queue NICs do it. {!Mq}
+    steers flows onto its per-queue worlds with it; the simulated e1000
+    itself has one ring pair and no demux.
 
     Everything here is a pure function of the seed and the packet
     bytes — no global state, no [Random] — so the same (seed, flow)
@@ -34,22 +36,18 @@ val queue_of_hash : int -> queues:int -> int
 (** Hardware-style indirection: the low 7 hash bits index a 128-entry
     table holding the identity spread over [queues]. *)
 
-val tuple_of_frame : string -> tuple
-(** Parse the 4-tuple out of an Ethernet frame (IPv4 TCP/UDP at offset
-    14). Non-IP or truncated frames fall back to a deterministic
-    pseudo-tuple over the leading bytes so every frame still demuxes to
-    a stable queue. *)
-
 val tuple_of_payload : string -> tuple
-(** Same, for a bare IP packet with no Ethernet header — the form
-    {!World.transmit} payloads take. *)
+(** Parse the 4-tuple out of a bare IP packet with no Ethernet header —
+    the form {!World.transmit} payloads take (IPv4 TCP/UDP at offset 0).
+    Non-IP or truncated payloads fall back to a deterministic
+    pseudo-tuple over the leading bytes so every payload still demuxes
+    to a stable queue. *)
 
-val queue_of_frame : t -> queues:int -> string -> int
 val queue_of_payload : t -> queues:int -> string -> int
+(** The queue {!hash} and {!queue_of_hash} select for a payload. *)
 
 val ipv4_udp_payload : ?len:int -> tuple -> string
 (** Build a minimal IPv4/UDP packet carrying the given 4-tuple, padded
     to [len] bytes (default 64, minimum 28). Benches and tests use this
-    to make flows whose steering is identical whether the tuple is read
-    from the payload ({!queue_of_payload}, the {!Mq} front) or from the
-    frame after Ethernet encapsulation would be stripped. *)
+    to make flows that {!queue_of_payload} (the {!Mq} front) steers by
+    their tuple. *)

@@ -58,7 +58,7 @@ type t = {
 
 let create_hypervisor ?(map_pairs = true)
     ?(window_pages = Td_mem.Layout.map_window_pages)
-    ?(stlb_vaddr = Td_mem.Layout.stlb_base) ?fault ~dom0 ~hyp () =
+    ?fault ~dom0 ~hyp () =
   if window_pages < 2 || window_pages land 1 <> 0 then
     invalid_arg "Svm.Runtime: window_pages must be even and >= 2";
   {
@@ -66,7 +66,7 @@ let create_hypervisor ?(map_pairs = true)
     map_pairs;
     dom0;
     target = hyp;
-    stlb = Stlb.create ~space:hyp ~vaddr:stlb_vaddr;
+    stlb = Stlb.create ~space:hyp ~vaddr:Td_mem.Layout.stlb_base;
     chain = Page_tbl.create 256;
     window_pages;
     slots = Array.make (window_pages / 2) None;

@@ -30,16 +30,13 @@ type t
 val create_hypervisor :
   ?map_pairs:bool ->
   ?window_pages:int ->
-  ?stlb_vaddr:int ->
   ?fault:Td_fault.Engine.state ->
   dom0:Td_mem.Addr_space.t ->
   hyp:Td_mem.Addr_space.t ->
   unit ->
   t
-(** Hypervisor instance runtime: stlb at [stlb_vaddr] (default
-    {!Td_mem.Layout.stlb_base} — simulation shards pass a disjoint
-    partition base each, see {!Twindrivers.Mq}) in the hypervisor space;
-    mapped pages drawn from the mapped-page window.
+(** Hypervisor instance runtime: stlb at {!Td_mem.Layout.stlb_base} in
+    the hypervisor space; mapped pages drawn from the mapped-page window.
     [map_pairs] (default true) maps two consecutive pages per miss as the
     paper prescribes; disabling it is the ablation that makes
     page-straddling accesses fault. [window_pages] (default

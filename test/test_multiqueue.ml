@@ -1,11 +1,11 @@
-(* Tests for the multi-queue NIC model and the sharded simulation:
-   RSS hash determinism, device-level steering onto per-queue rings
-   with per-queue interrupt vectors, per-queue doorbell word
-   independence, the rx-delivery and grant-copy-byte quotas, globally
-   unique code-registry generation stamps (reload in one shard must
-   never invalidate — or alias — another shard's block cache), and the
-   QCheck property that sequential and sharded execution produce
-   identical merged ledgers. *)
+(* Tests for the multi-queue simulation ({!Mq}): RSS hash determinism,
+   the fixed doorbell word offsets (tx at 0, rx at 4), the rx-delivery
+   and grant-copy-byte quotas, [Mq.create]'s queue-count bounds, globally unique
+   code-registry generation stamps (reload in one shard must never
+   invalidate — or alias — another shard's block cache), that a
+   context's queue index carries no state (every context equals a plain
+   world), and the QCheck property that sequential and sharded
+   execution produce identical merged ledgers. *)
 
 open Td_nic
 open Twindrivers
@@ -49,143 +49,7 @@ let test_rss_covers_all_queues () =
       check bool_c (Printf.sprintf "queue %d sees traffic" q) true (n > 0))
     hit
 
-let test_rss_frame_payload_agree () =
-  (* the device parses frames (ethernet header first), the Mq demux
-     parses bare payloads — both must recover the same 4-tuple *)
-  let t = Rss.of_seed 0x2A8F in
-  let mac = "\x02\x00\x00\x00\x00\x07" in
-  for f = 0 to 31 do
-    let payload = Rss.ipv4_udp_payload (tuple f) in
-    let frame = mac ^ mac ^ "\x08\x00" ^ payload in
-    check int_c "frame and payload steer alike"
-      (Rss.queue_of_payload t ~queues:8 payload)
-      (Rss.queue_of_frame t ~queues:8 frame)
-  done
-
-(* ---- multi-queue e1000: per-queue rings and vectors ---- *)
-
-type mq_rig = {
-  space : Td_mem.Addr_space.t;
-  dev : E1000_dev.t;
-  mmio : int;
-  sent : string list ref;
-  irqs : int ref;  (* legacy INTx (queue 0) *)
-  vectors : int array;  (* MSI-X firings per vector *)
-}
-
-let entries = 8
-
-let make_mq_rig ~queues () =
-  let phys = Td_mem.Phys_mem.create () in
-  let space = Td_mem.Addr_space.create ~name:"dom0" phys in
-  Td_mem.Addr_space.heap_init space ~base:Td_mem.Layout.dom0_heap_base
-    ~limit:Td_mem.Layout.dom0_heap_limit;
-  let sent = ref [] and irqs = ref 0 in
-  let dev =
-    E1000_dev.create ~ring_entries:entries ~queues ~rss_seed:0x2A8F ~dma:space
-      ~mac:"\x02\x00\x00\x00\x00\x07"
-      ~tx_frame:(fun b len -> sent := Bytes.sub_string b 0 len :: !sent)
-      ()
-  in
-  let mmio = E1000_dev.mmio_vaddr 0 in
-  E1000_dev.attach dev ~space ~vaddr:mmio;
-  E1000_dev.set_irq_handler dev (fun () -> incr irqs);
-  let vectors = Array.make Regs.max_queues 0 in
-  for v = 1 to queues - 1 do
-    E1000_dev.set_msix_handler dev ~vector:v (fun () ->
-        vectors.(v) <- vectors.(v) + 1)
-  done;
-  let w32 off v =
-    Td_mem.Addr_space.write space (mmio + off) Td_misa.Width.W32 v
-  in
-  (* program every queue's rings; queue 0 is the legacy register block *)
-  for q = 0 to queues - 1 do
-    let tx_ring =
-      Td_mem.Addr_space.heap_alloc space (entries * Regs.desc_bytes)
-    in
-    let rx_ring =
-      Td_mem.Addr_space.heap_alloc space (entries * Regs.desc_bytes)
-    in
-    w32 (Regs.tdbal_q q) tx_ring;
-    w32 (Regs.tdlen_q q) (entries * Regs.desc_bytes);
-    w32 (Regs.rdbal_q q) rx_ring;
-    w32 (Regs.rdlen_q q) (entries * Regs.desc_bytes)
-  done;
-  w32 Regs.ims (Regs.icr_txdw lor Regs.icr_rxt0);
-  { space; dev; mmio; sent; irqs; vectors }
-
-let reg rig off =
-  Td_mem.Addr_space.read rig.space (rig.mmio + off) Td_misa.Width.W32
-
-let set_reg rig off v =
-  Td_mem.Addr_space.write rig.space (rig.mmio + off) Td_misa.Width.W32 v
-
-let prime_rx rig ~queue n =
-  let ring = reg rig (Regs.rdbal_q queue) in
-  for i = 0 to n - 1 do
-    let b = Td_mem.Addr_space.heap_alloc rig.space 2048 in
-    Td_mem.Addr_space.write rig.space
-      (ring + (i * Regs.desc_bytes) + Regs.d_buf)
-      Td_misa.Width.W32 b;
-    Td_mem.Addr_space.write rig.space
-      (ring + (i * Regs.desc_bytes) + Regs.d_sta)
-      Td_misa.Width.W32 0
-  done;
-  set_reg rig (Regs.rdt_q queue) n
-
-let test_device_rss_steering () =
-  let queues = 4 in
-  let rig = make_mq_rig ~queues () in
-  for q = 0 to queues - 1 do
-    prime_rx rig ~queue:q entries
-  done;
-  let mac = E1000_dev.mac rig.dev in
-  let rss = Rss.of_seed 0x2A8F in
-  let expected = Array.make queues 0 in
-  for f = 0 to 31 do
-    let frame = mac ^ mac ^ "\x08\x00" ^ Rss.ipv4_udp_payload (tuple f) in
-    let q = E1000_dev.rx_queue_of rig.dev frame in
-    check int_c "device steering matches the reference demux"
-      (Rss.queue_of_frame rss ~queues frame)
-      q;
-    expected.(q) <- expected.(q) + 1;
-    E1000_dev.receive_frame rig.dev frame
-  done;
-  check int_c "all frames delivered" 32 (E1000_dev.rx_count rig.dev);
-  check int_c "none dropped" 0 (E1000_dev.dropped rig.dev);
-  for q = 0 to queues - 1 do
-    check int_c
-      (Printf.sprintf "queue %d rx count" q)
-      expected.(q)
-      (E1000_dev.rxq_count rig.dev q)
-  done;
-  (* queue 0 raises legacy INTx; queues 1.. raise their own vector *)
-  check int_c "legacy irqs = queue-0 frames" expected.(0) !(rig.irqs);
-  for q = 1 to queues - 1 do
-    check int_c
-      (Printf.sprintf "vector %d firings" q)
-      expected.(q) rig.vectors.(q)
-  done
-
-let test_per_queue_tx_ring () =
-  let rig = make_mq_rig ~queues:4 () in
-  let buf = Td_mem.Addr_space.heap_alloc rig.space 2048 in
-  Td_mem.Addr_space.write_block rig.space buf (Bytes.of_string "q2-frame");
-  let ring = reg rig (Regs.tdbal_q 2) in
-  let set_desc field v =
-    Td_mem.Addr_space.write rig.space (ring + field) Td_misa.Width.W32 v
-  in
-  set_desc Regs.d_buf buf;
-  set_desc Regs.d_len 8;
-  set_desc Regs.d_cmd (Regs.cmd_eop lor Regs.cmd_rs);
-  set_reg rig (Regs.tdt_q 2) 1;
-  check bool_c "frame emitted from queue 2" true (!(rig.sent) = [ "q2-frame" ]);
-  check int_c "queue 2 tx count" 1 (E1000_dev.txq_count rig.dev 2);
-  check int_c "vector 2 fired" 1 rig.vectors.(2);
-  check int_c "no legacy irq" 0 !(rig.irqs);
-  check int_c "queue 2 head advanced" 1 (reg rig (Regs.tdh_q 2))
-
-(* ---- per-queue doorbell words and the rx quota (netio level) ---- *)
+(* ---- doorbell words and the rx quota (netio level) ---- *)
 
 type netio_rig = {
   hyp : Td_xen.Hypervisor.t;
@@ -195,7 +59,7 @@ type netio_rig = {
   netio : Td_kernel.Xen_netio.t;
 }
 
-let make_netio_rig ?batch ?queue ?doorbell ?quota () =
+let make_netio_rig ?doorbell ?quota () =
   let open Td_xen in
   let m = Harness.make_machine () in
   let ledger = Ledger.create () in
@@ -215,7 +79,7 @@ let make_netio_rig ?batch ?queue ?doorbell ?quota () =
   Hypervisor.add_domain hyp guest;
   let km = Td_kernel.Kmem.create m.Harness.dom0 in
   let netio =
-    Td_kernel.Xen_netio.create ?batch ?queue ?doorbell ?quota ~hyp ~dom0 ~guest
+    Td_kernel.Xen_netio.create ?doorbell ?quota ~hyp ~dom0 ~guest
       ~kmem:km
       ~driver_tx:(fun _ -> ())
       ()
@@ -227,40 +91,6 @@ let deliver rig =
   let skb = Skb.alloc rig.km (Td_xen.Domain.space rig.dom0) ~size:256 in
   Skb.put skb (Bytes.of_string "frame");
   Xen_netio.deliver_to_guest rig.netio skb
-
-let test_per_queue_doorbell_words () =
-  let open Td_kernel in
-  let doorbell =
-    { Xen_netio.poll_entry_kicks = 1; idle_hysteresis = 8; poll_budget = 8 }
-  in
-  let rig = make_netio_rig ~queue:1 ~doorbell () in
-  let io = rig.netio in
-  check int_c "channel carries its queue index" 1 (Xen_netio.queue io);
-  Td_xen.Hypervisor.switch_to rig.hyp rig.guest;
-  Xen_netio.set_guest_rx io (fun _ -> ());
-  Xen_netio.post_rx_buffers io 8;
-  (* one kick per direction crosses the entry threshold at the tick *)
-  Xen_netio.guest_transmit io ~hdr:"" (String.make 64 'a');
-  deliver rig;
-  Xen_netio.on_tick io;
-  check bool_c "tx entered polling" true
-    (Xen_netio.tx_mode io = Xen_netio.Polling);
-  (* polling-mode traffic rings the queue-1 word pair *)
-  Xen_netio.guest_transmit io ~hdr:"" (String.make 64 'b');
-  deliver rig;
-  let page = Option.get (Xen_netio.doorbell_vaddr io) in
-  let gspace = Td_xen.Domain.space rig.guest in
-  let word off = Td_mem.Addr_space.read gspace (page + off) Td_misa.Width.W32 in
-  (* queue 1 owns bytes 8..15 of the page; queue 0's historical words
-     at 0/4 must never move *)
-  check bool_c "queue-1 tx word advanced" true (word 8 > 0);
-  check bool_c "queue-1 rx word advanced" true (word 12 > 0);
-  check int_c "queue-0 tx word untouched" 0 (word 0);
-  check int_c "queue-0 rx word untouched" 0 (word 4);
-  check bool_c "out-of-range queue rejected" true
-    (match make_netio_rig ~queue:600 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 let test_rx_quota_throttles_delivery () =
   let open Td_kernel in
@@ -284,6 +114,34 @@ let test_rx_quota_throttles_delivery () =
   check int_c "throttle is not the no-buffer drop path" 0
     (Xen_netio.rx_dropped io);
   check int_c "quota recorded the denials" 3 (Td_xen.Quota.throttled quota)
+
+let test_doorbell_words_fixed_offsets () =
+  let open Td_kernel in
+  let doorbell =
+    { Xen_netio.poll_entry_kicks = 1; idle_hysteresis = 8; poll_budget = 8 }
+  in
+  let rig = make_netio_rig ~doorbell () in
+  let io = rig.netio in
+  Td_xen.Hypervisor.switch_to rig.hyp rig.guest;
+  Xen_netio.set_guest_rx io (fun _ -> ());
+  Xen_netio.post_rx_buffers io 8;
+  (* one kick per direction crosses the entry threshold at the tick *)
+  Xen_netio.guest_transmit io ~hdr:"" (String.make 64 'a');
+  deliver rig;
+  Xen_netio.on_tick io;
+  check bool_c "tx entered polling" true
+    (Xen_netio.tx_mode io = Xen_netio.Polling);
+  (* polling-mode traffic rings the tx word at 0 and the rx word at 4;
+     nothing else on the page moves *)
+  Xen_netio.guest_transmit io ~hdr:"" (String.make 64 'b');
+  deliver rig;
+  let page = Option.get (Xen_netio.doorbell_vaddr io) in
+  let gspace = Td_xen.Domain.space rig.guest in
+  let word off = Td_mem.Addr_space.read gspace (page + off) Td_misa.Width.W32 in
+  check bool_c "tx word at offset 0 advanced" true (word 0 > 0);
+  check bool_c "rx word at offset 4 advanced" true (word 4 > 0);
+  check int_c "word at offset 8 untouched" 0 (word 8);
+  check int_c "word at offset 12 untouched" 0 (word 12)
 
 let test_grant_copy_byte_quota () =
   let open Td_xen in
@@ -510,21 +368,64 @@ let test_mq_shards_with_quota_and_faults () =
   check int_c "same wire frames" seq_frames par_frames;
   check string_c "bit-identical merged ledgers" seq_digest par_digest
 
+(* ---- Mq.create bounds and the queue index ---- *)
+
+let test_mq_create_rejects_queue_counts () =
+  let rejected queues =
+    let tuning = { Config.default_tuning with Config.queues } in
+    match Mq.create ~nics:1 ~tuning Config.Xen_domU with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  check bool_c "0 queues rejected" true (rejected 0);
+  check bool_c "9 queues rejected" true (rejected 9);
+  check bool_c "1 queue accepted" false (rejected 1)
+
+
+(* Every context is a complete world with its own simulated memory, so
+   the queue it serves changes nothing inside it: driven with the same
+   traffic, each context's ledger equals a plain world's. *)
+let test_contexts_equal_plain_world cfg () =
+  let drive w =
+    let payload = String.make Measure.mtu_payload 'm' in
+    for i = 0 to 511 do
+      ignore (World.transmit w ~nic:0 ~payload);
+      if i mod 8 = 7 then World.pump w
+    done;
+    World.pump w
+  in
+  let ledger_rows w =
+    let led = World.ledger w in
+    ( Td_xen.Ledger.snapshot led,
+      Td_xen.Ledger.domain_snapshot led,
+      Td_xen.Ledger.grand_total led )
+  in
+  let plain = World.create ~nics:1 ~guests:1 cfg in
+  drive plain;
+  let expected = ledger_rows plain in
+  let tuning = { Config.default_tuning with Config.queues = 8 } in
+  let mq = Mq.create ~nics:1 ~tuning cfg in
+  let got = Mq.run mq ~job:(fun ~queue:_ w -> drive w; ledger_rows w) in
+  Array.iteri
+    (fun q (cats, doms, total) ->
+      let e_cats, e_doms, e_total = expected in
+      check bool_c (Printf.sprintf "context %d categories" q) true
+        (cats = e_cats);
+      check bool_c (Printf.sprintf "context %d domain rows" q) true
+        (doms = e_doms);
+      check int_c (Printf.sprintf "context %d grand total" q) e_total total)
+    got;
+  check int_c "every context transmitted" (8 * 512) (Mq.wire_tx_frames mq)
+
 let suite =
   [
     Alcotest.test_case "rss: determinism" `Quick test_rss_determinism;
     Alcotest.test_case "rss: covers all queues" `Quick
       test_rss_covers_all_queues;
-    Alcotest.test_case "rss: frame and payload parse agree" `Quick
-      test_rss_frame_payload_agree;
-    Alcotest.test_case "device: rss steering + per-queue vectors" `Quick
-      test_device_rss_steering;
-    Alcotest.test_case "device: per-queue tx ring" `Quick
-      test_per_queue_tx_ring;
-    Alcotest.test_case "netio: per-queue doorbell words" `Quick
-      test_per_queue_doorbell_words;
     Alcotest.test_case "netio: rx quota throttles delivery" `Quick
       test_rx_quota_throttles_delivery;
+    Alcotest.test_case "netio: doorbell words at offsets 0 and 4" `Quick
+      test_doorbell_words_fixed_offsets;
     Alcotest.test_case "xen: grant-copy byte quota" `Quick
       test_grant_copy_byte_quota;
     Alcotest.test_case "registry: stamps globally unique" `Quick
@@ -532,6 +433,12 @@ let suite =
     Alcotest.test_case "registry: reload isolated across shards" `Quick
       test_reload_isolated_across_shards;
     QCheck_alcotest.to_alcotest mq_seq_vs_sharded_prop;
+    Alcotest.test_case "mq: create rejects queues outside 1..8" `Quick
+      test_mq_create_rejects_queue_counts;
+    Alcotest.test_case "mq: twin contexts equal a plain world" `Quick
+      (test_contexts_equal_plain_world Config.Xen_twin);
+    Alcotest.test_case "mq: domU contexts equal a plain world" `Quick
+      (test_contexts_equal_plain_world Config.Xen_domU);
     Alcotest.test_case "mq: 4 shards with quotas + fault plan" `Quick
       test_mq_shards_with_quota_and_faults;
   ]

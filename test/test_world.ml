@@ -368,6 +368,16 @@ let test_measure_consistency () =
   check bool_c "breakdown sums to total" true
     (abs_float (total -. r.Measure.cycles_per_packet) < 1.0)
 
+(* the NIC has one ring pair, so a multi-queue tuning is refused and the
+   caller pointed at Mq, which runs one single-queue world per queue *)
+let test_rejects_multi_queue_tuning () =
+  let tuning = { Config.default_tuning with Config.queues = 8 } in
+  match World.create ~nics:1 ~tuning Config.Xen_domU with
+  | exception Invalid_argument msg ->
+      check bool_c "message points at Mq.create" true
+        (List.mem "Mq.create" (String.split_on_char ' ' msg))
+  | _ -> Alcotest.fail "World.create accepted tuning.queues = 8"
+
 let for_all_configs name f =
   List.map
     (fun cfg ->
@@ -410,4 +420,6 @@ let suite =
       Alcotest.test_case "profiler attribution" `Quick
         test_profiler_attribution;
       Alcotest.test_case "measure consistency" `Quick test_measure_consistency;
+      Alcotest.test_case "rejects tuning.queues <> 1" `Quick
+        test_rejects_multi_queue_tuning;
     ]
