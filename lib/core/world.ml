@@ -115,17 +115,14 @@ type t = {
   vswitch : Bridge.t;
       (** dom0 software bridge: fdb maps guest vif MACs to backend ports,
           one port per netfront channel (Xen_domU only) *)
-  mutable demux_skb : Skb.t option;
-      (** the sk_buff dom0's netif_rx is currently forwarding — handed to
-          the bridge port's [tx] closure out of band (ports speak frames,
-          the backend needs the skb) *)
-  gmac_index : (string, int) Hashtbl.t;  (** guest MAC -> guest slot *)
+  gmac_index : (int, int) Hashtbl.t;
+      (** guest MAC ({!Bridge.mac_key}) -> guest slot *)
   interp : Interp.t;
   timers : Timer_wheel.t;  (** dom0 kernel timers (watchdog housekeeping) *)
   sched : Scheduler.t;  (** orders guest work (packet delivery, §5.3) *)
   mutable rx_frames : int;
   mutable rx_bytes : int;
-  mutable rx_last : string option;
+  mutable rx_last : string;  (** meaningful once [rx_frames > 0] *)
   rx_queue : string Queue.t;
       (** every delivered payload, in order, until a consumer pops it *)
   mutable rx_drops : int;  (** frames lost because [rx_queue] was full *)
@@ -537,8 +534,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
       svm_vm;
       twin;
       skb_pool;
-      vswitch = Bridge.create ();
-      demux_skb = None;
+      vswitch = Bridge.create km;
       gmac_index = Hashtbl.create 8;
       interp = Interp.create ~fault cpu registry natives;
       timers = Timer_wheel.create ();
@@ -548,7 +544,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
          sc);
       rx_frames = 0;
       rx_bytes = 0;
-      rx_last = None;
+      rx_last = "";
       rx_queue = Queue.create ();
       rx_drops = 0;
       tx_drops = 0;
@@ -559,7 +555,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
   Array.iteri
     (fun i _ ->
       for g = 0 to max 0 (Array.length guest_doms - 1) do
-        Hashtbl.replace w.gmac_index (vif_mac g i) g
+        Hashtbl.replace w.gmac_index (Bridge.mac_key (vif_mac g i)) g
       done;
       ignore i)
     ports;
@@ -819,13 +815,13 @@ let charge_dom0_cat w n = Ledger.charge w.led Ledger.Dom0 n
 let charge_domU_cat w n = Ledger.charge w.led Ledger.DomU n
 let charge_xen_cat w n = Ledger.charge w.led Ledger.Xen n
 
-let count_rx ?(guest = 0) w payload =
+let count_rx ~guest w payload =
   w.rx_frames <- w.rx_frames + 1;
   w.rx_bytes <- w.rx_bytes + String.length payload;
   (match slot_opt w guest with
   | Some s -> s.gs_rx_count <- s.gs_rx_count + 1
   | None -> ());
-  w.rx_last <- Some payload;
+  w.rx_last <- payload;
   if Queue.length w.rx_queue >= rx_queue_capacity then begin
     w.rx_drops <- w.rx_drops + 1;
     if Td_obs.Control.enabled () then Td_obs.Metrics.bump "world.rx_drops"
@@ -875,31 +871,28 @@ let attach_channel w ~guest:g ~nic =
         ignore (run_tx w ~nic attempt))
       ()
   in
-  Xen_netio.set_guest_rx netio (fun frame ->
+  (* the guest stack reads the payload out of its own page once, as the
+     string the consumer pops *)
+  Xen_netio.set_guest_rx netio (fun addr len ->
       charge_domU_cat w w.costs.Sys_costs.kernel_rx_path;
       let payload =
-        String.sub frame eth_header_bytes
-          (String.length frame - eth_header_bytes)
+        Addr_space.read_block s.gs_space (addr + eth_header_bytes)
+          (len - eth_header_bytes)
       in
-      count_rx ~guest:g w payload);
+      count_rx ~guest:g w (Bytes.unsafe_to_string payload));
   Xen_netio.post_rx_buffers netio 64;
   s.gs_netios <- Array.append s.gs_netios [| (nic, netio) |];
-  (* backend port: the bridge speaks frames, but the backend needs the
-     sk_buff dom0's netif_rx is holding — handed over via [demux_skb] *)
+  (* backend port: netback takes the sk_buff dom0's netif_rx holds *)
   let port =
     {
       Bridge.port_name = Printf.sprintf "vif%d.%d" g nic;
       tx =
-        (fun _frame ->
-          match w.demux_skb with
-          | None -> ()
-          | Some skb ->
-              w.demux_skb <- None;
-              (* netback forwards whole frames: push the MAC header back
-                 (eth_type_trans pulled it) *)
-              Skb.set_data skb (Skb.data skb - eth_header_bytes);
-              Skb.set_len skb (Skb.len skb + eth_header_bytes);
-              Xen_netio.deliver_to_guest netio skb);
+        (fun skb ->
+          (* netback forwards whole frames: push the MAC header back
+             (eth_type_trans pulled it) *)
+          Skb.set_data skb (Skb.data skb - eth_header_bytes);
+          Skb.set_len skb (Skb.len skb + eth_header_bytes);
+          Xen_netio.deliver_to_guest netio skb);
     }
   in
   Bridge.add_port w.vswitch port;
@@ -976,13 +969,13 @@ let init (w : t) =
   | Config.Native_linux ->
       Support.set_netif_rx w.sup (fun skb ->
           charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
-          count_rx w (Bytes.unsafe_to_string (Skb.contents skb));
+          count_rx ~guest:0 w (Bytes.unsafe_to_string (Skb.contents skb));
           free_any_skb w skb)
   | Config.Xen_dom0 ->
       Support.set_netif_rx w.sup (fun skb ->
           charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
           charge_xen_cat w w.costs.Sys_costs.virt_overhead_rx;
-          count_rx w (Bytes.unsafe_to_string (Skb.contents skb));
+          count_rx ~guest:0 w (Bytes.unsafe_to_string (Skb.contents skb));
           free_any_skb w skb)
   | Config.Xen_domU ->
       let h = Option.get w.hyp and g = Option.get w.guest in
@@ -1008,7 +1001,9 @@ let init (w : t) =
         (fun i _ ->
           for gi = 0 to boot_guests - 1 do
             if gi < Array.length ports0 then
-              Bridge.learn w.vswitch ~mac:(vif_mac gi i) ports0.(gi)
+              Bridge.learn w.vswitch
+                ~mac:(Bridge.mac_key (vif_mac gi i))
+                ports0.(gi)
           done)
         w.nics;
       (* dom0's netif_rx: forward through the bridge to the backend port
@@ -1016,19 +1011,16 @@ let init (w : t) =
          local stack (no flooding into guests) *)
       Support.set_netif_rx w.sup (fun skb ->
           charge_dom0_cat w w.costs.Sys_costs.dom0_rx_kernel;
-          let hdr =
-            Bytes.unsafe_to_string
-              (Addr_space.read_block w.dom0_space
-                 (Skb.data skb - eth_header_bytes)
-                 eth_header_bytes)
-          in
-          match Bridge.lookup w.vswitch ~mac:(String.sub hdr 0 6) with
-          | Some _ ->
-              w.demux_skb <- Some skb;
-              Bridge.forward w.vswitch hdr
-          | None ->
-              charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
-              free_any_skb w skb);
+          let hdr = Skb.data skb - eth_header_bytes in
+          let dst = Bridge.read_mac w.dom0_space hdr in
+          if Bridge.mem w.vswitch ~mac:dst then
+            Bridge.forward w.vswitch ~dst
+              ~src:(Bridge.read_mac w.dom0_space (hdr + 6))
+              skb
+          else begin
+            charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
+            free_any_skb w skb
+          end);
       (* the workload runs in the guest *)
       Hypervisor.switch_to h g
   | Config.Xen_twin ->
@@ -1042,13 +1034,10 @@ let init (w : t) =
             charge_xen_cat w
               (w.costs.Sys_costs.twin_demux + w.costs.Sys_costs.twin_rx_queue);
             let dst =
-              Bytes.unsafe_to_string
-                (Addr_space.read_block w.dom0_space
-                   (Skb.data skb - eth_header_bytes)
-                   6)
+              Bridge.read_mac w.dom0_space (Skb.data skb - eth_header_bytes)
             in
-            (match Hashtbl.find_opt w.gmac_index dst with
-            | Some gi -> (
+            (match Hashtbl.find w.gmac_index dst with
+            | gi -> (
                 match slot_opt w gi with
                 | Some s ->
                     Queue.push
@@ -1057,7 +1046,7 @@ let init (w : t) =
                 | None ->
                     (* destroyed since the MAC was learned: dom0-local *)
                     charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path)
-            | None ->
+            | exception Not_found ->
                 (* not for a guest: hand to dom0 like a local packet *)
                 charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path);
             free_any_skb w skb
@@ -1362,7 +1351,7 @@ let guest_count w =
 let guest_slots w = Array.length w.slots
 let guest_alive w ~guest = Option.is_some (slot_opt w guest)
 let delivered_rx_bytes w = w.rx_bytes
-let rx_last_payload w = w.rx_last
+let rx_last_payload w = if w.rx_frames = 0 then None else Some w.rx_last
 let rx_pop w = Queue.take_opt w.rx_queue
 let rx_queued w = Queue.length w.rx_queue
 let rx_drops w = w.rx_drops
@@ -1389,7 +1378,7 @@ let reset_measurement w =
   w.rx_frames <- 0;
   w.rx_bytes <- 0;
   iter_slots w (fun _ s -> s.gs_rx_count <- 0);
-  w.rx_last <- None;
+  w.rx_last <- "";
   Queue.clear w.rx_queue;
   w.rx_drops <- 0;
   w.tx_drops <- 0;
@@ -1544,7 +1533,9 @@ let create_guest ?nic w =
   let s = fresh_slot ~dom ~space ~nics:(Array.length w.nics) g in
   w.slots <- Array.append w.slots [| Some s |];
   (* the guest's vif MACs demux to its slot on every NIC (twin path) *)
-  Array.iter (fun mac -> Hashtbl.replace w.gmac_index mac g) s.gs_macs;
+  Array.iter
+    (fun mac -> Hashtbl.replace w.gmac_index (Bridge.mac_key mac) g)
+    s.gs_macs;
   (match w.cfg with
   | Config.Xen_domU when Array.length w.nics > 0 ->
       (* one netfront channel, striped over the NICs unless pinned; the
@@ -1553,7 +1544,9 @@ let create_guest ?nic w =
         match nic with Some n -> n | None -> g mod Array.length w.nics
       in
       let port = attach_channel w ~guest:g ~nic in
-      Array.iter (fun mac -> Bridge.learn w.vswitch ~mac port) s.gs_macs
+      Array.iter
+        (fun mac -> Bridge.learn w.vswitch ~mac:(Bridge.mac_key mac) port)
+        s.gs_macs
   | _ -> ());
   g
 
@@ -1572,6 +1565,7 @@ let destroy_guest w ~guest:g =
     s.gs_netios;
   Array.iter
     (fun mac ->
+      let mac = Bridge.mac_key mac in
       Bridge.forget w.vswitch ~mac;
       Hashtbl.remove w.gmac_index mac)
     s.gs_macs;

@@ -1,18 +1,32 @@
-type port = { port_name : string; tx : string -> unit }
+type port = { port_name : string; tx : Skb.t -> unit }
 
 type t = {
+  kmem : Kmem.t;
   mutable ports : port list;
-  fdb : (string, port) Hashtbl.t;  (** mac -> port *)
+  fdb : (int, port) Hashtbl.t;  (** mac key -> port *)
   mutable forwarded : int;
   mutable flooded : int;
 }
 
-let create () =
-  { ports = []; fdb = Hashtbl.create 16; forwarded = 0; flooded = 0 }
+(* byte i of the MAC in bits 8i..8i+7: the little-endian load of its six
+   bytes, so a key read from memory needs no host buffer *)
+let mac_key mac =
+  let k = ref 0 in
+  for i = String.length mac - 1 downto 0 do
+    k := (!k lsl 8) lor Char.code mac.[i]
+  done;
+  !k
+
+let read_mac space addr =
+  Td_mem.Addr_space.read space addr Td_misa.Width.W32
+  lor (Td_mem.Addr_space.read space (addr + 4) Td_misa.Width.W16 lsl 32)
+
+let create kmem =
+  { kmem; ports = []; fdb = Hashtbl.create 16; forwarded = 0; flooded = 0 }
 
 let add_port t p = t.ports <- t.ports @ [ p ]
 let learn t ~mac p = Hashtbl.replace t.fdb mac p
-let lookup t ~mac = Hashtbl.find_opt t.fdb mac
+let mem t ~mac = Hashtbl.mem t.fdb mac
 let forget t ~mac = Hashtbl.remove t.fdb mac
 
 let remove_port t name =
@@ -21,25 +35,28 @@ let remove_port t name =
     (fun mac p -> if p.port_name = name then Hashtbl.remove t.fdb mac)
     (Hashtbl.copy t.fdb)
 
-let forward t frame =
-  if String.length frame < 14 then ()
-  else begin
-    let dst = String.sub frame 0 6 in
-    let src = String.sub frame 6 6 in
-    let src_port = Hashtbl.find_opt t.fdb src in
-    match Hashtbl.find_opt t.fdb dst with
-    | Some p ->
-        t.forwarded <- t.forwarded + 1;
-        p.tx frame
-    | None ->
-        t.flooded <- t.flooded + 1;
-        List.iter
+let forward t ~dst ~src skb =
+  match Hashtbl.find t.fdb dst with
+  | p ->
+      t.forwarded <- t.forwarded + 1;
+      p.tx skb
+  | exception Not_found -> (
+      t.flooded <- t.flooded + 1;
+      let src_port = Hashtbl.find_opt t.fdb src in
+      let out =
+        List.filter
           (fun p ->
             match src_port with
-            | Some sp when sp.port_name = p.port_name -> ()
-            | Some _ | None -> p.tx frame)
+            | Some sp -> sp.port_name <> p.port_name
+            | None -> true)
           t.ports
-  end
+      in
+      match out with
+      | [] -> Skb.free t.kmem skb
+      | _ :: rest ->
+          (* one reference per port, like br_flood's clones *)
+          List.iter (fun _ -> Skb.get_ref skb) rest;
+          List.iter (fun p -> p.tx skb) out)
 
 let forwarded t = t.forwarded
 let flooded t = t.flooded

@@ -1,29 +1,44 @@
 (** The dom0 software bridge of Figure 1: connects the physical NIC's
     driver to backend interfaces (one per guest) and the dom0 local stack,
-    forwarding ethernet frames by destination MAC with source-MAC
-    learning. *)
+    forwarding sk_buffs by destination MAC through a static fdb.
 
-type port = { port_name : string; tx : string -> unit }
+    MACs are keys: the 48-bit address as an int ({!mac_key}), read from
+    the frame in simulated memory ({!read_mac}), so forwarding copies no
+    frame bytes onto the host. *)
+
+type port = { port_name : string; tx : Skb.t -> unit }
+(** A port's [tx] takes over one reference to the sk_buff it is handed. *)
 
 type t
 
-val create : unit -> t
+val mac_key : string -> int
+(** The fdb key of a 6-byte MAC. *)
+
+val read_mac : Td_mem.Addr_space.t -> int -> int
+(** [read_mac space addr] is the {!mac_key} of the 6 bytes at [addr]. *)
+
+val create : Kmem.t -> t
+(** A bridge with no ports; the allocator is the one its sk_buffs come
+    from, used to free a flooded frame no port takes. *)
+
 val add_port : t -> port -> unit
 
-val forward : t -> string -> unit
-(** [forward t frame] learns the source MAC and forwards by destination:
-    to the learned port, or floods to every port except the learned source
-    port when unknown (broadcast behaviour). *)
+val forward : t -> dst:int -> src:int -> Skb.t -> unit
+(** [forward t ~dst ~src skb] hands [skb] to the fdb port of [dst]. An
+    unknown [dst] floods it to every port except the fdb port of [src]
+    (broadcast behaviour), taking one extra reference per port after the
+    first; with no port to flood to, the sk_buff is freed. [forward]
+    never learns: only {!learn} adds fdb entries. *)
 
-val learn : t -> mac:string -> port -> unit
+val learn : t -> mac:int -> port -> unit
 (** Static entry (used when guest MACs are known up front). *)
 
-val lookup : t -> mac:string -> port option
-(** The fdb entry for [mac], if any — lets a caller route only known
+val mem : t -> mac:int -> bool
+(** Whether [mac] has an fdb entry — lets a caller route only known
     destinations through {!forward} and keep its own policy (e.g. dom0
     local delivery) for unknown ones, instead of flooding. *)
 
-val forget : t -> mac:string -> unit
+val forget : t -> mac:int -> unit
 
 val remove_port : t -> string -> unit
 (** Remove the named port and every fdb entry pointing at it — backend

@@ -33,6 +33,44 @@ type doorbell = {
   rx : dir_state;
 }
 
+(* A FIFO ring of I/O requests in one growable int array, like Xen's
+   shared ring: an entry is four ints — grant, guest vaddr, length, stage
+   stamp — and [pop] returns the base index of the head entry in [buf],
+   valid until the next [push]. A full ring doubles, unrolled into FIFO
+   order. *)
+module Ring = struct
+  type t = { mutable buf : int array; mutable head : int; mutable len : int }
+
+  let create () = { buf = Array.make 64 0; head = 0; len = 0 }
+  let length r = r.len
+  let is_empty r = r.len = 0
+  let slots r = Array.length r.buf / 4
+
+  let push r gref gvaddr len stamp =
+    let n = slots r in
+    if r.len = n then begin
+      let grown = Array.make (8 * n) 0 and h = 4 * r.head in
+      Array.blit r.buf h grown 0 ((4 * n) - h);
+      Array.blit r.buf 0 grown ((4 * n) - h) h;
+      r.buf <- grown;
+      r.head <- 0
+    end;
+    let i = 4 * ((r.head + r.len) mod slots r) in
+    r.buf.(i) <- gref;
+    r.buf.(i + 1) <- gvaddr;
+    r.buf.(i + 2) <- len;
+    r.buf.(i + 3) <- stamp;
+    r.len <- r.len + 1
+
+  let pop r =
+    let i = 4 * r.head in
+    r.head <- (r.head + 1) mod slots r;
+    r.len <- r.len - 1;
+    i
+end
+
+let nop () = ()
+
 type t = {
   hyp : Hypervisor.t;
   dom0 : Domain.t;
@@ -48,17 +86,22 @@ type t = {
       (** granted guest pages used to stage transmitted frames; sized
           [batch] without a doorbell, wider with one so budget-limited
           drains never reuse a still-staged slot *)
-  tx_staged : (int * Grant_table.grant_ref * int * int) Queue.t;
-      (** (guest vaddr, grant, length, stage stamp) pushed on the ring,
-          kick pending; the stamp is the simulated clock at staging, for
-          the per-direction latency samples *)
+  tx_staged : Ring.t;
+      (** granted frames pushed on the ring, kick pending; the stamp is
+          the simulated clock at staging, for the per-direction latency
+          samples *)
   mutable tx_prod : int;  (** producer cursor into [tx_pages] *)
   mutable map_cursor : int;  (** dom0 vaddr window for grant maps *)
-  rx_posted : (Grant_table.grant_ref * int) Queue.t;
-  rx_staged : (Grant_table.grant_ref * int * int * int) Queue.t;
-      (** (grant, guest vaddr, length, stage stamp) copied in,
-          notification pending *)
-  mutable guest_rx : string -> unit;
+  rx_posted : Ring.t;  (** empty receive buffers (grant, guest vaddr) *)
+  rx_staged : Ring.t;  (** frames copied in, notification pending *)
+  mutable guest_rx : int -> int -> unit;
+  mutable tx_budget : int;  (** frames the next [tx_drain] forwards *)
+  mutable tx_drain : unit -> unit;
+      (** the backend drain, run in dom0; built once per channel *)
+  mutable rx_budget : int;  (** completions the next [rx_drain] delivers *)
+  mutable rx_drain : unit -> unit;
+      (** the frontend drain and virq handler, run in the guest; built
+          once per channel *)
   mutable tx_count : int;
   mutable rx_count : int;
   mutable rx_dropped : int;
@@ -118,6 +161,65 @@ let grant_guest_page gspace grants =
   in
   (page, Grant_table.grant grants ~frame)
 
+let charge_dom0 t n = Hypervisor.charge_domain t.hyp t.dom0 n
+let charge_guest t n = Hypervisor.charge_domain t.hyp t.guest n
+
+(* simulated clock for the latency samples: total cycles charged so far *)
+let now t = Ledger.grand_total (Hypervisor.ledger t.hyp)
+
+(* The backend's per-frame work, always run in dom0: map the granted
+   frame, rebuild a dom0 sk_buff, hand it to the NIC driver, unmap. *)
+let backend_tx_one t costs =
+  let i = Ring.pop t.tx_staged in
+  let b = t.tx_staged.Ring.buf in
+  let gref = b.(i) and len = b.(i + 2) and stamp = b.(i + 3) in
+  let vaddr = t.map_cursor in
+  Grant_table.map t.grants ~hyp:t.hyp ~into:t.dom0
+    ~at_vpage:(Td_mem.Layout.page_of vaddr)
+    gref;
+  charge_dom0 t costs.Sys_costs.netback;
+  let skb = Skb.alloc t.kmem (Domain.space t.dom0) ~size:(len + 64) in
+  Skb.put_from skb ~src:vaddr ~len;
+  charge_dom0 t costs.Sys_costs.bridge;
+  t.driver_tx skb;
+  Grant_table.unmap t.grants ~hyp:t.hyp ~from:t.dom0
+    ~at_vpage:(Td_mem.Layout.page_of vaddr)
+    gref;
+  t.tx_count <- t.tx_count + 1;
+  Ledger.note_latency (Hypervisor.ledger t.hyp) `Tx (now t - stamp);
+  if Td_obs.Control.enabled () then begin
+    Td_obs.Metrics.bump "netio.tx";
+    Td_obs.Trace.emit (Td_obs.Trace.Netio_tx { bytes = len })
+  end
+
+(* [tx_drain]: forward up to [tx_budget] staged frames, in dom0 *)
+let backend_drain t =
+  let costs = Hypervisor.costs t.hyp in
+  for _ = 1 to min t.tx_budget (Ring.length t.tx_staged) do
+    backend_tx_one t costs
+  done
+
+(* The frontend's work, run in the guest: for up to [budget] completions
+   at the head of [ring], hand the frame in the granted buffer to the
+   stack and re-post the buffer. *)
+let frontend_deliver t ring budget =
+  let costs = Hypervisor.costs t.hyp in
+  for _ = 1 to min budget (Ring.length ring) do
+    let i = Ring.pop ring in
+    let b = ring.Ring.buf in
+    let gref = b.(i) and gvaddr = b.(i + 1) and len = b.(i + 2) in
+    let stamp = b.(i + 3) in
+    charge_guest t costs.Sys_costs.netfront;
+    t.rx_count <- t.rx_count + 1;
+    if Td_obs.Control.enabled () then begin
+      Td_obs.Metrics.bump "netio.rx";
+      Td_obs.Trace.emit (Td_obs.Trace.Netio_rx { bytes = len })
+    end;
+    t.guest_rx gvaddr len;
+    Ledger.note_latency (Hypervisor.ledger t.hyp) `Rx (now t - stamp);
+    Ring.push t.rx_posted gref gvaddr 0 0
+  done
+
 let create ?(batch = 1) ?doorbell ?quota ~hyp ~dom0 ~guest ~kmem ~driver_tx
     () =
   if batch < 1 then invalid_arg "Xen_netio: batch must be >= 1";
@@ -176,79 +278,60 @@ let create ?(batch = 1) ?doorbell ?quota ~hyp ~dom0 ~guest ~kmem ~driver_tx
             rx = mk "rx";
           }
   in
-  {
-    hyp;
-    dom0;
-    guest;
-    kmem;
-    driver_tx;
-    quota;
-    grants;
-    batch;
-    tx_pages;
-    tx_staged = Queue.create ();
-    tx_prod = 0;
-    map_cursor = grant_map_base;
-    rx_posted = Queue.create ();
-    rx_staged = Queue.create ();
-    guest_rx = (fun _ -> ());
-    tx_count = 0;
-    rx_count = 0;
-    rx_dropped = 0;
-    rx_throttled = 0;
-    flush_count = 0;
-    tx_staged_total = 0;
-    rx_staged_total = 0;
-    doorbell;
-    closed = false;
-  }
+  let t =
+    {
+      hyp;
+      dom0;
+      guest;
+      kmem;
+      driver_tx;
+      quota;
+      grants;
+      batch;
+      tx_pages;
+      tx_staged = Ring.create ();
+      tx_prod = 0;
+      map_cursor = grant_map_base;
+      rx_posted = Ring.create ();
+      rx_staged = Ring.create ();
+      guest_rx = (fun _ _ -> ());
+      tx_budget = 0;
+      tx_drain = nop;
+      rx_budget = 0;
+      rx_drain = nop;
+      tx_count = 0;
+      rx_count = 0;
+      rx_dropped = 0;
+      rx_throttled = 0;
+      flush_count = 0;
+      tx_staged_total = 0;
+      rx_staged_total = 0;
+      doorbell;
+      closed = false;
+    }
+  in
+  t.tx_drain <- (fun () -> backend_drain t);
+  t.rx_drain <- (fun () -> frontend_deliver t t.rx_staged t.rx_budget);
+  t
 
 let set_guest_rx t fn = t.guest_rx <- fn
 
-let charge_dom0 t n = Hypervisor.charge_domain t.hyp t.dom0 n
-let charge_guest t n = Hypervisor.charge_domain t.hyp t.guest n
-
-(* simulated clock for the latency samples: total cycles charged so far *)
-let now t = Ledger.grand_total (Hypervisor.ledger t.hyp)
-
-(* The backend's per-frame work, always run in dom0: map the granted
-   frame, rebuild a dom0 sk_buff, hand it to the NIC driver, unmap. *)
-let backend_tx_one t costs =
-  let gvaddr, gref, len, stamp = Queue.pop t.tx_staged in
-  ignore gvaddr;
-  let vaddr = t.map_cursor in
-  Grant_table.map t.grants ~hyp:t.hyp ~into:t.dom0
-    ~at_vpage:(Td_mem.Layout.page_of vaddr)
-    gref;
-  charge_dom0 t costs.Sys_costs.netback;
-  let skb = Skb.alloc t.kmem (Domain.space t.dom0) ~size:(len + 64) in
-  Skb.put_from skb ~src:vaddr ~len;
-  charge_dom0 t costs.Sys_costs.bridge;
-  t.driver_tx skb;
-  Grant_table.unmap t.grants ~hyp:t.hyp ~from:t.dom0
-    ~at_vpage:(Td_mem.Layout.page_of vaddr)
-    gref;
-  t.tx_count <- t.tx_count + 1;
-  Ledger.note_latency (Hypervisor.ledger t.hyp) `Tx (now t - stamp);
-  if Td_obs.Control.enabled () then begin
-    Td_obs.Metrics.bump "netio.tx";
-    Td_obs.Trace.emit (Td_obs.Trace.Netio_tx { bytes = len })
+let backend_drain_tx t ~budget =
+  if not (Ring.is_empty t.tx_staged) then begin
+    t.tx_budget <- budget;
+    Hypervisor.run_in t.hyp t.dom0 t.tx_drain
   end
 
-let backend_drain_tx t ~budget =
-  if not (Queue.is_empty t.tx_staged) then
-    Hypervisor.run_in t.hyp t.dom0 (fun () ->
-        let costs = Hypervisor.costs t.hyp in
-        let drained = ref 0 in
-        while !drained < budget && not (Queue.is_empty t.tx_staged) do
-          backend_tx_one t costs;
-          incr drained
-        done)
+let frontend_drain_rx t ~budget =
+  if not (Ring.is_empty t.rx_staged) then begin
+    t.rx_budget <- budget;
+    Hypervisor.run_in t.hyp t.guest t.rx_drain
+  end
 
 (* One kick drains every staged request: the backend runs once in dom0,
    mapping, forwarding and unmapping each granted frame in ring order. *)
 let flush_tx t =
-  if not (Queue.is_empty t.tx_staged) then begin
+  if not (Ring.is_empty t.tx_staged) then begin
     t.flush_count <- t.flush_count + 1;
     if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.flush";
     (match t.doorbell with
@@ -292,7 +375,7 @@ let poll_tx t db =
     Td_mem.Addr_space.read (Domain.space t.dom0)
       (db.dom0_vaddr + tx_off) Td_misa.Width.W32
   in
-  if seq <> db.tx.seen || not (Queue.is_empty t.tx_staged) then begin
+  if seq <> db.tx.seen || not (Ring.is_empty t.tx_staged) then begin
     db.tx.seen <- seq;
     backend_drain_tx t ~budget:db.cfg.poll_budget
   end
@@ -321,7 +404,7 @@ let guest_transmit t ~hdr payload =
   charge_guest t costs.Sys_costs.netfront;
   let slots = Array.length t.tx_pages in
   (match t.doorbell with
-  | Some db when Queue.length t.tx_staged >= slots ->
+  | Some db when Ring.length t.tx_staged >= slots ->
       (* ring full: the frontend stalls until the backend polls it *)
       if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.ring_full";
       poll_tx t db
@@ -334,7 +417,7 @@ let guest_transmit t ~hdr payload =
     ~len:(String.length payload);
   Hypervisor.charge_xen_for t.hyp ~domain:(Domain.name t.guest)
     costs.Sys_costs.io_channel;
-  Queue.push (page, gref, len, now t) t.tx_staged;
+  Ring.push t.tx_staged gref page len (now t);
   t.tx_staged_total <- t.tx_staged_total + 1;
   match t.doorbell with
   | Some db when db.tx.mode = Polling ->
@@ -350,7 +433,7 @@ let guest_transmit t ~hdr payload =
           ~vaddr:(db.page + tx_off) ~charge:charge_guest;
       note_suppressed t db.tx ~metric:"netio.suppressed_hypercalls"
   | _ ->
-      if Queue.length t.tx_staged >= t.batch then flush_tx t
+      if Ring.length t.tx_staged >= t.batch then flush_tx t
       else
         Hypervisor.charge_xen_for t.hyp ~domain:(Domain.name t.guest)
           costs.Sys_costs.notify_coalesce
@@ -362,42 +445,19 @@ let post_rx_buffers t n =
   let gspace = Domain.space t.guest in
   for _ = 1 to n do
     let page, r = grant_guest_page gspace t.grants in
-    Queue.push (r, page) t.rx_posted
+    Ring.push t.rx_posted r page 0 0
   done
 
-let rx_buffers_posted t = Queue.length t.rx_posted
-
-(* The frontend's per-completion work, run in the guest: read the frame
-   out of the granted buffer, hand it to the stack, re-post the buffer. *)
-let frontend_rx_deliver t costs (gref, gvaddr, len, stamp) =
-  charge_guest t costs.Sys_costs.netfront;
-  let frame = Td_mem.Addr_space.read_block (Domain.space t.guest) gvaddr len in
-  t.rx_count <- t.rx_count + 1;
-  if Td_obs.Control.enabled () then begin
-    Td_obs.Metrics.bump "netio.rx";
-    Td_obs.Trace.emit (Td_obs.Trace.Netio_rx { bytes = len })
-  end;
-  (* [frame] is a fresh buffer nothing else holds: hand it over as is *)
-  t.guest_rx (Bytes.unsafe_to_string frame);
-  Ledger.note_latency (Hypervisor.ledger t.hyp) `Rx (now t - stamp);
-  Queue.push (gref, gvaddr) t.rx_posted
-
-let frontend_drain_rx t ~budget =
-  if not (Queue.is_empty t.rx_staged) then
-    Hypervisor.run_in t.hyp t.guest (fun () ->
-        let costs = Hypervisor.costs t.hyp in
-        let drained = ref 0 in
-        while !drained < budget && not (Queue.is_empty t.rx_staged) do
-          frontend_rx_deliver t costs (Queue.pop t.rx_staged);
-          incr drained
-        done)
+let rx_buffers_posted t = Ring.length t.rx_posted
 
 (* One virtual interrupt announces every copied-in frame: the frontend
    handler walks the completions in order, handing each frame to the guest
-   stack and re-posting its buffer. *)
+   stack and re-posting its buffer. The handler is the channel's one
+   [rx_drain], told to take exactly the frames staged now. A masked guest
+   defers the handler, and an unmasked virq may run before it, so a
+   deferred batch leaves the ring as a snapshot of its own. *)
 let flush_rx t =
-  if not (Queue.is_empty t.rx_staged) then begin
-    let costs = Hypervisor.costs t.hyp in
+  if not (Ring.is_empty t.rx_staged) then begin
     t.flush_count <- t.flush_count + 1;
     if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.flush";
     (match t.doorbell with
@@ -405,13 +465,20 @@ let flush_rx t =
         db.rx.window_kicks <- db.rx.window_kicks + 1;
         db.rx.since_notify <- 0
     | None -> ());
-    let completions = ref [] in
-    while not (Queue.is_empty t.rx_staged) do
-      completions := Queue.pop t.rx_staged :: !completions
-    done;
-    let completions = List.rev !completions in
-    Hypervisor.send_virq t.hyp t.guest (fun () ->
-        List.iter (frontend_rx_deliver t costs) completions)
+    let n = Ring.length t.rx_staged in
+    if Domain.interrupts_masked t.guest then begin
+      let batch = Ring.create () in
+      for _ = 1 to n do
+        let i = Ring.pop t.rx_staged in
+        let b = t.rx_staged.Ring.buf in
+        Ring.push batch b.(i) b.(i + 1) b.(i + 2) b.(i + 3)
+      done;
+      Hypervisor.send_virq t.hyp t.guest (fun () -> frontend_deliver t batch n)
+    end
+    else begin
+      t.rx_budget <- n;
+      Hypervisor.send_virq t.hyp t.guest t.rx_drain
+    end
   end
 
 let poll_rx t db =
@@ -422,7 +489,7 @@ let poll_rx t db =
     Td_mem.Addr_space.read (Domain.space t.guest)
       (db.page + rx_off) Td_misa.Width.W32
   in
-  if seq <> db.rx.seen || not (Queue.is_empty t.rx_staged) then begin
+  if seq <> db.rx.seen || not (Ring.is_empty t.rx_staged) then begin
     db.rx.seen <- seq;
     frontend_drain_rx t ~budget:db.cfg.poll_budget
   end
@@ -442,7 +509,7 @@ let rx_throttle_drop t skb =
 let deliver_to_guest t skb =
   let costs = Hypervisor.costs t.hyp in
   charge_dom0 t (costs.Sys_costs.bridge + costs.Sys_costs.netback);
-  if Queue.is_empty t.rx_posted then begin
+  if Ring.is_empty t.rx_posted then begin
     t.rx_dropped <- t.rx_dropped + 1;
     if Td_obs.Control.enabled () then begin
       Td_obs.Metrics.bump "netio.rx_dropped";
@@ -458,19 +525,24 @@ let deliver_to_guest t skb =
     | None -> false
   then rx_throttle_drop t skb
   else begin
-    let gref, gvaddr = Queue.pop t.rx_posted in
-    let payload = Skb.contents skb in
-    (* hypervisor-mediated copy into the guest's granted frame; a dry
-       grant-copy byte bucket re-posts the untouched buffer and drops *)
-    match Grant_table.copy_to t.grants ~hyp:t.hyp gref ~offset:0 ~src:payload with
+    let i = Ring.pop t.rx_posted in
+    let gref = t.rx_posted.Ring.buf.(i) and gvaddr = t.rx_posted.Ring.buf.(i + 1) in
+    let len = Skb.len skb in
+    (* hypervisor-mediated copy from the sk_buff straight into the
+       guest's granted frame; a dry grant-copy byte bucket re-posts the
+       untouched buffer and drops *)
+    match
+      Grant_table.copy_mem_to t.grants ~hyp:t.hyp gref ~offset:0
+        ~space:skb.Skb.space ~addr:(Skb.data skb) ~len
+    with
     | exception Quota.Quota_exceeded _ ->
-        Queue.push (gref, gvaddr) t.rx_posted;
+        Ring.push t.rx_posted gref gvaddr 0 0;
         rx_throttle_drop t skb
     | () -> (
         Hypervisor.charge_xen_for t.hyp ~domain:(Domain.name t.guest)
           costs.Sys_costs.io_channel;
         Skb.free t.kmem skb;
-        Queue.push (gref, gvaddr, Bytes.length payload, now t) t.rx_staged;
+        Ring.push t.rx_staged gref gvaddr len (now t);
         t.rx_staged_total <- t.rx_staged_total + 1;
         match t.doorbell with
         | Some db when db.rx.mode = Polling ->
@@ -481,7 +553,7 @@ let deliver_to_guest t skb =
               ~vaddr:(db.dom0_vaddr + rx_off) ~charge:charge_dom0;
             note_suppressed t db.rx ~metric:"netio.suppressed_virqs"
         | _ ->
-            if Queue.length t.rx_staged >= t.batch then flush_rx t
+            if Ring.length t.rx_staged >= t.batch then flush_rx t
             else
               Hypervisor.charge_xen_for t.hyp ~domain:(Domain.name t.guest)
                 costs.Sys_costs.notify_coalesce)
@@ -558,13 +630,13 @@ let teardown t =
   | None -> flush t
   | Some db ->
       while
-        not (Queue.is_empty t.tx_staged && Queue.is_empty t.rx_staged)
+        not (Ring.is_empty t.tx_staged && Ring.is_empty t.rx_staged)
       do
-        if not (Queue.is_empty t.tx_staged) then
+        if not (Ring.is_empty t.tx_staged) then
           (match db.tx.mode with
           | Interrupt -> flush_tx t
           | Polling -> poll_tx t db);
-        if not (Queue.is_empty t.rx_staged) then
+        if not (Ring.is_empty t.rx_staged) then
           match db.rx.mode with
           | Interrupt -> flush_rx t
           | Polling -> poll_rx t db
@@ -586,15 +658,16 @@ let close t =
         Grant_table.revoke t.grants db.db_gref
     | None -> ());
     Array.iter (fun (_page, gref) -> Grant_table.revoke t.grants gref) t.tx_pages;
-    Queue.iter (fun (gref, _gvaddr) -> Grant_table.revoke t.grants gref) t.rx_posted;
-    Queue.clear t.rx_posted;
+    while not (Ring.is_empty t.rx_posted) do
+      Grant_table.revoke t.grants t.rx_posted.Ring.buf.(Ring.pop t.rx_posted)
+    done;
     t.closed <- true
   end
 
 let closed t = t.closed
 let grants_active t = Grant_table.active t.grants
 
-let staged t = Queue.length t.tx_staged + Queue.length t.rx_staged
+let staged t = Ring.length t.tx_staged + Ring.length t.rx_staged
 let tx_count t = t.tx_count
 let rx_count t = t.rx_count
 let rx_dropped t = t.rx_dropped
@@ -606,8 +679,8 @@ let rx_staged_total t = t.rx_staged_total
 (* Frame conservation: everything staged was either completed or is still
    queued — nothing silently dropped between frontend and backend. *)
 let conserved t =
-  t.tx_staged_total = t.tx_count + Queue.length t.tx_staged
-  && t.rx_staged_total = t.rx_count + Queue.length t.rx_staged
+  t.tx_staged_total = t.tx_count + Ring.length t.tx_staged
+  && t.rx_staged_total = t.rx_count + Ring.length t.rx_staged
 
 let doorbell_vaddr t = Option.map (fun db -> db.page) t.doorbell
 

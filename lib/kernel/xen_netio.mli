@@ -75,8 +75,12 @@ val create :
     deliveries, and the channel's grant table; omitted, nothing is
     checked. *)
 
-val set_guest_rx : t -> (string -> unit) -> unit
-(** Guest-side consumer of received frames. *)
+val set_guest_rx : t -> (int -> int -> unit) -> unit
+(** Guest-side consumer of received frames: called as [fn addr len] with
+    the guest virtual address and length of the whole frame in its
+    granted receive buffer, in the guest's context. The bytes stay valid
+    only during the call — the buffer is re-posted right after — so a
+    consumer reads what it keeps out of simulated memory. *)
 
 val guest_transmit : t -> hdr:string -> string -> unit
 (** [guest_transmit t ~hdr payload] is the frontend transmit path for
@@ -96,12 +100,19 @@ val post_rx_buffers : t -> int -> unit
 val rx_buffers_posted : t -> int
 
 val deliver_to_guest : t -> Skb.t -> unit
-(** Backend receive path: grant-copy the packet into a posted guest
-    buffer and stage the completion; once [batch] completions are pending
-    a single virtual interrupt delivers them all in order (frees the
-    sk_buff). Drops (and counts) when no buffer is posted. In polling
+(** Backend receive path: grant-copy the packet's linear data from the
+    sk_buff straight into a posted guest buffer
+    ({!Td_xen.Grant_table.copy_mem_to}), free the sk_buff and stage the
+    completion; once [batch] completions are pending a single virtual
+    interrupt delivers them all in order. Drops (and counts) when no buffer is posted. In polling
     mode the virq is replaced by a doorbell write and the guest drains
-    completions from {!service}. *)
+    completions from {!service}. A delivery the rx or grant-copy quota
+    refuses re-posts its buffer untouched and drops the frame (see
+    {!rx_throttled}).
+
+    Staged requests, completions and posted buffers sit on FIFO rings of
+    int records that grow by doubling, so a frame crosses the channel
+    without host allocation. *)
 
 val flush : t -> unit
 (** Force out any staged transmit requests and receive completions even

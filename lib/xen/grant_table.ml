@@ -57,9 +57,9 @@ let grant t ~frame =
 (* a bad ref is guest-controlled input, not an invariant violation: the
    hypervisor validates, counts and survives it (typed Guest_fault) *)
 let find t ~op r =
-  match Hashtbl.find_opt t.entries r with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find t.entries r with
+  | e -> e
+  | exception Not_found ->
       if Hashtbl.mem t.revoked r then
         Guest_fault.fail ~domain:(owner_name t) ~op "revoked grant ref %d" r
       else Guest_fault.fail ~domain:(owner_name t) ~op "bad grant ref %d" r
@@ -157,30 +157,15 @@ let check_copy_bounds t ~op ~offset ~len r =
       "grant ref %d: copy of %d bytes at offset %d exceeds the page" r len
       offset
 
-let copy_to t ~hyp r ~offset ~src =
-  let e = find t ~op:"Grant_table.copy_to" r in
-  check_copy_bounds t ~op:"Grant_table.copy_to" ~offset
-    ~len:(Bytes.length src) r;
-  (* grant-copy bandwidth is billed to the granting domain (the guest
-     whose buffer is being filled/drained), before any cycle is charged:
-     a throttled copy costs dom0 nothing *)
-  take_bytes t (Bytes.length src);
-  let cost =
-    int_of_float
-      (float_of_int (Bytes.length src)
-      *. (Hypervisor.costs hyp).Sys_costs.grant_copy_per_byte)
-  in
-  Hypervisor.charge_xen_for hyp ~domain:(owner_name t) cost;
-  if Td_obs.Control.enabled () then begin
-    Td_obs.Metrics.bump_by "grant.copy_bytes" (Bytes.length src);
-    Td_obs.Trace.emit
-      (Td_obs.Trace.Grant_copy { gref = r; bytes = Bytes.length src })
-  end;
-  Td_mem.Phys_mem.write_bytes (phys t) e.frame offset src
-
-let copy_from t ~hyp r ~offset ~len =
-  let e = find t ~op:"Grant_table.copy_from" r in
-  check_copy_bounds t ~op:"Grant_table.copy_from" ~offset ~len r;
+(* The one checked core of every grant copy, either way: the ref, the
+   guest-controlled bounds, then the grant-copy byte bucket billed to the
+   granting domain (the guest whose buffer is being filled/drained)
+   before any cycle is charged — a throttled copy costs dom0 nothing —
+   then the charge and the metric. Returns the granted frame; nothing is
+   copied until every check has passed. *)
+let checked_copy t ~hyp ~op r ~offset ~len =
+  let e = find t ~op r in
+  check_copy_bounds t ~op ~offset ~len r;
   take_bytes t len;
   let cost =
     int_of_float
@@ -191,7 +176,22 @@ let copy_from t ~hyp r ~offset ~len =
     Td_obs.Metrics.bump_by "grant.copy_bytes" len;
     Td_obs.Trace.emit (Td_obs.Trace.Grant_copy { gref = r; bytes = len })
   end;
-  Td_mem.Phys_mem.read_bytes (phys t) e.frame offset len
+  e.frame
+
+let copy_to t ~hyp r ~offset ~src =
+  let len = Bytes.length src in
+  let frame = checked_copy t ~hyp ~op:"Grant_table.copy_to" r ~offset ~len in
+  Td_mem.Phys_mem.write_bytes (phys t) frame offset src
+
+let copy_mem_to t ~hyp r ~offset ~space ~addr ~len =
+  let frame = checked_copy t ~hyp ~op:"Grant_table.copy_to" r ~offset ~len in
+  Td_mem.Addr_space.read_into space addr
+    (Td_mem.Phys_mem.page (phys t) frame)
+    ~pos:offset ~len
+
+let copy_from t ~hyp r ~offset ~len =
+  let frame = checked_copy t ~hyp ~op:"Grant_table.copy_from" r ~offset ~len in
+  Td_mem.Phys_mem.read_bytes (phys t) frame offset len
 
 let active t = Hashtbl.length t.entries
 let maps t = t.map_count

@@ -46,10 +46,30 @@ val copy_to :
 (** Hypervisor-mediated [gnttab_copy] into the granted frame; charges
     per-byte copy cost to Xen (attributed to the owner). Faults (typed)
     when [offset]/length run past the page — guest-controlled bounds are
-    validated, never trusted. *)
+    validated, never trusted. With a quota engine the length is first
+    taken from the owner's {!Quota.Grant_copy_bytes} bucket; a dry bucket
+    raises {!Quota.Quota_exceeded}. Every check runs before the first
+    byte moves, so a refused copy leaves the frame untouched. *)
+
+val copy_mem_to :
+  t ->
+  hyp:Hypervisor.t ->
+  grant_ref ->
+  offset:int ->
+  space:Td_mem.Addr_space.t ->
+  addr:int ->
+  len:int ->
+  unit
+(** [copy_mem_to t ~hyp r ~offset ~space ~addr ~len] is {!copy_to} of
+    the [len] bytes at [addr] in [space], read straight into the granted
+    frame with no intermediate buffer (netback's receive copy out of a
+    dom0 sk_buff). The checks, faults, charge and metric are
+    {!copy_to}'s own. *)
 
 val copy_from :
   t -> hyp:Hypervisor.t -> grant_ref -> offset:int -> len:int -> bytes
+(** [gnttab_copy] out of the granted frame, with {!copy_to}'s checks and
+    charges. *)
 
 val active : t -> int
 (** Number of outstanding grants. *)

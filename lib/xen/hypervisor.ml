@@ -97,13 +97,12 @@ let run_in t dom f =
   if Domain.id prev = Domain.id dom then f ()
   else begin
     switch_to t dom;
-    let finally () = switch_to t prev in
     match f () with
     | v ->
-        finally ();
+        switch_to t prev;
         v
     | exception e ->
-        finally ();
+        switch_to t prev;
         raise e
   end
 

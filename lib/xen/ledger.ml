@@ -85,11 +85,13 @@ let charge t c n =
   if Td_obs.Control.enabled () then
     Td_obs.Metrics.bump_by metric_names.(i) n
 
+(* [Hashtbl.find], not [find_opt]: a hit, the every-charge case,
+   allocates nothing *)
 let charge_for t c ~domain n =
   charge t c n;
-  match Hashtbl.find_opt t.domains domain with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace t.domains domain (ref n)
+  match Hashtbl.find t.domains domain with
+  | r -> r := !r + n
+  | exception Not_found -> Hashtbl.replace t.domains domain (ref n)
 
 let domain_total t domain =
   match Hashtbl.find_opt t.domains domain with Some r -> !r | None -> 0

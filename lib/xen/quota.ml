@@ -134,9 +134,9 @@ let make ?(now = fun () -> 0.) ?(exempt = []) lim =
   { lim; now; exempt = ex; doms = Hashtbl.create 8; throttled = 0 }
 
 let dom_state e domain =
-  match Hashtbl.find_opt e.doms domain with
-  | Some d -> d
-  | None ->
+  match Hashtbl.find e.doms domain with
+  | d -> d
+  | exception Not_found ->
       let d =
         {
           held = Array.make n_resources 0;

@@ -111,7 +111,7 @@ let test_rx_mode_transitions () =
   in
   let io = rig.netio in
   let got = ref 0 in
-  Xen_netio.set_guest_rx io (fun _ -> incr got);
+  Xen_netio.set_guest_rx io (fun _ _ -> incr got);
   Xen_netio.post_rx_buffers io 8;
   let deliver () =
     let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:256 in
@@ -197,7 +197,7 @@ let test_cross_mode_bit_identity () =
     Ledger.reset led;
     Hypervisor.switch_to rig.hyp rig.guest;
     let got = ref 0 in
-    Xen_netio.set_guest_rx io (fun _ -> incr got);
+    Xen_netio.set_guest_rx io (fun _ _ -> incr got);
     Xen_netio.post_rx_buffers io 8;
     for i = 1 to 10 do
       Xen_netio.guest_transmit io ~hdr:"" (String.make (100 + i) 'x')
@@ -233,7 +233,7 @@ let test_teardown_flushes_partial_batches () =
   in
   let io = rig.netio in
   let got = ref 0 in
-  Xen_netio.set_guest_rx io (fun _ -> incr got);
+  Xen_netio.set_guest_rx io (fun _ _ -> incr got);
   Xen_netio.post_rx_buffers io 8;
   Hypervisor.switch_to rig.hyp rig.guest;
   (* stage partial batches both ways: 5 tx (< batch and > poll budget),

@@ -221,23 +221,53 @@ let test_timer_wheel () =
 (* --- bridge --- *)
 
 let test_bridge_learning () =
-  let br = Bridge.create () in
+  let m, km = make () in
+  let br = Bridge.create km in
   let got_a = ref [] and got_b = ref [] in
-  let pa = { Bridge.port_name = "a"; tx = (fun f -> got_a := f :: !got_a) } in
-  let pb = { Bridge.port_name = "b"; tx = (fun f -> got_b := f :: !got_b) } in
+  let record got skb = got := Bytes.to_string (Skb.contents skb) :: !got in
+  let pa = { Bridge.port_name = "a"; tx = record got_a } in
+  let pb = { Bridge.port_name = "b"; tx = record got_b } in
   Bridge.add_port br pa;
   Bridge.add_port br pb;
   let mac_a = "\x02\x00\x00\x00\x00\x0A" and mac_b = "\x02\x00\x00\x00\x00\x0B" in
+  (* the bridge forwards sk_buffs, keyed by the MACs read from memory *)
+  let forward frame =
+    let skb = Skb.alloc km m.Harness.dom0 ~size:256 in
+    Skb.put_string skb frame ~off:0 ~len:(String.length frame);
+    let mac off = Bridge.read_mac m.Harness.dom0 (Skb.data skb + off) in
+    Bridge.forward br ~dst:(mac 0) ~src:(mac 6) skb
+  in
   (* unknown destination floods (but not back to the learned source) *)
-  Bridge.learn br ~mac:mac_a pa;
-  Bridge.forward br (mac_b ^ mac_a ^ "\x08\x00payload");
+  Bridge.learn br ~mac:(Bridge.mac_key mac_a) pa;
+  forward (mac_b ^ mac_a ^ "\x08\x00payload");
   check int_c "flooded to b" 1 (List.length !got_b);
   check int_c "not reflected to a" 0 (List.length !got_a);
-  (* now b is learned from nothing; teach it and forward directly *)
-  Bridge.learn br ~mac:mac_b pb;
-  Bridge.forward br (mac_b ^ mac_a ^ "\x08\x00more");
+  (* forward never learns: teach b and forward directly *)
+  Bridge.learn br ~mac:(Bridge.mac_key mac_b) pb;
+  forward (mac_b ^ mac_a ^ "\x08\x00more");
   check int_c "unicast to b" 2 (List.length !got_b);
-  check bool_c "counted" true (Bridge.forwarded br = 1 && Bridge.flooded br = 1)
+  check bool_c "b got both frames intact" true
+    (!got_b = [ mac_b ^ mac_a ^ "\x08\x00more"; mac_b ^ mac_a ^ "\x08\x00payload" ]);
+  check bool_c "counted" true (Bridge.forwarded br = 1 && Bridge.flooded br = 1);
+  (* each flooded port owns one reference; with no port to flood to, the
+     bridge frees the sk_buff *)
+  let refs = ref [] in
+  let pc =
+    { Bridge.port_name = "c"; tx = (fun skb -> refs := Skb.refcnt skb :: !refs) }
+  in
+  Bridge.add_port br pc;
+  let mac_x = "\x02\x00\x00\x00\x00\x0F" in
+  forward (mac_x ^ mac_a ^ "\x08\x00flood");
+  check int_c "flooded to b" 3 (List.length !got_b);
+  check (Alcotest.list int_c) "c sees two references" [ 2 ] !refs;
+  let live = Kmem.allocated_bytes km in
+  let lone = Bridge.create km in
+  Bridge.add_port lone pa;
+  Bridge.learn lone ~mac:(Bridge.mac_key mac_a) pa;
+  let skb = Skb.alloc km m.Harness.dom0 ~size:256 in
+  Bridge.forward lone ~dst:(Bridge.mac_key mac_x) ~src:(Bridge.mac_key mac_a)
+    skb;
+  check int_c "no port: freed" live (Kmem.allocated_bytes km)
 
 (* --- support registry --- *)
 

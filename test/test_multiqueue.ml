@@ -103,7 +103,7 @@ let test_rx_quota_throttles_delivery () =
   let rig = make_netio_rig ~quota () in
   let io = rig.netio in
   let got = ref 0 in
-  Xen_netio.set_guest_rx io (fun _ -> incr got);
+  Xen_netio.set_guest_rx io (fun _ _ -> incr got);
   Xen_netio.post_rx_buffers io 8;
   for _ = 1 to 5 do
     deliver rig
@@ -123,7 +123,7 @@ let test_doorbell_words_fixed_offsets () =
   let rig = make_netio_rig ~doorbell () in
   let io = rig.netio in
   Td_xen.Hypervisor.switch_to rig.hyp rig.guest;
-  Xen_netio.set_guest_rx io (fun _ -> ());
+  Xen_netio.set_guest_rx io (fun _ _ -> ());
   Xen_netio.post_rx_buffers io 8;
   (* one kick per direction crosses the entry threshold at the tick *)
   Xen_netio.guest_transmit io ~hdr:"" (String.make 64 'a');

@@ -17,7 +17,7 @@ type rig = {
   driver_frames : Skb.t list ref;
 }
 
-let make_rig () =
+let make_rig ?batch ?quota () =
   let m = Harness.make_machine () in
   let ledger = Ledger.create () in
   let cpu = Harness.dom0_cpu m in
@@ -35,7 +35,7 @@ let make_rig () =
   let km = Kmem.create m.Harness.dom0 in
   let driver_frames = ref [] in
   let netio =
-    Xen_netio.create ~hyp ~dom0 ~guest ~kmem:km
+    Xen_netio.create ?batch ?quota ~hyp ~dom0 ~guest ~kmem:km
       ~driver_tx:(fun skb -> driver_frames := skb :: !driver_frames)
       ()
   in
@@ -71,7 +71,9 @@ let test_rx_delivery_and_buffer_recycling () =
   let rig = make_rig () in
   Xen_netio.post_rx_buffers rig.netio 2;
   let got = ref [] in
-  Xen_netio.set_guest_rx rig.netio (fun frame -> got := frame :: !got);
+  Xen_netio.set_guest_rx rig.netio (fun addr len ->
+      let frame = Td_mem.Addr_space.read_block (Domain.space rig.guest) addr len in
+      got := Bytes.to_string frame :: !got);
   for i = 1 to 5 do
     let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:256 in
     Skb.put skb (Bytes.of_string (Printf.sprintf "packet-%d" i));
@@ -144,6 +146,93 @@ let test_transmit_header_and_payload () =
     | exception Guest_fault.Fault { op; reason } -> Some (op ^ ": " ^ reason));
   check int_c "the refused frame was not sent" 3 (Xen_netio.tx_count rig.netio)
 
+(* Deliver a dom0 sk_buff holding [frame] through netback. *)
+let deliver rig frame =
+  let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:256 in
+  Skb.put skb (Bytes.of_string frame);
+  Xen_netio.deliver_to_guest rig.netio skb
+
+(* Collect every frame the guest stack is handed, read out of the
+   granted buffer during the call. *)
+let collect rig =
+  let got = ref [] in
+  Xen_netio.set_guest_rx rig.netio (fun addr len ->
+      let frame = Td_mem.Addr_space.read_block (Domain.space rig.guest) addr len in
+      got := Bytes.to_string frame :: !got);
+  got
+
+let frames lo hi = List.init (hi - lo + 1) (fun i -> Printf.sprintf "frame-%03d" (lo + i))
+
+(* The staging and posting rings start at 16 entries. Five frames and a
+   flush move the staged ring's head off entry 0; a batch of 32 then
+   wraps it and grows it past its initial size, and every frame still
+   arrives in FIFO order. The posted ring has wrapped all along; closing
+   after that releases every grant. *)
+let test_rx_ring_wraps_in_fifo_order () =
+  let rig = make_rig ~batch:32 () in
+  Xen_netio.post_rx_buffers rig.netio 40;
+  let got = collect rig in
+  List.iter (deliver rig) (frames 0 4);
+  Xen_netio.flush rig.netio;
+  List.iter (deliver rig) (frames 5 36);
+  check int_c "the batch of 32 was kicked" 0 (Xen_netio.staged rig.netio);
+  check int_c "all delivered" 37 (Xen_netio.rx_count rig.netio);
+  check bool_c "FIFO order" true (List.rev !got = frames 0 36);
+  check bool_c "conserved" true (Xen_netio.conserved rig.netio);
+  check int_c "every buffer re-posted" 40 (Xen_netio.rx_buffers_posted rig.netio);
+  Xen_netio.close rig.netio;
+  check int_c "no grant left after close" 0 (Xen_netio.grants_active rig.netio)
+
+(* A masked guest defers the virq, so its batch waits outside the ring
+   while later batches come and go. Two batches deferred in turn run in
+   order on unmask; a batch flushed after the guest cleared its flag
+   without unmasking runs at once, before the deferred one — both as
+   with a handler per batch. Each frame gives one rx latency sample. *)
+let test_masked_guest_virq_order () =
+  let rig = make_rig ~batch:4 () in
+  Xen_netio.post_rx_buffers rig.netio 16;
+  let got = collect rig in
+  let gspace = Domain.space rig.guest in
+  Domain.init_vif rig.guest ~vaddr:(Td_mem.Addr_space.heap_alloc gspace 4);
+  Domain.mask_interrupts rig.guest;
+  List.iter (deliver rig) (frames 0 3);
+  List.iter (deliver rig) (frames 4 7);
+  check int_c "both batches deferred" 2 (Domain.pending rig.guest);
+  check int_c "nothing delivered while masked" 0 (Xen_netio.rx_count rig.netio);
+  Domain.unmask_interrupts rig.guest;
+  check bool_c "A before B" true (List.rev !got = frames 0 7);
+  check bool_c "conserved" true (Xen_netio.conserved rig.netio);
+  (* C is deferred; the guest clears its flag by a plain store, so D's
+     virq runs first and C waits for the pending queue *)
+  Domain.mask_interrupts rig.guest;
+  List.iter (deliver rig) (frames 8 11);
+  Td_mem.Addr_space.write gspace (Domain.vif_addr rig.guest) Td_misa.Width.W32 0;
+  List.iter (deliver rig) (frames 12 15);
+  Domain.deliver_pending rig.guest;
+  check bool_c "D before the deferred C" true
+    (List.rev !got = frames 0 7 @ frames 12 15 @ frames 8 11);
+  check bool_c "conserved" true (Xen_netio.conserved rig.netio);
+  check int_c "one rx latency sample per frame" 16
+    (Ledger.latency_count (Hypervisor.ledger rig.hyp) `Rx)
+
+(* A delivery the grant-copy bucket refuses re-posts its buffer untouched
+   and counts the drop; the next one that fits lands in a buffer. *)
+let test_throttled_rx_reposts_buffer () =
+  let quota =
+    Quota.make
+      { Quota.unlimited with Quota.grant_copy_bytes_per_s = 1.; grant_copy_burst_bytes = 12. }
+  in
+  let rig = make_rig ~quota () in
+  Xen_netio.post_rx_buffers rig.netio 1;
+  let got = collect rig in
+  deliver rig "frame-000";
+  deliver rig "frame-001";
+  check int_c "second copy throttled" 1 (Xen_netio.rx_throttled rig.netio);
+  check int_c "buffer re-posted" 1 (Xen_netio.rx_buffers_posted rig.netio);
+  deliver rig "xyz";
+  check bool_c "the frames that fit arrive" true (List.rev !got = [ "frame-000"; "xyz" ]);
+  check bool_c "conserved" true (Xen_netio.conserved rig.netio)
+
 let suite =
   [
     Alcotest.test_case "guest transmit reaches driver" `Quick
@@ -158,4 +247,10 @@ let suite =
       test_oversized_frame_rejected;
     Alcotest.test_case "transmit writes header then payload" `Quick
       test_transmit_header_and_payload;
+    Alcotest.test_case "rx ring wraps in FIFO order" `Quick
+      test_rx_ring_wraps_in_fifo_order;
+    Alcotest.test_case "masked guest: virq order" `Quick
+      test_masked_guest_virq_order;
+    Alcotest.test_case "throttled rx re-posts its buffer" `Quick
+      test_throttled_rx_reposts_buffer;
   ]

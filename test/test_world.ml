@@ -105,8 +105,47 @@ let test_tx_allocation_budget () =
   check bool_c (Printf.sprintf "twin: %.1f words/frame < 120" twin) true
     (twin < 120.);
   let domu = tx_words_per_frame Config.Xen_domU in
-  check bool_c (Printf.sprintf "domU: %.1f words/frame < 250" domu) true
-    (domu < 250.)
+  check bool_c (Printf.sprintf "domU: %.1f words/frame < 88" domu) true
+    (domu < 88.)
+
+(* Host allocation per 64 B domU receive, after warm-up, at the
+   domu-rx-small cadence (a pump every four frames, then the consumer
+   pops): netback, the bridge, the grant copy and netfront move the frame
+   through simulated memory and fixed rings, so the payload string the
+   consumer pops is the only per-frame copy. One more 64 B frame copy
+   (11 words) or a queue of tuples on the staged ring (8 words) breaks
+   the budget, as a queue of tuples on the transmit ring breaks the domU
+   transmit one. *)
+let test_rx_allocation_budget () =
+  let w = World.create ~nics:1 Config.Xen_domU in
+  let payload = String.make 64 'r' in
+  let popped = ref 0 in
+  let run n =
+    for i = 1 to n do
+      World.inject_rx w ~nic:0 ~payload;
+      if i mod 4 = 0 then begin
+        World.pump w;
+        let rec drain () =
+          match World.rx_pop w with
+          | Some _ ->
+              incr popped;
+              drain ()
+          | None -> ()
+        in
+        drain ()
+      end
+    done
+  in
+  let was_on = Td_obs.Control.enabled () in
+  Td_obs.Control.disable ();
+  run 64;
+  let before = Gc.minor_words () in
+  run 256;
+  let words = (Gc.minor_words () -. before) /. 256. in
+  if was_on then Td_obs.Control.enable ();
+  check int_c "every frame popped" 320 !popped;
+  check bool_c (Printf.sprintf "domU rx: %.1f words/frame < 78" words) true
+    (words < 78.)
 
 let test_twin_upcalls_when_demoted () =
   let w =
@@ -422,4 +461,6 @@ let suite =
       Alcotest.test_case "measure consistency" `Quick test_measure_consistency;
       Alcotest.test_case "rejects tuning.queues <> 1" `Quick
         test_rejects_multi_queue_tuning;
+      Alcotest.test_case "rx allocation budget (domU)" `Quick
+        test_rx_allocation_budget;
     ]

@@ -256,6 +256,59 @@ let test_event_queue_horizon () =
   check int_c "only first fired" 1 !n;
   check int_c "one pending" 1 (Td_sim.Event_queue.pending q)
 
+(* The copy out of simulated memory shares copy_to's one checked core:
+   a revoked ref, a copy past the page and a dry grant-copy byte bucket
+   raise the same typed errors, and each leaves the guest page as it was
+   (every check runs before the first byte moves). *)
+let test_grant_copy_mem_faults () =
+  let m, hyp, _dom0, guest = make_xen () in
+  let gspace = Domain.space guest in
+  let quota =
+    Quota.make
+      { Quota.unlimited with Quota.grant_copy_bytes_per_s = 1.; grant_copy_burst_bytes = 100. }
+  in
+  let gt = Grant_table.create ~quota ~owner:guest () in
+  let gpage = Td_mem.Addr_space.heap_alloc gspace 4096 in
+  let frame =
+    Option.get
+      (Td_mem.Addr_space.frame_of_vpage gspace ~vpage:(Td_mem.Layout.page_of gpage))
+  in
+  let page () = Td_mem.Addr_space.read_block gspace gpage 4096 in
+  let src = Td_mem.Addr_space.heap_alloc m.Harness.dom0 4096 in
+  Td_mem.Addr_space.write_string m.Harness.dom0 src (String.make 4096 's') ~off:0
+    ~len:4096;
+  let copy r ~offset ~len =
+    Grant_table.copy_mem_to gt ~hyp r ~offset ~space:m.Harness.dom0 ~addr:src ~len
+  in
+  let r = Grant_table.grant gt ~frame in
+  copy r ~offset:10 ~len:64;
+  check bool_c "bytes land at the offset" true
+    (Bytes.sub_string (page ()) 10 64 = String.make 64 's');
+  let before = page () in
+  let outcome f =
+    match f () with
+    | () -> "copied"
+    | exception Guest_fault.Fault { op; reason; _ } -> op ^ ": " ^ reason
+    | exception Quota.Quota_exceeded { resource; _ } -> "quota " ^ resource
+  in
+  (* both entry points, same refusal, same untouched page *)
+  let same_as_copy_to name ~offset ~len r =
+    let mem = outcome (fun () -> copy r ~offset ~len) in
+    check bool_c (name ^ ": page untouched") true (page () = before);
+    let bytes =
+      outcome (fun () -> Grant_table.copy_to gt ~hyp r ~offset ~src:(Bytes.make len 'b'))
+    in
+    check Alcotest.string (name ^ ": same error as copy_to") bytes mem;
+    check bool_c (name ^ ": refused") true (mem <> "copied");
+    check bool_c (name ^ ": page still untouched") true (page () = before)
+  in
+  same_as_copy_to "past the page" ~offset:4090 ~len:8 r;
+  (* 64 of the 100-byte bucket are spent: 64 more are refused in full *)
+  same_as_copy_to "dry bucket" ~offset:0 ~len:64 r;
+  let r2 = Grant_table.grant gt ~frame in
+  Grant_table.revoke gt r2;
+  same_as_copy_to "revoked ref" ~offset:0 ~len:8 r2
+
 let suite =
   [
     Alcotest.test_case "ledger" `Quick test_ledger;
@@ -270,4 +323,6 @@ let suite =
     Alcotest.test_case "scheduler fairness" `Quick test_scheduler_fairness;
     Alcotest.test_case "event queue order" `Quick test_event_queue;
     Alcotest.test_case "event queue horizon" `Quick test_event_queue_horizon;
+    Alcotest.test_case "grant copy from memory faults like copy_to" `Quick
+      test_grant_copy_mem_faults;
   ]
