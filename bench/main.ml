@@ -679,14 +679,16 @@ let interp_rig () =
   Td_cpu.Code_registry.register registry hot;
   (space, registry, Program.addr_of_label hot "entry")
 
-(* [?hook] forces the per-instruction slow path: a no-op hook measures
-   what any per-step observer costs *)
-let interp_variant ?hook () =
+(* [~threshold:max_int] never promotes an entry: every block runs on the
+   basic-block engine, the tier cold entries and bailouts fall back to *)
+let interp_variant ?threshold () =
   let space, registry, entry = interp_rig () in
   let st = Td_cpu.State.create space in
   Td_cpu.State.set st Td_misa.Reg.ESP interp_stack_top;
   let natives = Td_cpu.Native.create () in
-  (st, Td_cpu.Interp.create ?hook st registry natives, entry)
+  let i = Td_cpu.Interp.create st registry natives in
+  Option.iter (Td_cpu.Interp.set_compile_threshold i) threshold;
+  (st, i, entry)
 
 (* host seconds on the monotonic clock (wall time, not process CPU) *)
 let mono_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
@@ -718,28 +720,30 @@ let interp () =
   let compiled, compiled_words, sig_compiled, eng =
     interp_measure (interp_variant ())
   in
-  let hooked, hooked_words, sig_hooked, _ =
-    interp_measure (interp_variant ~hook:(fun _ _ -> ()) ())
+  let block, block_words, sig_block, _ =
+    interp_measure (interp_variant ~threshold:max_int ())
   in
-  let identical = sig_compiled = sig_hooked in
-  let speedup = compiled /. hooked in
+  let identical = sig_compiled = sig_block in
+  let speedup = compiled /. block in
   Printf.printf "%-42s %10s %12s\n" "engine" "Minsn/s" "words/insn";
   Printf.printf "%-42s %10.1f %12.3f\n" "compiled superblocks (default)"
     compiled compiled_words;
-  Printf.printf "%-42s %10.1f %12.3f\n" "per-step slow path (no-op hook)"
-    hooked hooked_words;
+  Printf.printf "%-42s %10.1f %12.3f\n" "basic-block engine (never promoted)"
+    block block_words;
   Printf.printf
-    "\ncompiled vs per-step slow path: %.1fx\n\
+    "\ncompiled vs basic-block engine: %.1fx\n\
      simulated (cycles, steps) per call identical across engines: %b\n"
     speedup identical;
   Td_cpu.Interp.publish_metrics eng;
   (* fig8-style simulated receive on a twin world: the default path
      (probe sites counted inline, compiled tier) against the same run
-     forced per-step by a no-op hook. Simulated cycles per packet must
-     not move. *)
-  let rx ?hook () =
+     kept on the block engine. Simulated cycles per packet must not
+     move. *)
+  let rx ?threshold () =
     let w = World.create ~nics:1 Config.Xen_twin in
-    Option.iter (Td_cpu.Interp.add_hook (World.interp w)) hook;
+    Option.iter
+      (Td_cpu.Interp.set_compile_threshold (World.interp w))
+      threshold;
     let payload = String.make 1500 'r' in
     let t0 = mono_s () in
     for i = 1 to 2000 do
@@ -757,23 +761,23 @@ let interp () =
     (float_of_int cycles /. float_of_int frames, frames, host)
   in
   let cpp_fast, frames_fast, host_fast = rx () in
-  let cpp_slow, frames_slow, host_slow = rx ~hook:(fun _ _ -> ()) () in
-  let rx_identical = cpp_fast = cpp_slow && frames_fast = frames_slow in
+  let cpp_block, frames_block, host_block = rx ~threshold:max_int () in
+  let rx_identical = cpp_fast = cpp_block && frames_fast = frames_block in
   Printf.printf
     "\nfig8-style twin rx, 2000 frames: %.0f cycles/pkt default, %.0f \
-     per-step\n\
-     (identical: %b); host %.2fs per-step -> %.2fs default\n"
-    cpp_fast cpp_slow rx_identical host_slow host_fast;
+     block engine\n\
+     (identical: %b); host %.2fs block engine -> %.2fs default\n"
+    cpp_fast cpp_block rx_identical host_block host_fast;
   bench_json "interp"
     [
       ( "host",
         Json.Obj
           [
             ("compiled_minsn_s", Json.Float compiled);
-            ("hooked_minsn_s", Json.Float hooked);
-            ("speedup_compiled_over_hooked", Json.Float speedup);
+            ("block_minsn_s", Json.Float block);
+            ("speedup_compiled_over_block", Json.Float speedup);
             ("compiled_words_per_insn", Json.Float compiled_words);
-            ("hooked_words_per_insn", Json.Float hooked_words);
+            ("block_words_per_insn", Json.Float block_words);
           ] );
       ("simulated_identical_across_modes", Json.Bool identical);
       ( "block_cache",
@@ -797,10 +801,10 @@ let interp () =
           [
             ("frames", Json.Int frames_fast);
             ("cycles_per_packet_default", Json.Float cpp_fast);
-            ("cycles_per_packet_hooked", Json.Float cpp_slow);
+            ("cycles_per_packet_block", Json.Float cpp_block);
             ("bit_identical_cycles", Json.Bool rx_identical);
             ("host_s_default", Json.Float host_fast);
-            ("host_s_hooked", Json.Float host_slow);
+            ("host_s_block", Json.Float host_block);
           ] );
     ]
 

@@ -20,7 +20,7 @@ type t = {
   state : State.t;
   registry : Code_registry.t;
   natives : Native.t;
-  mutable hook : (State.t -> Td_misa.Insn.t -> unit) option;
+  mutable observer : (State.t -> Td_misa.Program.t -> int -> int) option;
   fault : Td_fault.Engine.state option;  (** the bitflip site's engine *)
   mutable probes : Superblock.probes;
   mutable bc_gen : int;
@@ -42,12 +42,12 @@ type t = {
   stlb_elided : int ref;
 }
 
-let create ?hook ?fault state registry natives =
+let create ?fault state registry natives =
   {
     state;
     registry;
     natives;
-    hook;
+    observer = None;
     fault;
     probes = [];
     bc_gen = 0;
@@ -71,10 +71,10 @@ let state t = t.state
 let registry t = t.registry
 let set_compile_threshold t n = t.compile_threshold <- max 1 n
 
-let add_hook t h =
-  match t.hook with
-  | None -> t.hook <- Some h
-  | Some g -> t.hook <- Some (fun st insn -> g st insn; h st insn)
+let observe_blocks t f =
+  match t.observer with
+  | None -> t.observer <- Some f
+  | Some g -> t.observer <- Some (fun st p i -> min (g st p i) (f st p i))
 
 (* Compiled superblocks bake the table in, so a new table must never
    meet a closure compiled against the old one: forget the cached
@@ -92,21 +92,28 @@ let fire_probe t st insn =
 
 let ret_sentinel = Semantics.ret_sentinel
 
-let exec_insn t insn = Semantics.exec_insn ~natives:t.natives t.state insn
-
 (* fault-injection site: flip one bit of architectural state before the
    next instruction executes — a soft error in the register file or the
-   flags, the kind of corruption the SVM containment story must absorb *)
+   flags, the kind of corruption the SVM containment story must absorb.
+   An armed plan draws once per instruction, after its probe site. *)
 let flip_regs = Td_misa.Reg.[| EAX; EBX; ECX; EDX; ESI; EDI |]
 
-let inject_bitflip e st =
-  match Td_fault.Engine.pick e Td_fault.Interp_bitflip 8 with
-  | 6 -> st.State.zf <- not st.State.zf
-  | 7 -> st.State.cf <- not st.State.cf
-  | r ->
-      let reg = flip_regs.(r) in
-      let bit = Td_fault.Engine.pick e Td_fault.Interp_bitflip 32 in
-      State.set st reg (State.get st reg lxor (1 lsl bit))
+let bitflip_armed t =
+  match t.fault with
+  | Some e -> Td_fault.Engine.armed e Td_fault.Interp_bitflip
+  | None -> false
+
+let maybe_bitflip t st =
+  match t.fault with
+  | Some e when Td_fault.Engine.fire e Td_fault.Interp_bitflip -> (
+      match Td_fault.Engine.pick e Td_fault.Interp_bitflip 8 with
+      | 6 -> st.State.zf <- not st.State.zf
+      | 7 -> st.State.cf <- not st.State.cf
+      | r ->
+          let reg = flip_regs.(r) in
+          let bit = Td_fault.Engine.pick e Td_fault.Interp_bitflip 32 in
+          State.set st reg (State.get st reg lxor (1 lsl bit)))
+  | Some _ | None -> ()
 
 (* --- instruction fetch --- *)
 
@@ -165,44 +172,31 @@ let cached_prog t slot =
   | Some p -> p
   | None -> assert false
 
-let step t =
-  let st = t.state in
-  let slot = resolve_cached t st.State.pc in
-  let prog = cached_prog t slot and idx = Array.unsafe_get t.bc_idx slot in
-  let insn = prog.Program.code.(idx) in
-  fire_probe t st insn;
-  (match t.hook with Some h -> h st insn | None -> ());
-  (match t.fault with
-  | Some e when Td_fault.Engine.fire e Td_fault.Interp_bitflip ->
-      inject_bitflip e st
-  | Some _ | None -> ());
-  st.State.steps <- st.State.steps + 1;
-  exec_insn t insn
+(* Only the block engine serves an attached observer or an armed bitflip
+   plan: both need a view finer than a compiled superblock. Probe sites
+   are recognised inline by both engines, and any other fault site fires
+   identically in either ([fire] never draws at a zero rate). Observers
+   are attached and the fault engine is suspended or resumed only
+   outside driver execution, and a [Call] ends a block, so checking once
+   per control transfer is exactly equivalent to checking per
+   instruction. *)
+let needs_block_engine t =
+  (match t.observer with Some _ -> true | None -> false) || bitflip_armed t
 
-(* Only per-instruction observers need the slow path: an installed hook
-   (the profiler) or an armed bitflip plan, which draws once per
-   instruction. Probe sites are recognised inline by both engines, and
-   any other fault site fires identically in every engine ([fire] never
-   draws at a zero rate). Hooks are installed and the fault engine is
-   suspended or resumed only outside driver execution, and a [Call] ends
-   a block, so checking once per control transfer is exactly equivalent
-   to checking per instruction. *)
-let needs_slow_path t =
-  (match t.hook with Some _ -> true | None -> false)
-  ||
-  match t.fault with
-  | Some e -> Td_fault.Engine.armed e Td_fault.Interp_bitflip
-  | None -> false
-
-(* straight-line fast path: resolve once, execute to the end of the
-   basic block by array index. In-block instructions only fall through
-   (control transfers end blocks), so the pc needs no sentinel or bounds
-   re-check until the block is done. *)
+(* The block engine: resolve once, execute to the end of the basic
+   block (or the observer's earlier stop) by array index. In-block
+   instructions only fall through (control transfers end blocks), so the
+   pc needs no sentinel or bounds re-check until the block is done. An
+   armed bitflip plan draws once per instruction, in the order of the
+   one-instruction-at-a-time reference: probe site, flip, execute. *)
 let exec_block t =
   let st = t.state in
   let slot = resolve_cached t st.State.pc in
   let prog = cached_prog t slot and idx = Array.unsafe_get t.bc_idx slot in
   let stop = Array.unsafe_get prog.Program.block_end idx in
+  let stop =
+    match t.observer with None -> stop | Some f -> min stop (f st prog idx)
+  in
   let avail = stop - idx + 1 in
   let n = if avail > st.State.fuel then st.State.fuel else avail in
   st.State.fuel <- st.State.fuel - n;
@@ -210,14 +204,16 @@ let exec_block t =
   let last = idx + n - 1 in
   (* steps are bulk-charged, with the uncommon abort path giving back
      the instructions after the faulting one so the count matches
-     per-step execution exactly *)
+     one-instruction-at-a-time execution exactly *)
   st.State.steps <- st.State.steps + n;
   let natives = t.natives in
+  let flips = bitflip_armed t in
   let i = ref idx in
   try
     while !i <= last do
       let insn = Array.unsafe_get code !i in
       if t.probes != [] then fire_probe t st insn;
+      if flips then maybe_bitflip t st;
       Semantics.exec_insn ~natives st insn;
       incr i
     done
@@ -293,11 +289,7 @@ let call ?(max_steps = 1_000_000) t ~entry ~args =
   (match
      while st.State.pc <> ret_sentinel do
        if st.State.fuel <= 0 then raise (Timeout st.State.fuel_cap);
-       if needs_slow_path t then begin
-         st.State.fuel <- st.State.fuel - 1;
-         step t
-       end
-       else exec_compiled t
+       if needs_block_engine t then exec_block t else exec_compiled t
      done
    with
   | () ->

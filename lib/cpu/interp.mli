@@ -4,10 +4,10 @@
     the architectural {!State.t}. Costs are charged per instruction and per
     memory access (TLB and cache models included), so the measured
     native-vs-rewritten driver slowdown is an output of execution, not an
-    assumption. Three engines — per-instruction steps, basic blocks and
-    compiled {!Superblock}s — share one instruction semantics
-    ({!Semantics}) and produce bit-identical simulated (cycles, steps);
-    the full pipeline is documented in docs/INTERPRETER.md. *)
+    assumption. Two engines — basic blocks and compiled {!Superblock}s —
+    share one instruction semantics ({!Semantics}) and produce the
+    simulated (cycles, steps) of executing one instruction at a time,
+    bit for bit; the full pipeline is documented in docs/INTERPRETER.md. *)
 
 exception Fault of string
 (** Execution fault: unresolved target, call into unmapped code, etc.
@@ -21,7 +21,6 @@ exception Timeout of int
 type t
 
 val create :
-  ?hook:(State.t -> Td_misa.Insn.t -> unit) ->
   ?fault:Td_fault.Engine.state ->
   State.t -> Code_registry.t -> Native.t -> t
 (** [fault] is the engine the {!Td_fault.Interp_bitflip} site draws
@@ -35,14 +34,16 @@ val set_compile_threshold : t -> int -> unit
     (default 8; clamped to at least 1). [max_int] never promotes, which
     leaves every entry on the basic-block engine. *)
 
-val add_hook : t -> (State.t -> Td_misa.Insn.t -> unit) -> unit
-(** Compose a per-instruction hook with any already installed (existing
-    hooks run first). Hooks fire before the instruction executes, so
-    register reads observe pre-execution state. Installing any hook
-    forces the per-instruction slow path for
-    every later {!call}, so it is for observers that really need every
-    instruction (the profiler); to count inline stlb hits, register
-    probe sites with {!set_probes} instead. *)
+val observe_blocks : t -> (State.t -> Td_misa.Program.t -> int -> int) -> unit
+(** [observe_blocks t f] runs [f st prog idx] before every block the
+    engine executes, where instruction [idx] of [prog] starts the block
+    and [st] is its pre-execution state. [f] returns the index of the
+    last instruction to run in this block (at least [idx]); the block
+    ends there or at its natural end, whichever comes first, so
+    returning [idx] gives a one-instruction view. An observer composes
+    with any already attached (the earliest stop wins) and keeps every
+    later {!call} on the block engine; to count inline stlb hits,
+    register probe sites with {!set_probes} instead. *)
 
 val set_probes : t -> Superblock.probes -> unit
 (** Replace the probe-site table (see {!Superblock.probe_site}). Every
@@ -65,16 +66,13 @@ val call : ?max_steps:int -> t -> entry:int -> args:int list -> int
     [ESP] must already point to a valid stack. Default [max_steps] is
     1_000_000. The budget is charged per executed instruction and per
     [rep] string element, so a corrupted huge ECX times out rather than
-    spinning forever. With a hook installed, or a fault engine whose
-    [interp_bitflip] rate is above zero and not suspended, execution
-    takes the per-instruction slow path; otherwise it proceeds a
-    compiled superblock — or, for cold or bailed-out entries, a basic
-    block — at a time. Probe sites fire on every path. Simulated cycles,
-    steps and metrics are identical on every path, only host wall-clock
-    differs. *)
-
-val exec_insn : t -> Td_misa.Insn.t -> unit
-(** Execute one instruction (for tests); [state.pc] must identify it. *)
+    spinning forever. Execution proceeds a compiled superblock — or, for
+    cold or bailed-out entries, a basic block — at a time. With an
+    observer attached, or a fault engine whose [interp_bitflip] rate is
+    above zero and not suspended, every block runs on the block engine,
+    which draws the bitflip once per instruction. Probe sites fire on
+    every path. Simulated cycles, steps and metrics are identical on
+    every path, only host wall-clock differs. *)
 
 (* engine introspection (the [interp] bench) *)
 

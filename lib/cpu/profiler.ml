@@ -3,27 +3,47 @@ type region = { name : string; mutable cycles : int }
 type t = {
   interp : Interp.t;
   regions : (string, region) Hashtbl.t;
-  (* per program: label starts sorted by instruction index *)
+  (* per program: qualified region names sorted by start index, the
+     prologue before the first label first *)
   label_maps : (string, (int * string) array) Hashtbl.t;
   mutable last_cycles : int;
   mutable current : region option;
 }
 
 let label_map (prog : Td_misa.Program.t) =
-  Hashtbl.fold (fun l idx acc -> (idx, l) :: acc) prog.Td_misa.Program.label_index []
+  let qualify l = prog.Td_misa.Program.name ^ ":" ^ l in
+  Hashtbl.fold
+    (fun l idx acc -> (idx, qualify l) :: acc)
+    prog.Td_misa.Program.label_index
+    [ (-1, qualify "<prologue>") ]
   |> List.sort compare |> Array.of_list
 
-(* innermost label at or before [idx] *)
+(* position of the innermost label at or before [idx] *)
 let enclosing map idx =
-  let n = Array.length map in
-  let rec go lo hi best =
-    if lo > hi then best
+  let rec go lo hi =
+    if lo >= hi then lo
     else
-      let mid = (lo + hi) / 2 in
-      let start, name = map.(mid) in
-      if start <= idx then go (mid + 1) hi (Some name) else go lo (mid - 1) best
+      let mid = (lo + hi + 1) / 2 in
+      if fst map.(mid) <= idx then go mid hi else go lo (mid - 1)
   in
-  go 0 (n - 1) None
+  go 0 (Array.length map - 1)
+
+let region t name =
+  match Hashtbl.find_opt t.regions name with
+  | Some r -> r
+  | None ->
+      let r = { name; cycles = 0 } in
+      Hashtbl.replace t.regions name r;
+      r
+
+(* charge the cycles spent since the last settlement to the region that
+   was executing *)
+let settle t =
+  let now = (Interp.state t.interp).State.cycles in
+  (match t.current with
+  | Some r -> r.cycles <- r.cycles + (now - t.last_cycles)
+  | None -> ());
+  t.last_cycles <- now
 
 let attach interp =
   let t =
@@ -35,48 +55,31 @@ let attach interp =
       current = None;
     }
   in
-  let hook (st : State.t) _insn =
-    (* charge the cycles spent since the previous step to the region that
-       was executing *)
-    (match t.current with
-    | Some r -> r.cycles <- r.cycles + (st.State.cycles - t.last_cycles)
-    | None -> ());
-    t.last_cycles <- st.State.cycles;
-    match Code_registry.find (Interp.registry t.interp) st.State.pc with
-    | None -> t.current <- None
-    | Some prog ->
-        let pname = prog.Td_misa.Program.name in
-        let map =
-          match Hashtbl.find_opt t.label_maps pname with
-          | Some m -> m
-          | None ->
-              let m = label_map prog in
-              Hashtbl.replace t.label_maps pname m;
-              m
-        in
-        let idx = Td_misa.Program.index_of_addr prog st.State.pc in
-        let label =
-          match enclosing map idx with Some l -> l | None -> "<prologue>"
-        in
-        let qualified = pname ^ ":" ^ label in
-        let region =
-          match Hashtbl.find_opt t.regions qualified with
-          | Some r -> r
-          | None ->
-              let r = { name = qualified; cycles = 0 } in
-              Hashtbl.replace t.regions qualified r;
-              r
-        in
-        t.current <- Some region
-  in
-  Interp.add_hook interp hook;
+  (* every block ends before the next label start, so all of its cycles
+     belong to the region it starts in *)
+  Interp.observe_blocks interp (fun _ prog idx ->
+      settle t;
+      let pname = prog.Td_misa.Program.name in
+      let map =
+        match Hashtbl.find_opt t.label_maps pname with
+        | Some m -> m
+        | None ->
+            let m = label_map prog in
+            Hashtbl.replace t.label_maps pname m;
+            m
+      in
+      let k = enclosing map idx in
+      t.current <- Some (region t (snd map.(k)));
+      if k + 1 < Array.length map then fst map.(k + 1) - 1 else max_int);
   t
 
 let cycles_by_label t =
+  settle t;
   Hashtbl.fold (fun _ r acc -> (r.name, r.cycles) :: acc) t.regions []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 let total_cycles t =
+  settle t;
   Hashtbl.fold (fun _ r acc -> acc + r.cycles) t.regions 0
 
 let reset t =

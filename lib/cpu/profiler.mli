@@ -9,13 +9,19 @@
 type t
 
 val attach : Interp.t -> t
-(** Installs the interpreter hook (replacing any existing one). *)
+(** Attaches a block observer ({!Interp.observe_blocks}) that ends every
+    block at the next label start, so each block lies in one region and
+    its cycles are charged at the next block entry. Reading the profile
+    settles the cycles spent since the last block entry. *)
 
 val cycles_by_label : t -> (string * int) list
 (** Sorted by descending cycles. Label names are qualified as
     ["program:label"]. *)
 
 val total_cycles : t -> int
+(** Every simulated cycle the interpreter spent since {!attach} or the
+    last {!reset}. *)
+
 val reset : t -> unit
 
 val publish : t -> unit

@@ -1,8 +1,9 @@
 (* Single-instruction execution semantics for MISA, shared between the
-   per-step interpreter ([Interp]) and compiled superblocks
+   interpreter's block engine ([Interp]) and compiled superblocks
    ([Superblock]). Everything here operates on the architectural
    [State.t] directly; the interpreter record only adds dispatch policy,
-   caches and counters on top. *)
+   caches and counters on top. Executing [exec_insn] one instruction at
+   a time is the reference both engines must match. *)
 
 exception Fault of string
 exception Timeout of int

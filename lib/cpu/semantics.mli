@@ -1,12 +1,12 @@
 (** Single-instruction execution semantics for MISA.
 
     The primitives shared by the two execution engines: {!Interp}'s
-    per-step / basic-block dispatch and {!Superblock}'s compiled
-    closures. Everything operates directly on the architectural
-    {!State.t}; cycle costs (TLB, cache, MMIO models included) are
-    charged as a side effect of execution, so both engines produce
-    bit-identical simulated (cycles, steps) by construction wherever
-    they share these helpers. *)
+    basic-block dispatch and {!Superblock}'s compiled closures.
+    Everything operates directly on the architectural {!State.t}; cycle
+    costs (TLB, cache, MMIO models included) are charged as a side
+    effect of execution, so both engines produce the simulated (cycles,
+    steps) of {!exec_insn} applied one instruction at a time, bit for
+    bit, by construction wherever they share these helpers. *)
 
 exception Fault of string
 (** Execution fault: unresolved target, call into unmapped code, etc. *)
@@ -30,23 +30,17 @@ val charge :
     the MMIO surcharge for a device or unmapped page. Mutates the TLB
     and cache; allocates nothing. *)
 
-val charge_access : State.t -> int -> Td_misa.Width.t -> unit
-(** {!charge} after looking the page up in the space [addr] selects. *)
-
 val load : State.t -> int -> Td_misa.Width.t -> int
-(** {!charge_access} + {!State.read_mem}, with one page-table walk
+(** {!charge} + {!State.read_mem}, with one page-table walk
     serving both and no allocation. A page-straddling access is split
     by {!Td_mem.Addr_space.read}; an unmapped page raises
     {!Td_mem.Addr_space.Page_fault} after the charge. *)
 
 val store : State.t -> int -> Td_misa.Width.t -> int -> unit
-(** As {!load}, for {!State.write_mem}. *)
+(** As {!load}, for a write. *)
 
 val addr_of_mem : State.t -> Td_misa.Operand.mem -> int
 val eval : State.t -> Td_misa.Width.t -> Td_misa.Operand.t -> int
-val assign : State.t -> Td_misa.Width.t -> Td_misa.Operand.t -> int -> unit
-val eval32 : State.t -> Td_misa.Operand.t -> int
-val assign32 : State.t -> Td_misa.Operand.t -> int -> unit
 
 val set_zs : State.t -> int -> unit
 val flags_logic : State.t -> int -> unit
@@ -54,13 +48,7 @@ val flags_add : State.t -> int -> int -> int -> unit
 val flags_sub : State.t -> int -> int -> int -> unit
 val cond_true : State.t -> Td_misa.Cond.t -> bool
 
-val target_addr : State.t -> Td_misa.Insn.target -> int
 val do_call : natives:Native.t -> State.t -> int -> unit
-val do_jump : State.t -> int -> unit
-
-val exec_str : State.t -> Td_misa.Insn.str_op -> Td_misa.Width.t -> bool -> unit
-(** String op, optionally [rep]-prefixed; each element charges one unit
-    of [State.fuel] so a corrupted huge ECX trips the watchdog. *)
 
 val is_simple : Td_misa.Insn.t -> bool
 (** Dual-issue model: register-only move/ALU instructions pair with an

@@ -52,8 +52,6 @@ val read_mem : t -> int -> Td_misa.Width.t -> int
 (** Cost-free memory read (used by native routines; simulated instructions
     go through {!Interp} which adds cycle accounting). *)
 
-val write_mem : t -> int -> Td_misa.Width.t -> int -> unit
-
 val push : t -> int -> unit
 val pop : t -> int
 

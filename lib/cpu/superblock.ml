@@ -27,8 +27,8 @@
 
    Abort accounting: a fault inside the closure charges the cycles,
    steps and fuel of the prefix up to and including the faulting
-   instruction and restores its pc, exactly as per-step execution
-   would, then re-raises. *)
+   instruction and restores its pc, exactly as executing one instruction
+   at a time would, then re-raises. *)
 
 open Td_misa
 
@@ -142,7 +142,8 @@ let may_raise insn =
 (* An instruction's flag write may be skipped only if nothing inside the
    instruction itself can fault after the flags move — a memory (or
    immediate) destination is stored after the flags are set, so a store
-   fault would leave per-step flags written but compiled flags not. *)
+   fault would leave the reference's flags written but compiled flags
+   not. *)
 let flag_write_final = function
   | Insn.Alu (_, _, (Operand.Mem _ | Operand.Imm _))
   | Insn.Shift (_, _, (Operand.Mem _ | Operand.Imm _))
@@ -296,10 +297,10 @@ let gen_eval32 ctx : Operand.t -> State.t -> int = function
 (* Lower one straight-line instruction into a closure continuing with
    [k]. [flags] = materialise the flag writes (false only when liveness
    proved them dead). Anything without a specialised template falls back
-   to [Semantics.exec_body], which is exactly the per-step semantics
-   minus the (statically accounted) issue preamble; its [pc] advance is
-   harmless — nothing inside a trace reads [pc], and every exit
-   overwrites it. *)
+   to [Semantics.exec_body], which is exactly the one-instruction
+   semantics minus the (statically accounted) issue preamble; its [pc]
+   advance is harmless — nothing inside a trace reads [pc], and every
+   exit overwrites it. *)
 let gen_straight ctx ~natives ~flags insn (k : State.t -> unit) : State.t -> unit
     =
   let generic () st =
@@ -560,7 +561,6 @@ let probe_site (probes : probes) = function
 (* --- the compiled block --- *)
 
 type t = {
-  entry_pc : int;
   max_steps : int;  (* fuel needed for a worst-case (full) pass *)
   fused : State.t -> unit;
   stamp : int ref;
@@ -570,7 +570,6 @@ type t = {
   exc_pc : int array;  (* pc of step s *)
 }
 
-let entry_pc blk = blk.entry_pc
 let max_steps blk = blk.max_steps
 
 let compile ~natives ~costs ~elided ~probes ~cap (prog : Program.t) idx =
@@ -650,7 +649,6 @@ let compile ~natives ~costs ~elided ~probes ~cap (prog : Program.t) idx =
       done;
       Some
         {
-          entry_pc = prog.Program.base + (4 * idx);
           max_steps = s_count;
           fused = !fused;
           stamp;
@@ -666,7 +664,7 @@ let run blk st =
   try blk.fused st
   with e ->
     (* abort: charge the prefix through the faulting step and restore its
-       pc, matching per-step execution exactly *)
+       pc, matching one-instruction-at-a-time execution exactly *)
     let s = !(blk.cur) in
     st.State.cycles <- st.State.cycles + Array.unsafe_get blk.exc_cycles s;
     st.State.steps <- st.State.steps + s + 1;

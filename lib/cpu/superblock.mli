@@ -9,14 +9,12 @@
     computation, and memoises stlb translations within a run (same base
     register, or the same constant page of an absolute [disp] operand →
     reuse the translated frame) — all without changing the simulated
-    (cycles, steps), which stay bit-identical with per-step execution.
+    (cycles, steps), which stay bit-identical with executing one
+    instruction at a time ({!Semantics.exec_insn}).
     A compiled run allocates nothing per instruction. See
     docs/INTERPRETER.md. *)
 
 type t
-
-val entry_pc : t -> int
-(** Code address of the first instruction of the trace. *)
 
 val max_steps : t -> int
 (** Instructions executed by a worst-case (full straight-through) pass;
@@ -55,5 +53,5 @@ val run : t -> State.t -> unit
     per-block engine otherwise): [State.pc] is the block's entry,
     [pair_slot] is clear, and [fuel >= max_steps]. On a fault the
     cycles/steps/fuel of the prefix through the faulting instruction are
-    charged and [pc] is restored to it, exactly as per-step execution
-    would, before the exception is re-raised. *)
+    charged and [pc] is restored to it, exactly as executing one
+    instruction at a time would, before the exception is re-raised. *)

@@ -390,7 +390,7 @@ let test_rep_consumes_call_budget () =
    as [Interp.Fault] (so recovery policies apply), never as the
    [Invalid_argument] that [Program.index_of_addr] raises internally *)
 let test_fault_on_bad_jump () =
-  let faults ?hook target =
+  let faults ?(observed = false) target =
     let m = Harness.make_machine () in
     let b = Builder.create "mis" in
     Builder.label b "entry";
@@ -402,7 +402,7 @@ let test_fault_on_bad_jump () =
     Code_registry.register m.Harness.registry prog;
     let st = Harness.dom0_cpu m in
     let interp = Harness.interp_of m st in
-    Option.iter (Interp.add_hook interp) hook;
+    if observed then Interp.observe_blocks interp (fun _ _ idx -> idx);
     match
       Interp.call interp
         ~entry:(Program.addr_of_label prog "entry")
@@ -414,11 +414,12 @@ let test_fault_on_bad_jump () =
   in
   let misaligned = Td_mem.Layout.vm_driver_code_base + 2 in
   let out_of_range = Td_mem.Layout.vm_driver_code_base + 0x1000 in
-  let hook _ _ = () in
   check bool_c "misaligned, fast path" true (faults misaligned);
-  check bool_c "misaligned, per-step path" true (faults ~hook misaligned);
+  check bool_c "misaligned, one-instruction blocks" true
+    (faults ~observed:true misaligned);
   check bool_c "out of range, fast path" true (faults out_of_range);
-  check bool_c "out of range, per-step path" true (faults ~hook out_of_range)
+  check bool_c "out of range, one-instruction blocks" true
+    (faults ~observed:true out_of_range)
 
 let test_block_cache_invalidation_on_replace () =
   let m = Harness.make_machine () in
@@ -442,7 +443,7 @@ let test_block_cache_invalidation_on_replace () =
   check bool_c "block cache was flushed" true (Interp.invalidations interp >= 1)
 
 let test_engine_modes_identical_results () =
-  let run_mode ?hook threshold =
+  let run_mode threshold =
     let m = Harness.make_machine () in
     let b = Builder.create "sum" in
     Builder.label b "entry";
@@ -459,21 +460,26 @@ let test_engine_modes_identical_results () =
     in
     Code_registry.register m.Harness.registry prog;
     let st = Harness.dom0_cpu m in
-    let interp = Interp.create ?hook st m.Harness.registry m.Harness.natives in
-    Interp.set_compile_threshold interp threshold;
+    let entry = Program.addr_of_label prog "entry" in
     let r =
-      Interp.call interp ~entry:(Program.addr_of_label prog "entry") ~args:[]
+      match threshold with
+      | None ->
+          Ref_interp.call ~natives:m.Harness.natives m.Harness.registry st
+            ~entry ~args:[]
+      | Some n ->
+          let interp = Harness.interp_of m st in
+          Interp.set_compile_threshold interp n;
+          Interp.call interp ~entry ~args:[]
     in
     (r, st.State.cycles, st.State.steps)
   in
+  let reference = run_mode None in
   (* a [max_int] threshold never promotes: the basic-block engine only *)
-  let block = run_mode max_int in
-  let hooked = run_mode ~hook:(fun _ _ -> ()) 1 in
-  let compiled = run_mode 1 in
-  check bool_c "per-step does not change simulated results" true
-    (block = hooked);
+  let block = run_mode (Some max_int) in
+  let compiled = run_mode (Some 1) in
+  check bool_c "block engine matches the reference" true (block = reference);
   check bool_c "compiled does not change simulated results" true
-    (block = compiled)
+    (reference = compiled)
 
 (* Regression: a block promoted to a compiled superblock in the same pump
    as a [Code_registry.replace] (the supervised-reload path) must never
@@ -510,9 +516,9 @@ let test_compiled_invalidation_on_replace () =
 (* The in-block stlb-redundancy elimination must fire (two accesses
    through the same base register, or two absolute operands, to the same
    page) and must not change the result or the simulated cycles vs the
-   per-step engine. *)
+   block engine. *)
 let test_compiled_stlb_elision () =
-  let run_mode ~abs ?hook () =
+  let run_mode ~abs threshold =
     let m = Harness.make_machine () in
     let buf = Td_mem.Addr_space.heap_alloc m.Harness.dom0 64 in
     let at k = if abs then Builder.mem (buf + k) else Builder.mem ~base:Reg.EDX k in
@@ -531,8 +537,7 @@ let test_compiled_stlb_elision () =
     Code_registry.register m.Harness.registry prog;
     let st = Harness.dom0_cpu m in
     let interp = Harness.interp_of m st in
-    Option.iter (Interp.add_hook interp) hook;
-    Interp.set_compile_threshold interp 1;
+    Interp.set_compile_threshold interp threshold;
     let entry = Program.addr_of_label prog "entry" in
     let r = ref 0 in
     for _ = 1 to 3 do
@@ -543,22 +548,23 @@ let test_compiled_stlb_elision () =
   List.iter
     (fun abs ->
       let what = if abs then "absolute: " else "base register: " in
-      let rc, cc, sc, elided = run_mode ~abs () in
-      let rp, cp, sp, elided_ps = run_mode ~abs ~hook:(fun _ _ -> ()) () in
+      let rc, cc, sc, elided = run_mode ~abs 1 in
+      let rb, cb, sb, elided_b = run_mode ~abs max_int in
       check int_c (what ^ "compiled result") 42 rc;
-      check int_c (what ^ "per-step result") 42 rp;
-      check bool_c (what ^ "cycles identical") true (cc = cp);
-      check bool_c (what ^ "steps identical") true (sc = sp);
+      check int_c (what ^ "block engine result") 42 rb;
+      check bool_c (what ^ "cycles identical") true (cc = cb);
+      check bool_c (what ^ "steps identical") true (sc = sb);
       (* the third call runs compiled: three of its four accesses hit *)
       check int_c (what ^ "compiled run elided stlb translations") 3 elided;
-      check int_c (what ^ "per-step run elides nothing") 0 elided_ps)
+      check int_c (what ^ "block engine elides nothing") 0 elided_b)
     [ false; true ]
 
 (* A page-straddling access splits across both pages on every engine,
    and a straddling store whose second page is unmapped faults before
-   touching the first, charged identically by both engines. *)
+   touching the first, charged identically by both engines and the
+   one-instruction-at-a-time reference. *)
 let test_straddling_access () =
-  let run_mode ?hook () =
+  let run_mode ~reference =
     let m = Harness.make_machine () in
     (* two lone pages: the third is unmapped *)
     let buf = 0xC080_0000 in
@@ -580,12 +586,17 @@ let test_straddling_access () =
     Code_registry.register m.Harness.registry prog;
     let st = Harness.dom0_cpu m in
     let interp = Harness.interp_of m st in
-    Option.iter (Interp.add_hook interp) hook;
     Interp.set_compile_threshold interp 1;
     let entry = Program.addr_of_label prog "entry" in
+    let call () =
+      if reference then
+        Ref_interp.call ~natives:m.Harness.natives m.Harness.registry st ~entry
+          ~args:[]
+      else Interp.call interp ~entry ~args:[]
+    in
     let faults =
       List.init 3 (fun _ ->
-          match Interp.call interp ~entry ~args:[] with
+          match call () with
           | _ -> "none"
           | exception Td_mem.Addr_space.Page_fault { addr; _ } ->
               Printf.sprintf "%#x" (addr - buf))
@@ -596,12 +607,12 @@ let test_straddling_access () =
       st.State.cycles,
       st.State.steps )
   in
-  let ((faults, eax, tail, _, _) as compiled) = run_mode () in
+  let ((faults, eax, tail, _, _) as compiled) = run_mode ~reference:false in
   check bool_c "faults at the unmapped page" true
     (faults = List.init 3 (fun _ -> "0x2000"));
   check int_c "straddling load" 0x11223344 eax;
   check int_c "first page untouched" 0x5566 tail;
-  check bool_c "per-step identical" true (run_mode ~hook:(fun _ _ -> ()) () = compiled)
+  check bool_c "reference identical" true (run_mode ~reference:true = compiled)
 
 (* --- allocation guards: the memory-access path allocates nothing --- *)
 

@@ -109,12 +109,15 @@ let decode_valid_prefix_prop =
         | exception Invalid_argument _ -> false (* must not leak *)
       end)
 
-(* --- interpreter engines: one semantics, three dispatchers --- *)
+(* --- interpreter engines: one semantics, two engines and a reference --- *)
 
 (* Random structured programs (forward-only control flow, so every
    program terminates) must produce bit-identical architectural results —
    EAX, every register, cycles, steps, all four flags and data memory —
-   under per-step, basic-block and compiled-superblock dispatch. The
+   under the one-instruction-at-a-time reference ([Ref_interp]),
+   basic-block and compiled-superblock dispatch; and, with a drawn
+   [interp_bitflip] plan armed, the reference and [Interp.call] must
+   flip the same bits before the same instructions. The
    generator emits multi-segment programs whose segments end in
    unconditional jumps to the next segment, so compiled traces stitch
    across block boundaries, and conditional forward jumps give the
@@ -201,7 +204,9 @@ let prop_emit b ~buf ~nsegs ~seg v =
       Builder.popl b (Builder.reg dst)
   | _ -> Builder.nop b
 
-let prop_run ?hook threshold segs =
+type prop_engine = Reference | Threshold of int
+
+let prop_run ?plan engine segs =
   let m = Harness.make_machine () in
   let buf = Td_mem.Addr_space.heap_alloc m.Harness.dom0 64 in
   let nsegs = List.length segs in
@@ -227,12 +232,24 @@ let prop_run ?hook threshold segs =
   in
   Td_cpu.Code_registry.register m.Harness.registry prog;
   let st = Harness.dom0_cpu m in
-  let interp = Harness.interp_of m st in
-  Option.iter (Td_cpu.Interp.add_hook interp) hook;
-  (* threshold 1: the second call runs compiled code unless a hook forces
-     per-step; [max_int]: never promoted, the basic-block engine only *)
-  Td_cpu.Interp.set_compile_threshold interp threshold;
   let entry = Program.addr_of_label prog "entry" in
+  let fault = Option.map Td_fault.Engine.make plan in
+  let call =
+    match engine with
+    | Reference ->
+        fun () ->
+          Ref_interp.call ?fault ~natives:m.Harness.natives m.Harness.registry
+            st ~entry ~args:[]
+    | Threshold n ->
+        (* threshold 1: the second call runs compiled code unless a
+           bitflip plan keeps it on the block engine; [max_int]: never
+           promoted, the basic-block engine only *)
+        let interp =
+          Td_cpu.Interp.create ?fault st m.Harness.registry m.Harness.natives
+        in
+        Td_cpu.Interp.set_compile_threshold interp n;
+        fun () -> Td_cpu.Interp.call interp ~entry ~args:[]
+  in
   let hyp = m.Harness.hyp and phys = m.Harness.phys in
   let fresh_vpage = Td_mem.Layout.page_of prop_fresh in
   let untouched = Td_mem.Phys_mem.alloc_frame phys in
@@ -243,11 +260,14 @@ let prop_run ?hook threshold segs =
       (Td_mem.Phys_mem.free_frame phys)
       (Td_mem.Addr_space.frame_of_vpage hyp ~vpage:fresh_vpage);
     ignore (Td_mem.Addr_space.alloc_page hyp ~vpage:fresh_vpage);
-    match Td_cpu.Interp.call interp ~entry ~args:[] with
+    match call () with
     | v -> r := v
     | exception Td_mem.Addr_space.Page_fault { addr; _ }
       when Td_mem.Layout.page_of addr = Td_mem.Layout.page_of prop_unmapped ->
-        faults := addr :: !faults
+        faults := Printf.sprintf "%#x" addr :: !faults
+    | exception ((Td_cpu.Interp.Fault _ | Td_cpu.Interp.Timeout _) as e)
+      when plan <> None ->
+        faults := Printexc.to_string e :: !faults
   done;
   let open Td_cpu in
   let snapshot =
@@ -256,7 +276,8 @@ let prop_run ?hook threshold segs =
       Array.to_list (Array.map (Td_cpu.State.get st) prop_dst),
       st.State.cycles,
       st.State.steps,
-      (st.State.zf, st.State.sf, st.State.cf, st.State.ovf) )
+      (st.State.zf, st.State.sf, st.State.cf, st.State.ovf),
+      Option.map Td_fault.Engine.injected fault )
   in
   (* data memory readback after the architectural snapshot (the loads
      charge cycles, but the snapshot above is already taken) *)
@@ -277,19 +298,29 @@ let engine_equivalence_prop =
     ~name:"per-step, block and compiled engines are bit-identical" ~count:60
     (QCheck.make
        QCheck.Gen.(
-         list_size (int_range 2 5)
-           (list_size (int_range 1 10) (int_range 0 0xFF_FFFF)))
-       ~print:(fun segs ->
-         String.concat ";"
-           (List.map
-              (fun ops -> String.concat "," (List.map string_of_int ops))
-              segs)))
-    (fun segs ->
-      let per_step = prop_run ~hook:(fun _ _ -> ()) 1 segs in
-      let block = prop_run max_int segs in
-      let compiled = prop_run 1 segs in
+         pair
+           (list_size (int_range 2 5)
+              (list_size (int_range 1 10) (int_range 0 0xFF_FFFF)))
+           (pair (int_range 1 1_000_000) (float_range 0.01 0.3)))
+       ~print:(fun (segs, (seed, rate)) ->
+         Printf.sprintf "%s seed=%d rate=%g"
+           (String.concat ";"
+              (List.map
+                 (fun ops -> String.concat "," (List.map string_of_int ops))
+                 segs))
+           seed rate))
+    (fun (segs, (seed, rate)) ->
+      let reference = prop_run Reference segs in
+      let block = prop_run (Threshold max_int) segs in
+      let compiled = prop_run (Threshold 1) segs in
       let _, _, zero = compiled in
-      zero && per_step = block && per_step = compiled)
+      let plan =
+        { Td_fault.zero_plan with Td_fault.seed; interp_bitflip = rate }
+      in
+      let flipped = prop_run ~plan Reference segs in
+      zero && reference = block && reference = compiled
+      && flipped = prop_run ~plan (Threshold 1) segs
+      && flipped = prop_run ~plan (Threshold max_int) segs)
 
 (* --- ledger arithmetic --- *)
 

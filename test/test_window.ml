@@ -196,7 +196,8 @@ let test_inline_hits_credited () =
       check bool_c "inline hits counted" true
         (Td_obs.Metrics.counter_value "stlb.hit" > 50))
 
-(* --- probe sites: the default path against a forced per-step path --- *)
+(* --- probe sites: the default path against the block engine and a
+   one-instruction-at-a-time watcher --- *)
 
 let tx_cadence ?(nics = 1) w ~frames =
   let payload = String.make 1500 'x' in
@@ -206,18 +207,24 @@ let tx_cadence ?(nics = 1) w ~frames =
   done;
   Twindrivers.World.pump w
 
-(* any hook forces per-step dispatch; a no-op one changes nothing else *)
-let force_slow_path w =
-  Td_cpu.Interp.add_hook (Twindrivers.World.interp w) (fun _ _ -> ())
+(* never promote an entry: every block runs on the block engine *)
+let never_compile w =
+  Td_cpu.Interp.set_compile_threshold (Twindrivers.World.interp w) max_int
+
+(* a one-instruction observer: every block is a single instruction *)
+let observe_each_insn ?(f = fun _ _ -> ()) w =
+  Td_cpu.Interp.observe_blocks (Twindrivers.World.interp w) (fun st prog idx ->
+      f st prog.Program.code.(idx);
+      idx)
 
 (* the per-instruction watcher the probe table replaced, as the
-   reference: it takes over the world's probe sites, forces per-step
-   dispatch and credits each hit before the xor executes *)
+   reference: it takes over the world's probe sites, watches one
+   instruction at a time and credits each hit before the xor executes *)
 let install_reference_watcher w =
   let interp = Twindrivers.World.interp w in
   let probes = Td_cpu.Interp.probes interp in
   Td_cpu.Interp.set_probes interp [];
-  Td_cpu.Interp.add_hook interp (fun st insn ->
+  observe_each_insn w ~f:(fun st insn ->
       match insn with
       | Insn.Alu (Insn.Xor, Operand.Mem m, Operand.Reg r)
         when m.Operand.sym = None && m.Operand.base <> None -> (
@@ -265,7 +272,7 @@ let test_exact_hits_match_watcher () =
 (* a window smaller than the dom0 pages transmit touches (a small skb
    pool keeps the pinned pairs few) makes the clock reclaim fire. Which
    pair it evicts depends on every hit marking its pair referenced, so
-   reclaims, ledger and wire traffic must match the per-step path. *)
+   reclaims, ledger and wire traffic must match the block engine. *)
 let test_reclaim_parity () =
   let open Twindrivers in
   Td_obs.Control.enable ();
@@ -276,7 +283,7 @@ let test_reclaim_parity () =
           { Config.default_tuning with Config.map_window_pages = 32 }
         in
         let w = World.create ~nics:2 ~pool_entries:8 ~tuning Config.Xen_twin in
-        if slow then force_slow_path w;
+        if slow then never_compile w;
         tx_cadence w ~nics:2 ~frames:256;
         ( Td_obs.Metrics.counter_value "svm.window_reclaim",
           ledger_rows w,
@@ -291,15 +298,17 @@ let test_reclaim_parity () =
 
 (* the default path is the fast path: a twin world runs compiled code,
    and so does one whose fault plan arms only a site outside the
-   interpreter, with the ledger of the per-step path; a plan arming
-   [interp_bitflip] still dispatches per-step, since it draws per
-   instruction *)
+   interpreter, with the ledger of the block engine; a plan arming
+   [interp_bitflip] runs the block engine, which draws once per
+   instruction exactly as a one-instruction observer's run does *)
 let test_default_is_fast () =
   let open Twindrivers in
-  let run ?plan ~slow () =
-    let tuning = { Config.default_tuning with Config.fault_plan = plan } in
+  let run ?plan ?(recovery = Config.Fail_stop) ?(slow = Fun.const ()) () =
+    let tuning =
+      { Config.default_tuning with Config.fault_plan = plan; recovery }
+    in
     let w = World.create ~nics:1 ~tuning Config.Xen_twin in
-    if slow then force_slow_path w;
+    slow w;
     (* the plan is scoped around traffic, not around creation *)
     let hits0 = Td_cpu.Interp.compiled_hits (World.interp w) in
     tx_cadence w ~frames:256;
@@ -307,22 +316,33 @@ let test_default_is_fast () =
       ledger_rows w,
       World.fault_injected w )
   in
-  let hits, _, _ = run ~slow:false () in
+  let hits, _, _ = run () in
   check bool_c "default world runs compiled" true (hits > 0);
   let lost_irq =
     { Td_fault.zero_plan with Td_fault.seed = 7; nic_lost_irq = 0.05 }
   in
-  let hits, l_fast, inj_fast = run ~plan:lost_irq ~slow:false () in
-  let _, l_slow, inj_slow = run ~plan:lost_irq ~slow:true () in
+  let hits, l_fast, inj_fast = run ~plan:lost_irq () in
+  let _, l_slow, inj_slow = run ~plan:lost_irq ~slow:never_compile () in
   check bool_c "nic_lost_irq world runs compiled" true (hits > 0);
   check bool_c "interrupts were lost" true (inj_fast > 0);
-  check int_c "same injections as per-step" inj_slow inj_fast;
-  check ledger_c "same ledger as per-step" l_slow l_fast;
+  check int_c "same injections as the block engine" inj_slow inj_fast;
+  check ledger_c "same ledger as the block engine" l_slow l_fast;
   let bitflip =
     { Td_fault.zero_plan with Td_fault.seed = 7; interp_bitflip = 1e-9 }
   in
-  let hits, _, _ = run ~plan:bitflip ~slow:false () in
-  check int_c "interp_bitflip world dispatches per-step" 0 hits
+  let hits, _, _ = run ~plan:bitflip () in
+  check int_c "interp_bitflip world runs the block engine" 0 hits;
+  (* a rate that flips bits and aborts the driver; recovery runs with
+     injection suspended, so it may run compiled *)
+  let bitflip = { bitflip with Td_fault.interp_bitflip = 2e-4 } in
+  let recovery = Config.Restart_replay in
+  let _, l_block, inj_block = run ~plan:bitflip ~recovery () in
+  let _, l_each, inj_each =
+    run ~plan:bitflip ~recovery ~slow:(fun w -> observe_each_insn w) ()
+  in
+  check bool_c "bits were flipped" true (inj_block > 0);
+  check int_c "same injections as one-instruction blocks" inj_each inj_block;
+  check ledger_c "same ledger as one-instruction blocks" l_each l_block
 
 let suite =
   [

@@ -392,6 +392,51 @@ let test_profiler_attribution () =
   Td_cpu.Profiler.reset prof;
   check int_c "reset" 0 (Td_cpu.Profiler.total_cycles prof)
 
+(* The profile accounts for every cycle the interpreter spends, the last
+   instruction's included, and attributing at block entries gives the
+   same profile as watching one instruction at a time. *)
+let test_profiler_exact_totals () =
+  let run ~each =
+    let w = World.create ~nics:1 Config.Xen_twin in
+    let interp = World.interp w in
+    let cycles () = (Td_cpu.Interp.state interp).Td_cpu.State.cycles in
+    let prof = Td_cpu.Profiler.attach interp in
+    if each then Td_cpu.Interp.observe_blocks interp (fun _ _ idx -> idx);
+    let c0 = cycles () in
+    let frames n =
+      for i = 1 to n do
+        ignore (World.transmit w ~nic:0 ~payload);
+        if i mod 8 = 0 then World.pump w
+      done;
+      World.pump w
+    in
+    frames 20;
+    check int_c "total is the cycle delta since attach" (cycles () - c0)
+      (Td_cpu.Profiler.total_cycles prof);
+    let by_label = Td_cpu.Profiler.cycles_by_label prof in
+    Td_cpu.Profiler.reset prof;
+    let c1 = cycles () in
+    frames 5;
+    check int_c "total is the cycle delta since reset" (cycles () - c1)
+      (Td_cpu.Profiler.total_cycles prof);
+    (* each world's rewrite numbers its generated labels afresh *)
+    let unnumbered name =
+      match String.rindex_opt name '_' with
+      | Some i
+        when int_of_string_opt
+               (String.sub name (i + 1) (String.length name - i - 1))
+             <> None ->
+          String.sub name 0 i
+      | _ -> name
+    in
+    List.sort compare (List.map (fun (n, c) -> (unnumbered n, c)) by_label)
+  in
+  let blocks = run ~each:false in
+  check
+    Alcotest.(list (pair string int))
+    "block attribution equals per-instruction attribution" (run ~each:true)
+    blocks
+
 let test_measure_consistency () =
   let w = World.create ~nics:5 Config.Xen_twin in
   let r = Measure.run_transmit ~packets:120 w in
@@ -463,4 +508,6 @@ let suite =
         test_rejects_multi_queue_tuning;
       Alcotest.test_case "rx allocation budget (domU)" `Quick
         test_rx_allocation_budget;
+      Alcotest.test_case "profiler totals are exact" `Quick
+        test_profiler_exact_totals;
     ]
