@@ -15,18 +15,11 @@
     + {b attribution} — every injected op's cost lands in the attacker's
       ledger row and never in the victim's. *)
 
-val pool_pages : int
-(** Attacker pages pre-allocated for granting, so a bounded pool
-    survives an unbounded op count. *)
-
 val fuzz_map_base : int
 (** dom0 virtual window grants are fuzz-mapped into — 256 pages ending
     exactly at Xen_netio's doorbell window, colliding with nothing. *)
 
 val fuzz_map_pages : int
-
-val nic_mmio_vaddr : int
-(** NIC register page in the attacker's space (outside the guest heap). *)
 
 type env = {
   phys : Td_mem.Phys_mem.t;

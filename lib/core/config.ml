@@ -36,8 +36,6 @@ type tuning = {
   recovery : recovery;
   doorbell : bool;
   poll_entry_kicks : int;
-  idle_hysteresis : int;
-  poll_budget : int;
   quota : Td_xen.Quota.limits option;
   fault_plan : Td_fault.plan option;
   queues : int;
@@ -52,8 +50,6 @@ let default_tuning =
     recovery = Fail_stop;
     doorbell = false;
     poll_entry_kicks = 8;
-    idle_hysteresis = 3;
-    poll_budget = 16;
     quota = None;
     fault_plan = None;
     queues = 1;

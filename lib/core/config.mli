@@ -46,14 +46,9 @@ type tuning = {
   poll_entry_kicks : int;
       (** Notification boundaries per tick window before a direction
           switches from interrupts to polling (default 8); [<= 0] pins
-          always-poll. Ignored unless [doorbell]. *)
-  idle_hysteresis : int;
-      (** Consecutive empty tick windows before a polling direction falls
-          back to interrupts (default 3). Ignored unless [doorbell]. *)
-  poll_budget : int;
-      (** Frames drained per doorbell visit — the NAPI weight bounding
-          how long one busy channel holds the pump (default 16). Ignored
-          unless [doorbell]. *)
+          always-poll. Ignored unless [doorbell]. A world's channels
+          fall back to interrupts after 3 empty windows and drain at
+          most 16 frames per doorbell visit. *)
   quota : Td_xen.Quota.limits option;
       (** Per-domain resource quotas (map-window pages, grant entries and
           maps, upcall/notification/doorbell rates, rx deliveries,

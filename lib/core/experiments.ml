@@ -745,11 +745,6 @@ let recovery_sweep ?(frames = 2_000) ?(rates = [ 0.0; 0.002; 0.01 ])
 
 type fleet_shape = Bulk_stream | Rpc_burst | Incast
 
-let fleet_shape_name = function
-  | Bulk_stream -> "bulk-stream"
-  | Rpc_burst -> "rpc-burst"
-  | Incast -> "incast"
-
 type fleet_report = {
   fl_domains : int;
   fl_frames : int;

@@ -236,8 +236,6 @@ type fleet_shape =
   | Rpc_burst  (** bursts of eight 64-byte transmits, bursty pacing *)
   | Incast  (** receive fan-in: wire arrivals converging on the guest *)
 
-val fleet_shape_name : fleet_shape -> string
-
 type fleet_report = {
   fl_domains : int;  (** fleet size (live domains at any instant) *)
   fl_frames : int;  (** frames moved: TX offered + RX injected *)

@@ -42,7 +42,6 @@ type nic_port = {
   dev : Td_nic.E1000_dev.t;
   nd : Netdev.t;
   mac : string;
-  gmac : string;
   cmac : string;  (** the wire-side client's MAC *)
   tx_hdr : string;
       (** client MAC, NIC MAC, IPv4 ethertype: the Ethernet header of
@@ -144,18 +143,11 @@ let kmem t = t.km
 let dom0_space t = t.dom0_space
 let netdev t ~nic = t.nics.(nic).nd
 let adapter t ~nic = Td_driver.Adapter.of_netdev t.nics.(nic).nd
-let nic_mac t ~nic = t.nics.(nic).mac
-
-let guest_mac t ~nic =
-  match t.cfg with
-  | Config.Native_linux | Config.Xen_dom0 -> t.nics.(nic).mac
-  | Config.Xen_domU | Config.Xen_twin -> t.nics.(nic).gmac
 
 let svm t = t.svm_hyp
 let twin_stats t = Option.map (fun tw -> tw.Td_rewriter.Twin.stats) t.twin
 let pool t = t.skb_pool
 let hypervisor t = t.hyp
-let dom0_domain t = t.dom0
 let cpu_state t = t.cpu
 
 (* ---- domain registry helpers ---- *)
@@ -175,8 +167,8 @@ let slot_exn w g ~op =
 let iter_slots w f =
   Array.iteri (fun g s -> match s with Some s -> f g s | None -> ()) w.slots
 
-(* channels in (slot, attach) order: deterministic, and identical to the
-   historical per-NIC array order for a single boot guest *)
+(* channels in (slot, attach) order: deterministic, and NIC order for a
+   single boot guest *)
 let iter_netios w f =
   iter_slots w (fun _ s -> Array.iter (fun (_, io) -> f io) s.gs_netios)
 
@@ -185,7 +177,7 @@ let fold_netios w f acc =
   iter_netios w (fun io -> r := f !r io);
   !r
 
-(* guest0's channel on [nic] — the historical [netios.(nic)] layout *)
+(* guest 0's channel on [nic] *)
 let netio_on w ~nic =
   match slot_opt w 0 with
   | None -> None
@@ -210,6 +202,21 @@ let eth_header_bytes = 14
    paths write header and payload straight into simulated memory. *)
 let eth_header ~dst ~src = dst ^ src ^ "\x08\x00"
 
+(* A guest's address space and its Xen domain; slot [g] holds domain id
+   [g + 1]. *)
+let guest_space phys g =
+  let space = Addr_space.create ~name:(guest_name g) phys in
+  Addr_space.heap_init space ~base:Layout.guest_heap_base
+    ~limit:Layout.guest_heap_limit;
+  space
+
+let guest_domain h ~space g =
+  let dom =
+    Domain.create ~id:(g + 1) ~name:(guest_name g) ~kind:Domain.Guest ~space
+  in
+  Hypervisor.add_domain h dom;
+  dom
+
 let fresh_slot ~dom ~space ~nics g =
   {
     gs_dom = dom;
@@ -221,6 +228,12 @@ let fresh_slot ~dom ~space ~nics g =
     gs_rx_pending = Queue.create ();
     gs_rx_count = 0;
   }
+
+(* the guest's vif MACs demux to its slot on every NIC (twin path) *)
+let index_macs w g s =
+  Array.iter
+    (fun mac -> Hashtbl.replace w.gmac_index (Bridge.mac_key mac) g)
+    s.gs_macs
 
 (* A frame arriving from the wire: one allocation, the header and
    payload blitted into a single buffer that becomes the frame string. *)
@@ -258,11 +271,11 @@ let needs_guest = function
   | Config.Native_linux | Config.Xen_dom0 -> false
   | Config.Xen_domU | Config.Xen_twin -> true
 
-let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
+(* Builds the machine with boot guest 0; the public [create] adds the
+   other boot guests through [create_guest]. *)
+let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
     ?(costs = Sys_costs.default) ?spill_everything ?rewrite_style
     ?cache_probes ?(map_pairs = true) ~tuning ~fault cfg =
-  if guests < 1 then invalid_arg "World.create: guests must be >= 1";
-  if guests > 256 then invalid_arg "World.create: at most 256 guests";
   if tuning.Config.notify_batch < 1 then
     invalid_arg "World.create: notify_batch must be >= 1";
   let phys = Phys_mem.create ~frames:200_000 () in
@@ -274,16 +287,8 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
     ~vaddr:(Layout.hyp_stack_top - (Layout.hyp_stack_pages * Layout.page_size))
     ~pages:Layout.hyp_stack_pages;
   Addr_space.alloc_region xen_space ~vaddr:Layout.hyp_scratch_base ~pages:1;
-  let guest_spaces =
-    if needs_guest cfg then
-      Array.init guests (fun i ->
-          let g =
-            Addr_space.create ~name:(Printf.sprintf "guest%d" i) phys
-          in
-          Addr_space.heap_init g ~base:Layout.guest_heap_base
-            ~limit:Layout.guest_heap_limit;
-          g)
-    else [||]
+  let guest0_space =
+    if needs_guest cfg then Some (guest_space phys 0) else None
   in
   let registry = Code_registry.create () in
   let natives = Native.create () in
@@ -296,7 +301,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
     + (4 * Layout.page_size)
   in
   (* domains & hypervisor *)
-  let hyp, dom0, guest_doms =
+  let hyp, dom0, guest =
     if needs_xen cfg then begin
       let h = Hypervisor.create ~costs ~ledger:led ~xen_space ~cpu () in
       let d0 =
@@ -305,23 +310,12 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
       in
       Domain.init_vif d0 ~vaddr:(Kmem.alloc km 4);
       Hypervisor.add_domain h d0;
-      let gs =
-        Array.mapi
-          (fun i space ->
-            let g =
-              Domain.create ~id:(i + 1)
-                ~name:(Printf.sprintf "guest%d" i)
-                ~kind:Domain.Guest ~space
-            in
-            Hypervisor.add_domain h g;
-            g)
-          guest_spaces
-      in
-      (Some h, Some d0, gs)
+      ( Some h,
+        Some d0,
+        Option.map (fun space -> guest_domain h ~space 0) guest0_space )
     end
-    else (None, None, [||])
+    else (None, None, None)
   in
-  let guest = if Array.length guest_doms > 0 then Some guest_doms.(0) else None in
   (* per-world engines: the quota engine built here and the fault engine
      passed in are handed below to every component that checks them, so
      two worlds (Mq contexts, shard workers) never share token buckets
@@ -352,7 +346,6 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
           dev;
           nd;
           mac;
-          gmac = vif_mac 0 i;
           cmac = client_mac i;
           tx_hdr = eth_header ~dst:(client_mac i) ~src:mac;
           wire;
@@ -515,9 +508,9 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
       dom0;
       guest;
       slots =
-        Array.init (Array.length guest_doms) (fun g ->
-            Some
-              (fresh_slot ~dom:guest_doms.(g) ~space:guest_spaces.(g) ~nics g));
+        (match (guest, guest0_space) with
+        | Some dom, Some space -> [| Some (fresh_slot ~dom ~space ~nics 0) |]
+        | _ -> [||]);
       quota;
       fault;
       dom0_stack_top;
@@ -540,7 +533,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
       timers = Timer_wheel.create ();
       sched =
         (let sc = Scheduler.create () in
-         Array.iter (Scheduler.add sc) guest_doms;
+         Option.iter (Scheduler.add sc) guest;
          sc);
       rx_frames = 0;
       rx_bytes = 0;
@@ -551,14 +544,7 @@ let create ?(nics = 5) ?(guests = 1) ?(upcall_set = []) ?(pool_entries = 1024)
       twin_tx_pushes = 0;
     }
   in
-  (* every (guest, nic) vif MAC demuxes to its guest *)
-  Array.iteri
-    (fun i _ ->
-      for g = 0 to max 0 (Array.length guest_doms - 1) do
-        Hashtbl.replace w.gmac_index (Bridge.mac_key (vif_mac g i)) g
-      done;
-      ignore i)
-    ports;
+  iter_slots w (index_macs w);
   w
 
 (* ---- driver invocation ---- *)
@@ -849,8 +835,8 @@ let attach_channel w ~guest:g ~nic =
       Some
         {
           Xen_netio.poll_entry_kicks = w.tuning.Config.poll_entry_kicks;
-          idle_hysteresis = w.tuning.Config.idle_hysteresis;
-          poll_budget = w.tuning.Config.poll_budget;
+          idle_hysteresis = 3;
+          poll_budget = 16;
         }
     else None
   in
@@ -989,23 +975,15 @@ let init (w : t) =
                domain = Domain.name g;
                reason = "domU configuration without netio (world has no NICs)";
              });
-      (* boot guest 0 attaches one channel per NIC (the historical
-         per-NIC layout); every boot guest's vif MACs enter the fdb
-         pointing at guest0's channel of the same index, reproducing the
-         historical gmac_index -> netios.(g) demux exactly *)
-      let ports0 =
+      (* boot guest 0 attaches one channel per NIC; its vif MACs on
+         every NIC enter the fdb pointing at its channel on NIC 0, so all
+         of its receive traffic crosses that one channel *)
+      let ports =
         Array.mapi (fun i _ -> attach_channel w ~guest:0 ~nic:i) w.nics
       in
-      let boot_guests = Array.length w.slots in
-      Array.iteri
-        (fun i _ ->
-          for gi = 0 to boot_guests - 1 do
-            if gi < Array.length ports0 then
-              Bridge.learn w.vswitch
-                ~mac:(Bridge.mac_key (vif_mac gi i))
-                ports0.(gi)
-          done)
-        w.nics;
+      Array.iter
+        (fun mac -> Bridge.learn w.vswitch ~mac:(Bridge.mac_key mac) ports.(0))
+        (slot_exn w 0 ~op:"World.init").gs_macs;
       (* dom0's netif_rx: forward through the bridge to the backend port
          behind the destination MAC; unknown MACs terminate in dom0's
          local stack (no flooding into guests) *)
@@ -1056,31 +1034,6 @@ let init (w : t) =
       | None -> ());
       Hypervisor.switch_to h g);
   w
-
-let create ?nics ?guests ?upcall_set ?pool_entries ?costs ?spill_everything
-    ?rewrite_style ?cache_probes ?map_pairs ?(tuning = Config.default_tuning)
-    cfg =
-  (* the device has one ring pair: multi-queue runs are Mq's, one
-     single-queue world per queue *)
-  if tuning.Config.queues <> 1 then
-    invalid_arg
-      (Printf.sprintf
-         "World.create: tuning.queues must be 1 (got %d); use Mq.create for \
-          multi-queue runs"
-         tuning.Config.queues);
-  let fault =
-    Td_fault.Engine.make
-      (Option.value tuning.Config.fault_plan ~default:Td_fault.zero_plan)
-  in
-  (* boot is deterministic: construction and init charge the world's
-     quota engine (grant-table and map-window acquires during channel
-     setup) but run with its fault engine suspended, so they draw
-     nothing *)
-  Td_fault.Engine.suspend fault (fun () ->
-      init
-        (create ?nics ?guests ?upcall_set ?pool_entries ?costs
-           ?spill_everything ?rewrite_style ?cache_probes ?map_pairs ~tuning
-           ~fault cfg))
 
 (* ---- traffic ---- *)
 
@@ -1194,8 +1147,6 @@ let inject_rx ?(guest = 0) w ~nic ~payload =
   let dst =
     match w.cfg with
     | Config.Native_linux | Config.Xen_dom0 -> p.mac
-    (* guest 0's vif MAC is the historical [p.gmac], so the default is
-       bit-identical to the single-guest path *)
     | Config.Xen_domU | Config.Xen_twin -> (
         match slot_opt w guest with
         | Some s -> s.gs_macs.(nic)
@@ -1353,7 +1304,6 @@ let guest_alive w ~guest = Option.is_some (slot_opt w guest)
 let delivered_rx_bytes w = w.rx_bytes
 let rx_last_payload w = if w.rx_frames = 0 then None else Some w.rx_last
 let rx_pop w = Queue.take_opt w.rx_queue
-let rx_queued w = Queue.length w.rx_queue
 let rx_drops w = w.rx_drops
 let recoveries w = w.recoveries
 let replayed_frames w = w.replayed
@@ -1480,11 +1430,6 @@ let netio_tx_mode w ~nic =
   | Some io -> Xen_netio.tx_mode io
   | None -> Xen_netio.Interrupt
 
-let netio_rx_mode w ~nic =
-  match netio_on w ~nic with
-  | Some io -> Xen_netio.rx_mode io
-  | None -> Xen_netio.Interrupt
-
 let mask_dom0_interrupts w =
   Option.iter Domain.mask_interrupts w.dom0
 
@@ -1522,20 +1467,12 @@ let create_guest ?nic w =
              reason = Printf.sprintf "create_guest: no such NIC %d" n;
            })
   | Some _ | None -> ());
-  let space = Addr_space.create ~name:(guest_name g) w.phys in
-  Addr_space.heap_init space ~base:Layout.guest_heap_base
-    ~limit:Layout.guest_heap_limit;
-  let dom =
-    Domain.create ~id:(g + 1) ~name:(guest_name g) ~kind:Domain.Guest ~space
-  in
-  Hypervisor.add_domain h dom;
+  let space = guest_space w.phys g in
+  let dom = guest_domain h ~space g in
   Scheduler.add w.sched dom;
   let s = fresh_slot ~dom ~space ~nics:(Array.length w.nics) g in
   w.slots <- Array.append w.slots [| Some s |];
-  (* the guest's vif MACs demux to its slot on every NIC (twin path) *)
-  Array.iter
-    (fun mac -> Hashtbl.replace w.gmac_index (Bridge.mac_key mac) g)
-    s.gs_macs;
+  index_macs w g s;
   (match w.cfg with
   | Config.Xen_domU when Array.length w.nics > 0 ->
       (* one netfront channel, striped over the NICs unless pinned; the
@@ -1549,6 +1486,40 @@ let create_guest ?nic w =
         s.gs_macs
   | _ -> ());
   g
+
+let create ?nics ?(guests = 1) ?upcall_set ?pool_entries ?costs
+    ?spill_everything ?rewrite_style ?cache_probes ?map_pairs
+    ?(tuning = Config.default_tuning) cfg =
+  if guests < 1 then invalid_arg "World.create: guests must be >= 1";
+  if guests > 256 then invalid_arg "World.create: at most 256 guests";
+  (* the device has one ring pair: multi-queue runs are Mq's, one
+     single-queue world per queue *)
+  if tuning.Config.queues <> 1 then
+    invalid_arg
+      (Printf.sprintf
+         "World.create: tuning.queues must be 1 (got %d); use Mq.create for \
+          multi-queue runs"
+         tuning.Config.queues);
+  let fault =
+    Td_fault.Engine.make
+      (Option.value tuning.Config.fault_plan ~default:Td_fault.zero_plan)
+  in
+  (* boot is deterministic: construction and init charge the world's
+     quota engine (grant-table and map-window acquires during channel
+     setup) but run with its fault engine suspended, so they draw
+     nothing *)
+  Td_fault.Engine.suspend fault (fun () ->
+      let w =
+        init
+          (create ?nics ?upcall_set ?pool_entries ?costs ?spill_everything
+             ?rewrite_style ?cache_probes ?map_pairs ~tuning ~fault cfg)
+      in
+      (* boot guests 1 .. guests-1 are runtime guests created at boot *)
+      if needs_guest cfg then
+        for _ = 2 to guests do
+          ignore (create_guest w)
+        done;
+      w)
 
 let destroy_guest w ~guest:g =
   let s = slot_exn w g ~op:"World.destroy_guest" in

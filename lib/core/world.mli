@@ -26,7 +26,7 @@ val create :
   t
 (** [guests] (default 1) creates that many guest domains (Xen_twin: the
     hypervisor demultiplexes received packets among them by destination
-    MAC, §5.3). [upcall_set] (Xen_twin only) lists fast-path support
+    MAC, §5.3); guests after the first are added by {!create_guest}. [upcall_set] (Xen_twin only) lists fast-path support
     routines that are demoted to upcalls — the Figure 10 experiment.
     [pool_entries] sizes the hypervisor's preallocated sk_buff pool.
     [spill_everything], [rewrite_style] and [map_pairs] select the
@@ -52,10 +52,6 @@ val kmem : t -> Td_kernel.Kmem.t
 val dom0_space : t -> Td_mem.Addr_space.t
 val adapter : t -> nic:int -> Td_driver.Adapter.t
 val netdev : t -> nic:int -> Td_kernel.Netdev.t
-val nic_mac : t -> nic:int -> string
-val guest_mac : t -> nic:int -> string
-(** Destination MAC for traffic addressed to the guest behind NIC [i]
-    (equal to {!nic_mac} for host-terminated configurations). *)
 
 val svm : t -> Td_svm.Runtime.t option
 (** The hypervisor instance's SVM runtime (Xen_twin only). *)
@@ -63,7 +59,6 @@ val svm : t -> Td_svm.Runtime.t option
 val twin_stats : t -> Td_rewriter.Rewrite.stats option
 val pool : t -> Td_kernel.Skb_pool.t option
 val hypervisor : t -> Td_xen.Hypervisor.t option
-val dom0_domain : t -> Td_xen.Domain.t option
 
 (* traffic *)
 
@@ -141,9 +136,6 @@ val rx_pop : t -> string option
     netchannel (and tests) consume traffic without dropping frames that
     arrived in the same pump. *)
 
-val rx_queued : t -> int
-(** Payloads currently waiting in the receive queue. *)
-
 val rx_drops : t -> int
 (** Frames discarded because the receive queue was full (each also bumps
     the ["world.rx_drops"] counter when observability is on). *)
@@ -181,9 +173,6 @@ val netio_suppressed_virqs : t -> int
 val netio_mode_switches : t -> int
 
 val netio_tx_mode : t -> nic:int -> Td_kernel.Xen_netio.mode
-val netio_rx_mode : t -> nic:int -> Td_kernel.Xen_netio.mode
-(** Adaptive state of the boot guest's channel on [nic] (always
-    [Interrupt] with the doorbell off or the channel gone). *)
 
 (* per-world engines *)
 

@@ -40,7 +40,6 @@ val store : State.t -> int -> Td_misa.Width.t -> int -> unit
 (** As {!load}, for a write. *)
 
 val addr_of_mem : State.t -> Td_misa.Operand.mem -> int
-val eval : State.t -> Td_misa.Width.t -> Td_misa.Operand.t -> int
 
 val set_zs : State.t -> int -> unit
 val flags_logic : State.t -> int -> unit

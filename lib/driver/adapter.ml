@@ -42,5 +42,4 @@ let rx_bytes t = field t o_rx_bytes
 let tx_dropped t = field t o_tx_dropped
 let rx_alloc_fail t = field t o_rx_alloc_fail
 let watchdog_runs t = field t o_watchdog_runs
-let irq_seen t = field t o_irq_seen
 let lock_held t = Td_kernel.Spinlock.held t.space (t.addr + o_lock)

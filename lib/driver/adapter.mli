@@ -65,5 +65,4 @@ val rx_bytes : t -> int
 val tx_dropped : t -> int
 val rx_alloc_fail : t -> int
 val watchdog_runs : t -> int
-val irq_seen : t -> int
 val lock_held : t -> bool

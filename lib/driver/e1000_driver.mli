@@ -24,7 +24,6 @@
 
 val tx_ring_entries : int
 val rx_ring_entries : int
-val rx_buf_bytes : int
 
 val source : unit -> Td_misa.Program.source
 (** A fresh copy of the driver source (label names are stable). *)
@@ -32,7 +31,6 @@ val source : unit -> Td_misa.Program.source
 val entry_init : string
 val entry_xmit : string
 val entry_intr : string
-val entry_clean_tx : string
 val entry_check_link : string
 (** Called through a function pointer stored in shared driver data (the
     kernel installs it after [register_netdev]); exercises the

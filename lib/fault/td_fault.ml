@@ -34,9 +34,6 @@ let site_name = function
   | Nic_corrupt_rx -> "nic_corrupt_rx"
   | Upcall_fail -> "upcall_fail"
 
-let site_of_name name =
-  List.find_opt (fun s -> site_name s = name) all_sites
-
 type plan = {
   seed : int;
   svm_wild_access : float;

@@ -28,12 +28,6 @@ type site =
   | Nic_corrupt_rx  (** NIC model: RX descriptor corrupted, frame lost *)
   | Upcall_fail  (** upcall path: dom0 fails/times out the upcall *)
 
-val all_sites : site list
-val site_name : site -> string
-(** Dotted metric suffix, e.g. ["svm_wild_access"]. *)
-
-val site_of_name : string -> site option
-
 type plan = {
   seed : int;
   svm_wild_access : float;

@@ -42,7 +42,6 @@ val protocol : t -> int
 val set_protocol : t -> int -> unit
 val frag_page : t -> int
 val set_frag : t -> page:int -> len:int -> unit
-val frag_len : t -> int
 
 val capacity : t -> int
 

@@ -45,12 +45,10 @@ type t = {
   upcall_stats : Td_xen.Upcall.stats;
 }
 
-let env_space t = t.space
 let kmem t = t.kmem
 let set_netif_rx t fn = t.netif_rx <- fn
 let routine_names t = List.rev t.order
 let routine_count t = Hashtbl.length t.routines
-let upcall_stats t = t.upcall_stats
 
 let find t name =
   match Hashtbl.find_opt t.routines name with

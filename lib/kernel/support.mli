@@ -18,7 +18,6 @@ val fast_path_names : string list
 
 val create : space:Td_mem.Addr_space.t -> kmem:Kmem.t -> t
 
-val env_space : t -> Td_mem.Addr_space.t
 val kmem : t -> Kmem.t
 
 val set_netif_rx : t -> (Skb.t -> unit) -> unit
@@ -78,4 +77,3 @@ val set_hyp_netif_rx : t -> (Skb.t -> unit) -> unit
 (** Hypervisor-side [netif_rx] behaviour (demux + guest delivery); only
     valid after {!register_hyp_natives}. *)
 
-val upcall_stats : t -> Td_xen.Upcall.stats

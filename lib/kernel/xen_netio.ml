@@ -674,7 +674,6 @@ let rx_dropped t = t.rx_dropped
 let rx_throttled t = t.rx_throttled
 let flushes t = t.flush_count
 let tx_staged_total t = t.tx_staged_total
-let rx_staged_total t = t.rx_staged_total
 
 (* Frame conservation: everything staged was either completed or is still
    queued — nothing silently dropped between frontend and backend. *)

@@ -167,10 +167,6 @@ val flushes : t -> int
 val tx_staged_total : t -> int
 (** Frames ever staged on the transmit ring. *)
 
-val rx_staged_total : t -> int
-(** Completions ever staged on the receive ring (drops excluded — see
-    {!rx_dropped}). *)
-
 val conserved : t -> bool
 (** Frame conservation: [tx_staged_total = tx_count + staged_tx] and
     [rx_staged_total = rx_count + staged_rx] — nothing lost between

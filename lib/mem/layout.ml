@@ -11,7 +11,6 @@ let dom0_heap_base = 0xC100_0000
 let dom0_heap_limit = 0xC800_0000
 let vm_driver_code_base = 0xC800_0000
 
-let guest_kernel_base = 0xF000_0000
 let guest_heap_base = 0xF010_0000
 let guest_heap_limit = 0xF800_0000
 

@@ -23,14 +23,12 @@ val addr_limit : int
 
 (* dom0 (driver domain) *)
 
-val dom0_kernel_base : int
 val dom0_heap_base : int
 val dom0_heap_limit : int
 val vm_driver_code_base : int
 
 (* guest domains *)
 
-val guest_kernel_base : int
 val guest_heap_base : int
 val guest_heap_limit : int
 

@@ -19,7 +19,6 @@ let mem ?base ?index ?sym disp = Operand.Mem (Operand.mem ?base ?index ?sym disp
 let mem_sym s = Operand.Mem (Operand.mem ~sym:s 0)
 
 let movl b src dst = ins b (Insn.Mov (Width.W32, src, dst))
-let movw b src dst = ins b (Insn.Mov (Width.W16, src, dst))
 let movb b src dst = ins b (Insn.Mov (Width.W8, src, dst))
 let movzxb b src dst = ins b (Insn.Movzx (Width.W8, src, dst))
 let movzxw b src dst = ins b (Insn.Movzx (Width.W16, src, dst))

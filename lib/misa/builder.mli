@@ -40,7 +40,6 @@ val mem_sym : string -> Operand.t
 (* Instruction helpers; names follow AT&T mnemonics (src before dst). *)
 
 val movl : t -> Operand.t -> Operand.t -> unit
-val movw : t -> Operand.t -> Operand.t -> unit
 val movb : t -> Operand.t -> Operand.t -> unit
 val movzxb : t -> Operand.t -> Reg.t -> unit
 val movzxw : t -> Operand.t -> Reg.t -> unit

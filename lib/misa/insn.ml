@@ -123,14 +123,6 @@ let reads_flags = function
   | Str (_, _, _) | Popf | Nop | Hlt ->
       false
 
-let is_terminator = function
-  | Jmp _ | Ret | Hlt -> true
-  | Mov (_, _, _) | Movzx (_, _, _) | Lea (_, _) | Alu (_, _, _)
-  | Shift (_, _, _) | Cmp (_, _) | Test (_, _) | Inc _ | Dec _ | Neg _ | Not _
-  | Imul (_, _) | Xchg (_, _) | Push _ | Pop _ | Jcc (_, _) | Call _
-  | Str (_, _, _) | Pushf | Popf | Nop ->
-      false
-
 let is_control_transfer = function
   | Jmp _ | Jcc (_, _) | Call _ | Ret | Hlt -> true
   | Mov (_, _, _) | Movzx (_, _, _) | Lea (_, _) | Alu (_, _, _)

@@ -63,12 +63,9 @@ val regs_written : t -> Reg.t list
 val sets_flags : t -> bool
 val reads_flags : t -> bool
 
-val is_terminator : t -> bool
-(** True for instructions that end a basic block: jumps, returns, [Hlt]. *)
-
 val is_control_transfer : t -> bool
 (** True for every instruction that can move the pc away from fall-through:
-    {!is_terminator} plus [Jcc] and [Call]. The interpreter's block engine
+    jumps, returns, [Hlt], [Jcc] and [Call]. The interpreter's block engine
     cuts straight-line runs at these (a [Call] may dispatch to a native or
     re-enter the registry, so it ends a block even though it returns). *)
 

@@ -19,8 +19,6 @@ type mem = {
 type t = Imm of int | Reg of Reg.t | Mem of mem
 
 let mem ?base ?index ?sym disp = { base; index; disp; sym }
-let mem_abs disp = { base = None; index = None; disp; sym = None }
-let is_mem = function Mem _ -> true | Imm _ | Reg _ -> false
 
 let is_stack_relative m =
   match (m.base, m.index) with

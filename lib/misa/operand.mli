@@ -23,10 +23,6 @@ type t = Imm of int | Reg of Reg.t | Mem of mem
 val mem : ?base:Reg.t -> ?index:Reg.t * scale -> ?sym:string -> int -> mem
 (** [mem ?base ?index ?sym disp] builds a memory reference. *)
 
-val mem_abs : int -> mem
-(** Absolute address with no registers. *)
-
-val is_mem : t -> bool
 val is_stack_relative : mem -> bool
 (** True when the reference is based on [ESP] or [EBP] with no index
     register — such references address the private stack and are exempt

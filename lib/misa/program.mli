@@ -47,8 +47,6 @@ val index_of_addr : t -> int -> int
 (** Instruction index for a code address inside the program. Raises
     [Invalid_argument] for misaligned or out-of-range addresses. *)
 
-val addr_of_index : t -> int -> int
-
 val addr_of_label : t -> string -> int
 (** Code address of a label. Raises {!Unresolved} when absent. *)
 

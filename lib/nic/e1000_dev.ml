@@ -19,7 +19,6 @@ type t = {
   mutable tx_count : int;
   mutable rx_count : int;
   mutable dropped : int;
-  mutable irq_count : int;
   mutable dma_stuck : bool;  (** injected: TX DMA engine wedged *)
 }
 
@@ -68,7 +67,6 @@ let create ?(ring_entries = 256) ?(fault_domain = fun () -> None) ?fault ~dma
       tx_count = 0;
       rx_count = 0;
       dropped = 0;
-      irq_count = 0;
       dma_stuck = false;
     }
   in
@@ -84,7 +82,6 @@ let mac t = t.mac
 let tx_count t = t.tx_count
 let rx_count t = t.rx_count
 let dropped t = t.dropped
-let irq_count t = t.irq_count
 let dma_stuck t = t.dma_stuck
 
 let irq_pending t = get t Regs.icr land get t Regs.ims <> 0
@@ -104,7 +101,6 @@ let raise_cause t cause =
          poll can still find and service it, as real drivers do *)
       if fires t Td_fault.Nic_lost_irq then ()
       else begin
-        t.irq_count <- t.irq_count + 1;
         Td_obs.Metrics.bump "nic.irq";
         match t.irq_handler with Some fn -> fn () | None -> ()
       end

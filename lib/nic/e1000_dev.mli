@@ -20,9 +20,6 @@ type t
 val mmio_vaddr : int -> int
 (** Conventional dom0 virtual address of NIC [i]'s register page. *)
 
-val link_rate_bps : int
-(** 1 Gb/s. *)
-
 val effective_rate_bps : packet_bytes:int -> float
 (** Achievable data rate accounting for Ethernet framing overhead
     (preamble, inter-frame gap, CRC). *)
@@ -52,9 +49,6 @@ val create :
     The device has one tx/rx ring pair and signals on the legacy INTx
     line, like the paper's single-queue e1000; multi-queue traffic is
     modelled above the device, one world per queue ({!Twindrivers.Mq}). *)
-
-val device_page : t -> Td_mem.Addr_space.device
-(** The MMIO register page, for mapping at {!mmio_vaddr}. *)
 
 val attach : t -> space:Td_mem.Addr_space.t -> vaddr:int -> unit
 (** Map the register page into an address space. *)
@@ -94,4 +88,3 @@ val reset : t -> int
 val tx_count : t -> int
 val rx_count : t -> int
 val dropped : t -> int
-val irq_count : t -> int

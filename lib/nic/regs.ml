@@ -1,4 +1,3 @@
-let ctrl = 0x0000
 let status = 0x0008
 let icr = 0x00C0
 let ims = 0x00D0
@@ -23,7 +22,6 @@ let mta_entries = 32
 
 let icr_txdw = 0x01
 let icr_rxt0 = 0x80
-let icr_lsc = 0x04
 
 let desc_bytes = 16
 let d_buf = 0

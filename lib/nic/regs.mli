@@ -10,7 +10,6 @@
     [ral]/[rah] hold the MAC address; [gptc]/[gprc]/[mpc] are the
     transmitted / received / missed packet statistics counters. *)
 
-val ctrl : int
 val status : int
 val icr : int
 val ims : int
@@ -46,7 +45,6 @@ val mta_entries : int
 
 val icr_txdw : int
 val icr_rxt0 : int
-val icr_lsc : int
 
 (** Descriptor geometry: 16-byte descriptors with buffer address, length,
     command and status words. *)

@@ -18,9 +18,6 @@ type tuple = {
 
 type t
 
-val key_bytes : int
-(** 40, the classic Toeplitz key length. *)
-
 val of_seed : int -> t
 (** Expand a small seed into the 40-byte hash key (xorshift stream;
     seed 0 is remapped to a fixed non-zero constant). *)
@@ -35,13 +32,6 @@ val hash : t -> tuple -> int
 val queue_of_hash : int -> queues:int -> int
 (** Hardware-style indirection: the low 7 hash bits index a 128-entry
     table holding the identity spread over [queues]. *)
-
-val tuple_of_payload : string -> tuple
-(** Parse the 4-tuple out of a bare IP packet with no Ethernet header —
-    the form {!World.transmit} payloads take (IPv4 TCP/UDP at offset 0).
-    Non-IP or truncated payloads fall back to a deterministic
-    pseudo-tuple over the leading bytes so every payload still demuxes
-    to a stable queue. *)
 
 val queue_of_payload : t -> queues:int -> string -> int
 (** The queue {!hash} and {!queue_of_hash} select for a payload. *)

@@ -29,7 +29,6 @@ val isr : int
 val cmd : int
 
 val tsd_own : int
-val tsd_tok : int
 val isr_rok : int
 val isr_tok : int
 

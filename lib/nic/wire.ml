@@ -10,7 +10,3 @@ let null _ _ = ()
 
 let wire_limit_mbps ~packet_bytes ~nics =
   E1000_dev.effective_rate_bps ~packet_bytes *. float_of_int nics /. 1e6
-
-let mbps_of_bytes ~bytes ~seconds =
-  if seconds <= 0.0 then 0.0
-  else float_of_int bytes *. 8.0 /. seconds /. 1e6

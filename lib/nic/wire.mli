@@ -18,4 +18,3 @@ val null : bytes -> int -> unit
 val wire_limit_mbps : packet_bytes:int -> nics:int -> float
 (** Aggregate wire-limited throughput in Mb/s of payload. *)
 
-val mbps_of_bytes : bytes:int -> seconds:float -> float

@@ -34,8 +34,6 @@ val histogram : ?help:string -> ?bounds:int array -> string -> histogram
     The default is powers of two from 16 to 128 Ki — sized for
     per-invocation cycle counts. *)
 
-val default_bounds : int array
-
 (* updates (unconditional — callers guard with {!Control.enabled}) *)
 
 val incr : counter -> unit

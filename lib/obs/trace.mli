@@ -85,10 +85,6 @@ val set_capacity : int -> unit
 
 val clear : unit -> unit
 
-val event_name : event -> string
-(** The dotted name used in exports, e.g. ["stlb.miss"]. *)
-
-val record_json : record -> Json.t
 val to_json : unit -> Json.t
 (** [{"capacity", "emitted", "records": [{"seq", "event", ...fields}]}] —
     schema in docs/METRICS.md. *)

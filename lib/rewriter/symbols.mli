@@ -21,9 +21,6 @@ val svm_translate : string
 val svm_call : string
 (** Indirect-call target translation helper (the [stlb_call] front end). *)
 
-val scratch_slots : int
-(** Number of 4-byte scratch slots the loader must provision. *)
-
 val scratch_slot : int -> Td_misa.Operand.t
 (** Memory operand addressing slot [n]. *)
 

@@ -4,6 +4,8 @@ type severity = Reject | Warn
 
 type finding = { severity : severity; index : int; message : string }
 
+(* largest stack-relative displacement accepted as statically safe: the
+   simulated driver-stack size minus slack *)
 let stack_disp_limit = 8192
 
 let pp_finding fmt f =

@@ -16,10 +16,6 @@ type finding = {
   message : string;
 }
 
-val stack_disp_limit : int
-(** Largest stack-relative displacement accepted as statically safe
-    (8 KiB, the simulated driver-stack size minus slack). *)
-
 val inspect : Td_misa.Program.source -> finding list
 
 val admissible : Td_misa.Program.source -> bool

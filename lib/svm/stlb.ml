@@ -63,10 +63,3 @@ let clear t =
     Td_mem.Addr_space.write t.space (ea + 4) Td_misa.Width.W32 0
   done
 
-let valid_entries t =
-  let n = ref 0 in
-  for i = 0 to Td_mem.Layout.stlb_entries - 1 do
-    let ea = t.vaddr + (i * Td_mem.Layout.stlb_entry_bytes) in
-    if Td_mem.Addr_space.read t.space ea Td_misa.Width.W32 <> 0 then incr n
-  done;
-  !n

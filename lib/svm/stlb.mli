@@ -18,9 +18,6 @@ val index_of : int -> int
 val entry_offset : int -> int
 (** Byte offset of the entry within the table: [8 * index_of addr]. *)
 
-val tag_of : int -> int
-(** The tag stored for an address: its page base. *)
-
 type t
 
 val create : space:Td_mem.Addr_space.t -> vaddr:int -> t
@@ -43,4 +40,3 @@ val invalidate : t -> dom0_page:int -> unit
     live (observability on). *)
 
 val clear : t -> unit
-val valid_entries : t -> int

@@ -37,9 +37,6 @@ val current : ?op:string -> t -> Domain.t
 val domains : t -> Domain.t list
 val switches : t -> int
 
-val category_of : Domain.t -> Ledger.category
-(** Dom0 work is charged to [Dom0], guest work to [DomU]. *)
-
 val switch_to : t -> Domain.t -> unit
 (** Synchronous world switch: charges {!Sys_costs.domain_switch} to Xen,
     changes the CPU's address space (flushing its TLB), counts. No-op if

@@ -192,6 +192,7 @@ let release e ~domain res n =
     inuse_gauge domain res d.held.(i)
   end
 
+(* Draw [n] tokens at once: the whole draw succeeds or none of it does. *)
 let try_take_n e ~domain res n =
   Hashtbl.mem e.exempt domain
   ||

@@ -96,13 +96,11 @@ val take : state -> domain:string -> resource -> unit
 (** {!try_take} for callers that cannot proceed: raises
     {!Quota_exceeded} when the bucket is dry. *)
 
-val try_take_n : state -> domain:string -> resource -> int -> bool
-(** Draw [n] tokens at once — the whole draw succeeds or none of it
-    does. Byte-denominated resources ([Grant_copy_bytes]) refill into a
-    [grant_copy_burst_bytes]-deep bucket. *)
-
 val take_n : state -> domain:string -> resource -> int -> unit
-(** {!try_take_n} raising {!Quota_exceeded} on a dry bucket. *)
+(** Draw [n] tokens at once — the whole draw succeeds or none of it
+    does — raising {!Quota_exceeded} on a dry bucket. Byte-denominated
+    resources ([Grant_copy_bytes]) refill into a
+    [grant_copy_burst_bytes]-deep bucket. *)
 
 val inuse : state -> domain:string -> resource -> int
 (** Current units held (concurrency resources; 0 for rate resources). *)

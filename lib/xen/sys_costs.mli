@@ -15,9 +15,13 @@ type t = {
   kernel_rx_path : int;  (** per packet, receive side *)
   (* bare-metal vs paravirtualised kernel *)
   virt_overhead_tx : int;
-      (** extra per-packet cost of running the kernel on Xen (dom0 and
-          guests): paravirtual MMU ops, interrupt virtualisation *)
+      (** extra per-packet cost of running the network stack on Xen
+          (paravirtual MMU ops, interrupt virtualisation), charged to
+          Xen's category on each Xen_dom0 transmit. Only the Xen_dom0
+          configuration pays it: the guest configurations' Xen costs are
+          their I/O-path constants below. *)
   virt_overhead_rx : int;
+      (** the same, on each packet Xen_dom0's [netif_rx] receives *)
   (* Xen primitives *)
   hypercall : int;
   domain_switch : int;  (** synchronous world switch incl. TLB fallout *)

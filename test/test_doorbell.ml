@@ -266,8 +266,6 @@ let test_world_adaptive_and_shutdown () =
       Config.default_tuning with
       Config.doorbell = true;
       poll_entry_kicks = 4;
-      idle_hysteresis = 2;
-      poll_budget = 8;
     }
   in
   let w = World.create ~nics:1 ~tuning Config.Xen_domU in
@@ -287,10 +285,13 @@ let test_world_adaptive_and_shutdown () =
   check int_c "nothing staged after shutdown" 0 (World.staged_frames w);
   check bool_c "frames conserved" true (World.netio_conserved w);
   check int_c "every frame reached the wire" 49 (World.wire_tx_frames w);
-  (* one tick closes the last traffic window, two idle ticks bring the
-     channel back to interrupts *)
+  (* one tick closes the last traffic window, three idle ticks (a
+     world's hysteresis) bring the channel back to interrupts *)
   World.tick w;
   World.tick w;
+  World.tick w;
+  check mode_c "still polling inside the hysteresis" Td_kernel.Xen_netio.Polling
+    (World.netio_tx_mode w ~nic:0);
   World.tick w;
   check mode_c "fell back at world level" Td_kernel.Xen_netio.Interrupt
     (World.netio_tx_mode w ~nic:0)

@@ -2,6 +2,7 @@
    TCP-lite transport (with loss), SPECweb file validation. *)
 
 open Td_net
+open Td_websim
 
 let check = Alcotest.check
 let int_c = Alcotest.int

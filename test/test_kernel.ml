@@ -1,5 +1,5 @@
 (* Tests for the kernel substrate: allocator, sk_buffs, pools, netdev,
-   spinlocks, softirq, timers, support registry. *)
+   spinlocks, timers, support registry. *)
 
 open Td_kernel
 
@@ -166,7 +166,7 @@ let test_pool_foreign_rejected () =
     (Skb_pool.iter pool (fun skb -> assert (Skb_pool.frag_buffer pool skb > 0));
      true)
 
-(* --- netdev / spinlock / softirq / timers --- *)
+(* --- netdev / spinlock / timers --- *)
 
 let test_netdev () =
   let m, km = make () in
@@ -190,18 +190,6 @@ let test_spinlock () =
   check bool_c "contended" false (Spinlock.trylock m.Harness.dom0 addr);
   Spinlock.unlock m.Harness.dom0 addr;
   check bool_c "reacquire" true (Spinlock.trylock m.Harness.dom0 addr)
-
-let test_softirq_guard () =
-  let sq = Softirq.create () in
-  let ran = ref 0 in
-  Softirq.raise_softirq sq (fun () -> incr ran);
-  Softirq.raise_softirq sq (fun () -> incr ran);
-  let allowed = ref false in
-  check int_c "guard blocks" 0 (Softirq.run sq ~guard:(fun () -> !allowed) ());
-  check int_c "still pending" 2 (Softirq.pending sq);
-  allowed := true;
-  check int_c "guard opens" 2 (Softirq.run sq ~guard:(fun () -> !allowed) ());
-  check int_c "ran" 2 !ran
 
 let test_timer_wheel () =
   let tw = Timer_wheel.create () in
@@ -313,7 +301,6 @@ let suite =
     Alcotest.test_case "pool foreign rejected" `Quick test_pool_foreign_rejected;
     Alcotest.test_case "netdev" `Quick test_netdev;
     Alcotest.test_case "spinlock" `Quick test_spinlock;
-    Alcotest.test_case "softirq guard" `Quick test_softirq_guard;
     Alcotest.test_case "timer wheel" `Quick test_timer_wheel;
     Alcotest.test_case "bridge learning" `Quick test_bridge_learning;
     Alcotest.test_case "support registry" `Quick test_support_registry_basics;

@@ -3,6 +3,7 @@
    and random (deterministic) loss patterns. *)
 
 open Td_net
+open Td_websim
 
 let check = Alcotest.check
 let int_c = Alcotest.int

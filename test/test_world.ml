@@ -341,6 +341,61 @@ let test_domu_grant_machinery () =
 
 (* --- ledger sanity across configurations --- *)
 
+(* the virtualisation overhead constants are Xen_dom0's alone: doubling
+   one adds exactly its value per frame to Xen_dom0's Xen category and
+   moves no other ledger *)
+let test_virt_overhead_scope () =
+  let frames = 8 in
+  let ledger costs cfg =
+    let w = World.create ~nics:1 ~costs cfg in
+    World.reset_measurement w;
+    for _ = 1 to frames do
+      ignore (World.transmit w ~nic:0 ~payload);
+      World.inject_rx w ~nic:0 ~payload;
+      World.pump w
+    done;
+    check int_c "every frame delivered" frames (World.delivered_rx_frames w);
+    List.map (Td_xen.Ledger.total (World.ledger w)) Td_xen.Ledger.categories
+  in
+  let base = Td_xen.Sys_costs.default in
+  let doubled =
+    [
+      ( "tx",
+        base.Td_xen.Sys_costs.virt_overhead_tx,
+        {
+          base with
+          Td_xen.Sys_costs.virt_overhead_tx =
+            2 * base.Td_xen.Sys_costs.virt_overhead_tx;
+        } );
+      ( "rx",
+        base.Td_xen.Sys_costs.virt_overhead_rx,
+        {
+          base with
+          Td_xen.Sys_costs.virt_overhead_rx =
+            2 * base.Td_xen.Sys_costs.virt_overhead_rx;
+        } );
+    ]
+  in
+  List.iter
+    (fun cfg ->
+      let before = ledger base cfg in
+      List.iter
+        (fun (dir, delta, costs) ->
+          let expected =
+            List.map2
+              (fun cat n ->
+                if cfg = Config.Xen_dom0 && cat = Td_xen.Ledger.Xen then
+                  n + (frames * delta)
+                else n)
+              Td_xen.Ledger.categories before
+          in
+          check (Alcotest.list int_c)
+            (Printf.sprintf "%s ledger, virt_overhead_%s doubled"
+               (Config.name cfg) dir)
+            expected (ledger costs cfg))
+        doubled)
+    Config.all
+
 let test_ledger_categories cfg () =
   let w = World.create ~nics:1 cfg in
   World.reset_measurement w;
@@ -501,6 +556,8 @@ let suite =
         test_twin_multi_guest_demux;
       Alcotest.test_case "domU: grant machinery" `Quick
         test_domu_grant_machinery;
+      Alcotest.test_case "virt overhead charged to dom0 only" `Quick
+        test_virt_overhead_scope;
       Alcotest.test_case "profiler attribution" `Quick
         test_profiler_attribution;
       Alcotest.test_case "measure consistency" `Quick test_measure_consistency;

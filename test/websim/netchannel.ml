@@ -1,20 +1,20 @@
 type t = {
   world : World.t;
   nic : int;
-  server : Td_net.Tcp_lite.t;
-  client : Td_net.Tcp_lite.t;
-  server_out : Td_net.Tcp_lite.segment Queue.t;
-  client_out : Td_net.Tcp_lite.segment Queue.t;
+  server : Tcp_lite.t;
+  client : Tcp_lite.t;
+  server_out : Tcp_lite.segment Queue.t;
+  client_out : Tcp_lite.segment Queue.t;
   mutable frames : int;
 }
 
 let create ?(nic = 0) world =
   let server_out = Queue.create () and client_out = Queue.create () in
   let server =
-    Td_net.Tcp_lite.create ~send:(fun seg -> Queue.push seg server_out) ()
+    Tcp_lite.create ~send:(fun seg -> Queue.push seg server_out) ()
   in
   let client =
-    Td_net.Tcp_lite.create ~send:(fun seg -> Queue.push seg client_out) ()
+    Tcp_lite.create ~send:(fun seg -> Queue.push seg client_out) ()
   in
   { world; nic; server; client; server_out; client_out; frames = 0 }
 
@@ -30,9 +30,9 @@ let relay_once t =
     let seg = Queue.pop t.server_out in
     ignore
       (World.transmit t.world ~nic:t.nic
-         ~payload:(Td_net.Tcp_lite.encode_segment seg));
+         ~payload:(Tcp_lite.encode_segment seg));
     t.frames <- t.frames + 1;
-    Td_net.Tcp_lite.on_segment t.client seg
+    Tcp_lite.on_segment t.client seg
   done;
   World.pump t.world;
   (* drain every delivered payload, not just the most recent one — with
@@ -44,8 +44,8 @@ let relay_once t =
       | None -> continue := false
       | Some payload -> (
           moved := true;
-          match Td_net.Tcp_lite.decode_segment payload with
-          | Some seg -> Td_net.Tcp_lite.on_segment t.server seg
+          match Tcp_lite.decode_segment payload with
+          | Some seg -> Tcp_lite.on_segment t.server seg
           | None -> ())
     done
   in
@@ -54,7 +54,7 @@ let relay_once t =
   while not (Queue.is_empty t.client_out) do
     moved := true;
     World.inject_rx t.world ~nic:t.nic
-      ~payload:(Td_net.Tcp_lite.encode_segment (Queue.pop t.client_out));
+      ~payload:(Tcp_lite.encode_segment (Queue.pop t.client_out));
     t.frames <- t.frames + 1;
     World.pump t.world;
     drain_rx ()
@@ -68,8 +68,8 @@ let run ?(max_rounds = 2000) ?(on_round = fun _ -> ()) t ~until =
     incr rounds;
     ignore (relay_once t);
     on_round t;
-    Td_net.Tcp_lite.tick t.server;
-    Td_net.Tcp_lite.tick t.client;
+    Tcp_lite.tick t.server;
+    Tcp_lite.tick t.client;
     done_ := until t
   done;
   !done_

@@ -4,8 +4,8 @@
     client segment comes back up the receive path (NIC, hypervisor driver,
     demultiplexer, guest).
 
-    This is the glue that lets {!Td_net.Tcp_lite} endpoints — and anything
-    built on them, like the {!Td_net.Knot} web server — run over the full
+    This is the glue that lets {!Tcp_lite} endpoints — and anything
+    built on them, like the {!Knot} web server — run over the full
     TwinDrivers data path rather than an abstract queue. *)
 
 type t
@@ -14,8 +14,8 @@ val create : ?nic:int -> World.t -> t
 (** The server endpoint lives in the world's guest; the client endpoint
     models the machine at the far end of [nic]'s wire. *)
 
-val server : t -> Td_net.Tcp_lite.t
-val client : t -> Td_net.Tcp_lite.t
+val server : t -> Tcp_lite.t
+val client : t -> Tcp_lite.t
 
 val run :
   ?max_rounds:int -> ?on_round:(t -> unit) -> t -> until:(t -> bool) -> bool
