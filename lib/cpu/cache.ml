@@ -20,7 +20,7 @@ let create ?(size_bytes = 524288) ?(line_bytes = 64) () =
     miss_count = 0;
   }
 
-let access t paddr =
+let[@inline] access t paddr =
   let line = paddr lsr t.line_shift in
   let idx = line land (t.lines - 1) in
   if t.tags.(idx) = line then begin

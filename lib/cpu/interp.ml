@@ -176,10 +176,11 @@ let cached_prog t slot =
    plan: both need a view finer than a compiled superblock. Probe sites
    are recognised inline by both engines, and any other fault site fires
    identically in either ([fire] never draws at a zero rate). Observers
-   are attached and the fault engine is suspended or resumed only
-   outside driver execution, and a [Call] ends a block, so checking once
-   per control transfer is exactly equivalent to checking per
-   instruction. *)
+   are attached, and [Td_fault.Engine.suspend] opens and closes its
+   scope, only outside driver execution or around a nested [call] (a
+   native re-entering the interpreter), and every nested [call] decides
+   for itself. So [call] decides once, and that is exactly equivalent to
+   deciding per instruction. *)
 let needs_block_engine t =
   (match t.observer with Some _ -> true | None -> false) || bitflip_armed t
 
@@ -286,10 +287,11 @@ let call ?(max_steps = 1_000_000) t ~entry ~args =
   let saved_fuel = st.State.fuel and saved_cap = st.State.fuel_cap in
   st.State.fuel <- max_steps;
   st.State.fuel_cap <- max_steps;
+  let block_only = needs_block_engine t in
   (match
      while st.State.pc <> ret_sentinel do
        if st.State.fuel <= 0 then raise (Timeout st.State.fuel_cap);
-       if needs_block_engine t then exec_block t else exec_compiled t
+       if block_only then exec_block t else exec_compiled t
      done
    with
   | () ->

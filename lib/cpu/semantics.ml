@@ -19,7 +19,7 @@ open Td_misa
 (* The cost model for one access to [addr], whose page resolved to [m]
    (the stored option of [Addr_space.lookup]): base cost, TLB model, and
    either the physical cache model or the MMIO surcharge. *)
-let charge st addr m =
+let[@inline] charge st addr m =
   let costs = st.State.costs in
   let cost = ref costs.Cost_model.mem_access in
   if not (Tlb.access st.State.tlb (Td_mem.Layout.page_of addr)) then
@@ -106,21 +106,21 @@ let assign32 st dst v =
 
 (* --- flags --- *)
 
-let set_zs st v =
+let[@inline] set_zs st v =
   st.State.zf <- mask32 v = 0;
   st.State.sf <- v land sign_bit <> 0
 
-let flags_logic st v =
+let[@inline] flags_logic st v =
   set_zs st v;
   st.State.cf <- false;
   st.State.ovf <- false
 
-let flags_add st a b r =
+let[@inline] flags_add st a b r =
   set_zs st r;
   st.State.cf <- a + b > 0xFFFFFFFF;
   st.State.ovf <- (a lxor r) land (b lxor r) land sign_bit <> 0
 
-let flags_sub st dst src r =
+let[@inline] flags_sub st dst src r =
   set_zs st r;
   st.State.cf <- dst < src;
   st.State.ovf <- (dst lxor src) land (dst lxor r) land sign_bit <> 0

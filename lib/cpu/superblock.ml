@@ -221,8 +221,11 @@ let memo_mem (m : Operand.mem) =
    the page's mapping; for a frame, its buffer is in [slot.s_bytes].
    The memo serves stores as well as loads and outlives the access, so
    it takes the frame's own writable buffer ([Phys_mem.page]), never the
-   shared zero page a never-written frame reads through. *)
-let translate ctx slot st addr page =
+   shared zero page a never-written frame reads through. [run] bumps the
+   stamp on every entry, so most refills find the same mapping and
+   buffer: the pointer fields are written only when they change, which
+   spares the write barrier. *)
+let[@inline] translate ctx slot st addr page =
   if slot.s_stamp = !(ctx.c_stamp) && slot.s_page = page then begin
     Semantics.charge st addr slot.s_map;
     incr ctx.c_elided;
@@ -236,8 +239,9 @@ let translate ctx slot st addr page =
     | Some (Td_mem.Addr_space.Frame f) ->
         slot.s_stamp <- !(ctx.c_stamp);
         slot.s_page <- page;
-        slot.s_map <- m;
-        slot.s_bytes <- Td_mem.Phys_mem.page (Td_mem.Addr_space.phys space) f
+        if slot.s_map != m then slot.s_map <- m;
+        let b = Td_mem.Phys_mem.page (Td_mem.Addr_space.phys space) f in
+        if slot.s_bytes != b then slot.s_bytes <- b
     | Some (Td_mem.Addr_space.Device _) -> incr ctx.c_stamp
     | None -> Td_mem.Addr_space.page_fault space addr);
     m

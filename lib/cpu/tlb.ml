@@ -23,7 +23,7 @@ let create ?(entries = 256) () =
 
 (* A plain loop over the set's ways: no closure, no option, so an access
    allocates nothing. *)
-let access t vpage =
+let[@inline] access t vpage =
   let set = vpage land (t.sets - 1) in
   let base = set * t.ways in
   let w = ref 0 in

@@ -52,7 +52,7 @@ let phys t = t.phys
 
 let in_range vpage = vpage >= 0 && vpage < vpages
 
-let lookup t ~vpage =
+let[@inline] lookup t ~vpage =
   if not (in_range vpage) then None
   else
     Array.unsafe_get

@@ -65,7 +65,7 @@ let alloc_frame t =
   t.allocated <- t.allocated + 1;
   f
 
-let live t f = f > 0 && f < Array.length t.pages && t.pages.(f) != absent
+let[@inline] live t f = f > 0 && f < Array.length t.pages && t.pages.(f) != absent
 
 let free_frame t f =
   if live t f then begin
@@ -85,7 +85,7 @@ let[@inline] slot t f =
 
 let page_ro t f = slot t f
 
-let page t f =
+let[@inline] page t f =
   let b = slot t f in
   if b != zero then b
   else begin
@@ -95,11 +95,11 @@ let page t f =
     b
   end
 
-let check_bounds off w =
+let[@inline] check_bounds off w =
   if off < 0 || off + Td_misa.Width.bytes w > Layout.page_size then
     invalid_arg (Printf.sprintf "Phys_mem: offset %d crosses frame boundary" off)
 
-let read t f off w =
+let[@inline] read t f off w =
   check_bounds off w;
   let b = page_ro t f in
   match w with
@@ -107,7 +107,7 @@ let read t f off w =
   | Td_misa.Width.W16 -> Bytes.get_uint16_le b off
   | Td_misa.Width.W32 -> Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
 
-let write t f off w v =
+let[@inline] write t f off w v =
   check_bounds off w;
   let b = page t f in
   match w with

@@ -43,6 +43,9 @@ type t = {
   window_pages : int;  (** window size in pages (2 per slot) *)
   slots : slot option array;
   slot_of_page : int Page_tbl.t;  (** dom0 page base -> slot index *)
+  hint : int array;
+      (** direct-mapped page number -> slot index that last held it;
+          -1 = none. Only a guess: see [mark_referenced]. *)
   mutable window_next : int;  (** next never-used slot index *)
   mutable free_slots : int list;  (** released by invalidate_page *)
   mutable clock_hand : int;
@@ -55,6 +58,12 @@ type t = {
   mutable collision_count : int;
   mutable fault_count : int;
 }
+
+(* One hint per slot, rounded up to a power of two so a page number
+   indexes it with a mask. *)
+let hint_size nslots =
+  let rec go n = if n >= nslots then n else go (2 * n) in
+  go 1
 
 let create_hypervisor ?(map_pairs = true)
     ?(window_pages = Td_mem.Layout.map_window_pages)
@@ -71,6 +80,7 @@ let create_hypervisor ?(map_pairs = true)
     window_pages;
     slots = Array.make (window_pages / 2) None;
     slot_of_page = Page_tbl.create 256;
+    hint = Array.make (hint_size (window_pages / 2)) (-1);
     window_next = 0;
     free_slots = [];
     clock_hand = 0;
@@ -94,6 +104,7 @@ let create_identity ?fault ~dom0 ~stlb_vaddr () =
     window_pages = 0;
     slots = [||];
     slot_of_page = Page_tbl.create 1;
+    hint = [| -1 |];
     window_next = 0;
     free_slots = [];
     clock_hand = 0;
@@ -137,12 +148,26 @@ let valid_dom0_page t addr =
 let mapped_base idx =
   Td_mem.Layout.map_window_base + (2 * idx * Td_mem.Layout.page_size)
 
-(* On every probe hit: [find] (not [find_opt]) so a lookup allocates
-   nothing. *)
+let hint_index t page =
+  (page lsr Td_mem.Layout.page_shift) land (Array.length t.hint - 1)
+
+(* On every probe hit, so it allocates nothing. The hint is trusted only
+   when its slot still maps [page]: every path that releases a slot
+   ([evict_slot], [invalidate_page], [flush]) sets it to [None], and no
+   two slots ever map the same page, so a slot that maps [page] is the
+   one [slot_of_page] names. Otherwise ask the table ([find], not
+   [find_opt]: no allocation) and remember its answer. *)
 let mark_referenced t page =
-  match Page_tbl.find t.slot_of_page page with
-  | i -> (match t.slots.(i) with Some s -> s.referenced <- true | None -> ())
-  | exception Not_found -> ()
+  let h = hint_index t page in
+  let i = Array.unsafe_get t.hint h in
+  match if i >= 0 then t.slots.(i) else None with
+  | Some s when s.dom0_page = page -> s.referenced <- true
+  | Some _ | None -> (
+      match Page_tbl.find t.slot_of_page page with
+      | i -> (
+          t.hint.(h) <- i;
+          match t.slots.(i) with Some s -> s.referenced <- true | None -> ())
+      | exception Not_found -> ())
 
 let update_inuse_gauge t =
   if Td_obs.Control.enabled () then
@@ -253,6 +278,7 @@ let map_pair t page =
   t.slots.(idx) <-
     Some { dom0_page = page; referenced = true; pinned = false; owner };
   Page_tbl.replace t.slot_of_page page idx;
+  t.hint.(hint_index t page) <- idx;
   update_inuse_gauge t;
   mapped
 
@@ -373,6 +399,11 @@ let flush t =
   t.free_slots <- [];
   t.clock_hand <- 0;
   update_inuse_gauge t
+
+let window_slots t =
+  Array.map (Option.map (fun s -> (s.dom0_page, s.referenced))) t.slots
+
+let slot_of_page t page = Page_tbl.find_opt t.slot_of_page page
 
 let misses t = t.miss_count
 let collisions t = t.collision_count

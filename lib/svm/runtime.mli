@@ -116,6 +116,13 @@ type window_guard = {
       (** called when the pair is evicted, invalidated or flushed *)
 }
 
+val window_slots : t -> (int * bool) option array
+(** Per window slot: the dom0 page base its pair maps and the clock's
+    reference bit; [None] for a free slot. *)
+
+val slot_of_page : t -> int -> int option
+(** The slot the page table records for a dom0 page base. *)
+
 val set_window_guard : t -> window_guard -> unit
 (** Install per-domain window accounting. The quota subsystem lives in
     [td_xen] (which depends on this library), so the world wires the guard

@@ -205,6 +205,162 @@ let test_probe_hit_allocates_nothing () =
   check bool_c (Printf.sprintf "%.0f minor words < 100" words) true
     (words < 100.)
 
+(* The probe-hit reference bit goes through a direct-mapped page -> slot
+   hint. Over random sequences of translations (stlb hits, chain
+   refills after stlb collisions, misses that reclaim), inline hits,
+   invalidations and flushes on a 4-slot window, the runtime must keep
+   [slot_of_page p = Some i] exactly when slot [i] maps [p], and its
+   slots (so its reclaim victims) and reference bits must equal a
+   reference window that finds slots through a hash table alone. *)
+module Ref_window = struct
+  type t = {
+    slots : (int * bool) option array;  (* page, referenced *)
+    table : (int, int) Hashtbl.t;  (* page -> slot *)
+    mutable next : int;
+    mutable free : int list;
+    mutable hand : int;
+    mutable reclaims : int;
+  }
+
+  let create n =
+    { slots = Array.make n None; table = Hashtbl.create 8; next = 0;
+      free = []; hand = 0; reclaims = 0 }
+
+  let mark t p =
+    match Hashtbl.find t.table p with
+    | i -> t.slots.(i) <- Some (p, true)
+    | exception Not_found -> ()
+
+  (* the runtime's clock: the first unreferenced pair under the hand,
+     clearing reference bits on the way *)
+  let rec sweep t =
+    let n = Array.length t.slots in
+    let i = t.hand in
+    t.hand <- (i + 1) mod n;
+    match t.slots.(i) with
+    | None -> sweep t
+    | Some (q, true) ->
+        t.slots.(i) <- Some (q, false);
+        sweep t
+    | Some (q, false) ->
+        Hashtbl.remove t.table q;
+        t.reclaims <- t.reclaims + 1;
+        i
+
+  let translate t p =
+    if Hashtbl.mem t.table p then mark t p
+    else begin
+      let i =
+        if t.next < Array.length t.slots then begin
+          t.next <- t.next + 1;
+          t.next - 1
+        end
+        else
+          match t.free with
+          | i :: rest ->
+              t.free <- rest;
+              i
+          | [] -> sweep t
+      in
+      t.slots.(i) <- Some (p, true);
+      Hashtbl.replace t.table p i
+    end
+
+  let invalidate t p =
+    match Hashtbl.find_opt t.table p with
+    | Some i ->
+        Hashtbl.remove t.table p;
+        t.slots.(i) <- None;
+        t.free <- i :: t.free
+    | None -> ()
+
+  let flush t =
+    Array.fill t.slots 0 (Array.length t.slots) None;
+    Hashtbl.reset t.table;
+    t.next <- 0;
+    t.free <- [];
+    t.hand <- 0
+end
+
+type window_op = Tr of int | Hit of int | Inv of int | Flush
+
+let window_op_name = function
+  | Tr k -> Printf.sprintf "tr %d" k
+  | Hit k -> Printf.sprintf "hit %d" k
+  | Inv k -> Printf.sprintf "inv %d" k
+  | Flush -> "flush"
+
+(* Twelve dom0 pages: 0-7 consecutive, 8-11 sixteen megabytes above 0-3,
+   so they share stlb entries with them and refill from the chain. *)
+let window_pages_universe = 12
+
+let window_page k =
+  let first = Layout.dom0_heap_base + 0x200_0000 in
+  if k < 8 then first + (k * Layout.page_size)
+  else first + 0x100_0000 + ((k - 8) * Layout.page_size)
+
+let window_op_gen =
+  QCheck.Gen.(
+    let page = int_bound (window_pages_universe - 1) in
+    frequency
+      [ (5, map (fun k -> Tr k) page); (4, map (fun k -> Hit k) page);
+        (1, map (fun k -> Inv k) page); (1, return Flush) ])
+
+let probe_hint_prop =
+  QCheck.Test.make ~name:"probe-hit hint marks what the page table would"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map window_op_name ops))
+       QCheck.Gen.(list_size (int_range 1 60) window_op_gen))
+    (fun ops ->
+      let m = Harness.make_machine () in
+      for k = 0 to window_pages_universe - 1 do
+        ignore
+          (Addr_space.alloc_page m.Harness.dom0
+             ~vpage:(Layout.page_of (window_page k)))
+      done;
+      let rt =
+        Runtime.create_hypervisor ~window_pages:8 ~dom0:m.Harness.dom0
+          ~hyp:m.Harness.hyp ()
+      in
+      let model = Ref_window.create 4 in
+      let consistent () =
+        let slots = Runtime.window_slots rt in
+        let slot_names i p =
+          match slots.(i) with Some (q, _) -> q = p | None -> false
+        in
+        let table_ok =
+          List.for_all
+            (fun k ->
+              let p = window_page k in
+              match Runtime.slot_of_page rt p with
+              | Some i -> slot_names i p
+              | None ->
+                  not (Array.exists (fun s -> Option.map fst s = Some p) slots))
+            (List.init window_pages_universe Fun.id)
+        in
+        table_ok
+        && slots = model.Ref_window.slots
+        && Runtime.window_reclaims rt = model.Ref_window.reclaims
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Tr k ->
+              ignore (Runtime.translate rt (window_page k + 16));
+              Ref_window.translate model (window_page k)
+          | Hit k ->
+              Runtime.note_inline_hit rt (window_page k + 16);
+              Ref_window.mark model (window_page k)
+          | Inv k ->
+              Runtime.invalidate_page rt (window_page k);
+              Ref_window.invalidate model (window_page k)
+          | Flush ->
+              Runtime.flush rt;
+              Ref_window.flush model);
+          consistent ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "stlb index bits" `Quick test_index_bits;
@@ -220,4 +376,5 @@ let suite =
     Alcotest.test_case "window guard" `Quick test_window_guard;
     Alcotest.test_case "probe hit allocates nothing" `Quick
       test_probe_hit_allocates_nothing;
+    QCheck_alcotest.to_alcotest probe_hint_prop;
   ]
