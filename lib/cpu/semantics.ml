@@ -37,33 +37,58 @@ let[@inline] charge st addr m =
       cost := !cost + costs.Cost_model.mmio);
   State.add_cycles st !cost
 
-let lookup space addr =
+let[@inline] lookup space addr =
   Td_mem.Addr_space.lookup space ~vpage:(Td_mem.Layout.page_of addr)
-
-let charge_access st addr w =
-  ignore w;
-  charge st addr (lookup (State.space_for st addr) addr)
-
-let straddles addr w =
-  Td_mem.Layout.offset_of addr + Width.bytes w > Td_mem.Layout.page_size
 
 (* One page-table walk serves both the cost model and the data access.
    A page-straddling access goes through [Addr_space] for its precise
    split; an unmapped page faults after the charge, and a stale mapping
    to a freed frame raises [Bad_frame] from [Phys_mem]. *)
+let[@inline] read_at space m addr w =
+  if Td_mem.Addr_space.straddles addr w then Td_mem.Addr_space.read space addr w
+  else Td_mem.Addr_space.read_mapped space m addr w
+
+let[@inline] write_at space m addr w v =
+  if Td_mem.Addr_space.straddles addr w then
+    Td_mem.Addr_space.write space addr w v
+  else Td_mem.Addr_space.write_mapped space m addr w v
+
 let load st addr w =
   let space = State.space_for st addr in
   let m = lookup space addr in
   charge st addr m;
-  if straddles addr w then Td_mem.Addr_space.read space addr w
-  else Td_mem.Addr_space.read_mapped space m addr w
+  read_at space m addr w
 
 let store st addr w v =
   let space = State.space_for st addr in
   let m = lookup space addr in
   charge st addr m;
-  if straddles addr w then Td_mem.Addr_space.write space addr w v
-  else Td_mem.Addr_space.write_mapped space m addr w v
+  write_at space m addr w v
+
+(* Charged stack accesses, one walk each as above. The order is the
+   architectural one: charge, then move ESP, then access — so a faulting
+   push leaves ESP moved and a faulting pop leaves it where it was. The
+   address is the unmasked [ESP - 4] or [ESP], exactly what [State.push]
+   and [State.pop] access. *)
+let push st v =
+  let sp = State.get st Reg.ESP - 4 in
+  let space = State.space_for st sp in
+  let m = lookup space sp in
+  charge st sp m;
+  State.set st Reg.ESP sp;
+  write_at space m sp Width.W32 v
+
+(* [extra] is charged between the page's charge and the read, where
+   [Ret] charges its call cost. *)
+let pop st ~extra =
+  let sp = State.get st Reg.ESP in
+  let space = State.space_for st sp in
+  let m = lookup space sp in
+  charge st sp m;
+  State.add_cycles st extra;
+  let v = read_at space m sp Width.W32 in
+  State.set st Reg.ESP (sp + 4);
+  v
 
 (* --- operand evaluation --- *)
 
@@ -365,13 +390,10 @@ let exec_body ~natives st insn =
       State.set st r ov;
       advance st
   | Insn.Push o ->
-      let v = eval32 st o in
-      charge_access st (State.get st Reg.ESP - 4) Width.W32;
-      State.push st v;
+      push st (eval32 st o);
       advance st
   | Insn.Pop o ->
-      charge_access st (State.get st Reg.ESP) Width.W32;
-      let v = State.pop st in
+      let v = pop st ~extra:0 in
       assign32 st o v;
       advance st
   | Insn.Jmp tgt -> do_jump st (target_addr st tgt)
@@ -381,9 +403,7 @@ let exec_body ~natives st insn =
       if cond_true st c then st.State.pc <- target_addr st tgt else advance st
   | Insn.Call tgt -> do_call ~natives st (target_addr st tgt)
   | Insn.Ret ->
-      charge_access st (State.get st Reg.ESP) Width.W32;
-      State.add_cycles st st.State.costs.Cost_model.call;
-      st.State.pc <- State.pop st
+      st.State.pc <- pop st ~extra:st.State.costs.Cost_model.call
   | Insn.Str (op, w, rep) ->
       exec_str st op w rep;
       advance st
@@ -394,12 +414,10 @@ let exec_body ~natives st insn =
         lor (if st.State.cf then 4 else 0)
         lor if st.State.ovf then 8 else 0
       in
-      charge_access st (State.get st Reg.ESP - 4) Width.W32;
-      State.push st v;
+      push st v;
       advance st
   | Insn.Popf ->
-      charge_access st (State.get st Reg.ESP) Width.W32;
-      let v = State.pop st in
+      let v = pop st ~extra:0 in
       st.State.zf <- v land 1 <> 0;
       st.State.sf <- v land 2 <> 0;
       st.State.cf <- v land 4 <> 0;

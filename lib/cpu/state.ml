@@ -41,8 +41,8 @@ let mask32 v = v land 0xFFFFFFFF
 
 (* [Reg.index] is total over the 8-register file and [regs] always has
    length 8, so the bounds check is provably dead on the hot path *)
-let get t r = Array.unsafe_get t.regs (Td_misa.Reg.index r)
-let set t r v = Array.unsafe_set t.regs (Td_misa.Reg.index r) (mask32 v)
+let[@inline] get t r = Array.unsafe_get t.regs (Td_misa.Reg.index r)
+let[@inline] set t r v = Array.unsafe_set t.regs (Td_misa.Reg.index r) (mask32 v)
 
 let set_narrow t w r v =
   match w with
@@ -57,8 +57,8 @@ let space_for t addr =
   | Some hs when Td_mem.Layout.in_hyp_range addr -> hs
   | Some _ | None -> t.space
 
-let read_mem t addr w = Td_mem.Addr_space.read (space_for t addr) addr w
-let write_mem t addr w v = Td_mem.Addr_space.write (space_for t addr) addr w v
+let[@inline] read_mem t addr w = Td_mem.Addr_space.read (space_for t addr) addr w
+let[@inline] write_mem t addr w v = Td_mem.Addr_space.write (space_for t addr) addr w v
 
 let push t v =
   let sp = get t Td_misa.Reg.ESP - 4 in

@@ -14,5 +14,12 @@ val access : t -> int -> bool
     call it once per simulated memory access. *)
 
 val flush : t -> unit
+(** Drop every translation. O(1): slots carry the epoch they were filled
+    in and a flush bumps the epoch, so a slot from before it reads as
+    empty. The hit/miss sequence is exactly that of clearing every slot
+    and restarting round-robin eviction at way 0: after a flush each set
+    evicts in FIFO order from wherever its pointer stands, and a stale
+    slot compares as the empty value -1 did. *)
+
 val hits : t -> int
 val misses : t -> int

@@ -111,39 +111,41 @@ let mapping_of t addr =
 
 (* The one rule for a single-page access through a resolved mapping: a
    frame goes to [Phys_mem], a device to its hook, no mapping faults. *)
-let read_mapped t m addr w =
+let[@inline] read_mapped t m addr w =
   match m with
   | Some (Frame f) -> Phys_mem.read t.phys f (Layout.offset_of addr) w
   | Some (Device d) -> d.dev_read (Layout.offset_of addr) w
   | None -> page_fault t addr
 
-let write_mapped t m addr w v =
+let[@inline] write_mapped t m addr w v =
   match m with
   | Some (Frame f) -> Phys_mem.write t.phys f (Layout.offset_of addr) w v
   | Some (Device d) -> d.dev_write (Layout.offset_of addr) w v
   | None -> page_fault t addr
 
 (* Single-page access (never straddles). *)
-let read_within t addr w =
+let[@inline] read_within t addr w =
   read_mapped t (lookup t ~vpage:(Layout.page_of addr)) addr w
 
-let write_within t addr w v =
+let[@inline] write_within t addr w v =
   write_mapped t (lookup t ~vpage:(Layout.page_of addr)) addr w v
 
-let straddles addr w =
+let[@inline] straddles addr w =
   Layout.offset_of addr + Td_misa.Width.bytes w > Layout.page_size
 
-let read t addr w =
-  if not (straddles addr w) then read_within t addr w
-  else begin
-    (* Assemble byte by byte across the boundary, little-endian. *)
-    let n = Td_misa.Width.bytes w in
-    let v = ref 0 in
-    for i = n - 1 downto 0 do
-      v := (!v lsl 8) lor read_within t (addr + i) Td_misa.Width.W8
-    done;
-    !v
-  end
+(* The page-straddling halves of [read]/[write], kept out of line so the
+   in-page path inlines into its callers. *)
+let[@inline never] read_split t addr w =
+  (* Assemble byte by byte across the boundary, little-endian. *)
+  let n = Td_misa.Width.bytes w in
+  let v = ref 0 in
+  for i = n - 1 downto 0 do
+    v := (!v lsl 8) lor read_within t (addr + i) Td_misa.Width.W8
+  done;
+  !v
+
+let[@inline] read t addr w =
+  if not (straddles addr w) then read_within t addr w else read_split t addr w
 
 (* Raise whatever fault an access to [addr] would, without accessing. *)
 let resolve t addr =
@@ -151,18 +153,19 @@ let resolve t addr =
   | Frame f -> ignore (Phys_mem.page_ro t.phys f)
   | Device _ -> ()
 
-let write t addr w v =
+let[@inline never] write_split t addr w v =
+  (* Resolve both pages before touching either, so a fault on the
+     second leaves the first untouched (a precise x86 fault). *)
+  let n = Td_misa.Width.bytes w in
+  resolve t addr;
+  resolve t (Layout.page_base (addr + n - 1));
+  for i = 0 to n - 1 do
+    write_within t (addr + i) Td_misa.Width.W8 ((v lsr (8 * i)) land 0xff)
+  done
+
+let[@inline] write t addr w v =
   if not (straddles addr w) then write_within t addr w v
-  else begin
-    (* Resolve both pages before touching either, so a fault on the
-       second leaves the first untouched (a precise x86 fault). *)
-    let n = Td_misa.Width.bytes w in
-    resolve t addr;
-    resolve t (Layout.page_base (addr + n - 1));
-    for i = 0 to n - 1 do
-      write_within t (addr + i) Td_misa.Width.W8 ((v lsr (8 * i)) land 0xff)
-    done
-  end
+  else write_split t addr w v
 
 (* The block copies below go a page at a time, straight between the
    caller's buffer and the frame's, and fault at the first unmapped page

@@ -71,6 +71,10 @@ val read_mapped : t -> mapping option -> int -> Td_misa.Width.t -> int
 val write_mapped : t -> mapping option -> int -> Td_misa.Width.t -> int -> unit
 (** As {!read_mapped}, for a write. *)
 
+val straddles : int -> Td_misa.Width.t -> bool
+(** [straddles addr w]: an access of width [w] at [addr] crosses a page
+    boundary, so {!read_mapped}/{!write_mapped} must not serve it. *)
+
 val read : t -> int -> Td_misa.Width.t -> int
 (** Virtual read; splits page-straddling accesses. Raises {!Page_fault} on
     unmapped pages. *)

@@ -3,7 +3,7 @@ type t = EAX | EBX | ECX | EDX | ESI | EDI | EBP | ESP
 let all = [ EAX; EBX; ECX; EDX; ESI; EDI; EBP; ESP ]
 let general = [ EAX; EBX; ECX; EDX; ESI; EDI; EBP ]
 
-let index = function
+let[@inline] index = function
   | EAX -> 0
   | ECX -> 1
   | EDX -> 2

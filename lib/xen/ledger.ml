@@ -31,12 +31,28 @@ let samples_push s v =
   s.buf.(s.len) <- v;
   s.len <- s.len + 1
 
+(* [charge_for] runs on every domain charge, and a string [Hashtbl.find]
+   there hashes and compares the name each time. Callers pass the same
+   name string for a domain on every charge, so the two rows charged
+   last are kept by the physical identity of that string: a hit is one
+   pointer compare, and a miss falls back to the table and takes the
+   older cache entry. A cached ref is always the one in [domains]; the
+   table only loses or replaces a row in [retire_domain] and [reset],
+   which empty the cache. *)
 type t = {
   cells : int array;
   domains : (string, int ref) Hashtbl.t;
+  mutable key0 : string;
+  mutable row0 : int ref;
+  mutable key1 : string;
+  mutable row1 : int ref;
   tx_lat : samples;
   rx_lat : samples;
 }
+
+(* Never a caller's string, so an empty entry never hits. *)
+let no_key = String.make 1 '\000'
+let no_row = ref 0
 
 (* mirror counter names, indexed like [cells]; the registry copy lets
    Measure cross-check instrumentation against the authoritative ledger *)
@@ -56,6 +72,10 @@ let create () =
   {
     cells = Array.make 4 0;
     domains = Hashtbl.create 8;
+    key0 = no_key;
+    row0 = no_row;
+    key1 = no_key;
+    row1 = no_row;
     tx_lat = samples_create ();
     rx_lat = samples_create ();
   }
@@ -85,13 +105,38 @@ let charge t c n =
   if Td_obs.Control.enabled () then
     Td_obs.Metrics.bump_by metric_names.(i) n
 
-(* [Hashtbl.find], not [find_opt]: a hit, the every-charge case,
-   allocates nothing *)
+let forget_rows t =
+  t.key0 <- no_key;
+  t.row0 <- no_row;
+  t.key1 <- no_key;
+  t.row1 <- no_row
+
+(* The table miss uses [Hashtbl.find], not [find_opt], so it allocates
+   nothing either unless the row is new. *)
+let row_slow t domain =
+  let r =
+    match Hashtbl.find t.domains domain with
+    | r -> r
+    | exception Not_found ->
+        let r = ref 0 in
+        Hashtbl.replace t.domains domain r;
+        r
+  in
+  t.key1 <- t.key0;
+  t.row1 <- t.row0;
+  t.key0 <- domain;
+  t.row0 <- r;
+  r
+
+let[@inline] row t domain =
+  if t.key0 == domain then t.row0
+  else if t.key1 == domain then t.row1
+  else row_slow t domain
+
 let charge_for t c ~domain n =
   charge t c n;
-  match Hashtbl.find t.domains domain with
-  | r -> r := !r + n
-  | exception Not_found -> Hashtbl.replace t.domains domain (ref n)
+  let r = row t domain in
+  r := !r + n
 
 let domain_total t domain =
   match Hashtbl.find_opt t.domains domain with Some r -> !r | None -> 0
@@ -107,6 +152,7 @@ let retire_domain t ~domain =
   | Some r ->
       let v = !r in
       Hashtbl.remove t.domains domain;
+      forget_rows t;
       if v <> 0 then begin
         match Hashtbl.find_opt t.domains retired_row with
         | Some acc -> acc := !acc + v
@@ -145,6 +191,7 @@ let merge_into ~into src =
 let reset t =
   Array.fill t.cells 0 4 0;
   Hashtbl.reset t.domains;
+  forget_rows t;
   t.tx_lat.len <- 0;
   t.rx_lat.len <- 0;
   if Td_obs.Control.enabled () then

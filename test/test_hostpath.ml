@@ -1,0 +1,487 @@
+(* Oracles for the host-side shortcuts on the simulator's hot paths. Each
+   one keeps the straightforward formula it replaced and requires the
+   shortcut to reproduce it exactly:
+
+   - the epoch-flush TLB against [Ref_tlb], the fill-on-flush original;
+   - the one-walk stack ops of [Semantics] against the two-walk formula
+     (a fresh lookup to charge, then [State.push]/[State.pop]);
+   - the cached ledger rows against a [Hashtbl]-only ledger;
+   - [Shard.run] on persistent helpers against its contract. *)
+
+open Td_misa
+open Td_cpu
+open Td_mem
+
+let check = Alcotest.check
+let int_c = Alcotest.int
+let bool_c = Alcotest.bool
+
+(* --- the epoch-flush TLB against the fill-on-flush original --- *)
+
+type tlb_op = Access of int | Flush
+
+(* Vpages crowd a few sets (a multiple of 64 lands in set 0 of the
+   default TLB), and the rest are outside [0, 2^20): -1 (the value the
+   original used for an empty slot), negatives, 2^20 and up, and the
+   vpage a negative address gives under [Layout.page_of]. *)
+let tlb_vpage =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun k -> 64 * k) (int_range 0 9));
+        (3, map (fun k -> 1 + (64 * k)) (int_range 0 5));
+        ( 3,
+          oneofl
+            [
+              -1; -2; -64; -65; 1 lsl 20; (1 lsl 20) + 64; max_int; min_int;
+              Layout.page_of (-4);
+            ] );
+      ])
+
+let tlb_op_gen =
+  QCheck.Gen.(frequency [ (8, map (fun v -> Access v) tlb_vpage); (1, return Flush) ])
+
+let print_tlb_op = function
+  | Access v -> string_of_int v
+  | Flush -> "flush"
+
+let tlb_equivalence_prop =
+  QCheck.Test.make ~name:"epoch-flush tlb matches the fill-on-flush tlb"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair (oneofl [ 4; 8; 256 ]) (list_size (int_range 1 200) tlb_op_gen))
+       ~print:(fun (entries, ops) ->
+         Printf.sprintf "entries=%d [%s]" entries
+           (String.concat "; " (List.map print_tlb_op ops))))
+    (fun (entries, ops) ->
+      let t = Tlb.create ~entries () and r = Ref_tlb.create ~entries () in
+      List.for_all
+        (function
+          | Flush ->
+              Tlb.flush t;
+              Ref_tlb.flush r;
+              true
+          | Access v -> Tlb.access t v = Ref_tlb.access r v)
+        ops
+      && Tlb.hits t = Ref_tlb.hits r
+      && Tlb.misses t = Ref_tlb.misses r)
+
+(* --- one-walk stack ops against the two-walk formula --- *)
+
+let stack_base = 0xC080_0000
+
+(* dom0: two frame pages at [stack_base], an unmapped page, a device
+   page, another frame page. The hypervisor overlay has its driver stack
+   between unmapped guard pages. Device accesses are logged, so the
+   order and width of every device access is compared too. *)
+type rig = { st : State.t; natives : Native.t; dev_log : Buffer.t }
+
+let make_rig () =
+  let phys = Phys_mem.create () in
+  let dom0 = Addr_space.create ~name:"dom0" phys in
+  let hyp = Addr_space.create ~name:"xen" phys in
+  Addr_space.alloc_region dom0 ~vaddr:stack_base ~pages:2;
+  Addr_space.alloc_region dom0 ~vaddr:(stack_base + 0x4000) ~pages:1;
+  Addr_space.alloc_region hyp
+    ~vaddr:(Layout.hyp_stack_top - (Layout.hyp_stack_pages * Layout.page_size))
+    ~pages:Layout.hyp_stack_pages;
+  let dev_log = Buffer.create 64 in
+  let dev =
+    {
+      Addr_space.dev_read =
+        (fun off w ->
+          Printf.bprintf dev_log "r%x/%d;" off (Width.bytes w);
+          ((off * 37) + 5) land Width.mask w);
+      dev_write =
+        (fun off w v -> Printf.bprintf dev_log "w%x/%d=%x;" off (Width.bytes w) v);
+    }
+  in
+  Addr_space.map_device dom0 ~vpage:(Layout.page_of (stack_base + 0x3000)) dev;
+  let st = State.create ~hyp_space:hyp dom0 in
+  st.State.pc <- 0x1000;
+  { st; natives = Native.create (); dev_log }
+
+let esp_choices =
+  let top = Layout.hyp_stack_top in
+  let hyp_bottom = top - (Layout.hyp_stack_pages * Layout.page_size) in
+  [|
+    stack_base + 0x800 (* mid-page *);
+    stack_base + 0x1002 (* push straddles two frames *);
+    stack_base + 0xFFE (* pop straddles two frames *);
+    stack_base + 0x2002 (* push straddles frame -> unmapped *);
+    stack_base + 0x1FFE (* pop straddles frame -> unmapped *);
+    stack_base + 0x2800 (* unmapped *);
+    stack_base + 0x3010 (* device *);
+    stack_base + 0x3002 (* push straddles unmapped -> device *);
+    stack_base + 0x4002 (* push straddles device -> frame *);
+    stack_base + 0x3FFE (* pop straddles device -> frame *);
+    0;
+    2 (* push below address 0 *);
+    0xFFFF_FFFE (* pop straddles 2^32 *);
+    top (* hypervisor stack top *);
+    top - 8;
+    hyp_bottom + 2 (* push straddles the lower guard *);
+    top - 2 (* pop straddles the upper guard *);
+  |]
+
+type stack_op =
+  | Set_esp of int
+  | Push_reg of int
+  | Push_imm of int
+  | Pop_reg
+  | Ret
+  | Pushf of int
+  | Popf
+
+let print_stack_op = function
+  | Set_esp i -> Printf.sprintf "esp=%#x" esp_choices.(i)
+  | Push_reg v -> Printf.sprintf "push ebx=%#x" v
+  | Push_imm v -> Printf.sprintf "push $%#x" v
+  | Pop_reg -> "pop eax"
+  | Ret -> "ret"
+  | Pushf f -> Printf.sprintf "pushf flags=%x" f
+  | Popf -> "popf"
+
+let stack_op_gen =
+  QCheck.Gen.(
+    let v = int_range 0 0xFFFF_FFFF in
+    frequency
+      [
+        (3, map (fun i -> Set_esp i) (int_range 0 (Array.length esp_choices - 1)));
+        (2, map (fun x -> Push_reg x) v);
+        (1, map (fun x -> Push_imm x) v);
+        (2, return Pop_reg);
+        (1, return Ret);
+        (1, map (fun f -> Pushf f) (int_range 0 15));
+        (1, return Popf);
+      ])
+
+let set_flags (st : State.t) f =
+  st.zf <- f land 1 <> 0;
+  st.sf <- f land 2 <> 0;
+  st.cf <- f land 4 <> 0;
+  st.ovf <- f land 8 <> 0
+
+(* The formula the stack ops used before they shared one walk. *)
+let two_walk_charge st addr =
+  Semantics.charge st addr
+    (Addr_space.lookup (State.space_for st addr) ~vpage:(Layout.page_of addr))
+
+let two_walk (st : State.t) = function
+  | Insn.Push o ->
+      let v =
+        match o with
+        | Operand.Reg r -> State.get st r
+        | Operand.Imm n -> n land 0xFFFFFFFF
+        | Operand.Mem _ -> assert false
+      in
+      two_walk_charge st (State.get st Reg.ESP - 4);
+      State.push st v;
+      Semantics.advance st
+  | Insn.Pop o ->
+      two_walk_charge st (State.get st Reg.ESP);
+      let v = State.pop st in
+      (match o with Operand.Reg r -> State.set st r v | _ -> assert false);
+      Semantics.advance st
+  | Insn.Ret ->
+      two_walk_charge st (State.get st Reg.ESP);
+      State.add_cycles st st.costs.Cost_model.call;
+      st.pc <- State.pop st
+  | Insn.Pushf ->
+      let v =
+        (if st.zf then 1 else 0)
+        lor (if st.sf then 2 else 0)
+        lor (if st.cf then 4 else 0)
+        lor if st.ovf then 8 else 0
+      in
+      two_walk_charge st (State.get st Reg.ESP - 4);
+      State.push st v;
+      Semantics.advance st
+  | Insn.Popf ->
+      two_walk_charge st (State.get st Reg.ESP);
+      set_flags st (State.pop st);
+      Semantics.advance st
+  | _ -> assert false
+
+(* Everything an op may change: registers, pc, flags, cycles, the TLB
+   and cache counters, the outcome, the device log and the bytes of
+   every frame-backed stack page. *)
+let observe rig outcome =
+  let st = rig.st in
+  let space_bytes space vaddr pages =
+    Digest.to_hex
+      (Digest.bytes (Addr_space.read_block space vaddr (pages * Layout.page_size)))
+  in
+  let hyp = Option.get st.hyp_space in
+  ( ( Array.to_list st.regs,
+      st.pc,
+      (st.zf, st.sf, st.cf, st.ovf),
+      st.cycles ),
+    ( Tlb.hits st.tlb,
+      Tlb.misses st.tlb,
+      Cache.hits st.cache,
+      Cache.misses st.cache ),
+    outcome,
+    Buffer.contents rig.dev_log,
+    ( space_bytes st.space stack_base 2,
+      space_bytes st.space (stack_base + 0x4000) 1,
+      space_bytes hyp
+        (Layout.hyp_stack_top - (Layout.hyp_stack_pages * Layout.page_size))
+        Layout.hyp_stack_pages ) )
+
+let apply rig exec op =
+  let st = rig.st in
+  let run insn =
+    match exec rig insn with
+    | () -> "ok"
+    | exception e -> Printexc.to_string e
+  in
+  let outcome =
+    match op with
+    | Set_esp i ->
+        State.set st Reg.ESP esp_choices.(i);
+        "ok"
+    | Push_reg v ->
+        State.set st Reg.EBX v;
+        run (Insn.Push (Operand.Reg Reg.EBX))
+    | Push_imm v -> run (Insn.Push (Operand.Imm v))
+    | Pop_reg -> run (Insn.Pop (Operand.Reg Reg.EAX))
+    | Ret -> run Insn.Ret
+    | Pushf f ->
+        set_flags st f;
+        run Insn.Pushf
+    | Popf -> run Insn.Popf
+  in
+  observe rig outcome
+
+let stack_ops_prop =
+  QCheck.Test.make ~name:"one-walk stack ops match the two-walk formula"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 40) stack_op_gen)
+       ~print:(fun ops -> String.concat "; " (List.map print_stack_op ops)))
+    (fun ops ->
+      let one = make_rig () and two = make_rig () in
+      List.for_all
+        (fun op ->
+          apply one (fun r insn -> Semantics.exec_body ~natives:r.natives r.st insn) op
+          = apply two (fun r insn -> two_walk r.st insn) op)
+        ops)
+
+(* The ops that fault must be among the ones generated: the property
+   means little if every stack access landed on a plain frame. *)
+let test_stack_ops_cover_faults () =
+  let rig = make_rig () in
+  let exec r insn = Semantics.exec_body ~natives:r.natives r.st insn in
+  let outcome_at i op =
+    ignore (apply rig exec (Set_esp i));
+    let _, _, outcome, _, _ = apply rig exec op in
+    outcome
+  in
+  let esp_index a =
+    let rec go i = if esp_choices.(i) = a then i else go (i + 1) in
+    go 0
+  in
+  check bool_c "plain push ok" true (outcome_at 0 (Push_imm 1) = "ok");
+  check bool_c "straddling push into an unmapped page faults" true
+    (outcome_at (esp_index (stack_base + 0x2002)) (Push_imm 1) <> "ok");
+  check int_c "a faulting push leaves ESP moved" (stack_base + 0x2002 - 4)
+    (State.get rig.st Reg.ESP);
+  check bool_c "pop from an unmapped page faults" true
+    (outcome_at (esp_index (stack_base + 0x2800)) Pop_reg <> "ok");
+  check int_c "a faulting pop leaves ESP" (stack_base + 0x2800)
+    (State.get rig.st Reg.ESP);
+  check bool_c "device push ok" true
+    (outcome_at (esp_index (stack_base + 0x3010)) (Push_imm 0xAB) = "ok");
+  check bool_c "device write logged" true (Buffer.length rig.dev_log > 0)
+
+(* --- cached ledger rows against a Hashtbl-only ledger --- *)
+
+module Ledger = Td_xen.Ledger
+
+(* The per-domain rows as they were kept before the row cache. *)
+module Ref_rows = struct
+  let charge t domain n =
+    match Hashtbl.find_opt t domain with
+    | Some v -> Hashtbl.replace t domain (v + n)
+    | None -> Hashtbl.replace t domain n
+
+  let retire t domain =
+    match Hashtbl.find_opt t domain with
+    | None -> ()
+    | Some v ->
+        Hashtbl.remove t domain;
+        if v <> 0 then charge t Ledger.retired_row v
+
+  let merge ~into src = Hashtbl.iter (fun d v -> charge into d v) src
+
+  let snapshot t =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [] |> List.sort compare
+end
+
+type ledger_op =
+  | Charge of bool * int * bool * int  (** into B?, domain, fresh copy?, n *)
+  | Retire of bool * int
+  | Reset of bool
+  | Merge
+
+let ledger_domains = [| "dom0"; "guest1"; "guest2"; "attacker"; Ledger.retired_row |]
+
+let print_ledger_op = function
+  | Charge (b, d, fresh, n) ->
+      Printf.sprintf "charge%s %s%s %d" (if b then "B" else "A")
+        ledger_domains.(d) (if fresh then "(copy)" else "") n
+  | Retire (b, d) ->
+      Printf.sprintf "retire%s %s" (if b then "B" else "A") ledger_domains.(d)
+  | Reset b -> if b then "resetB" else "resetA"
+  | Merge -> "merge B into A"
+
+let ledger_op_gen =
+  QCheck.Gen.(
+    let dom = int_range 0 (Array.length ledger_domains - 1) in
+    frequency
+      [
+        ( 12,
+          map
+            (fun (b, d, fresh, n) -> Charge (b, d, fresh, n))
+            (quad bool dom (frequencyl [ (4, false); (1, true) ]) (int_range 0 1000)) );
+        (2, map2 (fun b d -> Retire (b, d)) bool dom);
+        (1, map (fun b -> Reset b) bool);
+        (2, return Merge);
+      ])
+
+let ledger_rows_prop =
+  QCheck.Test.make ~name:"cached ledger rows match a hashtable-only ledger"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 80) ledger_op_gen)
+       ~print:(fun ops -> String.concat "; " (List.map print_ledger_op ops)))
+    (fun ops ->
+      let a = Ledger.create () and b = Ledger.create () in
+      let ra = Hashtbl.create 8 and rb = Hashtbl.create 8 in
+      let pick side = if side then (b, rb) else (a, ra) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Charge (side, d, fresh, n) ->
+              let l, r = pick side in
+              (* a caller's own string, or an equal one at another address *)
+              let domain =
+                if fresh then String.init (String.length ledger_domains.(d))
+                    (String.get ledger_domains.(d))
+                else ledger_domains.(d)
+              in
+              Ledger.charge_for l Ledger.DomU ~domain n;
+              Ref_rows.charge r domain n
+          | Retire (side, d) ->
+              let l, r = pick side in
+              Ledger.retire_domain l ~domain:ledger_domains.(d);
+              Ref_rows.retire r ledger_domains.(d)
+          | Reset side ->
+              let l, r = pick side in
+              Ledger.reset l;
+              Hashtbl.reset r
+          | Merge ->
+              Ledger.merge_into ~into:a b;
+              Ref_rows.merge ~into:ra rb);
+          Ledger.domain_snapshot a = Ref_rows.snapshot ra
+          && Ledger.domain_snapshot b = Ref_rows.snapshot rb
+          && Array.for_all
+               (fun d ->
+                 Ledger.domain_total a d
+                 = Option.value ~default:0 (Hashtbl.find_opt ra d))
+               ledger_domains)
+        ops)
+
+(* --- Shard.run on persistent helpers --- *)
+
+module Shard = Twindrivers.Shard
+
+let test_shard_order () =
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun n ->
+          let got = Shard.run ~shards (Array.init n (fun i () -> (i * i) + 1)) in
+          check
+            Alcotest.(array int)
+            (Printf.sprintf "shards=%d jobs=%d" shards n)
+            (Array.init n (fun i -> (i * i) + 1))
+            got)
+        [ 0; 1; 2; 5; 8 ])
+    [ 1; 2; 3; 4 ]
+
+let test_shard_helpers_reused () =
+  ignore (Shard.run ~shards:4 (Array.init 8 (fun i () -> i)));
+  let spawned = Shard.helpers_spawned () in
+  check bool_c "helpers spawned for a 4-shard run" true (spawned >= 3);
+  for k = 1 to 50 do
+    let shards = 2 + (k mod 3) in
+    let got = Shard.run ~shards (Array.init 6 (fun i () -> i + k)) in
+    check Alcotest.(array int) "results" (Array.init 6 (fun i -> i + k)) got
+  done;
+  check int_c "no domain spawned by 50 more runs" spawned
+    (Shard.helpers_spawned ())
+
+exception Job_failed of int
+
+let test_shard_exceptions () =
+  let n = 7 in
+  let finished = Array.init n (fun _ -> Atomic.make false) in
+  let obs_inside = Array.init n (fun _ -> Atomic.make true) in
+  let jobs =
+    Array.init n (fun i () ->
+        Atomic.set obs_inside.(i) (Td_obs.Control.enabled ());
+        if i = 2 || i = 5 then raise (Job_failed i);
+        (* the helpers' jobs (i mod 3 <> 0 at 3 shards) are the slow
+           ones, so a run that returned when the calling domain's share
+           was done would leave them unfinished *)
+        let acc = ref 0 in
+        for k = 1 to if i mod 3 = 0 then 1 else 2_000_000 do
+          acc := !acc + k
+        done;
+        Atomic.set finished.(i) true;
+        !acc)
+  in
+  Td_obs.Control.enable ();
+  let raised =
+    match Shard.run ~shards:3 jobs with
+    | _ -> None
+    | exception Job_failed i -> Some i
+  in
+  let obs_after = Td_obs.Control.enabled () in
+  Td_obs.Control.disable ();
+  check Alcotest.(option int) "lowest-index exception" (Some 2) raised;
+  Array.iteri
+    (fun i f ->
+      if i <> 2 && i <> 5 then
+        check bool_c (Printf.sprintf "job %d ran to the end" i) true (Atomic.get f))
+    finished;
+  check bool_c "obs off inside every job" true
+    (Array.for_all (fun a -> not (Atomic.get a)) obs_inside);
+  check bool_c "obs restored" true obs_after
+
+let test_shard_nested () =
+  let inner i () =
+    Shard.run ~shards:2 (Array.init 4 (fun j () -> (10 * i) + j))
+    |> Array.fold_left ( + ) 0
+  in
+  let expect = Array.init 5 (fun i -> (40 * i) + 6) in
+  check Alcotest.(array int) "nested runs" expect
+    (Shard.run ~shards:3 (Array.init 5 inner));
+  check Alcotest.(array int) "nested runs, sequential outer" expect
+    (Shard.run ~shards:1 (Array.init 5 inner))
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest tlb_equivalence_prop;
+    QCheck_alcotest.to_alcotest stack_ops_prop;
+    Alcotest.test_case "stack ops reach faults and devices" `Quick
+      test_stack_ops_cover_faults;
+    QCheck_alcotest.to_alcotest ledger_rows_prop;
+    Alcotest.test_case "shard results in job order" `Quick test_shard_order;
+    Alcotest.test_case "shard helpers are reused" `Quick test_shard_helpers_reused;
+    Alcotest.test_case "shard exception after all jobs" `Quick
+      test_shard_exceptions;
+    Alcotest.test_case "shard nested run" `Quick test_shard_nested;
+  ]

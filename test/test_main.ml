@@ -28,4 +28,5 @@ let () =
       ("fault", Test_fault.suite);
       ("adv", Test_adv.suite);
       ("fleet", Test_fleet.suite);
+      ("hostpath", Test_hostpath.suite);
     ]
