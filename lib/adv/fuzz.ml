@@ -15,23 +15,10 @@ type report = {
           per-domain counters *)
 }
 
-(* 63-bit xorshift, one independent stream per fuzz surface plus a master
-   selector — the same generator Td_fault uses, so a seed replays
-   bit-identically with no dependence on OCaml's Random. *)
+(* one independent xorshift stream per fuzz surface plus a master
+   selector, so a seed replays bit-identically *)
 module Rng = struct
-  let mask = (1 lsl 62) - 1
-
-  let seed_stream seed i =
-    let x = ((seed * 0x9E3779B1) + ((i + 1) * 0x85EBCA77)) land mask in
-    if x = 0 then 0x2545F491 + i else x
-
-  let next streams i =
-    let x = streams.(i) in
-    let x = x lxor ((x lsl 13) land mask) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor ((x lsl 17) land mask) in
-    streams.(i) <- x;
-    x
+  include Td_fault.Xorshift
 
   let below streams i n = next streams i mod n
 end

@@ -1,0 +1,257 @@
+open Td_misa
+open Td_mem
+open Td_cpu
+open Td_xen
+open Td_kernel
+open World_state
+
+(* ---- driver invocation ---- *)
+
+let observe_invocation w before =
+  if Td_obs.Control.enabled () then
+    Td_obs.Metrics.observe
+      (Td_obs.Metrics.histogram "driver.invoke.cycles")
+      (w.cpu.State.cycles - before)
+
+let run_driver w ~entry ~args ~stack =
+  State.set w.cpu Reg.ESP stack;
+  let before = w.cpu.State.cycles in
+  let abort reason =
+    Ledger.charge w.led Ledger.Driver (w.cpu.State.cycles - before);
+    observe_invocation w before;
+    raise (Driver_aborted reason)
+  in
+  let result =
+    try Interp.call w.interp ~entry ~args with
+    | Td_svm.Runtime.Fault { addr; reason } ->
+        abort (Printf.sprintf "SVM fault at 0x%x: %s" addr reason)
+    | Interp.Timeout _ -> abort "watchdog timeout"
+    | Addr_space.Page_fault { space; addr } ->
+        abort (Printf.sprintf "page fault in %s at 0x%x" space addr)
+    | Upcall.Upcall_failed { routine } ->
+        abort (Printf.sprintf "upcall %s failed in dom0" routine)
+    | Guest_fault.Fault { op; reason } ->
+        abort (Printf.sprintf "guest fault in %s: %s" op reason)
+    | Quota.Quota_exceeded { domain; resource } ->
+        abort (Printf.sprintf "quota exceeded: %s for domain %s" resource domain)
+    (* under fault injection a corrupted driver can drive the model into
+       states the pristine system never reaches (bogus register numbers,
+       unresolved indirect calls); contain them as aborts — but only when
+       the world has a plan, so genuine model bugs still crash loudly *)
+    | ( Invalid_argument _ | Failure _ | Interp.Fault _
+      | Phys_mem.Bad_frame _ | Phys_mem.Out_of_frames _
+      | Addr_space.Heap_exhausted _ | Hypervisor.No_domains _ ) as e
+      when planned w ->
+        abort (Printf.sprintf "model fault: %s" (Printexc.to_string e))
+  in
+  Ledger.charge w.led Ledger.Driver (w.cpu.State.cycles - before);
+  observe_invocation w before;
+  result
+
+let run_dom0_driver w ~entry ~args =
+  match w.path with
+  | Native -> run_driver w ~entry ~args ~stack:w.dom0_stack_top
+  | Dom0 x | Domu (x, _) | Twin (x, _) ->
+      Hypervisor.run_in x.hyp x.dom0 (fun () ->
+          run_driver w ~entry ~args ~stack:w.dom0_stack_top)
+
+let run_hyp_driver w ~entry ~args =
+  (* no domain switch: the hypervisor driver runs from any guest context *)
+  run_driver w ~entry ~args ~stack:Layout.hyp_stack_top
+
+(* ---- driver supervisor (§4.5) ---- *)
+
+let recovery_enabled w = w.tuning.Config.recovery <> Config.Fail_stop
+
+(* function pointers in shared data always hold VM-instance code
+   addresses; reinstalled after every (re)init of the dom0 instance *)
+let install_link_fn w (p : nic_port) =
+  let a = Td_driver.Adapter.of_netdev p.nd in
+  Td_driver.Adapter.set_field a Td_driver.Adapter.o_link_fn
+    (Program.addr_of_label w.dom0_driver.prog
+       Td_driver.E1000_driver.entry_check_link)
+
+(* Free the dead instance's kernel memory — adapter, descriptor rings,
+   shadow sk_buff arrays and the ring sk_buffs they reference — so
+   repeated recoveries cannot exhaust the dom0 heap. Best-effort: the
+   walk trusts the adapter only while its ring sizes still hold their
+   init-time constants (a corrupted instance may have scribbled
+   anywhere); on any doubt it leaks a little instead of poisoning the
+   allocator. Pool-owned sk_buffs are skipped — {!Skb_pool.reset}
+   reclaims those wholesale. *)
+let teardown_driver_memory w (q : nic_port) =
+  let pooled addr =
+    match w.path with
+    | Twin (_, tw) -> Skb_pool.owns tw.pool (Skb.of_addr w.dom0_space addr)
+    | Native | Dom0 _ | Domu _ -> false
+  in
+  let free_skb addr =
+    if addr <> 0 && not (pooled addr) then
+      try
+        let skb = Skb.of_addr w.dom0_space addr in
+        if Skb.capacity skb > 0 && Skb.capacity skb <= Layout.page_size then begin
+          Skb.set_refcnt skb 1;
+          Skb.free w.km skb
+        end
+      with _ -> ()
+  in
+  try
+    let priv = Netdev.priv q.nd in
+    if priv <> 0 then begin
+      let a = Td_driver.Adapter.of_netdev q.nd in
+      let fld = Td_driver.Adapter.field a in
+      let tx_size = fld Td_driver.Adapter.o_tx_size
+      and rx_size = fld Td_driver.Adapter.o_rx_size in
+      if
+        tx_size = Td_driver.E1000_driver.tx_ring_entries
+        && rx_size = Td_driver.E1000_driver.rx_ring_entries
+      then begin
+        let rd addr = Addr_space.read w.dom0_space addr Width.W32 in
+        let rx_arr = fld Td_driver.Adapter.o_rx_skb
+        and tx_arr = fld Td_driver.Adapter.o_tx_skb in
+        if rx_arr <> 0 then begin
+          for i = 0 to rx_size - 1 do
+            free_skb (rd (rx_arr + (4 * i)))
+          done;
+          Kmem.free w.km rx_arr (4 * rx_size)
+        end;
+        if tx_arr <> 0 then begin
+          for i = 0 to tx_size - 1 do
+            (* 0 = empty slot, 1 = fragment marker, else an sk_buff *)
+            let v = rd (tx_arr + (4 * i)) in
+            if v > 1 then free_skb v
+          done;
+          Kmem.free w.km tx_arr (4 * tx_size)
+        end;
+        let tx_ring = fld Td_driver.Adapter.o_tx_ring
+        and rx_ring = fld Td_driver.Adapter.o_rx_ring in
+        if tx_ring <> 0 then
+          Kmem.free w.km tx_ring (tx_size * Td_nic.Regs.desc_bytes);
+        if rx_ring <> 0 then
+          Kmem.free w.km rx_ring (rx_size * Td_nic.Regs.desc_bytes)
+      end;
+      Kmem.free w.km priv Td_driver.Adapter.struct_bytes;
+      Netdev.set_priv q.nd 0
+    end
+  with _ -> ()
+
+(* Tear the twin down and rebuild it from shadow state. The blast radius
+   of a corrupted instance is the shared driver state (both instances run
+   the same data structures, §3.1), so every port is quarantined for the
+   duration and re-initialised before service resumes. Injection is
+   masked throughout: recovery must make forward progress even under an
+   aggressive plan. *)
+let recover w ~nic ~reason =
+  w.in_recovery <- true;
+  Array.iter (fun q -> q.quarantined <- true) w.nics;
+  Fun.protect
+    ~finally:(fun () -> w.in_recovery <- false)
+    (fun () ->
+      Td_fault.Engine.suspend w.fault (fun () ->
+          (* 1. re-run the MISA loader over the dead instance(s) *)
+          w.dom0_driver <- w.reload_dom0 ();
+          (match w.path with
+          | Twin (_, tw) ->
+              tw.hyp_driver <- tw.reload_hyp ();
+              (* 2. invalidate all translations and unmap the window pairs *)
+              Td_svm.Runtime.flush tw.svm_hyp;
+              Td_svm.Runtime.flush tw.svm_vm;
+              (* 3. reclaim every sk_buff pool slot, in flight or not *)
+              Skb_pool.reset tw.pool;
+              (* 4. re-pin the packet-buffer pool into the hypervisor *)
+              pin_pool tw.svm_hyp tw.pool
+          | Native | Dom0 _ | Domu _ -> ());
+          (* 5. per NIC: device reset, driver re-init, shadow restore *)
+          Array.iter
+            (fun q ->
+              teardown_driver_memory w q;
+              Td_fault.Engine.note_lost w.fault (Td_nic.E1000_dev.reset q.dev);
+              q.pending_irq <- 0;
+              Netdev.repair q.nd ~mmio_base:q.shadow.s_mmio_base ~mac:q.mac
+                ~mtu:q.shadow.s_mtu;
+              ignore
+                (run_dom0_driver w ~entry:w.dom0_driver.e_init
+                   ~args:[ q.nd.Netdev.addr ]);
+              install_link_fn w q;
+              (* restore captured configuration through the driver's own
+                 entry points, exactly as the guest originally applied it *)
+              if q.shadow.s_mtu <> 1500 then
+                ignore
+                  (run_dom0_driver w ~entry:w.dom0_driver.e_set_mtu
+                     ~args:[ q.nd.Netdev.addr; q.shadow.s_mtu ]);
+              if q.shadow.s_promisc then
+                ignore
+                  (run_dom0_driver w ~entry:w.dom0_driver.e_set_rx_mode
+                     ~args:[ q.nd.Netdev.addr; 1 ]);
+              q.quarantined <- false)
+            w.nics));
+  w.recoveries <- w.recoveries + 1;
+  if Td_obs.Control.enabled () then begin
+    Td_obs.Metrics.bump "fault.recoveries";
+    Td_obs.Trace.emit (Td_obs.Trace.Driver_recovery { nic; reason })
+  end
+
+(* Wrap one driver invocation on behalf of [nic]. [None] means the
+   invocation aborted and the system recovered; under [Fail_stop] the
+   abort propagates unchanged (with the port left quarantined). *)
+let supervised w ~nic f =
+  try Some (f ())
+  with Driver_aborted reason when not w.in_recovery ->
+    w.nics.(nic).quarantined <- true;
+    if recovery_enabled w then begin
+      recover w ~nic ~reason;
+      None
+    end
+    else raise (Driver_aborted reason)
+
+(* watchdog hang detection: a latched TX DMA engine never completes a
+   send, so the watchdog declares the instance hung and restarts it *)
+let check_hang w ~nic =
+  if Td_nic.E1000_dev.dma_stuck w.nics.(nic).dev && not w.in_recovery then begin
+    let reason = "watchdog declared hang: TX DMA stuck" in
+    w.nics.(nic).quarantined <- true;
+    if recovery_enabled w then recover w ~nic ~reason
+    else raise (Driver_aborted reason)
+  end
+
+(* one more attempt on the fresh instance after a recovery, with
+   injection masked so the plan cannot abort it again *)
+let retry w attempt =
+  Td_fault.Engine.suspend w.fault (fun () ->
+      try Some (attempt ()) with Driver_aborted _ -> None)
+
+(* TX abort policy: [Restart] drops the in-flight frame (counted lost);
+   [Restart_replay] retries it once on the fresh instance, with injection
+   masked so the replay itself cannot be re-aborted by the plan *)
+let replay_tx w attempt =
+  match w.tuning.Config.recovery with
+  | Config.Fail_stop -> false (* unreachable: supervised re-raised *)
+  | Config.Restart ->
+      Td_fault.Engine.note_lost w.fault 1;
+      false
+  | Config.Restart_replay -> (
+      w.replayed <- w.replayed + 1;
+      if Td_obs.Control.enabled () then Td_obs.Metrics.bump "fault.replayed";
+      match retry w attempt with
+      | Some ok -> ok
+      | None ->
+          Td_fault.Engine.note_lost w.fault 1;
+          false)
+
+let run_tx w ~nic attempt =
+  match supervised w ~nic attempt with
+  | Some ok -> ok
+  | None -> replay_tx w attempt
+
+(* retry once with injection masked after a recovery: the caller asked
+   for a real result (stats, a config change), and the fresh instance
+   should provide it; a second abort quarantines for good *)
+let supervised_retry w ~nic attempt =
+  match supervised w ~nic attempt with
+  | Some out -> out
+  | None -> (
+      match retry w attempt with
+      | Some out -> out
+      | None ->
+          w.nics.(nic).quarantined <- true;
+          raise (Nic_quarantined { nic }))

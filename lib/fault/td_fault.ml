@@ -74,6 +74,24 @@ let rate plan = function
   | Nic_corrupt_rx -> plan.nic_corrupt_rx
   | Upcall_fail -> plan.upcall_fail
 
+(* 62-bit xorshift streams; the seed mix keeps distinct streams distinct
+   and non-zero even for seed 0 *)
+module Xorshift = struct
+  let mask = (1 lsl 62) - 1
+
+  let seed_stream seed i =
+    let x = ((seed * 0x9E3779B1) + ((i + 1) * 0x85EBCA77)) land mask in
+    if x = 0 then 0x2545F491 + i else x
+
+  let next streams i =
+    let x = streams.(i) in
+    let x = x lxor ((x lsl 13) land mask) in
+    let x = x lxor (x lsr 7) in
+    let x = x lxor ((x lsl 17) land mask) in
+    streams.(i) <- x;
+    x
+end
+
 module Engine = struct
   type state = {
     plan : plan;
@@ -84,33 +102,18 @@ module Engine = struct
     mutable lost : int;
   }
 
-  (* 63-bit xorshift; the seed mix keeps distinct sites on distinct,
-     non-zero streams even for seed 0 *)
-  let mask = (1 lsl 62) - 1
-
-  let seed_stream seed i =
-    let x = ((seed * 0x9E3779B1) + ((i + 1) * 0x85EBCA77)) land mask in
-    if x = 0 then 0x2545F491 + i else x
-
   let make plan =
     {
       plan;
-      streams = Array.init n_sites (seed_stream plan.seed);
+      streams = Array.init n_sites (Xorshift.seed_stream plan.seed);
       suspend_depth = 0;
       injected_total = 0;
       injected_per_site = Array.make n_sites 0;
       lost = 0;
     }
 
-  let next streams i =
-    let x = streams.(i) in
-    let x = x lxor ((x lsl 13) land mask) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor ((x lsl 17) land mask) in
-    streams.(i) <- x;
-    x
-
-  let uniform streams i = float_of_int (next streams i land 0xFFFFFF) /. 16777216.
+  let uniform streams i =
+    float_of_int (Xorshift.next streams i land 0xFFFFFF) /. 16777216.
 
   let reset_counters e =
     e.injected_total <- 0;
@@ -138,7 +141,7 @@ module Engine = struct
 
   let pick e site bound =
     if bound <= 0 then invalid_arg "Td_fault.Engine.pick";
-    next e.streams (site_index site) mod bound
+    Xorshift.next e.streams (site_index site) mod bound
 
   let suspend e f =
     e.suspend_depth <- e.suspend_depth + 1;

@@ -46,6 +46,22 @@ val uniform_plan : ?seed:int -> float -> plan
 
 val rate : plan -> site -> float
 
+module Xorshift : sig
+  (** Deterministic xorshift streams: an [int array] holds one state per
+      stream, so a seed replays bit-identically with no dependence on
+      OCaml's [Random]. The fault engine draws one stream per site; the
+      adversarial fuzzer one per surface. *)
+
+  val mask : int
+  (** Every state and draw fits in 62 bits. *)
+
+  val seed_stream : int -> int -> int
+  (** [seed_stream seed i]: the non-zero initial state of stream [i]. *)
+
+  val next : int array -> int -> int
+  (** Advance stream [i] in place and return its new state. *)
+end
+
 module Engine : sig
   type state
   (** An engine: a plan, its per-site xorshift streams, the suspend

@@ -510,12 +510,53 @@ let test_measure_consistency () =
 (* the NIC has one ring pair, so a multi-queue tuning is refused and the
    caller pointed at Mq, which runs one single-queue world per queue *)
 let test_rejects_multi_queue_tuning () =
-  let tuning = { Config.default_tuning with Config.queues = 8 } in
-  match World.create ~nics:1 ~tuning Config.Xen_domU with
-  | exception Invalid_argument msg ->
-      check bool_c "message points at Mq.create" true
-        (List.mem "Mq.create" (String.split_on_char ' ' msg))
-  | _ -> Alcotest.fail "World.create accepted tuning.queues = 8"
+  List.iter
+    (fun (queues, cfg) ->
+      let tuning = { Config.default_tuning with Config.queues } in
+      match World.create ~nics:1 ~tuning cfg with
+      | exception Invalid_argument msg ->
+          check bool_c "message points at Mq.create" true
+            (List.mem "Mq.create" (String.split_on_char ' ' msg))
+      | _ ->
+          Alcotest.failf "%s: World.create accepted tuning.queues = %d"
+            (Config.name cfg) queues)
+    ((8, Config.Xen_domU) :: List.map (fun cfg -> (2, cfg)) Config.all)
+
+(* the guards that keep each configuration's state to its own path:
+   typed errors, never a crash on state the configuration does not have *)
+let config_error f =
+  match f () with exception World.Config_error _ -> true | _ -> false
+
+let test_create_guest_needs_guest_path () =
+  List.iter
+    (fun cfg ->
+      let w = World.create ~nics:1 cfg in
+      check bool_c
+        (Config.name cfg ^ ": create_guest refused")
+        true
+        (config_error (fun () -> World.create_guest w));
+      check int_c "registry untouched" 0 (World.guest_slots w))
+    [ Config.Native_linux; Config.Xen_dom0 ]
+
+let test_transmit_from_needs_domu () =
+  let w = World.create ~nics:1 Config.Xen_twin in
+  check bool_c "twin transmit_from refused" true
+    (config_error (fun () -> World.transmit_from w ~guest:0 ~payload));
+  check int_c "nothing on the wire" 0 (World.wire_tx_frames w)
+
+let test_create_guest_rejects_bad_nic () =
+  List.iter
+    (fun cfg ->
+      let w = World.create ~nics:2 cfg in
+      List.iter
+        (fun nic ->
+          check bool_c
+            (Printf.sprintf "%s: NIC %d refused" (Config.name cfg) nic)
+            true
+            (config_error (fun () -> World.create_guest ~nic w)))
+        [ 2; -1 ];
+      check int_c "no slot allocated" 1 (World.guest_slots w))
+    [ Config.Xen_domU; Config.Xen_twin ]
 
 let for_all_configs name f =
   List.map
@@ -563,6 +604,12 @@ let suite =
       Alcotest.test_case "measure consistency" `Quick test_measure_consistency;
       Alcotest.test_case "rejects tuning.queues <> 1" `Quick
         test_rejects_multi_queue_tuning;
+      Alcotest.test_case "create_guest needs a guest path" `Quick
+        test_create_guest_needs_guest_path;
+      Alcotest.test_case "transmit_from needs domU" `Quick
+        test_transmit_from_needs_domu;
+      Alcotest.test_case "create_guest rejects a bad NIC" `Quick
+        test_create_guest_rejects_bad_nic;
       Alcotest.test_case "rx allocation budget (domU)" `Quick
         test_rx_allocation_budget;
       Alcotest.test_case "profiler totals are exact" `Quick
