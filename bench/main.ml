@@ -8,6 +8,11 @@
    `main.exe trajectory --check BENCH_suite.json` fails if a suite
    report's allocated words per frame rose above the last row.
 
+   The doorbell, adversary, multiqueue, fleet and interp experiments check
+   their results against their rows of the bound table (bench/gates)
+   right after they run: every row is logged on stderr, and a failed row
+   makes the process exit 1 once the JSON exports are written.
+
    Observability is enabled for the whole run: every experiment returns a
    JSON payload that the dispatcher writes to BENCH_<name>.json (schema
    documented in README.md §Observability), alongside the usual tables on
@@ -17,6 +22,11 @@ open Twindrivers
 module Json = Td_obs.Json
 
 let line () = print_endline (String.make 78 '-')
+
+let gates_failed = ref false
+
+(* check one experiment's rows of the bound table *)
+let gate outcomes = if not (Gates.report outcomes) then gates_failed := true
 
 let header title =
   line ();
@@ -332,14 +342,7 @@ let effort () =
 
 let profile () =
   header "Per-routine cycle profile of the twin transmit path (S6.2)";
-  let w = World.create ~nics:1 Config.Xen_twin in
-  let prof = Td_cpu.Profiler.attach (World.interp w) in
-  let payload = String.make 1500 'x' in
-  for i = 0 to 299 do
-    ignore (World.transmit w ~nic:0 ~payload);
-    if i mod 8 = 7 then World.pump w
-  done;
-  World.pump w;
+  let prof = Experiments.profile_tx () in
   Format.printf "%a@." Td_cpu.Profiler.pp prof;
   Printf.printf
     "(the hypervisor instance 'e1000.hyp' dominates; the VM instance      'e1000.vm' appears only for initialisation/housekeeping)
@@ -600,6 +603,17 @@ let fleet () =
     r.Experiments.fl_deterministic r.Experiments.fl_digest;
   Printf.printf "frames allocated %d, resident %d\n"
     r.Experiments.fl_frames_allocated r.Experiments.fl_frames_resident;
+  gate
+    [
+      Gates.fleet_frames r.Experiments.fl_frames;
+      Gates.fleet_domains r.Experiments.fl_domains;
+      Gates.fleet_churned r.Experiments.fl_churned;
+      Gates.fleet_availability r.Experiments.fl_availability;
+      Gates.fleet_conserved r.Experiments.fl_conserved;
+      Gates.fleet_staged_after_shutdown r.Experiments.fl_staged_after_shutdown;
+      Gates.fleet_dangling_doorbells r.Experiments.fl_dangling_doorbells;
+      Gates.fleet_deterministic r.Experiments.fl_deterministic;
+    ];
   bench_json "fleet"
     [
       ("domains", Json.Int r.Experiments.fl_domains);
@@ -768,6 +782,13 @@ let interp () =
      block engine\n\
      (identical: %b); host %.2fs block engine -> %.2fs default\n"
     cpp_fast cpp_block rx_identical host_block host_fast;
+  gate
+    [
+      Gates.interp_compiled_not_slower ~compiled ~block;
+      Gates.interp_compiled_words compiled_words;
+      Gates.interp_modes_identical identical;
+      Gates.interp_rx_identical rx_identical;
+    ];
   bench_json "interp"
     [
       ( "host",
@@ -830,6 +851,28 @@ let doorbell () =
     "\nadaptive stays interrupt-driven (and cycle-identical) at idle, crosses\n\
     \     into polling as the kick rate rises, and suppresses nearly every\n\
     \     notifying hypercall at the top offered load.";
+  let top =
+    List.fold_left (fun m p -> max m p.Experiments.offered_per_window) 0 points
+  in
+  let pick mode load =
+    List.find
+      (fun p ->
+        p.Experiments.db_mode = mode && p.Experiments.offered_per_window = load)
+      points
+  in
+  let a_top = pick "adaptive" top and i_top = pick "interrupt" top in
+  let a_idle = pick "adaptive" 0 and i_idle = pick "interrupt" 0 in
+  gate
+    [
+      Gates.doorbell_top_load_kicks
+        ~adaptive:a_top.Experiments.hypercalls_per_packet
+        ~interrupt:i_top.Experiments.hypercalls_per_packet;
+      Gates.doorbell_idle_cycles ~adaptive:a_idle.Experiments.db_cycles_total
+        ~interrupt:i_idle.Experiments.db_cycles_total;
+      Gates.doorbell_top_load_cycles
+        ~adaptive:a_top.Experiments.db_cycles_per_packet
+        ~interrupt:i_top.Experiments.db_cycles_per_packet;
+    ];
   bench_json "doorbell"
     [
       ( "points",
@@ -898,6 +941,21 @@ let multiqueue () =
      cores)\n"
     r.Experiments.mq_ledger_bit_identical r.Experiments.mq_single_queue_identical
     r.Experiments.mq_speedup_at_4;
+  let sim_mbps queues =
+    (List.find
+       (fun p -> p.Experiments.mq_queues = queues)
+       r.Experiments.mq_points_queues)
+      .Experiments.mq_sim_mbps
+  in
+  gate
+    [
+      Gates.multiqueue_ledger_identical r.Experiments.mq_ledger_bit_identical;
+      Gates.multiqueue_single_queue_identical
+        r.Experiments.mq_single_queue_identical;
+      Gates.multiqueue_queue_scaling ~one:(sim_mbps 1) ~eight:(sim_mbps 8);
+      Gates.multiqueue_speedup_at_4 ~cores:host_cpus
+        ~speedup:r.Experiments.mq_speedup_at_4;
+    ];
   bench_json "multiqueue"
     [
       ("host_cpus", Json.Int host_cpus);
@@ -998,6 +1056,16 @@ let adversary () =
      denied\nattacker frames die at the frontend credit check before any \
      skb or dom0\nbackend work exists.\n"
     (100. *. ratio_on) (100. *. ratio_off);
+  gate
+    [
+      Gates.adversary_fuzz_ops r.Td_adv.Fuzz.ops;
+      Gates.adversary_fuzz_violations r.Td_adv.Fuzz.violations;
+      Gates.adversary_fuzz_replay deterministic;
+      Gates.adversary_victim_quota_on ratio_on;
+      Gates.adversary_victim_quota_off ratio_off;
+      Gates.adversary_victim_unthrottled
+        protected_.Td_adv.Harness.victim_throttled;
+    ];
   let json_contend (c : Td_adv.Harness.contention) =
     Json.Obj
       [
@@ -1137,10 +1205,8 @@ let trajectory () =
 
 (* The allocation gate: allocated words per frame are exact for a given
    seed, so a suite report (any run length; the metric comes from pass 1)
-   may exceed the last trajectory row by at most this share on any
-   workload. *)
-let alloc_tolerance = 0.01
-
+   may exceed the last trajectory row by at most the table's tolerance on
+   any workload. *)
 let trajectory_check report =
   header
     (Printf.sprintf "Allocation gate: %s against the last row of %s" report
@@ -1161,32 +1227,27 @@ let trajectory_check report =
   in
   Printf.printf "%-14s %12s %12s %8s\n" "workload"
     (Printf.sprintf "PR %d" last.pr) "report" "change";
-  let failures =
-    List.filter_map
-      (fun (w, ms) ->
-        let base = List.assoc "alloc_words_per_frame" ms in
-        let value =
-          let ( let* ) = Option.bind in
-          let* body = Json.member w workloads in
-          let* metrics = Json.member "metrics" body in
-          let* m = Json.member "alloc_words_per_frame" metrics in
-          let* v = Json.member "value" m in
-          Td_suite.Json_read.to_float v
-        in
-        match value with
-        | None -> Some (Printf.sprintf "%s: no alloc_words_per_frame in %s" w report)
-        | Some v ->
-            Printf.printf "%-14s %12.2f %12.2f %+7.2f%%\n" w base v
-              (100. *. (v -. base) /. base);
-            if v > base *. (1. +. alloc_tolerance) then
-              Some
-                (Printf.sprintf "%s: %.2f words/frame, more than %.0f%% above PR %d's %.2f"
-                   w v (100. *. alloc_tolerance) last.pr base)
-            else None)
-      last.medians
-  in
-  List.iter (Printf.printf "FAILED %s\n") failures;
-  if failures <> [] then exit 1;
+  gate
+    (List.map
+       (fun (w, ms) ->
+         let base = List.assoc "alloc_words_per_frame" ms in
+         let value =
+           let ( let* ) = Option.bind in
+           let* body = Json.member w workloads in
+           let* metrics = Json.member "metrics" body in
+           let* m = Json.member "alloc_words_per_frame" metrics in
+           let* v = Json.member "value" m in
+           Td_suite.Json_read.to_float v
+         in
+         match value with
+         | None ->
+             Printf.eprintf "%s: no alloc_words_per_frame for %s\n" report w;
+             exit 1
+         | Some v ->
+             Printf.printf "%-14s %12.2f %12.2f %+7.2f%%\n" w base v
+               (100. *. (v -. base) /. base);
+             Gates.trajectory_alloc ~workload:w ~pr:last.pr ~base v)
+       last.medians);
   bench_json "trajectory"
     [ ("checked", Json.String report); ("last_pr", Json.Int last.pr) ]
 
@@ -1231,7 +1292,7 @@ let () =
      cycle counts are unaffected — instrumentation never touches the
      ledger) *)
   Td_obs.Control.enable ();
-  match Sys.argv with
+  (match Sys.argv with
   | [| _ |] ->
       List.iter
         (fun (name, f) ->
@@ -1250,4 +1311,5 @@ let () =
   | _ ->
       Printf.eprintf "usage: %s [experiment | trajectory --check REPORT]\n"
         Sys.argv.(0);
-      exit 1
+      exit 1);
+  if !gates_failed then exit 1

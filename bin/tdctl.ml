@@ -361,14 +361,7 @@ let profile_cmd =
     Arg.(value & opt int 300 & info [ "n"; "packets" ] ~docv:"N" ~doc:"Packets.")
   in
   let run packets =
-    let w = Twindrivers.World.create ~nics:1 Twindrivers.Config.Xen_twin in
-    let prof = Td_cpu.Profiler.attach (Twindrivers.World.interp w) in
-    let payload = String.make 1500 'x' in
-    for i = 0 to packets - 1 do
-      ignore (Twindrivers.World.transmit w ~nic:0 ~payload);
-      if i mod 8 = 7 then Twindrivers.World.pump w
-    done;
-    Twindrivers.World.pump w;
+    let prof = Twindrivers.Experiments.profile_tx ~packets () in
     Format.printf "%a@." Td_cpu.Profiler.pp prof;
     0
   in

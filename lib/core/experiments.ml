@@ -21,6 +21,17 @@ let fig8_rx_breakdown ?(packets = 600) () =
   run_configs ~packets ~nics:1 (fun w ~packets ->
       Measure.run_receive ~packets w)
 
+let profile_tx ?(packets = 300) () =
+  let w = World.create ~nics:1 Config.Xen_twin in
+  let prof = Td_cpu.Profiler.attach (World.interp w) in
+  let payload = String.make 1500 'x' in
+  for i = 0 to packets - 1 do
+    ignore (World.transmit w ~nic:0 ~payload);
+    if i mod 8 = 7 then World.pump w
+  done;
+  World.pump w;
+  prof
+
 (* ---- Figure 9 ---- *)
 
 type web_point = { rate : float; mbps : float; completed : int; timed_out : int }

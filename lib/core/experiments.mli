@@ -14,6 +14,11 @@ val fig6_receive : ?packets:int -> unit -> (Config.t * Measure.result) list
 val fig7_tx_breakdown : ?packets:int -> unit -> (Config.t * Measure.result) list
 val fig8_rx_breakdown : ?packets:int -> unit -> (Config.t * Measure.result) list
 
+val profile_tx : ?packets:int -> unit -> Td_cpu.Profiler.t
+(** §6.2's per-routine profile: a profiler attached to a fresh one-NIC
+    twin world while it transmits [packets] (default 300) 1500-byte
+    frames, pumping after every eighth and once at the end. *)
+
 (** Figure 9: web-server workload, open-loop request sweep. *)
 
 type web_point = { rate : float; mbps : float; completed : int; timed_out : int }

@@ -247,10 +247,14 @@ let service_interrupt w x tw (p : nic_port) ~nic =
 (* slot behind a scheduled domain: slot [g] always holds domain id
    [g + 1], so the lookup is O(1) with an identity cross-check *)
 let slot_of_domain w d =
-  let gi = Domain.id d - 1 in
-  match slot_opt w gi with
-  | Some s when Domain.id s.gs_dom = Domain.id d -> Some (gi, s)
+  match slot_opt w (Domain.id d - 1) with
+  | Some s as found when Domain.id s.gs_dom = Domain.id d -> found
   | Some _ | None -> None
+
+let has_work w d =
+  match slot_of_domain w d with
+  | Some s -> not (Queue.is_empty s.gs_rx_pending)
+  | None -> false
 
 (* Drain one guest's pending queue: one virtual interrupt announces up to
    [batch] queued packets; the copies still happen per packet, in queue
@@ -283,20 +287,15 @@ let deliver_guest_queue w x dom gi (q : string Queue.t) =
 (* receive completion: each queued packet is copied into its guest's
    buffers and announced with a virtual interrupt once that guest runs *)
 let deliver_pending w x tw =
-  let has_work d =
-    match slot_of_domain w d with
-    | Some (_, s) -> not (Queue.is_empty s.gs_rx_pending)
-    | None -> false
-  in
   (* the credit scheduler decides which guest runs (and so receives its
      queued packets) next *)
   let continue = ref true in
   while !continue do
-    match Scheduler.pick tw.sched ~runnable:has_work with
+    match Scheduler.pick tw.sched ~runnable:has_work w with
     | None -> continue := false
     | Some dom ->
-        let gi, s = Option.get (slot_of_domain w dom) in
-        deliver_guest_queue w x dom gi s.gs_rx_pending
+        let s = Option.get (slot_of_domain w dom) in
+        deliver_guest_queue w x dom (Domain.id dom - 1) s.gs_rx_pending
   done
 
 let remove_guest w x tw (s : guest_slot) ~guest:g =

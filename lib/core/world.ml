@@ -53,9 +53,13 @@ let iter_slots w f =
   Array.iteri (fun g s -> match s with Some s -> f g s | None -> ()) w.slots
 
 (* channels in (slot, attach) order: deterministic, and NIC order for a
-   single boot guest *)
+   single boot guest. The loop builds no closure per slot: every pump
+   walks every slot. *)
 let iter_netios w f =
-  iter_slots w (fun _ s -> Array.iter (fun (_, io) -> f io) s.gs_netios)
+  iter_slots w (fun _ s ->
+      for j = 0 to Array.length s.gs_netios - 1 do
+        f (snd s.gs_netios.(j))
+      done)
 
 let fold_netios w f acc =
   let r = ref acc in

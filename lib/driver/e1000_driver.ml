@@ -47,7 +47,7 @@ let call_support b name args =
 
 (* r <- (r + 1) mod adapter.size_off *)
 let wrap_inc b r size_off =
-  let l = gensym "wrap" in
+  let l = fresh b "wrap" in
   incl b (reg r);
   cmpl b (adp size_off) (reg r);
   jne b l;
@@ -120,7 +120,7 @@ let emit_init b =
   movl b (imm 0) (mem ~base:EDI Td_nic.Regs.rdt);
   (* fill the receive ring: ESI = index *)
   xorl b (reg ESI) (reg ESI);
-  let fill = gensym "rx_fill" and fill_done = gensym "rx_fill_done" in
+  let fill = fresh b "rx_fill" and fill_done = fresh b "rx_fill_done" in
   label b fill;
   cmpl b (adp Adapter.o_rx_size) (reg ESI);
   je b fill_done;
@@ -169,9 +169,9 @@ let emit_clean_tx b =
   prologue b;
   movl b arg0 (reg ESI);
   movl b (mem ~base:ESI 8) (reg EBX);
-  let loop = gensym "clean" and done_ = gensym "clean_done" in
-  let unmap_frag = gensym "clean_frag" in
-  let clear = gensym "clean_clear" and advance = gensym "clean_adv" in
+  let loop = fresh b "clean" and done_ = fresh b "clean_done" in
+  let unmap_frag = fresh b "clean_frag" in
+  let clear = fresh b "clean_clear" and advance = fresh b "clean_adv" in
   label b loop;
   movl b (adp Adapter.o_tx_clean) (reg ECX);
   cmpl b (adp Adapter.o_tx_tail) (reg ECX);
@@ -224,7 +224,7 @@ let emit_xmit b =
   movl b (mem ~base:ESI 0) (reg EDX);
   xorl b (reg EAX) (reg EAX);
   movl b (imm 8) (reg ECX);
-  let csum = gensym "csum" in
+  let csum = fresh b "csum" in
   label b csum;
   (* internet-checksum style fold: add with end-around carry *)
   addl b (mem ~base:EDX 0) (reg EAX);
@@ -241,8 +241,8 @@ let emit_xmit b =
   leal b (Operand.mem ~base:EBX Adapter.o_lock) EAX;
   call_support b "spin_trylock" [ reg EAX ];
   testl b (reg EAX) (reg EAX);
-  let busy = gensym "tx_busy" and full = gensym "tx_full" in
-  let out = gensym "tx_out" and ok = gensym "tx_ok" in
+  let busy = fresh b "tx_busy" and full = fresh b "tx_full" in
+  let out = fresh b "tx_out" and ok = fresh b "tx_ok" in
   je b busy;
   (* reclaim whatever the NIC has finished *)
   call_support b entry_clean_tx [ arg1 ];
@@ -278,7 +278,7 @@ let emit_xmit b =
   addl b (reg EAX) (adp Adapter.o_tx_bytes);
   (* chained page fragment? (§5.3: guest packets beyond the copied header
      are chained through the sk_buff's fragment pointer) *)
-  let has_frag = gensym "tx_frag" and doorbell = gensym "tx_bell" in
+  let has_frag = fresh b "tx_frag" and doorbell = fresh b "tx_bell" in
   movl b (mem ~base:ESI 24) (reg EDX);
   testl b (reg EDX) (reg EDX);
   jne b has_frag;
@@ -351,12 +351,12 @@ let emit_intr b =
   movl b (adp Adapter.o_mmio) (reg EDX);
   movl b (mem ~base:EDX Td_nic.Regs.icr) (reg EAX);
   testl b (reg EAX) (reg EAX);
-  let out = gensym "intr_out" in
+  let out = fresh b "intr_out" in
   je b out;
   incl b (adp Adapter.o_irq_seen);
   (* receive loop *)
-  let loop = gensym "rx" and done_ = gensym "rx_done" in
-  let drop = gensym "rx_drop" and advance = gensym "rx_adv" in
+  let loop = fresh b "rx" and done_ = fresh b "rx_done" in
+  let drop = fresh b "rx_drop" and advance = fresh b "rx_adv" in
   label b loop;
   (* EDI = &rx_ring[rx_next] *)
   movl b (adp Adapter.o_rx_next) (reg ECX);
@@ -431,7 +431,7 @@ let emit_check_link b =
   movl b (adp Adapter.o_mmio) (reg EDX);
   movl b (mem ~base:EDX Td_nic.Regs.status) (reg EAX);
   andl b (imm 2) (reg EAX);
-  let down = gensym "lnk_down" and out = gensym "lnk_out" in
+  let down = fresh b "lnk_down" and out = fresh b "lnk_out" in
   je b down;
   movl b (imm 1) (adp Adapter.o_link_up);
   call_support b "netif_carrier_on" [ arg0 ];
@@ -460,7 +460,7 @@ let emit_watchdog b =
   (* link check through the ops function pointer, when installed *)
   movl b (adp Adapter.o_link_fn) (reg EDX);
   testl b (reg EDX) (reg EDX);
-  let skip = gensym "wd_nofn" in
+  let skip = fresh b "wd_nofn" in
   je b skip;
   pushl b arg0;
   call_ind b (reg EDX);
@@ -510,7 +510,7 @@ let emit_set_rx_mode b =
   andl b (imm (lnot 8 land 0xFFFFFFFF)) (reg EAX);
   movl b arg1 (reg ECX);
   testl b (reg ECX) (reg ECX);
-  let skip = gensym "rxm" in
+  let skip = fresh b "rxm" in
   je b skip;
   orl b (imm 8) (reg EAX);
   label b skip;

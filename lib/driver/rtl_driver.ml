@@ -60,7 +60,7 @@ let emit_init b =
   movl b (reg EAX) (mem ~base:EDI Td_nic.Rtl_dev.rbstart);
   (* four contiguous transmit staging buffers, addresses programmed into
      the TSAD registers once *)
-  let fill = gensym "rtl_txb" and fill_done = gensym "rtl_txb_done" in
+  let fill = fresh b "rtl_txb" and fill_done = fresh b "rtl_txb_done" in
   xorl b (reg ESI) (reg ESI);
   label b fill;
   cmpl b (imm 4) (reg ESI);
@@ -91,7 +91,7 @@ let emit_xmit b =
   prologue b;
   movl b arg1 (reg EDI);
   movl b (mem ~base:EDI 8) (reg EBX);
-  let busy = gensym "rtl_busy" and out = gensym "rtl_out" in
+  let busy = fresh b "rtl_busy" and out = fresh b "rtl_out" in
   (* is the current slot free? TSD[n] has the OWN bit when idle *)
   movl b (adp o_tx_cur) (reg ESI);
   movl b (adp o_mmio) (reg EDX);
@@ -140,8 +140,8 @@ let emit_intr b =
   movl b (adp o_mmio) (reg EDX);
   movl b (mem ~base:EDX Td_nic.Rtl_dev.isr) (reg EAX);
   movl b (reg EAX) (mem ~base:EDX Td_nic.Rtl_dev.isr);
-  let loop = gensym "rtl_rx" and done_ = gensym "rtl_rx_done" in
-  let drop = gensym "rtl_drop" and advance = gensym "rtl_adv" in
+  let loop = fresh b "rtl_rx" and done_ = fresh b "rtl_rx_done" in
+  let drop = fresh b "rtl_drop" and advance = fresh b "rtl_adv" in
   label b loop;
   (* anything between our pointer (CAPR) and the device's (CBR)? *)
   movl b (adp o_mmio) (reg EDX);

@@ -31,9 +31,12 @@ let forget t ~mac = Hashtbl.remove t.fdb mac
 
 let remove_port t name =
   t.ports <- List.filter (fun p -> p.port_name <> name) t.ports;
-  Hashtbl.iter
-    (fun mac p -> if p.port_name = name then Hashtbl.remove t.fdb mac)
-    (Hashtbl.copy t.fdb)
+  Hashtbl.filter_map_inplace
+    (fun _ p -> if p.port_name = name then None else Some p)
+    t.fdb
+
+let fdb t =
+  List.rev (Hashtbl.fold (fun mac p acc -> (mac, p.port_name) :: acc) t.fdb [])
 
 let forward t ~dst ~src skb =
   match Hashtbl.find t.fdb dst with

@@ -41,8 +41,12 @@ val mem : t -> mac:int -> bool
 val forget : t -> mac:int -> unit
 
 val remove_port : t -> string -> unit
-(** Remove the named port and every fdb entry pointing at it — backend
-    interface teardown when its guest is destroyed. *)
+(** Remove the named port and every fdb entry pointing at it, in place
+    — backend interface teardown when its guest is destroyed. The other
+    entries keep their iteration order. *)
+
+val fdb : t -> (int * string) list
+(** The fdb's [(mac key, port name)] entries in iteration order. *)
 
 val forwarded : t -> int
 val flooded : t -> int

@@ -1,17 +1,23 @@
-type t = { name : string; mutable items : Program.item list (* reversed *) }
+let namer ?(taken = fun _ -> false) () =
+  let n = ref 0 in
+  let rec fresh prefix =
+    incr n;
+    let l = Printf.sprintf ".L_%s_%d" prefix !n in
+    if taken l then fresh prefix else l
+  in
+  fresh
 
-let create name = { name; items = [] }
+type t = {
+  name : string;
+  mutable items : Program.item list; (* reversed *)
+  fresh : string -> string;
+}
+
+let create name = { name; items = []; fresh = namer () }
 let label b l = b.items <- Program.Label l :: b.items
 let ins b i = b.items <- Program.Ins i :: b.items
 let finish b = Program.source b.name (List.rev b.items)
-
-let gensym_counter = ref 0
-
-let gensym prefix =
-  incr gensym_counter;
-  Printf.sprintf ".L_%s_%d" prefix !gensym_counter
-
-let reset_gensym () = gensym_counter := 0
+let fresh b prefix = b.fresh prefix
 
 let imm n = Operand.Imm n
 let reg r = Operand.Reg r

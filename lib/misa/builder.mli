@@ -19,14 +19,15 @@ val label : t -> string -> unit
 val ins : t -> Insn.t -> unit
 val finish : t -> Program.source
 
-val gensym : string -> string
-(** Fresh label name with the given prefix; unique within the process. *)
+val fresh : t -> string -> string
+(** Fresh label name [.L_<prefix>_<n>], unique within this builder's
+    program. Numbering is local to the builder, so building the same
+    program twice gives the same labels. *)
 
-val reset_gensym : unit -> unit
-(** Restart the fresh-label counter. Only for tools that need
-    reproducible output (snapshot tests, diffable rewrites); never call
-    while previously generated sources are still in use, or labels may
-    collide. *)
+val namer : ?taken:(string -> bool) -> unit -> string -> string
+(** A fresh-label generator for code emitted outside a builder (the
+    rewriter): [.L_<prefix>_<n>] with its own count from 1, skipping
+    any name [taken] reports as already defined. *)
 
 (* Operand constructors *)
 

@@ -69,6 +69,13 @@ let cfi_symbol = "__cfi_check"
 let rewrite_source ?(spill_everything = false) ?(style = Inline_fast_path)
     ?(cfi = false) ?(cache_probes = false) src =
   let live = Liveness.analyse src in
+  (* the emitted probes' labels are numbered per rewrite, skipping the
+     source's own *)
+  let fresh =
+    let defined = Hashtbl.create 64 in
+    List.iter (fun l -> Hashtbl.replace defined l ()) (Program.entry_points src);
+    Builder.namer ~taken:(Hashtbl.mem defined) ()
+  in
   let heap_sites = ref 0
   and string_sites = ref 0
   and indirect_sites = ref 0
@@ -85,7 +92,7 @@ let rewrite_source ?(spill_everything = false) ?(style = Inline_fast_path)
   in
   let emit_heap_access =
     match style with
-    | Inline_fast_path -> Svm_emit.rewrite_heap_access
+    | Inline_fast_path -> Svm_emit.rewrite_heap_access ~fresh
     | Shared_helper -> Svm_emit.rewrite_heap_access_helper
   in
   (* probe cache: the most recent translation still valid in a register.
@@ -150,7 +157,7 @@ let rewrite_source ?(spill_everything = false) ?(style = Inline_fast_path)
         if flags_live then incr flag_save_sites;
         note_spills ~free
           ~used:(Reg.EAX :: (Insn.regs_read insn @ Insn.regs_written insn));
-        emit (Strings_rw.rewrite ~free ~flags_live ~op ~width ~rep)
+        emit (Strings_rw.rewrite ~fresh ~free ~flags_live ~op ~width ~rep)
     | Insn.Call (Insn.Ind target) | Insn.Jmp (Insn.Ind target) ->
         incr indirect_sites;
         let is_call = match insn with Insn.Call _ -> true | _ -> false in
@@ -192,7 +199,7 @@ let rewrite_source ?(spill_everything = false) ?(style = Inline_fast_path)
                 (match style with
                 | Inline_fast_path ->
                     let items, holds =
-                      Svm_emit.rewrite_heap_access_into ~free ~flags_live
+                      Svm_emit.rewrite_heap_access_into ~fresh ~free ~flags_live
                         ~insn ~mem
                         ~rebuild:(replace_heap_operand insn)
                         ~avoid:(cache_avoid ())

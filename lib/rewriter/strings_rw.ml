@@ -10,7 +10,7 @@ let width_shift = function Width.W8 -> 0 | Width.W16 -> 1 | Width.W32 -> 2
 let uses_esi = function Insn.Movs | Insn.Lods -> true | Insn.Stos -> false
 let uses_edi = function Insn.Movs | Insn.Stos -> true | Insn.Lods -> false
 
-let rewrite ~free ~flags_live ~op ~width ~rep =
+let rewrite ~fresh ~free ~flags_live ~op ~width ~rep =
   let k = width_shift width in
   let insn = Insn.Str (op, width, rep) in
   (* EAX is clobbered by the translate helper, so it can never be scratch *)
@@ -68,11 +68,11 @@ let rewrite ~free ~flags_live ~op ~width ~rep =
     mov (Symbols.scratch_slot slot_eax) (rg Reg.EAX)
   end
   else begin
-    let l_loop = Builder.gensym "sloop"
-    and l_end = Builder.gensym "send"
-    and l_min1 = Builder.gensym "smin1"
-    and l_nz = Builder.gensym "snz"
-    and l_min2 = Builder.gensym "smin2" in
+    let l_loop = fresh "sloop"
+    and l_end = fresh "send"
+    and l_min1 = fresh "smin1"
+    and l_nz = fresh "snz"
+    and l_min2 = fresh "smin2" in
     lbl l_loop;
     ins (Insn.Cmp (Operand.Imm 0, rg Reg.ECX));
     ins (Insn.Jcc (Cond.E, Insn.Lbl l_end));

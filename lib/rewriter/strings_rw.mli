@@ -8,6 +8,7 @@
     instruction on the in-page chunk. *)
 
 val rewrite :
+  fresh:(string -> string) ->
   free:Td_misa.Reg.t list ->
   flags_live:bool ->
   op:Td_misa.Insn.str_op ->

@@ -57,13 +57,12 @@ let rewrite_heap_access_helper ~free ~flags_live ~insn ~mem ~rebuild =
   if spill_r2 then ins (Insn.Mov (Width.W32, r2_slot, Operand.Reg r2));
   List.rev !items
 
-let rewrite_heap_access_into ~free ~flags_live ~insn ~mem ~rebuild ~avoid =
+let rewrite_heap_access_into ~fresh ~free ~flags_live ~insn ~mem ~rebuild
+    ~avoid =
   let used = avoid @ Insn.regs_read insn @ Insn.regs_written insn in
   let r1, r2, r3, spilled = pick_scratch ~free ~used in
   let slot r = Symbols.scratch_slot (slot_of r1 r2 r3 r) in
-  let l_go = Builder.gensym "go"
-  and l_slow = Builder.gensym "slow"
-  and l_end = Builder.gensym "end" in
+  let l_go = fresh "go" and l_slow = fresh "slow" and l_end = fresh "end" in
   let items = ref [] in
   let ins i = items := Program.Ins i :: !items in
   let lbl l = items := Program.Label l :: !items in
@@ -111,5 +110,7 @@ let rewrite_heap_access_into ~free ~flags_live ~insn ~mem ~rebuild ~avoid =
   in
   (List.rev !items, holds)
 
-let rewrite_heap_access ~free ~flags_live ~insn ~mem ~rebuild =
-  fst (rewrite_heap_access_into ~free ~flags_live ~insn ~mem ~rebuild ~avoid:[])
+let rewrite_heap_access ~fresh ~free ~flags_live ~insn ~mem ~rebuild =
+  fst
+    (rewrite_heap_access_into ~fresh ~free ~flags_live ~insn ~mem ~rebuild
+       ~avoid:[])

@@ -22,6 +22,7 @@ val pick_scratch :
     [used], preferring [free]. *)
 
 val rewrite_heap_access_into :
+  fresh:(string -> string) ->
   free:Td_misa.Reg.t list ->
   flags_live:bool ->
   insn:Td_misa.Insn.t ->
@@ -48,6 +49,7 @@ val rewrite_heap_access_helper :
     extra call overhead per access). *)
 
 val rewrite_heap_access :
+  fresh:(string -> string) ->
   free:Td_misa.Reg.t list ->
   flags_live:bool ->
   insn:Td_misa.Insn.t ->
@@ -56,4 +58,4 @@ val rewrite_heap_access :
   Td_misa.Program.item list
 (** Emit the full replacement for an instruction whose (single) heap
     operand is [mem]; [rebuild] reconstructs the instruction with the
-    translated operand. *)
+    translated operand, and [fresh] names the probe's labels. *)

@@ -1,58 +1,94 @@
 type entry = { dom : Domain.t; mutable credit : int; mutable slices : int }
 
-type t = { initial : int; mutable entries : entry list }
+(* [entries.(0 .. count - 1)] are the run queue, in no particular order:
+   [pick]'s choice depends only on credits and ids. [slot] maps a domain
+   id to its entry's index. *)
+type t = {
+  initial : int;
+  mutable entries : entry array;
+  mutable count : int;
+  slot : (int, int) Hashtbl.t;
+}
 
-let create ?(initial_credit = 100) () = { initial = initial_credit; entries = [] }
+let create ?(initial_credit = 100) () =
+  { initial = initial_credit; entries = [||]; count = 0; slot = Hashtbl.create 8 }
 
 let add t dom =
-  t.entries <- t.entries @ [ { dom; credit = t.initial; slices = 0 } ]
+  let e = { dom; credit = t.initial; slices = 0 } in
+  match Hashtbl.find_opt t.slot (Domain.id dom) with
+  | Some i -> t.entries.(i) <- e
+  | None ->
+      if t.count = Array.length t.entries then begin
+        let grown = Array.make (max 8 (2 * t.count)) e in
+        Array.blit t.entries 0 grown 0 t.count;
+        t.entries <- grown
+      end;
+      t.entries.(t.count) <- e;
+      Hashtbl.replace t.slot (Domain.id dom) t.count;
+      t.count <- t.count + 1
 
 (* an unknown domain is guest-reachable input (a stale or forged domain
    handle in a scheduling hypercall), so it faults typed and attributed,
    not with a process-killing invalid_arg *)
 let find t dom =
-  match
-    List.find_opt (fun e -> Domain.id e.dom = Domain.id dom) t.entries
-  with
-  | Some e -> e
+  match Hashtbl.find_opt t.slot (Domain.id dom) with
+  | Some i -> t.entries.(i)
   | None ->
       Guest_fault.fail ~domain:(Domain.name dom) ~op:"Scheduler.find"
         "unknown domain %d (%s)" (Domain.id dom) (Domain.name dom)
 
+(* the last entry moves into the removed one's index *)
 let remove t dom =
   let id = Domain.id dom in
-  t.entries <- List.filter (fun e -> Domain.id e.dom <> id) t.entries
+  match Hashtbl.find_opt t.slot id with
+  | None -> ()
+  | Some i ->
+      Hashtbl.remove t.slot id;
+      let last = t.count - 1 in
+      if i < last then begin
+        let moved = t.entries.(last) in
+        t.entries.(i) <- moved;
+        Hashtbl.replace t.slot (Domain.id moved.dom) i
+      end;
+      t.count <- last
 
 let refill t =
   Td_obs.Metrics.bump "sched.refills";
-  List.iter (fun e -> e.credit <- t.initial) t.entries
+  for i = 0 to t.count - 1 do
+    t.entries.(i).credit <- t.initial
+  done
 
-let pick t ~runnable =
-  let candidates = List.filter (fun e -> runnable e.dom) t.entries in
-  match candidates with
-  | [] -> None
-  | _ ->
-      if List.for_all (fun e -> e.credit <= 0) candidates then refill t;
-      let best =
-        List.fold_left
-          (fun acc e ->
-            match acc with
-            | None -> Some e
-            | Some b ->
-                if
-                  e.credit > b.credit
-                  || (e.credit = b.credit && Domain.id e.dom < Domain.id b.dom)
-                then Some e
-                else acc)
-          None candidates
-      in
-      Option.map
-        (fun e ->
-          e.credit <- e.credit - 1;
-          e.slices <- e.slices + 1;
-          Td_obs.Metrics.bump "sched.slices";
-          e.dom)
-        best
+(* One pass, no allocation until a domain is picked: the best runnable
+   entry (most credit, ties to the lowest id) and the lowest-id runnable
+   entry, which is the best after a refill sets every credit equal. *)
+let pick t ~runnable env =
+  let best = ref (-1) and lowest = ref (-1) in
+  for i = 0 to t.count - 1 do
+    let e = t.entries.(i) in
+    if runnable env e.dom then begin
+      let id = Domain.id e.dom in
+      (if !best < 0 then best := i
+       else
+         let b = t.entries.(!best) in
+         if e.credit > b.credit || (e.credit = b.credit && id < Domain.id b.dom)
+         then best := i);
+      if !lowest < 0 || id < Domain.id t.entries.(!lowest).dom then lowest := i
+    end
+  done;
+  if !best < 0 then None
+  else begin
+    let chosen =
+      if t.entries.(!best).credit <= 0 then begin
+        refill t;
+        t.entries.(!lowest)
+      end
+      else t.entries.(!best)
+    in
+    chosen.credit <- chosen.credit - 1;
+    chosen.slices <- chosen.slices + 1;
+    Td_obs.Metrics.bump "sched.slices";
+    Some chosen.dom
+  end
 
 let credit t dom = (find t dom).credit
 let slices t dom = (find t dom).slices

@@ -8,16 +8,23 @@
 type t
 
 val create : ?initial_credit:int -> unit -> t
+
 val add : t -> Domain.t -> unit
+(** Enter a domain with full credit, in O(1). Adding a domain id that is
+    already queued restarts its entry. *)
 
 val remove : t -> Domain.t -> unit
-(** Drop a domain from the run queue (matched by id; unknown domains are
-    ignored). Its remaining credit vanishes with it — a destroyed domain
-    must not be picked again. *)
+(** Drop a domain from the run queue in O(1) (matched by id; unknown
+    domains are ignored). Its remaining credit vanishes with it — a
+    destroyed domain must not be picked again. *)
 
-val pick : t -> runnable:(Domain.t -> bool) -> Domain.t option
-(** The runnable domain with the most credit (ties broken by id);
-    charges one credit. [None] when nothing is runnable. *)
+val pick : t -> runnable:('a -> Domain.t -> bool) -> 'a -> Domain.t option
+(** [pick t ~runnable env]: the domain with the most credit among those
+    [runnable env] accepts (ties broken by lowest id); charges one
+    credit, refilling every credit first when all runnable domains are
+    out. [None] when nothing is runnable. Passing [env] lets a caller
+    use a closed [runnable], so a pass that picks nothing allocates
+    nothing. *)
 
 val credit : t -> Domain.t -> int
 val slices : t -> Domain.t -> int

@@ -72,3 +72,9 @@ let hyp_cpu m ~guest =
   let st = State.create ~hyp_space:m.hyp guest in
   State.set st Reg.ESP Layout.hyp_stack_top;
   st
+
+(* A row of the bound table (bench/gates) as an Alcotest check: a test
+   that asserts a benchmark's bound calls the row instead of restating
+   it. *)
+let check_gate (o : Gates.outcome) =
+  Alcotest.(check bool) (o.Gates.row ^ ": " ^ o.Gates.values) true o.Gates.ok

@@ -134,9 +134,9 @@ let test_neighbour_protection () =
   check bool_c "attacker heavily throttled" true
     (on.Td_adv.Harness.attacker_throttled
     > on.Td_adv.Harness.attacker_attempts / 2);
-  check bool_c "protected within 10% of solo" true
-    (mbps on /. mbps solo >= 0.9);
-  check bool_c "unprotected degraded" true (mbps off /. mbps solo < 0.8);
+  (* protected within 10% of solo, unprotected visibly degraded *)
+  Harness.check_gate (Gates.adversary_victim_quota_on (mbps on /. mbps solo));
+  Harness.check_gate (Gates.adversary_victim_quota_off (mbps off /. mbps solo));
   (* the attacker pays for its own denials, not the victim *)
   check bool_c "denials billed to the attacker" true
     (on.Td_adv.Harness.attacker_row > 0)

@@ -140,7 +140,7 @@ let test_fleet_smoke () =
   check bool_c "frames offered" true (r.Experiments.fl_offered_tx > 0);
   check bool_c "rx injected" true (r.Experiments.fl_rx_injected > 0);
   check bool_c "some churn happened" true (r.Experiments.fl_churned > 0);
-  check bool_c "availability >= 0.99" true (r.Experiments.fl_availability >= 0.99);
+  Harness.check_gate (Gates.fleet_availability r.Experiments.fl_availability);
   check bool_c "conserved" true r.Experiments.fl_conserved;
   check int_c "nothing staged after shutdown" 0
     r.Experiments.fl_staged_after_shutdown;

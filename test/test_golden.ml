@@ -2,8 +2,6 @@
    so that unintended changes to the emitted SVM sequences show up as a
    diff rather than only as a performance drift. *)
 
-open Td_misa
-
 let check = Alcotest.check
 
 let input =
@@ -68,9 +66,46 @@ poll:
 |}
 
 let test_golden_rewrite () =
-  Builder.reset_gensym ();
   let twin = Td_rewriter.Twin.derive_text ~name:"golden" input in
   check Alcotest.string "pinned rewriting" expected
     (Td_rewriter.Twin.rewritten_text twin)
 
-let suite = [ Alcotest.test_case "golden rewrite" `Quick test_golden_rewrite ]
+(* label numbering is local to one driver build and one rewrite, so a
+   second twin world in the same process profiles under the same labels
+   as the first *)
+let test_labels_per_build () =
+  let profile () =
+    Td_cpu.Profiler.cycles_by_label
+      (Twindrivers.Experiments.profile_tx ~packets:40 ())
+  in
+  let first = profile () in
+  check
+    Alcotest.(list (pair string int))
+    "second world's profile" first (profile ())
+
+(* a driver label that looks like a probe label ([.L_go_1]) makes the
+   rewrite number its own probes past it *)
+let test_probe_labels_skip_source_labels () =
+  let open Td_misa in
+  let b = Builder.create "clash" in
+  let out = Builder.fresh b "go" in
+  Builder.(
+    label b "poll";
+    movl b (mem ~base:Reg.EBX 4) (reg Reg.EAX);
+    label b out;
+    ret b);
+  let twin = Td_rewriter.Twin.derive (Builder.finish b) in
+  let labels = Program.entry_points twin.Td_rewriter.Twin.rewritten in
+  check Alcotest.string "driver's own label" ".L_go_1" out;
+  check Alcotest.int "labels unique"
+    (List.length labels)
+    (List.length (List.sort_uniq compare labels))
+
+let suite =
+  [
+    Alcotest.test_case "golden rewrite" `Quick test_golden_rewrite;
+    Alcotest.test_case "profile labels equal across worlds" `Quick
+      test_labels_per_build;
+    Alcotest.test_case "probe labels skip the source's labels" `Quick
+      test_probe_labels_skip_source_labels;
+  ]

@@ -208,6 +208,25 @@ let test_timer_wheel () =
 
 (* --- bridge --- *)
 
+let test_bridge_remove_port_keeps_fdb_order () =
+  let _, km = make () in
+  let br = Bridge.create km in
+  let ports =
+    Array.init 4 (fun i ->
+        { Bridge.port_name = Printf.sprintf "vif%d" i; tx = (fun _ -> ()) })
+  in
+  Array.iter (Bridge.add_port br) ports;
+  (* more MACs than the initial buckets: buckets hold chains, and the
+     table has resized *)
+  for k = 0 to 199 do
+    Bridge.learn br ~mac:(0x0201_0000_0000 + (k * 7919)) ports.(k mod 4)
+  done;
+  let before = Bridge.fdb br in
+  Bridge.remove_port br "vif2";
+  check bool_c "surviving entries in their old order" true
+    (Bridge.fdb br = List.filter (fun (_, p) -> p <> "vif2") before);
+  check int_c "vif2's entries gone" 150 (List.length (Bridge.fdb br))
+
 let test_bridge_learning () =
   let m, km = make () in
   let br = Bridge.create km in
@@ -303,6 +322,8 @@ let suite =
     Alcotest.test_case "spinlock" `Quick test_spinlock;
     Alcotest.test_case "timer wheel" `Quick test_timer_wheel;
     Alcotest.test_case "bridge learning" `Quick test_bridge_learning;
+    Alcotest.test_case "bridge remove_port keeps fdb order" `Quick
+      test_bridge_remove_port_keeps_fdb_order;
     Alcotest.test_case "support registry" `Quick test_support_registry_basics;
     Alcotest.test_case "support call counting" `Quick
       test_support_dom0_call_counting;

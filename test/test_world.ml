@@ -558,6 +558,26 @@ let test_create_guest_rejects_bad_nic () =
       check int_c "no slot allocated" 1 (World.guest_slots w))
     [ Config.Xen_domU; Config.Xen_twin ]
 
+(* neither the twin's delivery pass over the credit scheduler nor the
+   pump's walk over the guests' channels allocates per guest, so an idle
+   pump costs the same words with 32 guests as with one *)
+let test_twin_idle_pump_words () =
+  let words guests =
+    let w = World.create ~nics:1 ~guests Config.Xen_twin in
+    World.pump w;
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      World.pump w
+    done;
+    Gc.minor_words () -. before
+  in
+  let one = words 1 and many = words 32 in
+  check bool_c
+    (Printf.sprintf "100 idle pumps: %.0f words with 1 guest, %.0f with 32" one
+       many)
+    true
+    (many <= one +. 50.)
+
 let for_all_configs name f =
   List.map
     (fun cfg ->
@@ -614,4 +634,6 @@ let suite =
         test_rx_allocation_budget;
       Alcotest.test_case "profiler totals are exact" `Quick
         test_profiler_exact_totals;
+      Alcotest.test_case "twin: idle pump words independent of guests" `Quick
+        test_twin_idle_pump_words;
     ]

@@ -221,18 +221,106 @@ let test_scheduler_fairness () =
   Scheduler.add sc c;
   (* all runnable: picks rotate fairly as credits burn *)
   for _ = 1 to 9 do
-    ignore (Scheduler.pick sc ~runnable:(fun _ -> true))
+    ignore (Scheduler.pick sc ~runnable:(fun () _ -> true) ())
   done;
   check int_c "a slices" 3 (Scheduler.slices sc a);
   check int_c "b slices" 3 (Scheduler.slices sc b);
   check int_c "c slices" 3 (Scheduler.slices sc c);
   (* only b runnable: b monopolises, credits refill as needed *)
   for _ = 1 to 5 do
-    ignore (Scheduler.pick sc ~runnable:(fun d -> Domain.id d = 2))
+    ignore (Scheduler.pick sc ~runnable:(fun () d -> Domain.id d = 2) ())
   done;
   check int_c "b monopolises when alone" 8 (Scheduler.slices sc b);
   check bool_c "nothing runnable -> None" true
-    (Scheduler.pick sc ~runnable:(fun _ -> false) = None)
+    (Scheduler.pick sc ~runnable:(fun () _ -> false) () = None)
+
+(* The list-based credit scheduler the array one replaced: [add]
+   appends, [remove] filters, [pick] takes the runnable entry with the
+   most credit (ties to the lowest id), refilling when all are out. *)
+module Sched_model = struct
+  type e = { id : int; mutable credit : int; mutable slices : int }
+
+  let pick initial entries runnable =
+    match List.filter (fun e -> runnable e.id) !entries with
+    | [] -> None
+    | candidates ->
+        if List.for_all (fun e -> e.credit <= 0) candidates then
+          List.iter (fun e -> e.credit <- initial) !entries;
+        let best =
+          List.fold_left
+            (fun b e ->
+              if e.credit > b.credit || (e.credit = b.credit && e.id < b.id)
+              then e
+              else b)
+            (List.hd candidates) candidates
+        in
+        best.credit <- best.credit - 1;
+        best.slices <- best.slices + 1;
+        Some best.id
+end
+
+(* ops: add, remove, and picks over a runnable subset of ids 1..8 *)
+let scheduler_model_prop =
+  QCheck.Test.make ~name:"scheduler picks as the list model" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 80) (pair (int_range 0 3) (int_range 0 255)))
+    (fun ops ->
+      let m = Harness.make_machine () in
+      let doms =
+        Array.init 9 (fun i ->
+            Domain.create ~id:i ~name:(Printf.sprintf "g%d" i) ~kind:Domain.Guest
+              ~space:m.Harness.dom0)
+      in
+      let initial = 2 in
+      let sc = Scheduler.create ~initial_credit:initial () in
+      let model = ref [] in
+      let live id = List.exists (fun e -> e.Sched_model.id = id) !model in
+      List.for_all
+        (fun (op, arg) ->
+          let id = 1 + (arg mod 8) in
+          match op with
+          | 0 ->
+              if not (live id) then begin
+                Scheduler.add sc doms.(id);
+                model :=
+                  !model @ [ { Sched_model.id; credit = initial; slices = 0 } ]
+              end;
+              true
+          | 1 ->
+              Scheduler.remove sc doms.(id);
+              model := List.filter (fun e -> e.Sched_model.id <> id) !model;
+              true
+          | _ ->
+              (* bit k of [arg] makes id k + 1 runnable; op 3 runs all *)
+              let runnable id = op = 3 || (arg lsr (id - 1)) land 1 = 1 in
+              let got =
+                Option.map Domain.id
+                  (Scheduler.pick sc ~runnable:(fun () d -> runnable (Domain.id d)) ())
+              in
+              got = Sched_model.pick initial model runnable
+              && List.for_all
+                   (fun e ->
+                     Scheduler.credit sc doms.(e.Sched_model.id) = e.Sched_model.credit
+                     && Scheduler.slices sc doms.(e.Sched_model.id)
+                        = e.Sched_model.slices)
+                   !model)
+        ops)
+
+let test_scheduler_pick_allocates_nothing () =
+  let m = Harness.make_machine () in
+  let sc = Scheduler.create () in
+  for i = 1 to 50 do
+    Scheduler.add sc
+      (Domain.create ~id:i ~name:(Printf.sprintf "g%d" i) ~kind:Domain.Guest
+         ~space:m.Harness.dom0)
+  done;
+  let idle () (_ : Domain.t) = false in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Scheduler.pick sc ~runnable:idle ())
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool_c (Printf.sprintf "%.0f minor words over 1000 idle picks" words)
+    true (words < 100.)
 
 let test_event_queue () =
   let q = Td_sim.Event_queue.create () in
@@ -321,6 +409,9 @@ let suite =
     Alcotest.test_case "grant isolation" `Quick test_grant_isolation;
     Alcotest.test_case "upcall mechanism" `Quick test_upcall_mechanism;
     Alcotest.test_case "scheduler fairness" `Quick test_scheduler_fairness;
+    QCheck_alcotest.to_alcotest scheduler_model_prop;
+    Alcotest.test_case "scheduler idle pick allocates nothing" `Quick
+      test_scheduler_pick_allocates_nothing;
     Alcotest.test_case "event queue order" `Quick test_event_queue;
     Alcotest.test_case "event queue horizon" `Quick test_event_queue_horizon;
     Alcotest.test_case "grant copy from memory faults like copy_to" `Quick
