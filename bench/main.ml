@@ -532,30 +532,40 @@ let json_of_recovery_point (p : Experiments.recovery_point) =
       ("fault_rate", Json.Float p.Experiments.fault_rate);
       ("offered", Json.Int p.Experiments.offered);
       ("delivered", Json.Int p.Experiments.delivered);
+      ("aborted", Json.Int p.Experiments.aborted);
+      ("refused", Json.Int p.Experiments.refused);
       ("availability", Json.Float p.Experiments.availability);
       ("injected", Json.Int p.Experiments.injected);
       ("recoveries", Json.Int p.Experiments.recoveries);
       ("replayed", Json.Int p.Experiments.replayed);
       ("lost_frames", Json.Int p.Experiments.lost);
       ("guest_faults", Json.Int p.Experiments.guest_faults);
-      ("frames_to_recover", Json.Float p.Experiments.frames_to_recover);
+      ( "frames_to_recover",
+        match p.Experiments.frames_to_recover with
+        | Some f -> Json.Float f
+        | None -> Json.Null );
       ("all_nics_serviceable", Json.Bool p.Experiments.serviceable);
     ]
 
 let print_recovery_point (p : Experiments.recovery_point) =
-  Printf.printf "%-15s %9.4f %8d %9d %10.4f%% %9d %11d %9d %6d %13.1f  %s\n"
+  Printf.printf
+    "%-15s %9.4f %8d %9d %7d %7d %10.4f%% %9d %11d %9d %6d %13s  %s\n"
     (Config.recovery_name p.Experiments.policy)
     p.Experiments.fault_rate p.Experiments.offered p.Experiments.delivered
+    p.Experiments.aborted p.Experiments.refused
     (100. *. p.Experiments.availability)
     p.Experiments.injected p.Experiments.recoveries p.Experiments.replayed
-    p.Experiments.lost p.Experiments.frames_to_recover
+    p.Experiments.lost
+    (match p.Experiments.frames_to_recover with
+    | Some f -> Printf.sprintf "%.1f" f
+    | None -> "-")
     (if p.Experiments.serviceable then "serviceable" else "QUARANTINED")
 
 let recovery () =
   header "Fault-injection recovery sweep (docs/FAULTS.md)";
-  Printf.printf "%-15s %9s %8s %9s %11s %9s %11s %9s %6s %13s\n" "policy"
-    "rate" "offered" "delivered" "avail" "injected" "recoveries" "replayed"
-    "lost" "frames/recov";
+  Printf.printf "%-15s %9s %8s %9s %7s %7s %11s %9s %11s %9s %6s %13s\n"
+    "policy" "rate" "offered" "delivered" "aborted" "refused" "avail"
+    "injected" "recoveries" "replayed" "lost" "frames/recov";
   let sweep = Experiments.recovery_sweep () in
   List.iter print_recovery_point sweep;
   (* headline: the acceptance soak — 50 k frames under a non-trivial plan

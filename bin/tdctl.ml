@@ -548,9 +548,18 @@ let faults_cmd =
     Format.printf "delivered         %d frames (availability %.4f%%)@."
       p.Twindrivers.Experiments.delivered (100. *. e);
     Format.printf "faults injected   %d@." p.Twindrivers.Experiments.injected;
-    Format.printf "recoveries        %d (mean %.1f frames to recover)@."
+    if p.Twindrivers.Experiments.aborted + p.Twindrivers.Experiments.refused > 0
+    then begin
+      Format.printf "tx aborted        %d frames (driver aborted)@."
+        p.Twindrivers.Experiments.aborted;
+      Format.printf "tx refused        %d frames (NIC quarantined)@."
+        p.Twindrivers.Experiments.refused
+    end;
+    Format.printf "recoveries        %d (mean %s frames to recover)@."
       p.Twindrivers.Experiments.recoveries
-      p.Twindrivers.Experiments.frames_to_recover;
+      (match p.Twindrivers.Experiments.frames_to_recover with
+      | Some f -> Printf.sprintf "%.1f" f
+      | None -> "-");
     Format.printf "frames replayed   %d@." p.Twindrivers.Experiments.replayed;
     Format.printf "frames lost       %d@." p.Twindrivers.Experiments.lost;
     Format.printf "guest faults      %d@."

@@ -651,13 +651,15 @@ type recovery_point = {
   fault_rate : float;
   offered : int;
   delivered : int;
+  aborted : int;
+  refused : int;
   availability : float;
   injected : int;
   recoveries : int;
   replayed : int;
   lost : int;
   guest_faults : int;
-  frames_to_recover : float;
+  frames_to_recover : float option;
   serviceable : bool;
 }
 
@@ -697,11 +699,12 @@ let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
   let payload = String.init 1500 (fun i -> Char.chr (i land 0xff)) in
   let nics = World.nic_count w in
   let guest_faults_before = Td_xen.Guest_fault.total () in
+  let aborted = ref 0 and refused = ref 0 in
   for i = 0 to frames - 1 do
     (match World.transmit w ~nic:(i mod nics) ~payload with
     | (_ : bool) -> ()
-    | exception World.Driver_aborted _ -> ()
-    | exception World.Nic_quarantined _ -> ());
+    | exception World.Driver_aborted _ -> incr aborted
+    | exception World.Nic_quarantined _ -> incr refused);
     (* keep the receive path hot too: its losses are counted in
        fault.lost_frames, not in TX availability *)
     if i mod 16 = 15 then begin
@@ -734,6 +737,8 @@ let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
     fault_rate = rate;
     offered = frames;
     delivered;
+    aborted = !aborted;
+    refused = !refused;
     availability = float_of_int delivered /. float_of_int (max 1 frames);
     injected = World.fault_injected w;
     recoveries;
@@ -741,7 +746,8 @@ let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
     lost = Td_fault.Engine.lost_frames (World.fault_engine w);
     guest_faults = Td_xen.Guest_fault.total () - guest_faults_before;
     frames_to_recover =
-      float_of_int (frames - delivered) /. float_of_int (max 1 recoveries);
+      (if recoveries = 0 then None
+       else Some (float_of_int (frames - delivered) /. float_of_int recoveries));
     serviceable = World.all_serviceable w;
   }
 

@@ -132,7 +132,8 @@ type doorbell_point = {
   db_rx_lat_samples : int;
   db_tx_p50 : float;
       (** nearest-rank percentiles over the per-direction channel
-          latencies (simulated cycles, staging to delivery); 0 when no
+          latencies (simulated cycles, staging to delivery), at the
+          ledger histogram's resolution (at most 1/64 high); 0 when no
           samples were recorded *)
   db_tx_p99 : float;
   db_rx_p50 : float;
@@ -203,13 +204,16 @@ type recovery_point = {
   fault_rate : float;  (** the sweep knob feeding the per-site plan *)
   offered : int;
   delivered : int;  (** frames that reached the wire *)
+  aborted : int;  (** transmits that raised [World.Driver_aborted] *)
+  refused : int;  (** transmits refused by a quarantined NIC *)
   availability : float;  (** delivered / offered *)
   injected : int;  (** faults actually fired, all sites *)
   recoveries : int;
   replayed : int;
   lost : int;  (** frames charged to [fault.lost_frames] *)
   guest_faults : int;  (** typed guest faults contained during the soak *)
-  frames_to_recover : float;  (** mean undelivered frames per recovery *)
+  frames_to_recover : float option;
+      (** mean undelivered frames per recovery; [None] with no recovery *)
   serviceable : bool;  (** no NIC left quarantined at soak end *)
 }
 

@@ -9,7 +9,7 @@ open World_state
 
 let observe_invocation w before =
   if Td_obs.Control.enabled () then
-    Td_obs.Metrics.observe
+    Td_obs.Hist.observe
       (Td_obs.Metrics.histogram "driver.invoke.cycles")
       (w.cpu.State.cycles - before)
 

@@ -104,7 +104,7 @@ let boot ?spill_everything ?rewrite_style ?cache_probes ~map_pairs
       pool;
       hyp_driver = hyp Loader.load;
       reload_hyp = (fun () -> hyp Loader.reload);
-      gmac_index = Hashtbl.create 8;
+      gmac_index = Td_sim.Int_tbl.create 8;
       sched = Scheduler.create ();
       tx_pushes = 0;
     }
@@ -147,7 +147,7 @@ let arm w x tw =
 let add_guest tw (s : guest_slot) ~guest:g =
   Scheduler.add tw.sched s.gs_dom;
   Array.iter
-    (fun mac -> Hashtbl.replace tw.gmac_index (Bridge.mac_key mac) g)
+    (fun mac -> Td_sim.Int_tbl.replace tw.gmac_index (Bridge.mac_key mac) g)
     s.gs_macs
 
 (* Hypervisor-side netif_rx: demultiplex on destination MAC and queue the
@@ -163,7 +163,7 @@ let boot_rx w x tw =
       let dst =
         Bridge.read_mac w.dom0_space (Skb.data skb - eth_header_bytes)
       in
-      (match Hashtbl.find tw.gmac_index dst with
+      (match Td_sim.Int_tbl.find tw.gmac_index dst with
       | gi -> (
           match slot_opt w gi with
           | Some s ->
@@ -301,7 +301,7 @@ let deliver_pending w x tw =
 let remove_guest w x tw (s : guest_slot) ~guest:g =
   deliver_guest_queue w x s.gs_dom g s.gs_rx_pending;
   Array.iter
-    (fun mac -> Hashtbl.remove tw.gmac_index (Bridge.mac_key mac))
+    (fun mac -> Td_sim.Int_tbl.remove tw.gmac_index (Bridge.mac_key mac))
     s.gs_macs;
   Scheduler.remove tw.sched s.gs_dom;
   Hypervisor.remove_domain x.hyp s.gs_dom

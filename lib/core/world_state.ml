@@ -91,7 +91,7 @@ type twin = {
   mutable hyp_driver : driver_image;
   reload_hyp : unit -> driver_image;
       (** re-run the MISA loader for the hypervisor instance *)
-  gmac_index : (int, int) Hashtbl.t;
+  gmac_index : int Td_sim.Int_tbl.t;
       (** guest MAC ({!Bridge.mac_key}) -> guest slot *)
   sched : Scheduler.t;  (** orders guest packet delivery (§5.3) *)
   mutable tx_pushes : int;

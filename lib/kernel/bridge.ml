@@ -3,7 +3,7 @@ type port = { port_name : string; tx : Skb.t -> unit }
 type t = {
   kmem : Kmem.t;
   mutable ports : port list;
-  fdb : (int, port) Hashtbl.t;  (** mac key -> port *)
+  fdb : port Td_sim.Int_tbl.t;  (** mac key -> port *)
   mutable forwarded : int;
   mutable flooded : int;
 }
@@ -22,30 +22,30 @@ let read_mac space addr =
   lor (Td_mem.Addr_space.read space (addr + 4) Td_misa.Width.W16 lsl 32)
 
 let create kmem =
-  { kmem; ports = []; fdb = Hashtbl.create 16; forwarded = 0; flooded = 0 }
+  { kmem; ports = []; fdb = Td_sim.Int_tbl.create 16; forwarded = 0; flooded = 0 }
 
 let add_port t p = t.ports <- t.ports @ [ p ]
-let learn t ~mac p = Hashtbl.replace t.fdb mac p
-let mem t ~mac = Hashtbl.mem t.fdb mac
-let forget t ~mac = Hashtbl.remove t.fdb mac
+let learn t ~mac p = Td_sim.Int_tbl.replace t.fdb mac p
+let mem t ~mac = Td_sim.Int_tbl.mem t.fdb mac
+let forget t ~mac = Td_sim.Int_tbl.remove t.fdb mac
 
 let remove_port t name =
   t.ports <- List.filter (fun p -> p.port_name <> name) t.ports;
-  Hashtbl.filter_map_inplace
+  Td_sim.Int_tbl.filter_map_inplace
     (fun _ p -> if p.port_name = name then None else Some p)
     t.fdb
 
 let fdb t =
-  List.rev (Hashtbl.fold (fun mac p acc -> (mac, p.port_name) :: acc) t.fdb [])
+  List.rev (Td_sim.Int_tbl.fold (fun mac p acc -> (mac, p.port_name) :: acc) t.fdb [])
 
 let forward t ~dst ~src skb =
-  match Hashtbl.find t.fdb dst with
+  match Td_sim.Int_tbl.find t.fdb dst with
   | p ->
       t.forwarded <- t.forwarded + 1;
       p.tx skb
   | exception Not_found -> (
       t.flooded <- t.flooded + 1;
-      let src_port = Hashtbl.find_opt t.fdb src in
+      let src_port = Td_sim.Int_tbl.find_opt t.fdb src in
       let out =
         List.filter
           (fun p ->

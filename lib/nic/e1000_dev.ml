@@ -197,7 +197,7 @@ let process_tx t =
       if Td_obs.Control.enabled () then begin
         Td_obs.Metrics.bump "nic.tx.frames";
         Td_obs.Metrics.bump_by "nic.tx.bytes" frame_bytes;
-        Td_obs.Metrics.observe
+        Td_obs.Hist.observe
           (Td_obs.Metrics.histogram "nic.tx.frame_bytes")
           frame_bytes;
         Td_obs.Trace.emit (Td_obs.Trace.Nic_tx { bytes = frame_bytes })

@@ -85,7 +85,7 @@ let start_tx t n size =
     Td_obs.Metrics.bump "nic.tx.frames";
     Td_obs.Metrics.bump_by "nic.dma.read_bytes" (Bytes.length frame);
     Td_obs.Metrics.bump_by "nic.tx.bytes" (Bytes.length frame);
-    Td_obs.Metrics.observe
+    Td_obs.Hist.observe
       (Td_obs.Metrics.histogram "nic.tx.frame_bytes")
       (Bytes.length frame);
     Td_obs.Trace.emit

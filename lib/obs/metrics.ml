@@ -1,14 +1,7 @@
 type counter = { mutable n : int }
 type gauge = { mutable v : float }
 
-type histogram = {
-  bounds : int array;  (** inclusive upper bounds, strictly increasing *)
-  counts : int array;  (** length = Array.length bounds + 1 (overflow) *)
-  mutable sum : int;
-  mutable observations : int;
-  mutable lo : int;
-  mutable hi : int;
-}
+type histogram = Hist.t
 
 type metric =
   | Counter of counter
@@ -47,33 +40,12 @@ let gauge ?(help = "") name =
       Hashtbl.replace registry name { name; help; metric = Gauge g };
       g
 
-(* cycle-count buckets: powers of two from 16 to 128 Ki, plus overflow *)
-let default_bounds =
-  Array.init 14 (fun i -> 16 lsl i)
-
-let histogram ?(help = "") ?bounds name =
+let histogram ?(help = "") name =
   match Hashtbl.find_opt registry name with
   | Some { metric = Histogram h; _ } -> h
   | Some e -> mismatch name e "histogram"
   | None ->
-      let bounds =
-        match bounds with Some b -> Array.copy b | None -> default_bounds
-      in
-      Array.iteri
-        (fun i b ->
-          if i > 0 && b <= bounds.(i - 1) then
-            invalid_arg "Td_obs.Metrics.histogram: bounds must be increasing")
-        bounds;
-      let h =
-        {
-          bounds;
-          counts = Array.make (Array.length bounds + 1) 0;
-          sum = 0;
-          observations = 0;
-          lo = max_int;
-          hi = min_int;
-        }
-      in
+      let h = Hist.create () in
       Hashtbl.replace registry name { name; help; metric = Histogram h };
       h
 
@@ -83,52 +55,8 @@ let value c = c.n
 let set g v = g.v <- v
 let gauge_value g = g.v
 
-let bucket_index h v =
-  let n = Array.length h.bounds in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if v <= h.bounds.(mid) then go lo mid else go (mid + 1) hi
-  in
-  go 0 n
-
-let observe h v =
-  let i = bucket_index h v in
-  h.counts.(i) <- h.counts.(i) + 1;
-  h.sum <- h.sum + v;
-  h.observations <- h.observations + 1;
-  if v < h.lo then h.lo <- v;
-  if v > h.hi then h.hi <- v
-
-let observations h = h.observations
-let sum h = h.sum
-
-let mean h =
-  if h.observations = 0 then 0.0
-  else float_of_int h.sum /. float_of_int h.observations
-
-(* Upper bound of the bucket holding the percentile rank; the exact
-   maximum when the rank lands in the overflow bucket. p is clamped to
-   [0, 100]; an empty histogram estimates 0. *)
-let percentile h p =
-  if h.observations = 0 then 0
-  else begin
-    let p = Float.max 0.0 (Float.min 100.0 p) in
-    let rank =
-      max 1
-        (int_of_float (ceil (p /. 100.0 *. float_of_int h.observations)))
-    in
-    let n = Array.length h.bounds in
-    let rec go i acc =
-      if i > n then h.hi
-      else
-        let acc = acc + h.counts.(i) in
-        if acc >= rank then (if i = n then h.hi else h.bounds.(i))
-        else go (i + 1) acc
-    in
-    go 0 0
-  end
+(* an empty histogram reports 0 *)
+let pct h p = Option.value ~default:0 (Hist.percentile h p)
 
 (* ---- registry-wide operations ---- *)
 
@@ -146,12 +74,7 @@ let exists name = Hashtbl.mem registry name
 let reset_metric = function
   | Counter c -> c.n <- 0
   | Gauge g -> g.v <- 0.0
-  | Histogram h ->
-      Array.fill h.counts 0 (Array.length h.counts) 0;
-      h.sum <- 0;
-      h.observations <- 0;
-      h.lo <- max_int;
-      h.hi <- min_int
+  | Histogram h -> Hist.reset h
 
 let reset name =
   match Hashtbl.find_opt registry name with
@@ -175,26 +98,28 @@ let snapshot () =
       | Gauge g -> [ (e.name, g.v) ]
       | Histogram h ->
           [
-            (e.name ^ ".count", float_of_int h.observations);
-            (e.name ^ ".sum", float_of_int h.sum);
-            (e.name ^ ".mean", mean h);
-            (e.name ^ ".p50", float_of_int (percentile h 50.0));
-            (e.name ^ ".p99", float_of_int (percentile h 99.0));
+            (e.name ^ ".count", float_of_int (Hist.count h));
+            (e.name ^ ".sum", float_of_int (Hist.sum h));
+            (e.name ^ ".mean", Hist.mean h);
+            (e.name ^ ".p50", float_of_int (pct h 50.0));
+            (e.name ^ ".p99", float_of_int (pct h 99.0));
           ])
     (entries ())
 
 let histogram_json h =
+  let ints l = Json.List (List.map (fun i -> Json.Int i) l) in
+  let buckets = Hist.buckets h in
   Json.Obj
     [
-      ("buckets", Json.List (Array.to_list (Array.map (fun b -> Json.Int b) h.bounds)));
-      ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) h.counts)));
-      ("count", Json.Int h.observations);
-      ("sum", Json.Int h.sum);
-      ("min", Json.Int (if h.observations = 0 then 0 else h.lo));
-      ("max", Json.Int (if h.observations = 0 then 0 else h.hi));
-      ("p50", Json.Int (percentile h 50.0));
-      ("p90", Json.Int (percentile h 90.0));
-      ("p99", Json.Int (percentile h 99.0));
+      ("buckets", ints (List.map fst buckets));
+      ("counts", ints (List.map snd buckets));
+      ("count", Json.Int (Hist.count h));
+      ("sum", Json.Int (Hist.sum h));
+      ("min", Json.Int (Hist.min h));
+      ("max", Json.Int (Hist.max h));
+      ("p50", Json.Int (pct h 50.0));
+      ("p90", Json.Int (pct h 90.0));
+      ("p99", Json.Int (pct h 99.0));
     ]
 
 let to_json () =
@@ -233,7 +158,7 @@ let pp fmt () =
       | Histogram h ->
           Format.fprintf fmt
             "%-36s n=%d sum=%d mean=%.1f p50=%d p99=%d@," e.name
-            h.observations h.sum (mean h) (percentile h 50.0)
-            (percentile h 99.0))
+            (Hist.count h) (Hist.sum h) (Hist.mean h) (pct h 50.0)
+            (pct h 99.0))
     (entries ());
   Format.fprintf fmt "@]"

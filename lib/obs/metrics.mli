@@ -4,8 +4,9 @@
 
     - {b counters} — monotonically increasing integers (events, cycles);
     - {b gauges} — last-written floats (pool occupancy, table fill);
-    - {b histograms} — fixed-bucket integer distributions (per-call
-      cycle counts, frame sizes), with percentile estimation.
+    - {b histograms} — bounded log-linear {!Hist} distributions
+      (per-call cycle counts, frame sizes), with percentiles at most
+      1/64 above the exact nearest-rank value.
 
     Names are dot-separated, [layer.object.unit]-style ([stlb.miss],
     [ledger.cycles.dom0], [nic.tx.frames]); docs/METRICS.md catalogues
@@ -21,25 +22,22 @@
 
 type counter
 type gauge
-type histogram
+type histogram = Hist.t
 
 (* registration *)
 
 val counter : ?help:string -> string -> counter
 val gauge : ?help:string -> string -> gauge
 
-val histogram : ?help:string -> ?bounds:int array -> string -> histogram
-(** [bounds] are inclusive, strictly increasing upper bucket bounds; an
-    implicit overflow bucket catches everything above the last bound.
-    The default is powers of two from 16 to 128 Ki — sized for
-    per-invocation cycle counts. *)
+val histogram : ?help:string -> string -> histogram
+(** Callers record with {!Hist.observe} and read with {!Hist}'s
+    accessors. *)
 
 (* updates (unconditional — callers guard with {!Control.enabled}) *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val set : gauge -> float -> unit
-val observe : histogram -> int -> unit
 
 (* guarded by-name updates: no-ops when observability is disabled *)
 
@@ -50,14 +48,6 @@ val bump_by : string -> int -> unit
 
 val value : counter -> int
 val gauge_value : gauge -> float
-val observations : histogram -> int
-val sum : histogram -> int
-val mean : histogram -> float
-
-val percentile : histogram -> float -> int
-(** Bucket-resolution estimate: the upper bound of the bucket containing
-    the rank, except in the overflow bucket where the true maximum is
-    returned. [p] clamps to [0, 100]; an empty histogram estimates 0. *)
 
 val counter_value : string -> int
 (** 0 when the name is unregistered. *)
@@ -77,7 +67,8 @@ val names : unit -> string list
 
 val snapshot : unit -> (string * float) list
 (** Flat name→value view, sorted by name: counters and gauges directly,
-    histograms as [.count]/[.sum]/[.mean]/[.p50]/[.p99] entries. This is
+    histograms as [.count]/[.sum]/[.mean]/[.p50]/[.p99] entries (an
+    empty histogram's percentiles read 0). This is
     the [metrics] field of {!Twindrivers.Measure.result}. *)
 
 val to_json : unit -> Json.t

@@ -11,8 +11,8 @@ type entry = {
 type t = {
   owner : Domain.t;
   quota : Quota.state option;
-  entries : (grant_ref, entry) Hashtbl.t;
-  revoked : (grant_ref, unit) Hashtbl.t;
+  entries : entry Td_sim.Int_tbl.t;
+  revoked : unit Td_sim.Int_tbl.t;
       (** tombstones: refs that once existed; using one is a typed fault
           ("revoked grant ref"), distinct from a never-issued ref *)
   mutable next : grant_ref;
@@ -23,8 +23,8 @@ let create ?quota ~owner () =
   {
     owner;
     quota;
-    entries = Hashtbl.create 64;
-    revoked = Hashtbl.create 16;
+    entries = Td_sim.Int_tbl.create 64;
+    revoked = Td_sim.Int_tbl.create 16;
     next = 1;
     map_count = 0;
   }
@@ -51,16 +51,16 @@ let grant t ~frame =
   acquire t Quota.Grant_entries;
   let r = t.next in
   t.next <- t.next + 1;
-  Hashtbl.replace t.entries r { frame; mappings = [] };
+  Td_sim.Int_tbl.replace t.entries r { frame; mappings = [] };
   r
 
 (* a bad ref is guest-controlled input, not an invariant violation: the
    hypervisor validates, counts and survives it (typed Guest_fault) *)
 let find t ~op r =
-  match Hashtbl.find t.entries r with
+  match Td_sim.Int_tbl.find t.entries r with
   | e -> e
   | exception Not_found ->
-      if Hashtbl.mem t.revoked r then
+      if Td_sim.Int_tbl.mem t.revoked r then
         Guest_fault.fail ~domain:(owner_name t) ~op "revoked grant ref %d" r
       else Guest_fault.fail ~domain:(owner_name t) ~op "bad grant ref %d" r
 
@@ -98,8 +98,8 @@ let revoke t r =
       e.mappings;
     e.mappings <- []
   end;
-  Hashtbl.remove t.entries r;
-  Hashtbl.replace t.revoked r ();
+  Td_sim.Int_tbl.remove t.entries r;
+  Td_sim.Int_tbl.replace t.revoked r ();
   release t Quota.Grant_entries
 
 let map t ~hyp ~into ~at_vpage r =
@@ -193,5 +193,5 @@ let copy_from t ~hyp r ~offset ~len =
   let frame = checked_copy t ~hyp ~op:"Grant_table.copy_from" r ~offset ~len in
   Td_mem.Phys_mem.read_bytes (phys t) frame offset len
 
-let active t = Hashtbl.length t.entries
+let active t = Td_sim.Int_tbl.length t.entries
 let maps t = t.map_count

@@ -15,22 +15,6 @@ let index = function Dom0 -> 0 | DomU -> 1 | Xen -> 2 | Driver -> 3
    behalf. Plain ints with no metric mirrors, so runs that never read
    them are bit-identical with or without the rows. *)
 
-(* growable append-only sample log (per-direction I/O latencies, in
-   simulated cycles); plain arrays, no metric mirrors, deterministic *)
-type samples = { mutable buf : int array; mutable len : int }
-
-let samples_create () = { buf = [||]; len = 0 }
-
-let samples_push s v =
-  if s.len = Array.length s.buf then begin
-    let cap = max 64 (2 * Array.length s.buf) in
-    let nb = Array.make cap 0 in
-    Array.blit s.buf 0 nb 0 s.len;
-    s.buf <- nb
-  end;
-  s.buf.(s.len) <- v;
-  s.len <- s.len + 1
-
 (* [charge_for] runs on every domain charge, and a string [Hashtbl.find]
    there hashes and compares the name each time. Callers pass the same
    name string for a domain on every charge, so the two rows charged
@@ -46,8 +30,8 @@ type t = {
   mutable row0 : int ref;
   mutable key1 : string;
   mutable row1 : int ref;
-  tx_lat : samples;
-  rx_lat : samples;
+  tx_lat : Td_obs.Hist.t;  (** per-direction I/O latencies, in cycles *)
+  rx_lat : Td_obs.Hist.t;
 }
 
 (* Never a caller's string, so an empty entry never hits. *)
@@ -76,28 +60,16 @@ let create () =
     row0 = no_row;
     key1 = no_key;
     row1 = no_row;
-    tx_lat = samples_create ();
-    rx_lat = samples_create ();
+    tx_lat = Td_obs.Hist.create ();
+    rx_lat = Td_obs.Hist.create ();
   }
 
 let lat t = function `Tx -> t.tx_lat | `Rx -> t.rx_lat
-let note_latency t dir v = samples_push (lat t dir) v
-let latency_count t dir = (lat t dir).len
+let note_latency t dir v = Td_obs.Hist.observe (lat t dir) v
+let latency_count t dir = Td_obs.Hist.count (lat t dir)
 
-(* nearest-rank percentile over a sorted copy; None when no samples *)
 let latency_percentile t dir p =
-  let s = lat t dir in
-  if s.len = 0 then None
-  else begin
-    let a = Array.sub s.buf 0 s.len in
-    Array.sort compare a;
-    (* the epsilon keeps an inexact p (99.9 -> 0.99900000000000005) from
-       ceiling one rank past the mathematical nearest rank *)
-    let rank =
-      int_of_float (ceil ((p /. 100. *. float_of_int s.len) -. 1e-9)) - 1
-    in
-    Some (float_of_int a.(max 0 (min (s.len - 1) rank)))
-  end
+  Option.map float_of_int (Td_obs.Hist.percentile (lat t dir) p)
 
 let charge t c n =
   let i = index c in
@@ -166,10 +138,9 @@ let domain_snapshot t =
 let total t c = t.cells.(index c)
 let grand_total t = Array.fold_left ( + ) 0 t.cells
 
-(* Deterministic shard merge: cell and row sums are order-independent,
-   and latency samples are appended in the caller's iteration order —
-   callers iterate shards by index, so the merged ledger is identical no
-   matter how the host scheduled the shards. Metric mirrors are not
+(* Deterministic shard merge: cell, row and latency-histogram sums are
+   order-independent, so the merged ledger is identical no matter how
+   the host scheduled the shards. Metric mirrors are not
    touched: per-shard charges run with observability disabled, and the
    merge must equal the plain sum of what the shards recorded. *)
 let merge_into ~into src =
@@ -180,20 +151,15 @@ let merge_into ~into src =
       | Some acc -> acc := !acc + !r
       | None -> Hashtbl.replace into.domains dom (ref !r))
     src.domains;
-  List.iter
-    (fun dir ->
-      let s = lat src dir in
-      for i = 0 to s.len - 1 do
-        samples_push (lat into dir) s.buf.(i)
-      done)
-    [ `Tx; `Rx ]
+  Td_obs.Hist.merge_into ~into:into.tx_lat src.tx_lat;
+  Td_obs.Hist.merge_into ~into:into.rx_lat src.rx_lat
 
 let reset t =
   Array.fill t.cells 0 4 0;
   Hashtbl.reset t.domains;
   forget_rows t;
-  t.tx_lat.len <- 0;
-  t.rx_lat.len <- 0;
+  Td_obs.Hist.reset t.tx_lat;
+  Td_obs.Hist.reset t.rx_lat;
   if Td_obs.Control.enabled () then
     Array.iter Td_obs.Metrics.reset metric_names
 let snapshot t = List.map (fun c -> (c, total t c)) categories

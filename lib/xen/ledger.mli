@@ -46,21 +46,24 @@ val grand_total : t -> int
 
 val note_latency : t -> [ `Tx | `Rx ] -> int -> unit
 (** Record one per-direction I/O latency sample (simulated cycles from a
-    frame entering the channel to its delivery). Plain arrays with no
-    metric mirror — recording is deterministic and invisible to runs
-    that never read the samples. *)
+    frame entering the channel to its delivery) in that direction's
+    {!Td_obs.Hist}: constant time, no metric mirror, and no bucket array
+    until the first sample, so a ledger that records none pays
+    nothing. *)
 
 val latency_count : t -> [ `Tx | `Rx ] -> int
 
 val latency_percentile : t -> [ `Tx | `Rx ] -> float -> float option
 (** Nearest-rank percentile (e.g. [50.], [99.]) over the recorded
-    samples; [None] when none were recorded. *)
+    samples, at bucket resolution ({!Td_obs.Hist.percentile}: never
+    below the exact value, at most 1/64 above it); [None] when none
+    were recorded. *)
 
 val merge_into : into:t -> t -> unit
-(** Fold [src]'s cells, per-domain rows and latency samples into [into].
-    Sums are order-independent and samples append in call order, so
-    merging per-shard ledgers by ascending shard index yields a
-    bit-identical result regardless of host scheduling. Metric mirrors
+(** Fold [src]'s cells, per-domain rows and latency histograms into
+    [into]. Every merge is a sum (or a maximum), so merging per-shard
+    ledgers yields a bit-identical result regardless of merge order or
+    host scheduling. Metric mirrors
     are deliberately untouched (shards charge with observability
     disabled). *)
 

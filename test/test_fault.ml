@@ -191,6 +191,23 @@ let test_soak_availability () =
   check bool_c "all NICs serviceable at end" true p.Experiments.serviceable;
   check bool_c "recoveries > 0" true (p.Experiments.recoveries > 0)
 
+(* A fail-stop soak never recovers: every offered frame either reached
+   the wire, aborted in the driver, or was refused by the quarantined
+   NIC, and there is no mean recovery time to report. *)
+let test_fail_stop_soak_accounts_every_frame () =
+  let p =
+    Experiments.recovery_soak ~frames:2000 ~seed:42 ~policy:Config.Fail_stop
+      ~rate:0.002 ()
+  in
+  check int_c "delivered" 346 p.Experiments.delivered;
+  check int_c "aborted" 2 p.Experiments.aborted;
+  check int_c "refused" 1652 p.Experiments.refused;
+  check int_c "delivered + aborted + refused = offered" p.Experiments.offered
+    (p.Experiments.delivered + p.Experiments.aborted + p.Experiments.refused);
+  check int_c "no recoveries" 0 p.Experiments.recoveries;
+  check bool_c "no frames-to-recover" true
+    (p.Experiments.frames_to_recover = None)
+
 (* --- execution faults are typed and recoverable --- *)
 
 (* A corrupted function pointer sends the driver to a misaligned code
@@ -394,4 +411,6 @@ let suite =
     Alcotest.test_case "boot charges the quota" `Quick test_boot_charges_quota;
     Alcotest.test_case "worlds share no engine state" `Quick
       test_worlds_share_no_engine_state;
+    Alcotest.test_case "fail-stop soak accounts every frame" `Quick
+      test_fail_stop_soak_accounts_every_frame;
   ]

@@ -125,8 +125,14 @@ let test_percentile_correctness () =
     Td_xen.Ledger.note_latency l2 `Rx (1 + ((i * 617) mod 1000))
   done;
   let p2 q = get (Td_xen.Ledger.latency_percentile l2 `Rx q) in
-  check int_c "p50 of 1..1000" 500 (p2 50.);
-  check int_c "p99 of 1..1000" 990 (p2 99.);
+  (* above 128 a bucket is at most 1/64 of its values wide, and the
+     answer is the largest value seen in the rank's bucket *)
+  let within name lo hi v =
+    check bool_c (Printf.sprintf "%s: %d in [%d, %d]" name v lo hi) true
+      (lo <= v && v <= hi)
+  in
+  within "p50 of 1..1000" 500 507 (p2 50.);
+  within "p99 of 1..1000" 990 1005 (p2 99.);
   check int_c "p99.9 of 1..1000" 999 (p2 99.9)
 
 (* --- a small fleet soak: deterministic, conserved, available --- *)
