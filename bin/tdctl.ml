@@ -618,7 +618,8 @@ let quotas_cmd =
             let inuse = Td_xen.Quota.inuse q ~domain res in
             let thr = Td_xen.Quota.throttled_for q ~domain res in
             if inuse > 0 || thr > 0 then
-              Format.printf "%-10s %-18s %8d %10d@." domain
+              Format.printf "%-10s %-18s %8d %10d@."
+                (Td_xen.Domain.name domain)
                 (Td_xen.Quota.resource_name res)
                 inuse thr)
           Td_xen.Quota.all_resources)

@@ -294,7 +294,7 @@ let churn_destroy (env : Harness.env) cs ((dom, space, io) as entry) violations
         (Domain.name dom) (Xen_netio.grants_active io)
       :: !violations;
   Hypervisor.remove_domain env.hyp dom;
-  Option.iter (fun q -> Quota.forget q ~domain:(Domain.name dom)) env.quota;
+  Option.iter (fun q -> Quota.forget q ~domain:dom) env.quota;
   Td_mem.Addr_space.release space;
   cs.churn_live <- List.filter (fun e -> e != entry) cs.churn_live;
   cs.churn_dead <- keep 8 (io :: cs.churn_dead)
@@ -369,8 +369,8 @@ let run ?(seed = 1) ?quota ~ops () =
   and quota_denials = ref 0 in
   let violations = ref [] in
   let checksum = ref 0 in
-  let att_row () = Ledger.domain_total env.ledger "attacker" in
-  let vic_row () = Ledger.domain_total env.ledger "victim" in
+  let att_row () = Ledger.domain_total env.ledger env.attacker in
+  let vic_row () = Ledger.domain_total env.ledger env.victim in
   for i = 1 to ops do
     let surface = Rng.below streams s_master 5 in
     let att_before = att_row () and vic_before = vic_row () in

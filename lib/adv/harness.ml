@@ -86,9 +86,7 @@ let make ?quota ?(attacker_doorbell = true) () =
      boot would be; dom0 is exempt (see World) *)
   let quota =
     Option.map
-      (Quota.make
-         ~now:(fun () -> float_of_int (Ledger.grand_total ledger) /. 3e9)
-         ~exempt:[ "dom0" ])
+      (Quota.make ~now:(fun () -> float_of_int (Ledger.grand_total ledger) /. 3e9))
       quota
   in
   let svm =
@@ -98,16 +96,17 @@ let make ?quota ?(attacker_doorbell = true) () =
     {
       Td_svm.Runtime.acquire =
         (fun ~pages ->
-          let domain = Domain.name (Hypervisor.current hyp) in
+          let domain = Hypervisor.current hyp in
           Option.iter
             (fun q -> Quota.acquire q ~domain Quota.Map_window_pages pages)
             quota;
-          domain);
+          Domain.id domain);
       release =
         (fun ~owner ~pages ->
-          Option.iter
-            (fun q -> Quota.release q ~domain:owner Quota.Map_window_pages pages)
-            quota);
+          match (quota, Hypervisor.find_domain hyp owner) with
+          | Some q, Some domain ->
+              Quota.release q ~domain Quota.Map_window_pages pages
+          | _ -> ());
     };
   let calls =
     Td_svm.Call_table.create ~vm_code_base:Td_mem.Layout.vm_driver_code_base
@@ -277,7 +276,7 @@ let contend ?quota ?(frames = 200) ?(attack_per_frame = 20)
   done;
   Xen_netio.teardown env.att_netio;
   Xen_netio.teardown env.vic_netio;
-  let attacker_row = Ledger.domain_total env.ledger "attacker" in
+  let attacker_row = Ledger.domain_total env.ledger env.attacker in
   let grand_cycles = Ledger.grand_total env.ledger in
   {
     victim_sent = frames;

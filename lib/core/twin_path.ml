@@ -126,12 +126,16 @@ let arm w x tw =
         {
           Runtime.acquire =
             (fun ~pages ->
-              let domain = Domain.name (Hypervisor.current x.hyp) in
+              let domain = Hypervisor.current x.hyp in
               Quota.acquire q ~domain Quota.Map_window_pages pages;
-              domain);
+              Domain.id domain);
+          (* a destroyed owner's quota state is already forgotten *)
           release =
             (fun ~owner ~pages ->
-              Quota.release q ~domain:owner Quota.Map_window_pages pages);
+              Option.iter
+                (fun domain ->
+                  Quota.release q ~domain Quota.Map_window_pages pages)
+                (Hypervisor.find_domain x.hyp owner));
         })
     w.quota;
   (* exact stlb.hit accounting: the inline probe's hit path is the xor

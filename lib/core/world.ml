@@ -167,15 +167,13 @@ let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
   (* per-world engines: the quota engine built here and the fault engine
      passed in are handed below to every component that checks them, so
      two worlds (Mq contexts, shard workers) never share token buckets
-     or fault streams. dom0 is exempt from quotas — throttling the
+     or fault streams. Quota exempts dom0 by its kind — throttling the
      driver domain's service work would deadlock the paths that drain on
      behalf of throttled guests. Simulated time for the token buckets is
      ledger cycles at the nominal 3 GHz. *)
   let quota =
     Option.map
-      (Quota.make
-         ~now:(fun () -> float_of_int (Ledger.grand_total led) /. 3e9)
-         ~exempt:[ "dom0" ])
+      (Quota.make ~now:(fun () -> float_of_int (Ledger.grand_total led) /. 3e9))
       tuning.Config.quota
   in
   (* NICs + netdevs *)
@@ -624,8 +622,8 @@ let destroy_guest w ~guest:g =
   | Twin (x, tw) -> Twin_path.remove_guest w x tw s ~guest:g
   | Domu (x, vswitch) -> Domu_path.remove_guest x vswitch s ~guest:g
   | Native | Dom0 _ -> ());
-  Option.iter (fun q -> Quota.forget q ~domain:(Domain.name s.gs_dom)) w.quota;
-  Ledger.retire_domain w.led ~domain:(Domain.name s.gs_dom);
+  Option.iter (fun q -> Quota.forget q ~domain:s.gs_dom) w.quota;
+  Ledger.retire_domain w.led ~domain:s.gs_dom;
   Addr_space.release s.gs_space;
   w.slots.(g) <- None
 

@@ -1,20 +1,20 @@
 type t = {
   space : Td_mem.Addr_space.t;
-  all : (int, int) Hashtbl.t;  (** struct addr -> preallocated frag buffer *)
+  all : int Td_sim.Int_tbl.t;  (** struct addr -> preallocated frag buffer *)
   mutable free : Skb.t list;
   size : int;
   mutable exhaustions : int;
 }
 
 let create kmem space ~entries ~buf_size =
-  let all = Hashtbl.create entries in
+  let all = Td_sim.Int_tbl.create entries in
   let free =
     List.init entries (fun _ ->
         let skb = Skb.alloc kmem space ~size:buf_size in
         (* base reference held by the pool: dom0 frees only decrement *)
         Skb.get_ref skb;
         let frag = Kmem.alloc kmem Td_mem.Layout.page_size in
-        Hashtbl.replace all skb.Skb.addr frag;
+        Td_sim.Int_tbl.replace all skb.Skb.addr frag;
         skb)
   in
   { space; all; free; size = entries; exhaustions = 0 }
@@ -38,7 +38,7 @@ let alloc t =
       end;
       None
 
-let owns t skb = Hashtbl.mem t.all skb.Skb.addr
+let owns t skb = Td_sim.Int_tbl.mem t.all skb.Skb.addr
 
 (* reset to a pristine buffer holding only the pool's base reference *)
 let make_pristine skb =
@@ -62,7 +62,8 @@ let release t skb =
   make_pristine skb;
   t.free <- skb :: t.free
 
-let iter t f = Hashtbl.iter (fun addr _ -> f (Skb.of_addr t.space addr)) t.all
+let iter t f =
+  Td_sim.Int_tbl.iter (fun addr _ -> f (Skb.of_addr t.space addr)) t.all
 
 (* Reclaim every slot, in flight or not: when the supervisor tears down
    an aborted driver instance nothing can tell which in-flight buffers
@@ -70,7 +71,7 @@ let iter t f = Hashtbl.iter (fun addr _ -> f (Skb.of_addr t.space addr)) t.all
    consumer (rx rings and the like) must be re-initialised afterwards. *)
 let reset t =
   t.free <- [];
-  Hashtbl.iter
+  Td_sim.Int_tbl.iter
     (fun addr _ ->
       let skb = Skb.of_addr t.space addr in
       make_pristine skb;
@@ -78,9 +79,9 @@ let reset t =
     t.all
 
 let frag_buffer t skb =
-  match Hashtbl.find_opt t.all skb.Skb.addr with
-  | Some frag -> frag
-  | None ->
+  match Td_sim.Int_tbl.find t.all skb.Skb.addr with
+  | frag -> frag
+  | exception Not_found ->
       Td_xen.Guest_fault.fail ~op:"Skb_pool.frag_buffer" "foreign sk_buff 0x%x"
         skb.Skb.addr
 

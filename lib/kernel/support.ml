@@ -37,7 +37,7 @@ type hyp_ctx = {
 type t = {
   space : Td_mem.Addr_space.t;
   kmem : Kmem.t;
-  alloc_sizes : (int, int) Hashtbl.t;  (** kmalloc'd addr -> size, for kfree *)
+  alloc_sizes : int Td_sim.Int_tbl.t;  (** kmalloc'd addr -> size, for kfree *)
   routines : (string, routine) Hashtbl.t;
   mutable order : string list;  (** registration order, reversed *)
   mutable netif_rx : Skb.t -> unit;
@@ -158,16 +158,16 @@ let hyp_eth_type_trans t ctx st =
 let impl_kmalloc t st =
   let size = max 1 (arg st 0) in
   let addr = Kmem.alloc t.kmem size in
-  Hashtbl.replace t.alloc_sizes addr size;
+  Td_sim.Int_tbl.replace t.alloc_sizes addr size;
   ret st addr
 
 let impl_kfree t st =
   let addr = arg st 0 in
-  (match Hashtbl.find_opt t.alloc_sizes addr with
-  | Some size ->
-      Hashtbl.remove t.alloc_sizes addr;
+  (match Td_sim.Int_tbl.find t.alloc_sizes addr with
+  | size ->
+      Td_sim.Int_tbl.remove t.alloc_sizes addr;
       Kmem.free t.kmem addr size
-  | None -> ());
+  | exception Not_found -> ());
   ret st 0
 
 let impl_memcpy t st =
@@ -236,7 +236,7 @@ let impl_one _t st = ret st 1
 let impl_dma_alloc_coherent t st =
   let size = max 1 (arg st 0) in
   let addr = Kmem.alloc t.kmem size in
-  Hashtbl.replace t.alloc_sizes addr size;
+  Td_sim.Int_tbl.replace t.alloc_sizes addr size;
   ret st addr
 
 (* names of routines that behave as "return 0 and count" — configuration,
@@ -275,7 +275,7 @@ let create ~space ~kmem =
     {
       space;
       kmem;
-      alloc_sizes = Hashtbl.create 64;
+      alloc_sizes = Td_sim.Int_tbl.create 64;
       routines = Hashtbl.create 128;
       order = [];
       netif_rx = (fun _ -> ());

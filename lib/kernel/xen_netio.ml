@@ -399,7 +399,7 @@ let guest_transmit t ~hdr payload =
      is even built, so dom0 and Xen never see it, which is what keeps a
      hostile neighbour from taxing the victim *)
   (match t.quota with
-  | Some q -> Quota.take q ~domain:(Domain.name t.guest) Quota.Notifications
+  | Some q -> Quota.take q ~domain:t.guest Quota.Notifications
   | None -> ());
   charge_guest t costs.Sys_costs.netfront;
   let slots = Array.length t.tx_pages in
@@ -415,8 +415,7 @@ let guest_transmit t ~hdr payload =
   Td_mem.Addr_space.write_string gspace page hdr ~off:0 ~len:hlen;
   Td_mem.Addr_space.write_string gspace (page + hlen) payload ~off:0
     ~len:(String.length payload);
-  Hypervisor.charge_xen_for t.hyp ~domain:(Domain.name t.guest)
-    costs.Sys_costs.io_channel;
+  Hypervisor.charge_xen_for t.hyp ~domain:t.guest costs.Sys_costs.io_channel;
   Ring.push t.tx_staged gref page len (now t);
   t.tx_staged_total <- t.tx_staged_total + 1;
   match t.doorbell with
@@ -426,7 +425,7 @@ let guest_transmit t ~hdr payload =
          non-empty) still drains the frame on the next poll *)
       if
         match t.quota with
-        | Some q -> Quota.try_take q ~domain:(Domain.name t.guest) Quota.Doorbells
+        | Some q -> Quota.try_take q ~domain:t.guest Quota.Doorbells
         | None -> true
       then
         ring_doorbell t db.tx ~space:(Domain.space t.guest)
@@ -435,7 +434,7 @@ let guest_transmit t ~hdr payload =
   | _ ->
       if Ring.length t.tx_staged >= t.batch then flush_tx t
       else
-        Hypervisor.charge_xen_for t.hyp ~domain:(Domain.name t.guest)
+        Hypervisor.charge_xen_for t.hyp ~domain:t.guest
           costs.Sys_costs.notify_coalesce
 
 let post_rx_buffers t n =
@@ -521,7 +520,7 @@ let deliver_to_guest t skb =
   else if
     match t.quota with
     | Some q ->
-        not (Quota.try_take q ~domain:(Domain.name t.guest) Quota.Rx_deliveries)
+        not (Quota.try_take q ~domain:t.guest Quota.Rx_deliveries)
     | None -> false
   then rx_throttle_drop t skb
   else begin
@@ -539,7 +538,7 @@ let deliver_to_guest t skb =
         Ring.push t.rx_posted gref gvaddr 0 0;
         rx_throttle_drop t skb
     | () -> (
-        Hypervisor.charge_xen_for t.hyp ~domain:(Domain.name t.guest)
+        Hypervisor.charge_xen_for t.hyp ~domain:t.guest
           costs.Sys_costs.io_channel;
         Skb.free t.kmem skb;
         Ring.push t.rx_staged gref gvaddr len (now t);
@@ -555,7 +554,7 @@ let deliver_to_guest t skb =
         | _ ->
             if Ring.length t.rx_staged >= t.batch then flush_rx t
             else
-              Hypervisor.charge_xen_for t.hyp ~domain:(Domain.name t.guest)
+              Hypervisor.charge_xen_for t.hyp ~domain:t.guest
                 costs.Sys_costs.notify_coalesce)
   end
 

@@ -2,7 +2,7 @@ type t = {
   vm_code_base : int;
   vm_code_size : int;
   resolver : int -> int option;
-  cache : (int, int) Hashtbl.t;
+  cache : int Td_sim.Int_tbl.t;
   mutable hit_count : int;
   mutable miss_count : int;
 }
@@ -12,17 +12,17 @@ let create ~vm_code_base ~vm_code_size ~resolver =
     vm_code_base;
     vm_code_size;
     resolver;
-    cache = Hashtbl.create 64;
+    cache = Td_sim.Int_tbl.create 64;
     hit_count = 0;
     miss_count = 0;
   }
 
 let translate t addr =
-  match Hashtbl.find_opt t.cache addr with
-  | Some a ->
+  match Td_sim.Int_tbl.find t.cache addr with
+  | a ->
       t.hit_count <- t.hit_count + 1;
       a
-  | None ->
+  | exception Not_found ->
       t.miss_count <- t.miss_count + 1;
       let resolved =
         if addr >= t.vm_code_base && addr < t.vm_code_base + t.vm_code_size
@@ -37,7 +37,7 @@ let translate t addr =
               (Runtime.Fault
                  { addr; reason = "indirect call to untranslatable address" })
       in
-      Hashtbl.replace t.cache addr a;
+      Td_sim.Int_tbl.replace t.cache addr a;
       a
 
 let hits t = t.hit_count

@@ -19,18 +19,18 @@ type slot = {
   mutable dom0_page : int;  (** dom0 page base this pair currently maps *)
   mutable referenced : bool;  (** clock second-chance bit *)
   mutable pinned : bool;  (** persistent_map'ed — never reclaimed *)
-  mutable owner : string;  (** guard-attributed owner; "" when no guard *)
+  mutable owner : int;  (** guard-attributed owner id; -1 when no guard *)
 }
 
 (* Optional per-domain window accounting, installed from above (the quota
    subsystem lives in td_xen, which depends on td_svm): [acquire] is
-   called before a pair is allocated and returns the owner tag the
+   called before a pair is allocated and returns the owner's domain id the
    matching [release] gets when the pair is evicted, invalidated or
    flushed. [acquire] may raise (a typed quota fault) — nothing has been
    evicted or mapped yet at that point. *)
 type window_guard = {
-  acquire : pages:int -> string;
-  release : owner:string -> pages:int -> unit;
+  acquire : pages:int -> int;
+  release : owner:int -> pages:int -> unit;
 }
 
 type t = {
@@ -127,7 +127,7 @@ let set_window_guard t g = t.window_guard <- Some g
 
 let guard_release t s =
   match t.window_guard with
-  | Some g when s.owner <> "" -> g.release ~owner:s.owner ~pages:2
+  | Some g when s.owner >= 0 -> g.release ~owner:s.owner ~pages:2
   | _ -> ()
 
 let fault t addr reason =
@@ -255,7 +255,7 @@ let map_pair t page =
   (* the guard admits (or typed-faults) before any slot is taken, so a
      denied domain cannot force an eviction of someone else's pair *)
   let owner =
-    match t.window_guard with Some g -> g.acquire ~pages:2 | None -> ""
+    match t.window_guard with Some g -> g.acquire ~pages:2 | None -> -1
   in
   let idx = take_slot t in
   let mapped = mapped_base idx in

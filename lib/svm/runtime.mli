@@ -108,11 +108,12 @@ val set_reclaim_hook : t -> (unit -> unit) -> unit
     this library cannot depend on the ledger. *)
 
 type window_guard = {
-  acquire : pages:int -> string;
-      (** called before a window pair is allocated; returns the owner tag
-          stored with the slot. May raise (a typed quota fault) — nothing
-          has been evicted or mapped yet at that point. *)
-  release : owner:string -> pages:int -> unit;
+  acquire : pages:int -> int;
+      (** called before a window pair is allocated; returns the owner's
+          domain id (non-negative), stored with the slot. May raise (a
+          typed quota fault) — nothing has been evicted or mapped yet at
+          that point. *)
+  release : owner:int -> pages:int -> unit;
       (** called when the pair is evicted, invalidated or flushed *)
 }
 

@@ -10,12 +10,26 @@ type t = {
 }
 
 let create ~id ~name ~kind ~space =
+  if id < 0 then invalid_arg "Domain.create: negative id";
   { id; name; kind; space; vif = 0; queued = Queue.create () }
 
 let id t = t.id
 let name t = t.name
 let kind t = t.kind
 let space t = t.space
+
+let cover a ~id fill =
+  let len = Array.length a in
+  if id < len then a
+  else begin
+    let n = ref (max 1 len) in
+    while !n <= id do
+      n := 2 * !n
+    done;
+    let b = Array.make !n fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
 
 let init_vif t ~vaddr =
   t.vif <- vaddr;

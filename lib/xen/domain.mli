@@ -13,6 +13,13 @@ val create :
   id:int -> name:string -> kind:kind -> space:Td_mem.Addr_space.t -> t
 
 val id : t -> int
+(** Non-negative; the key of every per-domain table (ledger rows, quota
+    state, scheduler slots), each an array indexed by id. *)
+
+val cover : 'a array -> id:int -> 'a -> 'a array
+(** [cover a ~id fill] is [a] if it has an index [id], else a copy
+    doubled in length until it has, the new cells set to [fill]. *)
+
 val name : t -> string
 val kind : t -> kind
 val space : t -> Td_mem.Addr_space.t

@@ -34,17 +34,17 @@ let owner_name t = Domain.name t.owner
 (* quota gates, charged to the granting domain; no engine, no check *)
 let acquire t res =
   match t.quota with
-  | Some q -> Quota.acquire q ~domain:(owner_name t) res 1
+  | Some q -> Quota.acquire q ~domain:t.owner res 1
   | None -> ()
 
 let release t res =
   match t.quota with
-  | Some q -> Quota.release q ~domain:(owner_name t) res 1
+  | Some q -> Quota.release q ~domain:t.owner res 1
   | None -> ()
 
 let take_bytes t n =
   match t.quota with
-  | Some q -> Quota.take_n q ~domain:(owner_name t) Quota.Grant_copy_bytes n
+  | Some q -> Quota.take_n q ~domain:t.owner Quota.Grant_copy_bytes n
   | None -> ()
 
 let grant t ~frame =
@@ -111,7 +111,7 @@ let map t ~hyp ~into ~at_vpage r =
     Guest_fault.fail ~domain:(owner_name t) ~op:"Grant_table.map"
       "grant ref %d: vpage 0x%x is already mapped" r at_vpage;
   acquire t Quota.Grant_maps;
-  Hypervisor.charge_xen_for hyp ~domain:(owner_name t)
+  Hypervisor.charge_xen_for hyp ~domain:t.owner
     (Hypervisor.costs hyp).Sys_costs.grant_map;
   Td_mem.Addr_space.map space ~vpage:at_vpage e.frame;
   e.mappings <- (space, at_vpage) :: e.mappings;
@@ -130,7 +130,7 @@ let unmap t ~hyp ~from ~at_vpage r =
   then
     Guest_fault.fail ~domain:(owner_name t) ~op:"Grant_table.unmap"
       "grant ref %d is not mapped at vpage 0x%x" r at_vpage;
-  Hypervisor.charge_xen_for hyp ~domain:(owner_name t)
+  Hypervisor.charge_xen_for hyp ~domain:t.owner
     (Hypervisor.costs hyp).Sys_costs.grant_unmap;
   Td_mem.Addr_space.unmap space ~vpage:at_vpage;
   let dropped = ref false in
@@ -171,7 +171,7 @@ let checked_copy t ~hyp ~op r ~offset ~len =
     int_of_float
       (float_of_int len *. (Hypervisor.costs hyp).Sys_costs.grant_copy_per_byte)
   in
-  Hypervisor.charge_xen_for hyp ~domain:(owner_name t) cost;
+  Hypervisor.charge_xen_for hyp ~domain:t.owner cost;
   if Td_obs.Control.enabled () then begin
     Td_obs.Metrics.bump_by "grant.copy_bytes" len;
     Td_obs.Trace.emit (Td_obs.Trace.Grant_copy { gref = r; bytes = len })

@@ -5,49 +5,27 @@
    to trigger them at will without taking the hypervisor down. So they
    raise a typed exception the caller contains (dropping the offending
    request, aborting the offending driver), and every occurrence is
-   counted — globally and, when the raiser can attribute it, against the
-   offending domain. *)
+   counted — globally and, while observability is on and the raiser can
+   attribute it, in the offending domain's metric. *)
 
 exception Fault of { op : string; reason : string }
 
-(* The counters stay process-global (they are diagnostics, not engine
-   state), so they must be shard-safe: parallel shard workers fault
-   concurrently once fault plans and quotas are legal across shards. *)
+(* The counter stays process-global (a diagnostic, not engine state), so
+   it must be shard-safe: parallel shard workers fault concurrently once
+   fault plans and quotas are legal across shards. *)
 let count = Atomic.make 0
-let by_domain : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 8
-let by_domain_lock = Mutex.create ()
 let total () = Atomic.get count
-
-let total_for domain =
-  Mutex.protect by_domain_lock (fun () ->
-      match Hashtbl.find_opt by_domain domain with
-      | Some r -> Atomic.get r
-      | None -> 0)
-
-let reset () =
-  Atomic.set count 0;
-  Mutex.protect by_domain_lock (fun () -> Hashtbl.reset by_domain)
+let reset () = Atomic.set count 0
 
 let fail ?domain ~op fmt =
   Printf.ksprintf
     (fun reason ->
       Atomic.incr count;
-      (match domain with
-      | Some d ->
-          let cell =
-            Mutex.protect by_domain_lock (fun () ->
-                match Hashtbl.find_opt by_domain d with
-                | Some r -> r
-                | None ->
-                    let r = Atomic.make 0 in
-                    Hashtbl.replace by_domain d r;
-                    r)
-          in
-          Atomic.incr cell;
-          if Td_obs.Control.enabled () then
-            Td_obs.Metrics.bump (Printf.sprintf "xen.guest_faults.%s" d)
-      | None -> ());
       if Td_obs.Control.enabled () then begin
+        Option.iter
+          (fun d ->
+            Td_obs.Metrics.bump (Printf.sprintf "xen.guest_faults.%s" d))
+          domain;
         Td_obs.Metrics.bump "xen.guest_faults";
         Td_obs.Trace.emit (Td_obs.Trace.Guest_fault { op })
       end;

@@ -15,16 +15,12 @@ val fail : ?domain:string -> op:string -> ('a, unit, string, 'b) format4 -> 'a
     formatted reason. [op] names the validated operation
     (["Grant_table.map"], ["Skb_pool.release"], ...). [domain], when the
     raiser can attribute the fault to the domain that supplied the bad
-    input, additionally accounts it to that domain ({!total_for} and the
-    [xen.guest_faults.<domain>] metric). *)
+    input, additionally counts it in the [xen.guest_faults.<domain>]
+    metric while observability is on. *)
 
 val total : unit -> int
 (** Faults counted since start-up (or the last {!reset}) — the plain
     counter behind the [xen.guest_faults] metric, maintained even when
     observability is disabled. *)
-
-val total_for : string -> int
-(** Faults attributed to the named domain since start-up (or the last
-    {!reset}). *)
 
 val reset : unit -> unit

@@ -47,6 +47,7 @@ let current ?(op = "current") t =
   | None -> raise (No_domains { op })
 
 let domains t = t.domains
+let find_domain t id = List.find_opt (fun d -> Domain.id d = id) t.domains
 let switches t = t.switches
 
 let category_of d =
@@ -59,8 +60,7 @@ let charge_xen t n = Ledger.charge t.ledger Ledger.Xen n
 let charge_xen_for t ~domain n =
   Ledger.charge_for t.ledger Ledger.Xen ~domain n
 
-let charge_domain t d n =
-  Ledger.charge_for t.ledger (category_of d) ~domain:(Domain.name d) n
+let charge_domain t d n = Ledger.charge_for t.ledger (category_of d) ~domain:d n
 
 let switch_to t target =
   match t.current with
@@ -89,7 +89,7 @@ let hypercall t ?cost () =
   end;
   (* the hypercall was issued by the current domain: its row pays *)
   match t.current with
-  | Some d -> charge_xen_for t ~domain:(Domain.name d) cost
+  | Some d -> charge_xen_for t ~domain:d cost
   | None -> charge_xen t cost
 
 let run_in t dom f =

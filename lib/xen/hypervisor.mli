@@ -35,6 +35,11 @@ val remove_domain : t -> Domain.t -> unit
     operation that needed a current domain. *)
 val current : ?op:string -> t -> Domain.t
 val domains : t -> Domain.t list
+
+val find_domain : t -> int -> Domain.t option
+(** The registered domain with this {!Domain.id}; [None] once it was
+    removed. *)
+
 val switches : t -> int
 
 val switch_to : t -> Domain.t -> unit
@@ -48,9 +53,9 @@ val hypercall : t -> ?cost:int -> unit -> unit
 
 val charge_xen : t -> int -> unit
 
-val charge_xen_for : t -> domain:string -> int -> unit
-(** Xen-category work performed on behalf of the named domain: charged to
-    the [Xen] cell {e and} attributed to that domain's row. *)
+val charge_xen_for : t -> domain:Domain.t -> int -> unit
+(** Xen-category work performed on behalf of [domain]: charged to the
+    [Xen] cell {e and} attributed to that domain's row. *)
 
 val charge_domain : t -> Domain.t -> int -> unit
 (** Charges the domain's category cell and attributes the cycles to its

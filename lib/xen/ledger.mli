@@ -19,27 +19,32 @@ type t
 val create : unit -> t
 val charge : t -> category -> int -> unit
 
-val charge_for : t -> category -> domain:string -> int -> unit
-(** {!charge}, additionally attributing the cycles to the named domain's
-    row — the per-tenant axis the adversarial harness asserts on ("every
+val charge_for : t -> category -> domain:Domain.t -> int -> unit
+(** {!charge}, additionally attributing the cycles to the domain's row —
+    the per-tenant axis the adversarial harness asserts on ("every
     injected op's cost lands in the attacker's row"). Xen work done {e on
-    behalf of} a guest is attributed to that guest, not to Xen. *)
+    behalf of} a guest is attributed to that guest, not to Xen. Rows are
+    keyed by {!Domain.id} (an array indexed by id, grown by doubling);
+    the domain's name is recorded at its first charge, for
+    {!domain_snapshot}. *)
 
-val domain_total : t -> string -> int
-(** Cycles attributed to the named domain since the last {!reset}. *)
+val domain_total : t -> Domain.t -> int
+(** Cycles attributed to the domain since the last {!reset}. *)
 
 val domain_snapshot : t -> (string * int) list
-(** All per-domain rows, sorted by domain name. *)
+(** All per-domain rows by recorded name, sorted by name. A row charged
+    only with 0 is still a row. *)
 
 val retired_row : string
 (** Name of the aggregate row ("<retired>") that absorbs the rows of
     destroyed domains. *)
 
-val retire_domain : t -> domain:string -> unit
-(** Fold the named domain's row into {!retired_row} and drop it. Category
-    cells and the grand total are untouched — destroyed domains keep
-    their cycles on the books, so conservation checks and shard merges
-    are invariant under domain churn. Unknown domains are ignored. *)
+val retire_domain : t -> domain:Domain.t -> unit
+(** Fold the domain's row into {!retired_row} and drop it, so its id
+    may charge afresh (under the name it then has). Category cells and
+    the grand total are untouched — destroyed domains keep their cycles
+    on the books, so conservation checks and shard merges are invariant
+    under domain churn. A domain with no row is ignored. *)
 
 val total : t -> category -> int
 val grand_total : t -> int
@@ -60,10 +65,11 @@ val latency_percentile : t -> [ `Tx | `Rx ] -> float -> float option
     were recorded. *)
 
 val merge_into : into:t -> t -> unit
-(** Fold [src]'s cells, per-domain rows and latency histograms into
-    [into]. Every merge is a sum (or a maximum), so merging per-shard
-    ledgers yields a bit-identical result regardless of merge order or
-    host scheduling. Metric mirrors
+(** Fold [src]'s cells, per-domain rows (by id; a row new to [into]
+    keeps [src]'s name) and latency histograms into [into]. Every merge
+    is a sum (or a maximum), so merging per-shard ledgers yields a
+    bit-identical result regardless of merge order or host scheduling.
+    Metric mirrors
     are deliberately untouched (shards charge with observability
     disabled). *)
 

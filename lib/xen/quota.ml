@@ -83,16 +83,18 @@ let () =
 type bucket = { mutable tokens : float; mutable last : float }
 
 type dom_state = {
+  dom : Domain.t;  (** the domain at its first check: names its metrics *)
   held : int array;  (** indexed like [all_resources]; rate slots unused *)
   buckets : bucket option array;
   throttles : int array;
 }
 
+(* [doms] is indexed by domain id and doubles when a larger id first
+   checks; the driver domain is exempt and never gets a row *)
 type state = {
   lim : limits;
   now : unit -> float;
-  exempt : (string, unit) Hashtbl.t;
-  doms : (string, dom_state) Hashtbl.t;
+  mutable doms : dom_state option array;
   mutable throttled : int;
 }
 
@@ -128,38 +130,46 @@ let burst_of lim = function
   | Grant_copy_bytes -> lim.grant_copy_burst_bytes
   | _ -> lim.burst
 
-let make ?(now = fun () -> 0.) ?(exempt = []) lim =
-  let ex = Hashtbl.create 4 in
-  List.iter (fun d -> Hashtbl.replace ex d ()) exempt;
-  { lim; now; exempt = ex; doms = Hashtbl.create 8; throttled = 0 }
+let make ?(now = fun () -> 0.) lim = { lim; now; doms = [||]; throttled = 0 }
+
+let exempt domain = Domain.kind domain = Domain.Driver_domain
+
+let find e domain =
+  let id = Domain.id domain in
+  if id < Array.length e.doms then e.doms.(id) else None
 
 let dom_state e domain =
-  match Hashtbl.find e.doms domain with
-  | d -> d
-  | exception Not_found ->
+  match find e domain with
+  | Some d -> d
+  | None ->
+      let id = Domain.id domain in
+      e.doms <- Domain.cover e.doms ~id None;
       let d =
         {
+          dom = domain;
           held = Array.make n_resources 0;
           buckets = Array.make n_resources None;
           throttles = Array.make n_resources 0;
         }
       in
-      Hashtbl.replace e.doms domain d;
+      e.doms.(id) <- Some d;
       d
 
-let inuse_gauge domain res v =
+let inuse_gauge d res v =
   if Td_obs.Control.enabled () then
     Td_obs.Metrics.set
       (Td_obs.Metrics.gauge
-         (Printf.sprintf "xen.quota_inuse.%s.%s" domain (resource_name res)))
+         (Printf.sprintf "xen.quota_inuse.%s.%s" (Domain.name d.dom)
+            (resource_name res)))
       (float_of_int v)
 
-let note_throttle e d domain res =
+let note_throttle e d res =
   e.throttled <- e.throttled + 1;
   d.throttles.(resource_index res) <- d.throttles.(resource_index res) + 1;
   if Td_obs.Control.enabled () then begin
     Td_obs.Metrics.bump "xen.quota_throttled";
-    Td_obs.Metrics.bump (Printf.sprintf "xen.quota_throttled.%s" domain);
+    Td_obs.Metrics.bump
+      (Printf.sprintf "xen.quota_throttled.%s" (Domain.name d.dom));
     Td_obs.Trace.emit
       (Td_obs.Trace.Custom
          {
@@ -169,32 +179,33 @@ let note_throttle e d domain res =
   end
 
 let exceeded domain res =
-  raise (Quota_exceeded { domain; resource = resource_name res })
+  let resource = resource_name res in
+  raise (Quota_exceeded { domain = Domain.name domain; resource })
 
 let acquire e ~domain res n =
-  if not (Hashtbl.mem e.exempt domain) then begin
+  if not (exempt domain) then begin
     let limit = cap e.lim res in
     let d = dom_state e domain in
     let i = resource_index res in
     if limit > 0 && d.held.(i) + n > limit then begin
-      note_throttle e d domain res;
+      note_throttle e d res;
       exceeded domain res
     end;
     d.held.(i) <- d.held.(i) + n;
-    inuse_gauge domain res d.held.(i)
+    inuse_gauge d res d.held.(i)
   end
 
 let release e ~domain res n =
-  if not (Hashtbl.mem e.exempt domain) then begin
+  if not (exempt domain) then begin
     let d = dom_state e domain in
     let i = resource_index res in
     d.held.(i) <- max 0 (d.held.(i) - n);
-    inuse_gauge domain res d.held.(i)
+    inuse_gauge d res d.held.(i)
   end
 
 (* Draw [n] tokens at once: the whole draw succeeds or none of it does. *)
 let try_take_n e ~domain res n =
-  Hashtbl.mem e.exempt domain
+  exempt domain
   ||
   let r = rate e.lim res in
   if r <= 0. then true
@@ -221,7 +232,7 @@ let try_take_n e ~domain res n =
       true
     end
     else begin
-      note_throttle e d domain res;
+      note_throttle e d res;
       false
     end
   end
@@ -233,28 +244,26 @@ let take_n e ~domain res n =
 
 let take e ~domain res = take_n e ~domain res 1
 
-let inuse e ~domain res =
-  match Hashtbl.find_opt e.doms domain with
-  | None -> 0
-  | Some d -> d.held.(resource_index res)
+let count cells e domain res =
+  match find e domain with None -> 0 | Some d -> (cells d).(resource_index res)
 
+let inuse e ~domain res = count (fun d -> d.held) e domain res
 let throttled e = e.throttled
-
-let throttled_for e ~domain res =
-  match Hashtbl.find_opt e.doms domain with
-  | None -> 0
-  | Some d -> d.throttles.(resource_index res)
+let throttled_for e ~domain res = count (fun d -> d.throttles) e domain res
 
 let domains e =
-  Hashtbl.fold (fun k _ acc -> k :: acc) e.doms [] |> List.sort compare
+  Array.fold_left
+    (fun acc -> function Some d -> d.dom :: acc | None -> acc)
+    [] e.doms
+  |> List.sort (fun a b -> compare (Domain.name a) (Domain.name b))
 
 let forget e ~domain =
-  match Hashtbl.find_opt e.doms domain with
+  match find e domain with
   | None -> ()
   | Some d ->
       if Td_obs.Control.enabled () then
         List.iter
           (fun res ->
-            if d.held.(resource_index res) <> 0 then inuse_gauge domain res 0)
+            if d.held.(resource_index res) <> 0 then inuse_gauge d res 0)
           all_resources;
-      Hashtbl.remove e.doms domain
+      e.doms.(Domain.id domain) <- None

@@ -1,7 +1,11 @@
 (** Per-domain resource quotas: the multi-tenant guard rails that stop one
     hostile guest from starving the others.
 
-    Two families of resource are policed, both keyed by domain name:
+    Two families of resource are policed per guest domain, keyed by its
+    {!Domain.id}; the driver domain (dom0) is exempt and passes every
+    check. A domain's name appears only in what the engine reports: the
+    {!Quota_exceeded} payload, the metric names and the order of
+    {!domains}.
 
     - {b Concurrency caps} (map-window page pairs, grant-table entries,
       active grant mappings): a plain high-water limit. {!acquire} admits
@@ -72,46 +76,49 @@ val resource_name : resource -> string
 exception Quota_exceeded of { domain : string; resource : string }
 
 type state
-(** A quota engine: limits, simulated clock, exempt set and the
-    per-domain held/bucket/throttle tables. *)
+(** A quota engine: limits, simulated clock and the per-domain
+    held/bucket/throttle state, in an array indexed by domain id that
+    grows on demand. *)
 
-val make : ?now:(unit -> float) -> ?exempt:string list -> limits -> state
+val make : ?now:(unit -> float) -> limits -> state
 (** Build a fresh engine. [now] is the simulated clock in seconds
     (default: a frozen clock, so rate buckets never refill past
-    [burst]); [exempt] domains (typically dom0) pass every check. *)
+    [burst]). *)
 
-val acquire : state -> domain:string -> resource -> int -> unit
+val acquire : state -> domain:Domain.t -> resource -> int -> unit
 (** Claim [n] units of a concurrency-capped resource; raises
     {!Quota_exceeded} (and counts the throttle) if the domain would
     exceed its cap. *)
 
-val release : state -> domain:string -> resource -> int -> unit
+val release : state -> domain:Domain.t -> resource -> int -> unit
 
-val try_take : state -> domain:string -> resource -> bool
+val try_take : state -> domain:Domain.t -> resource -> bool
 (** Draw one token from a rate bucket. [false] (counted as a throttle)
     when the bucket is dry — for callers that degrade gracefully (skip
     the kick, leave the frame staged). *)
 
-val take : state -> domain:string -> resource -> unit
+val take : state -> domain:Domain.t -> resource -> unit
 (** {!try_take} for callers that cannot proceed: raises
     {!Quota_exceeded} when the bucket is dry. *)
 
-val take_n : state -> domain:string -> resource -> int -> unit
+val take_n : state -> domain:Domain.t -> resource -> int -> unit
 (** Draw [n] tokens at once — the whole draw succeeds or none of it
     does — raising {!Quota_exceeded} on a dry bucket. Byte-denominated
     resources ([Grant_copy_bytes]) refill into a
     [grant_copy_burst_bytes]-deep bucket. *)
 
-val inuse : state -> domain:string -> resource -> int
+val inuse : state -> domain:Domain.t -> resource -> int
 (** Current units held (concurrency resources; 0 for rate resources). *)
 
 val throttled : state -> int
 (** Total denials since {!make}. *)
 
-val throttled_for : state -> domain:string -> resource -> int
-val domains : state -> string list
+val throttled_for : state -> domain:Domain.t -> resource -> int
 
-val forget : state -> domain:string -> unit
+val domains : state -> Domain.t list
+(** The domains the engine holds state for, sorted by name. *)
+
+val forget : state -> domain:Domain.t -> unit
 (** Drop the engine's state for [domain] — held units, buckets and
     per-domain throttle counts (aggregate {!throttled} is kept). Called
     when a domain is destroyed so the registry leaves no dangling quota

@@ -1,56 +1,62 @@
 type entry = { dom : Domain.t; mutable credit : int; mutable slices : int }
 
 (* [entries.(0 .. count - 1)] are the run queue, in no particular order:
-   [pick]'s choice depends only on credits and ids. [slot] maps a domain
-   id to its entry's index. *)
+   [pick]'s choice depends only on credits and ids. [slot.(id)] is the
+   index of domain [id]'s entry, -1 when it has none; it doubles when a
+   larger id is added. *)
 type t = {
   initial : int;
   mutable entries : entry array;
   mutable count : int;
-  slot : (int, int) Hashtbl.t;
+  mutable slot : int array;
 }
 
 let create ?(initial_credit = 100) () =
-  { initial = initial_credit; entries = [||]; count = 0; slot = Hashtbl.create 8 }
+  { initial = initial_credit; entries = [||]; count = 0; slot = [||] }
+
+let slot_of t id = if id < Array.length t.slot then t.slot.(id) else -1
 
 let add t dom =
   let e = { dom; credit = t.initial; slices = 0 } in
-  match Hashtbl.find_opt t.slot (Domain.id dom) with
-  | Some i -> t.entries.(i) <- e
-  | None ->
-      if t.count = Array.length t.entries then begin
-        let grown = Array.make (max 8 (2 * t.count)) e in
-        Array.blit t.entries 0 grown 0 t.count;
-        t.entries <- grown
-      end;
-      t.entries.(t.count) <- e;
-      Hashtbl.replace t.slot (Domain.id dom) t.count;
-      t.count <- t.count + 1
+  let id = Domain.id dom in
+  let i = slot_of t id in
+  if i >= 0 then t.entries.(i) <- e
+  else begin
+    if t.count = Array.length t.entries then begin
+      let grown = Array.make (max 8 (2 * t.count)) e in
+      Array.blit t.entries 0 grown 0 t.count;
+      t.entries <- grown
+    end;
+    t.slot <- Domain.cover t.slot ~id (-1);
+    t.entries.(t.count) <- e;
+    t.slot.(id) <- t.count;
+    t.count <- t.count + 1
+  end
 
 (* an unknown domain is guest-reachable input (a stale or forged domain
    handle in a scheduling hypercall), so it faults typed and attributed,
    not with a process-killing invalid_arg *)
 let find t dom =
-  match Hashtbl.find_opt t.slot (Domain.id dom) with
-  | Some i -> t.entries.(i)
-  | None ->
-      Guest_fault.fail ~domain:(Domain.name dom) ~op:"Scheduler.find"
-        "unknown domain %d (%s)" (Domain.id dom) (Domain.name dom)
+  let i = slot_of t (Domain.id dom) in
+  if i >= 0 then t.entries.(i)
+  else
+    Guest_fault.fail ~domain:(Domain.name dom) ~op:"Scheduler.find"
+      "unknown domain %d (%s)" (Domain.id dom) (Domain.name dom)
 
 (* the last entry moves into the removed one's index *)
 let remove t dom =
   let id = Domain.id dom in
-  match Hashtbl.find_opt t.slot id with
-  | None -> ()
-  | Some i ->
-      Hashtbl.remove t.slot id;
-      let last = t.count - 1 in
-      if i < last then begin
-        let moved = t.entries.(last) in
-        t.entries.(i) <- moved;
-        Hashtbl.replace t.slot (Domain.id moved.dom) i
-      end;
-      t.count <- last
+  let i = slot_of t id in
+  if i >= 0 then begin
+    t.slot.(id) <- -1;
+    let last = t.count - 1 in
+    if i < last then begin
+      let moved = t.entries.(last) in
+      t.entries.(i) <- moved;
+      t.slot.(Domain.id moved.dom) <- i
+    end;
+    t.count <- last
+  end
 
 let refill t =
   Td_obs.Metrics.bump "sched.refills";

@@ -24,7 +24,7 @@ let make_stub ?quota ?fault ~hyp ~dom0 ~name ~impl stats : Td_cpu.Native.fn =
      (whose contents are not preserved across the domain transition);
      the Xen work is attributed to the domain whose driver invoked it *)
   let prev = Hypervisor.current ~op:"upcall" hyp in
-  Hypervisor.charge_xen_for hyp ~domain:(Domain.name prev)
+  Hypervisor.charge_xen_for hyp ~domain:prev
     costs.Sys_costs.upcall_stack_switch;
   let needs_switch = Domain.id prev <> Domain.id dom0 in
   if needs_switch then stats.switches_incurred <- stats.switches_incurred + 2;
@@ -44,13 +44,12 @@ let make_stub ?quota ?fault ~hyp ~dom0 ~name ~impl stats : Td_cpu.Native.fn =
      bucket — one tenant hammering support routines cannot monopolise
      dom0 (raises the typed Quota_exceeded when dry) *)
   (match quota with
-  | Some q -> Quota.take q ~domain:(Domain.name prev) Quota.Upcalls
+  | Some q -> Quota.take q ~domain:prev Quota.Upcalls
   | None -> ());
   Hypervisor.run_in hyp dom0 (fun () ->
       (* synchronous virtual interrupt into dom0: the registered handler
          recovers parameters and invokes the support routine *)
-      Hypervisor.charge_xen_for hyp ~domain:(Domain.name prev)
-        costs.Sys_costs.event_channel;
+      Hypervisor.charge_xen_for hyp ~domain:prev costs.Sys_costs.event_channel;
       Hypervisor.charge_domain hyp dom0 costs.Sys_costs.support_routine;
       impl st;
       (* 'return' to the stub via hypercall *)

@@ -44,12 +44,22 @@ let test_fuzz_without_quota () =
     (r.Td_adv.Fuzz.violations = []);
   check int_c "no denials without quotas" 0 r.Td_adv.Fuzz.quota_denials
 
+(* the quota engine keys on domain ids and exempts the driver domain by
+   its kind: dom0 (id 0) and two guests, "g" and "h" *)
+let quota_domains () =
+  let phys = Td_mem.Phys_mem.create () in
+  let dom id name kind =
+    Domain.create ~id ~name ~kind ~space:(Td_mem.Addr_space.create ~name phys)
+  in
+  (dom 0 "dom0" Domain.Driver_domain, dom 1 "g" Domain.Guest,
+   dom 2 "h" Domain.Guest)
+
 let test_token_bucket () =
+  let dom0, g, h = quota_domains () in
   let clock = ref 0.0 in
   let q =
     Quota.make
       ~now:(fun () -> !clock)
-      ~exempt:[ "dom0" ]
       {
         Quota.unlimited with
         Quota.notifications_per_s = 10.;
@@ -59,53 +69,53 @@ let test_token_bucket () =
   in
   (* the bucket starts full at [burst] *)
   for _ = 1 to 3 do
-    check bool_c "burst token" true (Quota.try_take q ~domain:"g" Quota.Notifications)
+    check bool_c "burst token" true (Quota.try_take q ~domain:g Quota.Notifications)
   done;
-  check bool_c "bucket dry" false (Quota.try_take q ~domain:"g" Quota.Notifications);
+  check bool_c "bucket dry" false (Quota.try_take q ~domain:g Quota.Notifications);
   check bool_c "take raises when dry" true
-    (match Quota.take q ~domain:"g" Quota.Notifications with
+    (match Quota.take q ~domain:g Quota.Notifications with
     | exception Quota.Quota_exceeded { domain = "g"; resource } ->
         resource = Quota.resource_name Quota.Notifications
     | _ -> false);
   (* simulated time refills at 10 tokens/s, capped at burst *)
   clock := !clock +. 0.1;
   check bool_c "one token refilled" true
-    (Quota.try_take q ~domain:"g" Quota.Notifications);
-  check bool_c "only one" false (Quota.try_take q ~domain:"g" Quota.Notifications);
+    (Quota.try_take q ~domain:g Quota.Notifications);
+  check bool_c "only one" false (Quota.try_take q ~domain:g Quota.Notifications);
   clock := !clock +. 100.0;
   for _ = 1 to 3 do
     check bool_c "refill capped at burst" true
-      (Quota.try_take q ~domain:"g" Quota.Notifications)
+      (Quota.try_take q ~domain:g Quota.Notifications)
   done;
-  check bool_c "capped" false (Quota.try_take q ~domain:"g" Quota.Notifications);
+  check bool_c "capped" false (Quota.try_take q ~domain:g Quota.Notifications);
   (* per-(domain, resource) buckets are independent *)
   check bool_c "other domain unaffected" true
-    (Quota.try_take q ~domain:"h" Quota.Notifications);
+    (Quota.try_take q ~domain:h Quota.Notifications);
   check bool_c "other resource unaffected" true
-    (Quota.try_take q ~domain:"g" Quota.Upcalls);
+    (Quota.try_take q ~domain:g Quota.Upcalls);
   (* exempt domains never throttle *)
   for _ = 1 to 50 do
-    check bool_c "dom0 exempt" true (Quota.try_take q ~domain:"dom0" Quota.Notifications)
+    check bool_c "dom0 exempt" true (Quota.try_take q ~domain:dom0 Quota.Notifications)
   done;
   check bool_c "throttles counted" true (Quota.throttled q >= 2);
   check bool_c "per-domain throttles" true
-    (Quota.throttled_for q ~domain:"g" Quota.Notifications >= 2)
+    (Quota.throttled_for q ~domain:g Quota.Notifications >= 2)
 
 let test_concurrency_caps () =
+  let _, g, _ = quota_domains () in
   let q =
-    Quota.make ~exempt:[ "dom0" ]
-      { Quota.unlimited with Quota.map_window_pages = 4 }
+    Quota.make { Quota.unlimited with Quota.map_window_pages = 4 }
   in
-  Quota.acquire q ~domain:"g" Quota.Map_window_pages 2;
-  Quota.acquire q ~domain:"g" Quota.Map_window_pages 2;
-  check int_c "inuse" 4 (Quota.inuse q ~domain:"g" Quota.Map_window_pages);
+  Quota.acquire q ~domain:g Quota.Map_window_pages 2;
+  Quota.acquire q ~domain:g Quota.Map_window_pages 2;
+  check int_c "inuse" 4 (Quota.inuse q ~domain:g Quota.Map_window_pages);
   check bool_c "cap enforced" true
-    (match Quota.acquire q ~domain:"g" Quota.Map_window_pages 2 with
+    (match Quota.acquire q ~domain:g Quota.Map_window_pages 2 with
     | exception Quota.Quota_exceeded _ -> true
     | _ -> false);
-  Quota.release q ~domain:"g" Quota.Map_window_pages 2;
-  check int_c "released" 2 (Quota.inuse q ~domain:"g" Quota.Map_window_pages);
-  Quota.acquire q ~domain:"g" Quota.Map_window_pages 2;
+  Quota.release q ~domain:g Quota.Map_window_pages 2;
+  check int_c "released" 2 (Quota.inuse q ~domain:g Quota.Map_window_pages);
+  Quota.acquire q ~domain:g Quota.Map_window_pages 2;
   (* no engine, no check: a rig built without quotas admits what an
      engine would refuse *)
   let env = Td_adv.Harness.make () in

@@ -5,7 +5,7 @@
    - the epoch-flush TLB against [Ref_tlb], the fill-on-flush original;
    - the one-walk stack ops of [Semantics] against the two-walk formula
      (a fresh lookup to charge, then [State.push]/[State.pop]);
-   - the cached ledger rows against a [Hashtbl]-only ledger;
+   - the id-keyed ledger rows against a by-name ledger;
    - [Shard.run] on persistent helpers against its contract. *)
 
 open Td_misa
@@ -295,11 +295,13 @@ let test_stack_ops_cover_faults () =
     (outcome_at (esp_index (stack_base + 0x3010)) (Push_imm 0xAB) = "ok");
   check bool_c "device write logged" true (Buffer.length rig.dev_log > 0)
 
-(* --- cached ledger rows against a Hashtbl-only ledger --- *)
+(* --- id-keyed ledger rows against a by-name ledger --- *)
 
 module Ledger = Td_xen.Ledger
+module Domain = Td_xen.Domain
 
-(* The per-domain rows as they were kept before the row cache. *)
+(* The per-domain rows as they were kept before rows were keyed by
+   domain id: one table by name. *)
 module Ref_rows = struct
   let charge t domain n =
     match Hashtbl.find_opt t domain with
@@ -319,20 +321,35 @@ module Ref_rows = struct
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [] |> List.sort compare
 end
 
+let row_phys = Phys_mem.create ()
+
+let row_domain id name =
+  Domain.create ~id ~name ~kind:Domain.Guest
+    ~space:(Addr_space.create ~name row_phys)
+
+(* Name order is not id order ("attacker" sorts first but has id 5), and
+   ids 37 and 100 make the row arrays grow. Slot 2's id is reused: after
+   a [Reuse] retires it in both ledgers, it charges under the other
+   name. *)
+let ledger_domains =
+  [| row_domain 0 "dom0"; row_domain 1 "guest1"; row_domain 2 "guest2";
+     row_domain 5 "attacker"; row_domain 37 "churn37";
+     row_domain 100 "churn100" |]
+
+let reborn = row_domain 2 "reborn2"
+
 type ledger_op =
-  | Charge of bool * int * bool * int  (** into B?, domain, fresh copy?, n *)
+  | Charge of bool * int * int  (** into B?, domain slot, n *)
   | Retire of bool * int
+  | Reuse  (** retire slot 2 in both ledgers and flip its name *)
   | Reset of bool
   | Merge
 
-let ledger_domains = [| "dom0"; "guest1"; "guest2"; "attacker"; Ledger.retired_row |]
-
 let print_ledger_op = function
-  | Charge (b, d, fresh, n) ->
-      Printf.sprintf "charge%s %s%s %d" (if b then "B" else "A")
-        ledger_domains.(d) (if fresh then "(copy)" else "") n
-  | Retire (b, d) ->
-      Printf.sprintf "retire%s %s" (if b then "B" else "A") ledger_domains.(d)
+  | Charge (b, d, n) ->
+      Printf.sprintf "charge%s %d %d" (if b then "B" else "A") d n
+  | Retire (b, d) -> Printf.sprintf "retire%s %d" (if b then "B" else "A") d
+  | Reuse -> "reuse slot 2"
   | Reset b -> if b then "resetB" else "resetA"
   | Merge -> "merge B into A"
 
@@ -341,57 +358,93 @@ let ledger_op_gen =
     let dom = int_range 0 (Array.length ledger_domains - 1) in
     frequency
       [
-        ( 12,
-          map
-            (fun (b, d, fresh, n) -> Charge (b, d, fresh, n))
-            (quad bool dom (frequencyl [ (4, false); (1, true) ]) (int_range 0 1000)) );
+        (12, map (fun (b, d, n) -> Charge (b, d, n)) (triple bool dom (int_range 0 1000)));
         (2, map2 (fun b d -> Retire (b, d)) bool dom);
+        (1, return Reuse);
         (1, map (fun b -> Reset b) bool);
         (2, return Merge);
       ])
 
+(* Both ledgers and both references after [ops], compared after every
+   op: snapshots equal, and each live domain's total equal. *)
+let rows_agree ops =
+  let a = Ledger.create () and b = Ledger.create () in
+  let ra = Hashtbl.create 8 and rb = Hashtbl.create 8 in
+  let doms = Array.copy ledger_domains in
+  let pick side = if side then (b, rb) else (a, ra) in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Charge (side, d, n) ->
+          let l, r = pick side in
+          Ledger.charge_for l Ledger.DomU ~domain:doms.(d) n;
+          Ref_rows.charge r (Domain.name doms.(d)) n
+      | Retire (side, d) ->
+          let l, r = pick side in
+          Ledger.retire_domain l ~domain:doms.(d);
+          Ref_rows.retire r (Domain.name doms.(d))
+      | Reuse ->
+          List.iter
+            (fun (l, r) ->
+              Ledger.retire_domain l ~domain:doms.(2);
+              Ref_rows.retire r (Domain.name doms.(2)))
+            [ (a, ra); (b, rb) ];
+          doms.(2) <- (if doms.(2) == reborn then ledger_domains.(2) else reborn)
+      | Reset side ->
+          let l, r = pick side in
+          Ledger.reset l;
+          Hashtbl.reset r
+      | Merge ->
+          Ledger.merge_into ~into:a b;
+          Ref_rows.merge ~into:ra rb);
+      Ledger.domain_snapshot a = Ref_rows.snapshot ra
+      && Ledger.domain_snapshot b = Ref_rows.snapshot rb
+      && Array.for_all
+           (fun d ->
+             Ledger.domain_total a d
+             = Option.value ~default:0 (Hashtbl.find_opt ra (Domain.name d)))
+           doms)
+    ops
+
 let ledger_rows_prop =
-  QCheck.Test.make ~name:"cached ledger rows match a hashtable-only ledger"
+  QCheck.Test.make ~name:"id-keyed ledger rows match a by-name ledger"
     ~count:300
     (QCheck.make
        QCheck.Gen.(list_size (int_range 1 80) ledger_op_gen)
        ~print:(fun ops -> String.concat "; " (List.map print_ledger_op ops)))
-    (fun ops ->
-      let a = Ledger.create () and b = Ledger.create () in
-      let ra = Hashtbl.create 8 and rb = Hashtbl.create 8 in
-      let pick side = if side then (b, rb) else (a, ra) in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Charge (side, d, fresh, n) ->
-              let l, r = pick side in
-              (* a caller's own string, or an equal one at another address *)
-              let domain =
-                if fresh then String.init (String.length ledger_domains.(d))
-                    (String.get ledger_domains.(d))
-                else ledger_domains.(d)
-              in
-              Ledger.charge_for l Ledger.DomU ~domain n;
-              Ref_rows.charge r domain n
-          | Retire (side, d) ->
-              let l, r = pick side in
-              Ledger.retire_domain l ~domain:ledger_domains.(d);
-              Ref_rows.retire r ledger_domains.(d)
-          | Reset side ->
-              let l, r = pick side in
-              Ledger.reset l;
-              Hashtbl.reset r
-          | Merge ->
-              Ledger.merge_into ~into:a b;
-              Ref_rows.merge ~into:ra rb);
-          Ledger.domain_snapshot a = Ref_rows.snapshot ra
-          && Ledger.domain_snapshot b = Ref_rows.snapshot rb
-          && Array.for_all
-               (fun d ->
-                 Ledger.domain_total a d
-                 = Option.value ~default:0 (Hashtbl.find_opt ra d))
-               ledger_domains)
-        ops)
+    rows_agree
+
+(* A retired id charges afresh, under the name its new domain has, and
+   the old row's cycles stay in "<retired>". *)
+let test_ledger_id_reuse () =
+  check bool_c "reuse after retire" true
+    (rows_agree
+       [ Charge (false, 2, 40); Charge (false, 3, 1); Retire (false, 2);
+         Charge (false, 2, 7); Reuse; Charge (false, 2, 5); Charge (false, 2, 0);
+         Reuse; Charge (false, 2, 9) ]);
+  let l = Ledger.create () in
+  Ledger.charge_for l Ledger.DomU ~domain:ledger_domains.(2) 40;
+  Ledger.retire_domain l ~domain:ledger_domains.(2);
+  Ledger.charge_for l Ledger.DomU ~domain:reborn 5;
+  check
+    Alcotest.(list (pair string int))
+    "fresh row under the new name"
+    [ (Ledger.retired_row, 40); ("reborn2", 5) ]
+    (Ledger.domain_snapshot l)
+
+(* Rows created in different orders (and arrays grown at different
+   points) merge by id, whichever ledger is the target; a row present
+   only in the source is carried over, even one charged with 0. *)
+let test_ledger_merge_orders () =
+  check bool_c "B's rows created last-id first" true
+    (rows_agree
+       [ Charge (true, 5, 100); Charge (true, 4, 3); Charge (true, 0, 0);
+         Charge (false, 0, 1); Charge (false, 1, 2); Charge (false, 4, 3);
+         Merge; Charge (true, 1, 9); Charge (false, 3, 8); Merge ]);
+  check bool_c "A holds only rows B lacks" true
+    (rows_agree
+       [ Charge (false, 2, 11); Retire (false, 2); Charge (true, 3, 0);
+         Charge (true, 5, 6); Merge; Merge ])
 
 (* --- Shard.run on persistent helpers --- *)
 
@@ -479,6 +532,9 @@ let suite =
     Alcotest.test_case "stack ops reach faults and devices" `Quick
       test_stack_ops_cover_faults;
     QCheck_alcotest.to_alcotest ledger_rows_prop;
+    Alcotest.test_case "ledger id reused after retire" `Quick test_ledger_id_reuse;
+    Alcotest.test_case "ledger merges rows made in other orders" `Quick
+      test_ledger_merge_orders;
     Alcotest.test_case "shard results in job order" `Quick test_shard_order;
     Alcotest.test_case "shard helpers are reused" `Quick test_shard_helpers_reused;
     Alcotest.test_case "shard exception after all jobs" `Quick

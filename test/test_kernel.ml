@@ -54,17 +54,18 @@ let test_skb_lifecycle () =
   check bool_c "pulled" true (Bytes.to_string (Skb.contents skb) = "cdef");
   (* out-of-range lengths are guest-reachable input: typed, counted
      Guest_fault attributed to the buffer's address space, not Failure *)
-  let faults0 = Td_xen.Guest_fault.total_for "dom0" in
-  check bool_c "overflow rejected" true
-    (match Skb.put skb (Bytes.make 300 'x') with
-    | exception Td_xen.Guest_fault.Fault { op = "Skb.put"; _ } -> true
-    | _ -> false);
-  check bool_c "pull underflow rejected" true
-    (match Skb.pull skb 100 with
-    | exception Td_xen.Guest_fault.Fault { op = "Skb.pull"; _ } -> true
-    | _ -> false);
-  check int_c "faults attributed to dom0" (faults0 + 2)
-    (Td_xen.Guest_fault.total_for "dom0")
+  let dom0_faults () = Td_obs.Metrics.counter_value "xen.guest_faults.dom0" in
+  Td_obs.Control.with_enabled (fun () ->
+      let faults0 = dom0_faults () in
+      check bool_c "overflow rejected" true
+        (match Skb.put skb (Bytes.make 300 'x') with
+        | exception Td_xen.Guest_fault.Fault { op = "Skb.put"; _ } -> true
+        | _ -> false);
+      check bool_c "pull underflow rejected" true
+        (match Skb.pull skb 100 with
+        | exception Td_xen.Guest_fault.Fault { op = "Skb.pull"; _ } -> true
+        | _ -> false);
+      check int_c "faults attributed to dom0" (faults0 + 2) (dom0_faults ()))
 
 (* Netback's in-place fill: bytes copied within the buffer's own space,
    the overflow check before any byte moves, and a source fault leaving

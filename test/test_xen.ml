@@ -232,7 +232,16 @@ let test_scheduler_fairness () =
   done;
   check int_c "b monopolises when alone" 8 (Scheduler.slices sc b);
   check bool_c "nothing runnable -> None" true
-    (Scheduler.pick sc ~runnable:(fun () _ -> false) () = None)
+    (Scheduler.pick sc ~runnable:(fun () _ -> false) () = None);
+  (* a removed id, and one past the end of the slot array, fault typed *)
+  Scheduler.remove sc c;
+  List.iter
+    (fun d ->
+      check bool_c "unknown domain faults" true
+        (match Scheduler.credit sc d with
+        | exception Guest_fault.Fault { op = "Scheduler.find"; _ } -> true
+        | _ -> false))
+    [ c; mk 1000 ]
 
 (* The list-based credit scheduler the array one replaced: [add]
    appends, [remove] filters, [pick] takes the runnable entry with the
