@@ -160,6 +160,14 @@ let interp_rx_identical identical =
     "fig8-style rx cycles equal across engine modes: %b; must be true"
     identical
 
+let interp_max_walks_per_frame = 2.0
+
+let interp_twin_tx_walks walks =
+  row "interp_twin_tx_walks"
+    (walks <= interp_max_walks_per_frame)
+    "%.3f page-table walks per twin transmit frame; must be <= %g" walks
+    interp_max_walks_per_frame
+
 (* ---- trajectory: allocation against the last committed row ---- *)
 
 let trajectory_alloc_tolerance = 0.01

@@ -145,6 +145,15 @@ val interp_modes_identical : bool -> outcome
 val interp_rx_identical : bool -> outcome
 (** Fig8-style receive cycles are equal across engine modes. *)
 
+val interp_max_walks_per_frame : float
+(** 2.0 *)
+
+val interp_twin_tx_walks : float -> outcome
+(** Page-table walks in compiled superblocks (memo misses,
+    [Interp.page_walks]) per frame of a 2,000-frame twin transmit at
+    Fig 7's cadence, its 64-frame warm-up included,
+    [<= interp_max_walks_per_frame]: memos outlive superblock runs. *)
+
 (** {1 trajectory: allocation against the last committed row} *)
 
 val trajectory_alloc_tolerance : float

@@ -14,6 +14,7 @@
 
 external install : unit -> unit = "hostprof_install"
 external timer : int -> unit = "hostprof_timer"
+external record : bool -> unit = "hostprof_record"
 external anchor : unit -> int = "hostprof_anchor"
 external samples : unit -> int array = "hostprof_samples"
 
@@ -44,7 +45,7 @@ let symbols () =
   syms
 
 (* OCaml appends a unique stamp to every function symbol; drop it so the
-   names read as the source does. *)
+   names read as the source does (see [display_names]). *)
 let strip_stamp name =
   match String.rindex_opt name '_' with
   | Some i
@@ -54,6 +55,24 @@ let strip_stamp name =
               (String.sub name (i + 1) (String.length name - i - 1)) ->
       String.sub name 0 i
   | _ -> name
+
+(* The name each symbol is listed under: without its stamp, unless
+   another symbol strips to the same name — say the generic
+   [Hashtbl.find] and a functor instance's [find] — in which case every
+   symbol of that name keeps its stamp, so their samples stay apart. *)
+let display_names syms =
+  let seen = Hashtbl.create 1024 in
+  Array.iter
+    (fun (_, _, name) ->
+      let s = strip_stamp name in
+      Hashtbl.replace seen s
+        (1 + Option.value ~default:0 (Hashtbl.find_opt seen s)))
+    syms;
+  Array.map
+    (fun (a, b, name) ->
+      let s = strip_stamp name in
+      (a, b, if Hashtbl.find seen s > 1 then name else s))
+    syms
 
 (* The symbol containing [addr]: the last one starting at or below it,
    if [addr] is before its end. *)
@@ -69,7 +88,7 @@ let containing syms addr =
   if Array.length syms = 0 || addr < start syms.(0) then outside
   else
     let _, stop, name = syms.(go 0 (Array.length syms - 1)) in
-    if addr < stop then strip_stamp name else outside
+    if addr < stop then name else outside
 
 let () =
   let name, passes =
@@ -87,12 +106,13 @@ let () =
   in
   let build = w.Td_suite.Workload.prepare ~seed:1 ~scale:1 in
   install ();
+  timer 1000;
   for _ = 1 to passes do
     let p = build () in
     while p.Td_suite.Workload.more () do
-      timer 1000;
+      record true;
       ignore (p.Td_suite.Workload.chunk () : int);
-      timer 0
+      record false
     done;
     let o = p.Td_suite.Workload.finish () in
     List.iter
@@ -100,7 +120,8 @@ let () =
         if not ok then Printf.eprintf "hostprof: check %s failed\n" check)
       o.Td_suite.Workload.checks
   done;
-  let syms = symbols () in
+  timer 0;
+  let syms = display_names (symbols ()) in
   let bias =
     match Array.find_opt (fun (_, _, n) -> n = "hostprof_install") syms with
     | Some (a, _, _) -> anchor () - a

@@ -1,7 +1,16 @@
-/* SIGPROF sampler: every ITIMER_PROF tick (process CPU time), record the
-   interrupted instruction pointer into a static buffer. The handler
-   touches nothing but that buffer and an atomic counter, so it is safe
-   to run in any thread at any point, OCaml code included. */
+/* SIGPROF sampler: every ITIMER_PROF tick (process CPU time) while
+   recording is on, record the interrupted instruction pointer into a
+   static buffer. The handler touches nothing but that buffer, an atomic
+   counter and the recording flag, so it is safe to run in any thread at
+   any point, OCaml code included.
+
+   The timer runs for the whole profile and recording is switched on
+   only around the code being profiled. Stopping the timer outside that
+   code instead, and restarting it from a full interval, would let
+   almost no tick fire in runs shorter than the kernel's tick; and the
+   remaining interval that getitimer reports is no way to resume it,
+   since it reads up to a tick long, so a saved-and-restored timer can
+   be pushed back past its expiry on every restart. */
 
 #define _GNU_SOURCE
 #include <signal.h>
@@ -25,11 +34,13 @@
 #define CAP (1 << 20)
 static uintnat samples[CAP];
 static uintnat count;
+static volatile int recording;
 
 static void on_prof(int sig, siginfo_t *si, void *ctx)
 {
   (void)sig;
   (void)si;
+  if (!recording) return;
   uintnat pc = PC((ucontext_t *)ctx);
   uintnat i = __atomic_fetch_add(&count, 1, __ATOMIC_RELAXED);
   if (i < CAP) samples[i] = pc;
@@ -55,6 +66,13 @@ value hostprof_timer(value usec)
   it.it_interval.tv_usec = Long_val(usec) % 1000000;
   it.it_value = it.it_interval;
   setitimer(ITIMER_PROF, &it, NULL);
+  return Val_unit;
+}
+
+/* Keep (true) or drop (false) the ticks that follow. */
+value hostprof_record(value on)
+{
+  recording = Bool_val(on);
   return Val_unit;
 }
 

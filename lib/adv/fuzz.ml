@@ -147,9 +147,17 @@ let op_grant (env : Harness.env) streams gs =
       (* unmap at the wrong vpage: must be refused, not silently unmap *)
       match pick streams s_grant gs.live with
       | None -> Hypervisor.hypercall env.hyp ()
-      | Some (g, _) ->
-          Grant_table.unmap gt ~hyp:env.hyp ~from:env.dom0
-            ~at_vpage:(rand_vpage ()) g)
+      | Some (g, m) ->
+          let vp = rand_vpage () in
+          Grant_table.unmap gt ~hyp:env.hyp ~from:env.dom0 ~at_vpage:vp g;
+          (* the draw hit a vpage the ref is mapped at, so the unmap was
+             legitimate: the ref is no longer mapped where we recorded,
+             and a later revoke must not count that vpage as poisoned *)
+          if m = Some vp then
+            gs.live <-
+              List.map
+                (fun (g', m') -> if g' = g then (g', None) else (g', m'))
+                gs.live)
   | 6 -> (
       (* revoke — possibly while mapped (forced teardown + poison) *)
       match pick streams s_grant gs.live with

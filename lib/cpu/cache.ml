@@ -33,6 +33,16 @@ let[@inline] access t paddr =
     false
   end
 
-let flush t = Array.fill t.tags 0 t.lines (-1)
 let hits t = t.hit_count
 let misses t = t.miss_count
+let[@inline] changes t = t.miss_count
+
+(* Only a miss evicts, so an unchanged miss count means the line the
+   caller last accessed is still resident. *)
+let[@inline] access_since t paddr ~prev ~since =
+  if since = t.miss_count && paddr lsr t.line_shift = prev lsr t.line_shift
+  then begin
+    t.hit_count <- t.hit_count + 1;
+    true
+  end
+  else access t paddr

@@ -40,6 +40,7 @@ type t = {
   mutable compiled_hits : int;
   mutable compiled_bailouts : int;
   stlb_elided : int ref;
+  page_walks : int ref;
 }
 
 let create ?fault state registry natives =
@@ -65,6 +66,7 @@ let create ?fault state registry natives =
     compiled_hits = 0;
     compiled_bailouts = 0;
     stlb_elided = ref 0;
+    page_walks = ref 0;
   }
 
 let state t = t.state
@@ -226,7 +228,7 @@ let compile_at t pc =
   match resolve_uncached t pc with
   | prog, idx ->
       Superblock.compile ~natives:t.natives ~costs:t.state.State.costs
-        ~elided:t.stlb_elided ~probes:t.probes ~cap:default_superblock_cap prog
+        ~elided:t.stlb_elided ~walks:t.page_walks ~probes:t.probes ~cap:default_superblock_cap prog
         idx
   | exception Fault _ -> None
 
@@ -315,6 +317,7 @@ let compiled_blocks t = t.compiled_blocks
 let compiled_hits t = t.compiled_hits
 let compiled_bailouts t = t.compiled_bailouts
 let stlb_elided t = !(t.stlb_elided)
+let page_walks t = !(t.page_walks)
 
 (* Gauges are published on demand only: the global metrics registry is
    snapshotted wholesale into every Measure result, so registering these
@@ -329,4 +332,5 @@ let publish_metrics t =
   set "interp.compiled_blocks" t.compiled_blocks;
   set "interp.compiled_hits" t.compiled_hits;
   set "interp.compiled_bailouts" t.compiled_bailouts;
-  set "interp.stlb_elided" !(t.stlb_elided)
+  set "interp.stlb_elided" !(t.stlb_elided);
+  set "interp.page_walks" !(t.page_walks)

@@ -96,15 +96,22 @@ val compiled_bailouts : t -> int
     worst-case pass). *)
 
 val stlb_elided : t -> int
-(** stlb translations skipped inside compiled superblocks (same base
-    register, same page: the translated frame is reused while the TLB
-    and cache models still observe the access). *)
+(** Accesses in compiled superblocks served by their site's translation
+    memo: no page-table walk or frame lookup, while the TLB and cache
+    models still observe the access (see {!Superblock}). *)
+
+val page_walks : t -> int
+(** Accesses in compiled superblocks whose site's memo missed: a
+    page-table walk, and a refill on a frame-backed page. Each memory
+    operand walks on its first access and again only after its page is
+    remapped, unmapped, or any frame is freed. *)
 
 val publish_metrics : t -> unit
 (** Export the engine counters as [interp.block_hits] /
     [interp.block_misses] / [interp.invalidations] /
     [interp.compiled_blocks] / [interp.compiled_hits] /
-    [interp.compiled_bailouts] / [interp.stlb_elided] gauges. Called
+    [interp.compiled_bailouts] / [interp.stlb_elided] /
+    [interp.page_walks] gauges. Called
     explicitly by the interp benchmark — never during normal runs, so
     the registry snapshot embedded in every Measure result stays
     bit-identical with pre-engine exports. *)

@@ -22,6 +22,10 @@ val ret_sentinel : int
 val mask32 : int -> int
 val sign_bit : int
 
+val frame_cost : Cost_model.t -> tlb_hit:bool -> cache_hit:bool -> int
+(** The cycles {!charge} charges for an access to a frame-backed page,
+    given the TLB's and the cache's verdicts on it. *)
+
 val charge :
   State.t -> int -> Td_mem.Addr_space.mapping option -> unit
 (** [charge st addr m] charges the cycle cost of one memory access at

@@ -52,7 +52,7 @@ let set_narrow t w r v =
       let old = get t r in
       set t r ((old land lnot m) lor (v land m))
 
-let space_for t addr =
+let[@inline] space_for t addr =
   match t.hyp_space with
   | Some hs when Td_mem.Layout.in_hyp_range addr -> hs
   | Some _ | None -> t.space

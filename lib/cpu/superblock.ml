@@ -7,8 +7,8 @@
    cannot fuse (calls, returns, indirect jumps, [Hlt]) ends the trace
    just before itself so the interpreter's per-block engine executes it.
 
-   Three optimisations over per-instruction dispatch, all invisible in
-   the simulated (cycles, steps):
+   Four optimisations over per-instruction dispatch, all invisible in
+   the simulated (cycles, steps) and in the TLB and cache counters:
 
    - issue cycles and step counts are aggregated statically per trace
      (the dual-issue pairing evolution is data-independent given the
@@ -19,11 +19,13 @@
      are provably dead (overwritten before any read, side exit or
      possible fault) skips materialising them;
 
-   - redundant stlb translations are eliminated: two accesses through
-     the same base register to the same page, or two absolute operands
-     on the same page, reuse the translated frame, skipping the
-     page-table walks while still driving the TLB and cache models with
-     the exact per-access arguments.
+   - every memory operand has a translation memo that outlives the run:
+     while the page-table entry it cached is still in place and no frame
+     has been freed, an access skips the frame lookup, and TLB and cache
+     hit witnesses skip those models' lookups, while every access is
+     still charged and counted exactly;
+
+   - the SVM rewriter's nine-instruction inline probe (Fig 4) is one op.
 
    Abort accounting: a fault inside the closure charges the cycles,
    steps and fuel of the prefix up to and including the faulting
@@ -172,120 +174,187 @@ let elide_flags ents s =
   in
   w <> 0 && flag_write_final e.e_insn && scan w (s + 1)
 
-(* --- stlb-redundancy elimination --- *)
+(* --- translation memos --- *)
 
-(* A translation memo: the last page translated through it, the mapping
-   the page-table walk returned for it and that frame's buffer. Valid
-   only while [s_stamp] matches [c_stamp] — the stamp is bumped at every
-   block entry and after any device access (a device hook may remap
-   pages, e.g. the SVM window reclaim). *)
+module A = Td_mem.Addr_space
+module P = Td_mem.Phys_mem
+
+(* A page-table entry that no table ever holds: [Addr_space] stores a
+   freshly allocated [Some] for every map, so a slot that has never
+   translated anything matches no lookup. *)
+let never : A.mapping option = Some (A.Frame 0)
+
+(* One memo per memory operand (a "site"). It holds the page-table entry
+   the site last translated, physically: the entry it caches is the very
+   [Some] box [Addr_space.lookup] returned. Every map stores a fresh box
+   and nothing ever stores one again once it is unmapped or released, so
+   while [lookup] still returns this box the page is mapped, in this
+   space, to this frame, exactly as when the slot was filled. The frame
+   itself may have been freed (and reused) behind a stale mapping in the
+   meantime; [Phys_mem.free_epoch] moves on every free, so a slot whose
+   [s_free] still reads the current epoch holds the frame's own live
+   buffer. While both checks hold, the site skips the frame lookup and
+   reuses [s_bytes]; nothing else invalidates it, so a slot outlives runs
+   of its superblock, device accesses and TLB flushes alike.
+
+   The witnesses are the TLB's and the cache's change counters, and the
+   physical address, recorded right after the slot's last access. On a
+   memo hit the access is to the same page, so {!Tlb.access_since} and
+   {!Cache.access_since} may count their hits without looking while
+   nothing has been evicted since. *)
 type slot = {
-  mutable s_stamp : int;
-  mutable s_page : int;
-  mutable s_map : Td_mem.Addr_space.mapping option;  (* always [Some (Frame _)] *)
-  mutable s_bytes : Bytes.t;
+  mutable s_map : A.mapping option;
+  mutable s_bytes : Bytes.t;  (* the frame's own buffer ([Phys_mem.page]) *)
+  mutable s_frame : int;  (* the frame's physical base address *)
+  mutable s_free : int;  (* [Phys_mem.free_epoch] when [s_bytes] was taken *)
+  mutable s_tlb : int;  (* [Tlb.changes] after the last access *)
+  mutable s_paddr : int;  (* the last access's physical address *)
+  mutable s_cache : int;  (* [Cache.changes] after the last access *)
 }
+
+let new_slot () =
+  {
+    s_map = never;
+    s_bytes = Bytes.empty;
+    s_frame = 0;
+    s_free = -1;
+    s_tlb = -1;
+    s_paddr = 0;
+    s_cache = -1;
+  }
 
 type ctx = {
-  c_stamp : int ref;
-  c_elided : int ref;
-  c_regs : (int, slot) Hashtbl.t;  (* base-register index -> memo *)
-  c_pages : (int, slot) Hashtbl.t;  (* page of an absolute operand -> memo *)
+  c_hits : int ref;  (* accesses served by a memo ([interp.stlb_elided]) *)
+  c_walks : int ref;  (* memo misses: a page-table walk and a refill *)
 }
 
-let slot_in tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some s -> s
-  | None ->
-      let s = { s_stamp = -1; s_page = -1; s_map = None; s_bytes = Bytes.empty } in
-      Hashtbl.add tbl key s;
-      s
+let[@inline] memo_hit slot space m =
+  m == slot.s_map && slot.s_free = P.free_epoch (A.phys space)
 
-(* Memoisable access: a resolved symbol, no index, and either one base
-   register (memo per register) or none at all — an absolute [disp], such
-   as an SVM spill slot, memoised per constant page. Everything else
-   takes the ordinary [Semantics] path. *)
-type memo = No_memo | Memo_reg of int * int | Memo_abs of int
+(* Record the witnesses an access at [paddr] just left. *)
+let[@inline] witness slot st paddr =
+  slot.s_tlb <- Tlb.changes st.State.tlb;
+  slot.s_paddr <- paddr;
+  slot.s_cache <- Cache.changes st.State.cache
 
-let memo_mem (m : Operand.mem) =
-  match (m.Operand.base, m.Operand.index, m.Operand.sym) with
-  | Some r, None, None -> Memo_reg (Reg.index r, m.Operand.disp)
-  | None, None, None -> Memo_abs (mask32 m.Operand.disp)
-  | _ -> No_memo
+(* Charge a memo-hit access at [addr] exactly as [Semantics.charge]
+   charges a frame-backed access, through the witnesses. *)
+let[@inline] charge_hit slot st addr =
+  let paddr = slot.s_frame lor (addr land pmask) in
+  let tlb_hit =
+    Tlb.access_since st.State.tlb (addr lsr pshift) ~since:slot.s_tlb
+  in
+  let cache_hit =
+    Cache.access_since st.State.cache paddr ~prev:slot.s_paddr
+      ~since:slot.s_cache
+  in
+  witness slot st paddr;
+  State.add_cycles st
+    (Semantics.frame_cost st.State.costs ~tlb_hit ~cache_hit)
 
-(* Translate [addr]'s page through the memo and charge the access as
-   [Semantics.load] would. On a hit the TLB and cache models still see
-   the access (simulated cycles are bit-identical); only the two-level
-   page-table walk and the frame-array lookup are skipped. A miss makes
-   that one walk and refills the memo on a frame-backed page. Returns
-   the page's mapping; for a frame, its buffer is in [slot.s_bytes].
-   The memo serves stores as well as loads and outlives the access, so
-   it takes the frame's own writable buffer ([Phys_mem.page]), never the
-   shared zero page a never-written frame reads through. [run] bumps the
-   stamp on every entry, so most refills find the same mapping and
-   buffer: the pointer fields are written only when they change, which
-   spares the write barrier. *)
-let[@inline] translate ctx slot st addr page =
-  if slot.s_stamp = !(ctx.c_stamp) && slot.s_page = page then begin
-    Semantics.charge st addr slot.s_map;
-    incr ctx.c_elided;
-    slot.s_map
-  end
-  else begin
-    let space = State.space_for st addr in
-    let m = Td_mem.Addr_space.lookup space ~vpage:page in
-    Semantics.charge st addr m;
-    (match m with
-    | Some (Td_mem.Addr_space.Frame f) ->
-        slot.s_stamp <- !(ctx.c_stamp);
-        slot.s_page <- page;
-        if slot.s_map != m then slot.s_map <- m;
-        let b = Td_mem.Phys_mem.page (Td_mem.Addr_space.phys space) f in
-        if slot.s_bytes != b then slot.s_bytes <- b
-    | Some (Td_mem.Addr_space.Device _) -> incr ctx.c_stamp
-    | None -> Td_mem.Addr_space.page_fault space addr);
-    m
-  end
+(* Refill after [Semantics.charge] has charged an access at [addr] whose
+   page [m] maps frame [f]: take the frame's own writable buffer (never
+   the shared zero page a never-written frame reads through, since the
+   memo serves stores too), which raises [Bad_frame] for a freed frame
+   exactly where the reference's access would, and record the witnesses
+   the charge just left. The pointer fields are written only when they
+   change, which spares the write barrier. *)
+let refill slot st space m addr f =
+  let b = P.page (A.phys space) f in
+  if slot.s_map != m then slot.s_map <- m;
+  if slot.s_bytes != b then slot.s_bytes <- b;
+  slot.s_frame <- f lsl pshift;
+  slot.s_free <- P.free_epoch (A.phys space);
+  witness slot st (slot.s_frame lor (addr land pmask))
+
+(* The memo paths below serve an access that stays within its page; a
+   page-straddling one takes the [Semantics] path, which splits it. *)
 
 let memo_load ctx slot st addr =
   let off = addr land pmask in
-  if off > pmax32 then Semantics.load st addr Width.W32 (* straddle *)
+  if off > pmax32 then Semantics.load st addr Width.W32
   else
-    match translate ctx slot st addr (addr lsr pshift) with
-    | Some (Td_mem.Addr_space.Device d) -> d.Td_mem.Addr_space.dev_read off Width.W32
-    | Some (Td_mem.Addr_space.Frame _) | None ->
-        Int32.to_int (Bytes.get_int32_le slot.s_bytes off) land 0xFFFFFFFF
+    let space = State.space_for st addr in
+    let m = A.lookup space ~vpage:(addr lsr pshift) in
+    if memo_hit slot space m then begin
+      incr ctx.c_hits;
+      charge_hit slot st addr;
+      Int32.to_int (Bytes.get_int32_le slot.s_bytes off) land 0xFFFFFFFF
+    end
+    else begin
+      incr ctx.c_walks;
+      Semantics.charge st addr m;
+      match m with
+      | Some (A.Frame f) ->
+          refill slot st space m addr f;
+          Int32.to_int (Bytes.get_int32_le slot.s_bytes off) land 0xFFFFFFFF
+      | Some (A.Device d) -> d.A.dev_read off Width.W32
+      | None -> A.page_fault space addr
+    end
 
 let memo_store ctx slot st addr v =
   let off = addr land pmask in
   if off > pmax32 then Semantics.store st addr Width.W32 v
   else
-    match translate ctx slot st addr (addr lsr pshift) with
-    | Some (Td_mem.Addr_space.Device d) ->
-        d.Td_mem.Addr_space.dev_write off Width.W32 v
-    | Some (Td_mem.Addr_space.Frame _) | None ->
-        Bytes.set_int32_le slot.s_bytes off (Int32.of_int v)
+    let space = State.space_for st addr in
+    let m = A.lookup space ~vpage:(addr lsr pshift) in
+    if memo_hit slot space m then begin
+      incr ctx.c_hits;
+      charge_hit slot st addr;
+      Bytes.set_int32_le slot.s_bytes off (Int32.of_int v)
+    end
+    else begin
+      incr ctx.c_walks;
+      Semantics.charge st addr m;
+      match m with
+      | Some (A.Frame f) ->
+          refill slot st space m addr f;
+          Bytes.set_int32_le slot.s_bytes off (Int32.of_int v)
+      | Some (A.Device d) -> d.A.dev_write off Width.W32 v
+      | None -> A.page_fault space addr
+    end
 
+(* [Semantics.push]/[pop] through a memo, at the unmasked [ESP - 4] or
+   [ESP] they access. The reference charges, then moves ESP, then
+   accesses, so a faulting push leaves ESP moved and a faulting pop
+   leaves it where it was; a charge neither reads ESP nor raises, so
+   moving ESP before the store is the same thing. *)
+let esp = Reg.index Reg.ESP
+
+let memo_push ctx slot st v =
+  let sp = rd st esp - 4 in
+  wr st esp (sp land 0xFFFFFFFF);
+  memo_store ctx slot st sp v
+
+let memo_pop ctx slot st =
+  let sp = rd st esp in
+  let v = memo_load ctx slot st sp in
+  wr st esp ((sp + 4) land 0xFFFFFFFF);
+  v
+
+(* Memoisable operand: a resolved symbol and no index — one base register
+   or none at all (an absolute [disp], such as an SVM spill slot).
+   Everything else takes the ordinary [Semantics] path. *)
 let gen_load32 ctx (m : Operand.mem) : State.t -> int =
-  match memo_mem m with
-  | No_memo -> fun st -> Semantics.load st (Semantics.addr_of_mem st m) Width.W32
-  | Memo_reg (ri, disp) ->
-      let slot = slot_in ctx.c_regs ri in
+  match (m.Operand.base, m.Operand.index, m.Operand.sym) with
+  | Some r, None, None ->
+      let ri = Reg.index r and disp = m.Operand.disp and slot = new_slot () in
       fun st -> memo_load ctx slot st ((rd st ri + disp) land 0xFFFFFFFF)
-  | Memo_abs addr ->
-      let slot = slot_in ctx.c_pages (addr lsr pshift) in
+  | None, None, None ->
+      let addr = mask32 m.Operand.disp and slot = new_slot () in
       fun st -> memo_load ctx slot st addr
+  | _ -> fun st -> Semantics.load st (Semantics.addr_of_mem st m) Width.W32
 
 let gen_store32 ctx (m : Operand.mem) : State.t -> int -> unit =
-  match memo_mem m with
-  | No_memo ->
-      fun st v -> Semantics.store st (Semantics.addr_of_mem st m) Width.W32 v
-  | Memo_reg (ri, disp) ->
-      let slot = slot_in ctx.c_regs ri in
+  match (m.Operand.base, m.Operand.index, m.Operand.sym) with
+  | Some r, None, None ->
+      let ri = Reg.index r and disp = m.Operand.disp and slot = new_slot () in
       fun st v -> memo_store ctx slot st ((rd st ri + disp) land 0xFFFFFFFF) v
-  | Memo_abs addr ->
-      let slot = slot_in ctx.c_pages (addr lsr pshift) in
+  | None, None, None ->
+      let addr = mask32 m.Operand.disp and slot = new_slot () in
       fun st v -> memo_store ctx slot st addr v
+  | _ ->
+      fun st v -> Semantics.store st (Semantics.addr_of_mem st m) Width.W32 v
 
 let gen_eval32 ctx : Operand.t -> State.t -> int = function
   | Operand.Imm n ->
@@ -351,8 +420,7 @@ let gen_straight ctx ~natives ~flags insn (k : State.t -> unit) : State.t -> uni
           fun st ->
             wr st di (Semantics.addr_of_mem st m);
             k st)
-  | Insn.Alu (((Insn.Add | Insn.Sub | Insn.And | Insn.Or | Insn.Xor) as op),
-              src, Operand.Reg d) -> (
+  | Insn.Alu (op, src, Operand.Reg d) -> (
       let di = Reg.index d in
       let a = gen_eval32 ctx src in
       match (op, flags) with
@@ -418,7 +486,23 @@ let gen_straight ctx ~natives ~flags insn (k : State.t -> unit) : State.t -> uni
             Semantics.flags_logic st r;
             wr st di r;
             k st
-      | (Insn.Adc | Insn.Sbb), _ -> generic ())
+      | Insn.Adc, false ->
+          fun st ->
+            let av = a st in
+            let c = if st.State.cf then 1 else 0 in
+            wr st di ((rd st di + av + c) land 0xFFFFFFFF);
+            k st
+      | (Insn.Adc, true) | (Insn.Sbb, _) -> generic ())
+  | Insn.Push src ->
+      let v = gen_eval32 ctx src and slot = new_slot () in
+      fun st ->
+        memo_push ctx slot st (v st);
+        k st
+  | Insn.Pop (Operand.Reg d) ->
+      let di = Reg.index d and slot = new_slot () in
+      fun st ->
+        wr st di (memo_pop ctx slot st);
+        k st
   | Insn.Cmp ((Operand.Mem _ as src), (Operand.Mem _ as dst))
   | Insn.Test ((Operand.Mem _ as src), (Operand.Mem _ as dst)) ->
       (* two memory operands: the model-mutation order of the two loads
@@ -562,12 +646,142 @@ let probe_site (probes : probes) = function
       | None -> None)
   | _ -> None
 
+(* --- the Fig 4 probe as one op --- *)
+
+(* The SVM rewriter's inline probe (Fig 4, lines 1-9):
+
+     lea m, r1; mov r1, r2; and $0xFFFFF000, r1; mov r1, r3;
+     and $0xFFF000, r1; shr $9, r1; cmp d0(r1), r3; jne slow;
+     xor d1(r1), r2
+
+   with r1, r2 and r3 distinct and both stlb operands base-only. *)
+type probe = {
+  p_mem : Operand.mem;  (* the lea's operand: the address being probed *)
+  p_r1 : int;
+  p_r2 : int;
+  p_r3 : int;
+  p_tag : int;  (* d0: the stlb entry's tag word *)
+  p_xor : int;  (* d1: the stlb entry's xor word *)
+  p_slow : int;  (* the jne's target *)
+}
+
+let probe_len = 9
+
+let stlb_word r (m : Operand.mem) =
+  match m with
+  | { Operand.base = Some b; index = None; sym = None; disp } when Reg.equal b r
+    ->
+      Some disp
+  | _ -> None
+
+let probe_at ents s =
+  if s + probe_len > Array.length ents then None
+  else
+    let ins i = ents.(s + i).e_insn in
+    let straight i =
+      match ents.(s + i).e_kind with K_straight -> true | _ -> false
+    in
+    let r = Reg.equal in
+    match
+      ( (ins 0, ins 1, ins 2, ins 3, ins 4),
+        (ins 5, ins 6, ents.(s + 7).e_kind, ins 8) )
+    with
+    | ( ( Insn.Lea (m, r1),
+          Insn.Mov (Width.W32, Operand.Reg a1, Operand.Reg r2),
+          Insn.Alu (Insn.And, Operand.Imm k1, Operand.Reg a2),
+          Insn.Mov (Width.W32, Operand.Reg a3, Operand.Reg r3),
+          Insn.Alu (Insn.And, Operand.Imm k2, Operand.Reg a4) ),
+        ( Insn.Shift (Insn.Shr, Operand.Imm 9, Operand.Reg a5),
+          Insn.Cmp (Operand.Mem c, Operand.Reg b3),
+          K_cond (Cond.NE, slow),
+          Insn.Alu (Insn.Xor, Operand.Mem x, Operand.Reg b2) ) )
+      when m.Operand.sym = None
+           && r a1 r1 && r a2 r1 && r a3 r1 && r a4 r1 && r a5 r1 && r b3 r3
+           && r b2 r2
+           && (not (r r1 r2)) && (not (r r1 r3)) && (not (r r2 r3))
+           && mask32 k1 = 0xFFFFF000 && mask32 k2 = 0xFFF000
+           && straight 0 && straight 1 && straight 2 && straight 3
+           && straight 4 && straight 5 && straight 6 && straight 8 -> (
+        match (stlb_word r1 c, stlb_word r1 x) with
+        | Some tag, Some xw ->
+            Some
+              {
+                p_mem = m;
+                p_r1 = Reg.index r1;
+                p_r2 = Reg.index r2;
+                p_r3 = Reg.index r3;
+                p_tag = tag;
+                p_xor = xw;
+                p_slow = slow;
+              }
+        | _ -> None)
+    | _ -> None
+
+(* The probe at steps [s .. s+8] as one closure, leaving exactly the
+   state the nine instructions leave one at a time:
+
+   - r1, r2, r3 as the reference leaves them, written before the tag
+     load (which may fault);
+   - the flags the shr leaves: Z from r1, S and C clear (r1's low twelve
+     bits were cleared before the shift by nine, so neither the sign bit
+     nor the last bit shifted out is set) and O clear from the and;
+   - the tag load through its memo, then the cmp's flags; a mismatch
+     takes the jne's side exit ([taken], the reference's state after
+     eight steps);
+   - on a match, the probe-hit callback, then the xor word's load
+     through its memo, then the xor's flags unless liveness proved them
+     dead, then r2.
+
+   [cur] names the cmp before the tag load, the xor's callback (see
+   [run]) before the callback, and the xor before the xor load, so an
+   abort charges exactly the prefix through the faulting instruction. *)
+let gen_probe ctx ~cur ~s ~on_hit ~xor_flags p ~taken (k : State.t -> unit) =
+  let r1 = p.p_r1 and r2 = p.p_r2 and r3 = p.p_r3 in
+  let tag = p.p_tag and xw = p.p_xor in
+  let tag_slot = new_slot () and xor_slot = new_slot () in
+  let addr_of : State.t -> int =
+    match (p.p_mem.Operand.base, p.p_mem.Operand.index) with
+    | Some b, None ->
+        let bi = Reg.index b and disp = p.p_mem.Operand.disp in
+        fun st -> (rd st bi + disp) land 0xFFFFFFFF
+    | _ ->
+        let m = p.p_mem in
+        fun st -> Semantics.addr_of_mem st m
+  in
+  fun st ->
+    let a = addr_of st in
+    let page = a land 0xFFFFF000 in
+    let idx = (a land 0xFFF000) lsr 9 in
+    wr st r1 idx;
+    wr st r2 a;
+    wr st r3 page;
+    st.State.zf <- idx = 0;
+    st.State.sf <- false;
+    st.State.cf <- false;
+    st.State.ovf <- false;
+    cur := s + 6;
+    let t = memo_load ctx tag_slot st ((idx + tag) land 0xFFFFFFFF) in
+    Semantics.flags_sub st page t ((page - t) land 0xFFFFFFFF);
+    if t <> page then taken st
+    else begin
+      (match on_hit with
+      | Some f ->
+          cur := lnot (s + 8);
+          f a
+      | None -> ());
+      cur := s + 8;
+      let v = memo_load ctx xor_slot st ((idx + xw) land 0xFFFFFFFF) in
+      let r = a lxor v in
+      if xor_flags then Semantics.flags_logic st r;
+      wr st r2 r;
+      k st
+    end
+
 (* --- the compiled block --- *)
 
 type t = {
   max_steps : int;  (* fuel needed for a worst-case (full) pass *)
   fused : State.t -> unit;
-  stamp : int ref;
   cur : int ref;  (* step index currently executing, for abort accounting *)
   exc_cycles : int array;  (* issue-cycle prefix through step s *)
   exc_slot : bool array;  (* pair_slot after step s *)
@@ -576,7 +790,8 @@ type t = {
 
 let max_steps blk = blk.max_steps
 
-let compile ~natives ~costs ~elided ~probes ~cap (prog : Program.t) idx =
+let compile ~natives ~costs ~elided ~walks ~probes ~cap (prog : Program.t) idx
+    =
   let trace, exit_pc = build_trace ~cap prog idx in
   match trace with
   | [] -> None
@@ -601,11 +816,8 @@ let compile ~natives ~costs ~elided ~probes ~cap (prog : Program.t) idx =
           exc_slot.(s) <- !slot_state;
           exc_pc.(s) <- e.e_pc)
         ents;
-      let stamp = ref 0 and cur = ref 0 in
-      let ctx =
-        { c_stamp = stamp; c_elided = elided; c_regs = Hashtbl.create 4;
-          c_pages = Hashtbl.create 4 }
-      in
+      let cur = ref 0 in
+      let ctx = { c_hits = elided; c_walks = walks } in
       let mk_exit ~steps ~cycles ~pslot ~pc st =
         st.State.cycles <- st.State.cycles + cycles;
         st.State.steps <- st.State.steps + steps;
@@ -613,66 +825,96 @@ let compile ~natives ~costs ~elided ~probes ~cap (prog : Program.t) idx =
         st.State.pair_slot <- pslot;
         st.State.pc <- pc
       in
-      let fused =
-        ref
-          (mk_exit ~steps:s_count ~cycles:exc_cycles.(s_count - 1)
-             ~pslot:exc_slot.(s_count - 1) ~pc:exit_pc)
+      (* side exit taken at step [s]: the prefix through it, then [pc] *)
+      let exit_at s pc =
+        mk_exit ~steps:(s + 1) ~cycles:exc_cycles.(s) ~pslot:exc_slot.(s) ~pc
       in
-      for s = s_count - 1 downto 0 do
-        let e = ents.(s) in
-        let k = !fused in
-        let op =
-          match e.e_kind with
-          | K_stitch -> k
-          | K_cond (c, target) ->
-              let taken =
-                mk_exit ~steps:(s + 1) ~cycles:exc_cycles.(s)
-                  ~pslot:exc_slot.(s) ~pc:target
-              in
-              fun st -> if Semantics.cond_true st c then taken st else k st
-          | K_straight -> (
-              let op =
-                gen_straight ctx ~natives ~flags:(not (elide_flags ents s))
-                  e.e_insn k
-              in
-              match probe_site probes e.e_insn with
-              | Some (r, on_hit) ->
-                  fun st ->
-                    on_hit (State.get st r);
-                    op st
-              | None -> op)
+      (* The steps that start an op, last first: a fused probe covers
+         steps [s .. s+8], so the eight inside it start none. *)
+      let starts =
+        let rec go acc s =
+          if s >= s_count then acc
+          else
+            match probe_at ents s with
+            | Some p -> go ((s, Some p) :: acc) (s + probe_len)
+            | None -> go ((s, None) :: acc) (s + 1)
         in
-        (* only faulting-capable steps pay for position tracking *)
-        let op =
-          if may_raise e.e_insn then fun st ->
-            cur := s;
-            op st
-          else op
-        in
-        fused := op
-      done;
+        go [] 0
+      in
+      (* [at.(s)] runs the trace from step [s]; built back to front, each
+         op continuing with the next. Steps inside a probe keep the
+         default, which nothing reaches: a trace is entered at step 0. *)
+      let at = Array.make (s_count + 1) (exit_at (s_count - 1) exit_pc) in
+      List.iter
+        (fun (s, probe) ->
+          at.(s) <-
+            (match probe with
+            | Some p ->
+                let xor = ents.(s + probe_len - 1).e_insn in
+                gen_probe ctx ~cur ~s
+                  ~on_hit:(Option.map snd (probe_site probes xor))
+                  ~xor_flags:(not (elide_flags ents (s + probe_len - 1)))
+                  p ~taken:(exit_at (s + 7) p.p_slow) at.(s + probe_len)
+            | None -> (
+                let e = ents.(s) in
+                let k = at.(s + 1) in
+                let op =
+                  match e.e_kind with
+                  | K_stitch -> k
+                  | K_cond (c, target) ->
+                      let taken = exit_at s target in
+                      fun st ->
+                        if Semantics.cond_true st c then taken st else k st
+                  | K_straight ->
+                      gen_straight ctx ~natives
+                        ~flags:(not (elide_flags ents s))
+                        e.e_insn k
+                in
+                match probe_site probes e.e_insn with
+                | Some (r, on_hit) ->
+                    fun st ->
+                      cur := lnot s;
+                      on_hit (State.get st r);
+                      cur := s;
+                      op st
+                | None ->
+                    (* only faulting-capable steps pay for position
+                       tracking *)
+                    if may_raise e.e_insn then fun st ->
+                      cur := s;
+                      op st
+                    else op)))
+        starts;
       Some
         {
           max_steps = s_count;
-          fused = !fused;
-          stamp;
+          fused = at.(0);
           cur;
           exc_cycles;
           exc_slot;
           exc_pc;
         }
 
+(* Abort accounting: [cur] holds the step that raised, or [lnot s] while
+   step [s]'s probe-hit callback runs. One instruction at a time, that
+   callback runs after the step is counted but before it issues, so an
+   abort there charges the step and the issue cycles of the steps before
+   it only. *)
 let run blk st =
-  incr blk.stamp; (* memoised translations never survive between runs *)
   blk.cur := 0;
   try blk.fused st
   with e ->
     (* abort: charge the prefix through the faulting step and restore its
        pc, matching one-instruction-at-a-time execution exactly *)
-    let s = !(blk.cur) in
-    st.State.cycles <- st.State.cycles + Array.unsafe_get blk.exc_cycles s;
+    let c = !(blk.cur) in
+    let s = if c >= 0 then c else lnot c in
+    let issued = if c >= 0 then s else s - 1 in
+    if issued >= 0 then begin
+      st.State.cycles <-
+        st.State.cycles + Array.unsafe_get blk.exc_cycles issued;
+      st.State.pair_slot <- Array.unsafe_get blk.exc_slot issued
+    end;
     st.State.steps <- st.State.steps + s + 1;
     st.State.fuel <- st.State.fuel - (s + 1);
-    st.State.pair_slot <- Array.unsafe_get blk.exc_slot s;
     st.State.pc <- Array.unsafe_get blk.exc_pc s;
     raise e

@@ -6,11 +6,14 @@
     branches become side exits, and calls, returns, indirect jumps and
     [Hlt] end the trace just before themselves. The closure aggregates
     issue-cycle/step accounting statically, skips provably-dead flag
-    computation, and memoises stlb translations within a run (same base
-    register, or the same constant page of an absolute [disp] operand →
-    reuse the translated frame) — all without changing the simulated
-    (cycles, steps), which stay bit-identical with executing one
-    instruction at a time ({!Semantics.exec_insn}).
+    computation, lowers the SVM rewriter's nine-instruction inline probe
+    (Fig 4) to one op, and gives every memory operand its own
+    translation memo, which survives across runs for as long as the
+    page-table entry it cached is still in place and no frame has been
+    freed; on a memo hit, TLB and cache hit witnesses skip the models'
+    lookups while counting their hits. None of it changes the simulated
+    (cycles, steps), TLB or cache counters, which stay bit-identical
+    with executing one instruction at a time ({!Semantics.exec_insn}).
     A compiled run allocates nothing per instruction. See
     docs/INTERPRETER.md. *)
 
@@ -34,15 +37,17 @@ val compile :
   natives:Native.t ->
   costs:Cost_model.t ->
   elided:int ref ->
+  walks:int ref ->
   probes:probes ->
   cap:int ->
   Td_misa.Program.t ->
   int ->
   t option
-(** [compile ~natives ~costs ~elided ~probes ~cap prog idx] lowers the
-    trace starting at instruction [idx] of [prog], following at most
-    [cap] instructions. [elided] is bumped once per stlb translation
-    skipped at run time (the [interp.stlb_elided] gauge). Probe-hit
+(** [compile ~natives ~costs ~elided ~walks ~probes ~cap prog idx] lowers
+    the trace starting at instruction [idx] of [prog], following at most
+    [cap] instructions. At run time [elided] is bumped once per access a
+    memo serves and [walks] once per memo miss (the
+    [interp.stlb_elided] and [interp.page_walks] gauges). Probe-hit
     sites are resolved against [probes] here, once: only their steps
     call the hit callback, before the xor. Returns [None] when the
     first instruction is itself a terminator the closure cannot fuse —
@@ -51,7 +56,9 @@ val compile :
 val run : t -> State.t -> unit
 (** Execute the block. Preconditions (the interpreter bails out to the
     per-block engine otherwise): [State.pc] is the block's entry,
-    [pair_slot] is clear, and [fuel >= max_steps]. On a fault the
+    [pair_slot] is clear, and [fuel >= max_steps]. A block is run on one
+    state only, the one whose TLB and cache its hit witnesses describe
+    (the interpreter's). On a fault the
     cycles/steps/fuel of the prefix through the faulting instruction are
     charged and [pc] is restored to it, exactly as executing one
     instruction at a time would, before the exception is re-raised. *)

@@ -21,6 +21,7 @@ type t = {
   epochs : int array;  (** the epoch each slot was filled in *)
   rr : int array;  (** next way to evict, per set *)
   mutable epoch : int;
+  mutable changes : int;  (** fills and flushes so far *)
   mutable hit_count : int;
   mutable miss_count : int;
 }
@@ -35,6 +36,7 @@ let create ?(entries = 256) () =
     epochs = Array.make (sets * ways) 0;
     rr = Array.make sets 0;
     epoch = 1;
+    changes = 0;
     hit_count = 0;
     miss_count = 0;
   }
@@ -70,6 +72,7 @@ let[@inline] access t vpage =
     t.slots.(i) <- vpage;
     t.epochs.(i) <- t.epoch;
     t.rr.(set) <- (t.rr.(set) + 1) land (t.ways - 1);
+    t.changes <- t.changes + 1;
     t.miss_count <- t.miss_count + 1;
     false
   end
@@ -77,7 +80,19 @@ let[@inline] access t vpage =
 (* No overflow handling: a slot could only come back to life when the
    epoch returned to the value it was filled in, 2^63 flushes later —
    about 290 years at one flush a nanosecond. *)
-let flush t = t.epoch <- t.epoch + 1
+let flush t =
+  t.epoch <- t.epoch + 1;
+  t.changes <- t.changes + 1
 
 let hits t = t.hit_count
 let misses t = t.miss_count
+let[@inline] changes t = t.changes
+
+(* Only a fill or a flush evicts, so an unchanged counter means the page
+   the caller last accessed is still resident. *)
+let[@inline] access_since t vpage ~since =
+  if since = t.changes then begin
+    t.hit_count <- t.hit_count + 1;
+    true
+  end
+  else access t vpage

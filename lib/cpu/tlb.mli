@@ -23,3 +23,17 @@ val flush : t -> unit
 
 val hits : t -> int
 val misses : t -> int
+
+(** {1 Hit witnesses}
+
+    Only a fill (a miss) or a {!flush} changes which pages are resident;
+    a hit changes nothing but the hit counter. *)
+
+val changes : t -> int
+(** Moves on every fill and every flush, and on nothing else. *)
+
+val access_since : t -> int -> since:int -> bool
+(** [access_since tlb vpage ~since] is [access tlb vpage] for a caller
+    whose last access was to [vpage], made when [changes tlb] read
+    [since]. While it still reads [since] the page is resident, so the
+    hit is counted without scanning the set. *)

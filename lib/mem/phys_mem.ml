@@ -28,6 +28,7 @@ type t = {
   mutable free : frame list;
   mutable allocated : int;
   mutable resident : int;  (** allocated frames with their own buffer *)
+  mutable free_epoch : int;  (** frees so far: bumped by every [free_frame] *)
 }
 
 let create ?(frames = 65536) () =
@@ -38,6 +39,7 @@ let create ?(frames = 65536) () =
     free = [];
     allocated = 0;
     resident = 0;
+    free_epoch = 0;
   }
 
 (* [next] steps by one, so doubling once always makes room for it. *)
@@ -72,11 +74,13 @@ let free_frame t f =
     if t.pages.(f) != zero then t.resident <- t.resident - 1;
     t.pages.(f) <- absent;
     t.allocated <- t.allocated - 1;
-    t.free <- f :: t.free
+    t.free <- f :: t.free;
+    t.free_epoch <- t.free_epoch + 1
   end
 
 let frames_allocated t = t.allocated
 let frames_resident t = t.resident
+let[@inline] free_epoch t = t.free_epoch
 
 (* Inlined so that [page], like [page_ro], costs one call to [live]. *)
 let[@inline] slot t f =

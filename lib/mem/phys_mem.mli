@@ -49,6 +49,14 @@ val frames_resident : t -> int
     been called on since they were allocated (a counter, O(1)). The rest
     share the zero page. *)
 
+val free_epoch : t -> int
+(** The number of frames {!free_frame} has returned to the pool since
+    {!create}. Nothing else changes it, so a buffer taken from {!page}
+    is still its frame's buffer, and the frame still allocated, for as
+    long as the epoch reads what it read when the buffer was taken: a
+    cache of buffers (the compiled superblocks' translation memos)
+    checks this one counter instead of the frame. *)
+
 val page : t -> frame -> bytes
 (** The frame's own backing buffer, built (zeroed) on the first call
     after the frame is allocated; later calls are one bounds check and an

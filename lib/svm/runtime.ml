@@ -13,15 +13,6 @@ end)
 
 type mode = Translate | Identity
 
-(* One pair of consecutive window pages (the unit of mapping: every miss
-   maps two pages so unaligned accesses may straddle, §4.2). *)
-type slot = {
-  mutable dom0_page : int;  (** dom0 page base this pair currently maps *)
-  mutable referenced : bool;  (** clock second-chance bit *)
-  mutable pinned : bool;  (** persistent_map'ed — never reclaimed *)
-  mutable owner : int;  (** guard-attributed owner id; -1 when no guard *)
-}
-
 (* Optional per-domain window accounting, installed from above (the quota
    subsystem lives in td_xen, which depends on td_svm): [acquire] is
    called before a pair is allocated and returns the owner's domain id the
@@ -41,7 +32,14 @@ type t = {
   stlb : Stlb.t;
   chain : int Page_tbl.t;  (** dom0 page base -> mapped page base *)
   window_pages : int;  (** window size in pages (2 per slot) *)
-  slots : slot option array;
+  (* The window's slots, one per pair of consecutive window pages (the
+     unit of mapping: every miss maps two pages so unaligned accesses may
+     straddle, §4.2), as flat arrays indexed by slot so that a probe hit
+     marks its slot with two array loads and a store. *)
+  slot_page : int array;  (** dom0 page base the pair maps; -1 = free *)
+  refbit : bool array;  (** the clock's second-chance bit *)
+  pinned : bool array;  (** persistent_map'ed — never reclaimed *)
+  owner : int array;  (** guard-attributed owner id; -1 when no guard *)
   slot_of_page : int Page_tbl.t;  (** dom0 page base -> slot index *)
   hint : int array;
       (** direct-mapped page number -> slot index that last held it;
@@ -78,7 +76,10 @@ let create_hypervisor ?(map_pairs = true)
     stlb = Stlb.create ~space:hyp ~vaddr:Td_mem.Layout.stlb_base;
     chain = Page_tbl.create 256;
     window_pages;
-    slots = Array.make (window_pages / 2) None;
+    slot_page = Array.make (window_pages / 2) (-1);
+    refbit = Array.make (window_pages / 2) false;
+    pinned = Array.make (window_pages / 2) false;
+    owner = Array.make (window_pages / 2) (-1);
     slot_of_page = Page_tbl.create 256;
     hint = Array.make (hint_size (window_pages / 2)) (-1);
     window_next = 0;
@@ -102,7 +103,10 @@ let create_identity ?fault ~dom0 ~stlb_vaddr () =
     stlb = Stlb.create ~space:dom0 ~vaddr:stlb_vaddr;
     chain = Page_tbl.create 256;
     window_pages = 0;
-    slots = [||];
+    slot_page = [||];
+    refbit = [||];
+    pinned = [||];
+    owner = [||];
     slot_of_page = Page_tbl.create 1;
     hint = [| -1 |];
     window_next = 0;
@@ -125,10 +129,17 @@ let window_pages_in_use t = 2 * Page_tbl.length t.slot_of_page
 let set_reclaim_hook t f = t.reclaim_hook <- Some f
 let set_window_guard t g = t.window_guard <- Some g
 
-let guard_release t s =
+let guard_release t i =
   match t.window_guard with
-  | Some g when s.owner >= 0 -> g.release ~owner:s.owner ~pages:2
+  | Some g when t.owner.(i) >= 0 -> g.release ~owner:t.owner.(i) ~pages:2
   | _ -> ()
+
+(* Free slot [i]: its pair maps nothing from here on. *)
+let clear_slot t i =
+  t.slot_page.(i) <- -1;
+  t.refbit.(i) <- false;
+  t.pinned.(i) <- false;
+  t.owner.(i) <- -1
 
 let fault t addr reason =
   t.fault_count <- t.fault_count + 1;
@@ -153,21 +164,20 @@ let hint_index t page =
 
 (* On every probe hit, so it allocates nothing. The hint is trusted only
    when its slot still maps [page]: every path that releases a slot
-   ([evict_slot], [invalidate_page], [flush]) sets it to [None], and no
-   two slots ever map the same page, so a slot that maps [page] is the
-   one [slot_of_page] names. Otherwise ask the table ([find], not
+   ([evict_slot], [invalidate_page], [flush]) sets its page to -1, and
+   no two slots ever map the same page, so a slot that maps [page] is
+   the one [slot_of_page] names. Otherwise ask the table ([find], not
    [find_opt]: no allocation) and remember its answer. *)
 let mark_referenced t page =
   let h = hint_index t page in
   let i = Array.unsafe_get t.hint h in
-  match if i >= 0 then t.slots.(i) else None with
-  | Some s when s.dom0_page = page -> s.referenced <- true
-  | Some _ | None -> (
-      match Page_tbl.find t.slot_of_page page with
-      | i -> (
-          t.hint.(h) <- i;
-          match t.slots.(i) with Some s -> s.referenced <- true | None -> ())
-      | exception Not_found -> ())
+  if i >= 0 && t.slot_page.(i) = page then t.refbit.(i) <- true
+  else
+    match Page_tbl.find t.slot_of_page page with
+    | i ->
+        t.hint.(h) <- i;
+        t.refbit.(i) <- true
+    | exception Not_found -> ()
 
 let update_inuse_gauge t =
   if Td_obs.Control.enabled () then
@@ -179,16 +189,15 @@ let update_inuse_gauge t =
    and the stlb and unmap both window pages — the software analogue of a
    TLB shootdown, charged through the reclaim hook. *)
 let evict_slot t idx =
-  let s = match t.slots.(idx) with Some s -> s | None -> assert false in
-  guard_release t s;
-  let victim = s.dom0_page in
+  guard_release t idx;
+  let victim = t.slot_page.(idx) in
   Page_tbl.remove t.chain victim;
   Page_tbl.remove t.slot_of_page victim;
   Stlb.invalidate t.stlb ~dom0_page:victim;
   let vpage = Td_mem.Layout.page_of (mapped_base idx) in
   Td_mem.Addr_space.unmap t.target ~vpage;
   Td_mem.Addr_space.unmap t.target ~vpage:(vpage + 1);
-  t.slots.(idx) <- None;
+  clear_slot t idx;
   t.reclaim_count <- t.reclaim_count + 1;
   (match t.reclaim_hook with Some f -> f () | None -> ());
   if Td_obs.Control.enabled () then begin
@@ -203,7 +212,7 @@ let evict_slot t idx =
    hand (second chance: a referenced pair gets its bit cleared and is
    skipped once). *)
 let take_slot t =
-  let nslots = Array.length t.slots in
+  let nslots = Array.length t.slot_page in
   if t.window_next < nslots then begin
     let i = t.window_next in
     t.window_next <- i + 1;
@@ -221,18 +230,15 @@ let take_slot t =
               "Svm.Runtime: mapped-page window exhausted (all pages pinned)";
           let i = t.clock_hand in
           t.clock_hand <- (i + 1) mod nslots;
-          match t.slots.(i) with
-          | None -> sweep (budget - 1)
-          | Some s ->
-              if s.pinned then sweep (budget - 1)
-              else if s.referenced then begin
-                s.referenced <- false;
-                sweep (budget - 1)
-              end
-              else begin
-                evict_slot t i;
-                i
-              end
+          if t.slot_page.(i) < 0 || t.pinned.(i) then sweep (budget - 1)
+          else if t.refbit.(i) then begin
+            t.refbit.(i) <- false;
+            sweep (budget - 1)
+          end
+          else begin
+            evict_slot t i;
+            i
+          end
         in
         sweep (2 * nslots)
 
@@ -275,8 +281,10 @@ let map_pair t page =
   | None ->
       Td_mem.Addr_space.map_device t.target ~vpage:(vpage + 1)
         (poison_device t succ_page));
-  t.slots.(idx) <-
-    Some { dom0_page = page; referenced = true; pinned = false; owner };
+  t.slot_page.(idx) <- page;
+  t.refbit.(idx) <- true;
+  t.pinned.(idx) <- false;
+  t.owner.(idx) <- owner;
   Page_tbl.replace t.slot_of_page page idx;
   t.hint.(hint_index t page) <- idx;
   update_inuse_gauge t;
@@ -342,8 +350,7 @@ let translate t addr =
 let persistent_map t addr =
   let mapped = translate t addr in
   (match Page_tbl.find_opt t.slot_of_page (Td_mem.Layout.page_base addr) with
-  | Some i -> (
-      match t.slots.(i) with Some s -> s.pinned <- true | None -> ())
+  | Some i -> t.pinned.(i) <- true
   | None -> ());
   mapped
 
@@ -366,12 +373,12 @@ let invalidate_page t addr =
      NEWER translation of the same page *)
   (match Page_tbl.find_opt t.slot_of_page page with
   | Some i ->
-      (match t.slots.(i) with Some s -> guard_release t s | None -> ());
+      guard_release t i;
       Page_tbl.remove t.slot_of_page page;
       let vpage = Td_mem.Layout.page_of (mapped_base i) in
       Td_mem.Addr_space.unmap t.target ~vpage;
       Td_mem.Addr_space.unmap t.target ~vpage:(vpage + 1);
-      t.slots.(i) <- None;
+      clear_slot t i;
       t.free_slots <- i :: t.free_slots
   | None -> ());
   update_inuse_gauge t
@@ -384,16 +391,15 @@ let flush t =
   Page_tbl.reset t.chain;
   Stlb.clear t.stlb;
   Array.iteri
-    (fun i slot ->
-      match slot with
-      | None -> ()
-      | Some s ->
-          guard_release t s;
-          let vpage = Td_mem.Layout.page_of (mapped_base i) in
-          Td_mem.Addr_space.unmap t.target ~vpage;
-          Td_mem.Addr_space.unmap t.target ~vpage:(vpage + 1);
-          t.slots.(i) <- None)
-    t.slots;
+    (fun i page ->
+      if page >= 0 then begin
+        guard_release t i;
+        let vpage = Td_mem.Layout.page_of (mapped_base i) in
+        Td_mem.Addr_space.unmap t.target ~vpage;
+        Td_mem.Addr_space.unmap t.target ~vpage:(vpage + 1);
+        clear_slot t i
+      end)
+    t.slot_page;
   Page_tbl.reset t.slot_of_page;
   t.window_next <- 0;
   t.free_slots <- [];
@@ -401,7 +407,9 @@ let flush t =
   update_inuse_gauge t
 
 let window_slots t =
-  Array.map (Option.map (fun s -> (s.dom0_page, s.referenced))) t.slots
+  Array.mapi
+    (fun i page -> if page < 0 then None else Some (page, t.refbit.(i)))
+    t.slot_page
 
 let slot_of_page t page = Page_tbl.find_opt t.slot_of_page page
 

@@ -3,6 +3,8 @@
    shortcut to reproduce it exactly:
 
    - the epoch-flush TLB against [Ref_tlb], the fill-on-flush original;
+   - the compiled tier's TLB and cache hit witnesses against [Ref_tlb]
+     and a reference cache;
    - the one-walk stack ops of [Semantics] against the two-walk formula
      (a fresh lookup to charge, then [State.push]/[State.pop]);
    - the id-keyed ledger rows against a by-name ledger;
@@ -65,6 +67,151 @@ let tlb_equivalence_prop =
         ops
       && Tlb.hits t = Ref_tlb.hits r
       && Tlb.misses t = Ref_tlb.misses r)
+
+(* --- compiled-tier hit witnesses against the reference TLB and cache --- *)
+
+(* A compiled memory access whose memo hits skips the TLB's set scan and
+   the cache's tag check when nothing could have evicted its page or line
+   since its last access: the TLB's and the cache's change counters
+   read as they did then, and the access is on the same line. Here a random straight-line program
+   of loads and stores is called again and again, compiled from the
+   third call on, between TLB flushes and charged loads that evict: from
+   pages in the same TLB set, and from frames 128 frames (the 512 KiB
+   cache) past the program's, whose lines collide with its lines. The
+   program's accesses are known, so [Ref_tlb] and a reference cache
+   replay each call's access stream (the ret's pop included); the CPU's
+   TLB and cache counters must equal theirs after every step, and its
+   cycles those of the one-instruction-at-a-time reference. *)
+
+(* Direct-mapped, 64-byte lines, 512 KiB: the model [Cache] implements,
+   written as a table of tags. *)
+module Ref_cache = struct
+  type t = { tags : (int, int) Hashtbl.t; mutable hits : int; mutable misses : int }
+
+  let create () = { tags = Hashtbl.create 64; hits = 0; misses = 0 }
+
+  let access t paddr =
+    let line = paddr / 64 in
+    let idx = line mod (524288 / 64) in
+    if Hashtbl.find_opt t.tags idx = Some line then t.hits <- t.hits + 1
+    else begin
+      Hashtbl.replace t.tags idx line;
+      t.misses <- t.misses + 1
+    end
+end
+
+let wit_vaddr i = 0xC200_0000 + (i * 64 * Layout.page_size)
+let wit_offs = [| 0; 4; 64; 2048; 4092 |]
+
+type wit_op = W_call | W_flush | W_fill of int * int
+
+(* (store?, base-register access?, page 0-2, offset index) *)
+let wit_access = QCheck.Gen.(quad bool bool (int_range 0 2) (int_range 0 4))
+
+let wit_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, return W_call);
+        (1, return W_flush);
+        (4, map2 (fun k o -> W_fill (k, o)) (int_range 0 3) (int_range 0 4));
+      ])
+
+let wit_regs = Reg.[| EBX; ESI; EDI |]
+
+let wit_run ~reference accesses ops =
+  let m = Harness.make_machine () in
+  let phys = m.Harness.phys and dom0 = m.Harness.dom0 in
+  let b = Builder.create "wit" in
+  Builder.label b "entry";
+  Array.iteri
+    (fun i r -> Builder.movl b (Builder.imm (wit_vaddr i)) (Builder.reg r))
+    wit_regs;
+  List.iter
+    (fun (store, based, page, o) ->
+      let off = wit_offs.(o) in
+      let at =
+        if based then Builder.mem ~base:wit_regs.(page) off
+        else Builder.mem (wit_vaddr page + off)
+      in
+      if store then Builder.movl b (Builder.reg Reg.EAX) at
+      else Builder.addl b at (Builder.reg Reg.EAX))
+    accesses;
+  Builder.ret b;
+  let prog =
+    Program.assemble ~base:Layout.vm_driver_code_base (Builder.finish b)
+  in
+  Code_registry.register m.Harness.registry prog;
+  let st = Harness.dom0_cpu m in
+  let pool = Array.init 132 (fun _ -> Phys_mem.alloc_frame phys) in
+  (* pages 0-2: the program's; 3-6: conflict pages on frames 128 on *)
+  let frame i = if i < 3 then pool.(i) else pool.(125 + i) in
+  for i = 0 to 6 do
+    Addr_space.map dom0 ~vpage:(Layout.page_of (wit_vaddr i)) (frame i)
+  done;
+  let entry = Program.addr_of_label prog "entry" in
+  let call =
+    if reference then fun () ->
+      Ref_interp.call ~natives:m.Harness.natives m.Harness.registry st ~entry
+        ~args:[]
+    else begin
+      let interp = Interp.create st m.Harness.registry m.Harness.natives in
+      Interp.set_compile_threshold interp 1;
+      fun () -> Interp.call interp ~entry ~args:[]
+    end
+  in
+  let rt = Ref_tlb.create () and rc = Ref_cache.create () in
+  let touch vaddr f =
+    ignore (Ref_tlb.access rt (Layout.page_of vaddr) : bool);
+    Ref_cache.access rc ((f lsl Layout.page_shift) lor Layout.offset_of vaddr)
+  in
+  let esp0 = State.get st Reg.ESP in
+  let stack_frame =
+    Option.get
+      (Addr_space.frame_of_vpage dom0 ~vpage:(Layout.page_of (esp0 - 4)))
+  in
+  List.map
+    (fun op ->
+      (match op with
+      | W_call ->
+          ignore (call () : int);
+          List.iter
+            (fun (_, _, page, o) ->
+              touch (wit_vaddr page + wit_offs.(o)) (frame page))
+            accesses;
+          touch (esp0 - 4) stack_frame
+      | W_flush ->
+          Tlb.flush st.State.tlb;
+          Ref_tlb.flush rt
+      | W_fill (k, o) ->
+          let a = wit_vaddr (3 + k) + wit_offs.(o) in
+          ignore (Semantics.load st a Width.W32 : int);
+          touch a (frame (3 + k)));
+      ( (Tlb.hits st.State.tlb, Tlb.misses st.State.tlb),
+        (Ref_tlb.hits rt, Ref_tlb.misses rt),
+        (Cache.hits st.State.cache, Cache.misses st.State.cache),
+        (rc.Ref_cache.hits, rc.Ref_cache.misses),
+        st.State.cycles ))
+    ops
+
+let witness_prop =
+  QCheck.Test.make
+    ~name:"compiled hit witnesses match the reference tlb and cache"
+    ~count:150
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 1 10) wit_access)
+           (list_size (int_range 1 30) wit_op_gen)))
+    (fun (accesses, ops) ->
+      let ops = W_call :: W_call :: ops in
+      let compiled = wit_run ~reference:false accesses ops in
+      let reference = wit_run ~reference:true accesses ops in
+      List.for_all2
+        (fun (tlb, ref_tlb, cache, ref_cache, cycles)
+             (_, _, _, _, ref_cycles) ->
+          tlb = ref_tlb && cache = ref_cache && cycles = ref_cycles)
+        compiled reference)
 
 (* --- one-walk stack ops against the two-walk formula --- *)
 
@@ -528,6 +675,7 @@ let test_shard_nested () =
 let suite =
   [
     QCheck_alcotest.to_alcotest tlb_equivalence_prop;
+    QCheck_alcotest.to_alcotest witness_prop;
     QCheck_alcotest.to_alcotest stack_ops_prop;
     Alcotest.test_case "stack ops reach faults and devices" `Quick
       test_stack_ops_cover_faults;

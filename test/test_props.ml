@@ -322,6 +322,214 @@ let engine_equivalence_prop =
       && flipped = prop_run ~plan (Threshold 1) segs
       && flipped = prop_run ~plan (Threshold max_int) segs)
 
+(* --- translation memos under a changing memory map --- *)
+
+(* The compiled tier keeps one translation memo per memory operand
+   across runs, valid while the page-table entry it cached is in place
+   and no frame has been freed, with TLB and cache hit witnesses on top.
+   This property interleaves calls of a random program with everything
+   that could make a memo or a witness stale: remapping a page (to the
+   frame it has or to another), unmapping it, freeing the frame behind
+   it (a stale mapping) and allocating that frame again, switching
+   address spaces, flushing the TLB, and charged loads that evict TLB
+   entries and cache lines. After every step the reference, the block
+   engine and the compiled tier must agree on the result or the fault
+   and its pc, every register, the flags, cycles, steps and the TLB and
+   cache counters; at the end, on every data frame's contents.
+
+   Three data pages and four conflict pages, vpages a multiple of 64
+   apart, share one set of the 4-way TLB. Each conflict page's frame is
+   128 frames (the 512 KiB cache) past a data frame, so their lines
+   collide in the direct-mapped cache. The space switched to maps the
+   data pages to three other frames and everything else as dom0 does. *)
+
+let memo_vaddr i = 0xC200_0000 + (i * 64 * Td_mem.Layout.page_size)
+let memo_offs = [| 0; 4; 64; 2048; 4092; 4094 (* straddles: faults *) |]
+
+type memo_op =
+  | Call
+  | Remap of int * int  (** data page, pool frame (0-5): map it again *)
+  | Unmap of int
+  | Free of int  (** free the frame behind a data page, mapping left stale *)
+  | Alloc  (** allocate a frame: the last one freed, if any *)
+  | Switch  (** to the other space, flushing the TLB *)
+  | Flush
+  | Fill of int * int  (** a charged load: conflict page, offset *)
+
+let print_memo_op = function
+  | Call -> "call"
+  | Remap (i, j) -> Printf.sprintf "remap %d->%d" i j
+  | Unmap i -> Printf.sprintf "unmap %d" i
+  | Free i -> Printf.sprintf "free %d" i
+  | Alloc -> "alloc"
+  | Switch -> "switch"
+  | Flush -> "flush"
+  | Fill (k, o) -> Printf.sprintf "fill %d+%d" k memo_offs.(o)
+
+let memo_off = QCheck.Gen.(frequency [ (12, int_range 0 4); (1, return 5) ])
+
+let memo_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, return Call);
+        (2, map2 (fun i j -> Remap (i, j)) (int_range 0 2) (int_range 0 5));
+        (1, map (fun i -> Unmap i) (int_range 0 2));
+        (1, map (fun i -> Free i) (int_range 0 2));
+        (1, return Alloc);
+        (1, return Switch);
+        (1, return Flush);
+        (3, map2 (fun k o -> Fill (k, o)) (int_range 0 3) memo_off);
+      ])
+
+(* One access of the program: (kind, data page, offset index). *)
+let memo_access_gen =
+  QCheck.Gen.(triple (int_range 0 6) (int_range 0 2) memo_off)
+
+let memo_base_regs = Reg.[| EBX; ESI; EDI |]
+
+let memo_program accesses =
+  let b = Builder.create "memo" in
+  Builder.label b "entry";
+  Array.iteri
+    (fun i r -> Builder.movl b (Builder.imm (memo_vaddr i)) (Builder.reg r))
+    memo_base_regs;
+  List.iter
+    (fun (kind, page, o) ->
+      let off = memo_offs.(o) in
+      let at = Builder.mem ~base:memo_base_regs.(page) off in
+      let abs = Builder.mem (memo_vaddr page + off) in
+      match kind with
+      | 0 -> Builder.movl b at (Builder.reg Reg.EAX)
+      | 1 -> Builder.addl b at (Builder.reg Reg.EAX)
+      | 2 -> Builder.movl b (Builder.reg Reg.EAX) at
+      | 3 -> Builder.movl b abs (Builder.reg Reg.EDX)
+      | 4 -> Builder.movl b (Builder.reg Reg.EDX) abs
+      | 5 ->
+          Builder.pushl b at;
+          Builder.popl b (Builder.reg Reg.ECX)
+      | _ ->
+          Builder.incl b (Builder.reg Reg.EAX);
+          Builder.addl b (Builder.imm 0x9E37) (Builder.reg Reg.EDX))
+    accesses;
+  Builder.ret b;
+  Program.assemble ~base:Td_mem.Layout.vm_driver_code_base (Builder.finish b)
+
+let memo_run engine accesses ops =
+  let open Td_mem in
+  let m = Harness.make_machine () in
+  let phys = m.Harness.phys in
+  let prog = memo_program accesses in
+  Td_cpu.Code_registry.register m.Harness.registry prog;
+  let st = Harness.dom0_cpu m in
+  let pool = Array.init 132 (fun _ -> Phys_mem.alloc_frame phys) in
+  let alt = Addr_space.create ~name:"alt" phys in
+  Addr_space.iter_frames m.Harness.dom0 (fun ~vpage f ->
+      Addr_space.map alt ~vpage f);
+  let vp i = Layout.page_of (memo_vaddr i) in
+  for i = 0 to 2 do
+    Addr_space.map m.Harness.dom0 ~vpage:(vp i) pool.(i);
+    Addr_space.map alt ~vpage:(vp i) pool.(3 + i)
+  done;
+  for k = 0 to 3 do
+    Addr_space.map m.Harness.dom0 ~vpage:(vp (3 + k)) pool.(128 + k);
+    Addr_space.map alt ~vpage:(vp (3 + k)) pool.(128 + k)
+  done;
+  let entry = Program.addr_of_label prog "entry" in
+  let call =
+    match engine with
+    | Reference ->
+        fun () ->
+          Ref_interp.call ~natives:m.Harness.natives m.Harness.registry st
+            ~entry ~args:[]
+    | Threshold n ->
+        let interp =
+          Td_cpu.Interp.create st m.Harness.registry m.Harness.natives
+        in
+        Td_cpu.Interp.set_compile_threshold interp n;
+        fun () -> Td_cpu.Interp.call interp ~entry ~args:[]
+  in
+  let attempt f =
+    match f () with
+    | v -> Printf.sprintf "ok %#x" v
+    | exception e ->
+        Printf.sprintf "%s at %#x" (Printexc.to_string e) st.Td_cpu.State.pc
+  in
+  let step op =
+    let outcome =
+      match op with
+      | Call -> attempt call
+      | Remap (i, j) ->
+          Addr_space.map st.Td_cpu.State.space ~vpage:(vp i) pool.(j);
+          ""
+      | Unmap i ->
+          Addr_space.unmap st.Td_cpu.State.space ~vpage:(vp i);
+          ""
+      | Free i ->
+          Option.iter (Phys_mem.free_frame phys)
+            (Addr_space.frame_of_vpage st.Td_cpu.State.space ~vpage:(vp i));
+          ""
+      | Alloc -> string_of_int (Phys_mem.alloc_frame phys)
+      | Switch ->
+          Td_cpu.State.switch_space st
+            (if st.Td_cpu.State.space == alt then m.Harness.dom0 else alt);
+          ""
+      | Flush ->
+          Td_cpu.Tlb.flush st.Td_cpu.State.tlb;
+          ""
+      | Fill (k, o) ->
+          attempt (fun () ->
+              Td_cpu.Semantics.load st
+                (memo_vaddr (3 + k) + memo_offs.(o))
+                Width.W32)
+    in
+    let open Td_cpu in
+    ( outcome,
+      List.map (State.get st) (Reg.ESP :: Reg.general),
+      (st.State.zf, st.State.sf, st.State.cf, st.State.ovf),
+      (st.State.cycles, st.State.steps),
+      ( Tlb.hits st.State.tlb,
+        Tlb.misses st.State.tlb,
+        Cache.hits st.State.cache,
+        Cache.misses st.State.cache ) )
+  in
+  let trace = List.map step ops in
+  let frames =
+    Array.to_list
+      (Array.map
+         (fun f ->
+           match Phys_mem.read_bytes phys f 0 Layout.page_size with
+           | b -> Digest.to_hex (Digest.bytes b)
+           | exception Phys_mem.Bad_frame _ -> "free")
+         (Array.sub pool 0 6))
+  in
+  (trace, frames)
+
+let memo_exactness_prop =
+  QCheck.Test.make
+    ~name:
+      "memos and witnesses stay exact under remaps, frees, space switches \
+       and flushes"
+    ~count:150
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 1 12) memo_access_gen)
+           (list_size (int_range 1 30) memo_op_gen))
+       ~print:(fun (accesses, ops) ->
+         Printf.sprintf "program [%s]\nops [%s]"
+           (String.concat "; "
+              (List.map
+                 (fun (k, p, o) -> Printf.sprintf "%d@%d+%d" k p memo_offs.(o))
+                 accesses))
+           (String.concat "; " (List.map print_memo_op ops))))
+    (fun (accesses, ops) ->
+      (* the first two calls promote the entry; compiled runs follow *)
+      let ops = Call :: Call :: ops in
+      let reference = memo_run Reference accesses ops in
+      reference = memo_run (Threshold max_int) accesses ops
+      && reference = memo_run (Threshold 1) accesses ops)
+
 (* --- ledger arithmetic --- *)
 
 let ledger_prop =
@@ -348,5 +556,6 @@ let suite =
     QCheck_alcotest.to_alcotest decode_fuzz_prop;
     QCheck_alcotest.to_alcotest decode_valid_prefix_prop;
     QCheck_alcotest.to_alcotest engine_equivalence_prop;
+    QCheck_alcotest.to_alcotest memo_exactness_prop;
     QCheck_alcotest.to_alcotest ledger_prop;
   ]

@@ -645,6 +645,188 @@ let liveness_soundness_prop =
         (List.init (min n 10) (fun i -> i * max 1 (n / 10)))
       )
 
+(* --- live flags across probes, spilled scratch, and the compiled probe --- *)
+
+(* Programs whose flags are live across rewritten accesses: a flag
+   setter, one to three accesses through EBX (each rewritten into an
+   inline probe, wrapped in pushf/popf while the flags are live), then a
+   reader of the flags — a forward jcc over a short body, or an adc/sbb
+   folding the carry in. The accesses reach both pages of the buffer. A
+   last access sits right before the ret, so the flags a rewritten
+   program leaves are its probe's xor's. *)
+let gen_flags_live : Program.source QCheck.Gen.t =
+  let open QCheck.Gen in
+  let reg = oneofl [ Reg.EAX; Reg.ECX; Reg.EDX; Reg.ESI; Reg.EDI ] in
+  let mem =
+    map (fun d -> Builder.mem ~base:Reg.EBX (4 * d)) (int_range 0 2047)
+  in
+  let setter =
+    oneof
+      [
+        map2
+          (fun n r -> Insn.Cmp (Builder.imm n, Builder.reg r))
+          (int_range 0 50) reg;
+        map2 (fun a r -> Insn.Alu (Insn.Add, Builder.reg a, Builder.reg r)) reg reg;
+        map2 (fun a r -> Insn.Test (Builder.reg a, Builder.reg r)) reg reg;
+        map2 (fun m r -> Insn.Alu (Insn.Sub, m, Builder.reg r)) mem reg;
+      ]
+  in
+  let access =
+    oneof
+      [
+        map2 (fun m r -> Insn.Mov (Width.W32, m, Builder.reg r)) mem reg;
+        map2 (fun m r -> Insn.Mov (Width.W32, Builder.reg r, m)) mem reg;
+        map2 (fun m r -> Insn.Mov (Width.W32, Builder.imm (r * 7), m)) mem
+          (int_range 0 1000);
+      ]
+  in
+  let block i =
+    let* set = setter in
+    let* accs = list_size (int_range 1 3) access in
+    let* reader = int_range 0 3 in
+    let* r = reg in
+    let* c = oneofl [ Cond.E; Cond.NE; Cond.B; Cond.AE; Cond.L; Cond.G ] in
+    let skip = Printf.sprintf ".Lf%d" i in
+    let read =
+      match reader with
+      | 0 -> [ Program.Ins (Insn.Alu (Insn.Adc, Builder.imm 0, Builder.reg r)) ]
+      | 1 -> [ Program.Ins (Insn.Alu (Insn.Sbb, Builder.imm 1, Builder.reg r)) ]
+      | _ ->
+          [
+            Program.Ins (Insn.Jcc (c, Insn.Lbl skip));
+            Program.Ins (Insn.Inc (Builder.reg r));
+            Program.Label skip;
+          ]
+    in
+    return ((Program.Ins set :: List.map (fun a -> Program.Ins a) accs) @ read)
+  in
+  let* n = int_range 1 4 in
+  let* blocks = flatten_l (List.init n block) in
+  let* last = access in
+  return
+    (Program.source "flags"
+       ((Program.Label "entry" :: List.concat blocks)
+       @ [ Program.Ins last; Program.Ins Insn.Ret ]))
+
+let flags_init =
+  Bytes.init Twin_harness.buf_bytes (fun i -> Char.chr ((i * 29) land 0xff))
+
+let flags_live_equivalence_prop =
+  QCheck.Test.make
+    ~name:"live flags across probes, spilled scratch: three-way equivalence"
+    ~count:40
+    (QCheck.make
+       QCheck.Gen.(pair bool gen_flags_live)
+       ~print:(fun (spill, src) ->
+         Printf.sprintf "spill_everything=%b\n%s" spill (print_src src)))
+    (fun (spill, source) ->
+      let run which =
+        Twin_harness.run_incarnation ~spill_everything:spill ~source
+          ~init:flags_init ~regs:set_ebx ~entry:"entry" which
+      in
+      let original = run Twin_harness.Original in
+      Twin_harness.equivalent original (run Twin_harness.Vm_identity)
+      && Twin_harness.equivalent original (run Twin_harness.Hypervisor))
+
+(* The compiled tier, which lowers each inline probe to one op, against
+   the block engine on the rewritten code itself, call after call:
+   results and faults with their pc, registers, flags, cycles, steps,
+   TLB and cache counters and the buffer must all agree. The third call
+   is the first compiled one; the SVM runtime is flushed before it, so
+   compiled probes meet invalidated stlb entries and leave by the jne. *)
+let flush_before_third i svm _st =
+  if i = 2 then Option.iter Td_svm.Runtime.flush svm
+
+let hot_runs ?on_probe ?(between = flush_before_third) ~spill source which =
+  let run threshold =
+    fst
+      (Twin_harness.run_hot ~spill_everything:spill
+         ?on_probe:(Option.map (fun f -> f ()) on_probe)
+         ~threshold ~calls:5 ~between ~source ~init:flags_init ~regs:set_ebx
+         ~entry:"entry" which)
+  in
+  (run 1, run max_int)
+
+let fused_probe_prop =
+  QCheck.Test.make
+    ~name:"compiled probes match the block engine on rewritten code"
+    ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         triple bool bool (oneof [ gen_flags_live; gen_straightline ]))
+       ~print:(fun (spill, hyp, src) ->
+         Printf.sprintf "spill_everything=%b hypervisor=%b\n%s" spill hyp
+           (print_src src)))
+    (fun (spill, hyp, source) ->
+      let compiled, block =
+        hot_runs ~spill source
+          (if hyp then Twin_harness.Hypervisor else Twin_harness.Vm_identity)
+      in
+      compiled = block)
+
+let probe_source =
+  src_of (fun b ->
+      Builder.label b "entry";
+      Builder.cmpl b (Builder.imm 3) (Builder.reg Reg.ECX);
+      Builder.movl b (Builder.mem ~base:Reg.EBX 0) (Builder.reg Reg.EAX);
+      Builder.addl b (Builder.mem ~base:Reg.EBX 4100) (Builder.reg Reg.EAX);
+      Builder.movl b (Builder.reg Reg.EAX) (Builder.mem ~base:Reg.EBX 8);
+      Builder.jcc b Cond.E "out";
+      Builder.incl b (Builder.reg Reg.ECX);
+      Builder.label b "out";
+      Builder.movl b (Builder.mem ~base:Reg.EBX 12) (Builder.reg Reg.EDX);
+      Builder.ret b)
+
+let outcomes runs = List.map (fun s -> s.Twin_harness.outcome) runs
+
+(* A fault at a compiled probe's tag load: with the stlb's pages
+   unmapped before the fourth call, the first probe's cmp faults. The
+   registers and the shr's flags written before the load, and the cycles
+   and steps through the cmp, must be the block engine's. *)
+let test_fused_probe_tag_fault () =
+  List.iter
+    (fun which ->
+      let between i svm (st : Td_cpu.State.t) =
+        match svm with
+        | Some rt when i = 3 ->
+            let stlb = Td_svm.Stlb.vaddr (Td_svm.Runtime.stlb rt) in
+            let space = Td_cpu.State.space_for st stlb in
+            for p = 0 to 7 do
+              Td_mem.Addr_space.unmap space
+                ~vpage:(Td_mem.Layout.page_of stlb + p)
+            done
+        | _ -> ()
+      in
+      let compiled, block = hot_runs ~between ~spill:false probe_source which in
+      check bool_c "the fourth call faults at the tag load" true
+        (match List.nth (outcomes compiled) 3 with
+        | o -> String.length o > 10 && String.sub o 0 10 = "Td_mem.Add");
+      check bool_c "compiled = block engine" true (compiled = block))
+    [ Twin_harness.Vm_identity; Twin_harness.Hypervisor ]
+
+(* An abort in the probe-hit callback: the callback raises at its
+   seventh hit, inside a compiled run, after the tag load and before
+   the xor load. *)
+let test_fused_probe_callback_abort () =
+  let on_probe () =
+    let hits = ref 0 in
+    fun _ ->
+      incr hits;
+      if !hits = 7 then raise Exit
+  in
+  List.iter
+    (fun which ->
+      let compiled, block =
+        hot_runs ~on_probe ~between:(fun _ _ _ -> ()) ~spill:false probe_source
+          which
+      in
+      check bool_c "one call aborts in the callback" true
+        (List.exists
+           (fun o -> String.length o >= 4 && String.sub o 0 4 = "Stdl")
+           (outcomes compiled));
+      check bool_c "compiled = block engine" true (compiled = block))
+    [ Twin_harness.Vm_identity; Twin_harness.Hypervisor ]
+
 let suite =
   [
     Alcotest.test_case "liveness basic" `Quick test_liveness_basic;
@@ -683,4 +865,10 @@ let suite =
     Alcotest.test_case "probe caching invalidation" `Quick
       test_probe_caching_invalidation;
     QCheck_alcotest.to_alcotest cached_equivalence_prop;
+    QCheck_alcotest.to_alcotest flags_live_equivalence_prop;
+    QCheck_alcotest.to_alcotest fused_probe_prop;
+    Alcotest.test_case "compiled probe: tag-load fault" `Quick
+      test_fused_probe_tag_fault;
+    Alcotest.test_case "compiled probe: callback abort" `Quick
+      test_fused_probe_callback_abort;
   ]

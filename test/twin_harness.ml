@@ -19,11 +19,11 @@ type run_result = {
 
 let buf_bytes = 2 * Layout.page_size
 
-(* Build one machine, load the requested incarnation of [source], initialise
-   the buffer with [init], set registers with [regs buf_addr], execute
-   [entry] and return observable state. *)
-let run_incarnation ?(max_steps = 2_000_000) ?cache_probes
-    ?(post_load = fun _ _ ~buf:_ -> ()) ~source ~init ~regs ~entry which =
+(* Build one machine, load the requested incarnation of [source] and
+   initialise the buffer with [init]: the machine, the CPU the
+   incarnation runs on, the loaded program, its SVM runtime and the
+   buffer's address. *)
+let load_incarnation ?cache_probes ?spill_everything ~source ~init which =
   let m = Harness.make_machine () in
   let buf = Addr_space.heap_alloc m.Harness.dom0 buf_bytes in
   Addr_space.write_block m.Harness.dom0 buf init;
@@ -41,7 +41,7 @@ let run_incarnation ?(max_steps = 2_000_000) ?cache_probes
         in
         (Harness.dom0_cpu m, prog, None)
     | Vm_identity ->
-        let twin = Td_rewriter.Twin.derive ?cache_probes source in
+        let twin = Td_rewriter.Twin.derive ?cache_probes ?spill_everything source in
         let rt, stlb_vaddr = Harness.vm_runtime m in
         let scratch = Addr_space.heap_alloc m.Harness.dom0 64 in
         ignore
@@ -64,7 +64,7 @@ let run_incarnation ?(max_steps = 2_000_000) ?cache_probes
         in
         (Harness.dom0_cpu m, prog, Some rt)
     | Hypervisor ->
-        let twin = Td_rewriter.Twin.derive ?cache_probes source in
+        let twin = Td_rewriter.Twin.derive ?cache_probes ?spill_everything source in
         let rt = Harness.hyp_runtime m in
         let ct =
           Td_svm.Call_table.create ~vm_code_base:Layout.vm_driver_code_base
@@ -91,6 +91,15 @@ let run_incarnation ?(max_steps = 2_000_000) ?cache_probes
            mapped — every data access must go through SVM *)
         let guest = Addr_space.create ~name:"guest" m.Harness.phys in
         (Harness.hyp_cpu m ~guest, prog, Some rt)
+  in
+  (m, st, prog, svm, buf)
+
+(* Load the requested incarnation of [source], set registers with
+   [regs st buf_addr], execute [entry] and return observable state. *)
+let run_incarnation ?(max_steps = 2_000_000) ?cache_probes ?spill_everything
+    ?(post_load = fun _ _ ~buf:_ -> ()) ~source ~init ~regs ~entry which =
+  let m, st, prog, svm, buf =
+    load_incarnation ?cache_probes ?spill_everything ~source ~init which
   in
   post_load m prog ~buf;
   regs st buf;
@@ -126,3 +135,61 @@ let vm_address_of_label prog label =
 
 let equivalent (a : run_result) (b : run_result) =
   a.eax = b.eax && Bytes.equal a.buf b.buf
+
+(* Everything one call leaves observable: the result or the exception and
+   where it was raised, every register, the flags, the simulated cycles
+   and steps, the TLB and cache counters and the buffer. *)
+type call_snapshot = {
+  outcome : string;
+  regs : int list;
+  flags : bool * bool * bool * bool;
+  sim : int * int;
+  models : int * int * int * int;
+  data : bytes;
+}
+
+(* Run [entry] of one incarnation [calls] times on the interpreter with
+   compile threshold [threshold] (1: compiled from the third call on;
+   [max_int]: the block engine only), calling [between i rt st] before
+   call [i] (from 0) to disturb the SVM runtime or the machine.
+   [on_probe], when given, is registered as the inline probe's hit
+   callback (the xor word of the incarnation's stlb). *)
+let run_hot ?spill_everything ?on_probe ~threshold ~calls ~between ~source
+    ~init ~regs ~entry which =
+  let m, st, prog, svm, buf =
+    load_incarnation ?spill_everything ~source ~init which
+  in
+  regs st buf;
+  let interp = Harness.interp_of m st in
+  Interp.set_compile_threshold interp threshold;
+  (match (on_probe, svm) with
+  | Some f, Some rt ->
+      Interp.set_probes interp
+        [ (Td_svm.Stlb.vaddr (Td_svm.Runtime.stlb rt) + 4, f) ]
+  | _ -> ());
+  let entry = Program.addr_of_label prog entry in
+  let snap = ref [] in
+  for i = 0 to calls - 1 do
+    between i svm st;
+    let outcome =
+      match Interp.call interp ~entry ~args:[] with
+      | v -> Printf.sprintf "ok %#x" v
+      | exception e ->
+          Printf.sprintf "%s at %#x" (Printexc.to_string e) st.State.pc
+    in
+    snap :=
+      {
+        outcome;
+        regs = List.map (State.get st) (Reg.ESP :: Reg.general);
+        flags = (st.State.zf, st.State.sf, st.State.cf, st.State.ovf);
+        sim = (st.State.cycles, st.State.steps);
+        models =
+          ( Tlb.hits st.State.tlb,
+            Tlb.misses st.State.tlb,
+            Cache.hits st.State.cache,
+            Cache.misses st.State.cache );
+        data = Addr_space.read_block m.Harness.dom0 buf buf_bytes;
+      }
+      :: !snap
+  done;
+  (List.rev !snap, interp)
