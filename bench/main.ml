@@ -539,12 +539,20 @@ let json_of_recovery_point (p : Experiments.recovery_point) =
       ("recoveries", Json.Int p.Experiments.recoveries);
       ("replayed", Json.Int p.Experiments.replayed);
       ("lost_frames", Json.Int p.Experiments.lost);
+      ("tx_lost_frames", Json.Int p.Experiments.tx_lost);
+      ("contained", Json.Int p.Experiments.contained);
       ("guest_faults", Json.Int p.Experiments.guest_faults);
       ( "frames_to_recover",
         match p.Experiments.frames_to_recover with
         | Some f -> Json.Float f
         | None -> Json.Null );
-      ("all_nics_serviceable", Json.Bool p.Experiments.serviceable);
+      ("all_nics_serviceable", Json.Bool (p.Experiments.failed = []));
+      ( "failed_ports",
+        Json.List
+          (List.map
+             (fun (nic, reason) ->
+               Json.Obj [ ("nic", Json.Int nic); ("reason", Json.String reason) ])
+             p.Experiments.failed) );
     ]
 
 let print_recovery_point (p : Experiments.recovery_point) =
@@ -559,7 +567,7 @@ let print_recovery_point (p : Experiments.recovery_point) =
     (match p.Experiments.frames_to_recover with
     | Some f -> Printf.sprintf "%.1f" f
     | None -> "-")
-    (if p.Experiments.serviceable then "serviceable" else "QUARANTINED")
+    (if p.Experiments.failed = [] then "serviceable" else "FAILED")
 
 let recovery () =
   header "Fault-injection recovery sweep (docs/FAULTS.md)";
@@ -637,6 +645,7 @@ let fleet () =
       ("throttled", Json.Int r.Experiments.fl_throttled);
       ("faults_injected", Json.Int r.Experiments.fl_injected);
       ("recoveries", Json.Int r.Experiments.fl_recoveries);
+      ("contained", Json.Int r.Experiments.fl_contained);
       ("churned", Json.Int r.Experiments.fl_churned);
       ("tx_p50", Json.Float r.Experiments.fl_tx_p50);
       ("tx_p99", Json.Float r.Experiments.fl_tx_p99);

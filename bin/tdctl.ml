@@ -564,11 +564,19 @@ let faults_cmd =
     Format.printf "frames lost       %d@." p.Twindrivers.Experiments.lost;
     Format.printf "guest faults      %d@."
       p.Twindrivers.Experiments.guest_faults;
-    Format.printf "end state         %s@."
-      (if p.Twindrivers.Experiments.serviceable then
-         "all NICs serviceable"
-       else "NIC(s) quarantined");
-    if p.Twindrivers.Experiments.serviceable then 0 else 1
+    if p.Twindrivers.Experiments.contained > 0 then
+      Format.printf "other aborts      %d (receive, pump, tick, shutdown)@."
+        p.Twindrivers.Experiments.contained;
+    (match p.Twindrivers.Experiments.failed with
+    | [] -> Format.printf "end state         all NICs serviceable@."
+    | failed ->
+        List.iteri
+          (fun i (nic, reason) ->
+            Format.printf "%-18sNIC %d failed: %s@."
+              (if i = 0 then "end state" else "")
+              nic reason)
+          failed);
+    if p.Twindrivers.Experiments.failed = [] then 0 else 1
   in
   let doc = "run a fault-injection soak and report the recovery ledger" in
   Cmd.v (Cmd.info "faults" ~doc) Term.(const run $ policy $ rate $ frames $ seed)

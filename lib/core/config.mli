@@ -15,11 +15,13 @@ val of_string : string -> t option
 type recovery =
   | Fail_stop
       (** historical behaviour: the abort propagates as
-          {!World.Driver_aborted} and the NIC stays quarantined. *)
+          {!World.Driver_aborted} and the port moves to the terminal
+          [World.Failed] state. *)
   | Restart
-      (** quarantine, tear down the twin instance, reload + re-init from
-          shadow state; in-flight TX frames are dropped and counted in
-          [fault.lost_frames]. *)
+      (** every port [World.Recovering] while the twin instance is torn
+          down, reloaded and re-initialised from shadow state, then
+          [World.Serving] again; in-flight TX frames are dropped and
+          counted in [fault.lost_frames]. *)
   | Restart_replay
       (** like [Restart], but the frame whose transmit aborted is
           replayed once on the fresh instance ([fault.replayed]). *)

@@ -35,7 +35,7 @@ let attach_channel w x vswitch ~guest:g ~nic =
                ~stack:w.dom0_stack_top);
           true
         in
-        ignore (Supervisor.run_tx w ~nic attempt))
+        ignore (Supervisor.transmit w ~nic attempt))
       ()
   in
   (* the guest stack reads the payload out of its own page once, as the
@@ -173,5 +173,5 @@ let transmit_from ?nic w s ~guest:g ~payload =
         "guest %d has no netfront channel%s" g
         (match nic with Some n -> Printf.sprintf " on NIC %d" n | None -> "")
   | Some (n, io) ->
-      if w.nics.(n).quarantined then raise (Nic_quarantined { nic = n });
+      Supervisor.admit w ~nic:n;
       send w io ~hdr:s.gs_tx_hdrs.(n) payload

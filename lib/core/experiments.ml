@@ -658,9 +658,11 @@ type recovery_point = {
   recoveries : int;
   replayed : int;
   lost : int;
+  tx_lost : int;
+  contained : int;
   guest_faults : int;
   frames_to_recover : float option;
-  serviceable : bool;
+  failed : (int * string) list;
 }
 
 (* Per-site rates derived from one knob. The knob is the probability per
@@ -681,6 +683,12 @@ let soak_plan ~seed rate =
     upcall_fail = rate;
   }
 
+(* a soak counts the aborts and refusals its calls raise *)
+let counting ~aborted ~refused f =
+  try f () with
+  | World.Driver_aborted _ -> incr aborted
+  | World.Nic_quarantined _ -> incr refused
+
 let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
   let tuning =
     {
@@ -699,33 +707,27 @@ let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
   let payload = String.init 1500 (fun i -> Char.chr (i land 0xff)) in
   let nics = World.nic_count w in
   let guest_faults_before = Td_xen.Guest_fault.total () in
-  let aborted = ref 0 and refused = ref 0 in
+  let aborted = ref 0 and refused = ref 0 and contained = ref 0 in
+  let housekeeping = counting ~aborted:contained ~refused:contained in
   for i = 0 to frames - 1 do
-    (match World.transmit w ~nic:(i mod nics) ~payload with
-    | (_ : bool) -> ()
-    | exception World.Driver_aborted _ -> incr aborted
-    | exception World.Nic_quarantined _ -> incr refused);
+    counting ~aborted ~refused (fun () ->
+        ignore (World.transmit w ~nic:(i mod nics) ~payload));
     (* keep the receive path hot too: its losses are counted in
        fault.lost_frames, not in TX availability *)
     if i mod 16 = 15 then begin
-      (try World.inject_rx w ~nic:(i mod nics) ~payload:"rx probe"
-       with World.Driver_aborted _ | World.Nic_quarantined _ -> ());
-      try World.pump w
-      with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
+      housekeeping (fun () ->
+          World.inject_rx w ~nic:(i mod nics) ~payload:"rx probe");
+      housekeeping (fun () -> World.pump w)
     end;
     (* frequent ticks bound the watchdog's hang-detection latency and
        with it the frames lost to a stuck TX DMA engine *)
-    if i mod 2 = 1 then
-      try World.tick w
-      with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
+    if i mod 2 = 1 then housekeeping (fun () -> World.tick w)
   done;
-  (try World.pump w
-   with World.Driver_aborted _ | World.Nic_quarantined _ -> ());
+  housekeeping (fun () -> World.pump w);
   (* teardown invariant: nothing the soak staged may still be parked
      on an I/O channel, and every staged frame must be accounted for
      (completed or counted as dropped) after a full drain *)
-  (try World.shutdown w
-   with World.Driver_aborted _ | World.Nic_quarantined _ -> ());
+  housekeeping (fun () -> World.shutdown w);
   if World.staged_frames w <> 0 then
     failwith "Experiments.recovery_soak: frames staged after shutdown";
   if not (World.netio_conserved w) then
@@ -744,11 +746,17 @@ let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
     recoveries;
     replayed = World.replayed_frames w;
     lost = Td_fault.Engine.lost_frames (World.fault_engine w);
+    tx_lost = World.tx_lost_frames w;
+    contained = !contained;
     guest_faults = Td_xen.Guest_fault.total () - guest_faults_before;
     frames_to_recover =
       (if recoveries = 0 then None
        else Some (float_of_int (frames - delivered) /. float_of_int recoveries));
-    serviceable = World.all_serviceable w;
+    failed =
+      List.init nics (fun nic -> (nic, World.port_state w ~nic))
+      |> List.filter_map (function
+           | nic, World.Failed reason -> Some (nic, reason)
+           | _, (World.Serving | World.Recovering) -> None);
   }
 
 let recovery_sweep ?(frames = 2_000) ?(rates = [ 0.0; 0.002; 0.01 ])
@@ -773,6 +781,7 @@ type fleet_report = {
   fl_throttled : int;
   fl_injected : int;
   fl_recoveries : int;
+  fl_contained : int;
   fl_churned : int;
   fl_live_at_end : int;
   fl_tx_p50 : float;
@@ -864,18 +873,11 @@ let fleet_run ~domains ~frames ~nics ~seed ~churn ~quota ~fault_rate () =
   in
   let offered_tx = ref 0 and rx_injected = ref 0 and churned = ref 0 in
   let moved () = !offered_tx + !rx_injected in
-  let contained f =
-    match f () with
-    | (_ : bool) -> ()
-    | exception World.Driver_aborted _ -> ()
-    | exception World.Nic_quarantined _ -> ()
-  in
-  let contained_unit f =
-    try f () with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
-  in
+  let caught = ref 0 in
+  let contained = counting ~aborted:caught ~refused:caught in
   let tx g payload =
     incr offered_tx;
-    contained (fun () -> World.transmit_from w ~guest:g ~payload)
+    contained (fun () -> ignore (World.transmit_from w ~guest:g ~payload))
   in
   let churn_every =
     if churn > 0 then max 1 (frames / (churn + 1)) else max_int
@@ -898,15 +900,15 @@ let fleet_run ~domains ~frames ~nics ~seed ~churn ~quota ~fault_rate () =
             (* fan-in: two wire arrivals per round converge on this guest *)
             for _ = 1 to 2 do
               incr rx_injected;
-              contained_unit (fun () ->
+              contained (fun () ->
                   World.inject_rx ~guest:g w ~nic:(g mod nics) ~payload:fanin)
             done
     done;
-    contained_unit (fun () -> World.pump w);
+    contained (fun () -> World.pump w);
     (* a tick per round keeps the watchdog's hang-detection latency — and
        with it the frames a wedged TX DMA engine can strand — bounded to
        a few rounds of traffic *)
-    contained_unit (fun () -> World.tick w);
+    contained (fun () -> World.tick w);
     (* domain churn: destroy a random live non-boot guest and (slots
        permitting — they are never reused) start a replacement *)
     if moved () >= !next_churn && churn > 0 then begin
@@ -925,9 +927,9 @@ let fleet_run ~domains ~frames ~nics ~seed ~churn ~quota ~fault_rate () =
           incr churned
     end
   done;
-  contained_unit (fun () -> World.pump w);
-  contained_unit (fun () -> World.tick w);
-  contained_unit (fun () -> World.shutdown w);
+  contained (fun () -> World.pump w);
+  contained (fun () -> World.tick w);
+  contained (fun () -> World.shutdown w);
   let led = World.ledger w in
   let pct dir p =
     Option.value ~default:0.0 (Td_xen.Ledger.latency_percentile led dir p)
@@ -955,6 +957,7 @@ let fleet_run ~domains ~frames ~nics ~seed ~churn ~quota ~fault_rate () =
     fl_throttled = World.quota_throttled w;
     fl_injected = World.fault_injected w;
     fl_recoveries = World.recoveries w;
+    fl_contained = !caught;
     fl_churned = !churned;
     fl_live_at_end = live;
     fl_tx_p50 = pct `Tx 50.;

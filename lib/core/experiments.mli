@@ -205,17 +205,33 @@ type recovery_point = {
   offered : int;
   delivered : int;  (** frames that reached the wire *)
   aborted : int;  (** transmits that raised [World.Driver_aborted] *)
-  refused : int;  (** transmits refused by a quarantined NIC *)
+  refused : int;
+      (** transmits that raised [World.Nic_quarantined]: their port was
+          not [Serving] *)
   availability : float;  (** delivered / offered *)
   injected : int;  (** faults actually fired, all sites *)
   recoveries : int;
   replayed : int;
-  lost : int;  (** frames charged to [fault.lost_frames] *)
+  lost : int;  (** frames charged to [fault.lost_frames], rx and tx *)
+  tx_lost : int;
+      (** {!World.tx_lost_frames}. Barring register bit flips (see
+          docs/FAULTS.md), offered = delivered + tx_lost + aborted +
+          refused *)
+  contained : int;
+      (** aborts and refusals raised by the soak's receive injection,
+          pump, tick and shutdown calls *)
   guest_faults : int;  (** typed guest faults contained during the soak *)
   frames_to_recover : float option;
       (** mean undelivered frames per recovery; [None] with no recovery *)
-  serviceable : bool;  (** no NIC left quarantined at soak end *)
+  failed : (int * string) list;
+      (** the ports that ended [World.Failed], with the reason; every other
+          port ends [Serving] *)
 }
+
+val soak_plan : seed:int -> float -> Td_fault.plan
+(** The per-site plan a soak derives from its rate knob: the knob is the
+    probability per frame-sized unit of work, scaled per site by how
+    often that site's opportunity comes up. *)
 
 val recovery_soak :
   ?frames:int ->
@@ -256,6 +272,9 @@ type fleet_report = {
   fl_throttled : int;  (** quota denials (this world's engine) *)
   fl_injected : int;  (** faults fired (this world's engine) *)
   fl_recoveries : int;
+  fl_contained : int;
+      (** calls that raised [World.Driver_aborted] or
+          [World.Nic_quarantined], counted and not propagated *)
   fl_churned : int;  (** destroy+replace cycles completed *)
   fl_live_at_end : int;
   fl_tx_p50 : float;

@@ -32,6 +32,8 @@ let run_driver w ~entry ~args ~stack =
         abort (Printf.sprintf "upcall %s failed in dom0" routine)
     | Guest_fault.Fault { op; reason } ->
         abort (Printf.sprintf "guest fault in %s: %s" op reason)
+    | Kmem.Bad_free { addr; bytes; reason } ->
+        abort (Printf.sprintf "bad kfree of 0x%x (%d B): %s" addr bytes reason)
     | Quota.Quota_exceeded { domain; resource } ->
         abort (Printf.sprintf "quota exceeded: %s for domain %s" resource domain)
     (* under fault injection a corrupted driver can drive the model into
@@ -61,15 +63,39 @@ let run_hyp_driver w ~entry ~args =
 
 (* ---- driver supervisor (§4.5) ---- *)
 
-let recovery_enabled w = w.tuning.Config.recovery <> Config.Fail_stop
+(* The port state machine, written only here: every live port goes
+   Serving -> Recovering -> Serving across a restart, or -> Failed if its
+   rebuild aborts; a Fail_stop abort, or a control call that aborts again
+   on the fresh instance, fails its port. Failed is terminal. *)
 
-(* function pointers in shared data always hold VM-instance code
-   addresses; reinstalled after every (re)init of the dom0 instance *)
-let install_link_fn w (p : nic_port) =
-  let a = Td_driver.Adapter.of_netdev p.nd in
-  Td_driver.Adapter.set_field a Td_driver.Adapter.o_link_fn
+let serving w ~nic =
+  match w.nics.(nic).state with Serving -> true | Recovering | Failed _ -> false
+
+let admit w ~nic = if not (serving w ~nic) then raise (Nic_quarantined { nic })
+
+let fail (q : nic_port) reason =
+  q.state <- Failed reason;
+  if Td_obs.Control.enabled () then Td_obs.Metrics.bump "fault.ports_failed"
+
+(* e1000_init on the dom0 instance, the link-check ops pointer (shared
+   data holds VM-instance code addresses), then the shadow configuration
+   through the driver's own entry points, as the guest applied it *)
+let init_port w (p : nic_port) =
+  ignore
+    (run_dom0_driver w ~entry:w.dom0_driver.e_init ~args:[ p.nd.Netdev.addr ]);
+  Td_driver.Adapter.set_field
+    (Td_driver.Adapter.of_netdev p.nd)
+    Td_driver.Adapter.o_link_fn
     (Program.addr_of_label w.dom0_driver.prog
-       Td_driver.E1000_driver.entry_check_link)
+       Td_driver.E1000_driver.entry_check_link);
+  if p.shadow.s_mtu <> 1500 then
+    ignore
+      (run_dom0_driver w ~entry:w.dom0_driver.e_set_mtu
+         ~args:[ p.nd.Netdev.addr; p.shadow.s_mtu ]);
+  if p.shadow.s_promisc then
+    ignore
+      (run_dom0_driver w ~entry:w.dom0_driver.e_set_rx_mode
+         ~args:[ p.nd.Netdev.addr; 1 ])
 
 (* Free the dead instance's kernel memory — adapter, descriptor rings,
    shadow sk_buff arrays and the ring sk_buffs they reference — so
@@ -85,6 +111,11 @@ let teardown_driver_memory w (q : nic_port) =
     | Twin (_, tw) -> Skb_pool.owns tw.pool (Skb.of_addr w.dom0_space addr)
     | Native | Dom0 _ | Domu _ -> false
   in
+  (* a pointer the dead instance scribbled is refused: that block leaks,
+     the rest is still freed *)
+  let free addr bytes =
+    if addr <> 0 then try Kmem.free w.km addr bytes with Kmem.Bad_free _ -> ()
+  in
   let free_skb addr =
     if addr <> 0 && not (pooled addr) then
       try
@@ -93,7 +124,7 @@ let teardown_driver_memory w (q : nic_port) =
           Skb.set_refcnt skb 1;
           Skb.free w.km skb
         end
-      with _ -> ()
+      with Addr_space.Page_fault _ | Kmem.Bad_free _ -> ()
   in
   try
     let priv = Netdev.priv q.nd in
@@ -109,149 +140,122 @@ let teardown_driver_memory w (q : nic_port) =
         let rd addr = Addr_space.read w.dom0_space addr Width.W32 in
         let rx_arr = fld Td_driver.Adapter.o_rx_skb
         and tx_arr = fld Td_driver.Adapter.o_tx_skb in
-        if rx_arr <> 0 then begin
+        if rx_arr <> 0 then
           for i = 0 to rx_size - 1 do
             free_skb (rd (rx_arr + (4 * i)))
           done;
-          Kmem.free w.km rx_arr (4 * rx_size)
-        end;
-        if tx_arr <> 0 then begin
+        free rx_arr (4 * rx_size);
+        if tx_arr <> 0 then
           for i = 0 to tx_size - 1 do
             (* 0 = empty slot, 1 = fragment marker, else an sk_buff *)
             let v = rd (tx_arr + (4 * i)) in
             if v > 1 then free_skb v
           done;
-          Kmem.free w.km tx_arr (4 * tx_size)
-        end;
-        let tx_ring = fld Td_driver.Adapter.o_tx_ring
-        and rx_ring = fld Td_driver.Adapter.o_rx_ring in
-        if tx_ring <> 0 then
-          Kmem.free w.km tx_ring (tx_size * Td_nic.Regs.desc_bytes);
-        if rx_ring <> 0 then
-          Kmem.free w.km rx_ring (rx_size * Td_nic.Regs.desc_bytes)
+        free tx_arr (4 * tx_size);
+        free (fld Td_driver.Adapter.o_tx_ring) (tx_size * Td_nic.Regs.desc_bytes);
+        free (fld Td_driver.Adapter.o_rx_ring) (rx_size * Td_nic.Regs.desc_bytes)
       end;
-      Kmem.free w.km priv Td_driver.Adapter.struct_bytes;
+      free priv Td_driver.Adapter.struct_bytes;
       Netdev.set_priv q.nd 0
     end
-  with _ -> ()
+  with
+  (* an unmapped adapter or shadow array: leak what is left *)
+  | Addr_space.Page_fault _ -> ()
+
+let rebuild w (q : nic_port) =
+  teardown_driver_memory w q;
+  Td_fault.Engine.note_tx_lost w.fault (Td_nic.E1000_dev.reset q.dev);
+  q.pending_irq <- 0;
+  Netdev.repair q.nd ~mmio_base:q.shadow.s_mmio_base ~mac:q.mac
+    ~mtu:q.shadow.s_mtu;
+  init_port w q
 
 (* Tear the twin down and rebuild it from shadow state. The blast radius
    of a corrupted instance is the shared driver state (both instances run
-   the same data structures, §3.1), so every port is quarantined for the
-   duration and re-initialised before service resumes. Injection is
-   masked throughout: recovery must make forward progress even under an
-   aggressive plan. *)
+   the same data structures, §3.1), so every live port is Recovering for
+   the duration and rebuilt before service resumes. Injection is masked
+   throughout: recovery must make forward progress even under an
+   aggressive plan. Total: an abort while rebuilding a port fails that
+   port, and the others still come back. *)
 let recover w ~nic ~reason =
-  w.in_recovery <- true;
-  Array.iter (fun q -> q.quarantined <- true) w.nics;
-  Fun.protect
-    ~finally:(fun () -> w.in_recovery <- false)
-    (fun () ->
-      Td_fault.Engine.suspend w.fault (fun () ->
-          (* 1. re-run the MISA loader over the dead instance(s) *)
-          w.dom0_driver <- w.reload_dom0 ();
-          (match w.path with
-          | Twin (_, tw) ->
-              tw.hyp_driver <- tw.reload_hyp ();
-              (* 2. invalidate all translations and unmap the window pairs *)
-              Td_svm.Runtime.flush tw.svm_hyp;
-              Td_svm.Runtime.flush tw.svm_vm;
-              (* 3. reclaim every sk_buff pool slot, in flight or not *)
-              Skb_pool.reset tw.pool;
-              (* 4. re-pin the packet-buffer pool into the hypervisor *)
-              pin_pool tw.svm_hyp tw.pool
-          | Native | Dom0 _ | Domu _ -> ());
-          (* 5. per NIC: device reset, driver re-init, shadow restore *)
-          Array.iter
-            (fun q ->
-              teardown_driver_memory w q;
-              Td_fault.Engine.note_lost w.fault (Td_nic.E1000_dev.reset q.dev);
-              q.pending_irq <- 0;
-              Netdev.repair q.nd ~mmio_base:q.shadow.s_mmio_base ~mac:q.mac
-                ~mtu:q.shadow.s_mtu;
-              ignore
-                (run_dom0_driver w ~entry:w.dom0_driver.e_init
-                   ~args:[ q.nd.Netdev.addr ]);
-              install_link_fn w q;
-              (* restore captured configuration through the driver's own
-                 entry points, exactly as the guest originally applied it *)
-              if q.shadow.s_mtu <> 1500 then
-                ignore
-                  (run_dom0_driver w ~entry:w.dom0_driver.e_set_mtu
-                     ~args:[ q.nd.Netdev.addr; q.shadow.s_mtu ]);
-              if q.shadow.s_promisc then
-                ignore
-                  (run_dom0_driver w ~entry:w.dom0_driver.e_set_rx_mode
-                     ~args:[ q.nd.Netdev.addr; 1 ]);
-              q.quarantined <- false)
-            w.nics));
+  Array.iter (fun q -> if q.state = Serving then q.state <- Recovering) w.nics;
+  Td_fault.Engine.suspend w.fault (fun () ->
+      (* 1. re-run the MISA loader over the dead instance(s) *)
+      w.dom0_driver <- w.reload_dom0 ();
+      (match w.path with
+      | Twin (_, tw) ->
+          tw.hyp_driver <- tw.reload_hyp ();
+          (* 2. invalidate all translations and unmap the window pairs *)
+          Td_svm.Runtime.flush tw.svm_hyp;
+          Td_svm.Runtime.flush tw.svm_vm;
+          (* 3. reclaim every sk_buff pool slot, in flight or not *)
+          Skb_pool.reset tw.pool;
+          (* 4. re-pin the packet-buffer pool into the hypervisor *)
+          pin_pool tw.svm_hyp tw.pool
+      | Native | Dom0 _ | Domu _ -> ());
+      (* 5. per port: rebuild *)
+      Array.iter
+        (fun q ->
+          if q.state = Recovering then
+            match rebuild w q with
+            | () -> q.state <- Serving
+            | exception Driver_aborted r -> fail q ("recovery aborted: " ^ r))
+        w.nics);
   w.recoveries <- w.recoveries + 1;
   if Td_obs.Control.enabled () then begin
     Td_obs.Metrics.bump "fault.recoveries";
     Td_obs.Trace.emit (Td_obs.Trace.Driver_recovery { nic; reason })
   end
 
-(* Wrap one driver invocation on behalf of [nic]. [None] means the
-   invocation aborted and the system recovered; under [Fail_stop] the
-   abort propagates unchanged (with the port left quarantined). *)
-let supervised w ~nic f =
-  try Some (f ())
-  with Driver_aborted reason when not w.in_recovery ->
-    w.nics.(nic).quarantined <- true;
-    if recovery_enabled w then begin
-      recover w ~nic ~reason;
-      None
-    end
-    else raise (Driver_aborted reason)
-
-(* watchdog hang detection: a latched TX DMA engine never completes a
-   send, so the watchdog declares the instance hung and restarts it *)
-let check_hang w ~nic =
-  if Td_nic.E1000_dev.dma_stuck w.nics.(nic).dev && not w.in_recovery then begin
-    let reason = "watchdog declared hang: TX DMA stuck" in
-    w.nics.(nic).quarantined <- true;
-    if recovery_enabled w then recover w ~nic ~reason
-    else raise (Driver_aborted reason)
-  end
+let on_abort w ~nic reason =
+  match w.tuning.Config.recovery with
+  | Config.Fail_stop ->
+      fail w.nics.(nic) reason;
+      raise (Driver_aborted reason)
+  | Config.Restart | Config.Restart_replay -> recover w ~nic ~reason
 
 (* one more attempt on the fresh instance after a recovery, with
    injection masked so the plan cannot abort it again *)
 let retry w attempt =
   Td_fault.Engine.suspend w.fault (fun () ->
-      try Some (attempt ()) with Driver_aborted _ -> None)
+      try Ok (attempt ()) with Driver_aborted reason -> Error reason)
 
-(* TX abort policy: [Restart] drops the in-flight frame (counted lost);
-   [Restart_replay] retries it once on the fresh instance, with injection
-   masked so the replay itself cannot be re-aborted by the plan *)
-let replay_tx w attempt =
-  match w.tuning.Config.recovery with
-  | Config.Fail_stop -> false (* unreachable: supervised re-raised *)
-  | Config.Restart ->
-      Td_fault.Engine.note_lost w.fault 1;
-      false
-  | Config.Restart_replay -> (
-      w.replayed <- w.replayed + 1;
-      if Td_obs.Control.enabled () then Td_obs.Metrics.bump "fault.replayed";
-      match retry w attempt with
-      | Some ok -> ok
-      | None ->
-          Td_fault.Engine.note_lost w.fault 1;
-          false)
+let invoke w ~nic f =
+  try ignore (f ()) with Driver_aborted reason -> on_abort w ~nic reason
 
-let run_tx w ~nic attempt =
-  match supervised w ~nic attempt with
-  | Some ok -> ok
-  | None -> replay_tx w attempt
+let transmit w ~nic attempt =
+  try attempt ()
+  with Driver_aborted reason -> (
+    on_abort w ~nic reason;
+    match w.tuning.Config.recovery with
+    | Config.Restart_replay -> (
+        w.replayed <- w.replayed + 1;
+        if Td_obs.Control.enabled () then Td_obs.Metrics.bump "fault.replayed";
+        match retry w attempt with
+        | Ok ok -> ok
+        | Error _ ->
+            Td_fault.Engine.note_tx_lost w.fault 1;
+            false)
+    | Config.Fail_stop | Config.Restart ->
+        Td_fault.Engine.note_tx_lost w.fault 1;
+        false)
 
-(* retry once with injection masked after a recovery: the caller asked
-   for a real result (stats, a config change), and the fresh instance
-   should provide it; a second abort quarantines for good *)
-let supervised_retry w ~nic attempt =
-  match supervised w ~nic attempt with
-  | Some out -> out
-  | None -> (
-      match retry w attempt with
-      | Some out -> out
-      | None ->
-          w.nics.(nic).quarantined <- true;
-          raise (Nic_quarantined { nic }))
+let control w ~nic f =
+  admit w ~nic;
+  try f ()
+  with Driver_aborted reason -> (
+    on_abort w ~nic reason;
+    match retry w f with
+    | Ok out -> out
+    | Error reason ->
+        fail w.nics.(nic) reason;
+        raise (Nic_quarantined { nic }))
+
+let watchdog w ~nic =
+  let p = w.nics.(nic) in
+  if serving w ~nic && Td_nic.E1000_dev.dma_stuck p.dev then
+    on_abort w ~nic "watchdog declared hang: TX DMA stuck";
+  if serving w ~nic then
+    invoke w ~nic (fun () ->
+        run_dom0_driver w ~entry:w.dom0_driver.e_watchdog
+          ~args:[ p.nd.Netdev.addr ])

@@ -2,8 +2,9 @@
     a driver instance runs through here, charging the ledger's driver
     category and turning an instance fault into
     {!World_state.Driver_aborted}; the supervisor catches the abort,
-    quarantines every port, rebuilds the instance(s) from shadow state
-    and, for transmits, applies the tuning's drop-or-replay policy. *)
+    moves every live port to [Recovering], rebuilds the instance(s) from
+    shadow state and, for transmits, applies the tuning's drop-or-replay
+    policy. It alone writes a port's {!World_state.port_state}. *)
 
 val run_driver :
   World_state.t -> entry:int -> args:int list -> stack:int -> int
@@ -15,22 +16,32 @@ val run_dom0_driver : World_state.t -> entry:int -> args:int list -> int
 val run_hyp_driver : World_state.t -> entry:int -> args:int list -> int
 (** Run the hypervisor instance (Xen_twin) on the hypervisor stack. *)
 
-val install_link_fn : World_state.t -> World_state.nic_port -> unit
-(** Point the adapter's link-check function at the VM-instance code. *)
+val init_port : World_state.t -> World_state.nic_port -> unit
+(** Initialise one port's driver instance from the dom0 side: e1000_init,
+    the adapter's link-check function pointer, and the shadow
+    configuration (none at boot). *)
 
-val supervised :
-  World_state.t -> nic:int -> (unit -> 'a) -> 'a option
-(** [None] when the invocation aborted and the world recovered; under
-    {!Config.Fail_stop} the abort propagates with the port quarantined. *)
+val serving : World_state.t -> nic:int -> bool
+(** The port is [Serving]: the one liveness test every {!World} entry
+    point asks. *)
 
-val check_hang : World_state.t -> nic:int -> unit
-(** The watchdog's hang detection: a stuck TX DMA engine restarts the
-    instance. *)
+val admit : World_state.t -> nic:int -> unit
+(** Raise {!World_state.Nic_quarantined} unless the port is [Serving]. *)
 
-val run_tx : World_state.t -> nic:int -> (unit -> bool) -> bool
+val invoke : World_state.t -> nic:int -> (unit -> int) -> unit
+(** One supervised interrupt or watchdog invocation: an abort recovers,
+    or under {!Config.Fail_stop} fails the port and propagates. *)
+
+val transmit : World_state.t -> nic:int -> (unit -> bool) -> bool
 (** One supervised transmit attempt, dropped or replayed after an abort
     as {!Config.tuning.recovery} says. *)
 
-val supervised_retry : World_state.t -> nic:int -> (unit -> 'a) -> 'a
-(** A supervised control call, retried once on the fresh instance after
-    a recovery; a second abort raises {!World_state.Nic_quarantined}. *)
+val control : World_state.t -> nic:int -> (unit -> 'a) -> 'a
+(** A supervised control call on a serving port ({!admit}), retried once
+    on the fresh instance after a recovery; a second abort fails the port
+    and raises {!World_state.Nic_quarantined}. *)
+
+val watchdog : World_state.t -> nic:int -> unit
+(** The watchdog timer's work on a serving port: hang detection (a stuck
+    TX DMA engine restarts the instance), then the driver's own watchdog
+    routine. *)

@@ -231,14 +231,13 @@ let transmit w x tw (p : nic_port) ~nic ~payload =
         if r <> 0 then w.tx_drops <- w.tx_drops + 1;
         r = 0
   in
-  Supervisor.run_tx w ~nic attempt
+  Supervisor.transmit w ~nic attempt
 
 let run_intr w tw (p : nic_port) ~nic =
-  ignore
-    (Supervisor.supervised w ~nic (fun () ->
-         (* refetch the image: a recovery may have reloaded it *)
-         Supervisor.run_hyp_driver w ~entry:tw.hyp_driver.e_intr
-           ~args:[ p.nd.Netdev.addr ]))
+  Supervisor.invoke w ~nic (fun () ->
+      (* refetch the image: a recovery may have reloaded it *)
+      Supervisor.run_hyp_driver w ~entry:tw.hyp_driver.e_intr
+        ~args:[ p.nd.Netdev.addr ])
 
 let service_interrupt w x tw (p : nic_port) ~nic =
   charge_xen_cat w

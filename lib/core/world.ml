@@ -11,6 +11,11 @@ open World_state
 
 type t = World_state.t
 
+type port_state = World_state.port_state =
+  | Serving
+  | Recovering
+  | Failed of string
+
 exception Driver_aborted = World_state.Driver_aborted
 exception Nic_quarantined = World_state.Nic_quarantined
 exception Config_error = World_state.Config_error
@@ -43,8 +48,12 @@ let hypervisor t =
   | Dom0 x | Domu (x, _) | Twin (x, _) -> Some x.hyp
 
 let cpu_state t = t.cpu
-let is_quarantined w ~nic = w.nics.(nic).quarantined
-let all_serviceable w = Array.for_all (fun p -> not p.quarantined) w.nics
+let port_state w ~nic = w.nics.(nic).state
+
+let all_serviceable w =
+  Seq.init (nic_count w) Fun.id
+  |> Seq.for_all (fun nic -> Supervisor.serving w ~nic)
+
 let interp w = w.interp
 
 (* ---- domain registry helpers ---- *)
@@ -196,7 +205,7 @@ let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
           tx_hdr = eth_header ~dst:(client_mac i) ~src:mac;
           wire;
           pending_irq = 0;
-          quarantined = false;
+          state = Serving;
           shadow = { s_mmio_base = mmio; s_mtu = 1500; s_promisc = false };
         })
   in
@@ -244,7 +253,6 @@ let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
     nics = ports;
     dom0_driver;
     reload_dom0;
-    in_recovery = false;
     recoveries = 0;
     replayed = 0;
     interp = Interp.create ~fault cpu registry natives;
@@ -267,16 +275,6 @@ let local_rx w ~virt skb =
   count_rx ~guest:0 w (Bytes.unsafe_to_string (Skb.contents skb));
   free_any_skb w skb
 
-(* hang detection, then the driver's own watchdog routine *)
-let watchdog w ~nic =
-  let p = w.nics.(nic) in
-  Supervisor.check_hang w ~nic;
-  if not p.quarantined then
-    ignore
-      (Supervisor.supervised w ~nic (fun () ->
-           Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_watchdog
-             ~args:[ p.nd.Netdev.addr ]))
-
 let init (w : t) =
   (match w.path with
   | Twin (x, tw) -> Twin_path.arm w x tw
@@ -284,23 +282,15 @@ let init (w : t) =
   (* run e1000_init for every NIC using the dom0-side instance (the VM
      driver "performs the initialization of the NIC and the driver data
      structures", §3.1) *)
-  Array.iter
-    (fun p ->
-      ignore
-        (Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_init
-           ~args:[ p.nd.Netdev.addr ]);
-      (* the kernel installs the link-check ops pointer after
-         register_netdev *)
-      Supervisor.install_link_fn w p)
-    w.nics;
+  Array.iter (Supervisor.init_port w) w.nics;
   (* the driver's mod_timer keeps the watchdog running in dom0 — always on
      the VM instance, never in the hypervisor (§3.1); the supervisor rides
      the same timer for hang detection *)
   Array.iteri
-    (fun i p ->
+    (fun i _ ->
       Timer_wheel.add w.timers ~period:10
         ~name:(Printf.sprintf "e1000-watchdog-%d" i)
-        (fun () -> if not p.quarantined then watchdog w ~nic:i))
+        (fun () -> Supervisor.watchdog w ~nic:i))
     w.nics;
   (* configuration-specific receive plumbing *)
   (match w.path with
@@ -330,11 +320,11 @@ let dom0_transmit w (p : nic_port) ~nic ~payload ~virt =
     if r <> 0 then w.tx_drops <- w.tx_drops + 1;
     r = 0
   in
-  Supervisor.run_tx w ~nic attempt
+  Supervisor.transmit w ~nic attempt
 
 let transmit w ~nic ~payload =
+  Supervisor.admit w ~nic;
   let p = w.nics.(nic) in
-  if p.quarantined then raise (Nic_quarantined { nic });
   match w.path with
   | Native -> dom0_transmit w p ~nic ~payload ~virt:false
   | Dom0 _ -> dom0_transmit w p ~nic ~payload ~virt:true
@@ -355,15 +345,13 @@ let inject_rx ?(guest = 0) w ~nic ~payload =
   Td_nic.E1000_dev.receive_frame p.dev frame
 
 let dom0_interrupt w (p : nic_port) ~nic =
-  ignore
-    (Supervisor.supervised w ~nic (fun () ->
-         Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_intr
-           ~args:[ p.nd.Netdev.addr ]))
+  Supervisor.invoke w ~nic (fun () ->
+      Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_intr
+        ~args:[ p.nd.Netdev.addr ])
 
 let service_interrupt w ~nic =
   let p = w.nics.(nic) in
-  if p.quarantined then ()
-  else
+  if Supervisor.serving w ~nic then
     match w.path with
     | Native ->
         charge_dom0_cat w w.costs.Sys_costs.interrupt_dispatch;
@@ -393,7 +381,7 @@ let pump w =
           planned w
           && Td_fault.Engine.active w.fault
           && p.pending_irq = 0
-          && (not p.quarantined)
+          && Supervisor.serving w ~nic:i
           && Td_nic.E1000_dev.irq_pending p.dev
         then p.pending_irq <- 1;
         if p.pending_irq > 0 then begin
@@ -437,6 +425,7 @@ let delivered_rx_bytes w = w.rx_bytes
 let rx_last_payload w = if w.rx_frames = 0 then None else Some w.rx_last
 let rx_pop w = Queue.take_opt w.rx_queue
 let rx_drops w = w.rx_drops
+let tx_lost_frames w = Td_fault.Engine.tx_lost_frames w.fault + w.tx_drops
 let recoveries w = w.recoveries
 let replayed_frames w = w.replayed
 let shadow_mtu w ~nic = w.nics.(nic).shadow.s_mtu
@@ -474,12 +463,11 @@ let reset_measurement w =
 (* ---- housekeeping ---- *)
 
 let run_watchdog w ~nic =
-  if w.nics.(nic).quarantined then raise (Nic_quarantined { nic });
-  watchdog w ~nic
+  Supervisor.admit w ~nic;
+  Supervisor.watchdog w ~nic
 
 let read_stats w ~nic =
-  if w.nics.(nic).quarantined then raise (Nic_quarantined { nic });
-  Supervisor.supervised_retry w ~nic (fun () ->
+  Supervisor.control w ~nic (fun () ->
       let dest = Kmem.alloc w.km 32 in
       ignore
         (Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_get_stats
@@ -493,8 +481,7 @@ let read_stats w ~nic =
 
 let run_set_rx_mode w ~nic ~promisc =
   let p = w.nics.(nic) in
-  if p.quarantined then raise (Nic_quarantined { nic });
-  Supervisor.supervised_retry w ~nic (fun () ->
+  Supervisor.control w ~nic (fun () ->
       ignore
         (Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_set_rx_mode
            ~args:[ p.nd.Netdev.addr; (if promisc then 1 else 0) ]));
@@ -503,8 +490,7 @@ let run_set_rx_mode w ~nic ~promisc =
 
 let run_set_mtu w ~nic ~mtu =
   let p = w.nics.(nic) in
-  if p.quarantined then raise (Nic_quarantined { nic });
-  Supervisor.supervised_retry w ~nic (fun () ->
+  Supervisor.control w ~nic (fun () ->
       ignore
         (Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_set_mtu
            ~args:[ p.nd.Netdev.addr; mtu ]));

@@ -140,6 +140,12 @@ val rx_drops : t -> int
 (** Frames discarded because the receive queue was full (each also bumps
     the ["world.rx_drops"] counter when observability is on). *)
 
+val tx_lost_frames : t -> int
+(** Transmits that neither reached the wire nor raised: dropped by the
+    path (the driver's ring full or lock taken, the sk_buff pool empty, a
+    guest's quota spent), dropped by the supervisor after an abort, or
+    stranded in a TX ring that recovery reset. *)
+
 val reset_measurement : t -> unit
 (** Zero the ledger and traffic counters (driver/NIC state persists).
     When observability is enabled this also resets the {!Td_obs.Metrics}
@@ -215,7 +221,7 @@ exception Driver_aborted of string
 (** Raised when the hypervisor driver instance faults (SVM violation or
     watchdog timeout); the hypervisor survives — only the driver dies.
     Under the {!Config.Fail_stop} recovery policy the abort propagates to
-    the caller and the NIC stays quarantined; under [Restart] /
+    the caller and the port moves to [Failed]; under [Restart] /
     [Restart_replay] the supervisor restarts the twin and callers see
     [None]-style degradation (a dropped frame, a retried config call)
     instead of the exception. *)
@@ -224,8 +230,7 @@ exception Driver_aborted of string
 
 exception Nic_quarantined of { nic : int }
 (** Raised by the traffic and housekeeping entry points when the named
-    NIC's driver instance has been quarantined after an unrecovered
-    abort. *)
+    NIC's port is not [Serving] ({!port_state}). *)
 
 exception Config_error of { domain : string; reason : string }
 (** A structurally impossible configuration (e.g. a domU world with no
@@ -241,10 +246,20 @@ val recoveries : t -> int
 val replayed_frames : t -> int
 (** TX frames replayed on a fresh instance ([Restart_replay] only). *)
 
-val is_quarantined : t -> nic:int -> bool
+type port_state = World_state.port_state =
+  | Serving
+  | Recovering
+      (** every live port, while the supervisor restarts the twin *)
+  | Failed of string
+      (** terminal: a {!Config.Fail_stop} abort, a control call that
+          aborted again on the fresh instance, or a rebuild that aborted;
+          carries that abort's reason *)
+
+val port_state : t -> nic:int -> port_state
+(** Only the supervisor changes it. *)
 
 val all_serviceable : t -> bool
-(** No NIC is quarantined — the 50k-frame soak's exit criterion. *)
+(** Every port is [Serving] — the 50k-frame soak's exit criterion. *)
 
 val shadow_mtu : t -> nic:int -> int
 val shadow_promisc : t -> nic:int -> bool

@@ -45,6 +45,10 @@ type shadow_state = {
   mutable s_promisc : bool;
 }
 
+(* A port's liveness, written only by {!Supervisor}; [Failed] is terminal
+   and names the abort that ended the port. *)
+type port_state = Serving | Recovering | Failed of string
+
 type nic_port = {
   dev : Td_nic.E1000_dev.t;
   nd : Netdev.t;
@@ -55,7 +59,7 @@ type nic_port = {
           every frame {!World.transmit} sends on this port *)
   wire : Td_nic.Wire.counters;
   mutable pending_irq : int;
-  mutable quarantined : bool;
+  mutable state : port_state;
   shadow : shadow_state;
 }
 
@@ -132,7 +136,6 @@ type t = {
   reload_dom0 : unit -> driver_image;
       (** re-run the MISA loader for the dom0/VM instance (same base,
           fresh image) — the supervisor's restart path *)
-  mutable in_recovery : bool;
   mutable recoveries : int;
   mutable replayed : int;
   interp : Interp.t;

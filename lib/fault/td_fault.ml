@@ -100,6 +100,7 @@ module Engine = struct
     mutable injected_total : int;
     injected_per_site : int array;
     mutable lost : int;
+    mutable tx_lost : int;
   }
 
   let make plan =
@@ -110,6 +111,7 @@ module Engine = struct
       injected_total = 0;
       injected_per_site = Array.make n_sites 0;
       lost = 0;
+      tx_lost = 0;
     }
 
   let uniform streams i =
@@ -118,7 +120,8 @@ module Engine = struct
   let reset_counters e =
     e.injected_total <- 0;
     Array.fill e.injected_per_site 0 n_sites 0;
-    e.lost <- 0
+    e.lost <- 0;
+    e.tx_lost <- 0
 
   let active e = e.suspend_depth = 0
   let armed e site = e.suspend_depth = 0 && rate e.plan site > 0.
@@ -157,5 +160,10 @@ module Engine = struct
         Td_obs.Metrics.bump_by "fault.lost_frames" n
     end
 
+  let note_tx_lost e n =
+    e.tx_lost <- e.tx_lost + n;
+    note_lost e n
+
   let lost_frames e = e.lost
+  let tx_lost_frames e = e.tx_lost
 end

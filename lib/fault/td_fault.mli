@@ -102,6 +102,12 @@ module Engine : sig
       losses — and bump [fault.lost_frames]. Counted whatever the plan,
       so recovery from organic aborts stays visible. *)
 
+  val note_tx_lost : state -> int -> unit
+  (** {!note_lost} for transmit frames (supervisor drops, frames stranded
+      in a reset TX ring), also counted apart so a soak can balance its
+      offered transmits. *)
+
   val lost_frames : state -> int
+  val tx_lost_frames : state -> int
   val reset_counters : state -> unit
 end

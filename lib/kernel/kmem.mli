@@ -6,6 +6,12 @@
 
 type t
 
+exception Bad_free of { addr : int; bytes : int; reason : string }
+(** {!free} refused [addr]: a non-positive size, an address outside the
+    pages this allocator carved, one misaligned for its size class, or
+    one not currently allocated. The address usually comes from memory a
+    driver can write, so the supervisor contains this as a driver abort. *)
+
 val create : Td_mem.Addr_space.t -> t
 
 val alloc : t -> int -> int
@@ -14,7 +20,9 @@ val alloc : t -> int -> int
     Larger requests are served as contiguous whole pages. *)
 
 val free : t -> int -> int -> unit
-(** [free t addr bytes] returns a region to its class's free list. *)
+(** [free t addr bytes] returns a region to its class's free list.
+    Raises {!Bad_free} (and changes nothing) when the region is not a
+    live allocation of this allocator. *)
 
 val allocated_bytes : t -> int
 (** Live allocation total (for leak tests). *)

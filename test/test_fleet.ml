@@ -165,7 +165,9 @@ let test_fleet_faulty_smoke () =
   check bool_c "conserved under faults" true r.Experiments.fl_conserved;
   check bool_c "deterministic under faults" true r.Experiments.fl_deterministic;
   check int_c "no dangling doorbells under faults" 0
-    r.Experiments.fl_dangling_doorbells
+    r.Experiments.fl_dangling_doorbells;
+  check int_c "restart-replay lets no abort or refusal escape" 0
+    r.Experiments.fl_contained
 
 let test_fleet_rejects_oversize () =
   match Experiments.fleet ~domains:300 ~frames:10 () with

@@ -39,6 +39,33 @@ let test_kmem_large () =
   check int_c "page aligned" 0 (Td_mem.Layout.offset_of a);
   check bool_c "live accounting" true (Kmem.allocated_bytes km >= 10000)
 
+(* A free the allocator did not hand out is refused, typed, and changes
+   nothing: a zeroed sk_buff's [free 0 0] used to put address 0 on the
+   32-B stack, and the next small allocation returned it. *)
+let test_kmem_rejects_bad_free () =
+  let _, km = make () in
+  let a = Kmem.alloc km 64 in
+  let live = Kmem.allocated_bytes km in
+  let refused addr bytes =
+    match Kmem.free km addr bytes with
+    | exception Kmem.Bad_free _ -> true
+    | () -> false
+  in
+  check bool_c "zeroed sk_buff: address 0, size 0" true (refused 0 0);
+  check bool_c "address below the heap" true (refused 0x24 32);
+  check bool_c "non-positive size" true (refused a 0);
+  check bool_c "misaligned for its class" true (refused (a + 8) 64);
+  check bool_c "never allocated" true (refused (a + 64) 64);
+  check int_c "refusals change nothing" live (Kmem.allocated_bytes km);
+  Kmem.free km a 64;
+  check bool_c "already free" true (refused a 64);
+  let b = Kmem.alloc km 16 in
+  check bool_c "the next small allocation is a heap address" true (b <> 0);
+  check int_c "and the freed block is reused once" a (Kmem.alloc km 64);
+  let big = Kmem.alloc km 10000 in
+  Kmem.free km big 10000;
+  check bool_c "large block freed twice" true (refused big 10000)
+
 (* --- skb --- *)
 
 let test_skb_lifecycle () =
@@ -312,6 +339,8 @@ let suite =
     Alcotest.test_case "kmem classes" `Quick test_kmem_classes;
     Alcotest.test_case "kmem zeroed" `Quick test_kmem_zeroed;
     Alcotest.test_case "kmem large" `Quick test_kmem_large;
+    Alcotest.test_case "kmem rejects bad frees" `Quick
+      test_kmem_rejects_bad_free;
     Alcotest.test_case "skb lifecycle" `Quick test_skb_lifecycle;
     Alcotest.test_case "skb refcount" `Quick test_skb_refcount;
     Alcotest.test_case "skb frag fields" `Quick test_skb_frag_fields;
