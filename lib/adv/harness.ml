@@ -92,22 +92,10 @@ let make ?quota ?(attacker_doorbell = true) () =
   let svm =
     Td_svm.Runtime.create_hypervisor ~dom0:dom0_space ~hyp:hyp_space ()
   in
-  Td_svm.Runtime.set_window_guard svm
-    {
-      Td_svm.Runtime.acquire =
-        (fun ~pages ->
-          let domain = Hypervisor.current hyp in
-          Option.iter
-            (fun q -> Quota.acquire q ~domain Quota.Map_window_pages pages)
-            quota;
-          Domain.id domain);
-      release =
-        (fun ~owner ~pages ->
-          match (quota, Hypervisor.find_domain hyp owner) with
-          | Some q, Some domain ->
-              Quota.release q ~domain Quota.Map_window_pages pages
-          | _ -> ());
-    };
+  Option.iter
+    (fun q ->
+      Td_svm.Runtime.set_window_guard svm (Hypervisor.window_guard hyp q))
+    quota;
   let calls =
     Td_svm.Call_table.create ~vm_code_base:Td_mem.Layout.vm_driver_code_base
       ~vm_code_size:Td_mem.Layout.page_size
@@ -116,21 +104,20 @@ let make ?quota ?(attacker_doorbell = true) () =
   let att_grants = Grant_table.create ?quota ~owner:attacker () in
   let kmem = Kmem.create dom0_space in
   let att_wire = ref 0 and vic_wire = ref 0 in
-  let doorbell =
+  let notify =
     if attacker_doorbell then
-      Some
-        { Xen_netio.poll_entry_kicks = 0; idle_hysteresis = 3; poll_budget = 8 }
-    else None
+      Xen_netio.Always_poll { batch = 4; poll_budget = 8 }
+    else Xen_netio.Interrupts { batch = 4 }
   in
   let att_netio =
-    Xen_netio.create ~batch:4 ?doorbell ?quota ~hyp ~dom0 ~guest:attacker ~kmem
+    Xen_netio.create ~notify ?quota ~hyp ~dom0 ~guest:attacker ~kmem
       ~driver_tx:(fun skb ->
         incr att_wire;
         Skb.free kmem skb)
       ()
   in
   let vic_netio =
-    Xen_netio.create ~batch:1 ?quota ~hyp ~dom0 ~guest:victim ~kmem
+    Xen_netio.create ?quota ~hyp ~dom0 ~guest:victim ~kmem
       ~driver_tx:(fun skb ->
         incr vic_wire;
         Skb.free kmem skb)

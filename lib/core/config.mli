@@ -42,9 +42,10 @@ type tuning = {
   recovery : recovery;  (** driver supervisor policy on abort. *)
   doorbell : bool;
       (** Give each I/O channel a shared doorbell page with NAPI-style
-          adaptive mode switching (see {!Xen_netio.doorbell_cfg}). Off by
-          default — the channel is then bit-identical to the
-          pre-doorbell path. Xen_domU only. *)
+          adaptive mode switching: each channel's policy becomes
+          {!Xen_netio.notify}'s [Adaptive] (or [Always_poll], see
+          [poll_entry_kicks]) in place of [Interrupts {batch =
+          notify_batch}]. Off by default. Xen_domU only. *)
   poll_entry_kicks : int;
       (** Notification boundaries per tick window before a direction
           switches from interrupts to polling (default 8); [<= 0] pins

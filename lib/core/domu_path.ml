@@ -11,19 +11,21 @@ open World_state
 let attach_channel w x vswitch ~guest:g ~nic =
   let s = slot_exn w g ~op:"World.attach_channel" in
   let p = w.nics.(nic) in
-  let doorbell =
-    if w.tuning.Config.doorbell then
-      Some
-        {
-          Xen_netio.poll_entry_kicks = w.tuning.Config.poll_entry_kicks;
-          idle_hysteresis = 3;
-          poll_budget = 16;
-        }
-    else None
+  (* Config's three notification fields map to one policy here *)
+  let notify =
+    let { Config.notify_batch = batch; doorbell; poll_entry_kicks; _ } =
+      w.tuning
+    in
+    if not doorbell then Xen_netio.Interrupts { batch }
+    else if poll_entry_kicks <= 0 then
+      Xen_netio.Always_poll { batch; poll_budget = 16 }
+    else
+      Xen_netio.Adaptive
+        { batch; entry_kicks = poll_entry_kicks; poll_budget = 16 }
   in
   let netio =
-    Xen_netio.create ~batch:w.tuning.Config.notify_batch ?doorbell
-      ?quota:w.quota ~hyp:x.hyp ~dom0:x.dom0 ~guest:s.gs_dom ~kmem:w.km
+    Xen_netio.create ~notify ?quota:w.quota ~hyp:x.hyp ~dom0:x.dom0
+      ~guest:s.gs_dom ~kmem:w.km
       ~driver_tx:(fun skb ->
         (* netback's call into the driver: the sk_buff is kmem memory
            and survives a restart, so replay can re-run the transmit on

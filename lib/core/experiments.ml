@@ -458,34 +458,6 @@ let mq_payloads ~frames =
           dst_port = 80;
         })
 
-(* Canonical ledger digest: category cells, per-domain rows (already
-   name-sorted), latency sample counts and percentiles per direction.
-   Two runs whose merged ledgers digest equal agree on every number the
-   figures are derived from. *)
-let mq_digest led =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun (c, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s=%d;" (Td_xen.Ledger.category_name c) v))
-    (Td_xen.Ledger.snapshot led);
-  List.iter
-    (fun (d, v) -> Buffer.add_string b (Printf.sprintf "%s=%d;" d v))
-    (Td_xen.Ledger.domain_snapshot led);
-  List.iter
-    (fun (tag, dir) ->
-      let p x =
-        match Td_xen.Ledger.latency_percentile led dir x with
-        | None -> "-"
-        | Some v -> Printf.sprintf "%.0f" v
-      in
-      Buffer.add_string b
-        (Printf.sprintf "%s:%d/%s/%s/%s;" tag
-           (Td_xen.Ledger.latency_count led dir)
-           (p 50.) (p 90.) (p 99.)))
-    [ ("tx", `Tx); ("rx", `Rx) ];
-  Buffer.contents b
-
 (* One context's workload: a short warmup, measurement reset, then the
    doorbell bench's cadence (pump every 8 frames, tick every 64) and a
    full drain. Pure function of the payload array — the determinism the
@@ -554,7 +526,7 @@ let multiqueue ?(clock = fun () -> 0.0) () =
         {
           mq_shards = shards;
           mq_wall_s = wall;
-          mq_digest = mq_digest (Mq.merged_ledger mq);
+          mq_digest = Td_xen.Ledger.digest (Mq.merged_ledger mq);
         })
       [ 1; 2; 4 ]
   in
@@ -580,7 +552,9 @@ let multiqueue ?(clock = fun () -> 0.0) () =
     let w = World.create ~nics:1 ~guests:1 Config.Xen_domU in
     (* same Shard.run wrapper, so the observability discipline matches *)
     ignore (Shard.run ~shards:1 [| (fun () -> mq_drive w payloads) |]);
-    String.equal (mq_digest (Mq.merged_ledger mq)) (mq_digest (World.ledger w))
+    String.equal
+      (Td_xen.Ledger.digest (Mq.merged_ledger mq))
+      (Td_xen.Ledger.digest (World.ledger w))
     && Mq.wire_tx_frames mq = World.wire_tx_frames w
   in
   {
@@ -706,7 +680,6 @@ let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
   in
   let payload = String.init 1500 (fun i -> Char.chr (i land 0xff)) in
   let nics = World.nic_count w in
-  let guest_faults_before = Td_xen.Guest_fault.total () in
   let aborted = ref 0 and refused = ref 0 and contained = ref 0 in
   let housekeeping = counting ~aborted:contained ~refused:contained in
   for i = 0 to frames - 1 do
@@ -748,7 +721,7 @@ let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
     lost = Td_fault.Engine.lost_frames (World.fault_engine w);
     tx_lost = World.tx_lost_frames w;
     contained = !contained;
-    guest_faults = Td_xen.Guest_fault.total () - guest_faults_before;
+    guest_faults = World.guest_faults w;
     frames_to_recover =
       (if recoveries = 0 then None
        else Some (float_of_int (frames - delivered) /. float_of_int recoveries));
@@ -802,25 +775,9 @@ type fleet_report = {
 (* every per-run number a reader could gate on goes into the digest, so
    "bit-identical digests" means the whole observable run matched *)
 let fleet_digest w ~offered_tx ~rx_injected =
-  let led = World.ledger w in
   let b = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  List.iter
-    (fun (c, v) -> add "%s=%d;" (Td_xen.Ledger.category_name c) v)
-    (Td_xen.Ledger.snapshot led);
-  List.iter (fun (d, v) -> add "%s=%d;" d v) (Td_xen.Ledger.domain_snapshot led);
-  List.iter
-    (fun (tag, dir) ->
-      add "%s:%d" tag (Td_xen.Ledger.latency_count led dir);
-      List.iter
-        (fun p ->
-          add "/%s"
-            (match Td_xen.Ledger.latency_percentile led dir p with
-            | None -> "-"
-            | Some v -> Printf.sprintf "%.0f" v))
-        [ 50.; 99.; 99.9 ];
-      add ";")
-    [ ("tx", `Tx); ("rx", `Rx) ];
+  Buffer.add_string b (Td_xen.Ledger.digest (World.ledger w));
   add "wire=%d/%d;" (World.wire_tx_frames w) (World.wire_tx_bytes w);
   add "rx=%d/%d;" (World.delivered_rx_frames w) (World.delivered_rx_bytes w);
   add "offered=%d;injected_rx=%d;" offered_tx rx_injected;

@@ -31,6 +31,7 @@ let run_driver w ~entry ~args ~stack =
     | Upcall.Upcall_failed { routine } ->
         abort (Printf.sprintf "upcall %s failed in dom0" routine)
     | Guest_fault.Fault { op; reason } ->
+        w.guest_faults <- w.guest_faults + 1;
         abort (Printf.sprintf "guest fault in %s: %s" op reason)
     | Kmem.Bad_free { addr; bytes; reason } ->
         abort (Printf.sprintf "bad kfree of 0x%x (%d B): %s" addr bytes reason)

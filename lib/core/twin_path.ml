@@ -118,25 +118,10 @@ let arm w x tw =
   Runtime.set_reclaim_hook tw.svm_hyp (fun () ->
       charge_xen_cat w w.costs.Sys_costs.window_reclaim);
   (* with a quota engine, mapped-page window pairs are charged to the
-     domain on whose behalf the hypervisor driver is running; the guard
-     lives here because td_svm cannot depend on td_xen *)
+     domain on whose behalf the hypervisor driver is running *)
   Option.iter
     (fun q ->
-      Runtime.set_window_guard tw.svm_hyp
-        {
-          Runtime.acquire =
-            (fun ~pages ->
-              let domain = Hypervisor.current x.hyp in
-              Quota.acquire q ~domain Quota.Map_window_pages pages;
-              Domain.id domain);
-          (* a destroyed owner's quota state is already forgotten *)
-          release =
-            (fun ~owner ~pages ->
-              Option.iter
-                (fun domain ->
-                  Quota.release q ~domain Quota.Map_window_pages pages)
-                (Hypervisor.find_domain x.hyp owner));
-        })
+      Runtime.set_window_guard tw.svm_hyp (Hypervisor.window_guard x.hyp q))
     w.quota;
   (* exact stlb.hit accounting: the inline probe's hit path is the xor
      against an stlb entry's second word (offset +4), so each stlb's hit

@@ -255,6 +255,7 @@ let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
     reload_dom0;
     recoveries = 0;
     replayed = 0;
+    guest_faults = 0;
     interp = Interp.create ~fault cpu registry natives;
     timers = Timer_wheel.create ();
     rx_frames = 0;
@@ -427,6 +428,7 @@ let rx_pop w = Queue.take_opt w.rx_queue
 let rx_drops w = w.rx_drops
 let tx_lost_frames w = Td_fault.Engine.tx_lost_frames w.fault + w.tx_drops
 let recoveries w = w.recoveries
+let guest_faults w = w.guest_faults
 let replayed_frames w = w.replayed
 let shadow_mtu w ~nic = w.nics.(nic).shadow.s_mtu
 let shadow_promisc w ~nic = w.nics.(nic).shadow.s_promisc

@@ -243,6 +243,11 @@ val recoveries : t -> int
 (** Completed supervisor recoveries since the last
     {!reset_measurement}. *)
 
+val guest_faults : t -> int
+(** {!Td_xen.Guest_fault.Fault}s raised inside this world's driver
+    invocations and contained as driver aborts, since creation. A fault
+    that escapes the supervisor is not counted. *)
+
 val replayed_frames : t -> int
 (** TX frames replayed on a fresh instance ([Restart_replay] only). *)
 

@@ -138,6 +138,8 @@ type t = {
           fresh image) — the supervisor's restart path *)
   mutable recoveries : int;
   mutable replayed : int;
+  mutable guest_faults : int;
+      (** {!Td_xen.Guest_fault.Fault}s contained as driver aborts *)
   interp : Interp.t;
   timers : Timer_wheel.t;  (** dom0 kernel timers (watchdog housekeeping) *)
   mutable rx_frames : int;

@@ -2,36 +2,14 @@ open Td_xen
 
 type mode = Interrupt | Polling
 
-type doorbell_cfg = {
-  poll_entry_kicks : int;
-  idle_hysteresis : int;
-  poll_budget : int;
-}
+type notify =
+  | Interrupts of { batch : int }
+  | Adaptive of { batch : int; entry_kicks : int; poll_budget : int }
+  | Always_poll of { batch : int; poll_budget : int }
 
-(* Per-direction adaptive state. [seq]/[seen] mirror the 32-bit sequence
-   word in the shared doorbell page: the producer increments [seq] and
-   stores it; the consumer compares the loaded word against [seen]. *)
-type dir_state = {
-  dir_name : string;
-  mutable mode : mode;
-  mutable seq : int;
-  mutable seen : int;
-  mutable window_kicks : int;  (** notification boundaries this tick window *)
-  mutable idle_windows : int;  (** consecutive windows with no boundary *)
-  mutable since_notify : int;  (** frames staged since the last boundary *)
-  mutable polls : int;
-  mutable suppressed : int;
-  mutable mode_switches : int;
-}
-
-type doorbell = {
-  cfg : doorbell_cfg;
-  page : int;  (** guest vaddr of the shared doorbell page *)
-  dom0_vaddr : int;  (** persistent dom0 mapping of the same frame *)
-  db_gref : Grant_table.grant_ref;
-  tx : dir_state;
-  rx : dir_state;
-}
+(* consecutive empty tick windows before an adaptive direction falls
+   back to interrupts *)
+let idle_hysteresis = 3
 
 (* A FIFO ring of I/O requests in one growable int array, like Xen's
    shared ring: an entry is four ints — grant, guest vaddr, length, stage
@@ -71,6 +49,42 @@ end
 
 let nop () = ()
 
+(* How a direction's producer notifies its consumer at a batch boundary:
+   tx hypercalls and the backend drains every staged request; rx raises a
+   virq whose handler delivers every completion staged now. *)
+type kick = Hypercall | Virq
+
+(* One direction of the channel: the producer stages frames on [staged]
+   and either kicks the consumer at each [batch] boundary (Interrupt) or
+   bumps its sequence word in the shared doorbell page, which the
+   consumer compares against [seen] when it polls (Polling). [drain] is
+   the consumer's work on up to [budget] frames, built once per channel
+   and run in the consumer's domain. A channel without a doorbell page
+   never leaves Interrupt, so its word addresses are never touched. *)
+type dir = {
+  producer : Domain.t;  (** writes the word, pays for the write *)
+  consumer : Domain.t;  (** drains, polls and pays for the poll *)
+  kick : kick;
+  producer_word : int;  (** the sequence word in the producer's space *)
+  consumer_word : int;  (** the same word in the consumer's space *)
+  staged : Ring.t;
+      (** frames awaiting the consumer; the stamp is the simulated clock
+          at staging, for the per-direction latency samples *)
+  mutable staged_total : int;
+  mutable completed : int;
+  mutable budget : int;  (** frames the next [drain] takes *)
+  mutable drain : unit -> unit;
+  mutable mode : mode;
+  mutable seq : int;
+  mutable seen : int;
+  mutable window_kicks : int;  (** notification boundaries this tick window *)
+  mutable idle_windows : int;  (** consecutive windows with no boundary *)
+  mutable since_notify : int;  (** frames staged since the last boundary *)
+  mutable polls : int;
+  mutable suppressed : int;
+  mutable mode_switches : int;
+}
+
 type t = {
   hyp : Hypervisor.t;
   dom0 : Domain.t;
@@ -79,37 +93,32 @@ type t = {
   driver_tx : Skb.t -> unit;
   quota : Quota.state option;
       (** checks notifications, doorbells and rx deliveries; also handed
-          to [grants] *)
+          to [grants]. The driver domain is exempt, so only the guest's
+          doorbell writes are rate-limited: rx doorbells are dom0 service
+          work, never throttled. *)
   grants : Grant_table.t;
+  notify : notify;
   batch : int;  (** notifications coalesced per kick (1 = every frame) *)
+  poll_budget : int;  (** frames one doorbell visit drains *)
   tx_pages : (int * Grant_table.grant_ref) array;
       (** granted guest pages used to stage transmitted frames; sized
           [batch] without a doorbell, wider with one so budget-limited
           drains never reuse a still-staged slot *)
-  tx_staged : Ring.t;
-      (** granted frames pushed on the ring, kick pending; the stamp is
-          the simulated clock at staging, for the per-direction latency
-          samples *)
   mutable tx_prod : int;  (** producer cursor into [tx_pages] *)
-  mutable map_cursor : int;  (** dom0 vaddr window for grant maps *)
+  stall_at : int;
+      (** staged tx frames at which the frontend stalls on a backend
+          poll: the page count with a doorbell; never without one, where
+          every batch boundary drains the whole ring *)
   rx_posted : Ring.t;  (** empty receive buffers (grant, guest vaddr) *)
-  rx_staged : Ring.t;  (** frames copied in, notification pending *)
   mutable guest_rx : int -> int -> unit;
-  mutable tx_budget : int;  (** frames the next [tx_drain] forwards *)
-  mutable tx_drain : unit -> unit;
-      (** the backend drain, run in dom0; built once per channel *)
-  mutable rx_budget : int;  (** completions the next [rx_drain] delivers *)
-  mutable rx_drain : unit -> unit;
-      (** the frontend drain and virq handler, run in the guest; built
-          once per channel *)
-  mutable tx_count : int;
-  mutable rx_count : int;
+  tx : dir;
+  rx : dir;
   mutable rx_dropped : int;
   mutable rx_throttled : int;  (** deliveries denied by the rx quota *)
   mutable flush_count : int;
-  mutable tx_staged_total : int;
-  mutable rx_staged_total : int;
-  doorbell : doorbell option;
+  doorbell : Grant_table.grant_ref option;
+      (** the shared doorbell page's grant; the page sits at the tx
+          word's addresses, in the guest and in dom0 *)
   mutable closed : bool;
 }
 
@@ -170,10 +179,11 @@ let now t = Ledger.grand_total (Hypervisor.ledger t.hyp)
 (* The backend's per-frame work, always run in dom0: map the granted
    frame, rebuild a dom0 sk_buff, hand it to the NIC driver, unmap. *)
 let backend_tx_one t costs =
-  let i = Ring.pop t.tx_staged in
-  let b = t.tx_staged.Ring.buf in
+  let ring = t.tx.staged in
+  let i = Ring.pop ring in
+  let b = ring.Ring.buf in
   let gref = b.(i) and len = b.(i + 2) and stamp = b.(i + 3) in
-  let vaddr = t.map_cursor in
+  let vaddr = grant_map_base in
   Grant_table.map t.grants ~hyp:t.hyp ~into:t.dom0
     ~at_vpage:(Td_mem.Layout.page_of vaddr)
     gref;
@@ -185,17 +195,17 @@ let backend_tx_one t costs =
   Grant_table.unmap t.grants ~hyp:t.hyp ~from:t.dom0
     ~at_vpage:(Td_mem.Layout.page_of vaddr)
     gref;
-  t.tx_count <- t.tx_count + 1;
+  t.tx.completed <- t.tx.completed + 1;
   Ledger.note_latency (Hypervisor.ledger t.hyp) `Tx (now t - stamp);
   if Td_obs.Control.enabled () then begin
     Td_obs.Metrics.bump "netio.tx";
     Td_obs.Trace.emit (Td_obs.Trace.Netio_tx { bytes = len })
   end
 
-(* [tx_drain]: forward up to [tx_budget] staged frames, in dom0 *)
+(* tx [drain]: forward up to [budget] staged frames, in dom0 *)
 let backend_drain t =
   let costs = Hypervisor.costs t.hyp in
-  for _ = 1 to min t.tx_budget (Ring.length t.tx_staged) do
+  for _ = 1 to min t.tx.budget (Ring.length t.tx.staged) do
     backend_tx_one t costs
   done
 
@@ -210,7 +220,7 @@ let frontend_deliver t ring budget =
     let gref = b.(i) and gvaddr = b.(i + 1) and len = b.(i + 2) in
     let stamp = b.(i + 3) in
     charge_guest t costs.Sys_costs.netfront;
-    t.rx_count <- t.rx_count + 1;
+    t.rx.completed <- t.rx.completed + 1;
     if Td_obs.Control.enabled () then begin
       Td_obs.Metrics.bump "netio.rx";
       Td_obs.Trace.emit (Td_obs.Trace.Netio_rx { bytes = len })
@@ -220,63 +230,67 @@ let frontend_deliver t ring budget =
     Ring.push t.rx_posted gref gvaddr 0 0
   done
 
-let create ?(batch = 1) ?doorbell ?quota ~hyp ~dom0 ~guest ~kmem ~driver_tx
-    () =
+let make_dir ~producer ~consumer ~kick ~producer_word ~consumer_word ~mode =
+  {
+    producer;
+    consumer;
+    kick;
+    producer_word;
+    consumer_word;
+    staged = Ring.create ();
+    staged_total = 0;
+    completed = 0;
+    budget = 0;
+    drain = nop;
+    mode;
+    seq = 0;
+    seen = 0;
+    window_kicks = 0;
+    idle_windows = 0;
+    since_notify = 0;
+    polls = 0;
+    suppressed = 0;
+    mode_switches = 0;
+  }
+
+let create ?(notify = Interrupts { batch = 1 }) ?quota ~hyp ~dom0 ~guest ~kmem
+    ~driver_tx () =
+  let batch, poll_budget, initial =
+    match notify with
+    | Interrupts { batch } -> (batch, max_int, Interrupt)
+    | Adaptive { batch; entry_kicks; poll_budget } ->
+        if entry_kicks < 1 then
+          invalid_arg "Xen_netio: entry_kicks must be >= 1";
+        (batch, poll_budget, Interrupt)
+    | Always_poll { batch; poll_budget } -> (batch, poll_budget, Polling)
+  in
   if batch < 1 then invalid_arg "Xen_netio: batch must be >= 1";
+  if poll_budget < 1 then invalid_arg "Xen_netio: poll_budget must be >= 1";
   let gspace = Domain.space guest in
   let grants = Grant_table.create ?quota ~owner:guest () in
   (* Without a doorbell the staging ring is exactly [batch] pages and the
      producer cursor walks it in lockstep with the (always fully drained)
-     staged queue — page-for-page the historical layout. With one, drains
-     are budget-limited, so the ring is widened to keep the cursor from
-     lapping frames a partial drain left behind. *)
-  let ring_slots =
-    match doorbell with
-    | None -> batch
-    | Some cfg -> max batch (2 * max 1 cfg.poll_budget)
+     staged queue. With one, drains are budget-limited, so the ring is
+     widened to keep the cursor from lapping frames a partial drain left
+     behind. *)
+  let slots =
+    match notify with
+    | Interrupts _ -> batch
+    | Adaptive _ | Always_poll _ -> max batch (2 * poll_budget)
   in
-  let tx_pages = Array.init ring_slots (fun _ -> grant_guest_page gspace grants) in
-  let doorbell =
-    match doorbell with
-    | None -> None
-    | Some cfg ->
-        if cfg.poll_budget < 1 then
-          invalid_arg "Xen_netio: poll_budget must be >= 1";
-        if cfg.idle_hysteresis < 1 then
-          invalid_arg "Xen_netio: idle_hysteresis must be >= 1";
-        let page, db_gref = grant_guest_page gspace grants in
-        Td_mem.Addr_space.write gspace (page + tx_off) Td_misa.Width.W32 0;
-        Td_mem.Addr_space.write gspace (page + rx_off) Td_misa.Width.W32 0;
+  let tx_pages = Array.init slots (fun _ -> grant_guest_page gspace grants) in
+  let gword, dom0_word, doorbell =
+    match notify with
+    | Interrupts _ -> (0, 0, None)
+    | Adaptive _ | Always_poll _ ->
+        let gvaddr, gref = grant_guest_page gspace grants in
+        Td_mem.Addr_space.write gspace (gvaddr + tx_off) Td_misa.Width.W32 0;
+        Td_mem.Addr_space.write gspace (gvaddr + rx_off) Td_misa.Width.W32 0;
         let dom0_vaddr = alloc_doorbell_vaddr ~guest (Domain.space dom0) in
         Grant_table.map grants ~hyp ~into:dom0
           ~at_vpage:(Td_mem.Layout.page_of dom0_vaddr)
-          db_gref;
-        (* poll_entry_kicks <= 0 selects always-poll: start in Polling and
-           never fall back (the bench's upper-bound configuration) *)
-        let initial = if cfg.poll_entry_kicks <= 0 then Polling else Interrupt in
-        let mk dir_name =
-          {
-            dir_name;
-            mode = initial;
-            seq = 0;
-            seen = 0;
-            window_kicks = 0;
-            idle_windows = 0;
-            since_notify = 0;
-            polls = 0;
-            suppressed = 0;
-            mode_switches = 0;
-          }
-        in
-        Some
-          {
-            cfg;
-            page;
-            dom0_vaddr;
-            db_gref;
-            tx = mk "tx";
-            rx = mk "rx";
-          }
+          gref;
+        (gvaddr, dom0_vaddr, Some gref)
   in
   let t =
     {
@@ -287,98 +301,137 @@ let create ?(batch = 1) ?doorbell ?quota ~hyp ~dom0 ~guest ~kmem ~driver_tx
       driver_tx;
       quota;
       grants;
+      notify;
       batch;
+      poll_budget;
       tx_pages;
-      tx_staged = Ring.create ();
       tx_prod = 0;
-      map_cursor = grant_map_base;
+      stall_at = (match doorbell with Some _ -> slots | None -> max_int);
       rx_posted = Ring.create ();
-      rx_staged = Ring.create ();
       guest_rx = (fun _ _ -> ());
-      tx_budget = 0;
-      tx_drain = nop;
-      rx_budget = 0;
-      rx_drain = nop;
-      tx_count = 0;
-      rx_count = 0;
+      tx =
+        make_dir ~producer:guest ~consumer:dom0 ~kick:Hypercall
+          ~producer_word:(gword + tx_off) ~consumer_word:(dom0_word + tx_off)
+          ~mode:initial;
+      rx =
+        make_dir ~producer:dom0 ~consumer:guest ~kick:Virq
+          ~producer_word:(dom0_word + rx_off) ~consumer_word:(gword + rx_off)
+          ~mode:initial;
       rx_dropped = 0;
       rx_throttled = 0;
       flush_count = 0;
-      tx_staged_total = 0;
-      rx_staged_total = 0;
       doorbell;
       closed = false;
     }
   in
-  t.tx_drain <- (fun () -> backend_drain t);
-  t.rx_drain <- (fun () -> frontend_deliver t t.rx_staged t.rx_budget);
+  t.tx.drain <- (fun () -> backend_drain t);
+  t.rx.drain <- (fun () -> frontend_deliver t t.rx.staged t.rx.budget);
   t
 
 let set_guest_rx t fn = t.guest_rx <- fn
 
-let backend_drain_tx t ~budget =
-  if not (Ring.is_empty t.tx_staged) then begin
-    t.tx_budget <- budget;
-    Hypervisor.run_in t.hyp t.dom0 t.tx_drain
+(* the consumer takes up to [budget] staged frames, in its own domain *)
+let drain t d ~budget =
+  if not (Ring.is_empty d.staged) then begin
+    d.budget <- budget;
+    Hypervisor.run_in t.hyp d.consumer d.drain
   end
 
-let frontend_drain_rx t ~budget =
-  if not (Ring.is_empty t.rx_staged) then begin
-    t.rx_budget <- budget;
-    Hypervisor.run_in t.hyp t.guest t.rx_drain
+(* One virtual interrupt announces every copied-in frame: the frontend
+   handler walks the completions in order, handing each frame to the guest
+   stack and re-posting its buffer. The handler is the channel's one rx
+   [drain], told to take exactly the frames staged now. A masked guest
+   defers the handler, and an unmasked virq may run before it, so a
+   deferred batch leaves the ring as a snapshot of its own. *)
+let send_virq t d =
+  let n = Ring.length d.staged in
+  if Domain.interrupts_masked t.guest then begin
+    let batch = Ring.create () in
+    for _ = 1 to n do
+      let i = Ring.pop d.staged in
+      let b = d.staged.Ring.buf in
+      Ring.push batch b.(i) b.(i + 1) b.(i + 2) b.(i + 3)
+    done;
+    Hypervisor.send_virq t.hyp t.guest (fun () -> frontend_deliver t batch n)
+  end
+  else begin
+    d.budget <- n;
+    Hypervisor.send_virq t.hyp t.guest d.drain
   end
 
-(* One kick drains every staged request: the backend runs once in dom0,
-   mapping, forwarding and unmapping each granted frame in ring order. *)
-let flush_tx t =
-  if not (Ring.is_empty t.tx_staged) then begin
+(* A batch boundary in interrupt mode: notify the consumer of everything
+   staged. A tx kick is one hypercall after which the backend maps,
+   forwards and unmaps each granted frame in ring order. *)
+let flush_dir t d =
+  if not (Ring.is_empty d.staged) then begin
     t.flush_count <- t.flush_count + 1;
     if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.flush";
-    (match t.doorbell with
-    | Some db ->
-        db.tx.window_kicks <- db.tx.window_kicks + 1;
-        db.tx.since_notify <- 0
-    | None -> ());
-    Hypervisor.hypercall t.hyp ();
-    backend_drain_tx t ~budget:max_int
+    d.window_kicks <- d.window_kicks + 1;
+    d.since_notify <- 0;
+    match d.kick with
+    | Hypercall ->
+        Hypervisor.hypercall t.hyp ();
+        drain t d ~budget:max_int
+    | Virq -> send_virq t d
   end
 
 (* Producer side of a doorbell: bump the sequence number and store it in
    the shared page — a cache-line write in place of a hypercall/virq. *)
-let ring_doorbell t d ~space ~vaddr ~charge =
-  let costs = Hypervisor.costs t.hyp in
+let ring_doorbell t d =
   d.seq <- (d.seq + 1) land 0xFFFF_FFFF;
-  Td_mem.Addr_space.write space vaddr Td_misa.Width.W32 d.seq;
-  charge t costs.Sys_costs.doorbell_write;
+  Td_mem.Addr_space.write (Domain.space d.producer) d.producer_word
+    Td_misa.Width.W32 d.seq;
+  Hypervisor.charge_domain t.hyp d.producer
+    (Hypervisor.costs t.hyp).Sys_costs.doorbell_write;
   if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.doorbell_writes"
-
-(* Count the notification that coalescing would have sent at each [batch]
-   boundary; in polling mode the doorbell makes it unnecessary. *)
-let note_suppressed t d ~metric =
-  d.since_notify <- d.since_notify + 1;
-  if d.since_notify >= t.batch then begin
-    d.since_notify <- 0;
-    d.suppressed <- d.suppressed + 1;
-    d.window_kicks <- d.window_kicks + 1;
-    if Td_obs.Control.enabled () then Td_obs.Metrics.bump metric
-  end
 
 (* Consumer side: load the shared sequence word; on any advance (or
    leftovers from a budget-limited previous visit) drain up to the poll
    budget. Charged [doorbell_poll] whether or not there is work — the
    price of polling, and why idle channels fall back to interrupts. *)
-let poll_tx t db =
-  db.tx.polls <- db.tx.polls + 1;
-  charge_dom0 t (Hypervisor.costs t.hyp).Sys_costs.doorbell_poll;
+let poll t d =
+  d.polls <- d.polls + 1;
+  Hypervisor.charge_domain t.hyp d.consumer
+    (Hypervisor.costs t.hyp).Sys_costs.doorbell_poll;
   if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.doorbell_polls";
   let seq =
-    Td_mem.Addr_space.read (Domain.space t.dom0)
-      (db.dom0_vaddr + tx_off) Td_misa.Width.W32
+    Td_mem.Addr_space.read (Domain.space d.consumer) d.consumer_word
+      Td_misa.Width.W32
   in
-  if seq <> db.tx.seen || not (Ring.is_empty t.tx_staged) then begin
-    db.tx.seen <- seq;
-    backend_drain_tx t ~budget:db.cfg.poll_budget
+  if seq <> d.seen || not (Ring.is_empty d.staged) then begin
+    d.seen <- seq;
+    drain t d ~budget:t.poll_budget
   end
+
+(* A frame was just staged on [d]. In interrupt mode the notification is
+   sent once the ring holds [batch] frames (or at the next flush); in
+   polling mode the stored sequence number is the signal, and the
+   boundary coalescing would have kicked at is counted as suppressed. A
+   dry doorbell bucket skips the store: the consumer's leftover check
+   still drains the frame on its next poll. *)
+let staged_one t d =
+  match d.mode with
+  | Interrupt ->
+      if Ring.length d.staged >= t.batch then flush_dir t d
+      else
+        Hypervisor.charge_xen_for t.hyp ~domain:t.guest
+          (Hypervisor.costs t.hyp).Sys_costs.notify_coalesce
+  | Polling ->
+      if
+        match t.quota with
+        | Some q -> Quota.try_take q ~domain:d.producer Quota.Doorbells
+        | None -> true
+      then ring_doorbell t d;
+      d.since_notify <- d.since_notify + 1;
+      if d.since_notify >= t.batch then begin
+        d.since_notify <- 0;
+        d.suppressed <- d.suppressed + 1;
+        d.window_kicks <- d.window_kicks + 1;
+        if Td_obs.Control.enabled () then
+          match d.kick with
+          | Hypercall -> Td_obs.Metrics.bump "netio.suppressed_hypercalls"
+          | Virq -> Td_obs.Metrics.bump "netio.suppressed_virqs"
+      end
 
 let guest_transmit t ~hdr payload =
   if t.closed then
@@ -390,10 +443,6 @@ let guest_transmit t ~hdr payload =
   if len > Td_mem.Layout.page_size then
     Guest_fault.fail ~domain:(Domain.name t.guest)
       ~op:"Xen_netio.guest_transmit" "frame of %d bytes exceeds the page" len;
-  (* frontend: stage the frame in a granted guest page and push a request
-     on the I/O channel; the notifying hypercall is sent only when the
-     ring holds [batch] requests (or at the next explicit flush) — or, in
-     polling mode, never: the stored sequence number is the signal *)
   (* quota gate at the very top of the frontend: a throttled frame costs
      (almost) nothing — the guest's credit check happens before the skb
      is even built, so dom0 and Xen never see it, which is what keeps a
@@ -402,40 +451,24 @@ let guest_transmit t ~hdr payload =
   | Some q -> Quota.take q ~domain:t.guest Quota.Notifications
   | None -> ());
   charge_guest t costs.Sys_costs.netfront;
-  let slots = Array.length t.tx_pages in
-  (match t.doorbell with
-  | Some db when Ring.length t.tx_staged >= slots ->
-      (* ring full: the frontend stalls until the backend polls it *)
-      if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.ring_full";
-      poll_tx t db
-  | _ -> ());
-  let page, gref = t.tx_pages.(t.tx_prod mod slots) in
+  let d = t.tx in
+  if Ring.length d.staged >= t.stall_at then begin
+    (* ring full: the frontend stalls until the backend polls it *)
+    if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.ring_full";
+    poll t d
+  end;
+  (* frontend: stage the frame in a granted guest page and push a request
+     on the I/O channel *)
+  let page, gref = t.tx_pages.(t.tx_prod mod Array.length t.tx_pages) in
   t.tx_prod <- t.tx_prod + 1;
   let gspace = Domain.space t.guest in
   Td_mem.Addr_space.write_string gspace page hdr ~off:0 ~len:hlen;
   Td_mem.Addr_space.write_string gspace (page + hlen) payload ~off:0
     ~len:(String.length payload);
   Hypervisor.charge_xen_for t.hyp ~domain:t.guest costs.Sys_costs.io_channel;
-  Ring.push t.tx_staged gref page len (now t);
-  t.tx_staged_total <- t.tx_staged_total + 1;
-  match t.doorbell with
-  | Some db when db.tx.mode = Polling ->
-      (* doorbell kicks are rate-limited gracefully: a dry bucket skips
-         the store, and the consumer's leftover check (staged queue
-         non-empty) still drains the frame on the next poll *)
-      if
-        match t.quota with
-        | Some q -> Quota.try_take q ~domain:t.guest Quota.Doorbells
-        | None -> true
-      then
-        ring_doorbell t db.tx ~space:(Domain.space t.guest)
-          ~vaddr:(db.page + tx_off) ~charge:charge_guest;
-      note_suppressed t db.tx ~metric:"netio.suppressed_hypercalls"
-  | _ ->
-      if Ring.length t.tx_staged >= t.batch then flush_tx t
-      else
-        Hypervisor.charge_xen_for t.hyp ~domain:t.guest
-          costs.Sys_costs.notify_coalesce
+  Ring.push d.staged gref page len (now t);
+  d.staged_total <- d.staged_total + 1;
+  staged_one t d
 
 let post_rx_buffers t n =
   if t.closed then
@@ -448,50 +481,6 @@ let post_rx_buffers t n =
   done
 
 let rx_buffers_posted t = Ring.length t.rx_posted
-
-(* One virtual interrupt announces every copied-in frame: the frontend
-   handler walks the completions in order, handing each frame to the guest
-   stack and re-posting its buffer. The handler is the channel's one
-   [rx_drain], told to take exactly the frames staged now. A masked guest
-   defers the handler, and an unmasked virq may run before it, so a
-   deferred batch leaves the ring as a snapshot of its own. *)
-let flush_rx t =
-  if not (Ring.is_empty t.rx_staged) then begin
-    t.flush_count <- t.flush_count + 1;
-    if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.flush";
-    (match t.doorbell with
-    | Some db ->
-        db.rx.window_kicks <- db.rx.window_kicks + 1;
-        db.rx.since_notify <- 0
-    | None -> ());
-    let n = Ring.length t.rx_staged in
-    if Domain.interrupts_masked t.guest then begin
-      let batch = Ring.create () in
-      for _ = 1 to n do
-        let i = Ring.pop t.rx_staged in
-        let b = t.rx_staged.Ring.buf in
-        Ring.push batch b.(i) b.(i + 1) b.(i + 2) b.(i + 3)
-      done;
-      Hypervisor.send_virq t.hyp t.guest (fun () -> frontend_deliver t batch n)
-    end
-    else begin
-      t.rx_budget <- n;
-      Hypervisor.send_virq t.hyp t.guest t.rx_drain
-    end
-  end
-
-let poll_rx t db =
-  db.rx.polls <- db.rx.polls + 1;
-  charge_guest t (Hypervisor.costs t.hyp).Sys_costs.doorbell_poll;
-  if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.doorbell_polls";
-  let seq =
-    Td_mem.Addr_space.read (Domain.space t.guest)
-      (db.page + rx_off) Td_misa.Width.W32
-  in
-  if seq <> db.rx.seen || not (Ring.is_empty t.rx_staged) then begin
-    db.rx.seen <- seq;
-    frontend_drain_rx t ~budget:db.cfg.poll_budget
-  end
 
 (* a delivery denied by the rx or grant-copy quota is dropped here, at
    the netback boundary, before the expensive copy: the wire has no one
@@ -537,44 +526,28 @@ let deliver_to_guest t skb =
     | exception Quota.Quota_exceeded _ ->
         Ring.push t.rx_posted gref gvaddr 0 0;
         rx_throttle_drop t skb
-    | () -> (
+    | () ->
         Hypervisor.charge_xen_for t.hyp ~domain:t.guest
           costs.Sys_costs.io_channel;
         Skb.free t.kmem skb;
-        Ring.push t.rx_staged gref gvaddr len (now t);
-        t.rx_staged_total <- t.rx_staged_total + 1;
-        match t.doorbell with
-        | Some db when db.rx.mode = Polling ->
-            (* rx doorbell is dom0-produced service work, never throttled —
-               consumer-side paths must always make progress (teardown
-               loops) *)
-            ring_doorbell t db.rx ~space:(Domain.space t.dom0)
-              ~vaddr:(db.dom0_vaddr + rx_off) ~charge:charge_dom0;
-            note_suppressed t db.rx ~metric:"netio.suppressed_virqs"
-        | _ ->
-            if Ring.length t.rx_staged >= t.batch then flush_rx t
-            else
-              Hypervisor.charge_xen_for t.hyp ~domain:t.guest
-                costs.Sys_costs.notify_coalesce)
+        Ring.push t.rx.staged gref gvaddr len (now t);
+        t.rx.staged_total <- t.rx.staged_total + 1;
+        staged_one t t.rx
   end
 
 let flush t =
-  flush_tx t;
-  flush_rx t
+  flush_dir t t.tx;
+  flush_dir t t.rx
 
 (* Mode-appropriate pump step: in interrupt mode force the pending batch
-   out (the historical flush); in polling mode visit the doorbell and
-   drain up to the poll budget. *)
+   out; in polling mode visit the doorbell and drain up to the poll
+   budget. *)
+let service_dir t d =
+  match d.mode with Interrupt -> flush_dir t d | Polling -> poll t d
+
 let service t =
-  match t.doorbell with
-  | None -> flush t
-  | Some db ->
-      (match db.tx.mode with
-      | Interrupt -> flush_tx t
-      | Polling -> poll_tx t db);
-      (match db.rx.mode with
-      | Interrupt -> flush_rx t
-      | Polling -> poll_rx t db)
+  service_dir t t.tx;
+  service_dir t t.rx
 
 let switch_mode d to_mode =
   if d.mode <> to_mode then begin
@@ -587,59 +560,46 @@ let switch_mode d to_mode =
       Td_obs.Trace.emit
         (Td_obs.Trace.Custom
            {
-             name = Printf.sprintf "netio.%s_mode" d.dir_name;
+             name =
+               (match d.kick with
+               | Hypercall -> "netio.tx_mode"
+               | Virq -> "netio.rx_mode");
              value = (match to_mode with Interrupt -> 0 | Polling -> 1);
            })
     end
   end
 
 (* NAPI-style window decision, once per timer tick and per direction:
-   enough notification boundaries in the window pushes the direction into
-   polling; [idle_hysteresis] consecutive empty windows drops it back.
-   With poll_entry_kicks <= 0 (always-poll) the mode is pinned. *)
-let step_window db d =
-  (match d.mode with
-  | Interrupt ->
-      if db.cfg.poll_entry_kicks > 0 && d.window_kicks >= db.cfg.poll_entry_kicks
-      then switch_mode d Polling
-  | Polling ->
-      if db.cfg.poll_entry_kicks > 0 then
-        if d.window_kicks = 0 then begin
-          d.idle_windows <- d.idle_windows + 1;
-          if d.idle_windows >= db.cfg.idle_hysteresis then
-            switch_mode d Interrupt
-        end
-        else d.idle_windows <- 0);
+   enough notification boundaries in the window pushes an adaptive
+   direction into polling; [idle_hysteresis] consecutive empty windows
+   drop it back. The other policies pin the mode. *)
+let step_window t d =
+  (match (t.notify, d.mode) with
+  | Adaptive { entry_kicks; _ }, Interrupt ->
+      if d.window_kicks >= entry_kicks then switch_mode d Polling
+  | Adaptive _, Polling ->
+      if d.window_kicks = 0 then begin
+        d.idle_windows <- d.idle_windows + 1;
+        if d.idle_windows >= idle_hysteresis then switch_mode d Interrupt
+      end
+      else d.idle_windows <- 0
+  | (Interrupts _ | Always_poll _), _ -> ());
   d.window_kicks <- 0
 
 let on_tick t =
   service t;
-  match t.doorbell with
-  | None -> ()
-  | Some db ->
-      step_window db db.tx;
-      step_window db db.rx
+  step_window t t.tx;
+  step_window t t.rx
 
 (* Channel teardown: a partial batch staged when the guest quiesces must
    still reach the wire (tx) or the guest stack (rx), whatever mode each
    direction is in. Idempotent; loops because polling drains are
    budget-limited. *)
 let teardown t =
-  match t.doorbell with
-  | None -> flush t
-  | Some db ->
-      while
-        not (Ring.is_empty t.tx_staged && Ring.is_empty t.rx_staged)
-      do
-        if not (Ring.is_empty t.tx_staged) then
-          (match db.tx.mode with
-          | Interrupt -> flush_tx t
-          | Polling -> poll_tx t db);
-        if not (Ring.is_empty t.rx_staged) then
-          match db.rx.mode with
-          | Interrupt -> flush_rx t
-          | Polling -> poll_rx t db
-      done
+  while not (Ring.is_empty t.tx.staged && Ring.is_empty t.rx.staged) do
+    if not (Ring.is_empty t.tx.staged) then service_dir t t.tx;
+    if not (Ring.is_empty t.rx.staged) then service_dir t t.rx
+  done
 
 (* Channel destruction: drain, then release every dom0-side mapping and
    guest-side grant the channel ever took — after [close] the grant table
@@ -650,11 +610,11 @@ let close t =
   if not t.closed then begin
     teardown t;
     (match t.doorbell with
-    | Some db ->
+    | Some gref ->
         Grant_table.unmap t.grants ~hyp:t.hyp ~from:t.dom0
-          ~at_vpage:(Td_mem.Layout.page_of db.dom0_vaddr)
-          db.db_gref;
-        Grant_table.revoke t.grants db.db_gref
+          ~at_vpage:(Td_mem.Layout.page_of t.tx.consumer_word)
+          gref;
+        Grant_table.revoke t.grants gref
     | None -> ());
     Array.iter (fun (_page, gref) -> Grant_table.revoke t.grants gref) t.tx_pages;
     while not (Ring.is_empty t.rx_posted) do
@@ -665,37 +625,24 @@ let close t =
 
 let closed t = t.closed
 let grants_active t = Grant_table.active t.grants
-
-let staged t = Ring.length t.tx_staged + Ring.length t.rx_staged
-let tx_count t = t.tx_count
-let rx_count t = t.rx_count
+let staged t = Ring.length t.tx.staged + Ring.length t.rx.staged
+let tx_count t = t.tx.completed
+let rx_count t = t.rx.completed
 let rx_dropped t = t.rx_dropped
 let rx_throttled t = t.rx_throttled
 let flushes t = t.flush_count
-let tx_staged_total t = t.tx_staged_total
+let tx_staged_total t = t.tx.staged_total
 
 (* Frame conservation: everything staged was either completed or is still
    queued — nothing silently dropped between frontend and backend. *)
 let conserved t =
-  t.tx_staged_total = t.tx_count + Ring.length t.tx_staged
-  && t.rx_staged_total = t.rx_count + Ring.length t.rx_staged
+  let ok d = d.staged_total = d.completed + Ring.length d.staged in
+  ok t.tx && ok t.rx
 
-let doorbell_vaddr t = Option.map (fun db -> db.page) t.doorbell
-
-let mode_of t dir =
-  match t.doorbell with
-  | None -> Interrupt
-  | Some db -> (match dir with `Tx -> db.tx.mode | `Rx -> db.rx.mode)
-
-let tx_mode t = mode_of t `Tx
-let rx_mode t = mode_of t `Rx
-
-let dir_stat t f =
-  match t.doorbell with None -> 0 | Some db -> f db
-
-let doorbell_polls t = dir_stat t (fun db -> db.tx.polls + db.rx.polls)
-let suppressed_hypercalls t = dir_stat t (fun db -> db.tx.suppressed)
-let suppressed_virqs t = dir_stat t (fun db -> db.rx.suppressed)
-
-let mode_switches t =
-  dir_stat t (fun db -> db.tx.mode_switches + db.rx.mode_switches)
+let doorbell_vaddr t = Option.map (fun _ -> t.tx.producer_word) t.doorbell
+let tx_mode t = t.tx.mode
+let rx_mode t = t.rx.mode
+let doorbell_polls t = t.tx.polls + t.rx.polls
+let suppressed_hypercalls t = t.tx.suppressed
+let suppressed_virqs t = t.rx.suppressed
+let mode_switches t = t.tx.mode_switches + t.rx.mode_switches

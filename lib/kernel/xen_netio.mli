@@ -7,56 +7,52 @@
     the ledger, while the real bytes move through the simulated pages so
     delivery can be asserted end-to-end.
 
-    Notifications can be coalesced: with [~batch:n] the frontend stages up
-    to [n] transmit requests (and the backend up to [n] receive
-    completions) before sending the notifying hypercall / virtual
-    interrupt, amortising its cost across the batch. Each deferred frame
-    is charged {!Td_xen.Sys_costs.t.notify_coalesce} instead. [batch = 1]
-    (the default) kicks on every frame and is cycle- and byte-identical to
-    the historical unbatched path.
+    Each direction — tx (guest produces, dom0 consumes) and rx (dom0
+    produces, guest consumes) — is one notifier: a staging ring, a mode,
+    and a way to tell its consumer. A channel takes one {!notify}
+    policy, which sets both directions:
 
-    {2 Doorbell page and adaptive polling}
+    - {b Interrupts} [{batch}]: stage up to [batch] frames, then send
+      one notification — a hypercall after which the backend drains
+      every staged request (tx), or a virtual interrupt that delivers
+      every staged completion (rx). Each deferred frame is charged
+      {!Td_xen.Sys_costs.t.notify_coalesce} instead. [batch = 1], the
+      default, kicks on every frame: the paper's channel (Figure 1).
+    - {b Adaptive} [{batch; entry_kicks; poll_budget}]: the channel also
+      shares one granted guest page between frontend and backend,
+      holding a 32-bit sequence word per direction (tx at offset 0,
+      written by the guest; rx at offset 4, written by dom0). A direction
+      starts in [Interrupt] mode and behaves as above; when a tick
+      window sees [entry_kicks] notification boundaries it switches to
+      [Polling], where the producer bumps the shared word
+      ({!Td_xen.Sys_costs.t.doorbell_write}) instead of notifying, and
+      the consumer's {!service} visits compare it against the last seen
+      value ({!Td_xen.Sys_costs.t.doorbell_poll}) and drain up to
+      [poll_budget] frames per visit, bounding how long one busy channel
+      can hog the pump. After three consecutive windows with no traffic
+      the direction falls back to [Interrupt], so an idle channel pays
+      nothing — NAPI-style.
+    - {b Always_poll} [{batch; poll_budget}]: the doorbell page with
+      both directions pinned in [Polling] (the bench's upper bound).
 
-    With [~doorbell] the channel additionally shares one granted guest
-    page between frontend and backend, holding a 32-bit sequence word per
-    direction (tx at offset 0, written by the guest; rx at offset 4,
-    written by dom0). Each direction then runs a NAPI-style state machine:
-
-    - {b Interrupt} (initial): exactly today's behaviour — stage, kick at
-      the batch boundary. When the kick rate over a tick window reaches
-      [poll_entry_kicks], the direction switches to polling.
-    - {b Polling}: the producer bumps the shared sequence word
-      ({!Td_xen.Sys_costs.t.doorbell_write}) instead of hypercalling or
-      raising a virq; the consumer's {!service} visits compare the word
-      against the last seen value ({!Td_xen.Sys_costs.t.doorbell_poll})
-      and drain up to [poll_budget] frames per visit, bounding how long
-      one busy channel can hog the pump. After [idle_hysteresis]
-      consecutive windows with no traffic the direction falls back to
-      Interrupt, so an idle channel pays nothing.
-
-    [poll_entry_kicks <= 0] pins both directions in always-poll (the
-    bench's upper bound). Without [~doorbell] every code path, ledger
-    charge and page allocation is identical to the seed. *)
+    Under [Interrupts] no doorbell page is allocated and no direction
+    leaves [Interrupt]. *)
 
 type mode = Interrupt | Polling
 
-type doorbell_cfg = {
-  poll_entry_kicks : int;
-      (** notification boundaries per tick window that trigger the switch
-          to polling; [<= 0] pins always-poll *)
-  idle_hysteresis : int;
-      (** consecutive empty tick windows before falling back to
-          interrupts; must be >= 1 *)
-  poll_budget : int;
-      (** max frames drained per doorbell visit (NAPI weight); must be
-          >= 1 *)
-}
+type notify =
+  | Interrupts of { batch : int }
+  | Adaptive of { batch : int; entry_kicks : int; poll_budget : int }
+  | Always_poll of { batch : int; poll_budget : int }
+(** [batch] and [poll_budget] must be >= 1, [entry_kicks] >= 1. The
+    staging ring is [batch] pages under [Interrupts] and
+    [max batch (2 * poll_budget)] with a doorbell, so a budget-limited
+    drain never leaves a staged page to be overwritten. *)
 
 type t
 
 val create :
-  ?batch:int ->
-  ?doorbell:doorbell_cfg ->
+  ?notify:notify ->
   ?quota:Td_xen.Quota.state ->
   hyp:Td_xen.Hypervisor.t ->
   dom0:Td_xen.Domain.t ->
@@ -66,10 +62,8 @@ val create :
   unit ->
   t
 (** [driver_tx] invokes the dom0 NIC driver's transmit routine on a
-    dom0-built sk_buff. [batch] (default 1) is the number of frames
-    staged per notification; raises [Invalid_argument] if < 1. [doorbell]
-    enables the shared doorbell page and adaptive mode switching; omitted,
-    the channel is bit-identical to the pre-doorbell implementation.
+    dom0-built sk_buff. [notify] defaults to [Interrupts {batch = 1}];
+    raises [Invalid_argument] on a count below 1.
 
     [quota] gates the guest's notifications, doorbell kicks and rx
     deliveries, and the channel's grant table; omitted, nothing is
@@ -123,12 +117,13 @@ val flush : t -> unit
 val service : t -> unit
 (** Mode-appropriate pump step: {!flush} for interrupt-mode directions,
     a doorbell poll (draining up to [poll_budget]) for polling-mode ones.
-    Identical to {!flush} when the doorbell is disabled. *)
+    Identical to {!flush} under [Interrupts]. *)
 
 val on_tick : t -> unit
 (** Timer-tick entry point: runs {!service}, then advances each
     direction's window state machine (poll entry / idle-hysteresis
-    fallback). Identical to {!flush} when the doorbell is disabled. *)
+    fallback) under [Adaptive]. Identical to {!flush} under
+    [Interrupts]. *)
 
 val teardown : t -> unit
 (** Drain both directions completely — a partial batch staged when the
@@ -174,7 +169,7 @@ val conserved : t -> bool
 
 val tx_mode : t -> mode
 val rx_mode : t -> mode
-(** Current per-direction mode; [Interrupt] when the doorbell is off. *)
+(** Current per-direction mode; always [Interrupt] under [Interrupts]. *)
 
 val doorbell_window : int * int
 (** [(base, limit)] of the dom0 virtual window holding persistent
@@ -182,8 +177,8 @@ val doorbell_window : int * int
     count mapped pages here to assert no channel leaked its mapping. *)
 
 val doorbell_vaddr : t -> int option
-(** Guest virtual address of the shared doorbell page ([None] without a
-    doorbell). The page is guest-writable by construction — exposed so
+(** Guest virtual address of the shared doorbell page ([None] under
+    [Interrupts]). The page is guest-writable by construction — exposed so
     adversarial harnesses can scribble on the sequence words. *)
 
 val doorbell_polls : t -> int

@@ -4,23 +4,17 @@
    these are *expected events* — a malicious or buggy guest must be able
    to trigger them at will without taking the hypervisor down. So they
    raise a typed exception the caller contains (dropping the offending
-   request, aborting the offending driver), and every occurrence is
-   counted — globally and, while observability is on and the raiser can
-   attribute it, in the offending domain's metric. *)
+   request, aborting the offending driver). The catcher counts what it
+   contains (a world counts the faults its supervisor turns into driver
+   aborts); while observability is on every occurrence is also counted
+   in the metrics, and in the offending domain's when the raiser can
+   attribute it. *)
 
 exception Fault of { op : string; reason : string }
-
-(* The counter stays process-global (a diagnostic, not engine state), so
-   it must be shard-safe: parallel shard workers fault concurrently once
-   fault plans and quotas are legal across shards. *)
-let count = Atomic.make 0
-let total () = Atomic.get count
-let reset () = Atomic.set count 0
 
 let fail ?domain ~op fmt =
   Printf.ksprintf
     (fun reason ->
-      Atomic.incr count;
       if Td_obs.Control.enabled () then begin
         Option.iter
           (fun d ->

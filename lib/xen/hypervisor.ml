@@ -114,3 +114,18 @@ let send_virq t dom handler =
     Td_obs.Trace.emit (Td_obs.Trace.Virq { dom = Domain.id dom; deferred })
   end;
   if deferred then Domain.defer dom handler else run_in t dom handler
+
+(* a released pair's owner, if still registered, gets its pages back *)
+let window_guard t q =
+  {
+    Td_svm.Runtime.acquire =
+      (fun ~pages ->
+        let domain = current t in
+        Quota.acquire q ~domain Quota.Map_window_pages pages;
+        Domain.id domain);
+    release =
+      (fun ~owner ~pages ->
+        Option.iter
+          (fun domain -> Quota.release q ~domain Quota.Map_window_pages pages)
+          (find_domain t owner));
+  }

@@ -36,9 +36,13 @@ val remove_domain : t -> Domain.t -> unit
 val current : ?op:string -> t -> Domain.t
 val domains : t -> Domain.t list
 
-val find_domain : t -> int -> Domain.t option
-(** The registered domain with this {!Domain.id}; [None] once it was
-    removed. *)
+val window_guard : t -> Quota.state -> Td_svm.Runtime.window_guard
+(** The SVM map-window guard for a quota engine: a window pair is charged
+    ([Map_window_pages]) to the domain on whose behalf the hypervisor
+    driver runs ({!current}), and released to that owner — unless the
+    owner was removed since, whose quota state is already forgotten.
+    [td_svm] cannot depend on this library, so worlds and harnesses
+    install it from above. *)
 
 val switches : t -> int
 

@@ -132,11 +132,30 @@ let reset t =
   Td_obs.Hist.reset t.rx_lat;
   if Td_obs.Control.enabled () then
     Array.iter Td_obs.Metrics.reset metric_names
+
 let snapshot t = List.map (fun c -> (c, total t c)) categories
 
 let per_packet t ~packets =
   let p = float_of_int (max 1 packets) in
   List.map (fun c -> (c, float_of_int (total t c) /. p)) categories
+
+let digest t =
+  let b = Buffer.create 256 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  List.iter (fun c -> add "%s=%d;" (category_name c) (total t c)) categories;
+  List.iter (fun (d, v) -> add "%s=%d;" d v) (domain_snapshot t);
+  List.iter
+    (fun (tag, dir) ->
+      add "%s:%d" tag (latency_count t dir);
+      List.iter
+        (fun p ->
+          match latency_percentile t dir p with
+          | None -> add "/-"
+          | Some v -> add "/%.0f" v)
+        [ 50.; 90.; 99.; 99.9 ];
+      add ";")
+    [ ("tx", `Tx); ("rx", `Rx) ];
+  Buffer.contents b
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";

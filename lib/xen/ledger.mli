@@ -77,6 +77,13 @@ val reset : t -> unit
 
 val snapshot : t -> (category * int) list
 
+val digest : t -> string
+(** Canonical text of every number the figures are derived from: the
+    category cells, the per-domain rows (by name) and, per direction,
+    the latency sample count and p50/p90/p99/p99.9. Two ledgers with
+    equal digests agree on all of them — how sharded and repeated runs
+    are checked for bit-identity. *)
+
 val per_packet : t -> packets:int -> (category * float) list
 (** Category totals divided by a packet count — the unit of Figures 7/8. *)
 

@@ -28,7 +28,7 @@ type rig = {
   driver_frames : Skb.t list ref;
 }
 
-let make_rig ?batch ?doorbell () =
+let make_rig ?notify () =
   let m = Harness.make_machine () in
   let ledger = Ledger.create () in
   let cpu = Harness.dom0_cpu m in
@@ -48,23 +48,20 @@ let make_rig ?batch ?doorbell () =
   let km = Kmem.create m.Harness.dom0 in
   let driver_frames = ref [] in
   let netio =
-    Xen_netio.create ?batch ?doorbell ~hyp ~dom0 ~guest ~kmem:km
+    Xen_netio.create ?notify ~hyp ~dom0 ~guest ~kmem:km
       ~driver_tx:(fun skb -> driver_frames := skb :: !driver_frames)
       ()
   in
   { hyp; dom0; guest; km; netio; driver_frames }
 
-let adaptive ?(poll_entry_kicks = 4) ?(idle_hysteresis = 2)
-    ?(poll_budget = 8) () =
-  { Xen_netio.poll_entry_kicks; idle_hysteresis; poll_budget }
+let adaptive ?(batch = 1) ?(entry_kicks = 4) ?(poll_budget = 8) () =
+  Xen_netio.Adaptive { batch; entry_kicks; poll_budget }
 
 (* idle -> polling -> idle under a synthetic kick trace: a burst of
    per-frame kicks crosses the entry threshold at the tick boundary;
    polling suppresses subsequent kicks; idle hysteresis falls back *)
 let test_mode_transitions () =
-  let rig =
-    make_rig ~doorbell:(adaptive ~poll_entry_kicks:4 ~idle_hysteresis:2 ()) ()
-  in
+  let rig = make_rig ~notify:(adaptive ~entry_kicks:4 ()) () in
   let io = rig.netio in
   Hypervisor.switch_to rig.hyp rig.guest;
   check mode_c "starts interrupt-driven" Xen_netio.Interrupt
@@ -89,12 +86,13 @@ let test_mode_transitions () =
   check int_c "poll drained the staged frames" 7 (Xen_netio.tx_count io);
   check bool_c "doorbell was visited" true (Xen_netio.doorbell_polls io > 0);
   (* the next tick closes the window that carried the burst; only then
-     do idle windows start counting toward the hysteresis of two *)
+     do idle windows start counting toward the hysteresis of three *)
   Xen_netio.on_tick io;
   check mode_c "traffic window closed, still polling" Xen_netio.Polling
     (Xen_netio.tx_mode io);
   Xen_netio.on_tick io;
-  check mode_c "first idle window keeps polling" Xen_netio.Polling
+  Xen_netio.on_tick io;
+  check mode_c "two idle windows keep polling" Xen_netio.Polling
     (Xen_netio.tx_mode io);
   Xen_netio.on_tick io;
   check mode_c "fell back after idle hysteresis" Xen_netio.Interrupt
@@ -106,9 +104,7 @@ let test_mode_transitions () =
 
 (* the rx direction runs the same state machine, driven by completions *)
 let test_rx_mode_transitions () =
-  let rig =
-    make_rig ~doorbell:(adaptive ~poll_entry_kicks:4 ~idle_hysteresis:2 ()) ()
-  in
+  let rig = make_rig ~notify:(adaptive ~entry_kicks:4 ()) () in
   let io = rig.netio in
   let got = ref 0 in
   Xen_netio.set_guest_rx io (fun _ _ -> incr got);
@@ -130,10 +126,13 @@ let test_rx_mode_transitions () =
   check int_c "suppressed virqs counted" 3 (Xen_netio.suppressed_virqs io);
   Xen_netio.service io;
   check int_c "poll delivered the completions" 7 !got;
-  (* one tick closes the traffic window, two idle ticks trip the
+  (* one tick closes the traffic window, three idle ticks trip the
      hysteresis *)
   Xen_netio.on_tick io;
   Xen_netio.on_tick io;
+  Xen_netio.on_tick io;
+  check mode_c "rx still polling inside the hysteresis" Xen_netio.Polling
+    (Xen_netio.rx_mode io);
   Xen_netio.on_tick io;
   check mode_c "rx fell back after hysteresis" Xen_netio.Interrupt
     (Xen_netio.rx_mode io)
@@ -159,11 +158,9 @@ let test_poll_budget_fairness () =
   Hypervisor.add_domain hyp guest;
   let km = Kmem.create m.Harness.dom0 in
   (* always-poll, budget 2: each service visit drains at most two *)
-  let db =
-    { Xen_netio.poll_entry_kicks = 0; idle_hysteresis = 1; poll_budget = 2 }
-  in
+  let notify = Xen_netio.Always_poll { batch = 1; poll_budget = 2 } in
   let mk () =
-    Xen_netio.create ~doorbell:db ~hyp ~dom0 ~guest ~kmem:km
+    Xen_netio.create ~notify ~hyp ~dom0 ~guest ~kmem:km
       ~driver_tx:(fun skb -> Skb.free km skb)
       ()
   in
@@ -212,11 +209,9 @@ let test_cross_mode_bit_identity () =
   in
   (* entry threshold far above the offered kick rate: the adaptive
      channel never leaves interrupt mode *)
-  let off = run (make_rig ~batch:4 ()) in
+  let off = run (make_rig ~notify:(Xen_netio.Interrupts { batch = 4 }) ()) in
   let on_ =
-    run
-      (make_rig ~batch:4
-         ~doorbell:(adaptive ~poll_entry_kicks:1_000_000 ()) ())
+    run (make_rig ~notify:(adaptive ~batch:4 ~entry_kicks:1_000_000 ()) ())
   in
   let cyc (c, _, _) = c and txc (_, t, _) = t and rxc (_, _, r) = r in
   check int_c "same frames on the wire" (txc off) (txc on_);
@@ -227,8 +222,8 @@ let test_cross_mode_bit_identity () =
    teardown, in whatever mode each direction is in *)
 let test_teardown_flushes_partial_batches () =
   let rig =
-    make_rig ~batch:8
-      ~doorbell:(adaptive ~poll_entry_kicks:0 ~poll_budget:2 ())
+    make_rig
+      ~notify:(Xen_netio.Always_poll { batch = 8; poll_budget = 2 })
       ()
   in
   let io = rig.netio in

@@ -59,7 +59,7 @@ type netio_rig = {
   netio : Td_kernel.Xen_netio.t;
 }
 
-let make_netio_rig ?doorbell ?quota () =
+let make_netio_rig ?notify ?quota () =
   let open Td_xen in
   let m = Harness.make_machine () in
   let ledger = Ledger.create () in
@@ -79,7 +79,7 @@ let make_netio_rig ?doorbell ?quota () =
   Hypervisor.add_domain hyp guest;
   let km = Td_kernel.Kmem.create m.Harness.dom0 in
   let netio =
-    Td_kernel.Xen_netio.create ?doorbell ?quota ~hyp ~dom0 ~guest
+    Td_kernel.Xen_netio.create ?notify ?quota ~hyp ~dom0 ~guest
       ~kmem:km
       ~driver_tx:(fun _ -> ())
       ()
@@ -117,10 +117,10 @@ let test_rx_quota_throttles_delivery () =
 
 let test_doorbell_words_fixed_offsets () =
   let open Td_kernel in
-  let doorbell =
-    { Xen_netio.poll_entry_kicks = 1; idle_hysteresis = 8; poll_budget = 8 }
+  let notify =
+    Xen_netio.Adaptive { batch = 1; entry_kicks = 1; poll_budget = 8 }
   in
-  let rig = make_netio_rig ~doorbell () in
+  let rig = make_netio_rig ~notify () in
   let io = rig.netio in
   Td_xen.Hypervisor.switch_to rig.hyp rig.guest;
   Xen_netio.set_guest_rx io (fun _ _ -> ());
@@ -243,29 +243,6 @@ let test_reload_isolated_across_shards () =
 
 (* ---- Mq: sequential vs sharded bit-identity ---- *)
 
-let digest_of_ledger led =
-  let open Td_xen in
-  let b = Buffer.create 128 in
-  List.iter
-    (fun (c, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s=%d;" (Ledger.category_name c) v))
-    (Ledger.snapshot led);
-  List.iter
-    (fun (d, v) -> Buffer.add_string b (Printf.sprintf "%s=%d;" d v))
-    (Ledger.domain_snapshot led);
-  List.iter
-    (fun (tag, dir) ->
-      let p =
-        match Ledger.latency_percentile led dir 99. with
-        | None -> "-"
-        | Some v -> Printf.sprintf "%.0f" v
-      in
-      Buffer.add_string b
-        (Printf.sprintf "%s:%d/%s;" tag (Ledger.latency_count led dir) p))
-    [ ("tx", `Tx); ("rx", `Rx) ];
-  Buffer.contents b
-
 let mq_run_digest ~shards ports =
   let queues = 3 in
   let tuning = { Config.default_tuning with Config.queues; shards } in
@@ -299,7 +276,7 @@ let mq_run_digest ~shards ports =
          World.pump w;
          World.tick w;
          World.shutdown w));
-  (digest_of_ledger (Mq.merged_ledger mq), Mq.wire_tx_frames mq)
+  (Td_xen.Ledger.digest (Mq.merged_ledger mq), Mq.wire_tx_frames mq)
 
 let mq_seq_vs_sharded_prop =
   QCheck.Test.make
@@ -359,7 +336,7 @@ let mq_armed_run_digest ~shards =
          World.pump w;
          World.tick w;
          World.shutdown w));
-  (digest_of_ledger (Mq.merged_ledger mq), Mq.wire_tx_frames mq)
+  (Td_xen.Ledger.digest (Mq.merged_ledger mq), Mq.wire_tx_frames mq)
 
 let test_mq_shards_with_quota_and_faults () =
   let seq_digest, seq_frames = mq_armed_run_digest ~shards:1 in

@@ -35,7 +35,9 @@ let make_rig ?batch ?quota () =
   let km = Kmem.create m.Harness.dom0 in
   let driver_frames = ref [] in
   let netio =
-    Xen_netio.create ?batch ?quota ~hyp ~dom0 ~guest ~kmem:km
+    Xen_netio.create
+      ?notify:(Option.map (fun batch -> Xen_netio.Interrupts { batch }) batch)
+      ?quota ~hyp ~dom0 ~guest ~kmem:km
       ~driver_tx:(fun skb -> driver_frames := skb :: !driver_frames)
       ()
   in
@@ -233,6 +235,261 @@ let test_throttled_rx_reposts_buffer () =
   check bool_c "the frames that fit arrive" true (List.rev !got = [ "frame-000"; "xyz" ]);
   check bool_c "conserved" true (Xen_netio.conserved rig.netio)
 
+(* --- the per-direction notifier against the reference channel --- *)
+
+(* [Ref_netio] is the channel as it was before tx and rx shared one
+   notifier. Both run the same random operations on identical rigs and
+   must agree after every step: the outcome (or exception), the ledger
+   digest (category cells, domain rows, latency count and percentiles),
+   the quota's throttle count, the guest's pending virqs, every channel
+   counter and mode, and the bytes that reached the driver and the guest
+   stack. *)
+
+type policy = Plain | Adaptive_at of int | Poll
+
+type chan_op =
+  | Tx of int * char
+  | Rx of int * char
+  | Service
+  | Tick
+  | Flush
+  | Mask
+  | Unmask
+  | Post of int
+  | Teardown
+  | Close
+
+(* one implementation behind the operations the property drives *)
+type chan = { step : chan_op -> unit; observe : unit -> string }
+
+let mode_name m = if m then "poll" else "intr"
+
+let new_chan ~batch ~policy ~budget ?quota ~hyp ~dom0 ~guest ~kmem
+    ~driver_tx ~guest_rx () =
+  let notify =
+    match policy with
+    | Plain -> Xen_netio.Interrupts { batch }
+    | Adaptive_at entry_kicks ->
+        Xen_netio.Adaptive { batch; entry_kicks; poll_budget = budget }
+    | Poll -> Xen_netio.Always_poll { batch; poll_budget = budget }
+  in
+  let io = Xen_netio.create ~notify ?quota ~hyp ~dom0 ~guest ~kmem ~driver_tx () in
+  Xen_netio.set_guest_rx io guest_rx;
+  let step = function
+    | Tx (n, c) ->
+        Xen_netio.guest_transmit io ~hdr:(String.make (n mod 3) 'h') (String.make n c)
+    | Service -> Xen_netio.service io
+    | Tick -> Xen_netio.on_tick io
+    | Flush -> Xen_netio.flush io
+    | Post n -> Xen_netio.post_rx_buffers io n
+    | Teardown -> Xen_netio.teardown io
+    | Close -> Xen_netio.close io
+    | Rx _ | Mask | Unmask -> assert false
+  in
+  let deliver skb = Xen_netio.deliver_to_guest io skb in
+  let observe () =
+    Printf.sprintf
+      "tx=%d rx=%d dropped=%d throttled=%d flushes=%d staged=%d total=%d \
+       conserved=%b polls=%d sup=%d/%d switches=%d grants=%d posted=%d \
+       closed=%b modes=%s/%s doorbell=%b"
+      (Xen_netio.tx_count io) (Xen_netio.rx_count io) (Xen_netio.rx_dropped io)
+      (Xen_netio.rx_throttled io) (Xen_netio.flushes io) (Xen_netio.staged io)
+      (Xen_netio.tx_staged_total io) (Xen_netio.conserved io)
+      (Xen_netio.doorbell_polls io)
+      (Xen_netio.suppressed_hypercalls io)
+      (Xen_netio.suppressed_virqs io)
+      (Xen_netio.mode_switches io) (Xen_netio.grants_active io)
+      (Xen_netio.rx_buffers_posted io) (Xen_netio.closed io)
+      (mode_name (Xen_netio.tx_mode io = Xen_netio.Polling))
+      (mode_name (Xen_netio.rx_mode io = Xen_netio.Polling))
+      (Xen_netio.doorbell_vaddr io <> None)
+  in
+  ({ step; observe }, deliver)
+
+let ref_chan ~batch ~policy ~budget ?quota ~hyp ~dom0 ~guest ~kmem ~driver_tx
+    ~guest_rx () =
+  let doorbell =
+    let cfg poll_entry_kicks =
+      Some { Ref_netio.poll_entry_kicks; idle_hysteresis = 3; poll_budget = budget }
+    in
+    match policy with
+    | Plain -> None
+    | Adaptive_at k -> cfg k
+    | Poll -> cfg 0
+  in
+  let io =
+    Ref_netio.create ~batch ?doorbell ?quota ~hyp ~dom0 ~guest ~kmem ~driver_tx ()
+  in
+  Ref_netio.set_guest_rx io guest_rx;
+  let step = function
+    | Tx (n, c) ->
+        Ref_netio.guest_transmit io ~hdr:(String.make (n mod 3) 'h') (String.make n c)
+    | Service -> Ref_netio.service io
+    | Tick -> Ref_netio.on_tick io
+    | Flush -> Ref_netio.flush io
+    | Post n -> Ref_netio.post_rx_buffers io n
+    | Teardown -> Ref_netio.teardown io
+    | Close -> Ref_netio.close io
+    | Rx _ | Mask | Unmask -> assert false
+  in
+  let deliver skb = Ref_netio.deliver_to_guest io skb in
+  let observe () =
+    Printf.sprintf
+      "tx=%d rx=%d dropped=%d throttled=%d flushes=%d staged=%d total=%d \
+       conserved=%b polls=%d sup=%d/%d switches=%d grants=%d posted=%d \
+       closed=%b modes=%s/%s doorbell=%b"
+      (Ref_netio.tx_count io) (Ref_netio.rx_count io) (Ref_netio.rx_dropped io)
+      (Ref_netio.rx_throttled io) (Ref_netio.flushes io) (Ref_netio.staged io)
+      (Ref_netio.tx_staged_total io) (Ref_netio.conserved io)
+      (Ref_netio.doorbell_polls io)
+      (Ref_netio.suppressed_hypercalls io)
+      (Ref_netio.suppressed_virqs io)
+      (Ref_netio.mode_switches io) (Ref_netio.grants_active io)
+      (Ref_netio.rx_buffers_posted io) (Ref_netio.closed io)
+      (mode_name (Ref_netio.tx_mode io = Ref_netio.Polling))
+      (mode_name (Ref_netio.rx_mode io = Ref_netio.Polling))
+      (Ref_netio.doorbell_vaddr io <> None)
+  in
+  ({ step; observe }, deliver)
+
+(* A rig around [make]: its own machine, ledger, domains and, with
+   [rate], a quota on doorbells and rx deliveries clocked by the ledger;
+   every byte the driver or the guest stack receives is recorded. *)
+let equiv_rig ~rate make =
+  let m = Harness.make_machine () in
+  let ledger = Ledger.create () in
+  let cpu = Harness.dom0_cpu m in
+  let hyp = Hypervisor.create ~ledger ~xen_space:m.Harness.hyp ~cpu () in
+  let dom0 =
+    Domain.create ~id:0 ~name:"dom0" ~kind:Domain.Driver_domain
+      ~space:m.Harness.dom0
+  in
+  let gspace = Td_mem.Addr_space.create ~name:"guest" m.Harness.phys in
+  Td_mem.Addr_space.heap_init gspace ~base:Td_mem.Layout.guest_heap_base
+    ~limit:Td_mem.Layout.guest_heap_limit;
+  let guest = Domain.create ~id:1 ~name:"guest" ~kind:Domain.Guest ~space:gspace in
+  Hypervisor.add_domain hyp dom0;
+  Hypervisor.add_domain hyp guest;
+  Domain.init_vif guest ~vaddr:(Td_mem.Addr_space.heap_alloc gspace 4);
+  let quota =
+    Option.map
+      (fun (per_s, burst) ->
+        Quota.make
+          ~now:(fun () -> float_of_int (Ledger.grand_total ledger) /. 3e9)
+          { Quota.unlimited with Quota.doorbells_per_s = per_s; rx_per_s = per_s; burst })
+      rate
+  in
+  let kmem = Kmem.create m.Harness.dom0 in
+  let wire = Buffer.create 256 and stack = Buffer.create 256 in
+  let driver_tx skb =
+    Buffer.add_bytes wire (Skb.contents skb);
+    Buffer.add_char wire '|';
+    Skb.free kmem skb
+  in
+  let guest_rx addr len =
+    Buffer.add_bytes stack (Td_mem.Addr_space.read_block gspace addr len);
+    Buffer.add_char stack '|'
+  in
+  let chan, deliver = make ?quota ~hyp ~dom0 ~guest ~kmem ~driver_tx ~guest_rx () in
+  Hypervisor.switch_to hyp guest;
+  let apply = function
+    | Rx (n, c) ->
+        let skb = Skb.alloc kmem (Domain.space dom0) ~size:(n + 64) in
+        Skb.put skb (Bytes.make n c);
+        deliver skb
+    | Mask -> Domain.mask_interrupts guest
+    | Unmask -> Domain.unmask_interrupts guest
+    | op -> chan.step op
+  in
+  let step op =
+    match apply op with
+    | () -> "ok"
+    | exception e -> Printexc.to_string e
+  in
+  let observe () =
+    String.concat "\n"
+      [
+        Ledger.digest ledger;
+        Printf.sprintf "quota throttled=%d pending=%d"
+          (Option.fold ~none:0 ~some:Quota.throttled quota)
+          (Domain.pending guest);
+        chan.observe ();
+        Buffer.contents wire;
+        Buffer.contents stack;
+      ]
+  in
+  (step, observe)
+
+let chan_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (30, map2 (fun n c -> Tx (n, c)) (int_range 1 300) printable);
+        (1, return (Tx (5000, 'x')));
+        (25, map2 (fun n c -> Rx (n, c)) (int_range 1 300) printable);
+        (10, return Service);
+        (15, return Tick);
+        (4, return Flush);
+        (4, return Mask);
+        (4, return Unmask);
+        (3, map (fun n -> Post n) (int_range 1 4));
+        (2, return Teardown);
+        (1, return Close);
+      ])
+
+let print_chan_op = function
+  | Tx (n, c) -> Printf.sprintf "tx %d %C" n c
+  | Rx (n, c) -> Printf.sprintf "rx %d %C" n c
+  | Service -> "service"
+  | Tick -> "tick"
+  | Flush -> "flush"
+  | Mask -> "mask"
+  | Unmask -> "unmask"
+  | Post n -> Printf.sprintf "post %d" n
+  | Teardown -> "teardown"
+  | Close -> "close"
+
+let policy_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Plain);
+        (2, map (fun k -> Adaptive_at k) (int_range 1 8));
+        (1, return Poll);
+      ])
+
+let print_policy = function
+  | Plain -> "interrupts"
+  | Adaptive_at k -> Printf.sprintf "adaptive %d" k
+  | Poll -> "always-poll"
+
+let notifier_equivalence_prop =
+  QCheck.Test.make ~name:"notifier matches the per-direction reference"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (quad (int_range 1 8) policy_gen (int_range 1 16)
+              (opt (pair (oneofl [ 3e4; 3e5; 3e6 ]) (float_range 1. 6.))))
+           (pair (int_range 0 6) (list_size (int_range 1 80) chan_op_gen)))
+       ~print:(fun ((batch, policy, budget, rate), (posted, ops)) ->
+         Printf.sprintf "batch=%d %s budget=%d quota=%s posted=%d [%s]" batch
+           (print_policy policy) budget
+           (match rate with
+           | None -> "none"
+           | Some (r, b) -> Printf.sprintf "%.0f/s burst %.2f" r b)
+           posted
+           (String.concat "; " (List.map print_chan_op ops))))
+    (fun ((batch, policy, budget, rate), (posted, ops)) ->
+      let rig make = equiv_rig ~rate (make ~batch ~policy ~budget) in
+      let step, observe = rig new_chan and ref_step, ref_observe = rig ref_chan in
+      let ops = Post posted :: ops in
+      List.for_all
+        (fun op ->
+          let a = step op and b = ref_step op in
+          a = b && observe () = ref_observe ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "guest transmit reaches driver" `Quick
@@ -253,4 +510,5 @@ let suite =
       test_masked_guest_virq_order;
     Alcotest.test_case "throttled rx re-posts its buffer" `Quick
       test_throttled_rx_reposts_buffer;
+    QCheck_alcotest.to_alcotest notifier_equivalence_prop;
   ]
