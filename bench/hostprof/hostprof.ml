@@ -5,12 +5,16 @@
    with their sizes) that contains it. Samples in shared libraries, such
    as libc's memcpy, fall outside every symbol.
 
-   Usage: hostprof.exe WORKLOAD [PASSES]
+   Usage: hostprof.exe WORKLOAD [PASSES [TOP]]
 
    Runs PASSES (default 30) seed-1 passes of a bench/suite workload and
-   prints the 15 symbols with the largest share of samples. The kernel
-   delivers ITIMER_PROF at its tick (4 ms at HZ=250), so a twin-tx-mtu
-   pass gives about 100 samples; 30 passes give a few thousand. *)
+   prints the TOP (default 15) symbols with the largest share of
+   samples, then the TOP modules: the same samples summed by the OCaml
+   module a symbol belongs to (Td_cpu__Interp, Stdlib__Hashtbl, ...),
+   with every C symbol (the runtime, libc, the sampler) under one row.
+   The kernel delivers ITIMER_PROF at its tick (4 ms at HZ=250), so a
+   twin-tx-mtu pass gives about 100 samples; 30 passes give a few
+   thousand. *)
 
 external install : unit -> unit = "hostprof_install"
 external timer : int -> unit = "hostprof_timer"
@@ -19,7 +23,7 @@ external anchor : unit -> int = "hostprof_anchor"
 external samples : unit -> int array = "hostprof_samples"
 
 let usage () =
-  prerr_endline "usage: hostprof.exe WORKLOAD [PASSES]";
+  prerr_endline "usage: hostprof.exe WORKLOAD [PASSES [TOP]]";
   exit 2
 
 (* Sized text symbols of the running executable, as (start, end, name)
@@ -90,11 +94,48 @@ let containing syms addr =
     let _, stop, name = syms.(go 0 (Array.length syms - 1)) in
     if addr < stop then name else outside
 
+let c_symbols = "[C: runtime, libc and stubs]"
+
+(* The module an OCaml symbol belongs to: [camlTd_cpu__Interp.exec_block]
+   is in [Td_cpu__Interp], [camlStdlib.min] in [Stdlib]. *)
+let module_of sym =
+  let prefix = "caml" in
+  let p = String.length prefix in
+  if
+    String.length sym > p
+    && String.sub sym 0 p = prefix
+    && Char.uppercase_ascii sym.[p] = sym.[p]
+    && sym.[p] <> '_'
+  then
+    match String.index_from_opt sym p '.' with
+    | Some i -> String.sub sym p (i - p)
+    | None -> String.sub sym p (String.length sym - p)
+  else if sym.[0] = '[' then sym
+  else c_symbols
+
+(* [counts] as (samples, name), most samples first, ties by name *)
+let ranked counts =
+  Hashtbl.fold (fun sym n acc -> (n, sym) :: acc) counts []
+  |> List.sort (fun (a, x) (b, y) -> if a <> b then compare b a else compare x y)
+
+let print_top ~top ~total rows =
+  List.iteri
+    (fun i (n, sym) ->
+      if i < top then
+        Printf.printf "%6.2f%% %6d  %s\n"
+          (100. *. float_of_int n /. float_of_int (Int.max 1 total))
+          n sym)
+    rows
+
+let bump counts key n =
+  Hashtbl.replace counts key (n + Option.value ~default:0 (Hashtbl.find_opt counts key))
+
 let () =
-  let name, passes =
+  let name, passes, top =
     match Array.to_list Sys.argv with
-    | [ _; w ] -> (w, 30)
-    | [ _; w; p ] -> (w, int_of_string p)
+    | [ _; w ] -> (w, 30, 15)
+    | [ _; w; p ] -> (w, int_of_string p, 15)
+    | [ _; w; p; t ] -> (w, int_of_string p, int_of_string t)
     | _ -> usage ()
   in
   let w =
@@ -129,18 +170,11 @@ let () =
   in
   let counts = Hashtbl.create 256 in
   let s = samples () in
-  Array.iter
-    (fun pc ->
-      let sym = containing syms (pc - bias) in
-      Hashtbl.replace counts sym
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts sym)))
-    s;
+  Array.iter (fun pc -> bump counts (containing syms (pc - bias)) 1) s;
   let total = Array.length s in
   Printf.printf "%s: %d samples over %d passes\n" name total passes;
-  Hashtbl.fold (fun sym n acc -> (n, sym) :: acc) counts []
-  |> List.sort (fun (a, x) (b, y) -> if a <> b then compare b a else compare x y)
-  |> List.iteri (fun i (n, sym) ->
-         if i < 15 then
-           Printf.printf "%6.2f%% %6d  %s\n"
-             (100. *. float_of_int n /. float_of_int (max 1 total))
-             n sym)
+  print_top ~top ~total (ranked counts);
+  let modules = Hashtbl.create 64 in
+  Hashtbl.iter (fun sym n -> bump modules (module_of sym) n) counts;
+  Printf.printf "by module:\n";
+  print_top ~top ~total (ranked modules)

@@ -3,6 +3,15 @@ open Td_xen
 open Td_kernel
 open World_state
 
+(* netback's call into the driver, already in dom0: the sk_buff is kmem
+   memory and survives a restart, so replay can re-run the transmit on
+   the fresh instance *)
+let netback_xmit w ~nic skb () =
+  ignore
+    (Supervisor.run_dom0_driver2 w ~entry:w.dom0_driver.e_xmit skb
+       w.nics.(nic).nd.Netdev.addr);
+  true
+
 (* Create one netfront/netback channel pair for guest slot [g] on NIC
    [nic] and register its backend port on the bridge — the per-(guest,
    NIC) plumbing boot runs for guest 0 and [World.create_guest] for
@@ -10,7 +19,6 @@ open World_state
    guest's vif MACs into the fdb. *)
 let attach_channel w x vswitch ~guest:g ~nic =
   let s = slot_exn w g ~op:"World.attach_channel" in
-  let p = w.nics.(nic) in
   (* Config's three notification fields map to one policy here *)
   let notify =
     let { Config.notify_batch = batch; doorbell; poll_entry_kicks; _ } =
@@ -27,17 +35,7 @@ let attach_channel w x vswitch ~guest:g ~nic =
     Xen_netio.create ~notify ?quota:w.quota ~hyp:x.hyp ~dom0:x.dom0
       ~guest:s.gs_dom ~kmem:w.km
       ~driver_tx:(fun skb ->
-        (* netback's call into the driver: the sk_buff is kmem memory
-           and survives a restart, so replay can re-run the transmit on
-           the fresh instance *)
-        let attempt () =
-          ignore
-            (Supervisor.run_driver w ~entry:w.dom0_driver.e_xmit
-               ~args:[ skb.Skb.addr; p.nd.Netdev.addr ]
-               ~stack:w.dom0_stack_top);
-          true
-        in
-        ignore (Supervisor.transmit w ~nic attempt))
+        ignore (Supervisor.transmit w ~nic netback_xmit skb.Skb.addr ()))
       ()
   in
   (* the guest stack reads the payload out of its own page once, as the
@@ -143,37 +141,46 @@ let send w io ~hdr payload =
         Td_obs.Metrics.bump "world.tx_throttled";
       false
 
-(* the slot's (NIC, channel) entry on [nic] *)
-let channel_on (s : guest_slot) ~nic =
-  Array.fold_left
-    (fun acc ((n, _) as e) ->
-      match acc with Some _ -> acc | None -> if n = nic then Some e else None)
-    None s.gs_netios
+(* index of the slot's first channel on [nic] in [gs_netios], or -1; a
+   loop over the array, so a lookup on the transmit path builds nothing *)
+let rec channel_index (netios : (int * Xen_netio.t) array) ~nic j =
+  if j >= Array.length netios then -1
+  else if fst netios.(j) = nic then j
+  else channel_index netios ~nic (j + 1)
 
 (* guest 0's entry on [nic] *)
 let netio_on w ~nic =
-  match slot_opt w 0 with Some s -> channel_on s ~nic | None -> None
+  match slot_opt w 0 with
+  | Some s ->
+      let j = channel_index s.gs_netios ~nic 0 in
+      if j < 0 then None else Some s.gs_netios.(j)
+  | None -> None
+
+let no_netio () =
+  config_error ~domain:(guest_name 0)
+    "domU configuration without netio (world not initialised, created \
+     without NICs, or guest 0 destroyed)"
 
 let transmit w (p : nic_port) ~nic ~payload =
-  match netio_on w ~nic with
-  | Some (_, io) -> send w io ~hdr:p.tx_hdr payload
-  | None ->
-      config_error ~domain:(guest_name 0)
-        "domU configuration without netio (world not initialised, created \
-         without NICs, or guest 0 destroyed)"
+  match slot_opt w 0 with
+  | Some s ->
+      let j = channel_index s.gs_netios ~nic 0 in
+      if j < 0 then no_netio ()
+      else send w (snd s.gs_netios.(j)) ~hdr:p.tx_hdr payload
+  | None -> no_netio ()
 
 let transmit_from ?nic w s ~guest:g ~payload =
-  let pick =
+  let j =
     match nic with
-    | Some nic -> channel_on s ~nic
-    | None ->
-        if Array.length s.gs_netios > 0 then Some s.gs_netios.(0) else None
+    | Some nic -> channel_index s.gs_netios ~nic 0
+    | None -> if Array.length s.gs_netios > 0 then 0 else -1
   in
-  match pick with
-  | None ->
-      Guest_fault.fail ~domain:(Domain.name s.gs_dom) ~op:"World.transmit_from"
-        "guest %d has no netfront channel%s" g
-        (match nic with Some n -> Printf.sprintf " on NIC %d" n | None -> "")
-  | Some (n, io) ->
-      Supervisor.admit w ~nic:n;
-      send w io ~hdr:s.gs_tx_hdrs.(n) payload
+  if j < 0 then
+    Guest_fault.fail ~domain:(Domain.name s.gs_dom) ~op:"World.transmit_from"
+      "guest %d has no netfront channel%s" g
+      (match nic with Some n -> Printf.sprintf " on NIC %d" n | None -> "")
+  else begin
+    let n, io = s.gs_netios.(j) in
+    Supervisor.admit w ~nic:n;
+    send w io ~hdr:s.gs_tx_hdrs.(n) payload
+  end

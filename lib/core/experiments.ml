@@ -67,7 +67,7 @@ let fig9_webserver ?(rates = default_rates) ?requests () =
             let n =
               match requests with
               | Some n -> n
-              | None -> max 2000 (int_of_float (rate *. 2.5))
+              | None -> Int.max 2000 (int_of_float (rate *. 2.5))
             in
             let o =
               Td_net.Webserver.run costs
@@ -112,7 +112,7 @@ let fig10_upcall_cost ?(packets = 400) () =
       let demoted = List.filteri (fun i _ -> i < k) demotion_order in
       let w = World.create ~nics:5 ~upcall_set:demoted Config.Xen_twin in
       let r = Measure.run_transmit ~packets w in
-      let invocations = max 1 (World.wire_tx_frames w) in
+      let invocations = Int.max 1 (World.wire_tx_frames w) in
       let upcalls = Td_kernel.Support.total_upcalls (World.support w) in
       {
         demoted;
@@ -463,7 +463,7 @@ let mq_payloads ~frames =
    full drain. Pure function of the payload array — the determinism the
    sharded digests rely on. *)
 let mq_drive w payloads =
-  let warm = min 16 (Array.length payloads) in
+  let warm = Int.min 16 (Array.length payloads) in
   for i = 0 to warm - 1 do
     ignore (World.transmit w ~nic:0 ~payload:payloads.(i))
   done;
@@ -714,7 +714,7 @@ let recovery_soak ?(frames = 2_000) ?(seed = 42) ~policy ~rate () =
     delivered;
     aborted = !aborted;
     refused = !refused;
-    availability = float_of_int delivered /. float_of_int (max 1 frames);
+    availability = float_of_int delivered /. float_of_int (Int.max 1 frames);
     injected = World.fault_injected w;
     recoveries;
     replayed = World.replayed_frames w;
@@ -910,7 +910,7 @@ let fleet_run ~domains ~frames ~nics ~seed ~churn ~quota ~fault_rate () =
     fl_rx_injected = !rx_injected;
     fl_rx_delivered = World.delivered_rx_frames w;
     fl_availability =
-      float_of_int (World.wire_tx_frames w) /. float_of_int (max 1 !offered_tx);
+      float_of_int (World.wire_tx_frames w) /. float_of_int (Int.max 1 !offered_tx);
     fl_throttled = World.quota_throttled w;
     fl_injected = World.fault_injected w;
     fl_recoveries = World.recoveries w;
@@ -925,7 +925,7 @@ let fleet_run ~domains ~frames ~nics ~seed ~churn ~quota ~fault_rate () =
     fl_rx_p999 = pct `Rx 99.9;
     fl_conserved = World.netio_conserved w;
     fl_staged_after_shutdown = World.staged_frames w;
-    fl_dangling_doorbells = max 0 (live_doorbells - !open_channels);
+    fl_dangling_doorbells = Int.max 0 (live_doorbells - !open_channels);
     fl_digest = fleet_digest w ~offered_tx:!offered_tx ~rx_injected:!rx_injected;
     fl_deterministic = true;
     fl_frames_allocated = Td_mem.Phys_mem.frames_allocated phys;
@@ -940,7 +940,7 @@ let fleet ?(domains = 200) ?(frames = 1_000_000) ?(nics = 4) ?(seed = 7)
     fleet_run ~domains ~frames ~nics ~seed ~churn ~quota ~fault_rate ()
   in
   let deterministic = ref true in
-  for _ = 2 to max 1 runs do
+  for _ = 2 to Int.max 1 runs do
     let again =
       fleet_run ~domains ~frames ~nics ~seed ~churn ~quota ~fault_rate ()
     in

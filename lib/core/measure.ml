@@ -39,7 +39,7 @@ let finish w ~packets ~payload_bytes ~counted ~drops =
   let ledger = World.ledger w in
   let frame_bytes = payload_bytes + eth_header in
   let total = Td_xen.Ledger.grand_total ledger in
-  let counted = max 1 counted in
+  let counted = Int.max 1 counted in
   let cpp = float_of_int total /. float_of_int counted in
   let freq = float_of_int Td_cpu.Cost_model.frequency_hz in
   let cpu_pps = freq /. cpp in

@@ -88,7 +88,7 @@ let total_cycles t =
    multiqueue bench divides by to show throughput scaling. *)
 let elapsed_cycles t =
   Array.fold_left
-    (fun acc w -> max acc (Td_xen.Ledger.grand_total (World.ledger w)))
+    (fun acc w -> Int.max acc (Td_xen.Ledger.grand_total (World.ledger w)))
     0 t.ctxs
 
 let wire_tx_frames t =

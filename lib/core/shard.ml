@@ -135,4 +135,4 @@ let run ~shards jobs =
       else
         Fun.protect
           ~finally:(fun () -> Atomic.set claimed false)
-          (fun () -> parallel ~workers:(min shards n) jobs))
+          (fun () -> parallel ~workers:(Int.min shards n) jobs))

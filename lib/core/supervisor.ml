@@ -13,54 +13,83 @@ let observe_invocation w before =
       (Td_obs.Metrics.histogram "driver.invoke.cycles")
       (w.cpu.State.cycles - before)
 
-let run_driver w ~entry ~args ~stack =
+let finish_invocation w before =
+  Ledger.charge w.led Ledger.Driver (w.cpu.State.cycles - before);
+  observe_invocation w before
+
+(* The reason an exception escaping the driver aborts its instance with,
+   or [None] for one the supervisor does not contain. Under fault
+   injection a corrupted driver can drive the model into states the
+   pristine system never reaches (bogus register numbers, unresolved
+   indirect calls); those are contained too, but only when the world has
+   a plan, so genuine model bugs still crash loudly. *)
+let abort_reason w = function
+  | Td_svm.Runtime.Fault { addr; reason } ->
+      Some (Printf.sprintf "SVM fault at 0x%x: %s" addr reason)
+  | Interp.Timeout _ -> Some "watchdog timeout"
+  | Addr_space.Page_fault { space; addr } ->
+      Some (Printf.sprintf "page fault in %s at 0x%x" space addr)
+  | Upcall.Upcall_failed { routine } ->
+      Some (Printf.sprintf "upcall %s failed in dom0" routine)
+  | Guest_fault.Fault { op; reason } ->
+      w.guest_faults <- w.guest_faults + 1;
+      Some (Printf.sprintf "guest fault in %s: %s" op reason)
+  | Kmem.Bad_free { addr; bytes; reason } ->
+      Some (Printf.sprintf "bad kfree of 0x%x (%d B): %s" addr bytes reason)
+  | Quota.Quota_exceeded { domain; resource } ->
+      Some (Printf.sprintf "quota exceeded: %s for domain %s" resource domain)
+  | ( Invalid_argument _ | Failure _ | Interp.Fault _ | Phys_mem.Bad_frame _
+    | Phys_mem.Out_of_frames _ | Addr_space.Heap_exhausted _
+    | Hypervisor.No_domains _ ) as e
+    when planned w ->
+      Some (Printf.sprintf "model fault: %s" (Printexc.to_string e))
+  | _ -> None
+
+(* One driver entry point on [stack] in the current domain, with its
+   [argc] (1 or 2) arguments [a0] and [a1] passed as words: nothing is
+   built on the host per call, and only an abort formats its reason. *)
+let run_driver w ~entry ~stack ~argc a0 a1 =
   State.set w.cpu Reg.ESP stack;
   let before = w.cpu.State.cycles in
-  let abort reason =
-    Ledger.charge w.led Ledger.Driver (w.cpu.State.cycles - before);
-    observe_invocation w before;
-    raise (Driver_aborted reason)
-  in
-  let result =
-    try Interp.call w.interp ~entry ~args with
-    | Td_svm.Runtime.Fault { addr; reason } ->
-        abort (Printf.sprintf "SVM fault at 0x%x: %s" addr reason)
-    | Interp.Timeout _ -> abort "watchdog timeout"
-    | Addr_space.Page_fault { space; addr } ->
-        abort (Printf.sprintf "page fault in %s at 0x%x" space addr)
-    | Upcall.Upcall_failed { routine } ->
-        abort (Printf.sprintf "upcall %s failed in dom0" routine)
-    | Guest_fault.Fault { op; reason } ->
-        w.guest_faults <- w.guest_faults + 1;
-        abort (Printf.sprintf "guest fault in %s: %s" op reason)
-    | Kmem.Bad_free { addr; bytes; reason } ->
-        abort (Printf.sprintf "bad kfree of 0x%x (%d B): %s" addr bytes reason)
-    | Quota.Quota_exceeded { domain; resource } ->
-        abort (Printf.sprintf "quota exceeded: %s for domain %s" resource domain)
-    (* under fault injection a corrupted driver can drive the model into
-       states the pristine system never reaches (bogus register numbers,
-       unresolved indirect calls); contain them as aborts — but only when
-       the world has a plan, so genuine model bugs still crash loudly *)
-    | ( Invalid_argument _ | Failure _ | Interp.Fault _
-      | Phys_mem.Bad_frame _ | Phys_mem.Out_of_frames _
-      | Addr_space.Heap_exhausted _ | Hypervisor.No_domains _ ) as e
-      when planned w ->
-        abort (Printf.sprintf "model fault: %s" (Printexc.to_string e))
-  in
-  Ledger.charge w.led Ledger.Driver (w.cpu.State.cycles - before);
-  observe_invocation w before;
-  result
+  match
+    if argc = 1 then Interp.call1 w.interp ~entry a0
+    else Interp.call2 w.interp ~entry a0 a1
+  with
+  | result ->
+      finish_invocation w before;
+      result
+  | exception e -> (
+      let bt = Printexc.get_raw_backtrace () in
+      match abort_reason w e with
+      | Some reason ->
+          finish_invocation w before;
+          raise (Driver_aborted reason)
+      | None -> Printexc.raise_with_backtrace e bt)
 
-let run_dom0_driver w ~entry ~args =
+(* dom0's instance runs in dom0 on the Xen paths: [Hypervisor.run_in]
+   written out with its two halves, so no closure is built per call *)
+let in_dom0 w ~argc ~entry a0 a1 =
   match w.path with
-  | Native -> run_driver w ~entry ~args ~stack:w.dom0_stack_top
-  | Dom0 x | Domu (x, _) | Twin (x, _) ->
-      Hypervisor.run_in x.hyp x.dom0 (fun () ->
-          run_driver w ~entry ~args ~stack:w.dom0_stack_top)
+  | Native -> run_driver w ~entry ~stack:w.dom0_stack_top ~argc a0 a1
+  | Dom0 x | Domu (x, _) | Twin (x, _) -> (
+      let prev = Hypervisor.enter x.hyp x.dom0 in
+      match run_driver w ~entry ~stack:w.dom0_stack_top ~argc a0 a1 with
+      | r ->
+          Hypervisor.leave x.hyp ~prev x.dom0;
+          r
+      | exception e ->
+          Hypervisor.leave x.hyp ~prev x.dom0;
+          raise e)
 
-let run_hyp_driver w ~entry ~args =
-  (* no domain switch: the hypervisor driver runs from any guest context *)
-  run_driver w ~entry ~args ~stack:Layout.hyp_stack_top
+let run_dom0_driver w ~entry a0 = in_dom0 w ~argc:1 ~entry a0 0
+let run_dom0_driver2 w ~entry a0 a1 = in_dom0 w ~argc:2 ~entry a0 a1
+
+(* no domain switch: the hypervisor driver runs from any guest context *)
+let run_hyp_driver w ~entry a0 =
+  run_driver w ~entry ~stack:Layout.hyp_stack_top ~argc:1 a0 0
+
+let run_hyp_driver2 w ~entry a0 a1 =
+  run_driver w ~entry ~stack:Layout.hyp_stack_top ~argc:2 a0 a1
 
 (* ---- driver supervisor (§4.5) ---- *)
 
@@ -82,8 +111,7 @@ let fail (q : nic_port) reason =
    data holds VM-instance code addresses), then the shadow configuration
    through the driver's own entry points, as the guest applied it *)
 let init_port w (p : nic_port) =
-  ignore
-    (run_dom0_driver w ~entry:w.dom0_driver.e_init ~args:[ p.nd.Netdev.addr ]);
+  ignore (run_dom0_driver w ~entry:w.dom0_driver.e_init p.nd.Netdev.addr);
   Td_driver.Adapter.set_field
     (Td_driver.Adapter.of_netdev p.nd)
     Td_driver.Adapter.o_link_fn
@@ -91,12 +119,12 @@ let init_port w (p : nic_port) =
        Td_driver.E1000_driver.entry_check_link);
   if p.shadow.s_mtu <> 1500 then
     ignore
-      (run_dom0_driver w ~entry:w.dom0_driver.e_set_mtu
-         ~args:[ p.nd.Netdev.addr; p.shadow.s_mtu ]);
+      (run_dom0_driver2 w ~entry:w.dom0_driver.e_set_mtu p.nd.Netdev.addr
+         p.shadow.s_mtu);
   if p.shadow.s_promisc then
     ignore
-      (run_dom0_driver w ~entry:w.dom0_driver.e_set_rx_mode
-         ~args:[ p.nd.Netdev.addr; 1 ])
+      (run_dom0_driver2 w ~entry:w.dom0_driver.e_set_rx_mode p.nd.Netdev.addr
+         1)
 
 (* Free the dead instance's kernel memory — adapter, descriptor rings,
    shadow sk_buff arrays and the ring sk_buffs they reference — so
@@ -109,7 +137,7 @@ let init_port w (p : nic_port) =
 let teardown_driver_memory w (q : nic_port) =
   let pooled addr =
     match w.path with
-    | Twin (_, tw) -> Skb_pool.owns tw.pool (Skb.of_addr w.dom0_space addr)
+    | Twin (_, tw) -> Skb_pool.owns tw.pool addr
     | Native | Dom0 _ | Domu _ -> false
   in
   (* a pointer the dead instance scribbled is refused: that block leaks,
@@ -221,25 +249,32 @@ let retry w attempt =
   Td_fault.Engine.suspend w.fault (fun () ->
       try Ok (attempt ()) with Driver_aborted reason -> Error reason)
 
-let invoke w ~nic f =
-  try ignore (f ()) with Driver_aborted reason -> on_abort w ~nic reason
+(* The wrappers below take the driver call as a static function and its
+   arguments, not as a closure: the call itself builds nothing, and only
+   an abort's retry wraps it in one. *)
 
-let transmit w ~nic attempt =
-  try attempt ()
-  with Driver_aborted reason -> (
-    on_abort w ~nic reason;
-    match w.tuning.Config.recovery with
-    | Config.Restart_replay -> (
-        w.replayed <- w.replayed + 1;
-        if Td_obs.Control.enabled () then Td_obs.Metrics.bump "fault.replayed";
-        match retry w attempt with
-        | Ok ok -> ok
-        | Error _ ->
-            Td_fault.Engine.note_tx_lost w.fault 1;
-            false)
-    | Config.Fail_stop | Config.Restart ->
-        Td_fault.Engine.note_tx_lost w.fault 1;
-        false)
+let invoke w ~nic f a =
+  match f w ~nic a with
+  | (_ : int) -> ()
+  | exception Driver_aborted reason -> on_abort w ~nic reason
+
+let transmit w ~nic attempt a b =
+  match attempt w ~nic a b with
+  | ok -> ok
+  | exception Driver_aborted reason -> (
+      on_abort w ~nic reason;
+      match w.tuning.Config.recovery with
+      | Config.Restart_replay -> (
+          w.replayed <- w.replayed + 1;
+          if Td_obs.Control.enabled () then Td_obs.Metrics.bump "fault.replayed";
+          match retry w (fun () -> attempt w ~nic a b) with
+          | Ok ok -> ok
+          | Error _ ->
+              Td_fault.Engine.note_tx_lost w.fault 1;
+              false)
+      | Config.Fail_stop | Config.Restart ->
+          Td_fault.Engine.note_tx_lost w.fault 1;
+          false)
 
 let control w ~nic f =
   admit w ~nic;
@@ -252,11 +287,11 @@ let control w ~nic f =
         fail w.nics.(nic) reason;
         raise (Nic_quarantined { nic }))
 
+let run_watchdog w ~nic () =
+  run_dom0_driver w ~entry:w.dom0_driver.e_watchdog w.nics.(nic).nd.Netdev.addr
+
 let watchdog w ~nic =
   let p = w.nics.(nic) in
   if serving w ~nic && Td_nic.E1000_dev.dma_stuck p.dev then
     on_abort w ~nic "watchdog declared hang: TX DMA stuck";
-  if serving w ~nic then
-    invoke w ~nic (fun () ->
-        run_dom0_driver w ~entry:w.dom0_driver.e_watchdog
-          ~args:[ p.nd.Netdev.addr ])
+  if serving w ~nic then invoke w ~nic run_watchdog ()

@@ -6,15 +6,20 @@
     shadow state and, for transmits, applies the tuning's drop-or-replay
     policy. It alone writes a port's {!World_state.port_state}. *)
 
-val run_driver :
-  World_state.t -> entry:int -> args:int list -> stack:int -> int
-(** Run one driver entry point on [stack] in the current domain. *)
+val run_dom0_driver : World_state.t -> entry:int -> int -> int
+(** [run_dom0_driver w ~entry a0] runs the dom0/VM instance's one-argument
+    entry point, in dom0 on the Xen paths. No driver call allocates on the
+    host unless it aborts. *)
 
-val run_dom0_driver : World_state.t -> entry:int -> args:int list -> int
-(** Run the dom0/VM instance, in dom0 on the Xen paths. *)
+val run_dom0_driver2 : World_state.t -> entry:int -> int -> int -> int
+(** The same for a two-argument entry point. *)
 
-val run_hyp_driver : World_state.t -> entry:int -> args:int list -> int
-(** Run the hypervisor instance (Xen_twin) on the hypervisor stack. *)
+val run_hyp_driver : World_state.t -> entry:int -> int -> int
+(** Run the hypervisor instance's (Xen_twin) one-argument entry point on
+    the hypervisor stack. *)
+
+val run_hyp_driver2 : World_state.t -> entry:int -> int -> int -> int
+(** The same for a two-argument entry point. *)
 
 val init_port : World_state.t -> World_state.nic_port -> unit
 (** Initialise one port's driver instance from the dom0 side: e1000_init,
@@ -28,13 +33,23 @@ val serving : World_state.t -> nic:int -> bool
 val admit : World_state.t -> nic:int -> unit
 (** Raise {!World_state.Nic_quarantined} unless the port is [Serving]. *)
 
-val invoke : World_state.t -> nic:int -> (unit -> int) -> unit
-(** One supervised interrupt or watchdog invocation: an abort recovers,
-    or under {!Config.Fail_stop} fails the port and propagates. *)
+val invoke :
+  World_state.t -> nic:int -> (World_state.t -> nic:int -> 'a -> int) -> 'a -> unit
+(** [invoke w ~nic f a] runs [f w ~nic a], one supervised interrupt or
+    watchdog invocation: an abort recovers, or under {!Config.Fail_stop}
+    fails the port and propagates. [f] is a static function, so a call
+    that does not abort builds no closure. *)
 
-val transmit : World_state.t -> nic:int -> (unit -> bool) -> bool
-(** One supervised transmit attempt, dropped or replayed after an abort
-    as {!Config.tuning.recovery} says. *)
+val transmit :
+  World_state.t ->
+  nic:int ->
+  (World_state.t -> nic:int -> 'a -> 'b -> bool) ->
+  'a ->
+  'b ->
+  bool
+(** [transmit w ~nic attempt a b] runs [attempt w ~nic a b], one
+    supervised transmit attempt, dropped or replayed after an abort as
+    {!Config.tuning.recovery} says. *)
 
 val control : World_state.t -> nic:int -> (unit -> 'a) -> 'a
 (** A supervised control call on a serving port ({!admit}), retried once

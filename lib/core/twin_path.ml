@@ -168,7 +168,47 @@ let boot_rx w x tw =
       free_any_skb w skb);
   Hypervisor.switch_to x.hyp s0.gs_dom
 
-let transmit w x tw (p : nic_port) ~nic ~payload =
+(* One transmit attempt through the hypervisor instance: a pool sk_buff
+   gets the guest packet and the driver's xmit runs on it. Static, so the
+   supervisor can retry it after an abort without a closure being built
+   on every frame. *)
+let attempt w ~nic tw payload =
+  let p = w.nics.(nic) in
+  charge_xen_cat w w.costs.Sys_costs.twin_skb_acquire;
+  match Skb_pool.alloc tw.pool with
+  | None ->
+      w.tx_drops <- w.tx_drops + 1;
+      false
+  | Some skb ->
+      (* header copy (up to 96 bytes) into the sk_buff's linear area; the
+         rest of the guest packet is chained through the page fragment
+         pointer using a preallocated dom0 frame (§5.3) *)
+      let frame_len = eth_header_bytes + String.length payload in
+      let linear = Int.min 96 frame_len in
+      charge_xen_cat w
+        (int_of_float (float_of_int linear *. w.costs.Sys_costs.copy_per_byte));
+      Skb.put_string skb p.tx_hdr ~off:0 ~len:eth_header_bytes;
+      let head = linear - eth_header_bytes in
+      Skb.put_string skb payload ~off:0 ~len:head;
+      if frame_len > linear then begin
+        charge_xen_cat w w.costs.Sys_costs.twin_frag_chain;
+        let rest = frame_len - linear in
+        let frag = Skb_pool.frag_buffer tw.pool skb in
+        (* chaining is a remap in the paper, not a copy: the bytes are
+           placed functionally but only the constant chain cost is
+           charged *)
+        Addr_space.write_string w.dom0_space frag payload ~off:head ~len:rest;
+        Skb.set_frag skb ~page:frag ~len:rest
+      end;
+      (* refetch the image: a recovery may have reloaded it *)
+      let r =
+        Supervisor.run_hyp_driver2 w ~entry:tw.hyp_driver.e_xmit skb.Skb.addr
+          p.nd.Netdev.addr
+      in
+      if r <> 0 then w.tx_drops <- w.tx_drops + 1;
+      r = 0
+
+let transmit w x tw ~nic ~payload =
   charge_domU_cat w w.costs.Sys_costs.kernel_tx_path;
   (* doorbell suppression: with batching only every [notify_batch]th ring
      push traps into the hypervisor; the others just set the producer
@@ -180,57 +220,22 @@ let transmit w x tw (p : nic_port) ~nic ~payload =
     || (tw.tx_pushes - 1) mod w.tuning.Config.notify_batch = 0
   then Hypervisor.hypercall x.hyp ()
   else charge_xen_cat w w.costs.Sys_costs.notify_coalesce;
-  let attempt () =
-    charge_xen_cat w w.costs.Sys_costs.twin_skb_acquire;
-    match Skb_pool.alloc tw.pool with
-    | None ->
-        w.tx_drops <- w.tx_drops + 1;
-        false
-    | Some skb ->
-        (* header copy (up to 96 bytes) into the sk_buff's linear area;
-           the rest of the guest packet is chained through the page
-           fragment pointer using a preallocated dom0 frame (§5.3) *)
-        let frame_len = eth_header_bytes + String.length payload in
-        let linear = min 96 frame_len in
-        charge_xen_cat w
-          (int_of_float
-             (float_of_int linear *. w.costs.Sys_costs.copy_per_byte));
-        Skb.put_string skb p.tx_hdr ~off:0 ~len:eth_header_bytes;
-        let head = linear - eth_header_bytes in
-        Skb.put_string skb payload ~off:0 ~len:head;
-        if frame_len > linear then begin
-          charge_xen_cat w w.costs.Sys_costs.twin_frag_chain;
-          let rest = frame_len - linear in
-          let frag = Skb_pool.frag_buffer tw.pool skb in
-          (* chaining is a remap in the paper, not a copy: the bytes are
-             placed functionally but only the constant chain cost is
-             charged *)
-          Addr_space.write_string w.dom0_space frag payload ~off:head ~len:rest;
-          Skb.set_frag skb ~page:frag ~len:rest
-        end;
-        (* refetch the image: a recovery may have reloaded it *)
-        let r =
-          Supervisor.run_hyp_driver w ~entry:tw.hyp_driver.e_xmit
-            ~args:[ skb.Skb.addr; p.nd.Netdev.addr ]
-        in
-        if r <> 0 then w.tx_drops <- w.tx_drops + 1;
-        r = 0
-  in
-  Supervisor.transmit w ~nic attempt
+  Supervisor.transmit w ~nic attempt tw payload
 
-let run_intr w tw (p : nic_port) ~nic =
-  Supervisor.invoke w ~nic (fun () ->
-      (* refetch the image: a recovery may have reloaded it *)
-      Supervisor.run_hyp_driver w ~entry:tw.hyp_driver.e_intr
-        ~args:[ p.nd.Netdev.addr ])
+(* refetch the image: a recovery may have reloaded it *)
+let intr w ~nic tw =
+  Supervisor.run_hyp_driver w ~entry:tw.hyp_driver.e_intr
+    w.nics.(nic).nd.Netdev.addr
 
-let service_interrupt w x tw (p : nic_port) ~nic =
+let run_intr w tw ~nic = Supervisor.invoke w ~nic intr tw
+
+let service_interrupt w x tw ~nic =
   charge_xen_cat w
     (w.costs.Sys_costs.interrupt_dispatch + w.costs.Sys_costs.softirq_schedule);
   (* §4.4: the hypervisor respects dom0's virtual interrupt flag *)
   if Domain.interrupts_masked x.dom0 then
-    Domain.defer x.dom0 (fun () -> run_intr w tw p ~nic)
-  else run_intr w tw p ~nic
+    Domain.defer x.dom0 (fun () -> run_intr w tw ~nic)
+  else run_intr w tw ~nic
 
 (* slot behind a scheduled domain: slot [g] always holds domain id
    [g + 1], so the lookup is O(1) with an identity cross-check *)
@@ -249,9 +254,9 @@ let has_work w d =
    order. Also the final delivery pass of [World.destroy_guest] — queued
    frames belong to the guest while it lives. *)
 let deliver_guest_queue w x dom gi (q : string Queue.t) =
-  let batch = max 1 w.tuning.Config.notify_batch in
+  let batch = Int.max 1 w.tuning.Config.notify_batch in
   while not (Queue.is_empty q) do
-    let n = min batch (Queue.length q) in
+    let n = Int.min batch (Queue.length q) in
     let group = ref [] in
     for _ = 1 to n do
       let payload = Queue.pop q in

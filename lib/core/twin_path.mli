@@ -36,12 +36,12 @@ val boot_rx : t -> xen -> twin -> unit
 (** Schedule boot guest 0 and demultiplex its MACs, install the
     hypervisor's demultiplexing [netif_rx] and switch to the guest. *)
 
-val transmit : t -> xen -> twin -> nic_port -> nic:int -> payload:string -> bool
+val transmit : t -> xen -> twin -> nic:int -> payload:string -> bool
 (** The guest's frame through the hypervisor instance, from the guest's
     context: doorbell hypercall (or a coalesced push), pool sk_buff,
     header copy and fragment chain. *)
 
-val service_interrupt : t -> xen -> twin -> nic_port -> nic:int -> unit
+val service_interrupt : t -> xen -> twin -> nic:int -> unit
 (** Run the hypervisor instance's interrupt handler now, or defer it
     while dom0 has its virtual interrupts masked (§4.4). *)
 

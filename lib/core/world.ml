@@ -62,18 +62,31 @@ let iter_slots w f =
   Array.iteri (fun g s -> match s with Some s -> f g s | None -> ()) w.slots
 
 (* channels in (slot, attach) order: deterministic, and NIC order for a
-   single boot guest. The loop builds no closure per slot: every pump
-   walks every slot. *)
+   single boot guest. Plain loops, so a static [f] builds no closure:
+   every pump and tick walks every slot. *)
 let iter_netios w f =
-  iter_slots w (fun _ s ->
-      for j = 0 to Array.length s.gs_netios - 1 do
-        f (snd s.gs_netios.(j))
-      done)
+  for g = 0 to Array.length w.slots - 1 do
+    match w.slots.(g) with
+    | Some s ->
+        for j = 0 to Array.length s.gs_netios - 1 do
+          f (snd s.gs_netios.(j))
+        done
+    | None -> ()
+  done
 
-let fold_netios w f acc =
-  let r = ref acc in
-  iter_netios w (fun io -> r := f !r io);
-  !r
+let sum_netios w f =
+  let n = ref 0 in
+  for g = 0 to Array.length w.slots - 1 do
+    match w.slots.(g) with
+    | Some s ->
+        for j = 0 to Array.length s.gs_netios - 1 do
+          n := !n + f (snd s.gs_netios.(j))
+        done
+    | None -> ()
+  done;
+  !n
+
+let staged_frames w = sum_netios w Xen_netio.staged
 
 (* ---- construction ---- *)
 
@@ -112,17 +125,21 @@ let fresh_slot ~dom ~space ~nics g =
     gs_rx_count = 0;
   }
 
-(* A frame arriving from the wire: one allocation, the header and
-   payload blitted into a single buffer that becomes the frame string. *)
-let build_frame ~dst ~src ~payload =
+(* A frame arriving from the wire, assembled in the port's own buffer
+   (grown on demand, then reused): the header and payload are blitted in
+   and the NIC copies them out at once, so a received frame allocates
+   nothing on the host. Returns the frame's length. *)
+let build_frame (p : nic_port) ~dst ~payload =
   let n = String.length payload in
-  let b = Bytes.create (eth_header_bytes + n) in
+  let len = eth_header_bytes + n in
+  if Bytes.length p.rx_buf < len then p.rx_buf <- Bytes.create len;
+  let b = p.rx_buf in
   Bytes.blit_string dst 0 b 0 6;
-  Bytes.blit_string src 0 b 6 6;
+  Bytes.blit_string p.cmac 0 b 6 6;
   Bytes.set b 12 '\x08';
   Bytes.set b 13 '\x00';
   Bytes.blit_string payload 0 b eth_header_bytes n;
-  Bytes.unsafe_to_string b
+  len
 
 (* Builds the machine with boot guest 0; the public [create] adds the
    other boot guests through [create_guest]. *)
@@ -205,6 +222,7 @@ let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
           tx_hdr = eth_header ~dst:(client_mac i) ~src:mac;
           wire;
           pending_irq = 0;
+          rx_buf = Bytes.empty;
           state = Serving;
           shadow = { s_mmio_base = mmio; s_mtu = 1500; s_promisc = false };
         })
@@ -305,32 +323,31 @@ let init (w : t) =
 
 (* native and dom0 transmit: the local stack builds the sk_buff and calls
    the driver in dom0; Xen_dom0 adds the virtualisation overhead *)
-let dom0_transmit w (p : nic_port) ~nic ~payload ~virt =
+let dom0_attempt w ~nic payload () =
+  let p = w.nics.(nic) in
+  let n = String.length payload in
+  let skb = Skb.alloc w.km w.dom0_space ~size:(eth_header_bytes + n + 64) in
+  Skb.put_string skb p.tx_hdr ~off:0 ~len:eth_header_bytes;
+  Skb.put_string skb payload ~off:0 ~len:n;
+  let r =
+    Supervisor.run_dom0_driver2 w ~entry:w.dom0_driver.e_xmit skb.Skb.addr
+      p.nd.Netdev.addr
+  in
+  if r <> 0 then w.tx_drops <- w.tx_drops + 1;
+  r = 0
+
+let dom0_transmit w ~nic ~payload ~virt =
   charge_dom0_cat w w.costs.Sys_costs.kernel_tx_path;
   if virt then charge_xen_cat w w.costs.Sys_costs.virt_overhead_tx;
-  let n = String.length payload in
-  let frame_len = eth_header_bytes + n in
-  let attempt () =
-    let skb = Skb.alloc w.km w.dom0_space ~size:(frame_len + 64) in
-    Skb.put_string skb p.tx_hdr ~off:0 ~len:eth_header_bytes;
-    Skb.put_string skb payload ~off:0 ~len:n;
-    let r =
-      Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_xmit
-        ~args:[ skb.Skb.addr; p.nd.Netdev.addr ]
-    in
-    if r <> 0 then w.tx_drops <- w.tx_drops + 1;
-    r = 0
-  in
-  Supervisor.transmit w ~nic attempt
+  Supervisor.transmit w ~nic dom0_attempt payload ()
 
 let transmit w ~nic ~payload =
   Supervisor.admit w ~nic;
-  let p = w.nics.(nic) in
   match w.path with
-  | Native -> dom0_transmit w p ~nic ~payload ~virt:false
-  | Dom0 _ -> dom0_transmit w p ~nic ~payload ~virt:true
-  | Domu _ -> Domu_path.transmit w p ~nic ~payload
-  | Twin (x, tw) -> Twin_path.transmit w x tw p ~nic ~payload
+  | Native -> dom0_transmit w ~nic ~payload ~virt:false
+  | Dom0 _ -> dom0_transmit w ~nic ~payload ~virt:true
+  | Domu _ -> Domu_path.transmit w w.nics.(nic) ~nic ~payload
+  | Twin (x, tw) -> Twin_path.transmit w x tw ~nic ~payload
 
 let inject_rx ?(guest = 0) w ~nic ~payload =
   let p = w.nics.(nic) in
@@ -342,63 +359,72 @@ let inject_rx ?(guest = 0) w ~nic ~payload =
         | Some s -> s.gs_macs.(nic)
         | None -> vif_mac guest nic)
   in
-  let frame = build_frame ~dst ~src:p.cmac ~payload in
-  Td_nic.E1000_dev.receive_frame p.dev frame
+  let len = build_frame p ~dst ~payload in
+  (* the device copies the frame out before anything writes the buffer *)
+  Td_nic.E1000_dev.receive_sub p.dev (Bytes.unsafe_to_string p.rx_buf) ~len
 
-let dom0_interrupt w (p : nic_port) ~nic =
-  Supervisor.invoke w ~nic (fun () ->
-      Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_intr
-        ~args:[ p.nd.Netdev.addr ])
+let dom0_intr w ~nic () =
+  Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_intr
+    w.nics.(nic).nd.Netdev.addr
+
+let dom0_interrupt w ~nic = Supervisor.invoke w ~nic dom0_intr ()
 
 let service_interrupt w ~nic =
-  let p = w.nics.(nic) in
   if Supervisor.serving w ~nic then
     match w.path with
     | Native ->
         charge_dom0_cat w w.costs.Sys_costs.interrupt_dispatch;
-        dom0_interrupt w p ~nic
+        dom0_interrupt w ~nic
     | Dom0 _ | Domu _ ->
         charge_xen_cat w
           (w.costs.Sys_costs.interrupt_dispatch + w.costs.Sys_costs.event_channel);
-        dom0_interrupt w p ~nic
-    | Twin (x, tw) -> Twin_path.service_interrupt w x tw p ~nic
+        dom0_interrupt w ~nic
+    | Twin (x, tw) -> Twin_path.service_interrupt w x tw ~nic
 
 let deliver_pending w =
   match w.path with
   | Twin (x, tw) -> Twin_path.deliver_pending w x tw
   | Native | Dom0 _ | Domu _ -> ()
 
+(* One port's share of a pump pass; true if it serviced an interrupt.
+   The pass below is written as loops over the ports and channels, so a
+   pump builds no closure. *)
+let pump_port w i =
+  let p = w.nics.(i) in
+  (* lost-interrupt rescue: an injected lost IRQ leaves its cause latched
+     in ICR with no handler call; the pump's poll sweep re-kicks it.
+     Gated on the world's plan so unplanned runs keep their exact
+     interrupt timing. *)
+  if
+    planned w
+    && Td_fault.Engine.active w.fault
+    && p.pending_irq = 0
+    && Supervisor.serving w ~nic:i
+    && Td_nic.E1000_dev.irq_pending p.dev
+  then p.pending_irq <- 1;
+  if p.pending_irq > 0 then begin
+    p.pending_irq <- 0;
+    service_interrupt w ~nic:i;
+    true
+  end
+  else false
+
+let service_staged io = if Xen_netio.staged io > 0 then Xen_netio.service io
+
 let pump w =
   let progress = ref true in
   while !progress do
     progress := false;
-    Array.iteri
-      (fun i p ->
-        (* lost-interrupt rescue: an injected lost IRQ leaves its cause
-           latched in ICR with no handler call; the pump's poll sweep
-           re-kicks it. Gated on the world's plan so unplanned runs keep
-           their exact interrupt timing. *)
-        if
-          planned w
-          && Td_fault.Engine.active w.fault
-          && p.pending_irq = 0
-          && Supervisor.serving w ~nic:i
-          && Td_nic.E1000_dev.irq_pending p.dev
-        then p.pending_irq <- 1;
-        if p.pending_irq > 0 then begin
-          p.pending_irq <- 0;
-          progress := true;
-          service_interrupt w ~nic:i
-        end)
-      w.nics;
+    for i = 0 to Array.length w.nics - 1 do
+      if pump_port w i then progress := true
+    done;
     (* ring pressure / end-of-poll service: push out partial notification
        batches (or, in polling mode, visit the doorbell and drain up to
        the poll budget) so frames can never sit staged forever *)
-    iter_netios w (fun io ->
-        if Xen_netio.staged io > 0 then begin
-          progress := true;
-          Xen_netio.service io
-        end);
+    if staged_frames w > 0 then begin
+      progress := true;
+      iter_netios w service_staged
+    end;
     deliver_pending w
   done
 
@@ -472,8 +498,8 @@ let read_stats w ~nic =
   Supervisor.control w ~nic (fun () ->
       let dest = Kmem.alloc w.km 32 in
       ignore
-        (Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_get_stats
-           ~args:[ w.nics.(nic).nd.Netdev.addr; dest ]);
+        (Supervisor.run_dom0_driver2 w ~entry:w.dom0_driver.e_get_stats
+           w.nics.(nic).nd.Netdev.addr dest);
       let out =
         Array.init 8 (fun i ->
             Addr_space.read w.dom0_space (dest + (4 * i)) Width.W32)
@@ -485,8 +511,9 @@ let run_set_rx_mode w ~nic ~promisc =
   let p = w.nics.(nic) in
   Supervisor.control w ~nic (fun () ->
       ignore
-        (Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_set_rx_mode
-           ~args:[ p.nd.Netdev.addr; (if promisc then 1 else 0) ]));
+        (Supervisor.run_dom0_driver2 w ~entry:w.dom0_driver.e_set_rx_mode
+           p.nd.Netdev.addr
+           (if promisc then 1 else 0)));
   (* shadow capture on the live path: recovery re-applies this *)
   p.shadow.s_promisc <- promisc
 
@@ -494,8 +521,8 @@ let run_set_mtu w ~nic ~mtu =
   let p = w.nics.(nic) in
   Supervisor.control w ~nic (fun () ->
       ignore
-        (Supervisor.run_dom0_driver w ~entry:w.dom0_driver.e_set_mtu
-           ~args:[ p.nd.Netdev.addr; mtu ]));
+        (Supervisor.run_dom0_driver2 w ~entry:w.dom0_driver.e_set_mtu
+           p.nd.Netdev.addr mtu));
   p.shadow.s_mtu <- mtu
 
 let tick w =
@@ -511,11 +538,8 @@ let shutdown w =
   iter_netios w Xen_netio.teardown;
   deliver_pending w
 
-let sum_netios w f = fold_netios w (fun acc io -> acc + f io) 0
-let staged_frames w = sum_netios w Xen_netio.staged
-
 let netio_conserved w =
-  fold_netios w (fun acc io -> acc && Xen_netio.conserved io) true
+  sum_netios w (fun io -> if Xen_netio.conserved io then 0 else 1) = 0
 
 let netio_suppressed_hypercalls w =
   sum_netios w Xen_netio.suppressed_hypercalls

@@ -58,6 +58,8 @@ type nic_port = {
       (** client MAC, NIC MAC, IPv4 ethertype: the Ethernet header of
           every frame {!World.transmit} sends on this port *)
   wire : Td_nic.Wire.counters;
+  mutable rx_buf : Bytes.t;
+      (** where {!World.inject_rx} assembles an arriving frame *)
   mutable pending_irq : int;
   mutable state : port_state;
   shadow : shadow_state;
@@ -192,7 +194,8 @@ let count_rx ~guest w payload =
 
 let free_any_skb w skb =
   match w.path with
-  | Twin (_, tw) when Skb_pool.owns tw.pool skb -> Skb_pool.release tw.pool skb
+  | Twin (_, tw) when Skb_pool.owns tw.pool skb.Skb.addr ->
+      Skb_pool.release tw.pool skb.Skb.addr
   | Native | Dom0 _ | Domu _ | Twin _ -> Skb.free w.km skb
 
 (* packet buffers (struct, linear area, fragment frame) are persistently

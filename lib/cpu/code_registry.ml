@@ -66,9 +66,10 @@ let replace t p =
          (Array.to_list t.programs));
   insert_sorted t p
 
-(* rightmost program whose base is <= addr; containment decides the rest
-   (programs never overlap, so at most one candidate exists) *)
-let find t addr =
+(* index of the rightmost program whose base is <= addr, if it contains
+   addr (programs never overlap, so at most one candidate exists); -1
+   otherwise *)
+let index_of t addr =
   let arr = t.programs in
   let lo = ref 0 and hi = ref (Array.length arr - 1) and best = ref (-1) in
   while !lo <= !hi do
@@ -79,12 +80,12 @@ let find t addr =
     end
     else hi := mid - 1
   done;
-  if !best >= 0 && Td_misa.Program.contains arr.(!best) addr then
-    Some arr.(!best)
-  else None
+  if !best >= 0 && Td_misa.Program.contains arr.(!best) addr then !best else -1
 
-let resolve t addr =
-  match find t addr with
-  | Some p -> (p, Td_misa.Program.index_of_addr p addr)
-  | None -> raise Not_found
+let find t addr =
+  let i = index_of t addr in
+  if i < 0 then None else Some t.programs.(i)
 
+let find_exn t addr =
+  let i = index_of t addr in
+  if i < 0 then raise Not_found else t.programs.(i)

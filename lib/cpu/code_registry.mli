@@ -33,6 +33,8 @@ val generation : t -> int
 val find : t -> int -> Td_misa.Program.t option
 (** Program containing the given code address (binary search). *)
 
-val resolve : t -> int -> Td_misa.Program.t * int
-(** [(program, index)] for a code address. Raises [Not_found]. *)
+val find_exn : t -> int -> Td_misa.Program.t
+(** {!find} without the option, for the interpreter's fetch path: raises
+    [Not_found], and allocates nothing. *)
+
 

@@ -25,7 +25,8 @@ type t = {
   mutable probes : Superblock.probes;
   mutable bc_gen : int;
   bc_addr : int array; (* -1 = empty slot *)
-  bc_prog : Td_misa.Program.t option array;
+  mutable bc_prog : Td_misa.Program.t array;
+      (* filled on the first miss: a program to hold every slot *)
   bc_idx : int array;
   mutable block_hits : int;
   mutable block_misses : int;
@@ -53,7 +54,7 @@ let create ?fault state registry natives =
     probes = [];
     bc_gen = 0;
     bc_addr = Array.make bc_size (-1);
-    bc_prog = Array.make bc_size None;
+    bc_prog = [||];
     bc_idx = Array.make bc_size 0;
     block_hits = 0;
     block_misses = 0;
@@ -71,12 +72,12 @@ let create ?fault state registry natives =
 
 let state t = t.state
 let registry t = t.registry
-let set_compile_threshold t n = t.compile_threshold <- max 1 n
+let set_compile_threshold t n = t.compile_threshold <- Int.max 1 n
 
 let observe_blocks t f =
   match t.observer with
   | None -> t.observer <- Some f
-  | Some g -> t.observer <- Some (fun st p i -> min (g st p i) (f st p i))
+  | Some g -> t.observer <- Some (fun st p i -> Int.min (g st p i) (f st p i))
 
 (* Compiled superblocks bake the table in, so a new table must never
    meet a closure compiled against the old one: forget the cached
@@ -127,26 +128,29 @@ open Td_misa
 let unmapped pc =
   raise (Fault (Printf.sprintf "execution at unmapped address 0x%x" pc))
 
-let resolve_uncached t pc =
-  match Code_registry.find t.registry pc with
-  | None -> unmapped pc
-  | Some p ->
-      let off = pc - p.Program.base in
-      if off land 3 <> 0 then
+(* The program holding [pc], which must be an instruction's address;
+   raises [Fault] otherwise. Allocates nothing unless it faults. *)
+let program_at t pc =
+  match Code_registry.find_exn t.registry pc with
+  | exception Not_found -> unmapped pc
+  | p ->
+      if (pc - p.Program.base) land 3 <> 0 then
         raise
           (Fault
              (Printf.sprintf "execution at misaligned code address 0x%x" pc));
-      (p, off lsr 2)
+      p
+
+let index_of (p : Program.t) pc = (pc - p.Program.base) lsr 2
 
 (* A program was registered or replaced: drop every cached block AND
    every compiled superblock, so a dead twin's image can never execute
    after a supervised reload — not even a closure compiled in the same
-   pump as the reload. *)
+   pump as the reload. A [bc_prog] entry is read only while its
+   [bc_addr] matches, so the flush leaves it in place. *)
 let check_generation t =
   let gen = Code_registry.generation t.registry in
   if t.bc_gen <> gen then begin
     Array.fill t.bc_addr 0 bc_size (-1);
-    Array.fill t.bc_prog 0 bc_size None;
     Array.fill t.cc_addr 0 bc_size (-1);
     Array.fill t.cc_hot 0 bc_size 0;
     Array.fill t.cc_blk 0 bc_size None;
@@ -155,24 +159,22 @@ let check_generation t =
   end
 
 (* Returns the cache slot now holding [pc]'s (program, index) in
-   [bc_prog]/[bc_idx], rather than a pair: a hit allocates nothing. *)
+   [bc_prog]/[bc_idx], rather than a pair: neither a hit nor a miss
+   allocates (a miss that evicts another entry happens every frame when
+   two hot entries share a slot). *)
 let resolve_cached t pc =
   check_generation t;
   let slot = (pc lsr 2) land (bc_size - 1) in
   if Array.unsafe_get t.bc_addr slot = pc then t.block_hits <- t.block_hits + 1
   else begin
     t.block_misses <- t.block_misses + 1;
-    let p, i = resolve_uncached t pc in
+    let p = program_at t pc in
+    if Array.length t.bc_prog = 0 then t.bc_prog <- Array.make bc_size p;
     t.bc_addr.(slot) <- pc;
-    t.bc_prog.(slot) <- Some p;
-    t.bc_idx.(slot) <- i
+    t.bc_prog.(slot) <- p;
+    t.bc_idx.(slot) <- index_of p pc
   end;
   slot
-
-let cached_prog t slot =
-  match Array.unsafe_get t.bc_prog slot with
-  | Some p -> p
-  | None -> assert false
 
 (* Only the block engine serves an attached observer or an armed bitflip
    plan: both need a view finer than a compiled superblock. Probe sites
@@ -195,10 +197,11 @@ let needs_block_engine t =
 let exec_block t =
   let st = t.state in
   let slot = resolve_cached t st.State.pc in
-  let prog = cached_prog t slot and idx = Array.unsafe_get t.bc_idx slot in
+  let prog = Array.unsafe_get t.bc_prog slot
+  and idx = Array.unsafe_get t.bc_idx slot in
   let stop = Array.unsafe_get prog.Program.block_end idx in
   let stop =
-    match t.observer with None -> stop | Some f -> min stop (f st prog idx)
+    match t.observer with None -> stop | Some f -> Int.min stop (f st prog idx)
   in
   let avail = stop - idx + 1 in
   let n = if avail > st.State.fuel then st.State.fuel else avail in
@@ -225,11 +228,11 @@ let exec_block t =
     raise e
 
 let compile_at t pc =
-  match resolve_uncached t pc with
-  | prog, idx ->
+  match program_at t pc with
+  | prog ->
       Superblock.compile ~natives:t.natives ~costs:t.state.State.costs
         ~elided:t.stlb_elided ~walks:t.page_walks ~probes:t.probes ~cap:default_superblock_cap prog
-        idx
+        (index_of prog pc)
   | exception Fault _ -> None
 
 (* Compiled dispatch: count the entry hot, promote it to a superblock at
@@ -277,15 +280,18 @@ let exec_compiled t =
     exec_block t
   end
 
-let call ?(max_steps = 1_000_000) t ~entry ~args =
+(* Run the routine at [entry] with its [argc] arguments already pushed
+   (cdecl: the first argument nearest the top), then pop them. Nothing
+   here allocates: the arguments arrive on the simulated stack, not in
+   a host list, and the fuel save/restore is written out ([Fun.protect]'s
+   closures would allocate on every driver call). *)
+let run ~max_steps t ~entry ~argc =
   let st = t.state in
-  List.iter (State.push st) (List.rev args);
   State.push st ret_sentinel;
   st.State.pc <- entry;
   (* natives re-enter the interpreter (upcalls), so each nested call gets
      its own budget and the outer one is restored on the way out, normal
-     or exceptional (written out: [Fun.protect]'s closures would allocate
-     on every driver call) *)
+     or exceptional *)
   let saved_fuel = st.State.fuel and saved_cap = st.State.fuel_cap in
   st.State.fuel <- max_steps;
   st.State.fuel_cap <- max_steps;
@@ -305,8 +311,32 @@ let call ?(max_steps = 1_000_000) t ~entry ~args =
       st.State.fuel_cap <- saved_cap;
       Printexc.raise_with_backtrace e bt);
   (* pop the arguments (caller cleans up, cdecl) *)
-  State.set st Reg.ESP (State.get st Reg.ESP + (4 * List.length args));
+  State.set st Reg.ESP (State.get st Reg.ESP + (4 * argc));
   State.get st Reg.EAX
+
+let default_max_steps = 1_000_000
+
+(* push the list's last element first, without reversing it *)
+let rec push_args st = function
+  | [] -> 0
+  | a :: rest ->
+      let n = push_args st rest in
+      State.push st a;
+      n + 1
+
+let call ?(max_steps = default_max_steps) t ~entry ~args =
+  let argc = push_args t.state args in
+  run ~max_steps t ~entry ~argc
+
+let call1 t ~entry a0 =
+  State.push t.state a0;
+  run ~max_steps:default_max_steps t ~entry ~argc:1
+
+let call2 t ~entry a0 a1 =
+  let st = t.state in
+  State.push st a1;
+  State.push st a0;
+  run ~max_steps:default_max_steps t ~entry ~argc:2
 
 (* --- engine introspection (interp bench) --- *)
 

@@ -74,6 +74,14 @@ val call : ?max_steps:int -> t -> entry:int -> args:int list -> int
     every path. Simulated cycles, steps and metrics are identical on
     every path, only host wall-clock differs. *)
 
+val call1 : t -> entry:int -> int -> int
+(** [call1 t ~entry a0] is [call t ~entry ~args:[ a0 ]] without the
+    list: it allocates nothing on the host. *)
+
+val call2 : t -> entry:int -> int -> int -> int
+(** [call2 t ~entry a0 a1] is [call t ~entry ~args:[ a0; a1 ]] without
+    the list. *)
+
 (* engine introspection (the [interp] bench) *)
 
 val block_hits : t -> int

@@ -96,7 +96,7 @@ let publish t =
     (cycles_by_label t)
 
 let pp fmt t =
-  let total = max 1 (total_cycles t) in
+  let total = Int.max 1 (total_cycles t) in
   Format.fprintf fmt "@[<v>";
   List.iteri
     (fun i (name, cycles) ->

@@ -28,7 +28,7 @@ type t = {
 
 let create ?(entries = 256) () =
   let ways = 4 in
-  let sets = max 1 (entries / ways) in
+  let sets = Int.max 1 (entries / ways) in
   {
     sets;
     ways;

@@ -43,7 +43,7 @@ let class_index bytes = class_index_from 0 bytes
 
 let push s addr =
   if s.top = Array.length s.addrs then begin
-    let grown = Array.make (max 16 (2 * s.top)) 0 in
+    let grown = Array.make (Int.max 16 (2 * s.top)) 0 in
     Array.blit s.addrs 0 grown 0 s.top;
     s.addrs <- grown
   end;
@@ -58,7 +58,7 @@ let carve t bytes =
   let addr = Td_mem.Addr_space.heap_alloc t.space bytes in
   let pages = (bytes + Td_mem.Layout.page_size - 1) / Td_mem.Layout.page_size in
   if t.lo = max_int then t.lo <- addr;
-  t.hi <- max t.hi (addr + (pages * Td_mem.Layout.page_size));
+  t.hi <- Int.max t.hi (addr + (pages * Td_mem.Layout.page_size));
   let have = Array.length t.in_use in
   let need = ((t.hi - t.lo) / min_class / 8 / chunk) + 1 in
   if need > have then

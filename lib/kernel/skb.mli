@@ -27,6 +27,20 @@ val free : Kmem.t -> t -> unit
 
 val of_addr : Td_mem.Addr_space.t -> int -> t
 
+(** {2 By address}
+
+    The same operations on the struct at [addr] in [space], for callers
+    that hold a bare address (the support routines) and would otherwise
+    build a record only to throw it away. *)
+
+val alloc_at : Kmem.t -> Td_mem.Addr_space.t -> size:int -> int
+(** {!alloc}, returning the struct's address. *)
+
+val free_at : Kmem.t -> Td_mem.Addr_space.t -> int -> unit
+val data_at : Td_mem.Addr_space.t -> int -> int
+val set_protocol_at : Td_mem.Addr_space.t -> int -> int -> unit
+val pull_at : Td_mem.Addr_space.t -> int -> int -> unit
+
 (* field accessors *)
 
 val data : t -> int

@@ -19,13 +19,17 @@ val frag_buffer : t -> Skb.t -> int
     {!Td_xen.Guest_fault.Fault} for a foreign sk_buff. *)
 
 val alloc : t -> Skb.t option
-(** [None] when the pool is empty (the driver will drop the packet). *)
+(** [None] when the pool is empty (the driver will drop the packet). The
+    [Some] is built once per slot, at {!create}: an allocation builds
+    nothing on the host. *)
 
-val release : t -> Skb.t -> unit
-(** Return an sk_buff to the pool; resets data/len. Raises
+val release : t -> int -> unit
+(** Return the sk_buff at this address to the pool; resets data/len.
+    Raises
     {!Td_xen.Guest_fault.Fault} (counted, survivable) for an sk_buff
-    the pool does not own — foreign pointers are driver-supplied input,
-    not a hypervisor invariant. *)
+    the pool does not own or that is already back in the pool — foreign
+    pointers and double frees are driver-supplied input, not a
+    hypervisor invariant. *)
 
 val reset : t -> unit
 (** Reclaim every sk_buff — free or in flight — back to the free list in
@@ -33,7 +37,9 @@ val reset : t -> unit
     aborted twin instance; any structure that held pool buffers (NIC rx
     rings especially) must be re-initialised before traffic resumes. *)
 
-val owns : t -> Skb.t -> bool
+val owns : t -> int -> bool
+(** The sk_buff at this address is one of the pool's. *)
+
 val iter : t -> (Skb.t -> unit) -> unit
 (** Apply to every pool-owned sk_buff (free or in flight). *)
 

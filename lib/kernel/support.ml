@@ -43,7 +43,10 @@ type t = {
   mutable netif_rx : Skb.t -> unit;
   mutable hyp_ctx : hyp_ctx option;
   upcall_stats : Td_xen.Upcall.stats;
+  eth_hdr : Bytes.t;  (** [eth_type_trans]'s header buffer *)
 }
+
+let eth_hlen = 14
 
 let kmem t = t.kmem
 let set_netif_rx t fn = t.netif_rx <- fn
@@ -94,11 +97,9 @@ let touch_via_stlb ctx addr = ignore (Td_svm.Runtime.translate ctx.svm addr)
 
 let impl_netdev_alloc_skb t st =
   (* args: netdev, size *)
-  let skb = Skb.alloc t.kmem t.space ~size:(max 64 (arg st 1) + 64) in
-  ret st skb.Skb.addr
+  ret st (Skb.alloc_at t.kmem t.space ~size:(Int.max 64 (arg st 1) + 64))
 
-let hyp_netdev_alloc_skb t ctx st =
-  ignore t;
+let hyp_netdev_alloc_skb _t ctx st =
   match Skb_pool.alloc ctx.pool with
   | Some skb ->
       touch_via_stlb ctx skb.Skb.addr;
@@ -106,15 +107,14 @@ let hyp_netdev_alloc_skb t ctx st =
   | None -> ret st 0
 
 let impl_dev_kfree_skb_any t st =
-  let skb = skb_of t st 0 in
-  Skb.free t.kmem skb;
+  Skb.free_at t.kmem t.space (arg st 0);
   ret st 0
 
 let hyp_dev_kfree_skb_any t ctx st =
-  let skb = skb_of t st 0 in
-  touch_via_stlb ctx skb.Skb.addr;
-  if Skb_pool.owns ctx.pool skb then Skb_pool.release ctx.pool skb
-  else Skb.free t.kmem skb;
+  let addr = arg st 0 in
+  touch_via_stlb ctx addr;
+  if Skb_pool.owns ctx.pool addr then Skb_pool.release ctx.pool addr
+  else Skb.free_at t.kmem t.space addr;
   ret st 0
 
 let impl_netif_rx t st =
@@ -140,23 +140,26 @@ let impl_spin_unlock_irqrestore t st =
   Spinlock.unlock t.space (arg st 0);
   ret st 0
 
+(* the header is read into the registry's own 14-byte buffer, exactly
+   as a fresh [read_block] would read it *)
 let impl_eth_type_trans t st =
-  let skb = skb_of t st 0 in
-  let hdr = Td_mem.Addr_space.read_block t.space (Skb.data skb) 14 in
+  let addr = arg st 0 in
+  let hdr = t.eth_hdr in
+  Td_mem.Addr_space.read_into t.space (Skb.data_at t.space addr) hdr ~pos:0
+    ~len:eth_hlen;
   let proto = (Char.code (Bytes.get hdr 12) lsl 8) lor Char.code (Bytes.get hdr 13) in
-  Skb.pull skb 14;
-  Skb.set_protocol skb proto;
+  Skb.pull_at t.space addr eth_hlen;
+  Skb.set_protocol_at t.space addr proto;
   ret st proto
 
 let hyp_eth_type_trans t ctx st =
-  let skb = skb_of t st 0 in
-  touch_via_stlb ctx (Skb.data skb);
+  touch_via_stlb ctx (Skb.data_at t.space (arg st 0));
   impl_eth_type_trans t st
 
 (* ---- the long tail of support routines ---- *)
 
 let impl_kmalloc t st =
-  let size = max 1 (arg st 0) in
+  let size = Int.max 1 (arg st 0) in
   let addr = Kmem.alloc t.kmem size in
   Td_sim.Int_tbl.replace t.alloc_sizes addr size;
   ret st addr
@@ -234,7 +237,7 @@ let impl_zero _t st = ret st 0
 let impl_one _t st = ret st 1
 
 let impl_dma_alloc_coherent t st =
-  let size = max 1 (arg st 0) in
+  let size = Int.max 1 (arg st 0) in
   let addr = Kmem.alloc t.kmem size in
   Td_sim.Int_tbl.replace t.alloc_sizes addr size;
   ret st addr
@@ -281,6 +284,7 @@ let create ~space ~kmem =
       netif_rx = (fun _ -> ());
       hyp_ctx = None;
       upcall_stats = Td_xen.Upcall.fresh_stats ();
+      eth_hdr = Bytes.create eth_hlen;
     }
   in
   let add ?hyp name fn =

@@ -72,6 +72,7 @@ type dir = {
           at staging, for the per-direction latency samples *)
   mutable staged_total : int;
   mutable completed : int;
+  mutable dropped : int;  (** popped, but raised before completing *)
   mutable budget : int;  (** frames the next [drain] takes *)
   mutable drain : unit -> unit;
   mutable mode : mode;
@@ -176,36 +177,54 @@ let charge_guest t n = Hypervisor.charge_domain t.hyp t.guest n
 (* simulated clock for the latency samples: total cycles charged so far *)
 let now t = Ledger.grand_total (Hypervisor.ledger t.hyp)
 
+(* netback's part between the grant map and the unmap: rebuild a dom0
+   sk_buff from the mapped page and hand it to the NIC driver *)
+let forward t costs vaddr len =
+  charge_dom0 t costs.Sys_costs.netback;
+  let skb = Skb.alloc t.kmem (Domain.space t.dom0) ~size:(len + 64) in
+  Skb.put_from skb ~src:vaddr ~len;
+  charge_dom0 t costs.Sys_costs.bridge;
+  t.driver_tx skb
+
+(* A popped frame that raised before completing: counted as dropped, so
+   conservation still balances, and the exception goes on up. *)
+let drop_tx t e bt =
+  t.tx.dropped <- t.tx.dropped + 1;
+  if Td_obs.Control.enabled () then Td_obs.Metrics.bump "netio.tx_dropped";
+  Printexc.raise_with_backtrace e bt
+
 (* The backend's per-frame work, always run in dom0: map the granted
-   frame, rebuild a dom0 sk_buff, hand it to the NIC driver, unmap. *)
+   frame, rebuild a dom0 sk_buff, hand it to the NIC driver, unmap. A
+   map, alloc or driver exception unmaps what was mapped (the window page
+   is free for the next frame) and drops the frame. *)
 let backend_tx_one t costs =
   let ring = t.tx.staged in
   let i = Ring.pop ring in
   let b = ring.Ring.buf in
   let gref = b.(i) and len = b.(i + 2) and stamp = b.(i + 3) in
   let vaddr = grant_map_base in
-  Grant_table.map t.grants ~hyp:t.hyp ~into:t.dom0
-    ~at_vpage:(Td_mem.Layout.page_of vaddr)
-    gref;
-  charge_dom0 t costs.Sys_costs.netback;
-  let skb = Skb.alloc t.kmem (Domain.space t.dom0) ~size:(len + 64) in
-  Skb.put_from skb ~src:vaddr ~len;
-  charge_dom0 t costs.Sys_costs.bridge;
-  t.driver_tx skb;
-  Grant_table.unmap t.grants ~hyp:t.hyp ~from:t.dom0
-    ~at_vpage:(Td_mem.Layout.page_of vaddr)
-    gref;
-  t.tx.completed <- t.tx.completed + 1;
-  Ledger.note_latency (Hypervisor.ledger t.hyp) `Tx (now t - stamp);
-  if Td_obs.Control.enabled () then begin
-    Td_obs.Metrics.bump "netio.tx";
-    Td_obs.Trace.emit (Td_obs.Trace.Netio_tx { bytes = len })
-  end
+  let at_vpage = Td_mem.Layout.page_of vaddr in
+  match Grant_table.map t.grants ~hyp:t.hyp ~into:t.dom0 ~at_vpage gref with
+  | exception e -> drop_tx t e (Printexc.get_raw_backtrace ())
+  | () -> (
+      match forward t costs vaddr len with
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Grant_table.unmap t.grants ~hyp:t.hyp ~from:t.dom0 ~at_vpage gref;
+          drop_tx t e bt
+      | () ->
+          Grant_table.unmap t.grants ~hyp:t.hyp ~from:t.dom0 ~at_vpage gref;
+          t.tx.completed <- t.tx.completed + 1;
+          Ledger.note_latency (Hypervisor.ledger t.hyp) `Tx (now t - stamp);
+          if Td_obs.Control.enabled () then begin
+            Td_obs.Metrics.bump "netio.tx";
+            Td_obs.Trace.emit (Td_obs.Trace.Netio_tx { bytes = len })
+          end)
 
 (* tx [drain]: forward up to [budget] staged frames, in dom0 *)
 let backend_drain t =
   let costs = Hypervisor.costs t.hyp in
-  for _ = 1 to min t.tx.budget (Ring.length t.tx.staged) do
+  for _ = 1 to Int.min t.tx.budget (Ring.length t.tx.staged) do
     backend_tx_one t costs
   done
 
@@ -214,7 +233,7 @@ let backend_drain t =
    stack and re-post the buffer. *)
 let frontend_deliver t ring budget =
   let costs = Hypervisor.costs t.hyp in
-  for _ = 1 to min budget (Ring.length ring) do
+  for _ = 1 to Int.min budget (Ring.length ring) do
     let i = Ring.pop ring in
     let b = ring.Ring.buf in
     let gref = b.(i) and gvaddr = b.(i + 1) and len = b.(i + 2) in
@@ -240,6 +259,7 @@ let make_dir ~producer ~consumer ~kick ~producer_word ~consumer_word ~mode =
     staged = Ring.create ();
     staged_total = 0;
     completed = 0;
+    dropped = 0;
     budget = 0;
     drain = nop;
     mode;
@@ -276,7 +296,7 @@ let create ?(notify = Interrupts { batch = 1 }) ?quota ~hyp ~dom0 ~guest ~kmem
   let slots =
     match notify with
     | Interrupts _ -> batch
-    | Adaptive _ | Always_poll _ -> max batch (2 * poll_budget)
+    | Adaptive _ | Always_poll _ -> Int.max batch (2 * poll_budget)
   in
   let tx_pages = Array.init slots (fun _ -> grant_guest_page gspace grants) in
   let gword, dom0_word, doorbell =
@@ -627,16 +647,18 @@ let closed t = t.closed
 let grants_active t = Grant_table.active t.grants
 let staged t = Ring.length t.tx.staged + Ring.length t.rx.staged
 let tx_count t = t.tx.completed
+let tx_dropped t = t.tx.dropped
 let rx_count t = t.rx.completed
 let rx_dropped t = t.rx_dropped
 let rx_throttled t = t.rx_throttled
 let flushes t = t.flush_count
 let tx_staged_total t = t.tx.staged_total
 
-(* Frame conservation: everything staged was either completed or is still
-   queued — nothing silently dropped between frontend and backend. *)
+(* Frame conservation: everything staged was either completed, counted
+   dropped, or is still queued — nothing silently lost between frontend
+   and backend. *)
 let conserved t =
-  let ok d = d.staged_total = d.completed + Ring.length d.staged in
+  let ok d = d.staged_total = d.completed + d.dropped + Ring.length d.staged in
   ok t.tx && ok t.rx
 
 let doorbell_vaddr t = Option.map (fun _ -> t.tx.producer_word) t.doorbell

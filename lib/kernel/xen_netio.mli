@@ -148,6 +148,13 @@ val staged : t -> int
 (** Frames currently staged (both directions) awaiting a notification. *)
 
 val tx_count : t -> int
+
+val tx_dropped : t -> int
+(** Transmit frames the backend popped but lost to an exception (a grant
+    map refused, or an allocator or driver exception out of [driver_tx]):
+    each unmapped its page and was counted here before the exception went
+    on to the caller. *)
+
 val rx_count : t -> int
 val rx_dropped : t -> int
 
@@ -163,9 +170,9 @@ val tx_staged_total : t -> int
 (** Frames ever staged on the transmit ring. *)
 
 val conserved : t -> bool
-(** Frame conservation: [tx_staged_total = tx_count + staged_tx] and
-    [rx_staged_total = rx_count + staged_rx] — nothing lost between
-    frontend and backend. *)
+(** Frame conservation: [tx_staged_total = tx_count + tx_dropped +
+    staged_tx] and [rx_staged_total = rx_count + staged_rx] — nothing lost
+    between frontend and backend. *)
 
 val tx_mode : t -> mode
 val rx_mode : t -> mode

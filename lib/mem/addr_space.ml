@@ -180,7 +180,7 @@ let read_into t addr dst ~pos:dst_pos ~len =
   while !pos < len do
     let a = addr + !pos in
     let off = Layout.offset_of a in
-    let chunk = min (len - !pos) (Layout.page_size - off) in
+    let chunk = Int.min (len - !pos) (Layout.page_size - off) in
     (match mapping_of t a with
     | Frame f ->
         Bytes.blit (Phys_mem.page_ro t.phys f) off dst (dst_pos + !pos) chunk
@@ -204,7 +204,7 @@ let write_string t addr src ~off:src_off ~len =
   while !pos < len do
     let a = addr + !pos in
     let off = Layout.offset_of a in
-    let chunk = min (len - !pos) (Layout.page_size - off) in
+    let chunk = Int.min (len - !pos) (Layout.page_size - off) in
     (match mapping_of t a with
     | Frame f ->
         Bytes.blit_string src (src_off + !pos) (Phys_mem.page t.phys f) off
@@ -227,7 +227,7 @@ let fill t addr len c =
   while !pos < len do
     let a = addr + !pos in
     let off = Layout.offset_of a in
-    let chunk = min (len - !pos) (Layout.page_size - off) in
+    let chunk = Int.min (len - !pos) (Layout.page_size - off) in
     (match mapping_of t a with
     | Frame f -> Phys_mem.fill t.phys f off chunk c
     | Device d ->
@@ -253,7 +253,7 @@ let copy t ~src ~dst ~len =
   while !pos < len do
     let s = src + !pos and d = dst + !pos in
     let soff = Layout.offset_of s and doff = Layout.offset_of d in
-    let chunk = min (len - !pos) (Layout.page_size - max soff doff) in
+    let chunk = Int.min (len - !pos) (Layout.page_size - Int.max soff doff) in
     (match (mapping_of t s, mapping_of t d) with
     | Frame fs, Frame fd ->
         Bytes.blit (Phys_mem.page_ro t.phys fs) soff (Phys_mem.page t.phys fd)
@@ -294,7 +294,7 @@ let heap_init t ~base ~limit =
 let heap_alloc t bytes =
   if t.heap_limit = 0 then
     invalid_arg "Addr_space.heap_alloc: heap not initialised";
-  let pages = max 1 ((bytes + Layout.page_size - 1) / Layout.page_size) in
+  let pages = Int.max 1 ((bytes + Layout.page_size - 1) / Layout.page_size) in
   let vaddr = t.heap_next in
   if vaddr + (pages * Layout.page_size) > t.heap_limit then
     raise (Heap_exhausted { space = t.name; requested = bytes });

@@ -34,7 +34,7 @@ type t = {
 let create ?(frames = 65536) () =
   {
     capacity = frames;
-    pages = Array.make (max 1 (min frames 1024)) absent;
+    pages = Array.make (Int.max 1 (Int.min frames 1024)) absent;
     next = 1;
     free = [];
     allocated = 0;
@@ -45,7 +45,7 @@ let create ?(frames = 65536) () =
 (* [next] steps by one, so doubling once always makes room for it. *)
 let grow t =
   let n = Array.length t.pages in
-  let pages = Array.make (min (2 * n) t.capacity) absent in
+  let pages = Array.make (Int.min (2 * n) t.capacity) absent in
   Array.blit t.pages 0 pages 0 n;
   t.pages <- pages
 

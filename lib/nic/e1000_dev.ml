@@ -117,7 +117,7 @@ let desc_addr base i = base + (i * Regs.desc_bytes)
 (* descriptors in the ring whose length register is [len_reg], capped at
    the device's ring size *)
 let ring_size t len_reg =
-  min t.ring_entries (max 1 (get t len_reg / Regs.desc_bytes))
+  Int.min t.ring_entries (Int.max 1 (get t len_reg / Regs.desc_bytes))
 
 (* --- transmit path --- *)
 
@@ -219,7 +219,7 @@ let process_tx t =
 
 (* --- receive path --- *)
 
-let receive_frame t frame =
+let receive_sub t frame ~len:frame_len =
   let base = get t Regs.rdbal in
   let entries = ring_size t Regs.rdlen in
   let head = get t Regs.rdh in
@@ -253,9 +253,8 @@ let receive_frame t frame =
     match
       let d = desc_addr base head in
       let buf = dma_read32 t (d + Regs.d_buf) in
-      Td_mem.Addr_space.write_string t.dma buf frame ~off:0
-        ~len:(String.length frame);
-      dma_write32 t (d + Regs.d_len) (String.length frame);
+      Td_mem.Addr_space.write_string t.dma buf frame ~off:0 ~len:frame_len;
+      dma_write32 t (d + Regs.d_len) frame_len;
       dma_write32 t (d + Regs.d_sta) (Regs.sta_dd lor Regs.sta_eop)
     with
     | () ->
@@ -263,10 +262,10 @@ let receive_frame t frame =
         t.rx_count <- t.rx_count + 1;
         if Td_obs.Control.enabled () then begin
           Td_obs.Metrics.bump "nic.rx.frames";
-          Td_obs.Metrics.bump_by "nic.dma.write_bytes" (String.length frame);
+          Td_obs.Metrics.bump_by "nic.dma.write_bytes" frame_len;
           Td_obs.Trace.emit
-            (Td_obs.Trace.Nic_dma { dir = `Write; bytes = String.length frame });
-          Td_obs.Trace.emit (Td_obs.Trace.Nic_rx { bytes = String.length frame })
+            (Td_obs.Trace.Nic_dma { dir = `Write; bytes = frame_len });
+          Td_obs.Trace.emit (Td_obs.Trace.Nic_rx { bytes = frame_len })
         end;
         set t Regs.gprc (get t Regs.gprc + 1);
         raise_cause t Regs.icr_rxt0
@@ -278,6 +277,8 @@ let receive_frame t frame =
             (Td_obs.Trace.Nic_drop { reason = "rx descriptor DMA fault" })
         end;
         set t Regs.mpc (get t Regs.mpc + 1)
+
+let receive_frame t frame = receive_sub t frame ~len:(String.length frame)
 
 (* --- supervisor reset --- *)
 

@@ -62,6 +62,11 @@ val set_irq_handler : t -> (unit -> unit) -> unit
 val receive_frame : t -> string -> unit
 (** A frame arrives from the wire and lands in the descriptor at RDH. *)
 
+val receive_sub : t -> string -> len:int -> unit
+(** [receive_sub t buf ~len] is {!receive_frame} of the first [len] bytes
+    of [buf], copied out before it returns: the caller may reuse [buf]
+    for the next frame. *)
+
 val mac : t -> string
 
 (* fault handling (driver supervisor interface) *)

@@ -99,7 +99,7 @@ let tuple_of_payload payload =
   else
     let fold lo hi =
       let acc = ref 0 in
-      for i = lo to min hi (len - 1) do
+      for i = lo to Int.min hi (len - 1) do
         acc := ((!acc lsl 8) lor b i) land 0xFFFF_FFFF
       done;
       !acc
@@ -114,7 +114,7 @@ let queue_of_payload t ~queues payload =
    the tuple. [len] is the total payload length (header included),
    padded with a fixed byte. *)
 let ipv4_udp_payload ?(len = 64) tuple =
-  let len = max len 28 in
+  let len = Int.max len 28 in
   let buf = Bytes.make len 'p' in
   let b i v = Bytes.set buf i (Char.chr (v land 0xFF)) in
   let be16 i v =

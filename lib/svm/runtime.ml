@@ -337,15 +337,16 @@ let miss t addr =
       addr lxor (page lxor mapped)
 
 let translate t addr =
-  match Stlb.lookup t.stlb addr with
-  | Some a ->
-      mark_referenced t (Td_mem.Layout.page_base addr);
-      if Td_obs.Control.enabled () then begin
-        Td_obs.Metrics.bump "stlb.hit";
-        Td_obs.Trace.emit (Td_obs.Trace.Stlb_hit { addr })
-      end;
-      a
-  | None -> miss t addr
+  let a = Stlb.probe t.stlb addr in
+  if a >= 0 then begin
+    mark_referenced t (Td_mem.Layout.page_base addr);
+    if Td_obs.Control.enabled () then begin
+      Td_obs.Metrics.bump "stlb.hit";
+      Td_obs.Trace.emit (Td_obs.Trace.Stlb_hit { addr })
+    end;
+    a
+  end
+  else miss t addr
 
 let persistent_map t addr =
   let mapped = translate t addr in

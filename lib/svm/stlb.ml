@@ -19,14 +19,13 @@ let vaddr t = t.vaddr
 
 let entry_addr t addr = t.vaddr + entry_offset addr
 
-let read_words t addr =
+(* the entry's two words read one by one, so a probe builds no pair *)
+let probe t addr =
   let ea = entry_addr t addr in
-  ( Td_mem.Addr_space.read t.space ea Td_misa.Width.W32,
-    Td_mem.Addr_space.read t.space (ea + 4) Td_misa.Width.W32 )
-
-let lookup t addr =
-  let tag, xor = read_words t addr in
-  if tag <> 0 && tag = tag_of addr then Some (addr lxor xor) else None
+  let tag = Td_mem.Addr_space.read t.space ea Td_misa.Width.W32 in
+  if tag <> 0 && tag = tag_of addr then
+    addr lxor Td_mem.Addr_space.read t.space (ea + 4) Td_misa.Width.W32
+  else -1
 
 let install t ~dom0_page ~mapped_page =
   if Td_mem.Layout.offset_of dom0_page <> 0 then

@@ -26,9 +26,10 @@ val create : space:Td_mem.Addr_space.t -> vaddr:int -> t
 
 val vaddr : t -> int
 
-val lookup : t -> int -> int option
-(** [lookup t addr] probes the table as the fast path does: on a tag match,
-    returns the translated full address. *)
+val probe : t -> int -> int
+(** [probe t addr] probes the table as the fast path does: on a tag match,
+    the translated full address; [-1] on a miss (a translation is a
+    32-bit address, never negative). *)
 
 val install : t -> dom0_page:int -> mapped_page:int -> unit
 (** Fill the entry for [dom0_page] (page base address) with a translation

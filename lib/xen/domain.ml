@@ -22,7 +22,7 @@ let cover a ~id fill =
   let len = Array.length a in
   if id < len then a
   else begin
-    let n = ref (max 1 len) in
+    let n = ref (Int.max 1 len) in
     while !n <= id do
       n := 2 * !n
     done;

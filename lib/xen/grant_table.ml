@@ -2,10 +2,15 @@ type grant_ref = int
 
 (* Every active mapping of an entry is recorded as (space, vpage) so that
    revocation can tear each one down and later accessors fault
-   deterministically instead of aliasing a page the guest took back. *)
+   deterministically instead of aliasing a page the guest took back. The
+   pairs sit in two arrays, oldest first, that grow on demand and are
+   reused: a map/unmap cycle on a warm entry records nothing on the
+   host heap. *)
 type entry = {
   frame : Td_mem.Phys_mem.frame;
-  mutable mappings : (Td_mem.Addr_space.t * int) list;
+  mutable map_spaces : Td_mem.Addr_space.t array;
+  mutable map_vpages : int array;
+  mutable n_maps : int;  (** live pairs: [0 .. n_maps - 1] *)
 }
 
 type t = {
@@ -51,7 +56,8 @@ let grant t ~frame =
   acquire t Quota.Grant_entries;
   let r = t.next in
   t.next <- t.next + 1;
-  Td_sim.Int_tbl.replace t.entries r { frame; mappings = [] };
+  Td_sim.Int_tbl.replace t.entries r
+    { frame; map_spaces = [||]; map_vpages = [||]; n_maps = 0 };
   r
 
 (* a bad ref is guest-controlled input, not an invariant violation: the
@@ -87,20 +93,51 @@ let revoke t r =
   (* Forced revocation: the guest may always take its page back. Any
      mapping still active is torn down and the window vpage poisoned so
      the *later accessor* faults deterministically. *)
-  if e.mappings <> [] then begin
+  if e.n_maps > 0 then begin
     if Td_obs.Control.enabled () then
-      Td_obs.Metrics.bump_by "grant.revoke_forced" (List.length e.mappings);
-    List.iter
-      (fun (space, vpage) ->
-        Td_mem.Addr_space.unmap space ~vpage;
-        Td_mem.Addr_space.map_device space ~vpage (revoked_poison t r);
-        release t Quota.Grant_maps)
-      e.mappings;
-    e.mappings <- []
+      Td_obs.Metrics.bump_by "grant.revoke_forced" e.n_maps;
+    (* newest first *)
+    for i = e.n_maps - 1 downto 0 do
+      let space = e.map_spaces.(i) and vpage = e.map_vpages.(i) in
+      Td_mem.Addr_space.unmap space ~vpage;
+      Td_mem.Addr_space.map_device space ~vpage (revoked_poison t r);
+      release t Quota.Grant_maps
+    done;
+    e.n_maps <- 0
   end;
   Td_sim.Int_tbl.remove t.entries r;
   Td_sim.Int_tbl.replace t.revoked r ();
   release t Quota.Grant_entries
+
+let record_mapping e space vpage =
+  let n = e.n_maps in
+  if n = Array.length e.map_spaces then begin
+    let cap = Int.max 2 (2 * n) in
+    let spaces = Array.make cap space and vpages = Array.make cap 0 in
+    Array.blit e.map_spaces 0 spaces 0 n;
+    Array.blit e.map_vpages 0 vpages 0 n;
+    e.map_spaces <- spaces;
+    e.map_vpages <- vpages
+  end;
+  e.map_spaces.(n) <- space;
+  e.map_vpages.(n) <- vpage;
+  e.n_maps <- n + 1
+
+(* the newest pair recording ([space], [vpage]), or -1 *)
+let find_mapping e space vpage =
+  let i = ref (e.n_maps - 1) in
+  while
+    !i >= 0 && not (e.map_spaces.(!i) == space && e.map_vpages.(!i) = vpage)
+  do
+    decr i
+  done;
+  !i
+
+let forget_mapping e i =
+  let last = e.n_maps - 1 in
+  Array.blit e.map_spaces (i + 1) e.map_spaces i (last - i);
+  Array.blit e.map_vpages (i + 1) e.map_vpages i (last - i);
+  e.n_maps <- last
 
 let map t ~hyp ~into ~at_vpage r =
   let e = find t ~op:"Grant_table.map" r in
@@ -114,7 +151,7 @@ let map t ~hyp ~into ~at_vpage r =
   Hypervisor.charge_xen_for hyp ~domain:t.owner
     (Hypervisor.costs hyp).Sys_costs.grant_map;
   Td_mem.Addr_space.map space ~vpage:at_vpage e.frame;
-  e.mappings <- (space, at_vpage) :: e.mappings;
+  record_mapping e space at_vpage;
   t.map_count <- t.map_count + 1;
   if Td_obs.Control.enabled () then begin
     Td_obs.Metrics.bump "grant.map";
@@ -126,23 +163,14 @@ let unmap t ~hyp ~from ~at_vpage r =
   let space = Domain.space from in
   (* the ref must actually be mapped at this vpage — otherwise an
      attacker-chosen vpage could silently unmap someone else's page *)
-  if not (List.exists (fun (s, v) -> s == space && v = at_vpage) e.mappings)
-  then
+  let i = find_mapping e space at_vpage in
+  if i < 0 then
     Guest_fault.fail ~domain:(owner_name t) ~op:"Grant_table.unmap"
       "grant ref %d is not mapped at vpage 0x%x" r at_vpage;
   Hypervisor.charge_xen_for hyp ~domain:t.owner
     (Hypervisor.costs hyp).Sys_costs.grant_unmap;
   Td_mem.Addr_space.unmap space ~vpage:at_vpage;
-  let dropped = ref false in
-  e.mappings <-
-    List.filter
-      (fun (s, v) ->
-        if (not !dropped) && s == space && v = at_vpage then begin
-          dropped := true;
-          false
-        end
-        else true)
-      e.mappings;
+  forget_mapping e i;
   release t Quota.Grant_maps;
   if Td_obs.Control.enabled () then begin
     Td_obs.Metrics.bump "grant.unmap";

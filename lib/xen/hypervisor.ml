@@ -5,11 +5,29 @@ type t = {
   cpu : Td_cpu.State.t;
   mutable domains : Domain.t list;
   mutable current : Domain.t option;
+  mutable boxes : Domain.t option array;
+      (** by domain id: the [Some d] that [current] holds while [d] runs,
+          built when [d] is added, so a world switch allocates nothing *)
   mutable switches : int;
 }
 
 let create ?(costs = Sys_costs.default) ~ledger ~xen_space ~cpu () =
-  { costs; ledger; xen_space; cpu; domains = []; current = None; switches = 0 }
+  {
+    costs;
+    ledger;
+    xen_space;
+    cpu;
+    domains = [];
+    current = None;
+    boxes = [||];
+    switches = 0;
+  }
+
+let box t d =
+  let id = Domain.id d in
+  if id < Array.length t.boxes then
+    match t.boxes.(id) with Some d' as b when d' == d -> b | Some _ | None -> Some d
+  else Some d
 
 let costs t = t.costs
 let ledger t = t.ledger
@@ -26,16 +44,19 @@ let () =
 
 let add_domain t d =
   t.domains <- t.domains @ [ d ];
-  if t.current = None then t.current <- Some d
+  t.boxes <- Domain.cover t.boxes ~id:(Domain.id d) None;
+  t.boxes.(Domain.id d) <- Some d;
+  if t.current = None then t.current <- box t d
 
 let remove_domain t d =
   let id = Domain.id d in
   t.domains <- List.filter (fun d' -> Domain.id d' <> id) t.domains;
+  if id < Array.length t.boxes then t.boxes.(id) <- None;
   match t.current with
   | Some c when Domain.id c = id ->
       (* fall back to the oldest remaining domain (dom0 in practice);
          no world switch is charged — the departing domain is gone *)
-      t.current <- (match t.domains with d0 :: _ -> Some d0 | [] -> None);
+      t.current <- (match t.domains with d0 :: _ -> box t d0 | [] -> None);
       (match t.current with
       | Some d0 -> Td_cpu.State.switch_space t.cpu (Domain.space d0)
       | None -> ())
@@ -78,7 +99,7 @@ let switch_to t target =
                to_dom = Domain.id target;
              })
       end;
-      t.current <- Some target;
+      t.current <- box t target;
       Td_cpu.State.switch_space t.cpu (Domain.space target)
 
 let hypercall t ?cost () =
@@ -92,19 +113,24 @@ let hypercall t ?cost () =
   | Some d -> charge_xen_for t ~domain:d cost
   | None -> charge_xen t cost
 
-let run_in t dom f =
+(* [run_in]'s two halves, for callers that must not build a closure *)
+let enter t dom =
   let prev = current ~op:"run_in" t in
-  if Domain.id prev = Domain.id dom then f ()
-  else begin
-    switch_to t dom;
-    match f () with
-    | v ->
-        switch_to t prev;
-        v
-    | exception e ->
-        switch_to t prev;
-        raise e
-  end
+  if Domain.id prev <> Domain.id dom then switch_to t dom;
+  prev
+
+let leave t ~prev dom =
+  if Domain.id prev <> Domain.id dom then switch_to t prev
+
+let run_in t dom f =
+  let prev = enter t dom in
+  match f () with
+  | v ->
+      leave t ~prev dom;
+      v
+  | exception e ->
+      leave t ~prev dom;
+      raise e
 
 let send_virq t dom handler =
   charge_xen t t.costs.Sys_costs.event_channel;

@@ -73,3 +73,12 @@ val send_virq : t -> Domain.t -> (unit -> unit) -> unit
 
 val run_in : t -> Domain.t -> (unit -> 'a) -> 'a
 (** Execute [f] with [dom] current (switching there and back if needed). *)
+
+val enter : t -> Domain.t -> Domain.t
+(** [enter t dom] is the first half of {!run_in} without a closure:
+    switch to [dom] if it is not current and return the domain that
+    was. *)
+
+val leave : t -> prev:Domain.t -> Domain.t -> unit
+(** [leave t ~prev dom] is the second half: switch back to [prev] if
+    {!enter} switched away from it. *)

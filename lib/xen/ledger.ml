@@ -136,7 +136,7 @@ let reset t =
 let snapshot t = List.map (fun c -> (c, total t c)) categories
 
 let per_packet t ~packets =
-  let p = float_of_int (max 1 packets) in
+  let p = float_of_int (Int.max 1 packets) in
   List.map (fun c -> (c, float_of_int (total t c) /. p)) categories
 
 let digest t =

@@ -199,7 +199,7 @@ let release e ~domain res n =
   if not (exempt domain) then begin
     let d = dom_state e domain in
     let i = resource_index res in
-    d.held.(i) <- max 0 (d.held.(i) - n);
+    d.held.(i) <- Int.max 0 (d.held.(i) - n);
     inuse_gauge d res d.held.(i)
   end
 

@@ -23,7 +23,7 @@ let add t dom =
   if i >= 0 then t.entries.(i) <- e
   else begin
     if t.count = Array.length t.entries then begin
-      let grown = Array.make (max 8 (2 * t.count)) e in
+      let grown = Array.make (Int.max 8 (2 * t.count)) e in
       Array.blit t.entries 0 grown 0 t.count;
       t.entries <- grown
     end;

@@ -16,10 +16,6 @@
 (* (file, name, why a string key is right there) *)
 let allowed =
   [
-    ( "lib/kernel/timer_wheel.ml",
-      "timers",
-      "a driver's timers, named by the driver; set and cancelled at \
-       init and teardown, not per-domain state" );
     ( "lib/kernel/support.ml",
       "routines",
       "the support-routine registry, keyed by the driver's symbol names \

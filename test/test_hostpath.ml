@@ -8,7 +8,9 @@
    - the one-walk stack ops of [Semantics] against the two-walk formula
      (a fresh lookup to charge, then [State.push]/[State.pop]);
    - the id-keyed ledger rows against a by-name ledger;
-   - [Shard.run] on persistent helpers against its contract. *)
+   - [Shard.run] on persistent helpers against its contract;
+
+   and the exact allocation budget of each steady-state frame path. *)
 
 open Td_misa
 open Td_cpu
@@ -672,8 +674,130 @@ let test_shard_nested () =
   check Alcotest.(array int) "nested runs, sequential outer" expect
     (Shard.run ~shards:1 (Array.init 5 inner))
 
+(* --- per-path allocation budgets --- *)
+
+(* Minor words per frame over [frames] steady-state frames of [step],
+   after [warm] frames of warm-up (compilation, ring and buffer growth),
+   with observability off. [step i] moves frame [i] and returns how many
+   frames it moved. Allocation repeats exactly for a given input, so each
+   budget below is the words this path allocates now, plus at most one
+   word: OCaml's smallest block is two words, so a single allocation
+   added per frame anywhere on the path breaks its budget. *)
+let words_per_frame ?(warm = 256) ?(frames = 1000) step =
+  let was_on = Td_obs.Control.enabled () in
+  Td_obs.Control.disable ();
+  let moved = ref 0 in
+  while !moved < warm do
+    moved := !moved + step !moved
+  done;
+  let start = !moved in
+  let before = Gc.minor_words () in
+  while !moved - start < frames do
+    moved := !moved + step !moved
+  done;
+  let words = Gc.minor_words () -. before in
+  if was_on then Td_obs.Control.enable ();
+  words /. float_of_int (!moved - start)
+
+let check_budget name ~budget words =
+  check bool_c
+    (Printf.sprintf "%s: %.3f words/frame <= %.1f" name words budget)
+    true (words <= budget)
+
+(* The four frame paths of the suite's workloads, at their cadences. The
+   budgets are set in the default (release) profile and hold under
+   --profile dev too, which compiles every module -opaque: the three
+   single paths allocate the same words there, and the fleet round 0.8
+   more per frame (22.15), inside its budget. *)
+let mtu = String.make 1500 'm'
+
+open Twindrivers
+
+let twin_tx () =
+  let w = World.create ~nics:1 Config.Xen_twin in
+  words_per_frame (fun i ->
+      ignore (World.transmit w ~nic:0 ~payload:mtu);
+      if i mod 8 = 7 then World.pump w;
+      1)
+
+let domu_tx () =
+  let w = World.create ~nics:1 Config.Xen_domU in
+  words_per_frame (fun i ->
+      ignore (World.transmit w ~nic:0 ~payload:mtu);
+      if i mod 8 = 7 then World.pump w;
+      1)
+
+let domu_rx () =
+  let w = World.create ~nics:1 Config.Xen_domU in
+  let payload = String.make 64 'r' in
+  let rec drain () = match World.rx_pop w with Some _ -> drain () | None -> () in
+  words_per_frame (fun i ->
+      World.inject_rx w ~nic:0 ~payload;
+      if i mod 4 = 3 then begin
+        World.pump w;
+        drain ()
+      end;
+      1)
+
+(* fleet-churn's round, small: six guests on two NICs in its three
+   shapes (bulk transmit, rpc bursts, incast receive), with quotas,
+   doorbells and its lost-interrupt plan; a pump, a drain and a tick per
+   round. *)
+let fleet_round () =
+  let tuning =
+    {
+      Config.default_tuning with
+      Config.recovery = Config.Restart_replay;
+      doorbell = true;
+      quota = Some { Td_xen.Quota.default_limits with grant_entries = 512 };
+      fault_plan = Some { Td_fault.zero_plan with seed = 1; nic_lost_irq = 2e-5 };
+    }
+  in
+  let w = World.create ~nics:2 ~guests:6 ~tuning Config.Xen_domU in
+  let bulk = String.make 1500 'b' and rpc = String.make 64 'p' in
+  let fanin = String.make 128 'f' in
+  let rec drain () = match World.rx_pop w with Some _ -> drain () | None -> () in
+  let round = ref 0 in
+  words_per_frame (fun _ ->
+      let before = World.wire_tx_frames w + World.delivered_rx_frames w in
+      for g = 0 to World.guest_slots w - 1 do
+        match g mod 3 with
+        | 0 -> ignore (World.transmit_from w ~guest:g ~payload:bulk)
+        | 1 ->
+            if (!round + g) mod 4 = 0 then
+              for _ = 1 to 8 do
+                ignore (World.transmit_from w ~guest:g ~payload:rpc)
+              done
+        | _ ->
+            for _ = 1 to 2 do
+              World.inject_rx ~guest:g w ~nic:(g mod 2) ~payload:fanin
+            done
+      done;
+      World.pump w;
+      drain ();
+      World.tick w;
+      incr round;
+      World.wire_tx_frames w + World.delivered_rx_frames w - before)
+
+(* What is left per frame: domU transmit, the grant map's fresh
+   [Some (Frame f)] (the translation memos key on it, docs/INTERPRETER.md)
+   and the sk_buff record netback hands [driver_tx]; domU receive, the
+   payload string the consumer pops (10 words for 64 B), its queue cell
+   and [rx_pop]'s [Some], and the record dom0's [netif_rx] hook takes; the
+   fleet round, those plus the quota clock's boxed float per bucket draw
+   and the dom0 watchdog's superblock, compiled again on each call
+   because the hot path takes its slot in the compiled cache between
+   calls. *)
+let test_allocation_budgets () =
+  check_budget "twin transmit" ~budget:1. (twin_tx ());
+  check_budget "domU transmit" ~budget:8. (domu_tx ());
+  check_budget "domU receive" ~budget:19. (domu_rx ());
+  check_budget "fleet round" ~budget:22.35 (fleet_round ())
+
 let suite =
   [
+    Alcotest.test_case "allocation budget per frame path" `Quick
+      test_allocation_budgets;
     QCheck_alcotest.to_alcotest tlb_equivalence_prop;
     QCheck_alcotest.to_alcotest witness_prop;
     QCheck_alcotest.to_alcotest stack_ops_prop;

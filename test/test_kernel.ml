@@ -155,7 +155,7 @@ let test_pool_refcount_trick () =
   Skb.free km a;
   check int_c "buffer survives dom0 free" live (Kmem.allocated_bytes km);
   Skb.get_ref a;
-  Skb_pool.release pool a;
+  Skb_pool.release pool a.Skb.addr;
   check int_c "back in pool" 2 (Skb_pool.available pool)
 
 let test_pool_exhaustion () =
@@ -165,7 +165,7 @@ let test_pool_exhaustion () =
   check bool_c "first alloc works" true (a <> None);
   check bool_c "second fails" true (Skb_pool.alloc pool = None);
   check int_c "exhaustion counted" 1 (Skb_pool.exhaustions pool);
-  Skb_pool.release pool (Option.get a);
+  Skb_pool.release pool (Option.get a).Skb.addr;
   check bool_c "usable again" true (Skb_pool.alloc pool <> None)
 
 let test_pool_release_resets () =
@@ -175,7 +175,7 @@ let test_pool_release_resets () =
   Skb.put a (Bytes.of_string "stale data");
   Skb.pull a 3;
   Skb.set_frag a ~page:42 ~len:10;
-  Skb_pool.release pool a;
+  Skb_pool.release pool a.Skb.addr;
   let b = Option.get (Skb_pool.alloc pool) in
   check int_c "same skb" a.Skb.addr b.Skb.addr;
   check int_c "len reset" 0 (Skb.len b);
@@ -187,11 +187,31 @@ let test_pool_foreign_rejected () =
   let pool = Skb_pool.create km m.Harness.dom0 ~entries:1 ~buf_size:128 in
   let foreign = Skb.alloc km m.Harness.dom0 ~size:128 in
   check bool_c "foreign release rejected" true
-    (match Skb_pool.release pool foreign with
+    (match Skb_pool.release pool foreign.Skb.addr with
     | exception Td_xen.Guest_fault.Fault { op = "Skb_pool.release"; _ } -> true
     | _ -> false);
   check bool_c "frag buffer exists for pool skbs" true
     (Skb_pool.iter pool (fun skb -> assert (Skb_pool.frag_buffer pool skb > 0));
+     true)
+
+let test_pool_double_release_rejected () =
+  let m, km = make () in
+  let pool = Skb_pool.create km m.Harness.dom0 ~entries:2 ~buf_size:128 in
+  let skb =
+    match Skb_pool.alloc pool with Some s -> s | None -> Alcotest.fail "empty"
+  in
+  Skb_pool.release pool skb.Skb.addr;
+  check int_c "pool full again" 2 (Skb_pool.available pool);
+  check bool_c "second release rejected" true
+    (match Skb_pool.release pool skb.Skb.addr with
+    | exception Td_xen.Guest_fault.Fault { op = "Skb_pool.release"; _ } -> true
+    | _ -> false);
+  check int_c "free stack unchanged" 2 (Skb_pool.available pool);
+  check bool_c "never-allocated release rejected" true
+    (Skb_pool.iter pool (fun s ->
+         match Skb_pool.release pool s.Skb.addr with
+         | exception Td_xen.Guest_fault.Fault _ -> ()
+         | () -> Alcotest.fail "released a free sk_buff");
      true)
 
 (* --- netdev / spinlock / timers --- *)
@@ -232,7 +252,15 @@ let test_timer_wheel () =
   for _ = 1 to 5 do
     Timer_wheel.tick tw
   done;
-  check int_c "cancelled" 2 !fired
+  check int_c "cancelled" 2 !fired;
+  (* a callback that cancels a timer due in the same tick stops it *)
+  let late = ref 0 in
+  Timer_wheel.add tw ~period:1 ~name:"first" (fun () ->
+      Timer_wheel.cancel tw ~name:"second");
+  Timer_wheel.add tw ~period:1 ~name:"second" (fun () -> incr late);
+  Timer_wheel.tick tw;
+  check int_c "cancelled in the same tick" 0 !late;
+  check int_c "first fired" 1 (Timer_wheel.fired tw ~name:"first")
 
 (* --- bridge --- *)
 
@@ -348,6 +376,8 @@ let suite =
     Alcotest.test_case "pool exhaustion" `Quick test_pool_exhaustion;
     Alcotest.test_case "pool release resets" `Quick test_pool_release_resets;
     Alcotest.test_case "pool foreign rejected" `Quick test_pool_foreign_rejected;
+    Alcotest.test_case "pool double release rejected" `Quick
+      test_pool_double_release_rejected;
     Alcotest.test_case "netdev" `Quick test_netdev;
     Alcotest.test_case "spinlock" `Quick test_spinlock;
     Alcotest.test_case "timer wheel" `Quick test_timer_wheel;

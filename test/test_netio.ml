@@ -17,7 +17,7 @@ type rig = {
   driver_frames : Skb.t list ref;
 }
 
-let make_rig ?batch ?quota () =
+let make_rig ?batch ?quota ?driver_tx () =
   let m = Harness.make_machine () in
   let ledger = Ledger.create () in
   let cpu = Harness.dom0_cpu m in
@@ -38,7 +38,10 @@ let make_rig ?batch ?quota () =
     Xen_netio.create
       ?notify:(Option.map (fun batch -> Xen_netio.Interrupts { batch }) batch)
       ?quota ~hyp ~dom0 ~guest ~kmem:km
-      ~driver_tx:(fun skb -> driver_frames := skb :: !driver_frames)
+      ~driver_tx:
+        (match driver_tx with
+        | Some f -> f
+        | None -> fun skb -> driver_frames := skb :: !driver_frames)
       ()
   in
   { hyp; dom0; guest; km; netio; driver_frames }
@@ -147,6 +150,48 @@ let test_transmit_header_and_payload () =
     | () -> None
     | exception Guest_fault.Fault { op; reason } -> Some (op ^ ": " ^ reason));
   check int_c "the refused frame was not sent" 3 (Xen_netio.tx_count rig.netio)
+
+exception Driver_fell_over
+
+(* A driver exception mid-drain (the frame was already popped and its
+   grant mapped at the one transient window page): the frame is counted
+   dropped so conservation holds, the page is unmapped, the exception
+   reaches the kick, and the next kick forwards the frame still staged
+   instead of faulting on a page left mapped. *)
+let test_backend_exception_unmaps_and_drops () =
+  let raised = ref false and forwarded = ref [] in
+  let driver_tx skb =
+    if not !raised then begin
+      raised := true;
+      raise Driver_fell_over
+    end;
+    forwarded := Bytes.to_string (Skb.contents skb) :: !forwarded
+  in
+  let rig = make_rig ~batch:2 ~driver_tx () in
+  Hypervisor.switch_to rig.hyp rig.guest;
+  (* the transient grant window starts where the doorbell window ends *)
+  let window = Td_mem.Layout.page_of (snd Xen_netio.doorbell_window) in
+  let mapped () =
+    Td_mem.Addr_space.is_mapped (Domain.space rig.dom0) ~vpage:window
+  in
+  Xen_netio.guest_transmit rig.netio ~hdr:"" "first";
+  check bool_c "the batch boundary's drain raised" true
+    (match Xen_netio.guest_transmit rig.netio ~hdr:"" "second" with
+    | () -> false
+    | exception Driver_fell_over -> true);
+  check bool_c "conserved" true (Xen_netio.conserved rig.netio);
+  check int_c "the popped frame is dropped" 1 (Xen_netio.tx_dropped rig.netio);
+  check int_c "the other is still staged" 1 (Xen_netio.staged rig.netio);
+  check bool_c "window page unmapped" false (mapped ());
+  check bool_c "back in the guest" true
+    (Domain.id (Hypervisor.current rig.hyp) = Domain.id rig.guest);
+  Xen_netio.flush rig.netio;
+  check (Alcotest.list Alcotest.string) "the next kick forwards it" [ "second" ]
+    !forwarded;
+  check int_c "forwarded" 1 (Xen_netio.tx_count rig.netio);
+  check int_c "nothing staged" 0 (Xen_netio.staged rig.netio);
+  check bool_c "still conserved" true (Xen_netio.conserved rig.netio);
+  check bool_c "window page free again" false (mapped ())
 
 (* Deliver a dom0 sk_buff holding [frame] through netback. *)
 let deliver rig frame =
@@ -510,5 +555,7 @@ let suite =
       test_masked_guest_virq_order;
     Alcotest.test_case "throttled rx re-posts its buffer" `Quick
       test_throttled_rx_reposts_buffer;
+    Alcotest.test_case "backend exception unmaps and drops" `Quick
+      test_backend_exception_unmaps_and_drops;
     QCheck_alcotest.to_alcotest notifier_equivalence_prop;
   ]

@@ -35,13 +35,13 @@ let stlb_model_prop =
             Hashtbl.find_opt model (Td_svm.Stlb.index_of dom0_page)
             = Some dom0_page
           in
-          match Td_svm.Stlb.lookup stlb addr with
-          | Some translated ->
-              expect_hit
-              && translated
-                 = Td_mem.Layout.map_window_base + (n * 4096)
-                   + (addr - dom0_page)
-          | None -> not expect_hit)
+          let translated = Td_svm.Stlb.probe stlb addr in
+          if translated < 0 then not expect_hit
+          else
+            expect_hit
+            && translated
+               = Td_mem.Layout.map_window_base + (n * 4096)
+                 + (addr - dom0_page))
         page_numbers)
 
 (* --- kmem: allocations never overlap, frees recycle --- *)

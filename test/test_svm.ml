@@ -21,14 +21,12 @@ let test_stlb_install_lookup () =
   let m = Harness.make_machine () in
   let stlb = Stlb.create ~space:m.Harness.hyp ~vaddr:Layout.stlb_base in
   Stlb.install stlb ~dom0_page:0xC1234000 ~mapped_page:0xFD008000;
-  (match Stlb.lookup stlb 0xC1234ABC with
-  | Some a -> check int_c "offset preserved" 0xFD008ABC a
-  | None -> Alcotest.fail "expected hit");
-  check bool_c "other page misses" true (Stlb.lookup stlb 0xC1235ABC = None);
+  check int_c "offset preserved" 0xFD008ABC (Stlb.probe stlb 0xC1234ABC);
+  check int_c "other page misses" (-1) (Stlb.probe stlb 0xC1235ABC);
   (* colliding page (same index bits, different tag) misses *)
-  check bool_c "collision misses" true (Stlb.lookup stlb 0xC2234ABC = None);
+  check int_c "collision misses" (-1) (Stlb.probe stlb 0xC2234ABC);
   Stlb.invalidate stlb ~dom0_page:0xC1234000;
-  check bool_c "invalidated" true (Stlb.lookup stlb 0xC1234ABC = None)
+  check int_c "invalidated" (-1) (Stlb.probe stlb 0xC1234ABC)
 
 let test_stlb_xor_roundtrip () =
   let m = Harness.make_machine () in
@@ -37,9 +35,7 @@ let test_stlb_xor_roundtrip () =
   Stlb.install stlb ~dom0_page:0xC1010000 ~mapped_page:0xFD000000;
   List.iter
     (fun off ->
-      match Stlb.lookup stlb (0xC1010000 + off) with
-      | Some a -> check int_c "offset" (0xFD000000 + off) a
-      | None -> Alcotest.fail "hit expected")
+      check int_c "offset" (0xFD000000 + off) (Stlb.probe stlb (0xC1010000 + off)))
     [ 0; 1; 0xFFF; 0x7FE ]
 
 let test_runtime_miss_maps_pair () =
