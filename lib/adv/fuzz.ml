@@ -323,7 +323,7 @@ let op_churn (env : Harness.env) streams cs violations =
       let io =
         Xen_netio.create ?quota:env.quota ~hyp:env.hyp ~dom0:env.dom0 ~guest:dom
           ~kmem:env.kmem
-          ~driver_tx:(fun skb -> Skb.free env.kmem skb)
+          ~driver_tx:(Skb.free_at env.kmem (Domain.space env.dom0))
           ()
       in
       Xen_netio.post_rx_buffers io 2;

@@ -86,7 +86,7 @@ let make ?quota ?(attacker_doorbell = true) () =
      boot would be; dom0 is exempt (see World) *)
   let quota =
     Option.map
-      (Quota.make ~now:(fun () -> float_of_int (Ledger.grand_total ledger) /. 3e9))
+      (Quota.make ~now:(fun () -> Ledger.grand_total ledger))
       quota
   in
   let svm =
@@ -113,14 +113,14 @@ let make ?quota ?(attacker_doorbell = true) () =
     Xen_netio.create ~notify ?quota ~hyp ~dom0 ~guest:attacker ~kmem
       ~driver_tx:(fun skb ->
         incr att_wire;
-        Skb.free kmem skb)
+        Skb.free_at kmem dom0_space skb)
       ()
   in
   let vic_netio =
     Xen_netio.create ?quota ~hyp ~dom0 ~guest:victim ~kmem
       ~driver_tx:(fun skb ->
         incr vic_wire;
-        Skb.free kmem skb)
+        Skb.free_at kmem dom0_space skb)
       ()
   in
   Xen_netio.post_rx_buffers vic_netio 4;

@@ -35,7 +35,7 @@ let attach_channel w x vswitch ~guest:g ~nic =
     Xen_netio.create ~notify ?quota:w.quota ~hyp:x.hyp ~dom0:x.dom0
       ~guest:s.gs_dom ~kmem:w.km
       ~driver_tx:(fun skb ->
-        ignore (Supervisor.transmit w ~nic netback_xmit skb.Skb.addr ()))
+        ignore (Supervisor.transmit w ~nic netback_xmit skb ()))
       ()
   in
   (* the guest stack reads the payload out of its own page once, as the
@@ -58,8 +58,9 @@ let attach_channel w x vswitch ~guest:g ~nic =
         (fun skb ->
           (* netback forwards whole frames: push the MAC header back
              (eth_type_trans pulled it) *)
-          Skb.set_data skb (Skb.data skb - eth_header_bytes);
-          Skb.set_len skb (Skb.len skb + eth_header_bytes);
+          let space = w.dom0_space in
+          Skb.set_data_at space skb (Skb.data_at space skb - eth_header_bytes);
+          Skb.set_len_at space skb (Skb.len_at space skb + eth_header_bytes);
           Xen_netio.deliver_to_guest netio skb);
     }
   in
@@ -91,7 +92,7 @@ let boot w x vswitch =
      stack (no flooding into guests) *)
   Support.set_netif_rx w.sup (fun skb ->
       charge_dom0_cat w w.costs.Sys_costs.dom0_rx_kernel;
-      let hdr = Skb.data skb - eth_header_bytes in
+      let hdr = Skb.data_at w.dom0_space skb - eth_header_bytes in
       let dst = Bridge.read_mac w.dom0_space hdr in
       if Bridge.mem vswitch ~mac:dst then
         Bridge.forward vswitch ~dst

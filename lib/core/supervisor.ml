@@ -148,10 +148,11 @@ let teardown_driver_memory w (q : nic_port) =
   let free_skb addr =
     if addr <> 0 && not (pooled addr) then
       try
-        let skb = Skb.of_addr w.dom0_space addr in
-        if Skb.capacity skb > 0 && Skb.capacity skb <= Layout.page_size then begin
-          Skb.set_refcnt skb 1;
-          Skb.free w.km skb
+        let space = w.dom0_space in
+        let capacity = Skb.capacity_at space addr in
+        if capacity > 0 && capacity <= Layout.page_size then begin
+          Skb.set_refcnt_at space addr 1;
+          Skb.free_at w.km space addr
         end
       with Addr_space.Page_fault _ | Kmem.Bad_free _ -> ()
   in

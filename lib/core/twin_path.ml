@@ -141,7 +141,7 @@ let add_guest tw (s : guest_slot) ~guest:g =
 
 (* Hypervisor-side netif_rx: demultiplex on destination MAC and queue the
    packet for its guest; the copy and virtual interrupt happen when the
-   guest is next scheduled (§5.3). [Skb.contents] returns a fresh buffer
+   guest is next scheduled (§5.3). [Skb.contents_at] returns a fresh buffer
    nothing else holds, so it becomes the string without a copy. *)
 let boot_rx w x tw =
   let s0 = slot_exn w 0 ~op:"World.init" in
@@ -149,16 +149,14 @@ let boot_rx w x tw =
   Support.set_hyp_netif_rx w.sup (fun skb ->
       charge_xen_cat w
         (w.costs.Sys_costs.twin_demux + w.costs.Sys_costs.twin_rx_queue);
-      let dst =
-        Bridge.read_mac w.dom0_space (Skb.data skb - eth_header_bytes)
-      in
+      let hdr = Skb.data_at w.dom0_space skb - eth_header_bytes in
+      let dst = Bridge.read_mac w.dom0_space hdr in
       (match Td_sim.Int_tbl.find tw.gmac_index dst with
       | gi -> (
           match slot_opt w gi with
           | Some s ->
-              Queue.push
-                (Bytes.unsafe_to_string (Skb.contents skb))
-                s.gs_rx_pending
+              Td_sim.Fifo.push s.gs_rx_pending
+                (Bytes.unsafe_to_string (Skb.contents_at w.dom0_space skb))
           | None ->
               (* destroyed since the MAC was learned: dom0-local *)
               charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path)
@@ -179,7 +177,7 @@ let attempt w ~nic tw payload =
   | None ->
       w.tx_drops <- w.tx_drops + 1;
       false
-  | Some skb ->
+  | Some { Skb.space; addr = skb } ->
       (* header copy (up to 96 bytes) into the sk_buff's linear area; the
          rest of the guest packet is chained through the page fragment
          pointer using a preallocated dom0 frame (§5.3) *)
@@ -187,9 +185,9 @@ let attempt w ~nic tw payload =
       let linear = Int.min 96 frame_len in
       charge_xen_cat w
         (int_of_float (float_of_int linear *. w.costs.Sys_costs.copy_per_byte));
-      Skb.put_string skb p.tx_hdr ~off:0 ~len:eth_header_bytes;
+      Skb.put_string_at space skb p.tx_hdr ~off:0 ~len:eth_header_bytes;
       let head = linear - eth_header_bytes in
-      Skb.put_string skb payload ~off:0 ~len:head;
+      Skb.put_string_at space skb payload ~off:0 ~len:head;
       if frame_len > linear then begin
         charge_xen_cat w w.costs.Sys_costs.twin_frag_chain;
         let rest = frame_len - linear in
@@ -198,11 +196,11 @@ let attempt w ~nic tw payload =
            placed functionally but only the constant chain cost is
            charged *)
         Addr_space.write_string w.dom0_space frag payload ~off:head ~len:rest;
-        Skb.set_frag skb ~page:frag ~len:rest
+        Skb.set_frag_at space skb ~page:frag ~len:rest
       end;
       (* refetch the image: a recovery may have reloaded it *)
       let r =
-        Supervisor.run_hyp_driver2 w ~entry:tw.hyp_driver.e_xmit skb.Skb.addr
+        Supervisor.run_hyp_driver2 w ~entry:tw.hyp_driver.e_xmit skb
           p.nd.Netdev.addr
       in
       if r <> 0 then w.tx_drops <- w.tx_drops + 1;
@@ -246,20 +244,20 @@ let slot_of_domain w d =
 
 let has_work w d =
   match slot_of_domain w d with
-  | Some s -> not (Queue.is_empty s.gs_rx_pending)
+  | Some s -> not (Td_sim.Fifo.is_empty s.gs_rx_pending)
   | None -> false
 
 (* Drain one guest's pending queue: one virtual interrupt announces up to
    [batch] queued packets; the copies still happen per packet, in queue
    order. Also the final delivery pass of [World.destroy_guest] — queued
    frames belong to the guest while it lives. *)
-let deliver_guest_queue w x dom gi (q : string Queue.t) =
+let deliver_guest_queue w x dom gi q =
   let batch = Int.max 1 w.tuning.Config.notify_batch in
-  while not (Queue.is_empty q) do
-    let n = Int.min batch (Queue.length q) in
+  while not (Td_sim.Fifo.is_empty q) do
+    let n = Int.min batch (Td_sim.Fifo.length q) in
     let group = ref [] in
     for _ = 1 to n do
-      let payload = Queue.pop q in
+      let payload = Td_sim.Fifo.pop q in
       charge_xen_cat w
         (int_of_float
            (float_of_int (String.length payload)

@@ -121,7 +121,7 @@ let fresh_slot ~dom ~space ~nics g =
     gs_macs = Array.init nics (vif_mac g);
     gs_tx_hdrs =
       Array.init nics (fun i -> eth_header ~dst:(client_mac i) ~src:(vif_mac g i));
-    gs_rx_pending = Queue.create ();
+    gs_rx_pending = Td_sim.Fifo.create "";
     gs_rx_count = 0;
   }
 
@@ -195,11 +195,11 @@ let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
      two worlds (Mq contexts, shard workers) never share token buckets
      or fault streams. Quota exempts dom0 by its kind — throttling the
      driver domain's service work would deadlock the paths that drain on
-     behalf of throttled guests. Simulated time for the token buckets is
-     ledger cycles at the nominal 3 GHz. *)
+     behalf of throttled guests. The token buckets' clock is the ledger's
+     cycle count, which Quota reads at the simulated CPU frequency. *)
   let quota =
     Option.map
-      (Quota.make ~now:(fun () -> float_of_int (Ledger.grand_total led) /. 3e9))
+      (Quota.make ~now:(fun () -> Ledger.grand_total led))
       tuning.Config.quota
   in
   (* NICs + netdevs *)
@@ -250,7 +250,8 @@ let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
         Twin_path.boot ?spill_everything ?rewrite_style ?cache_probes
           ~map_pairs ~upcall_set ~pool_entries ~tuning ~fault ~quota ~registry
           ~natives ~sup ~km ~dom0_space ~xen_space ~dom0_support x
-    | Config.Xen_domU, Some x -> dom0_image (Domu (x, Bridge.create km))
+    | Config.Xen_domU, Some x ->
+        dom0_image (Domu (x, Bridge.create km dom0_space))
     | Config.Xen_dom0, Some x -> dom0_image (Dom0 x)
     | Config.Native_linux, _ | _, None -> dom0_image Native
   in
@@ -279,19 +280,20 @@ let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
     rx_frames = 0;
     rx_bytes = 0;
     rx_last = "";
-    rx_queue = Queue.create ();
+    rx_queue = Td_sim.Fifo.create "";
     rx_drops = 0;
     tx_drops = 0;
   }
 
 (* ---- late initialisation (driver init + hooks) ---- *)
 
-(* dom0's local stack receives; [Skb.contents] returns a fresh buffer
+(* dom0's local stack receives; [Skb.contents_at] returns a fresh buffer
    nothing else holds, so it turns into a string without a copy *)
 let local_rx w ~virt skb =
   charge_dom0_cat w w.costs.Sys_costs.kernel_rx_path;
   if virt then charge_xen_cat w w.costs.Sys_costs.virt_overhead_rx;
-  count_rx ~guest:0 w (Bytes.unsafe_to_string (Skb.contents skb));
+  count_rx ~guest:0 w
+    (Bytes.unsafe_to_string (Skb.contents_at w.dom0_space skb));
   free_any_skb w skb
 
 let init (w : t) =
@@ -326,11 +328,12 @@ let init (w : t) =
 let dom0_attempt w ~nic payload () =
   let p = w.nics.(nic) in
   let n = String.length payload in
-  let skb = Skb.alloc w.km w.dom0_space ~size:(eth_header_bytes + n + 64) in
-  Skb.put_string skb p.tx_hdr ~off:0 ~len:eth_header_bytes;
-  Skb.put_string skb payload ~off:0 ~len:n;
+  let space = w.dom0_space in
+  let skb = Skb.alloc_at w.km space ~size:(eth_header_bytes + n + 64) in
+  Skb.put_string_at space skb p.tx_hdr ~off:0 ~len:eth_header_bytes;
+  Skb.put_string_at space skb payload ~off:0 ~len:n;
   let r =
-    Supervisor.run_dom0_driver2 w ~entry:w.dom0_driver.e_xmit skb.Skb.addr
+    Supervisor.run_dom0_driver2 w ~entry:w.dom0_driver.e_xmit skb
       p.nd.Netdev.addr
   in
   if r <> 0 then w.tx_drops <- w.tx_drops + 1;
@@ -450,7 +453,9 @@ let guest_slots w = Array.length w.slots
 let guest_alive w ~guest = Option.is_some (slot_opt w guest)
 let delivered_rx_bytes w = w.rx_bytes
 let rx_last_payload w = if w.rx_frames = 0 then None else Some w.rx_last
-let rx_pop w = Queue.take_opt w.rx_queue
+let rx_pop w =
+  if Td_sim.Fifo.is_empty w.rx_queue then None
+  else Some (Td_sim.Fifo.pop w.rx_queue)
 let rx_drops w = w.rx_drops
 let tx_lost_frames w = Td_fault.Engine.tx_lost_frames w.fault + w.tx_drops
 let recoveries w = w.recoveries
@@ -478,7 +483,7 @@ let reset_measurement w =
   w.rx_bytes <- 0;
   iter_slots w (fun _ s -> s.gs_rx_count <- 0);
   w.rx_last <- "";
-  Queue.clear w.rx_queue;
+  Td_sim.Fifo.clear w.rx_queue;
   w.rx_drops <- 0;
   w.tx_drops <- 0;
   (match w.path with

@@ -78,7 +78,7 @@ type guest_slot = {
   gs_tx_hdrs : string array;
       (** per NIC: client MAC, vif MAC, IPv4 ethertype — the Ethernet
           header of the guest's {!World.transmit_from} frames *)
-  gs_rx_pending : string Queue.t;
+  gs_rx_pending : string Td_sim.Fifo.t;
       (** demuxed, awaiting guest schedule; Xen_twin only *)
   mutable gs_rx_count : int;
 }
@@ -147,7 +147,7 @@ type t = {
   mutable rx_frames : int;
   mutable rx_bytes : int;
   mutable rx_last : string;  (** meaningful once [rx_frames > 0] *)
-  rx_queue : string Queue.t;
+  rx_queue : string Td_sim.Fifo.t;
       (** every delivered payload, in order, until a consumer pops it *)
   mutable rx_drops : int;  (** frames lost because [rx_queue] was full *)
   mutable tx_drops : int;
@@ -155,7 +155,8 @@ type t = {
 
 (* Guest payloads queue here until the consumer (netchannel, tests) pops
    them; beyond this the stack would push back in a real system, so we
-   drop — but count the drop instead of losing the frame silently. *)
+   drop — but count the drop instead of losing the frame silently. The
+   ring grows to this by doubling, only as far as the consumer lags. *)
 let rx_queue_capacity = 4096
 
 let guest_name g = Printf.sprintf "guest%d" g
@@ -186,25 +187,26 @@ let count_rx ~guest w payload =
   | Some s -> s.gs_rx_count <- s.gs_rx_count + 1
   | None -> ());
   w.rx_last <- payload;
-  if Queue.length w.rx_queue >= rx_queue_capacity then begin
+  if Td_sim.Fifo.length w.rx_queue >= rx_queue_capacity then begin
     w.rx_drops <- w.rx_drops + 1;
     if Td_obs.Control.enabled () then Td_obs.Metrics.bump "world.rx_drops"
   end
-  else Queue.push payload w.rx_queue
+  else Td_sim.Fifo.push w.rx_queue payload
 
+(* the sk_buff at dom0 address [skb], back to whichever allocator owns it *)
 let free_any_skb w skb =
   match w.path with
-  | Twin (_, tw) when Skb_pool.owns tw.pool skb.Skb.addr ->
-      Skb_pool.release tw.pool skb.Skb.addr
-  | Native | Dom0 _ | Domu _ | Twin _ -> Skb.free w.km skb
+  | Twin (_, tw) when Skb_pool.owns tw.pool skb -> Skb_pool.release tw.pool skb
+  | Native | Dom0 _ | Domu _ | Twin _ -> Skb.free_at w.km w.dom0_space skb
 
 (* packet buffers (struct, linear area, fragment frame) are persistently
    mapped into the hypervisor, at boot and again after every recovery *)
 let pin_pool rt pool =
-  Skb_pool.iter pool (fun skb ->
-      ignore (Td_svm.Runtime.persistent_map rt skb.Skb.addr);
-      ignore (Td_svm.Runtime.persistent_map rt (Skb.head skb));
-      ignore (Td_svm.Runtime.persistent_map rt (Skb_pool.frag_buffer pool skb)))
+  let pin addr = ignore (Td_svm.Runtime.persistent_map rt addr) in
+  Skb_pool.iter pool (fun { Skb.space; addr } ->
+      pin addr;
+      pin (Skb.head_at space addr);
+      pin (Skb_pool.frag_buffer pool addr))
 
 let entries_of (prog : Program.t) =
   let at = Program.addr_of_label prog in

@@ -1,7 +1,8 @@
-type port = { port_name : string; tx : Skb.t -> unit }
+type port = { port_name : string; tx : int -> unit }
 
 type t = {
   kmem : Kmem.t;
+  space : Td_mem.Addr_space.t;
   mutable ports : port list;
   fdb : port Td_sim.Int_tbl.t;  (** mac key -> port *)
   mutable forwarded : int;
@@ -21,8 +22,15 @@ let read_mac space addr =
   Td_mem.Addr_space.read space addr Td_misa.Width.W32
   lor (Td_mem.Addr_space.read space (addr + 4) Td_misa.Width.W16 lsl 32)
 
-let create kmem =
-  { kmem; ports = []; fdb = Td_sim.Int_tbl.create 16; forwarded = 0; flooded = 0 }
+let create kmem space =
+  {
+    kmem;
+    space;
+    ports = [];
+    fdb = Td_sim.Int_tbl.create 16;
+    forwarded = 0;
+    flooded = 0;
+  }
 
 let add_port t p = t.ports <- t.ports @ [ p ]
 let learn t ~mac p = Td_sim.Int_tbl.replace t.fdb mac p
@@ -55,10 +63,10 @@ let forward t ~dst ~src skb =
           t.ports
       in
       match out with
-      | [] -> Skb.free t.kmem skb
+      | [] -> Skb.free_at t.kmem t.space skb
       | _ :: rest ->
           (* one reference per port, like br_flood's clones *)
-          List.iter (fun _ -> Skb.get_ref skb) rest;
+          List.iter (fun _ -> Skb.get_ref_at t.space skb) rest;
           List.iter (fun p -> p.tx skb) out)
 
 let forwarded t = t.forwarded

@@ -6,8 +6,9 @@
     the frame in simulated memory ({!read_mac}), so forwarding copies no
     frame bytes onto the host. *)
 
-type port = { port_name : string; tx : Skb.t -> unit }
-(** A port's [tx] takes over one reference to the sk_buff it is handed. *)
+type port = { port_name : string; tx : int -> unit }
+(** A port's [tx] takes over one reference to the sk_buff whose address
+    it is handed. *)
 
 type t
 
@@ -17,15 +18,16 @@ val mac_key : string -> int
 val read_mac : Td_mem.Addr_space.t -> int -> int
 (** [read_mac space addr] is the {!mac_key} of the 6 bytes at [addr]. *)
 
-val create : Kmem.t -> t
-(** A bridge with no ports; the allocator is the one its sk_buffs come
-    from, used to free a flooded frame no port takes. *)
+val create : Kmem.t -> Td_mem.Addr_space.t -> t
+(** A bridge with no ports, forwarding sk_buffs that live in the given
+    space and come from the given allocator (which frees a flooded frame
+    no port takes). *)
 
 val add_port : t -> port -> unit
 
-val forward : t -> dst:int -> src:int -> Skb.t -> unit
-(** [forward t ~dst ~src skb] hands [skb] to the fdb port of [dst]. An
-    unknown [dst] floods it to every port except the fdb port of [src]
+val forward : t -> dst:int -> src:int -> int -> unit
+(** [forward t ~dst ~src skb] hands the sk_buff at address [skb] to the
+    fdb port of [dst]. An unknown [dst] floods it to every port except the fdb port of [src]
     (broadcast behaviour), taking one extra reference per port after the
     first; with no port to flood to, the sk_buff is freed. [forward]
     never learns: only {!learn} adds fdb entries. *)

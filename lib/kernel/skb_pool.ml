@@ -19,9 +19,10 @@ let create kmem space ~entries ~buf_size =
   let slots = Td_sim.Int_tbl.create entries in
   let all =
     Array.init entries (fun _ ->
-        let skb = Skb.alloc kmem space ~size:buf_size in
+        let addr = Skb.alloc_at kmem space ~size:buf_size in
+        let skb = { Skb.space; addr } in
         (* base reference held by the pool: dom0 frees only decrement *)
-        Skb.get_ref skb;
+        Skb.get_ref_at space addr;
         let frag = Kmem.alloc kmem Td_mem.Layout.page_size in
         let slot = { skb; some = Some skb; frag; in_pool = true } in
         Td_sim.Int_tbl.replace slots skb.Skb.addr slot;
@@ -37,7 +38,7 @@ let alloc t =
     let slot = t.free.(t.nfree) in
     slot.in_pool <- false;
     let skb = slot.skb in
-    Skb.get_ref skb;
+    Skb.get_ref_at skb.Skb.space skb.Skb.addr;
     if Td_obs.Control.enabled () then begin
       Td_obs.Metrics.bump "skb.pool.alloc";
       Td_obs.Trace.emit
@@ -57,12 +58,12 @@ let alloc t =
 let owns t addr = Td_sim.Int_tbl.mem t.slots addr
 
 (* reset to a pristine buffer holding only the pool's base reference *)
-let make_pristine skb =
-  Skb.set_refcnt skb 1;
-  Skb.set_data skb (Skb.head skb);
-  Skb.set_len skb 0;
-  Skb.set_frag skb ~page:0 ~len:0;
-  Skb.set_protocol skb 0
+let make_pristine { Skb.space; addr } =
+  Skb.set_refcnt_at space addr 1;
+  Skb.set_data_at space addr (Skb.head_at space addr);
+  Skb.set_len_at space addr 0;
+  Skb.set_frag_at space addr ~page:0 ~len:0;
+  Skb.set_protocol_at space addr 0
 
 let push t slot =
   slot.in_pool <- true;
@@ -103,12 +104,12 @@ let reset t =
       push t slot)
     t.slots
 
-let frag_buffer t skb =
-  match Td_sim.Int_tbl.find t.slots skb.Skb.addr with
+let frag_buffer t addr =
+  match Td_sim.Int_tbl.find t.slots addr with
   | slot -> slot.frag
   | exception Not_found ->
       Td_xen.Guest_fault.fail ~op:"Skb_pool.frag_buffer" "foreign sk_buff 0x%x"
-        skb.Skb.addr
+        addr
 
 let available t = t.nfree
 let size t = Array.length t.free

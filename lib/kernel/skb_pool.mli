@@ -14,9 +14,9 @@ val create : Kmem.t -> Td_mem.Addr_space.t -> entries:int -> buf_size:int -> t
     (§5.3: the hypervisor "chains together the rest of the guest packet
     ... using pre-allocated page frames from dom0"). *)
 
-val frag_buffer : t -> Skb.t -> int
-(** The sk_buff's preallocated fragment buffer (page-sized). Raises
-    {!Td_xen.Guest_fault.Fault} for a foreign sk_buff. *)
+val frag_buffer : t -> int -> int
+(** The preallocated (page-sized) fragment buffer of the sk_buff at this
+    address. Raises {!Td_xen.Guest_fault.Fault} for a foreign sk_buff. *)
 
 val alloc : t -> Skb.t option
 (** [None] when the pool is empty (the driver will drop the packet). The

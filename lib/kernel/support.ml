@@ -31,7 +31,7 @@ type hyp_ctx = {
   dom0 : Td_xen.Domain.t;
   svm : Td_svm.Runtime.t;
   pool : Skb_pool.t;
-  mutable hyp_netif_rx : Skb.t -> unit;
+  mutable hyp_netif_rx : int -> unit;
 }
 
 type t = {
@@ -40,7 +40,7 @@ type t = {
   alloc_sizes : int Td_sim.Int_tbl.t;  (** kmalloc'd addr -> size, for kfree *)
   routines : (string, routine) Hashtbl.t;
   mutable order : string list;  (** registration order, reversed *)
-  mutable netif_rx : Skb.t -> unit;
+  mutable netif_rx : int -> unit;  (** takes the sk_buff's address *)
   mutable hyp_ctx : hyp_ctx option;
   upcall_stats : Td_xen.Upcall.stats;
   eth_hdr : Bytes.t;  (** [eth_type_trans]'s header buffer *)
@@ -84,7 +84,6 @@ let called_routines t =
 
 let arg = State.stack_arg
 let ret st v = State.set st Td_misa.Reg.EAX v
-let skb_of t st i = Skb.of_addr t.space (arg st i)
 
 (* ---- the ten fast-path routines ---- *)
 
@@ -101,9 +100,9 @@ let impl_netdev_alloc_skb t st =
 
 let hyp_netdev_alloc_skb _t ctx st =
   match Skb_pool.alloc ctx.pool with
-  | Some skb ->
-      touch_via_stlb ctx skb.Skb.addr;
-      ret st skb.Skb.addr
+  | Some { Skb.addr; _ } ->
+      touch_via_stlb ctx addr;
+      ret st addr
   | None -> ret st 0
 
 let impl_dev_kfree_skb_any t st =
@@ -118,13 +117,12 @@ let hyp_dev_kfree_skb_any t ctx st =
   ret st 0
 
 let impl_netif_rx t st =
-  let skb = skb_of t st 0 in
-  t.netif_rx skb;
+  t.netif_rx (arg st 0);
   ret st 0
 
 let hyp_netif_rx_impl t ctx st =
-  let skb = skb_of t st 0 in
-  touch_via_stlb ctx (Skb.data skb);
+  let skb = arg st 0 in
+  touch_via_stlb ctx (Skb.data_at t.space skb);
   ctx.hyp_netif_rx skb;
   ret st 0
 
@@ -191,27 +189,28 @@ let impl_writel t st =
   ret st 0
 
 let impl_skb_put t st =
-  let skb = skb_of t st 0 and n = arg st 1 in
-  let tail = Skb.data skb + Skb.len skb in
+  let space = t.space and skb = arg st 0 and n = arg st 1 in
+  let len = Skb.len_at space skb in
+  let tail = Skb.data_at space skb + len in
   (* the length argument can originate in a guest-writable descriptor
      ring: contain it as a typed, accounted guest fault, not a crash *)
-  if n < 0 || tail + n > Skb.end_ skb then
+  if n < 0 || tail + n > Skb.end_at space skb then
     Td_xen.Guest_fault.fail
-      ~domain:(Td_mem.Addr_space.name t.space)
+      ~domain:(Td_mem.Addr_space.name space)
       ~op:"skb_put" "overflow: %d bytes at 0x%x exceeds end 0x%x" n tail
-      (Skb.end_ skb);
-  Skb.set_len skb (Skb.len skb + n);
+      (Skb.end_at space skb);
+  Skb.set_len_at space skb (len + n);
   ret st tail
 
 let impl_skb_reserve t st =
-  let skb = skb_of t st 0 and n = arg st 1 in
-  Skb.set_data skb (Skb.data skb + n);
+  let skb = arg st 0 in
+  Skb.set_data_at t.space skb (Skb.data_at t.space skb + arg st 1);
   ret st 0
 
 let impl_skb_pull t st =
-  let skb = skb_of t st 0 and n = arg st 1 in
-  Skb.pull skb n;
-  ret st (Skb.data skb)
+  let skb = arg st 0 in
+  Skb.pull_at t.space skb (arg st 1);
+  ret st (Skb.data_at t.space skb)
 
 let impl_netif_stop_queue t st =
   Netdev.stop_queue (Netdev.of_addr t.space (arg st 0));

@@ -20,9 +20,10 @@ val create : space:Td_mem.Addr_space.t -> kmem:Kmem.t -> t
 
 val kmem : t -> Kmem.t
 
-val set_netif_rx : t -> (Skb.t -> unit) -> unit
-(** What [netif_rx] does with a received packet in the current system
-    configuration (deliver to the local stack, bridge it, ...). *)
+val set_netif_rx : t -> (int -> unit) -> unit
+(** What [netif_rx] does with a received packet, given the sk_buff's
+    address in dom0, in the current system configuration (deliver to the
+    local stack, bridge it, ...). *)
 
 val routine_names : t -> string list
 val routine_count : t -> int
@@ -54,7 +55,7 @@ type hyp_ctx = {
   dom0 : Td_xen.Domain.t;
   svm : Td_svm.Runtime.t;
   pool : Skb_pool.t;
-  mutable hyp_netif_rx : Skb.t -> unit;
+  mutable hyp_netif_rx : int -> unit;  (** takes the sk_buff's dom0 address *)
 }
 
 val register_hyp_natives :
@@ -73,7 +74,7 @@ val register_hyp_natives :
 
 val hyp_symtab : t -> Td_cpu.Native.t -> string -> int option
 
-val set_hyp_netif_rx : t -> (Skb.t -> unit) -> unit
+val set_hyp_netif_rx : t -> (int -> unit) -> unit
 (** Hypervisor-side [netif_rx] behaviour (demux + guest delivery); only
     valid after {!register_hyp_natives}. *)
 

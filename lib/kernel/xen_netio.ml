@@ -91,7 +91,7 @@ type t = {
   dom0 : Domain.t;
   guest : Domain.t;
   kmem : Kmem.t;
-  driver_tx : Skb.t -> unit;
+  driver_tx : int -> unit;  (** takes the sk_buff's dom0 address *)
   quota : Quota.state option;
       (** checks notifications, doorbells and rx deliveries; also handed
           to [grants]. The driver domain is exempt, so only the guest's
@@ -178,13 +178,23 @@ let charge_guest t n = Hypervisor.charge_domain t.hyp t.guest n
 let now t = Ledger.grand_total (Hypervisor.ledger t.hyp)
 
 (* netback's part between the grant map and the unmap: rebuild a dom0
-   sk_buff from the mapped page and hand it to the NIC driver *)
+   sk_buff from the mapped page and hand its address to the NIC driver,
+   which owns it once [driver_tx] returns; on a raise netback still owns
+   it, so it frees it before the exception goes on *)
 let forward t costs vaddr len =
   charge_dom0 t costs.Sys_costs.netback;
-  let skb = Skb.alloc t.kmem (Domain.space t.dom0) ~size:(len + 64) in
-  Skb.put_from skb ~src:vaddr ~len;
-  charge_dom0 t costs.Sys_costs.bridge;
-  t.driver_tx skb
+  let space = Domain.space t.dom0 in
+  let skb = Skb.alloc_at t.kmem space ~size:(len + 64) in
+  match
+    Skb.put_from_at space skb ~src:vaddr ~len;
+    charge_dom0 t costs.Sys_costs.bridge;
+    t.driver_tx skb
+  with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Skb.free_at t.kmem space skb;
+      Printexc.raise_with_backtrace e bt
 
 (* A popped frame that raised before completing: counted as dropped, so
    conservation still balances, and the exception goes on up. *)
@@ -506,16 +516,17 @@ let rx_buffers_posted t = Ring.length t.rx_posted
    the netback boundary, before the expensive copy: the wire has no one
    to fault to, so the frame is counted and freed — never an exception
    out of the rx path (which would read as a driver abort upstream) *)
-let rx_throttle_drop t skb =
+let rx_throttle_drop t space skb =
   t.rx_throttled <- t.rx_throttled + 1;
   if Td_obs.Control.enabled () then begin
     Td_obs.Metrics.bump "netio.rx_throttled";
     Td_obs.Trace.emit (Td_obs.Trace.Nic_drop { reason = "rx quota throttled" })
   end;
-  Skb.free t.kmem skb
+  Skb.free_at t.kmem space skb
 
 let deliver_to_guest t skb =
   let costs = Hypervisor.costs t.hyp in
+  let space = Domain.space t.dom0 in
   charge_dom0 t (costs.Sys_costs.bridge + costs.Sys_costs.netback);
   if Ring.is_empty t.rx_posted then begin
     t.rx_dropped <- t.rx_dropped + 1;
@@ -524,32 +535,32 @@ let deliver_to_guest t skb =
       Td_obs.Trace.emit
         (Td_obs.Trace.Nic_drop { reason = "no rx buffer posted" })
     end;
-    Skb.free t.kmem skb
+    Skb.free_at t.kmem space skb
   end
   else if
     match t.quota with
     | Some q ->
         not (Quota.try_take q ~domain:t.guest Quota.Rx_deliveries)
     | None -> false
-  then rx_throttle_drop t skb
+  then rx_throttle_drop t space skb
   else begin
     let i = Ring.pop t.rx_posted in
     let gref = t.rx_posted.Ring.buf.(i) and gvaddr = t.rx_posted.Ring.buf.(i + 1) in
-    let len = Skb.len skb in
+    let len = Skb.len_at space skb in
     (* hypervisor-mediated copy from the sk_buff straight into the
        guest's granted frame; a dry grant-copy byte bucket re-posts the
        untouched buffer and drops *)
     match
       Grant_table.copy_mem_to t.grants ~hyp:t.hyp gref ~offset:0
-        ~space:skb.Skb.space ~addr:(Skb.data skb) ~len
+        ~space ~addr:(Skb.data_at space skb) ~len
     with
     | exception Quota.Quota_exceeded _ ->
         Ring.push t.rx_posted gref gvaddr 0 0;
-        rx_throttle_drop t skb
+        rx_throttle_drop t space skb
     | () ->
         Hypervisor.charge_xen_for t.hyp ~domain:t.guest
           costs.Sys_costs.io_channel;
-        Skb.free t.kmem skb;
+        Skb.free_at t.kmem space skb;
         Ring.push t.rx.staged gref gvaddr len (now t);
         t.rx.staged_total <- t.rx.staged_total + 1;
         staged_one t t.rx

@@ -58,12 +58,16 @@ val create :
   dom0:Td_xen.Domain.t ->
   guest:Td_xen.Domain.t ->
   kmem:Kmem.t ->
-  driver_tx:(Skb.t -> unit) ->
+  driver_tx:(int -> unit) ->
   unit ->
   t
 (** [driver_tx] invokes the dom0 NIC driver's transmit routine on a
-    dom0-built sk_buff. [notify] defaults to [Interrupts {batch = 1}];
-    raises [Invalid_argument] on a count below 1.
+    dom0-built sk_buff, given by its address in dom0. The driver owns the
+    sk_buff once [driver_tx] returns; if it raises, netback frees the
+    sk_buff before passing the exception on, so a [driver_tx] that
+    raises must not have freed or kept it. [notify] defaults to
+    [Interrupts {batch = 1}]; raises [Invalid_argument] on a count below
+    1.
 
     [quota] gates the guest's notifications, doorbell kicks and rx
     deliveries, and the channel's grant table; omitted, nothing is
@@ -93,9 +97,10 @@ val post_rx_buffers : t -> int -> unit
 
 val rx_buffers_posted : t -> int
 
-val deliver_to_guest : t -> Skb.t -> unit
-(** Backend receive path: grant-copy the packet's linear data from the
-    sk_buff straight into a posted guest buffer
+val deliver_to_guest : t -> int -> unit
+(** Backend receive path for the dom0 sk_buff at this address, which it
+    takes over: grant-copy the packet's linear data from the sk_buff
+    straight into a posted guest buffer
     ({!Td_xen.Grant_table.copy_mem_to}), free the sk_buff and stage the
     completion; once [batch] completions are pending a single virtual
     interrupt delivers them all in order. Drops (and counts) when no buffer is posted. In polling
@@ -152,8 +157,8 @@ val tx_count : t -> int
 val tx_dropped : t -> int
 (** Transmit frames the backend popped but lost to an exception (a grant
     map refused, or an allocator or driver exception out of [driver_tx]):
-    each unmapped its page and was counted here before the exception went
-    on to the caller. *)
+    each unmapped its page, freed the sk_buff netback built for it, and
+    was counted here before the exception went on to the caller. *)
 
 val rx_count : t -> int
 val rx_dropped : t -> int

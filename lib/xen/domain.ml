@@ -6,12 +6,12 @@ type t = {
   kind : kind;
   space : Td_mem.Addr_space.t;
   mutable vif : int;  (** vaddr of the virtual interrupt flag word; 0 = none *)
-  queued : (unit -> unit) Queue.t;
+  queued : (unit -> unit) Td_sim.Fifo.t;  (** virq handlers held while masked *)
 }
 
 let create ~id ~name ~kind ~space =
   if id < 0 then invalid_arg "Domain.create: negative id";
-  { id; name; kind; space; vif = 0; queued = Queue.create () }
+  { id; name; kind; space; vif = 0; queued = Td_sim.Fifo.create ignore }
 
 let id t = t.id
 let name t = t.name
@@ -46,13 +46,13 @@ let set_vif t v =
 let mask_interrupts t = set_vif t 1
 
 let deliver_pending t =
-  while not (Queue.is_empty t.queued) do
-    (Queue.pop t.queued) ()
+  while not (Td_sim.Fifo.is_empty t.queued) do
+    (Td_sim.Fifo.pop t.queued) ()
   done
 
 let unmask_interrupts t =
   set_vif t 0;
   deliver_pending t
 
-let defer t fn = Queue.push fn t.queued
-let pending t = Queue.length t.queued
+let defer t fn = Td_sim.Fifo.push t.queued fn
+let pending t = Td_sim.Fifo.length t.queued

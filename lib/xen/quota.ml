@@ -93,7 +93,7 @@ type dom_state = {
    checks; the driver domain is exempt and never gets a row *)
 type state = {
   lim : limits;
-  now : unit -> float;
+  now : unit -> int;  (** simulated cycles *)
   mutable doms : dom_state option array;
   mutable throttled : int;
 }
@@ -116,7 +116,9 @@ let cap lim = function
   | Grant_maps -> lim.grant_maps
   | Upcalls | Notifications | Doorbells | Rx_deliveries | Grant_copy_bytes -> 0
 
-let rate lim = function
+(* The float helpers of a bucket draw are inlined: a float returned from
+   a call is boxed, two words per draw. *)
+let[@inline] rate lim = function
   | Upcalls -> lim.upcalls_per_s
   | Notifications -> lim.notifications_per_s
   | Doorbells -> lim.doorbells_per_s
@@ -126,11 +128,17 @@ let rate lim = function
 
 (* byte-denominated buckets need a byte-denominated depth: an 8-token
    burst would deny every >8-byte grant copy outright *)
-let burst_of lim = function
+let[@inline] burst_of lim = function
   | Grant_copy_bytes -> lim.grant_copy_burst_bytes
   | _ -> lim.burst
 
-let make ?(now = fun () -> 0.) lim = { lim; now; doms = [||]; throttled = 0 }
+let make ?(now = fun () -> 0) lim = { lim; now; doms = [||]; throttled = 0 }
+
+(* The one conversion of the cycle clock into the buckets' seconds, at
+   the simulated CPU's frequency; inlined into a bucket draw, the float
+   is never boxed. *)
+let hz = float_of_int Td_cpu.Cost_model.frequency_hz
+let[@inline] seconds e = float_of_int (e.now ()) /. hz
 
 let exempt domain = Domain.kind domain = Domain.Driver_domain
 
@@ -217,11 +225,11 @@ let try_take_n e ~domain res n =
       match d.buckets.(i) with
       | Some b -> b
       | None ->
-          let b = { tokens = burst; last = e.now () } in
+          let b = { tokens = burst; last = seconds e } in
           d.buckets.(i) <- Some b;
           b
     in
-    let t = e.now () in
+    let t = seconds e in
     if t > b.last then begin
       b.tokens <- Float.min burst (b.tokens +. ((t -. b.last) *. r));
       b.last <- t

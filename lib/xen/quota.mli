@@ -12,9 +12,9 @@
       or raises; {!release} returns the units.
     - {b Rate caps} (upcalls, channel notifications, doorbell kicks): a
       token bucket per (domain, resource) refilled on {e simulated} time —
-      the clock passed to {!make}, typically ledger cycles divided by
-      the simulated CPU frequency — so enforcement is deterministic and
-      bit-identical across runs.
+      the cycle clock passed to {!make}, typically the ledger's grand
+      total, read as seconds at {!Td_cpu.Cost_model.frequency_hz} — so
+      enforcement is deterministic and bit-identical across runs.
 
     Like {!Td_fault.Engine}, an engine is a plain value: a [World]
     builds one from its [Config.tuning.quota] and hands it, at
@@ -80,10 +80,11 @@ type state
     held/bucket/throttle state, in an array indexed by domain id that
     grows on demand. *)
 
-val make : ?now:(unit -> float) -> limits -> state
-(** Build a fresh engine. [now] is the simulated clock in seconds
+val make : ?now:(unit -> int) -> limits -> state
+(** Build a fresh engine. [now] is the simulated clock in cycles
     (default: a frozen clock, so rate buckets never refill past
-    [burst]). *)
+    [burst]). An int clock keeps a bucket draw allocation-free: the
+    conversion to seconds happens inside the draw, unboxed. *)
 
 val acquire : state -> domain:Domain.t -> resource -> int -> unit
 (** Claim [n] units of a concurrency-capped resource; raises

@@ -78,3 +78,9 @@ let hyp_cpu m ~guest =
    it. *)
 let check_gate (o : Gates.outcome) =
   Alcotest.(check bool) (o.Gates.row ^ ": " ^ o.Gates.values) true o.Gates.ok
+
+(* A fresh sk_buff in [space] holding [frame], by address. *)
+let skb_of_string km space ?(size = 256) frame =
+  let skb = Td_kernel.Skb.alloc_at km space ~size in
+  Td_kernel.Skb.put_string_at space skb frame ~off:0 ~len:(String.length frame);
+  skb

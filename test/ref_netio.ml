@@ -84,7 +84,7 @@ type t = {
   dom0 : Domain.t;
   guest : Domain.t;
   kmem : Kmem.t;
-  driver_tx : Skb.t -> unit;
+  driver_tx : int -> unit;
   quota : Quota.state option;
       (** checks notifications, doorbells and rx deliveries; also handed
           to [grants] *)
@@ -186,8 +186,9 @@ let backend_tx_one t costs =
     ~at_vpage:(Td_mem.Layout.page_of vaddr)
     gref;
   charge_dom0 t costs.Sys_costs.netback;
-  let skb = Skb.alloc t.kmem (Domain.space t.dom0) ~size:(len + 64) in
-  Skb.put_from skb ~src:vaddr ~len;
+  let space = Domain.space t.dom0 in
+  let skb = Skb.alloc_at t.kmem space ~size:(len + 64) in
+  Skb.put_from_at space skb ~src:vaddr ~len;
   charge_dom0 t costs.Sys_costs.bridge;
   t.driver_tx skb;
   Grant_table.unmap t.grants ~hyp:t.hyp ~from:t.dom0
@@ -511,9 +512,10 @@ let rx_throttle_drop t skb =
     Td_obs.Metrics.bump "netio.rx_throttled";
     Td_obs.Trace.emit (Td_obs.Trace.Nic_drop { reason = "rx quota throttled" })
   end;
-  Skb.free t.kmem skb
+  Skb.free_at t.kmem (Domain.space t.dom0) skb
 
 let deliver_to_guest t skb =
+  let space = Domain.space t.dom0 in
   let costs = Hypervisor.costs t.hyp in
   charge_dom0 t (costs.Sys_costs.bridge + costs.Sys_costs.netback);
   if Ring.is_empty t.rx_posted then begin
@@ -523,7 +525,7 @@ let deliver_to_guest t skb =
       Td_obs.Trace.emit
         (Td_obs.Trace.Nic_drop { reason = "no rx buffer posted" })
     end;
-    Skb.free t.kmem skb
+    Skb.free_at t.kmem space skb
   end
   else if
     match t.quota with
@@ -534,13 +536,13 @@ let deliver_to_guest t skb =
   else begin
     let i = Ring.pop t.rx_posted in
     let gref = t.rx_posted.Ring.buf.(i) and gvaddr = t.rx_posted.Ring.buf.(i + 1) in
-    let len = Skb.len skb in
+    let len = Skb.len_at space skb in
     (* hypervisor-mediated copy from the sk_buff straight into the
        guest's granted frame; a dry grant-copy byte bucket re-posts the
        untouched buffer and drops *)
     match
       Grant_table.copy_mem_to t.grants ~hyp:t.hyp gref ~offset:0
-        ~space:skb.Skb.space ~addr:(Skb.data skb) ~len
+        ~space ~addr:(Skb.data_at space skb) ~len
     with
     | exception Quota.Quota_exceeded _ ->
         Ring.push t.rx_posted gref gvaddr 0 0;
@@ -548,7 +550,7 @@ let deliver_to_guest t skb =
     | () -> (
         Hypervisor.charge_xen_for t.hyp ~domain:t.guest
           costs.Sys_costs.io_channel;
-        Skb.free t.kmem skb;
+        Skb.free_at t.kmem space skb;
         Ring.push t.rx_staged gref gvaddr len (now t);
         t.rx_staged_total <- t.rx_staged_total + 1;
         match t.doorbell with

@@ -56,7 +56,8 @@ let quota_domains () =
 
 let test_token_bucket () =
   let dom0, g, h = quota_domains () in
-  let clock = ref 0.0 in
+  (* the engine's clock counts cycles *)
+  let clock = ref 0 and hz = Td_cpu.Cost_model.frequency_hz in
   let q =
     Quota.make
       ~now:(fun () -> !clock)
@@ -78,11 +79,11 @@ let test_token_bucket () =
         resource = Quota.resource_name Quota.Notifications
     | _ -> false);
   (* simulated time refills at 10 tokens/s, capped at burst *)
-  clock := !clock +. 0.1;
+  clock := !clock + (hz / 10);
   check bool_c "one token refilled" true
     (Quota.try_take q ~domain:g Quota.Notifications);
   check bool_c "only one" false (Quota.try_take q ~domain:g Quota.Notifications);
-  clock := !clock +. 100.0;
+  clock := !clock + (100 * hz);
   for _ = 1 to 3 do
     check bool_c "refill capped at burst" true
       (Quota.try_take q ~domain:g Quota.Notifications)

@@ -25,7 +25,7 @@ type rig = {
   guest : Domain.t;
   km : Kmem.t;
   netio : Xen_netio.t;
-  driver_frames : Skb.t list ref;
+  driver_frames : int list ref;
 }
 
 let make_rig ?notify () =
@@ -110,9 +110,8 @@ let test_rx_mode_transitions () =
   Xen_netio.set_guest_rx io (fun _ _ -> incr got);
   Xen_netio.post_rx_buffers io 8;
   let deliver () =
-    let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:256 in
-    Skb.put skb (Bytes.of_string "frame");
-    Xen_netio.deliver_to_guest io skb
+    Xen_netio.deliver_to_guest io
+      (Harness.skb_of_string rig.km (Domain.space rig.dom0) "frame")
   in
   for _ = 1 to 4 do
     deliver ()
@@ -161,7 +160,7 @@ let test_poll_budget_fairness () =
   let notify = Xen_netio.Always_poll { batch = 1; poll_budget = 2 } in
   let mk () =
     Xen_netio.create ~notify ~hyp ~dom0 ~guest ~kmem:km
-      ~driver_tx:(fun skb -> Skb.free km skb)
+      ~driver_tx:(fun skb -> Skb.free_at km m.Harness.dom0 skb)
       ()
   in
   let a = mk () and b = mk () in
@@ -200,9 +199,9 @@ let test_cross_mode_bit_identity () =
       Xen_netio.guest_transmit io ~hdr:"" (String.make (100 + i) 'x')
     done;
     for _ = 1 to 5 do
-      let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:512 in
-      Skb.put skb (Bytes.make 300 'r');
-      Xen_netio.deliver_to_guest io skb
+      Xen_netio.deliver_to_guest io
+        (Harness.skb_of_string rig.km (Domain.space rig.dom0) ~size:512
+           (String.make 300 'r'))
     done;
     Xen_netio.on_tick io;
     (Ledger.grand_total led, Xen_netio.tx_count io, !got)
@@ -237,9 +236,8 @@ let test_teardown_flushes_partial_batches () =
     Xen_netio.guest_transmit io ~hdr:"" (String.make 64 't')
   done;
   for _ = 1 to 3 do
-    let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:256 in
-    Skb.put skb (Bytes.of_string "rx");
-    Xen_netio.deliver_to_guest io skb
+    Xen_netio.deliver_to_guest io
+      (Harness.skb_of_string rig.km (Domain.space rig.dom0) "rx")
   done;
   check int_c "partial batches staged" 8 (Xen_netio.staged io);
   Xen_netio.teardown io;

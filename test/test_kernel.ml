@@ -70,26 +70,30 @@ let test_kmem_rejects_bad_free () =
 
 let test_skb_lifecycle () =
   let m, km = make () in
-  let skb = Skb.alloc km m.Harness.dom0 ~size:256 in
-  check int_c "len 0" 0 (Skb.len skb);
-  check int_c "data at head" (Skb.head skb) (Skb.data skb);
-  check int_c "capacity" 256 (Skb.capacity skb);
-  Skb.put skb (Bytes.of_string "abcdef");
-  check int_c "len" 6 (Skb.len skb);
-  check bool_c "contents" true (Bytes.to_string (Skb.contents skb) = "abcdef");
-  Skb.pull skb 2;
-  check bool_c "pulled" true (Bytes.to_string (Skb.contents skb) = "cdef");
+  let space = m.Harness.dom0 in
+  let skb = Skb.alloc_at km space ~size:256 in
+  let contents () = Bytes.to_string (Skb.contents_at space skb) in
+  check int_c "len 0" 0 (Skb.len_at space skb);
+  check int_c "data at head" (Skb.head_at space skb) (Skb.data_at space skb);
+  check int_c "capacity" 256 (Skb.capacity_at space skb);
+  Skb.put_string_at space skb "abcdef" ~off:0 ~len:6;
+  check int_c "len" 6 (Skb.len_at space skb);
+  check bool_c "contents" true (contents () = "abcdef");
+  Skb.pull_at space skb 2;
+  check bool_c "pulled" true (contents () = "cdef");
   (* out-of-range lengths are guest-reachable input: typed, counted
      Guest_fault attributed to the buffer's address space, not Failure *)
   let dom0_faults () = Td_obs.Metrics.counter_value "xen.guest_faults.dom0" in
   Td_obs.Control.with_enabled (fun () ->
       let faults0 = dom0_faults () in
       check bool_c "overflow rejected" true
-        (match Skb.put skb (Bytes.make 300 'x') with
+        (match
+           Skb.put_string_at space skb (String.make 300 'x') ~off:0 ~len:300
+         with
         | exception Td_xen.Guest_fault.Fault { op = "Skb.put"; _ } -> true
         | _ -> false);
       check bool_c "pull underflow rejected" true
-        (match Skb.pull skb 100 with
+        (match Skb.pull_at space skb 100 with
         | exception Td_xen.Guest_fault.Fault { op = "Skb.pull"; _ } -> true
         | _ -> false);
       check int_c "faults attributed to dom0" (faults0 + 2) (dom0_faults ()))
@@ -104,43 +108,48 @@ let test_skb_put_from () =
   let src = 0xC080_0000 in
   ignore (Td_mem.Addr_space.alloc_page space ~vpage:(Td_mem.Layout.page_of src));
   Td_mem.Addr_space.write_string space src "0123456789" ~off:0 ~len:10;
-  let skb = Skb.alloc km space ~size:16 in
-  Skb.put_from skb ~src ~len:6;
-  check bool_c "copied" true (Bytes.to_string (Skb.contents skb) = "012345");
+  let skb = Skb.alloc_at km space ~size:16 in
+  Skb.put_from_at space skb ~src ~len:6;
+  check bool_c "copied" true
+    (Bytes.to_string (Skb.contents_at space skb) = "012345");
   check bool_c "overflow rejected" true
-    (match Skb.put_from skb ~src ~len:11 with
+    (match Skb.put_from_at space skb ~src ~len:11 with
     | exception Td_xen.Guest_fault.Fault { op = "Skb.put"; _ } -> true
     | _ -> false);
   (* the source runs off the end of its page into an unmapped one *)
   let edge = src + Td_mem.Layout.page_size - 4 in
   check bool_c "source fault" true
-    (match Skb.put_from skb ~src:edge ~len:8 with
+    (match Skb.put_from_at space skb ~src:edge ~len:8 with
     | exception Td_mem.Addr_space.Page_fault _ -> true
     | _ -> false);
-  check int_c "len unchanged" 6 (Skb.len skb);
+  check int_c "len unchanged" 6 (Skb.len_at space skb);
   check bool_c "tail untouched" true
     (Bytes.to_string
-       (Td_mem.Addr_space.read_block space (Skb.data skb + 6) 4)
+       (Td_mem.Addr_space.read_block space (Skb.data_at space skb + 6) 4)
     = "\000\000\000\000")
 
 let test_skb_refcount () =
   let m, km = make () in
   let live0 = Kmem.allocated_bytes km in
-  let skb = Skb.alloc km m.Harness.dom0 ~size:128 in
-  Skb.get_ref skb;
-  Skb.free km skb;
+  let space = m.Harness.dom0 in
+  let skb = Skb.alloc_at km space ~size:128 in
+  Skb.get_ref_at space skb;
+  Skb.free_at km space skb;
   check bool_c "still allocated (ref held)" true
     (Kmem.allocated_bytes km > live0);
-  Skb.free km skb;
+  Skb.free_at km space skb;
   check int_c "released at zero" live0 (Kmem.allocated_bytes km)
 
 let test_skb_frag_fields () =
   let m, km = make () in
-  let skb = Skb.alloc km m.Harness.dom0 ~size:128 in
-  check int_c "no frag" 0 (Skb.frag_page skb);
-  Skb.set_frag skb ~page:0xC1230000 ~len:1404;
-  check int_c "frag page" 0xC1230000 (Skb.frag_page skb);
-  check int_c "total len includes frag" (Skb.len skb + 1404) (Skb.total_len skb)
+  let space = m.Harness.dom0 in
+  let skb = Skb.alloc_at km space ~size:128 in
+  check int_c "no frag" 0 (Skb.frag_page_at space skb);
+  Skb.set_frag_at space skb ~page:0xC1230000 ~len:1404;
+  check int_c "frag page" 0xC1230000 (Skb.frag_page_at space skb);
+  check int_c "total len includes frag"
+    (Skb.len_at space skb + 1404)
+    (Skb.total_len_at space skb)
 
 (* --- pool --- *)
 
@@ -148,14 +157,14 @@ let test_pool_refcount_trick () =
   let m, km = make () in
   let pool = Skb_pool.create km m.Harness.dom0 ~entries:2 ~buf_size:256 in
   check int_c "available" 2 (Skb_pool.available pool);
-  let a = Option.get (Skb_pool.alloc pool) in
+  let { Skb.space; addr = a } = Option.get (Skb_pool.alloc pool) in
   (* a dom0-style free must NOT return the buffer to the dom0 allocator:
      the pool's base reference keeps it alive *)
   let live = Kmem.allocated_bytes km in
-  Skb.free km a;
+  Skb.free_at km space a;
   check int_c "buffer survives dom0 free" live (Kmem.allocated_bytes km);
-  Skb.get_ref a;
-  Skb_pool.release pool a.Skb.addr;
+  Skb.get_ref_at space a;
+  Skb_pool.release pool a;
   check int_c "back in pool" 2 (Skb_pool.available pool)
 
 let test_pool_exhaustion () =
@@ -171,27 +180,28 @@ let test_pool_exhaustion () =
 let test_pool_release_resets () =
   let m, km = make () in
   let pool = Skb_pool.create km m.Harness.dom0 ~entries:1 ~buf_size:256 in
-  let a = Option.get (Skb_pool.alloc pool) in
-  Skb.put a (Bytes.of_string "stale data");
-  Skb.pull a 3;
-  Skb.set_frag a ~page:42 ~len:10;
-  Skb_pool.release pool a.Skb.addr;
-  let b = Option.get (Skb_pool.alloc pool) in
-  check int_c "same skb" a.Skb.addr b.Skb.addr;
-  check int_c "len reset" 0 (Skb.len b);
-  check int_c "data reset" (Skb.head b) (Skb.data b);
-  check int_c "frag reset" 0 (Skb.frag_page b)
+  let { Skb.space; addr = a } = Option.get (Skb_pool.alloc pool) in
+  Skb.put_string_at space a "stale data" ~off:0 ~len:10;
+  Skb.pull_at space a 3;
+  Skb.set_frag_at space a ~page:42 ~len:10;
+  Skb_pool.release pool a;
+  let b = (Option.get (Skb_pool.alloc pool)).Skb.addr in
+  check int_c "same skb" a b;
+  check int_c "len reset" 0 (Skb.len_at space b);
+  check int_c "data reset" (Skb.head_at space b) (Skb.data_at space b);
+  check int_c "frag reset" 0 (Skb.frag_page_at space b)
 
 let test_pool_foreign_rejected () =
   let m, km = make () in
   let pool = Skb_pool.create km m.Harness.dom0 ~entries:1 ~buf_size:128 in
-  let foreign = Skb.alloc km m.Harness.dom0 ~size:128 in
+  let foreign = Skb.alloc_at km m.Harness.dom0 ~size:128 in
   check bool_c "foreign release rejected" true
-    (match Skb_pool.release pool foreign.Skb.addr with
+    (match Skb_pool.release pool foreign with
     | exception Td_xen.Guest_fault.Fault { op = "Skb_pool.release"; _ } -> true
     | _ -> false);
   check bool_c "frag buffer exists for pool skbs" true
-    (Skb_pool.iter pool (fun skb -> assert (Skb_pool.frag_buffer pool skb > 0));
+    (Skb_pool.iter pool (fun skb ->
+         assert (Skb_pool.frag_buffer pool skb.Skb.addr > 0));
      true)
 
 let test_pool_double_release_rejected () =
@@ -265,8 +275,8 @@ let test_timer_wheel () =
 (* --- bridge --- *)
 
 let test_bridge_remove_port_keeps_fdb_order () =
-  let _, km = make () in
-  let br = Bridge.create km in
+  let m, km = make () in
+  let br = Bridge.create km m.Harness.dom0 in
   let ports =
     Array.init 4 (fun i ->
         { Bridge.port_name = Printf.sprintf "vif%d" i; tx = (fun _ -> ()) })
@@ -285,9 +295,12 @@ let test_bridge_remove_port_keeps_fdb_order () =
 
 let test_bridge_learning () =
   let m, km = make () in
-  let br = Bridge.create km in
+  let space = m.Harness.dom0 in
+  let br = Bridge.create km space in
   let got_a = ref [] and got_b = ref [] in
-  let record got skb = got := Bytes.to_string (Skb.contents skb) :: !got in
+  let record got skb =
+    got := Bytes.to_string (Skb.contents_at space skb) :: !got
+  in
   let pa = { Bridge.port_name = "a"; tx = record got_a } in
   let pb = { Bridge.port_name = "b"; tx = record got_b } in
   Bridge.add_port br pa;
@@ -295,9 +308,8 @@ let test_bridge_learning () =
   let mac_a = "\x02\x00\x00\x00\x00\x0A" and mac_b = "\x02\x00\x00\x00\x00\x0B" in
   (* the bridge forwards sk_buffs, keyed by the MACs read from memory *)
   let forward frame =
-    let skb = Skb.alloc km m.Harness.dom0 ~size:256 in
-    Skb.put_string skb frame ~off:0 ~len:(String.length frame);
-    let mac off = Bridge.read_mac m.Harness.dom0 (Skb.data skb + off) in
+    let skb = Harness.skb_of_string km space frame in
+    let mac off = Bridge.read_mac space (Skb.data_at space skb + off) in
     Bridge.forward br ~dst:(mac 0) ~src:(mac 6) skb
   in
   (* unknown destination floods (but not back to the learned source) *)
@@ -316,7 +328,10 @@ let test_bridge_learning () =
      bridge frees the sk_buff *)
   let refs = ref [] in
   let pc =
-    { Bridge.port_name = "c"; tx = (fun skb -> refs := Skb.refcnt skb :: !refs) }
+    {
+      Bridge.port_name = "c";
+      tx = (fun skb -> refs := Skb.refcnt_at space skb :: !refs);
+    }
   in
   Bridge.add_port br pc;
   let mac_x = "\x02\x00\x00\x00\x00\x0F" in
@@ -324,10 +339,10 @@ let test_bridge_learning () =
   check int_c "flooded to b" 3 (List.length !got_b);
   check (Alcotest.list int_c) "c sees two references" [ 2 ] !refs;
   let live = Kmem.allocated_bytes km in
-  let lone = Bridge.create km in
+  let lone = Bridge.create km space in
   Bridge.add_port lone pa;
   Bridge.learn lone ~mac:(Bridge.mac_key mac_a) pa;
-  let skb = Skb.alloc km m.Harness.dom0 ~size:256 in
+  let skb = Skb.alloc_at km space ~size:256 in
   Bridge.forward lone ~dst:(Bridge.mac_key mac_x) ~src:(Bridge.mac_key mac_a)
     skb;
   check int_c "no port: freed" live (Kmem.allocated_bytes km)

@@ -88,9 +88,8 @@ let make_netio_rig ?notify ?quota () =
 
 let deliver rig =
   let open Td_kernel in
-  let skb = Skb.alloc rig.km (Td_xen.Domain.space rig.dom0) ~size:256 in
-  Skb.put skb (Bytes.of_string "frame");
-  Xen_netio.deliver_to_guest rig.netio skb
+  Xen_netio.deliver_to_guest rig.netio
+    (Harness.skb_of_string rig.km (Td_xen.Domain.space rig.dom0) "frame")
 
 let test_rx_quota_throttles_delivery () =
   let open Td_kernel in

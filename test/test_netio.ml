@@ -14,7 +14,7 @@ type rig = {
   guest : Domain.t;
   km : Kmem.t;
   netio : Xen_netio.t;
-  driver_frames : Skb.t list ref;
+  driver_frames : int list ref;
 }
 
 let make_rig ?batch ?quota ?driver_tx () =
@@ -54,7 +54,7 @@ let test_guest_transmit_reaches_driver () =
   (match !(rig.driver_frames) with
   | [ skb ] ->
       check bool_c "driver got the exact bytes" true
-        (Bytes.to_string (Skb.contents skb) = frame)
+        (Bytes.to_string (Skb.contents_at (Domain.space rig.dom0) skb) = frame)
   | _ -> Alcotest.fail "expected exactly one skb");
   check int_c "tx counted" 1 (Xen_netio.tx_count rig.netio);
   (* the path cost the expected machinery: grant map + unmap happened,
@@ -65,8 +65,7 @@ let test_guest_transmit_reaches_driver () =
 
 let test_rx_requires_posted_buffers () =
   let rig = make_rig () in
-  let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:256 in
-  Skb.put skb (Bytes.of_string "dropped");
+  let skb = Harness.skb_of_string rig.km (Domain.space rig.dom0) "dropped" in
   check int_c "no buffers posted" 0 (Xen_netio.rx_buffers_posted rig.netio);
   Xen_netio.deliver_to_guest rig.netio skb;
   check int_c "dropped" 1 (Xen_netio.rx_dropped rig.netio);
@@ -80,8 +79,10 @@ let test_rx_delivery_and_buffer_recycling () =
       let frame = Td_mem.Addr_space.read_block (Domain.space rig.guest) addr len in
       got := Bytes.to_string frame :: !got);
   for i = 1 to 5 do
-    let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:256 in
-    Skb.put skb (Bytes.of_string (Printf.sprintf "packet-%d" i));
+    let skb =
+      Harness.skb_of_string rig.km (Domain.space rig.dom0)
+        (Printf.sprintf "packet-%d" i)
+    in
     Xen_netio.deliver_to_guest rig.netio skb
   done;
   (* two posted buffers suffice for five packets: netfront re-posts *)
@@ -102,8 +103,10 @@ let test_costs_charged_per_direction () =
   check bool_c "tx charges xen work" true (Ledger.total led Ledger.Xen > 0);
   Ledger.reset led;
   Xen_netio.post_rx_buffers rig.netio 1;
-  let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:2048 in
-  Skb.put skb (Bytes.make 1500 'r');
+  let skb =
+    Harness.skb_of_string rig.km (Domain.space rig.dom0) ~size:2048
+      (String.make 1500 'r')
+  in
   Xen_netio.deliver_to_guest rig.netio skb;
   (* the grant copy is hypervisor work proportional to the packet *)
   let xen = Ledger.total led Ledger.Xen in
@@ -135,7 +138,7 @@ let test_transmit_header_and_payload () =
   let sent payload =
     Xen_netio.guest_transmit rig.netio ~hdr payload;
     match !(rig.driver_frames) with
-    | skb :: _ -> Bytes.to_string (Skb.contents skb)
+    | skb :: _ -> Bytes.to_string (Skb.contents_at (Domain.space rig.dom0) skb)
     | [] -> Alcotest.fail "no skb reached the driver"
   in
   let payload = String.init 200 (fun i -> Char.chr (i land 0xff)) in
@@ -155,9 +158,10 @@ exception Driver_fell_over
 
 (* A driver exception mid-drain (the frame was already popped and its
    grant mapped at the one transient window page): the frame is counted
-   dropped so conservation holds, the page is unmapped, the exception
-   reaches the kick, and the next kick forwards the frame still staged
-   instead of faulting on a page left mapped. *)
+   dropped so conservation holds, the page is unmapped, the sk_buff
+   netback built for it is freed, the exception reaches the kick, and
+   the next kick forwards the frame still staged instead of faulting on
+   a page left mapped. *)
 let test_backend_exception_unmaps_and_drops () =
   let raised = ref false and forwarded = ref [] in
   let driver_tx skb =
@@ -165,9 +169,11 @@ let test_backend_exception_unmaps_and_drops () =
       raised := true;
       raise Driver_fell_over
     end;
-    forwarded := Bytes.to_string (Skb.contents skb) :: !forwarded
+    forwarded := skb :: !forwarded
   in
   let rig = make_rig ~batch:2 ~driver_tx () in
+  let dom0_space = Domain.space rig.dom0 in
+  let baseline = Kmem.allocated_bytes rig.km in
   Hypervisor.switch_to rig.hyp rig.guest;
   (* the transient grant window starts where the doorbell window ends *)
   let window = Td_mem.Layout.page_of (snd Xen_netio.doorbell_window) in
@@ -183,11 +189,15 @@ let test_backend_exception_unmaps_and_drops () =
   check int_c "the popped frame is dropped" 1 (Xen_netio.tx_dropped rig.netio);
   check int_c "the other is still staged" 1 (Xen_netio.staged rig.netio);
   check bool_c "window page unmapped" false (mapped ());
+  check int_c "the dropped frame's sk_buff is freed" baseline
+    (Kmem.allocated_bytes rig.km);
   check bool_c "back in the guest" true
     (Domain.id (Hypervisor.current rig.hyp) = Domain.id rig.guest);
   Xen_netio.flush rig.netio;
   check (Alcotest.list Alcotest.string) "the next kick forwards it" [ "second" ]
-    !forwarded;
+    (List.map
+       (fun skb -> Bytes.to_string (Skb.contents_at dom0_space skb))
+       !forwarded);
   check int_c "forwarded" 1 (Xen_netio.tx_count rig.netio);
   check int_c "nothing staged" 0 (Xen_netio.staged rig.netio);
   check bool_c "still conserved" true (Xen_netio.conserved rig.netio);
@@ -195,9 +205,8 @@ let test_backend_exception_unmaps_and_drops () =
 
 (* Deliver a dom0 sk_buff holding [frame] through netback. *)
 let deliver rig frame =
-  let skb = Skb.alloc rig.km (Domain.space rig.dom0) ~size:256 in
-  Skb.put skb (Bytes.of_string frame);
-  Xen_netio.deliver_to_guest rig.netio skb
+  Xen_netio.deliver_to_guest rig.netio
+    (Harness.skb_of_string rig.km (Domain.space rig.dom0) frame)
 
 (* Collect every frame the guest stack is handed, read out of the
    granted buffer during the call. *)
@@ -420,16 +429,16 @@ let equiv_rig ~rate make =
     Option.map
       (fun (per_s, burst) ->
         Quota.make
-          ~now:(fun () -> float_of_int (Ledger.grand_total ledger) /. 3e9)
+          ~now:(fun () -> Ledger.grand_total ledger)
           { Quota.unlimited with Quota.doorbells_per_s = per_s; rx_per_s = per_s; burst })
       rate
   in
   let kmem = Kmem.create m.Harness.dom0 in
   let wire = Buffer.create 256 and stack = Buffer.create 256 in
   let driver_tx skb =
-    Buffer.add_bytes wire (Skb.contents skb);
+    Buffer.add_bytes wire (Skb.contents_at m.Harness.dom0 skb);
     Buffer.add_char wire '|';
-    Skb.free kmem skb
+    Skb.free_at kmem m.Harness.dom0 skb
   in
   let guest_rx addr len =
     Buffer.add_bytes stack (Td_mem.Addr_space.read_block gspace addr len);
@@ -439,9 +448,9 @@ let equiv_rig ~rate make =
   Hypervisor.switch_to hyp guest;
   let apply = function
     | Rx (n, c) ->
-        let skb = Skb.alloc kmem (Domain.space dom0) ~size:(n + 64) in
-        Skb.put skb (Bytes.make n c);
-        deliver skb
+        deliver
+          (Harness.skb_of_string kmem m.Harness.dom0 ~size:(n + 64)
+             (String.make n c))
     | Mask -> Domain.mask_interrupts guest
     | Unmask -> Domain.unmask_interrupts guest
     | op -> chan.step op

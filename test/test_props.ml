@@ -530,6 +530,39 @@ let memo_exactness_prop =
       reference = memo_run (Threshold max_int) accesses ops
       && reference = memo_run (Threshold 1) accesses ops)
 
+(* --- the array-ring FIFO against Stdlib.Queue --- *)
+
+(* ops: [n >= 0] pushes n, [-1] pops, [-2] clears; every pop and the
+   final contents must match the model, through wrap-around and each
+   doubling *)
+let fifo_model_prop =
+  QCheck.Test.make ~name:"fifo ring behaves like Stdlib.Queue" ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 1 300)
+           (frequency
+              [ (6, int_range 0 1000); (5, return (-1)); (1, return (-2)) ]))
+       ~print:(fun l -> String.concat "," (List.map string_of_int l)))
+    (fun ops ->
+      let q = Td_sim.Fifo.create (-1) and model = Queue.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | -2 ->
+              Td_sim.Fifo.clear q;
+              Queue.clear model
+          | -1 -> ()
+          | n ->
+              Td_sim.Fifo.push q n;
+              Queue.push n model);
+          (op <> -1 || Queue.is_empty model
+          || Td_sim.Fifo.pop q = Queue.pop model)
+          && Td_sim.Fifo.length q = Queue.length model
+          && Td_sim.Fifo.is_empty q = Queue.is_empty model)
+        ops
+      && List.init (Queue.length model) (fun _ -> Td_sim.Fifo.pop q)
+         = List.of_seq (Queue.to_seq model))
+
 (* --- ledger arithmetic --- *)
 
 let ledger_prop =
@@ -558,4 +591,5 @@ let suite =
     QCheck_alcotest.to_alcotest engine_equivalence_prop;
     QCheck_alcotest.to_alcotest memo_exactness_prop;
     QCheck_alcotest.to_alcotest ledger_prop;
+    QCheck_alcotest.to_alcotest fifo_model_prop;
   ]

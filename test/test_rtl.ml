@@ -118,14 +118,16 @@ let make_rig ~twin () =
   in
   Td_nic.Rtl_dev.set_irq_handler dev (fun () -> rig.irq_pending <- true);
   Support.set_netif_rx sup (fun skb ->
-      delivered := Bytes.to_string (Skb.contents skb) :: !delivered;
-      Skb.free km skb);
+      delivered :=
+        Bytes.to_string (Skb.contents_at m.Harness.dom0 skb) :: !delivered;
+      Skb.free_at km m.Harness.dom0 skb);
   (match svm with
   | Some _ ->
       (* twin rig: hypervisor-side netif_rx mirrors the dom0 behaviour *)
       Support.set_hyp_netif_rx sup (fun skb ->
-          delivered := Bytes.to_string (Skb.contents skb) :: !delivered;
-          Skb.free km skb)
+          delivered :=
+            Bytes.to_string (Skb.contents_at m.Harness.dom0 skb) :: !delivered;
+          Skb.free_at km m.Harness.dom0 skb)
   | None -> ());
   (* initialisation always runs in dom0 (the VM instance for the twin) *)
   let st = State.create ~hyp_space:m.Harness.hyp m.Harness.dom0 in
@@ -153,9 +155,7 @@ let run rig entry args =
       Interp.call interp ~entry:(Program.addr_of_label hyp_prog entry) ~args
 
 let make_skb rig payload =
-  let skb = Skb.alloc rig.km rig.m.Harness.dom0 ~size:2048 in
-  Skb.put skb (Bytes.of_string payload);
-  skb
+  Harness.skb_of_string rig.km rig.m.Harness.dom0 ~size:2048 payload
 
 let frame payload = "\x02\x07\x07\x07\x07\x07" ^ "\x02\x09\x09\x09\x09\x09" ^ "\x08\x00" ^ payload
 
@@ -164,7 +164,7 @@ let test_tx ~twin () =
   let f = frame (String.make 500 'r') in
   let skb = make_skb rig f in
   let r =
-    run rig Td_driver.Rtl_driver.entry_xmit [ skb.Skb.addr; rig.nd.Netdev.addr ]
+    run rig Td_driver.Rtl_driver.entry_xmit [ skb; rig.nd.Netdev.addr ]
   in
   check int_c "accepted" 0 r;
   check bool_c "exact frame on the wire" true (!(rig.wire) = [ f ]);
@@ -192,7 +192,7 @@ let test_tx_slot_exhaustion () =
   (* careful: that write triggers a bogus zero-length tx; drain it *)
   let skb = make_skb rig (frame "x") in
   let r =
-    run rig Td_driver.Rtl_driver.entry_xmit [ skb.Skb.addr; rig.nd.Netdev.addr ]
+    run rig Td_driver.Rtl_driver.entry_xmit [ skb; rig.nd.Netdev.addr ]
   in
   ignore r;
   check bool_c "machine alive" true true

@@ -147,6 +147,83 @@ let test_rx_allocation_budget () =
   check bool_c (Printf.sprintf "domU rx: %.1f words/frame < 78" words) true
     (words < 78.)
 
+(* --- the receive queue: an array ring that grows to rx_queue_capacity --- *)
+
+(* a 64 B payload that names its frame *)
+let rx_frame i = Printf.sprintf "frame-%05d-" i ^ String.make 52 'q'
+
+let pop_all w =
+  let rec go acc =
+    match World.rx_pop w with Some p -> go (p :: acc) | None -> List.rev acc
+  in
+  go []
+
+(* Deliveries with nobody popping fill the queue to its capacity, 4,096;
+   the one after is counted as a drop, and the queue still holds the
+   first 4,096 in order. *)
+let test_rx_queue_capacity () =
+  let w = World.create ~nics:1 Config.Xen_domU in
+  for i = 0 to 4096 do
+    World.inject_rx w ~nic:0 ~payload:(rx_frame i);
+    if i mod 4 = 3 then World.pump w
+  done;
+  World.pump w;
+  check int_c "every frame delivered" 4097 (World.delivered_rx_frames w);
+  check int_c "exactly one dropped" 1 (World.rx_drops w);
+  check bool_c "the first 4,096 queued, in order" true
+    (pop_all w = List.init 4096 rx_frame)
+
+(* A consumer that lags more and more: the ring wraps (its head moves
+   off slot 0) before each growth, and the payloads still come out in
+   delivery order. *)
+let test_rx_queue_order_across_growth () =
+  let w = World.create ~nics:1 Config.Xen_domU in
+  let sent = ref 0 and popped = ref [] in
+  for round = 1 to 40 do
+    for _ = 1 to round do
+      World.inject_rx w ~nic:0 ~payload:(rx_frame !sent);
+      incr sent
+    done;
+    World.pump w;
+    for _ = 1 to round / 2 do
+      match World.rx_pop w with
+      | Some p -> popped := p :: !popped
+      | None -> Alcotest.fail "queue empty too early"
+    done
+  done;
+  let popped = List.rev_append !popped (pop_all w) in
+  check int_c "no drops" 0 (World.rx_drops w);
+  check bool_c "delivery order" true (popped = List.init !sent rx_frame)
+
+let test_rx_queue_reset () =
+  let w = World.create ~nics:1 Config.Xen_domU in
+  for i = 0 to 9 do
+    World.inject_rx w ~nic:0 ~payload:(rx_frame i)
+  done;
+  World.pump w;
+  World.reset_measurement w;
+  check (Alcotest.option Alcotest.string) "emptied" None (World.rx_pop w);
+  World.inject_rx w ~nic:0 ~payload:(rx_frame 10);
+  World.pump w;
+  check (Alcotest.list Alcotest.string) "only what came after" [ rx_frame 10 ]
+    (pop_all w)
+
+(* The twin path's per-guest pending queues share the ring: three guests,
+   interleaved arrivals and pumps, and the consumer sees the order the
+   scheduler delivered them in before the queues were rings. *)
+let test_twin_pending_order () =
+  let w = World.create ~nics:1 ~guests:3 Config.Xen_twin in
+  for i = 0 to 23 do
+    let g = ((i * i) + (i / 5)) mod 3 in
+    World.inject_rx ~guest:g w ~nic:0 ~payload:(Printf.sprintf "g%d-%02d" g i);
+    if i mod 7 = 6 then World.pump w
+  done;
+  World.pump w;
+  check Alcotest.string "delivery order"
+    "g0-00;g0-03;g1-01;g1-02;g1-04;g1-06;g2-05;g0-10;g0-11;g0-13;g1-09;g2-07;\
+     g2-08;g2-12;g0-14;g0-15;g0-18;g1-16;g1-17;g1-19;g2-20;g1-21;g2-22;g2-23"
+    (String.concat ";" (pop_all w))
+
 let test_twin_upcalls_when_demoted () =
   let w =
     World.create ~nics:1 ~upcall_set:[ "spin_trylock"; "spin_unlock_irqrestore" ]
@@ -632,6 +709,14 @@ let suite =
         test_create_guest_rejects_bad_nic;
       Alcotest.test_case "rx allocation budget (domU)" `Quick
         test_rx_allocation_budget;
+      Alcotest.test_case "rx queue: one drop past capacity" `Quick
+        test_rx_queue_capacity;
+      Alcotest.test_case "rx queue: order across wrap and growth" `Quick
+        test_rx_queue_order_across_growth;
+      Alcotest.test_case "rx queue: reset empties it" `Quick
+        test_rx_queue_reset;
+      Alcotest.test_case "twin: pending queues keep delivery order" `Quick
+        test_twin_pending_order;
       Alcotest.test_case "profiler totals are exact" `Quick
         test_profiler_exact_totals;
       Alcotest.test_case "twin: idle pump words independent of guests" `Quick
