@@ -844,7 +844,6 @@ let interp () =
           [
             ("hits", Json.Int (Td_cpu.Interp.block_hits eng));
             ("misses", Json.Int (Td_cpu.Interp.block_misses eng));
-            ("invalidations", Json.Int (Td_cpu.Interp.invalidations eng));
           ] );
       ( "compiled_cache",
         Json.Obj

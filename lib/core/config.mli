@@ -19,7 +19,8 @@ type recovery =
           [World.Failed] state. *)
   | Restart
       (** every port [World.Recovering] while the twin instance is torn
-          down, reloaded and re-initialised from shadow state, then
+          down and re-initialised from shadow state on the images the
+          world booted with, then
           [World.Serving] again; in-flight TX frames are dropped and
           counted in [fault.lost_frames]. *)
   | Restart_replay

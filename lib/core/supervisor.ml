@@ -210,20 +210,19 @@ let rebuild w (q : nic_port) =
 let recover w ~nic ~reason =
   Array.iter (fun q -> if q.state = Serving then q.state <- Recovering) w.nics;
   Td_fault.Engine.suspend w.fault (fun () ->
-      (* 1. re-run the MISA loader over the dead instance(s) *)
-      w.dom0_driver <- w.reload_dom0 ();
+      (* the driver images stay: code lives outside simulated RAM, so no
+         driver store can have corrupted it *)
       (match w.path with
       | Twin (_, tw) ->
-          tw.hyp_driver <- tw.reload_hyp ();
-          (* 2. invalidate all translations and unmap the window pairs *)
+          (* 1. invalidate all translations and unmap the window pairs *)
           Td_svm.Runtime.flush tw.svm_hyp;
           Td_svm.Runtime.flush tw.svm_vm;
-          (* 3. reclaim every sk_buff pool slot, in flight or not *)
+          (* 2. reclaim every sk_buff pool slot, in flight or not *)
           Skb_pool.reset tw.pool;
-          (* 4. re-pin the packet-buffer pool into the hypervisor *)
+          (* 3. re-pin the packet-buffer pool into the hypervisor *)
           pin_pool tw.svm_hyp tw.pool
       | Native | Dom0 _ | Domu _ -> ());
-      (* 5. per port: rebuild *)
+      (* 4. per port: rebuild *)
       Array.iter
         (fun q ->
           if q.state = Recovering then

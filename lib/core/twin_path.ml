@@ -31,9 +31,9 @@ let boot ?spill_everything ?rewrite_style ?cache_probes ~map_pairs
              else None)
            kernel)
     in
-    fun load ->
-      entries_of
-        (load ~name ~source:derived.Twin.rewritten ~base ~symbols ~registry)
+    entries_of
+      (Loader.load ~name ~source:derived.Twin.rewritten ~base ~symbols
+         ~registry)
   in
   (* VM instance: identity stlb, dom0-resolved symbols *)
   let vm_stlb = Addr_space.heap_alloc dom0_space (4096 * 8) in
@@ -45,12 +45,11 @@ let boot ?spill_everything ?rewrite_style ?cache_probes ~map_pairs
   ignore
     (Native.register natives "__svm_call@vm" (fun st ->
          State.set st Reg.EAX (State.stack_arg st 0)));
-  let vm =
+  let vm_driver =
     instance ~name:"e1000.vm" ~base:Layout.vm_driver_code_base ~runtime:vm_rt
       ~stlb_vaddr:vm_stlb ~scratch_vaddr:vm_scratch ~svm_call:"__svm_call@vm"
       dom0_support
   in
-  let vm_driver = vm Loader.load in
   (* hypervisor instance *)
   let hyp_rt =
     Runtime.create_hypervisor ~map_pairs
@@ -89,7 +88,7 @@ let boot ?spill_everything ?rewrite_style ?cache_probes ~map_pairs
         | Some _ | None -> None)
   in
   Call_table.register_native ct natives "__svm_call@hyp";
-  let hyp =
+  let hyp_driver =
     instance ~name:"e1000.hyp" ~base:Layout.hyp_driver_code_base
       ~runtime:hyp_rt ~stlb_vaddr:Layout.stlb_base
       ~scratch_vaddr:Layout.hyp_scratch_base ~svm_call:"__svm_call@hyp"
@@ -102,14 +101,13 @@ let boot ?spill_everything ?rewrite_style ?cache_probes ~map_pairs
       svm_vm = vm_rt;
       vm_stlb;
       pool;
-      hyp_driver = hyp Loader.load;
-      reload_hyp = (fun () -> hyp Loader.reload);
+      hyp_driver;
       gmac_index = Td_sim.Int_tbl.create 8;
       sched = Scheduler.create ();
       tx_pushes = 0;
     }
   in
-  (Twin (x, tw), vm_driver, fun () -> vm Loader.reload)
+  (Twin (x, tw), vm_driver)
 
 (* The hooks that must be in place before the drivers initialise. *)
 let arm w x tw =
@@ -198,7 +196,6 @@ let attempt w ~nic tw payload =
         Addr_space.write_string w.dom0_space frag payload ~off:head ~len:rest;
         Skb.set_frag_at space skb ~page:frag ~len:rest
       end;
-      (* refetch the image: a recovery may have reloaded it *)
       let r =
         Supervisor.run_hyp_driver2 w ~entry:tw.hyp_driver.e_xmit skb
           p.nd.Netdev.addr
@@ -220,7 +217,6 @@ let transmit w x tw ~nic ~payload =
   else charge_xen_cat w w.costs.Sys_costs.notify_coalesce;
   Supervisor.transmit w ~nic attempt tw payload
 
-(* refetch the image: a recovery may have reloaded it *)
 let intr w ~nic tw =
   Supervisor.run_hyp_driver w ~entry:tw.hyp_driver.e_intr
     w.nics.(nic).nd.Netdev.addr

@@ -22,10 +22,11 @@ val boot :
   xen_space:Td_mem.Addr_space.t ->
   dom0_support:Td_rewriter.Loader.symtab ->
   xen ->
-  path * driver_image * (unit -> driver_image)
-(** Derive the twin, load the VM instance (returned with its reload, as
-    the world's dom0 driver) and the hypervisor instance, and pin the
-    sk_buff pool into the hypervisor. The path is [Twin]. *)
+  path * driver_image
+(** Derive the twin, load the VM instance (returned, as the world's dom0
+    driver) and the hypervisor instance, and pin the sk_buff pool into
+    the hypervisor. The path is [Twin]. Both images are loaded once:
+    recovery keeps them. *)
 
 val arm : t -> xen -> twin -> unit
 (** The hooks that precede driver initialisation: the window-reclaim

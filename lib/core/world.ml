@@ -235,16 +235,14 @@ let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
   (* support natives & driver images *)
   Support.register_dom0_natives sup natives;
   let dom0_support n = Support.dom0_symtab sup natives n in
-  let load f =
-    entries_of
-      (f ~name:"e1000"
-         ~source:(Td_driver.E1000_driver.source ())
-         ~base:Layout.vm_driver_code_base ~symbols:dom0_support ~registry)
-  in
   let dom0_image path =
-    (path, load Loader.load, fun () -> load Loader.reload)
+    ( path,
+      entries_of
+        (Loader.load ~name:"e1000"
+           ~source:(Td_driver.E1000_driver.source ())
+           ~base:Layout.vm_driver_code_base ~symbols:dom0_support ~registry) )
   in
-  let path, dom0_driver, reload_dom0 =
+  let path, dom0_driver =
     match (cfg, xen) with
     | Config.Xen_twin, Some x ->
         Twin_path.boot ?spill_everything ?rewrite_style ?cache_probes
@@ -271,7 +269,6 @@ let create ?(nics = 5) ?(upcall_set = []) ?(pool_entries = 1024)
     costs;
     nics = ports;
     dom0_driver;
-    reload_dom0;
     recoveries = 0;
     replayed = 0;
     guest_faults = 0;

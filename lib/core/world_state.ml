@@ -94,9 +94,7 @@ type twin = {
   svm_vm : Td_svm.Runtime.t;  (** the VM instance's identity runtime *)
   vm_stlb : int;  (** the VM instance's stlb vaddr *)
   pool : Skb_pool.t;
-  mutable hyp_driver : driver_image;
-  reload_hyp : unit -> driver_image;
-      (** re-run the MISA loader for the hypervisor instance *)
+  hyp_driver : driver_image;
   gmac_index : int Td_sim.Int_tbl.t;
       (** guest MAC ({!Bridge.mac_key}) -> guest slot *)
   sched : Scheduler.t;  (** orders guest packet delivery (§5.3) *)
@@ -134,10 +132,7 @@ type t = {
   dom0_stack_top : int;
   costs : Sys_costs.t;
   nics : nic_port array;
-  mutable dom0_driver : driver_image;
-  reload_dom0 : unit -> driver_image;
-      (** re-run the MISA loader for the dom0/VM instance (same base,
-          fresh image) — the supervisor's restart path *)
+  dom0_driver : driver_image;
   mutable recoveries : int;
   mutable replayed : int;
   mutable guest_faults : int;

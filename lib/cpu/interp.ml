@@ -6,9 +6,9 @@
 exception Fault = Semantics.Fault
 exception Timeout = Semantics.Timeout
 
-(* Direct-mapped block cache: pc -> (program, index), valid only while
-   [bc_gen] matches the registry generation. 512 slots keyed on the
-   instruction index bits of the pc; collisions just re-resolve. The
+(* Direct-mapped block cache: pc -> (program, index), valid for the
+   registry's lifetime (registered code never changes). 512 slots keyed
+   on the instruction index bits of the pc; collisions just re-resolve. The
    compiled-code cache below uses the same geometry, keyed on superblock
    entry addresses. *)
 let bc_size = 512
@@ -23,16 +23,13 @@ type t = {
   mutable observer : (State.t -> Td_misa.Program.t -> int -> int) option;
   fault : Td_fault.Engine.state option;  (** the bitflip site's engine *)
   mutable probes : Superblock.probes;
-  mutable bc_gen : int;
   bc_addr : int array; (* -1 = empty slot *)
   mutable bc_prog : Td_misa.Program.t array;
       (* filled on the first miss: a program to hold every slot *)
   bc_idx : int array;
   mutable block_hits : int;
   mutable block_misses : int;
-  mutable invalidations : int;
-  (* compiled tier: entry hotness and compiled superblocks, flushed on
-     the same generation bumps as the block cache *)
+  (* compiled tier: entry hotness and compiled superblocks *)
   cc_addr : int array; (* -1 = empty slot *)
   cc_hot : int array; (* min_int = known uncompilable *)
   cc_blk : Superblock.t option array;
@@ -52,13 +49,11 @@ let create ?fault state registry natives =
     observer = None;
     fault;
     probes = [];
-    bc_gen = 0;
     bc_addr = Array.make bc_size (-1);
     bc_prog = [||];
     bc_idx = Array.make bc_size 0;
     block_hits = 0;
     block_misses = 0;
-    invalidations = 0;
     cc_addr = Array.make bc_size (-1);
     cc_hot = Array.make bc_size 0;
     cc_blk = Array.make bc_size None;
@@ -80,11 +75,15 @@ let observe_blocks t f =
   | Some g -> t.observer <- Some (fun st p i -> Int.min (g st p i) (f st p i))
 
 (* Compiled superblocks bake the table in, so a new table must never
-   meet a closure compiled against the old one: forget the cached
-   generation, which flushes both caches before the next dispatch. *)
+   meet a closure compiled against the old one: flush both caches. A
+   [bc_prog] entry is read only while its [bc_addr] matches, so the
+   flush leaves it in place. *)
 let set_probes t probes =
   t.probes <- probes;
-  t.bc_gen <- 0
+  Array.fill t.bc_addr 0 bc_size (-1);
+  Array.fill t.cc_addr 0 bc_size (-1);
+  Array.fill t.cc_hot 0 bc_size 0;
+  Array.fill t.cc_blk 0 bc_size None
 
 let probes t = t.probes
 
@@ -142,28 +141,11 @@ let program_at t pc =
 
 let index_of (p : Program.t) pc = (pc - p.Program.base) lsr 2
 
-(* A program was registered or replaced: drop every cached block AND
-   every compiled superblock, so a dead twin's image can never execute
-   after a supervised reload — not even a closure compiled in the same
-   pump as the reload. A [bc_prog] entry is read only while its
-   [bc_addr] matches, so the flush leaves it in place. *)
-let check_generation t =
-  let gen = Code_registry.generation t.registry in
-  if t.bc_gen <> gen then begin
-    Array.fill t.bc_addr 0 bc_size (-1);
-    Array.fill t.cc_addr 0 bc_size (-1);
-    Array.fill t.cc_hot 0 bc_size 0;
-    Array.fill t.cc_blk 0 bc_size None;
-    t.bc_gen <- gen;
-    t.invalidations <- t.invalidations + 1
-  end
-
 (* Returns the cache slot now holding [pc]'s (program, index) in
    [bc_prog]/[bc_idx], rather than a pair: neither a hit nor a miss
    allocates (a miss that evicts another entry happens every frame when
    two hot entries share a slot). *)
 let resolve_cached t pc =
-  check_generation t;
   let slot = (pc lsr 2) land (bc_size - 1) in
   if Array.unsafe_get t.bc_addr slot = pc then t.block_hits <- t.block_hits + 1
   else begin
@@ -238,12 +220,8 @@ let compile_at t pc =
 (* Compiled dispatch: count the entry hot, promote it to a superblock at
    the threshold, and from then on run the fused closure whenever its
    entry conditions hold (pair slot clear, enough fuel for a worst-case
-   pass); otherwise bail out to the identical-semantics block engine.
-   [check_generation] runs before every lookup, which is what makes a
-   promote-then-reload in the same pump safe: the stale closure is
-   flushed before it could ever be dispatched again. *)
+   pass); otherwise bail out to the identical-semantics block engine. *)
 let exec_compiled t =
-  check_generation t;
   let st = t.state in
   let pc = st.State.pc in
   let slot = (pc lsr 2) land (bc_size - 1) in
@@ -342,7 +320,6 @@ let call2 t ~entry a0 a1 =
 
 let block_hits t = t.block_hits
 let block_misses t = t.block_misses
-let invalidations t = t.invalidations
 let compiled_blocks t = t.compiled_blocks
 let compiled_hits t = t.compiled_hits
 let compiled_bailouts t = t.compiled_bailouts
@@ -358,7 +335,6 @@ let publish_metrics t =
   in
   set "interp.block_hits" t.block_hits;
   set "interp.block_misses" t.block_misses;
-  set "interp.invalidations" t.invalidations;
   set "interp.compiled_blocks" t.compiled_blocks;
   set "interp.compiled_hits" t.compiled_hits;
   set "interp.compiled_bailouts" t.compiled_bailouts;

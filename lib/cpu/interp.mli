@@ -87,11 +87,6 @@ val call2 : t -> entry:int -> int -> int -> int
 val block_hits : t -> int
 val block_misses : t -> int
 
-val invalidations : t -> int
-(** Whole-cache flushes (block cache and compiled cache together)
-    triggered by a registry generation change
-    ({!Code_registry.register} / {!Code_registry.replace}). *)
-
 val compiled_blocks : t -> int
 (** Superblocks compiled (promotions). *)
 
@@ -116,7 +111,7 @@ val page_walks : t -> int
 
 val publish_metrics : t -> unit
 (** Export the engine counters as [interp.block_hits] /
-    [interp.block_misses] / [interp.invalidations] /
+    [interp.block_misses] /
     [interp.compiled_blocks] / [interp.compiled_hits] /
     [interp.compiled_bailouts] / [interp.stlb_elided] /
     [interp.page_walks] gauges. Called

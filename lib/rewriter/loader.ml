@@ -20,11 +20,6 @@ let load ~name ~source ~base ~symbols ~registry =
   Td_cpu.Code_registry.register registry program;
   program
 
-let reload ~name ~source ~base ~symbols ~registry =
-  let program = assemble ~name ~source ~base ~symbols in
-  Td_cpu.Code_registry.replace registry program;
-  program
-
 let svm_symbols ~runtime ~natives ~stlb_vaddr ~scratch_vaddr =
   let miss = Td_svm.Runtime.miss_symbol runtime in
   let translate = Td_svm.Runtime.translate_symbol runtime in

@@ -30,17 +30,6 @@ val load :
 (** Assemble at [base] with [symbols] and register the program. Raises
     {!Undefined_symbol} when the source references an unresolved name. *)
 
-val reload :
-  name:string ->
-  source:Td_misa.Program.source ->
-  base:int ->
-  symbols:symtab ->
-  registry:Td_cpu.Code_registry.t ->
-  Td_misa.Program.t
-(** Like {!load}, but any program overlapping [base] is unregistered
-    first — the driver supervisor reloading a fresh image over a dead
-    instance's address range. *)
-
 val svm_symbols :
   runtime:Td_svm.Runtime.t -> natives:Td_cpu.Native.t -> stlb_vaddr:int ->
   scratch_vaddr:int -> symtab

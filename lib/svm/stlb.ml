@@ -55,10 +55,5 @@ let invalidate t ~dom0_page =
     end
   end
 
-let clear t =
-  for i = 0 to Td_mem.Layout.stlb_entries - 1 do
-    let ea = t.vaddr + (i * Td_mem.Layout.stlb_entry_bytes) in
-    Td_mem.Addr_space.write t.space ea Td_misa.Width.W32 0;
-    Td_mem.Addr_space.write t.space (ea + 4) Td_misa.Width.W32 0
-  done
+let clear t = Td_mem.Addr_space.fill t.space t.vaddr table_bytes '\000'
 

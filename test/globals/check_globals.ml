@@ -28,10 +28,6 @@ let allowed =
     ( "lib/obs/trace.ml",
       "ring",
       "the observability trace ring; moves with the sink" );
-    ( "lib/cpu/code_registry.ml",
-      "stamp",
-      "stamps must be unique across every registry in the process, by \
-       design" );
     ( "lib/core/shard.ml",
       "claimed",
       "the helper-domain pool is a process resource; the run that holds \

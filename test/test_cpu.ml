@@ -421,27 +421,6 @@ let test_fault_on_bad_jump () =
   check bool_c "out of range, one-instruction blocks" true
     (faults ~observed:true out_of_range)
 
-let test_block_cache_invalidation_on_replace () =
-  let m = Harness.make_machine () in
-  let base = Td_mem.Layout.vm_driver_code_base in
-  let image v =
-    let b = Builder.create (Printf.sprintf "img%d" v) in
-    Builder.label b "entry";
-    Builder.movl b (Builder.imm v) (Builder.reg Reg.EAX);
-    Builder.ret b;
-    Program.assemble ~base (Builder.finish b)
-  in
-  let p1 = image 1 in
-  Code_registry.register m.Harness.registry p1;
-  let st = Harness.dom0_cpu m in
-  let interp = Harness.interp_of m st in
-  let entry = Program.addr_of_label p1 "entry" in
-  check int_c "first image" 1 (Interp.call interp ~entry ~args:[]);
-  Code_registry.replace m.Harness.registry (image 2);
-  check int_c "replacement executes, not the cached block" 2
-    (Interp.call interp ~entry ~args:[]);
-  check bool_c "block cache was flushed" true (Interp.invalidations interp >= 1)
-
 let test_engine_modes_identical_results () =
   let run_mode threshold =
     let m = Harness.make_machine () in
@@ -480,38 +459,6 @@ let test_engine_modes_identical_results () =
   check bool_c "block engine matches the reference" true (block = reference);
   check bool_c "compiled does not change simulated results" true
     (reference = compiled)
-
-(* Regression: a block promoted to a compiled superblock in the same pump
-   as a [Code_registry.replace] (the supervised-reload path) must never
-   execute its stale closure — the generation check flushes the compiled
-   cache together with the block cache before any compiled dispatch. *)
-let test_compiled_invalidation_on_replace () =
-  let m = Harness.make_machine () in
-  let base = Td_mem.Layout.vm_driver_code_base in
-  let image v =
-    let b = Builder.create (Printf.sprintf "img%d" v) in
-    Builder.label b "entry";
-    Builder.movl b (Builder.imm v) (Builder.reg Reg.EAX);
-    Builder.ret b;
-    Program.assemble ~base (Builder.finish b)
-  in
-  let p1 = image 1 in
-  Code_registry.register m.Harness.registry p1;
-  let st = Harness.dom0_cpu m in
-  let interp = Harness.interp_of m st in
-  Interp.set_compile_threshold interp 1;
-  let entry = Program.addr_of_label p1 "entry" in
-  (* warm: count hot, promote, then dispatch the compiled closure *)
-  for _ = 1 to 3 do
-    check int_c "first image" 1 (Interp.call interp ~entry ~args:[])
-  done;
-  check bool_c "entry was promoted" true (Interp.compiled_blocks interp >= 1);
-  check bool_c "compiled closure ran" true (Interp.compiled_hits interp >= 1);
-  Code_registry.replace m.Harness.registry (image 2);
-  check int_c "replacement executes, not the stale closure" 2
-    (Interp.call interp ~entry ~args:[]);
-  check bool_c "compiled cache was flushed" true
-    (Interp.invalidations interp >= 1)
 
 (* Every memory operand of a compiled superblock has its own translation
    memo, and it outlives the run: the first compiled run walks the page
@@ -818,12 +765,8 @@ let suite =
     Alcotest.test_case "rep consumes call budget" `Quick
       test_rep_consumes_call_budget;
     Alcotest.test_case "fault on bad jump" `Quick test_fault_on_bad_jump;
-    Alcotest.test_case "block cache invalidation" `Quick
-      test_block_cache_invalidation_on_replace;
     Alcotest.test_case "engine modes identical" `Quick
       test_engine_modes_identical_results;
-    Alcotest.test_case "compiled cache invalidation" `Quick
-      test_compiled_invalidation_on_replace;
     Alcotest.test_case "compiled stlb elision" `Quick
       test_compiled_stlb_elision;
     Alcotest.test_case "straddling access" `Quick test_straddling_access;

@@ -317,43 +317,88 @@ let restart_soak_prop =
 (* A corrupted function pointer sends the driver to a misaligned code
    address. That must surface as the typed [Interp.Fault] the supervisor
    contains as an abort — not the bare [Invalid_argument] that
-   [Program.index_of_addr] raises internally — and after the supervisor
-   reloads a fresh image over the dead instance's range, the same warm
-   interpreter must execute the replacement, never a stale cached block. *)
+   [Program.index_of_addr] raises internally — and the warm interpreter
+   must go on running the same loaded image afterwards, as a recovered
+   instance does. *)
 let test_misaligned_jump_recovery_cycle () =
   let open Td_misa in
   let m = Harness.make_machine () in
   let base = Td_mem.Layout.vm_driver_code_base in
-  let bad =
+  let src =
     let b = Builder.create "drv" in
     Builder.label b "entry";
     Builder.jmp_ind b (Builder.imm (base + 2));
-    Builder.finish b
-  in
-  let good =
-    let b = Builder.create "drv" in
-    Builder.label b "entry";
+    Builder.label b "ok";
     Builder.movl b (Builder.imm 42) (Builder.reg Reg.EAX);
     Builder.ret b;
     Builder.finish b
   in
   let prog =
-    Td_rewriter.Loader.load ~name:"drv" ~source:bad ~base
+    Td_rewriter.Loader.load ~name:"drv" ~source:src ~base
       ~symbols:Td_rewriter.Loader.empty ~registry:m.Harness.registry
   in
   let st = Harness.dom0_cpu m in
   let interp = Harness.interp_of m st in
-  let entry = Program.addr_of_label prog "entry" in
-  check bool_c "misaligned jump is a typed interpreter fault" true
-    (match Td_cpu.Interp.call interp ~entry ~args:[] with
+  let typed_fault () =
+    match
+      Td_cpu.Interp.call interp ~entry:(Program.addr_of_label prog "entry")
+        ~args:[]
+    with
     | exception Td_cpu.Interp.Fault _ -> true
     | exception Invalid_argument _ -> false
+    | _ -> false
+  in
+  check bool_c "misaligned jump is a typed interpreter fault" true
+    (typed_fault ());
+  check int_c "the same image runs on after the fault" 42
+    (Td_cpu.Interp.call interp ~entry:(Program.addr_of_label prog "ok")
+       ~args:[]);
+  check bool_c "and faults the same way again" true (typed_fault ())
+
+(* Recovery keeps the images the world booted with: after a forced
+   abort and restart, the registry still holds the boot program of the
+   hypervisor instance (physically), and the warm interpreter's
+   superblocks survive, so the next transmit compiles nothing and runs
+   compiled. *)
+let test_recovery_keeps_boot_image () =
+  let tuning =
+    planned_tuning
+      ~tuning:{ Config.default_tuning with Config.recovery = Config.Restart }
+      wild_only
+  in
+  let w = World.create ~nics:1 ~tuning Config.Xen_twin in
+  let interp = World.interp w in
+  let hyp_prog () =
+    Td_cpu.Code_registry.find
+      (Td_cpu.Interp.registry interp)
+      Td_mem.Layout.hyp_driver_code_base
+  in
+  let boot = hyp_prog () in
+  check bool_c "the hypervisor instance is registered" true (boot <> None);
+  unplanned w (fun () ->
+      for _ = 1 to 32 do
+        ignore (World.transmit w ~nic:0 ~payload)
+      done;
+      World.pump w);
+  (* the warm stlb serves every access inline: empty it, so the next
+     access misses into the runtime, where the plan fires *)
+  Option.iter Td_svm.Runtime.flush (World.svm w);
+  check bool_c "restart absorbs the abort" false
+    (World.transmit w ~nic:0 ~payload);
+  check int_c "one recovery ran" 1 (World.recoveries w);
+  check bool_c "the boot program is still registered" true
+    (match (boot, hyp_prog ()) with
+    | Some a, Some b -> a == b
     | _ -> false);
-  ignore
-    (Td_rewriter.Loader.reload ~name:"drv" ~source:good ~base
-       ~symbols:Td_rewriter.Loader.empty ~registry:m.Harness.registry);
-  check int_c "reloaded image executes on the warm interpreter" 42
-    (Td_cpu.Interp.call interp ~entry ~args:[])
+  let compiled = Td_cpu.Interp.compiled_blocks interp in
+  let hits = Td_cpu.Interp.compiled_hits interp in
+  unplanned w (fun () ->
+      check bool_c "transmit works after recovery" true
+        (World.transmit w ~nic:0 ~payload));
+  check int_c "the next transmit compiles no superblock" compiled
+    (Td_cpu.Interp.compiled_blocks interp);
+  check bool_c "and runs compiled" true
+    (Td_cpu.Interp.compiled_hits interp > hits)
 
 (* --- typed guest faults --- *)
 
@@ -518,6 +563,8 @@ let suite =
       test_replay_policy_delivers;
     Alcotest.test_case "soak reproducible" `Quick test_soak_reproducible;
     Alcotest.test_case "soak availability" `Quick test_soak_availability;
+    Alcotest.test_case "recovery keeps the boot image" `Quick
+      test_recovery_keeps_boot_image;
     Alcotest.test_case "misaligned jump recovery cycle" `Quick
       test_misaligned_jump_recovery_cycle;
     Alcotest.test_case "guest fault: bad grant ref" `Quick

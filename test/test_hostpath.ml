@@ -699,9 +699,9 @@ let words_per_frame ?(warm = 256) ?(frames = 1000) step =
   if was_on then Td_obs.Control.enable ();
   words /. float_of_int (!moved - start)
 
-let check_budget name ~budget words =
+let check_budget ?(per = "frame") name ~budget words =
   check bool_c
-    (Printf.sprintf "%s: %.3f words/frame <= %.2f" name words budget)
+    (Printf.sprintf "%s: %.3f words/%s <= %.2f" name words per budget)
     true (words <= budget)
 
 (* The four frame paths of the suite's workloads, at their cadences,
@@ -803,6 +803,39 @@ let fleet_round () =
       incr round;
       World.wire_tx_frames w + World.delivered_rx_frames w - before)
 
+(* Minor words per supervisor recovery on a small restart soak shaped
+   like [Experiments.recovery_soak]'s: five twin NICs, a demoted fast-path
+   routine, the seeded soak plan at 0.01 (about one recovery per frame),
+   a tick every other frame. The frames themselves allocate next to
+   nothing, so this is what one recovery costs: re-pinning the sk_buff
+   pool and rebuilding the ports. *)
+let recovery () =
+  let tuning =
+    {
+      Config.default_tuning with
+      Config.recovery = Config.Restart;
+      fault_plan = Some (Experiments.soak_plan ~seed:1 0.01);
+    }
+  in
+  let w =
+    World.create ~nics:5 ~upcall_set:[ "spin_trylock" ] ~tuning Config.Xen_twin
+  in
+  let payload = String.make 1500 's' in
+  let was_on = Td_obs.Control.enabled () in
+  Td_obs.Control.disable ();
+  let recoveries = World.recoveries w in
+  let before = Gc.minor_words () in
+  for i = 0 to 199 do
+    (try ignore (World.transmit w ~nic:(i mod 5) ~payload)
+     with World.Driver_aborted _ | World.Nic_quarantined _ -> ());
+    if i mod 2 = 1 then
+      try World.tick w
+      with World.Driver_aborted _ | World.Nic_quarantined _ -> ()
+  done;
+  let words = Gc.minor_words () -. before in
+  if was_on then Td_obs.Control.enable ();
+  words /. float_of_int (World.recoveries w - recoveries)
+
 (* What is left per frame, and why it stays:
    - twin transmit: nothing.
    - domU transmit: the grant map's fresh [Some (Frame f)] (4 words),
@@ -820,6 +853,9 @@ let fleet_round () =
      each) and its receive frames, a 128 B payload and its [Some] (4 a
      round, 20 words each): 10.4 words/frame. Its quota's bucket draws
      allocate nothing.
+   - a recovery: re-pinning the sk_buff pool into the hypervisor and
+     rebuilding the five ports (teardown, device reset, driver init);
+     40,481 words.
    Twin transmit keeps one word of slack, the fleet round 0.1; the
    others are exact. *)
 let test_allocation_budgets () =
@@ -827,7 +863,8 @@ let test_allocation_budgets () =
   check_budget "domU transmit" ~budget:4. (domu_tx ());
   check_budget "domU receive" ~budget:12. (domu_rx ());
   check_budget "Mq.run chunk" ~budget:4.09 (mq_chunk ());
-  check_budget "fleet round" ~budget:10.5 (fleet_round ())
+  check_budget "fleet round" ~budget:10.5 (fleet_round ());
+  check_budget "restart soak" ~per:"recovery" ~budget:40481. (recovery ())
 
 let suite =
   [

@@ -1,8 +1,6 @@
 (* Tests for the multi-queue simulation ({!Mq}): RSS hash determinism,
    the fixed doorbell word offsets (tx at 0, rx at 4), the rx-delivery
-   and grant-copy-byte quotas, [Mq.create]'s queue-count bounds, globally unique
-   code-registry generation stamps (reload in one shard must never
-   invalidate — or alias — another shard's block cache), that a
+   and grant-copy-byte quotas, [Mq.create]'s queue-count bounds, that a
    context's queue index carries no state (every context equals a plain
    world), and the QCheck property that sequential and sharded
    execution produce identical merged ledgers. *)
@@ -186,60 +184,6 @@ let test_grant_copy_byte_quota () =
   check bool_c "small copy still admitted" true
     (Bytes.length (Grant_table.copy_from gt ~hyp r ~offset:0 ~len:16) = 16)
 
-(* ---- per-shard code registries ---- *)
-
-let registry_image v =
-  let open Td_misa in
-  let b = Builder.create (Printf.sprintf "img%d" v) in
-  Builder.label b "entry";
-  Builder.movl b (Builder.imm v) (Builder.reg Reg.EAX);
-  Builder.ret b;
-  Program.assemble ~base:Td_mem.Layout.vm_driver_code_base (Builder.finish b)
-
-let test_registry_stamps_globally_unique () =
-  let open Td_cpu in
-  let r1 = Code_registry.create () and r2 = Code_registry.create () in
-  check bool_c "fresh registries never share a stamp" true
-    (Code_registry.generation r1 <> Code_registry.generation r2);
-  (* identical operation sequences on both — the pre-fix aliasing case *)
-  Code_registry.register r1 (registry_image 1);
-  Code_registry.register r2 (registry_image 1);
-  check bool_c "stamps distinct after equal op counts" true
-    (Code_registry.generation r1 <> Code_registry.generation r2);
-  let g2_before = Code_registry.generation r2 in
-  Code_registry.replace r1 (registry_image 2);
-  check bool_c "reload bumps only its own registry" true
-    (Code_registry.generation r2 = g2_before
-    && Code_registry.generation r1 <> g2_before)
-
-let test_reload_isolated_across_shards () =
-  let open Td_cpu in
-  let open Td_misa in
-  (* two (registry, interpreter) pairs, as two shards would hold *)
-  let make () =
-    let m = Harness.make_machine () in
-    let p = registry_image 1 in
-    Code_registry.register m.Harness.registry p;
-    let st = Harness.dom0_cpu m in
-    let interp = Harness.interp_of m st in
-    (m, interp, Program.addr_of_label p "entry")
-  in
-  let m1, i1, e1 = make () in
-  let _m2, i2, e2 = make () in
-  check int_c "shard 1 runs image 1" 1 (Interp.call i1 ~entry:e1 ~args:[]);
-  check int_c "shard 2 runs image 1" 1 (Interp.call i2 ~entry:e2 ~args:[]);
-  (* both caches are now synced to their registries (the first call's
-     sync from the bc_gen=0 sentinel counts as one invalidation) *)
-  let inv2 = Interp.invalidations i2 in
-  (* reload in shard 1 only *)
-  Code_registry.replace m1.Harness.registry (registry_image 2);
-  check int_c "shard 1 executes the new image" 2
-    (Interp.call i1 ~entry:e1 ~args:[]);
-  check int_c "shard 2 still executes its own image" 1
-    (Interp.call i2 ~entry:e2 ~args:[]);
-  check int_c "shard 2's block cache was not flushed by shard 1's reload"
-    inv2 (Interp.invalidations i2)
-
 (* ---- Mq: sequential vs sharded bit-identity ---- *)
 
 let mq_run_digest ~shards ports =
@@ -404,11 +348,6 @@ let suite =
       test_doorbell_words_fixed_offsets;
     Alcotest.test_case "xen: grant-copy byte quota" `Quick
       test_grant_copy_byte_quota;
-    Alcotest.test_case "registry: stamps globally unique" `Quick
-      test_registry_stamps_globally_unique;
-    Alcotest.test_case "registry: reload isolated across shards" `Quick
-      test_reload_isolated_across_shards;
-    QCheck_alcotest.to_alcotest mq_seq_vs_sharded_prop;
     Alcotest.test_case "mq: create rejects queues outside 1..8" `Quick
       test_mq_create_rejects_queue_counts;
     Alcotest.test_case "mq: twin contexts equal a plain world" `Quick
