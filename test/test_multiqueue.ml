@@ -1,6 +1,9 @@
 (* Tests for the multi-queue simulation ({!Mq}): RSS hash determinism,
    the fixed doorbell word offsets (tx at 0, rx at 4), the rx-delivery
-   and grant-copy-byte quotas, [Mq.create]'s queue-count bounds, that a
+   and grant-copy-byte quotas, [Mq.create]'s queue-count bounds, that
+   each shard's code registry is its own (an image registered in one
+   shard never shows in another, and registered code is never
+   overwritten), that a
    context's queue index carries no state (every context equals a plain
    world), and the QCheck property that sequential and sharded
    execution produce identical merged ledgers. *)
@@ -184,6 +187,47 @@ let test_grant_copy_byte_quota () =
   check bool_c "small copy still admitted" true
     (Bytes.length (Grant_table.copy_from gt ~hyp r ~offset:0 ~len:16) = 16)
 
+(* ---- per-shard code registries ---- *)
+
+let registry_image v =
+  let open Td_misa in
+  let b = Builder.create (Printf.sprintf "img%d" v) in
+  Builder.label b "entry";
+  Builder.movl b (Builder.imm v) (Builder.reg Reg.EAX);
+  Builder.ret b;
+  Program.assemble ~base:Td_mem.Layout.vm_driver_code_base (Builder.finish b)
+
+(* Two (registry, interpreter) pairs, as two shards hold, each with its
+   own image at the same code address. *)
+let shard_running v =
+  let m = Harness.make_machine () in
+  let p = registry_image v in
+  Td_cpu.Code_registry.register m.Harness.registry p;
+  let interp = Harness.interp_of m (Harness.dom0_cpu m) in
+  (m, interp, Td_misa.Program.addr_of_label p "entry")
+
+let test_registries_independent_across_shards () =
+  let open Td_cpu in
+  let _m1, i1, e1 = shard_running 1 in
+  let _m2, i2, e2 = shard_running 2 in
+  check int_c "same code address in both shards" e1 e2;
+  check int_c "shard 1 runs its own image" 1 (Interp.call i1 ~entry:e1 ~args:[]);
+  check int_c "shard 2 runs its own image" 2 (Interp.call i2 ~entry:e2 ~args:[]);
+  check int_c "shard 1 unaffected by shard 2's run" 1
+    (Interp.call i1 ~entry:e1 ~args:[])
+
+let test_registered_code_never_overwritten () =
+  let open Td_cpu in
+  let m, interp, entry = shard_running 1 in
+  check int_c "boot image runs" 1 (Interp.call interp ~entry ~args:[]);
+  let overwrote =
+    match Code_registry.register m.Harness.registry (registry_image 2) with
+    | () -> true
+    | exception Invalid_argument _ -> false
+  in
+  check bool_c "overlapping image rejected" false overwrote;
+  check int_c "boot image still runs" 1 (Interp.call interp ~entry ~args:[])
+
 (* ---- Mq: sequential vs sharded bit-identity ---- *)
 
 let mq_run_digest ~shards ports =
@@ -348,6 +392,11 @@ let suite =
       test_doorbell_words_fixed_offsets;
     Alcotest.test_case "xen: grant-copy byte quota" `Quick
       test_grant_copy_byte_quota;
+    Alcotest.test_case "registry: shards hold independent images" `Quick
+      test_registries_independent_across_shards;
+    Alcotest.test_case "registry: registered code never overwritten" `Quick
+      test_registered_code_never_overwritten;
+    QCheck_alcotest.to_alcotest mq_seq_vs_sharded_prop;
     Alcotest.test_case "mq: create rejects queues outside 1..8" `Quick
       test_mq_create_rejects_queue_counts;
     Alcotest.test_case "mq: twin contexts equal a plain world" `Quick
