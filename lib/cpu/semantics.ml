@@ -23,24 +23,25 @@ let[@inline] frame_cost costs ~tlb_hit ~cache_hit =
   + (if tlb_hit then 0 else costs.Cost_model.tlb_miss)
   + if cache_hit then 0 else costs.Cost_model.cache_miss
 
-(* The cost model for one access to [addr], whose page resolved to [m]
-   (the stored option of [Addr_space.lookup]): base cost, TLB model, and
-   either the physical cache model or the MMIO surcharge. *)
-let[@inline] charge st addr m =
+(* The cost model for one access to [addr], whose page resolved to the
+   entry [e] ([Addr_space.lookup]): base cost, TLB model, and either the
+   physical cache model or the MMIO surcharge. *)
+let[@inline] charge st addr (e : Td_mem.Addr_space.entry) =
   let costs = st.State.costs in
   let tlb_hit = Tlb.access st.State.tlb (Td_mem.Layout.page_of addr) in
-  match m with
-  | Some (Td_mem.Addr_space.Frame frame) ->
-      let paddr =
-        (frame lsl Td_mem.Layout.page_shift) lor Td_mem.Layout.offset_of addr
-      in
-      let cache_hit = Cache.access st.State.cache paddr in
-      State.add_cycles st (frame_cost costs ~tlb_hit ~cache_hit)
-  | Some (Td_mem.Addr_space.Device _) | None ->
-      (* device page or unmapped (the access itself will fault if
-         unmapped); MMIO is an uncached PCI transaction *)
-      State.add_cycles st
-        (frame_cost costs ~tlb_hit ~cache_hit:true + costs.Cost_model.mmio)
+  let frame = (e :> int) in
+  if frame >= 0 then begin
+    let paddr =
+      (frame lsl Td_mem.Layout.page_shift) lor Td_mem.Layout.offset_of addr
+    in
+    let cache_hit = Cache.access st.State.cache paddr in
+    State.add_cycles st (frame_cost costs ~tlb_hit ~cache_hit)
+  end
+  else
+    (* device page or unmapped (the access itself will fault if
+       unmapped); MMIO is an uncached PCI transaction *)
+    State.add_cycles st
+      (frame_cost costs ~tlb_hit ~cache_hit:true + costs.Cost_model.mmio)
 
 let[@inline] lookup space addr =
   Td_mem.Addr_space.lookup space ~vpage:(Td_mem.Layout.page_of addr)

@@ -27,9 +27,9 @@ val frame_cost : Cost_model.t -> tlb_hit:bool -> cache_hit:bool -> int
     given the TLB's and the cache's verdicts on it. *)
 
 val charge :
-  State.t -> int -> Td_mem.Addr_space.mapping option -> unit
-(** [charge st addr m] charges the cycle cost of one memory access at
-    [addr], whose page resolved to [m] ({!Td_mem.Addr_space.lookup}):
+  State.t -> int -> Td_mem.Addr_space.entry -> unit
+(** [charge st addr e] charges the cycle cost of one memory access at
+    [addr], whose page resolved to [e] ({!Td_mem.Addr_space.lookup}):
     base cost, TLB model, then the physical cache model for a frame or
     the MMIO surcharge for a device or unmapped page. Mutates the TLB
     and cache; allocates nothing. *)

@@ -3,7 +3,9 @@
     The CPU executes within a current address space (the running domain's),
     with the hypervisor region optionally overlaid — Xen maps itself into
     the top of every guest address space, which is what lets the hypervisor
-    driver run "in any guest context" without switching page tables. *)
+    driver run "in any guest context" without switching page tables.
+    Every space a CPU reaches is over one {!Td_mem.Phys_mem.t}: its cache
+    is physically addressed, and a frame number names one frame. *)
 
 type t = {
   regs : int array;  (** eight GPRs, indexed by {!Td_misa.Reg.index} *)

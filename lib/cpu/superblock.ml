@@ -20,8 +20,8 @@
      possible fault) skips materialising them;
 
    - every memory operand has a translation memo that outlives the run:
-     while the page-table entry it cached is still in place and no frame
-     has been freed, an access skips the frame lookup, and TLB and cache
+     while its vpage still maps the frame it cached and no frame has
+     been freed, an access skips the frame lookup, and TLB and cache
      hit witnesses skip those models' lookups, while every access is
      still charged and counted exactly;
 
@@ -179,23 +179,21 @@ let elide_flags ents s =
 module A = Td_mem.Addr_space
 module P = Td_mem.Phys_mem
 
-(* A page-table entry that no table ever holds: [Addr_space] stores a
-   freshly allocated [Some] for every map, so a slot that has never
-   translated anything matches no lookup. *)
-let never : A.mapping option = Some (A.Frame 0)
-
-(* One memo per memory operand (a "site"). It holds the page-table entry
-   the site last translated, physically: the entry it caches is the very
-   [Some] box [Addr_space.lookup] returned. Every map stores a fresh box
-   and nothing ever stores one again once it is unmapped or released, so
-   while [lookup] still returns this box the page is mapped, in this
-   space, to this frame, exactly as when the slot was filled. The frame
-   itself may have been freed (and reused) behind a stale mapping in the
-   meantime; [Phys_mem.free_epoch] moves on every free, so a slot whose
-   [s_free] still reads the current epoch holds the frame's own live
-   buffer. While both checks hold, the site skips the frame lookup and
-   reuses [s_bytes]; nothing else invalidates it, so a slot outlives runs
-   of its superblock, device accesses and TLB flushes alike.
+(* One memo per memory operand (a "site"). It holds the translation the
+   site last made from a frame-backed page: the vpage, and the physical
+   base address of the frame [Addr_space.lookup] returned for it. A
+   lookup that returns the same frame for the same vpage again is a hit,
+   whichever space it walked and whatever mappings came and went in
+   between: every space a CPU reaches is over one [Phys_mem], the
+   access reads and writes the frame's buffer, and [Semantics.charge]
+   depends only on the vpage (the TLB) and the physical address (the
+   cache). The frame itself may have been freed (and reused) behind a
+   stale mapping in the meantime; [Phys_mem.free_epoch] moves on every
+   free, so a slot whose [s_free] still reads the current epoch holds
+   the frame's own live buffer. While both checks hold, the site skips
+   the frame lookup and reuses [s_bytes]; nothing else invalidates it,
+   so a slot outlives runs of its superblock, device accesses and TLB
+   flushes alike. A fresh slot's [s_free] of -1 matches no epoch.
 
    The witnesses are the TLB's and the cache's change counters, and the
    physical address, recorded right after the slot's last access. On a
@@ -203,7 +201,7 @@ let never : A.mapping option = Some (A.Frame 0)
    {!Cache.access_since} may count their hits without looking while
    nothing has been evicted since. *)
 type slot = {
-  mutable s_map : A.mapping option;
+  mutable s_vpage : int;  (* the vpage translated *)
   mutable s_bytes : Bytes.t;  (* the frame's own buffer ([Phys_mem.page]) *)
   mutable s_frame : int;  (* the frame's physical base address *)
   mutable s_free : int;  (* [Phys_mem.free_epoch] when [s_bytes] was taken *)
@@ -214,7 +212,7 @@ type slot = {
 
 let new_slot () =
   {
-    s_map = never;
+    s_vpage = -1;
     s_bytes = Bytes.empty;
     s_frame = 0;
     s_free = -1;
@@ -228,8 +226,12 @@ type ctx = {
   c_walks : int ref;  (* memo misses: a page-table walk and a refill *)
 }
 
-let[@inline] memo_hit slot space m =
-  m == slot.s_map && slot.s_free = P.free_epoch (A.phys space)
+(* A device or unmapped entry is negative, so it never matches
+   [s_frame]. *)
+let[@inline] memo_hit slot space vpage (e : A.entry) =
+  vpage = slot.s_vpage
+  && (e :> int) lsl pshift = slot.s_frame
+  && slot.s_free = P.free_epoch (A.phys space)
 
 (* Record the witnesses an access at [paddr] just left. *)
 let[@inline] witness slot st paddr =
@@ -253,43 +255,44 @@ let[@inline] charge_hit slot st addr =
     (Semantics.frame_cost st.State.costs ~tlb_hit ~cache_hit)
 
 (* Refill after [Semantics.charge] has charged an access at [addr] whose
-   page [m] maps frame [f]: take the frame's own writable buffer (never
+   [vpage] maps frame [f]: take the frame's own writable buffer (never
    the shared zero page a never-written frame reads through, since the
    memo serves stores too), which raises [Bad_frame] for a freed frame
    exactly where the reference's access would, and record the witnesses
-   the charge just left. The pointer fields are written only when they
-   change, which spares the write barrier. *)
-let refill slot st space m addr f =
+   the charge just left. The buffer is written only when it changes,
+   which spares the write barrier. *)
+let refill slot st space vpage addr f =
   let b = P.page (A.phys space) f in
-  if slot.s_map != m then slot.s_map <- m;
+  slot.s_vpage <- vpage;
   if slot.s_bytes != b then slot.s_bytes <- b;
   slot.s_frame <- f lsl pshift;
   slot.s_free <- P.free_epoch (A.phys space);
   witness slot st (slot.s_frame lor (addr land pmask))
 
 (* The memo paths below serve an access that stays within its page; a
-   page-straddling one takes the [Semantics] path, which splits it. *)
+   page-straddling one takes the [Semantics] path, which splits it. A
+   miss on a device or an unmapped page leaves the slot as it was. *)
 
 let memo_load ctx slot st addr =
   let off = addr land pmask in
   if off > pmax32 then Semantics.load st addr Width.W32
   else
     let space = State.space_for st addr in
-    let m = A.lookup space ~vpage:(addr lsr pshift) in
-    if memo_hit slot space m then begin
+    let vpage = addr lsr pshift in
+    let e = A.lookup space ~vpage in
+    if memo_hit slot space vpage e then begin
       incr ctx.c_hits;
       charge_hit slot st addr;
       Int32.to_int (Bytes.get_int32_le slot.s_bytes off) land 0xFFFFFFFF
     end
     else begin
       incr ctx.c_walks;
-      Semantics.charge st addr m;
-      match m with
-      | Some (A.Frame f) ->
-          refill slot st space m addr f;
-          Int32.to_int (Bytes.get_int32_le slot.s_bytes off) land 0xFFFFFFFF
-      | Some (A.Device d) -> d.A.dev_read off Width.W32
-      | None -> A.page_fault space addr
+      Semantics.charge st addr e;
+      if (e :> int) >= 0 then begin
+        refill slot st space vpage addr (e :> int);
+        Int32.to_int (Bytes.get_int32_le slot.s_bytes off) land 0xFFFFFFFF
+      end
+      else A.read_mapped space e addr Width.W32
     end
 
 let memo_store ctx slot st addr v =
@@ -297,21 +300,21 @@ let memo_store ctx slot st addr v =
   if off > pmax32 then Semantics.store st addr Width.W32 v
   else
     let space = State.space_for st addr in
-    let m = A.lookup space ~vpage:(addr lsr pshift) in
-    if memo_hit slot space m then begin
+    let vpage = addr lsr pshift in
+    let e = A.lookup space ~vpage in
+    if memo_hit slot space vpage e then begin
       incr ctx.c_hits;
       charge_hit slot st addr;
       Bytes.set_int32_le slot.s_bytes off (Int32.of_int v)
     end
     else begin
       incr ctx.c_walks;
-      Semantics.charge st addr m;
-      match m with
-      | Some (A.Frame f) ->
-          refill slot st space m addr f;
-          Bytes.set_int32_le slot.s_bytes off (Int32.of_int v)
-      | Some (A.Device d) -> d.A.dev_write off Width.W32 v
-      | None -> A.page_fault space addr
+      Semantics.charge st addr e;
+      if (e :> int) >= 0 then begin
+        refill slot st space vpage addr (e :> int);
+        Bytes.set_int32_le slot.s_bytes off (Int32.of_int v)
+      end
+      else A.write_mapped space e addr Width.W32 v
     end
 
 (* [Semantics.push]/[pop] through a memo, at the unmasked [ESP - 4] or

@@ -3,8 +3,6 @@ type device = {
   dev_write : int -> Td_misa.Width.t -> int -> unit;
 }
 
-type mapping = Frame of Phys_mem.frame | Device of device
-
 exception Page_fault of { space : string; addr : int }
 exception Heap_exhausted of { space : string; requested : int }
 
@@ -18,21 +16,34 @@ let () =
 
 (* An x86-style two-level page table over the 32-bit space: the top ten
    bits of a vpage pick a directory slot, the low ten an entry in that
-   slot's leaf. Entries hold the very [mapping option] that [lookup]
-   returns, so a walk is two array loads and allocates nothing. *)
+   slot's leaf. An entry is an unboxed int: a frame number ([>= 0]),
+   [unmapped], or a device: [-2 - i] for slot [i] of the space's device
+   table. So a walk is two array loads, and a map stores an int: it
+   allocates nothing and needs no write barrier. *)
+type entry = int
+
+let unmapped = -1
 let leaf_bits = 10
 let leaf_size = 1 lsl leaf_bits
 let leaf_mask = leaf_size - 1
 let vpages = Layout.addr_limit lsr Layout.page_shift
 
 (* Stands in for every leaf not yet allocated; never written. *)
-let empty_leaf : mapping option array = Array.make leaf_size None
+let empty_leaf : entry array = Array.make leaf_size unmapped
 
 type t = {
   name : string;
   phys : Phys_mem.t;
-  dir : mapping option array array;
+  dir : entry array array;
   mutable mapped : int;
+  (* The device table: slot [i] holds the device of entry [-2 - i] while
+     that entry is mapped. Slots [0 .. dev_used - 1] have been handed
+     out; [dev_free.(0 .. dev_nfree - 1)] is the stack of those an unmap
+     or a remap gave back, reused first. *)
+  mutable devs : device array;
+  mutable dev_used : int;
+  mutable dev_free : int array;
+  mutable dev_nfree : int;
   mutable heap_next : int;
   mutable heap_limit : int;
 }
@@ -43,6 +54,10 @@ let create ~name phys =
     phys;
     dir = Array.make (vpages lsr leaf_bits) empty_leaf;
     mapped = 0;
+    devs = [||];
+    dev_used = 0;
+    dev_free = [||];
+    dev_nfree = 0;
     heap_next = 0;
     heap_limit = 0;
   }
@@ -53,40 +68,90 @@ let phys t = t.phys
 let in_range vpage = vpage >= 0 && vpage < vpages
 
 let[@inline] lookup t ~vpage =
-  if not (in_range vpage) then None
+  if not (in_range vpage) then unmapped
   else
     Array.unsafe_get
       (Array.unsafe_get t.dir (vpage lsr leaf_bits))
       (vpage land leaf_mask)
 
+let[@inline] device t e = Array.unsafe_get t.devs (-2 - e)
+
+(* A slot for [dev]: the most recently freed one, else a fresh one. The
+   table doubles when full; the new cells start as [dev] (any device
+   would do: a slot is read only while its entry is mapped). *)
+let add_device t dev =
+  let i =
+    if t.dev_nfree > 0 then begin
+      t.dev_nfree <- t.dev_nfree - 1;
+      t.dev_free.(t.dev_nfree)
+    end
+    else begin
+      let i = t.dev_used in
+      if i = Array.length t.devs then begin
+        let cap = Int.max 4 (2 * i) in
+        let devs = Array.make cap dev in
+        Array.blit t.devs 0 devs 0 i;
+        t.devs <- devs;
+        t.dev_free <- Array.make cap 0
+      end;
+      t.dev_used <- i + 1;
+      i
+    end
+  in
+  t.devs.(i) <- dev;
+  -2 - i
+
+(* The free stack is as long as the table, so it never overflows. *)
+let free_device t e =
+  t.dev_free.(t.dev_nfree) <- -2 - e;
+  t.dev_nfree <- t.dev_nfree + 1
+
+let device_slots t = t.dev_used
+
 let check_vpage vpage =
   if not (in_range vpage) then
     invalid_arg (Printf.sprintf "Addr_space.map: vpage %#x out of range" vpage)
 
-let set t ~vpage m =
-  check_vpage vpage;
+(* Store [e] at [vpage] (in range), giving back the device slot of the
+   entry it replaces. *)
+let set t ~vpage e =
   let d = vpage lsr leaf_bits in
-  if t.dir.(d) == empty_leaf then t.dir.(d) <- Array.make leaf_size None;
+  if t.dir.(d) == empty_leaf then t.dir.(d) <- Array.make leaf_size unmapped;
   let leaf = t.dir.(d) in
   let i = vpage land leaf_mask in
-  if Option.is_none leaf.(i) then t.mapped <- t.mapped + 1;
-  leaf.(i) <- Some m
+  let old = leaf.(i) in
+  if old = unmapped then t.mapped <- t.mapped + 1
+  else if old < unmapped then free_device t old;
+  leaf.(i) <- e
 
-let map t ~vpage frame = set t ~vpage (Frame frame)
-let map_device t ~vpage dev = set t ~vpage (Device dev)
+let map t ~vpage frame =
+  check_vpage vpage;
+  if frame < 0 then
+    invalid_arg (Printf.sprintf "Addr_space.map: frame %d is negative" frame);
+  set t ~vpage frame
+
+let map_device t ~vpage dev =
+  check_vpage vpage;
+  set t ~vpage (add_device t dev)
 
 let unmap t ~vpage =
-  if Option.is_some (lookup t ~vpage) then begin
-    t.dir.(vpage lsr leaf_bits).(vpage land leaf_mask) <- None;
+  let e = lookup t ~vpage in
+  if e <> unmapped then begin
+    if e < unmapped then free_device t e;
+    t.dir.(vpage lsr leaf_bits).(vpage land leaf_mask) <- unmapped;
     t.mapped <- t.mapped - 1
   end
 
-let is_mapped t ~vpage = Option.is_some (lookup t ~vpage)
+let map_entry t ~vpage ~from e =
+  if e >= 0 then map t ~vpage e
+  else if e = unmapped then unmap t ~vpage
+  else map_device t ~vpage (device from e)
+
+let is_mapped t ~vpage = lookup t ~vpage <> unmapped
 
 let frame_of_vpage t ~vpage =
-  match lookup t ~vpage with
-  | Some (Frame f) -> Some f
-  | Some (Device _) | None -> None
+  let e = lookup t ~vpage in
+  if e >= 0 then Some e else None
 
 let mapped_pages t = t.mapped
 
@@ -104,24 +169,22 @@ let alloc_region t ~vaddr ~pages =
 
 let page_fault t addr = raise (Page_fault { space = t.name; addr })
 
-let mapping_of t addr =
-  match lookup t ~vpage:(Layout.page_of addr) with
-  | Some m -> m
-  | None -> page_fault t addr
+(* The entry of [addr]'s page; faults when it is unmapped. *)
+let entry_of t addr =
+  let e = lookup t ~vpage:(Layout.page_of addr) in
+  if e = unmapped then page_fault t addr else e
 
-(* The one rule for a single-page access through a resolved mapping: a
+(* The one rule for a single-page access through a resolved entry: a
    frame goes to [Phys_mem], a device to its hook, no mapping faults. *)
-let[@inline] read_mapped t m addr w =
-  match m with
-  | Some (Frame f) -> Phys_mem.read t.phys f (Layout.offset_of addr) w
-  | Some (Device d) -> d.dev_read (Layout.offset_of addr) w
-  | None -> page_fault t addr
+let[@inline] read_mapped t e addr w =
+  if e >= 0 then Phys_mem.read t.phys e (Layout.offset_of addr) w
+  else if e = unmapped then page_fault t addr
+  else (device t e).dev_read (Layout.offset_of addr) w
 
-let[@inline] write_mapped t m addr w v =
-  match m with
-  | Some (Frame f) -> Phys_mem.write t.phys f (Layout.offset_of addr) w v
-  | Some (Device d) -> d.dev_write (Layout.offset_of addr) w v
-  | None -> page_fault t addr
+let[@inline] write_mapped t e addr w v =
+  if e >= 0 then Phys_mem.write t.phys e (Layout.offset_of addr) w v
+  else if e = unmapped then page_fault t addr
+  else (device t e).dev_write (Layout.offset_of addr) w v
 
 (* Single-page access (never straddles). *)
 let[@inline] read_within t addr w =
@@ -149,9 +212,8 @@ let[@inline] read t addr w =
 
 (* Raise whatever fault an access to [addr] would, without accessing. *)
 let resolve t addr =
-  match mapping_of t addr with
-  | Frame f -> ignore (Phys_mem.page_ro t.phys f)
-  | Device _ -> ()
+  let e = entry_of t addr in
+  if e >= 0 then ignore (Phys_mem.page_ro t.phys e)
 
 let[@inline never] write_split t addr w v =
   (* Resolve both pages before touching either, so a fault on the
@@ -181,14 +243,16 @@ let read_into t addr dst ~pos:dst_pos ~len =
     let a = addr + !pos in
     let off = Layout.offset_of a in
     let chunk = Int.min (len - !pos) (Layout.page_size - off) in
-    (match mapping_of t a with
-    | Frame f ->
-        Bytes.blit (Phys_mem.page_ro t.phys f) off dst (dst_pos + !pos) chunk
-    | Device d ->
-        for i = 0 to chunk - 1 do
-          Bytes.set dst (dst_pos + !pos + i)
-            (Char.chr (d.dev_read (off + i) Td_misa.Width.W8))
-        done);
+    let e = entry_of t a in
+    if e >= 0 then
+      Bytes.blit (Phys_mem.page_ro t.phys e) off dst (dst_pos + !pos) chunk
+    else begin
+      let d = device t e in
+      for i = 0 to chunk - 1 do
+        Bytes.set dst (dst_pos + !pos + i)
+          (Char.chr (d.dev_read (off + i) Td_misa.Width.W8))
+      done
+    end;
     pos := !pos + chunk
   done
 
@@ -205,15 +269,16 @@ let write_string t addr src ~off:src_off ~len =
     let a = addr + !pos in
     let off = Layout.offset_of a in
     let chunk = Int.min (len - !pos) (Layout.page_size - off) in
-    (match mapping_of t a with
-    | Frame f ->
-        Bytes.blit_string src (src_off + !pos) (Phys_mem.page t.phys f) off
-          chunk
-    | Device d ->
-        for i = 0 to chunk - 1 do
-          d.dev_write (off + i) Td_misa.Width.W8
-            (Char.code src.[src_off + !pos + i])
-        done);
+    let e = entry_of t a in
+    if e >= 0 then
+      Bytes.blit_string src (src_off + !pos) (Phys_mem.page t.phys e) off chunk
+    else begin
+      let d = device t e in
+      for i = 0 to chunk - 1 do
+        d.dev_write (off + i) Td_misa.Width.W8
+          (Char.code src.[src_off + !pos + i])
+      done
+    end;
     pos := !pos + chunk
   done
 
@@ -228,12 +293,14 @@ let fill t addr len c =
     let a = addr + !pos in
     let off = Layout.offset_of a in
     let chunk = Int.min (len - !pos) (Layout.page_size - off) in
-    (match mapping_of t a with
-    | Frame f -> Phys_mem.fill t.phys f off chunk c
-    | Device d ->
-        for i = 0 to chunk - 1 do
-          d.dev_write (off + i) Td_misa.Width.W8 (Char.code c)
-        done);
+    let e = entry_of t a in
+    if e >= 0 then Phys_mem.fill t.phys e off chunk c
+    else begin
+      let d = device t e in
+      for i = 0 to chunk - 1 do
+        d.dev_write (off + i) Td_misa.Width.W8 (Char.code c)
+      done
+    end;
     pos := !pos + chunk
   done
 
@@ -254,15 +321,15 @@ let copy t ~src ~dst ~len =
     let s = src + !pos and d = dst + !pos in
     let soff = Layout.offset_of s and doff = Layout.offset_of d in
     let chunk = Int.min (len - !pos) (Layout.page_size - Int.max soff doff) in
-    (match (mapping_of t s, mapping_of t d) with
-    | Frame fs, Frame fd ->
-        Bytes.blit (Phys_mem.page_ro t.phys fs) soff (Phys_mem.page t.phys fd)
-          doff chunk
-    | _ ->
-        for i = 0 to chunk - 1 do
-          write_within t (d + i) Td_misa.Width.W8
-            (read_within t (s + i) Td_misa.Width.W8)
-        done);
+    let es = entry_of t s and ed = entry_of t d in
+    if es >= 0 && ed >= 0 then
+      Bytes.blit (Phys_mem.page_ro t.phys es) soff (Phys_mem.page t.phys ed)
+        doff chunk
+    else
+      for i = 0 to chunk - 1 do
+        write_within t (d + i) Td_misa.Width.W8
+          (read_within t (s + i) Td_misa.Width.W8)
+      done;
     pos := !pos + chunk
   done
 
@@ -273,10 +340,7 @@ let iter_frames t f =
     (fun d leaf ->
       if leaf != empty_leaf then
         Array.iteri
-          (fun i m ->
-            match m with
-            | Some (Frame fr) -> f ~vpage:((d lsl leaf_bits) lor i) fr
-            | Some (Device _) | None -> ())
+          (fun i e -> if e >= 0 then f ~vpage:((d lsl leaf_bits) lor i) e)
           leaf)
     t.dir
 
@@ -284,6 +348,10 @@ let release t =
   iter_frames t (fun ~vpage:_ fr -> Phys_mem.free_frame t.phys fr);
   Array.fill t.dir 0 (Array.length t.dir) empty_leaf;
   t.mapped <- 0;
+  t.devs <- [||];
+  t.dev_used <- 0;
+  t.dev_free <- [||];
+  t.dev_nfree <- 0;
   t.heap_next <- 0;
   t.heap_limit <- 0
 

@@ -6,10 +6,15 @@
     for exactly this reason) — straddling accesses are split here.
 
     Representation: an x86-style two-level page table over the 32-bit
-    space. A 1024-slot directory points to 1024-entry leaves, a leaf is
-    allocated on the first {!map} into its 4 MiB, and each entry holds
-    the [mapping option] that {!lookup} returns — so a translation is two
-    array loads and allocates nothing. A vpage outside
+    space. A 1024-slot directory points to 1024-entry leaves, and a leaf
+    is allocated on the first {!map} into its 4 MiB. Each entry is an
+    unboxed int, the {!entry} that {!lookup} returns: a frame number, or
+    unmapped, or a slot of the space's own device table. So a
+    translation is two array loads, and {!map} stores an int: neither
+    allocates. A device slot is given back by {!unmap}, by a remap over
+    the device and by {!release}, and reused first, so the table stays
+    as large as the most device pages mapped at once (see
+    {!device_slots}). A vpage outside
     [0 .. Layout.addr_limit / page_size - 1] (a negative address, or one
     at or above 2{^32}) always reads as unmapped. *)
 
@@ -19,7 +24,11 @@ type device = {
   dev_write : int -> Td_misa.Width.t -> int -> unit;
 }
 
-type mapping = Frame of Phys_mem.frame | Device of device
+type entry = private int
+(** A page-table entry, meaningful in the space that returned it: a
+    frame number ([>= 0]) for a frame, [-1] for an unmapped page, and a
+    lower value for a device page (a slot of the space's device table).
+    Two lookups that return equal frame entries map the same frame. *)
 
 exception Page_fault of { space : string; addr : int }
 
@@ -35,20 +44,34 @@ val name : t -> string
 val phys : t -> Phys_mem.t
 
 val map : t -> vpage:int -> Phys_mem.frame -> unit
-(** Map (or remap) [vpage]. Precondition: [0 <= vpage < 2{^20}]; raises
-    [Invalid_argument] otherwise. *)
+(** Map (or remap) [vpage]. Precondition: [0 <= vpage < 2{^20}] and a
+    frame [>= 0]; raises [Invalid_argument] otherwise. *)
 
 val map_device : t -> vpage:int -> device -> unit
-(** As {!map}, same precondition. *)
+(** As {!map}, same precondition on [vpage]. *)
+
+val map_entry : t -> vpage:int -> from:t -> entry -> unit
+(** [map_entry t ~vpage ~from e] maps [vpage] of [t] as [e], an entry
+    {!lookup} returned in [from]: to the same frame, or to the same
+    device (in a slot of [t]'s own table); an unmapped [e] unmaps.
+    Same precondition as {!map}. *)
 
 val unmap : t -> vpage:int -> unit
-val lookup : t -> vpage:int -> mapping option
+
+val lookup : t -> vpage:int -> entry
+(** Two array loads; allocates nothing. *)
+
 val is_mapped : t -> vpage:int -> bool
 val frame_of_vpage : t -> vpage:int -> Phys_mem.frame option
 (** [None] for unmapped or device pages. *)
 
 val mapped_pages : t -> int
 (** Frame and device pages currently mapped (a counter, O(1)). *)
+
+val device_slots : t -> int
+(** Slots of the device table handed out so far, mapped or given back
+    for reuse: at most the most device pages mapped at once, plus one
+    for a remap of a device page to a device. {!release} empties it. *)
 
 val alloc_page : t -> vpage:int -> Phys_mem.frame
 (** Allocate a fresh frame and map it at [vpage] (same precondition as
@@ -57,18 +80,15 @@ val alloc_page : t -> vpage:int -> Phys_mem.frame
 val alloc_region : t -> vaddr:int -> pages:int -> unit
 (** Back [pages] consecutive pages starting at [vaddr] with fresh frames. *)
 
-val page_fault : t -> int -> 'a
-(** [page_fault t addr] raises {!Page_fault} for [addr] in [t]. *)
-
-val read_mapped : t -> mapping option -> int -> Td_misa.Width.t -> int
-(** [read_mapped t m addr w] reads an access that stays within one page,
-    through [m], the {!lookup} of [addr]'s page: a frame is read from
-    physical memory, a device through its hook, and [None] raises
-    {!Page_fault}. Lets a caller that already walked the table for its
+val read_mapped : t -> entry -> int -> Td_misa.Width.t -> int
+(** [read_mapped t e addr w] reads an access that stays within one page,
+    through [e], the {!lookup} of [addr]'s page in [t]: a frame is read
+    from physical memory, a device through its hook, and an unmapped
+    page raises {!Page_fault}. Lets a caller that already walked the table for its
     own purposes (the CPU's cost model) access memory without a second
     walk. The caller must not pass a page-straddling access. *)
 
-val write_mapped : t -> mapping option -> int -> Td_misa.Width.t -> int -> unit
+val write_mapped : t -> entry -> int -> Td_misa.Width.t -> int -> unit
 (** As {!read_mapped}, for a write. *)
 
 val straddles : int -> Td_misa.Width.t -> bool

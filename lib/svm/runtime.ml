@@ -149,12 +149,12 @@ let fault t addr reason =
   end;
   raise (Fault { addr; reason })
 
-let dom0_mapping t page_base =
-  Td_mem.Addr_space.lookup t.dom0 ~vpage:(Td_mem.Layout.page_of page_base)
+let dom0_mapped t page_base =
+  Td_mem.Addr_space.is_mapped t.dom0 ~vpage:(Td_mem.Layout.page_of page_base)
 
 let valid_dom0_page t addr =
   Td_mem.Layout.in_dom0_range addr
-  && Option.is_some (dom0_mapping t (Td_mem.Layout.page_base addr))
+  && dom0_mapped t (Td_mem.Layout.page_base addr)
 
 let mapped_base idx =
   Td_mem.Layout.map_window_base + (2 * idx * Td_mem.Layout.page_size)
@@ -255,6 +255,13 @@ let poison_device t succ_page =
         fault t (succ_page + offset) "straddling access beyond dom0 range");
   }
 
+(* Map window [vpage] as dom0 maps [page]: dom0's entry is copied, so
+   the window maps the same frame, or the same MMIO page (the NIC
+   register window is mapped through too). *)
+let map_dom0_page t ~vpage page =
+  Td_mem.Addr_space.map_entry t.target ~vpage ~from:t.dom0
+    (Td_mem.Addr_space.lookup t.dom0 ~vpage:(Td_mem.Layout.page_of page))
+
 (* Allocate window pages mapping dom0 [page] (and its successor, because
    unaligned accesses may straddle a page boundary). *)
 let map_pair t page =
@@ -266,21 +273,14 @@ let map_pair t page =
   let idx = take_slot t in
   let mapped = mapped_base idx in
   let vpage = Td_mem.Layout.page_of mapped in
-  let install vp = function
-    | Td_mem.Addr_space.Frame f -> Td_mem.Addr_space.map t.target ~vpage:vp f
-    | Td_mem.Addr_space.Device d ->
-        (* MMIO pages (the NIC register window) are mapped through too *)
-        Td_mem.Addr_space.map_device t.target ~vpage:vp d
-  in
-  (match dom0_mapping t page with
-  | Some m -> install vpage m
-  | None -> assert false);
+  assert (dom0_mapped t page);
+  map_dom0_page t ~vpage page;
   let succ_page = page + Td_mem.Layout.page_size in
-  (match if t.map_pairs then dom0_mapping t succ_page else None with
-  | Some m -> install (vpage + 1) m
-  | None ->
-      Td_mem.Addr_space.map_device t.target ~vpage:(vpage + 1)
-        (poison_device t succ_page));
+  if t.map_pairs && dom0_mapped t succ_page then
+    map_dom0_page t ~vpage:(vpage + 1) succ_page
+  else
+    Td_mem.Addr_space.map_device t.target ~vpage:(vpage + 1)
+      (poison_device t succ_page);
   t.slot_page.(idx) <- page;
   t.refbit.(idx) <- true;
   t.pinned.(idx) <- false;

@@ -462,11 +462,14 @@ let test_engine_modes_identical_results () =
 
 (* Every memory operand of a compiled superblock has its own translation
    memo, and it outlives the run: the first compiled run walks the page
-   table once per site, a second run walks nothing, and a remap between
-   runs costs exactly one walk at the one site on the remapped page. The
+   table once per site, a second run walks nothing, a remap to the same
+   frame between runs walks nothing either (the memo holds the vpage and
+   the frame, not the entry's identity), and a remap to another frame
+   costs exactly one walk at the one site on the remapped page. The
    results, cycles and steps stay the block engine's. Four sites touch a
    buffer page (through a base register, or through absolute operands),
-   the fifth a second page, which is remapped to its own frame. *)
+   the fifth a second page, which is remapped to its own frame and then
+   to a fresh (zero) frame. *)
 let test_compiled_stlb_elision () =
   let run_mode ~abs threshold =
     let m = Harness.make_machine () in
@@ -506,7 +509,10 @@ let test_compiled_stlb_elision () =
     (match Td_mem.Addr_space.frame_of_vpage m.Harness.dom0 ~vpage with
     | Some f -> Td_mem.Addr_space.map m.Harness.dom0 ~vpage f
     | None -> assert false);
-    warm @ [ call () ]
+    let same = call () in
+    Td_mem.Addr_space.map m.Harness.dom0 ~vpage
+      (Td_mem.Phys_mem.alloc_frame (Td_mem.Addr_space.phys m.Harness.dom0));
+    warm @ [ same; call () ]
   in
   List.iter
     (fun abs ->
@@ -524,7 +530,7 @@ let test_compiled_stlb_elision () =
       check
         (Alcotest.list (Alcotest.pair int_c int_c))
         (what ^ "walks and elisions per call")
-        [ (0, 0); (0, 0); (5, 0); (0, 5); (1, 4) ]
+        [ (0, 0); (0, 0); (5, 0); (0, 5); (0, 5); (1, 4) ]
         (memo compiled);
       check bool_c (what ^ "block engine neither walks nor elides") true
         (List.for_all (fun we -> we = (0, 0)) (memo block)))

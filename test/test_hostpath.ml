@@ -837,34 +837,30 @@ let recovery () =
   words /. float_of_int (World.recoveries w - recoveries)
 
 (* What is left per frame, and why it stays:
-   - twin transmit: nothing.
-   - domU transmit: the grant map's fresh [Some (Frame f)] (4 words),
-     which the translation memos key on by physical identity
-     (docs/INTERPRETER.md).
+   - twin transmit and domU transmit: nothing. A grant map stores an
+     unboxed page-table entry (docs/INTERPRETER.md).
    - domU receive: the payload string the consumer pops (10 words for
      64 B) and [World.rx_pop]'s [Some] (2): the consumer keeps both.
-   - an Mq.run chunk: domU transmit, plus 46 words per run for
-     [Mq.run]'s job array and closures and [Shard.run]'s result array
-     and dispatch (0.09 words/frame over 512 frames). The suite's
-     mq-sharded-tx reads 0.41 over domU transmit because its warm-up is
-     16 frames and no tick: the pump's and the watchdog's superblocks
-     are compiled inside its measured chunks.
-   - the fleet round: its transmit frames as above (6 a round, 4 words
-     each) and its receive frames, a 128 B payload and its [Some] (4 a
-     round, 20 words each): 10.4 words/frame. Its quota's bucket draws
-     allocate nothing.
+   - an Mq.run chunk: 46 words per run for [Mq.run]'s job array and
+     closures and [Shard.run]'s result array and dispatch (0.09
+     words/frame over 512 frames). The suite's mq-sharded-tx reads 0.41
+     because its warm-up is 16 frames and no tick: the pump's and the
+     watchdog's superblocks are compiled inside its measured chunks.
+   - the fleet round: its receive frames, a 128 B payload and its
+     [Some] (4 a round, 20 words each): 8.0 words/frame. Its transmit
+     frames and its quota's bucket draws allocate nothing.
    - a recovery: re-pinning the sk_buff pool into the hypervisor and
      rebuilding the five ports (teardown, device reset, driver init);
-     40,481 words.
+     20,383 words.
    Twin transmit keeps one word of slack, the fleet round 0.1; the
    others are exact. *)
 let test_allocation_budgets () =
   check_budget "twin transmit" ~budget:1. (twin_tx ());
-  check_budget "domU transmit" ~budget:4. (domu_tx ());
+  check_budget "domU transmit" ~budget:0. (domu_tx ());
   check_budget "domU receive" ~budget:12. (domu_rx ());
-  check_budget "Mq.run chunk" ~budget:4.09 (mq_chunk ());
-  check_budget "fleet round" ~budget:10.5 (fleet_round ());
-  check_budget "restart soak" ~per:"recovery" ~budget:40481. (recovery ())
+  check_budget "Mq.run chunk" ~budget:0.09 (mq_chunk ());
+  check_budget "fleet round" ~budget:8.1 (fleet_round ());
+  check_budget "restart soak" ~per:"recovery" ~budget:20383. (recovery ())
 
 let suite =
   [

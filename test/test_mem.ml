@@ -128,6 +128,60 @@ let test_device_pages () =
   Addr_space.write s 0x30000010 Width.W32 99;
   check bool_c "device write seen" true (!last_write = (16, 99))
 
+(* Device pages live in a per-space table whose slots unmap, remap and
+   release give back: cycling devices through one vpage never grows it,
+   and [mapped_pages] counts pages, not slots. *)
+let test_device_table () =
+  let phys = Phys_mem.create () in
+  let s = Addr_space.create ~name:"s" phys in
+  let dev k =
+    { Addr_space.dev_read = (fun off _ -> off + k); dev_write = (fun _ _ _ -> ()) }
+  in
+  let d0 = dev 0 and d1 = dev 1 in
+  let pick i = if i land 1 = 0 then d0 else d1 in
+  let exact = ref true in
+  let expect_mapped n = exact := !exact && Addr_space.mapped_pages s = n in
+  for i = 1 to 10_000 do
+    Addr_space.map_device s ~vpage:0x30000 (pick i);
+    expect_mapped 1;
+    Addr_space.unmap s ~vpage:0x30000;
+    expect_mapped 0
+  done;
+  check int_c "10k map/unmap cycles use one slot" 1
+    (Addr_space.device_slots s);
+  Addr_space.map_device s ~vpage:0x30000 d0;
+  for i = 1 to 10_000 do
+    Addr_space.map_device s ~vpage:0x30000 (pick i);
+    expect_mapped 1
+  done;
+  check int_c "10k remaps over a device use two slots" 2
+    (Addr_space.device_slots s);
+  check int_c "the last device serves" 8 (Addr_space.read s 0x30000008 Width.W8);
+  let f = Phys_mem.alloc_frame phys in
+  Addr_space.map s ~vpage:0x30000 f;
+  expect_mapped 1;
+  check bool_c "a frame replaces the device" true
+    (Addr_space.frame_of_vpage s ~vpage:0x30000 = Some f);
+  Addr_space.map_device s ~vpage:0x30001 d1;
+  Addr_space.map_device s ~vpage:0x30002 d0;
+  expect_mapped 3;
+  check int_c "the frame freed the device's slot" 2 (Addr_space.device_slots s);
+  (* another space copies the device into its own table *)
+  let t = Addr_space.create ~name:"t" phys in
+  Addr_space.map_entry t ~vpage:0x40000 ~from:s
+    (Addr_space.lookup s ~vpage:0x30001);
+  Addr_space.release s;
+  check int_c "release empties the table" 0 (Addr_space.device_slots s);
+  expect_mapped 0;
+  check int_c "the copy outlives the source" 9
+    (Addr_space.read t 0x40000008 Width.W8);
+  Addr_space.map_device s ~vpage:0x30000 d1;
+  expect_mapped 1;
+  check int_c "a released space maps devices again" 1
+    (Addr_space.device_slots s);
+  check int_c "through its first slot" 5 (Addr_space.read s 0x30000004 Width.W8);
+  check bool_c "mapped_pages exact throughout" true !exact
+
 let test_heap_alloc_distinct () =
   let s = space () in
   let a = Addr_space.heap_alloc s 10 in
@@ -184,6 +238,10 @@ let test_addresses_outside_32_bits () =
         | exception Invalid_argument _ -> true
         | () -> false))
     [ -1; Layout.addr_limit lsr Layout.page_shift ];
+  check bool_c "negative frame rejected" true
+    (match Addr_space.map s ~vpage:1 (-2) with
+    | exception Invalid_argument _ -> true
+    | () -> false);
   check int_c "rejected maps leave no trace" 2 (Addr_space.mapped_pages s);
   Addr_space.write s 0xFFFFFFFC Width.W32 0x55;
   check int_c "top page usable" 0x55 (Addr_space.read s 0xFFFFFFFC Width.W32)
@@ -698,6 +756,16 @@ let test_walk_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   check int_c "reads saw the writes" (9_999 * 10_000 / 2) !sum;
   check bool_c (Printf.sprintf "%.0f minor words < 100" words) true
+    (words < 100.);
+  (* an entry is an int: remapping and unmapping store one *)
+  let vpage = Layout.page_of va and f = Phys_mem.alloc_frame phys in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    Addr_space.unmap s ~vpage:(vpage + (i land 3));
+    Addr_space.map s ~vpage:(vpage + (i land 3)) f
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool_c (Printf.sprintf "map: %.0f minor words < 100" words) true
     (words < 100.)
 
 (* --- demand-zero frames: the shared zero page until the first write --- *)
@@ -820,4 +888,5 @@ let suite =
     QCheck_alcotest.to_alcotest memory_model_prop;
     Alcotest.test_case "copy fault is precise" `Quick
       test_copy_fault_is_precise;
+    Alcotest.test_case "device table stays bounded" `Quick test_device_table;
   ]

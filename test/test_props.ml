@@ -325,17 +325,19 @@ let engine_equivalence_prop =
 (* --- translation memos under a changing memory map --- *)
 
 (* The compiled tier keeps one translation memo per memory operand
-   across runs, valid while the page-table entry it cached is in place
-   and no frame has been freed, with TLB and cache hit witnesses on top.
-   This property interleaves calls of a random program with everything
-   that could make a memo or a witness stale: remapping a page (to the
-   frame it has or to another), unmapping it, freeing the frame behind
-   it (a stale mapping) and allocating that frame again, switching
-   address spaces, flushing the TLB, and charged loads that evict TLB
-   entries and cache lines. After every step the reference, the block
-   engine and the compiled tier must agree on the result or the fault
-   and its pc, every register, the flags, cycles, steps and the TLB and
-   cache counters; at the end, on every data frame's contents.
+   across runs, valid while its vpage maps the frame it cached, in
+   whichever space, and no frame has been freed, with TLB and cache hit
+   witnesses on top. This property interleaves calls of a random program
+   with everything that could make a memo or a witness stale, or keep
+   one valid: remapping a page (to the frame it has, or to another),
+   mapping the other space's page to the same frame, unmapping it,
+   freeing the frame behind it (a stale mapping) and allocating that
+   frame again, switching address spaces, flushing the TLB, and charged
+   loads that evict TLB entries and cache lines. After every step the
+   reference, the block engine and the compiled tier must agree on the
+   result or the fault and its pc, every register, the flags, cycles,
+   steps and the TLB and cache counters; at the end, on every data
+   frame's contents.
 
    Three data pages and four conflict pages, vpages a multiple of 64
    apart, share one set of the 4-way TLB. Each conflict page's frame is
@@ -349,6 +351,9 @@ let memo_offs = [| 0; 4; 64; 2048; 4092; 4094 (* straddles: faults *) |]
 type memo_op =
   | Call
   | Remap of int * int  (** data page, pool frame (0-5): map it again *)
+  | Same of int  (** remap a data page to the frame it maps *)
+  | Mirror of int
+      (** map the other space's data page to the frame this one maps *)
   | Unmap of int
   | Free of int  (** free the frame behind a data page, mapping left stale *)
   | Alloc  (** allocate a frame: the last one freed, if any *)
@@ -359,6 +364,8 @@ type memo_op =
 let print_memo_op = function
   | Call -> "call"
   | Remap (i, j) -> Printf.sprintf "remap %d->%d" i j
+  | Same i -> Printf.sprintf "same %d" i
+  | Mirror i -> Printf.sprintf "mirror %d" i
   | Unmap i -> Printf.sprintf "unmap %d" i
   | Free i -> Printf.sprintf "free %d" i
   | Alloc -> "alloc"
@@ -374,6 +381,8 @@ let memo_op_gen =
       [
         (6, return Call);
         (2, map2 (fun i j -> Remap (i, j)) (int_range 0 2) (int_range 0 5));
+        (1, map (fun i -> Same i) (int_range 0 2));
+        (1, map (fun i -> Mirror i) (int_range 0 2));
         (1, map (fun i -> Unmap i) (int_range 0 2));
         (1, map (fun i -> Free i) (int_range 0 2));
         (1, return Alloc);
@@ -461,6 +470,20 @@ let memo_run engine accesses ops =
       | Call -> attempt call
       | Remap (i, j) ->
           Addr_space.map st.Td_cpu.State.space ~vpage:(vp i) pool.(j);
+          ""
+      | Same i ->
+          let space = st.Td_cpu.State.space in
+          Option.iter
+            (Addr_space.map space ~vpage:(vp i))
+            (Addr_space.frame_of_vpage space ~vpage:(vp i));
+          ""
+      | Mirror i ->
+          let other =
+            if st.Td_cpu.State.space == alt then m.Harness.dom0 else alt
+          in
+          Option.iter
+            (Addr_space.map other ~vpage:(vp i))
+            (Addr_space.frame_of_vpage st.Td_cpu.State.space ~vpage:(vp i));
           ""
       | Unmap i ->
           Addr_space.unmap st.Td_cpu.State.space ~vpage:(vp i);
