@@ -28,7 +28,9 @@ val create :
     hypervisor demultiplexes received packets among them by destination
     MAC, §5.3); guests after the first are added by {!create_guest}. [upcall_set] (Xen_twin only) lists fast-path support
     routines that are demoted to upcalls — the Figure 10 experiment.
-    [pool_entries] sizes the hypervisor's preallocated sk_buff pool.
+    [pool_entries] sizes the hypervisor's preallocated sk_buff pool; its
+    buffers are pinned in the SVM map window, and a window they fill
+    raises [Invalid_argument].
     [spill_everything], [rewrite_style] and [map_pairs] select the
     DESIGN.md ablations (Xen_twin only). [tuning] (default
     {!Config.default_tuning}) sets the SVM map-window size and the

@@ -195,9 +195,21 @@ let free_any_skb w skb =
   | Native | Dom0 _ | Domu _ | Twin _ -> Skb.free_at w.km w.dom0_space skb
 
 (* packet buffers (struct, linear area, fragment frame) are persistently
-   mapped into the hypervisor, at boot and again after every recovery *)
+   mapped into the hypervisor, at boot and again after every recovery. The
+   pinned pairs must leave the clock a pair to reclaim, or the first
+   unpinned miss would find the window exhausted; the check fires before
+   the pool can overflow the window. *)
 let pin_pool rt pool =
-  let pin addr = ignore (Td_svm.Runtime.persistent_map rt addr) in
+  let pin addr =
+    ignore (Td_svm.Runtime.persistent_map rt addr);
+    let window = Td_svm.Runtime.window_pages rt in
+    if Td_svm.Runtime.window_pages_in_use rt >= window then
+      invalid_arg
+        (Printf.sprintf
+           "World.create: map_window_pages = %d leaves no unpinned pair \
+            once the sk_buff pool is pinned; raise it or lower pool_entries"
+           window)
+  in
   Skb_pool.iter pool (fun { Skb.space; addr } ->
       pin addr;
       pin (Skb.head_at space addr);

@@ -23,6 +23,9 @@ val addr_limit : int
 
 (* dom0 (driver domain) *)
 
+val dom0_kernel_base : int
+(** Start of dom0 kernel virtual space, the low bound of {!in_dom0_range}. *)
+
 val dom0_heap_base : int
 val dom0_heap_limit : int
 val vm_driver_code_base : int

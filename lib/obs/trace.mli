@@ -13,7 +13,8 @@ type event =
       (** software-TLB probe matched ({!Td_svm.Runtime.translate}). *)
   | Stlb_miss of { addr : int; refill : bool }
       (** probe missed; [refill] when the translation was refilled from
-          the hash chain (a direct-mapped collision, not a new page). *)
+          the page table that models §4.2's hash chain (a direct-mapped
+          collision, not a new page). *)
   | Stlb_evict of { victim_page : int; new_page : int }
       (** installing [new_page] overwrote a live colliding entry. *)
   | Stlb_invalidate of { dom0_page : int }

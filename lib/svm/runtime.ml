@@ -1,16 +1,5 @@
 exception Fault of { addr : int; reason : string }
 
-(* Both tables are keyed by a dom0 page base. An inline hash (the page
-   number, whose low bits spread consecutive pages over the buckets) and
-   [Int.equal] keep a probe-hit lookup free of C calls; nothing iterates
-   either table, so bucket order never shows. *)
-module Page_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash page = page lsr Td_mem.Layout.page_shift
-end)
-
 type mode = Translate | Identity
 
 (* Optional per-domain window accounting, installed from above (the quota
@@ -30,20 +19,17 @@ type t = {
   dom0 : Td_mem.Addr_space.t;
   target : Td_mem.Addr_space.t;  (** space receiving window mappings *)
   stlb : Stlb.t;
-  chain : int Page_tbl.t;  (** dom0 page base -> mapped page base *)
+  table : Bytes.t;  (** one [entry] per dom0 page; see [entry] *)
+  mutable mapped : int;  (** pages whose entry is a translation *)
   window_pages : int;  (** window size in pages (2 per slot) *)
   (* The window's slots, one per pair of consecutive window pages (the
      unit of mapping: every miss maps two pages so unaligned accesses may
      straddle, §4.2), as flat arrays indexed by slot so that a probe hit
-     marks its slot with two array loads and a store. *)
+     marks its slot with a page-table load and a store. *)
   slot_page : int array;  (** dom0 page base the pair maps; -1 = free *)
   refbit : bool array;  (** the clock's second-chance bit *)
   pinned : bool array;  (** persistent_map'ed — never reclaimed *)
   owner : int array;  (** guard-attributed owner id; -1 when no guard *)
-  slot_of_page : int Page_tbl.t;  (** dom0 page base -> slot index *)
-  hint : int array;
-      (** direct-mapped page number -> slot index that last held it;
-          -1 = none. Only a guess: see [mark_referenced]. *)
   mutable window_next : int;  (** next never-used slot index *)
   mutable free_slots : int list;  (** released by invalidate_page *)
   mutable clock_hand : int;
@@ -57,75 +43,84 @@ type t = {
   mutable fault_count : int;
 }
 
-(* One hint per slot, rounded up to a power of two so a page number
-   indexes it with a mask. *)
-let hint_size nslots =
-  let rec go n = if n >= nslots then n else go (2 * n) in
-  go 1
+(* The page table, the model of §4.2's hash chain: one 16-bit entry per
+   page of the dom0 range, so every lookup and update is one indexed load
+   or store. An entry is [no_translation], [seen] (the VM instance's
+   identity translation) or [first_slot + i] (window slot [i] maps the
+   page). A page outside the dom0 range reads as [no_translation]. *)
+let no_translation = 0
+let seen = 1
+let first_slot = 2
+let max_slots = 0xFFFF - first_slot + 1
+
+let table_offset page =
+  2 * ((page - Td_mem.Layout.dom0_kernel_base) lsr Td_mem.Layout.page_shift)
+
+let entry t page =
+  if Td_mem.Layout.in_dom0_range page then
+    Bytes.get_uint16_le t.table (table_offset page)
+  else no_translation
+
+(* [page] is in the dom0 range and has no entry yet *)
+let add_entry t page e =
+  Bytes.set_uint16_le t.table (table_offset page) e;
+  t.mapped <- t.mapped + 1
+
+(* [page] is in the dom0 range and has an entry *)
+let remove_entry t page =
+  Bytes.set_uint16_le t.table (table_offset page) no_translation;
+  t.mapped <- t.mapped - 1
+
+let make mode ~map_pairs ~window_pages ~fault ~dom0 ~target ~stlb_vaddr =
+  let nslots = window_pages / 2 in
+  {
+    mode;
+    map_pairs;
+    dom0;
+    target;
+    stlb = Stlb.create ~space:target ~vaddr:stlb_vaddr;
+    table =
+      Bytes.make (table_offset Td_mem.Layout.vm_driver_code_base) '\000';
+    mapped = 0;
+    window_pages;
+    slot_page = Array.make nslots (-1);
+    refbit = Array.make nslots false;
+    pinned = Array.make nslots false;
+    owner = Array.make nslots (-1);
+    window_next = 0;
+    free_slots = [];
+    clock_hand = 0;
+    reclaim_count = 0;
+    reclaim_hook = None;
+    window_guard = None;
+    fault_engine = fault;
+    miss_count = 0;
+    collision_count = 0;
+    fault_count = 0;
+  }
 
 let create_hypervisor ?(map_pairs = true)
     ?(window_pages = Td_mem.Layout.map_window_pages)
     ?fault ~dom0 ~hyp () =
   if window_pages < 2 || window_pages land 1 <> 0 then
     invalid_arg "Svm.Runtime: window_pages must be even and >= 2";
-  {
-    mode = Translate;
-    map_pairs;
-    dom0;
-    target = hyp;
-    stlb = Stlb.create ~space:hyp ~vaddr:Td_mem.Layout.stlb_base;
-    chain = Page_tbl.create 256;
-    window_pages;
-    slot_page = Array.make (window_pages / 2) (-1);
-    refbit = Array.make (window_pages / 2) false;
-    pinned = Array.make (window_pages / 2) false;
-    owner = Array.make (window_pages / 2) (-1);
-    slot_of_page = Page_tbl.create 256;
-    hint = Array.make (hint_size (window_pages / 2)) (-1);
-    window_next = 0;
-    free_slots = [];
-    clock_hand = 0;
-    reclaim_count = 0;
-    reclaim_hook = None;
-    window_guard = None;
-    fault_engine = fault;
-    miss_count = 0;
-    collision_count = 0;
-    fault_count = 0;
-  }
+  if window_pages / 2 > max_slots then
+    invalid_arg
+      (Printf.sprintf "Svm.Runtime: window_pages must be at most %d"
+         (2 * max_slots));
+  make Translate ~map_pairs ~window_pages ~fault ~dom0 ~target:hyp
+    ~stlb_vaddr:Td_mem.Layout.stlb_base
 
 let create_identity ?fault ~dom0 ~stlb_vaddr () =
-  {
-    mode = Identity;
-    map_pairs = true;
-    dom0;
-    target = dom0;
-    stlb = Stlb.create ~space:dom0 ~vaddr:stlb_vaddr;
-    chain = Page_tbl.create 256;
-    window_pages = 0;
-    slot_page = [||];
-    refbit = [||];
-    pinned = [||];
-    owner = [||];
-    slot_of_page = Page_tbl.create 1;
-    hint = [| -1 |];
-    window_next = 0;
-    free_slots = [];
-    clock_hand = 0;
-    reclaim_count = 0;
-    reclaim_hook = None;
-    window_guard = None;
-    fault_engine = fault;
-    miss_count = 0;
-    collision_count = 0;
-    fault_count = 0;
-  }
+  make Identity ~map_pairs:true ~window_pages:0 ~fault ~dom0 ~target:dom0
+    ~stlb_vaddr
 
 let mode t = t.mode
 let stlb t = t.stlb
 let window_pages t = t.window_pages
 let window_reclaims t = t.reclaim_count
-let window_pages_in_use t = 2 * Page_tbl.length t.slot_of_page
+let window_pages_in_use t =
+  match t.mode with Translate -> 2 * t.mapped | Identity -> 0
 let set_reclaim_hook t f = t.reclaim_hook <- Some f
 let set_window_guard t g = t.window_guard <- Some g
 
@@ -159,25 +154,10 @@ let valid_dom0_page t addr =
 let mapped_base idx =
   Td_mem.Layout.map_window_base + (2 * idx * Td_mem.Layout.page_size)
 
-let hint_index t page =
-  (page lsr Td_mem.Layout.page_shift) land (Array.length t.hint - 1)
-
-(* On every probe hit, so it allocates nothing. The hint is trusted only
-   when its slot still maps [page]: every path that releases a slot
-   ([evict_slot], [invalidate_page], [flush]) sets its page to -1, and
-   no two slots ever map the same page, so a slot that maps [page] is
-   the one [slot_of_page] names. Otherwise ask the table ([find], not
-   [find_opt]: no allocation) and remember its answer. *)
+(* On every probe hit, so it allocates nothing. *)
 let mark_referenced t page =
-  let h = hint_index t page in
-  let i = Array.unsafe_get t.hint h in
-  if i >= 0 && t.slot_page.(i) = page then t.refbit.(i) <- true
-  else
-    match Page_tbl.find t.slot_of_page page with
-    | i ->
-        t.hint.(h) <- i;
-        t.refbit.(i) <- true
-    | exception Not_found -> ()
+  let e = entry t page in
+  if e >= first_slot then t.refbit.(e - first_slot) <- true
 
 let update_inuse_gauge t =
   if Td_obs.Control.enabled () then
@@ -185,14 +165,13 @@ let update_inuse_gauge t =
       (Td_obs.Metrics.gauge "svm.window_inuse")
       (float_of_int (window_pages_in_use t))
 
-(* Evict the page-pair in [idx]: drop its translation from the hash chain
+(* Evict the page-pair in [idx]: drop its translation from the page table
    and the stlb and unmap both window pages — the software analogue of a
    TLB shootdown, charged through the reclaim hook. *)
 let evict_slot t idx =
   guard_release t idx;
   let victim = t.slot_page.(idx) in
-  Page_tbl.remove t.chain victim;
-  Page_tbl.remove t.slot_of_page victim;
+  remove_entry t victim;
   Stlb.invalidate t.stlb ~dom0_page:victim;
   let vpage = Td_mem.Layout.page_of (mapped_base idx) in
   Td_mem.Addr_space.unmap t.target ~vpage;
@@ -205,6 +184,22 @@ let evict_slot t idx =
     Td_obs.Trace.emit
       (Td_obs.Trace.Window_reclaim
          { victim_page = victim; mapped = mapped_base idx })
+  end
+
+(* The clock, top-level so that a miss on a full window builds no closure *)
+let rec sweep t budget =
+  if budget = 0 then
+    failwith "Svm.Runtime: mapped-page window exhausted (all pages pinned)";
+  let i = t.clock_hand in
+  t.clock_hand <- (i + 1) mod Array.length t.slot_page;
+  if t.slot_page.(i) < 0 || t.pinned.(i) then sweep t (budget - 1)
+  else if t.refbit.(i) then begin
+    t.refbit.(i) <- false;
+    sweep t (budget - 1)
+  end
+  else begin
+    evict_slot t i;
+    i
   end
 
 (* Pick the slot for a new pair: a never-used one, a released one, or —
@@ -223,24 +218,7 @@ let take_slot t =
     | i :: rest ->
         t.free_slots <- rest;
         i
-    | [] ->
-        let rec sweep budget =
-          if budget = 0 then
-            failwith
-              "Svm.Runtime: mapped-page window exhausted (all pages pinned)";
-          let i = t.clock_hand in
-          t.clock_hand <- (i + 1) mod nslots;
-          if t.slot_page.(i) < 0 || t.pinned.(i) then sweep (budget - 1)
-          else if t.refbit.(i) then begin
-            t.refbit.(i) <- false;
-            sweep (budget - 1)
-          end
-          else begin
-            evict_slot t i;
-            i
-          end
-        in
-        sweep (2 * nslots)
+    | [] -> sweep t (2 * nslots)
 
 (* A window page backing a dom0 page with no mapped successor: any access
    reaching it is a straddle past the edge of the dom0 range and must
@@ -285,18 +263,18 @@ let map_pair t page =
   t.refbit.(idx) <- true;
   t.pinned.(idx) <- false;
   t.owner.(idx) <- owner;
-  Page_tbl.replace t.slot_of_page page idx;
-  t.hint.(hint_index t page) <- idx;
+  add_entry t page (first_slot + idx);
   update_inuse_gauge t;
   mapped
 
 let miss t addr =
   t.miss_count <- t.miss_count + 1;
   let page = Td_mem.Layout.page_base addr in
-  match Page_tbl.find_opt t.chain page with
-  | Some mapped ->
+  match entry t page with
+  | e when e <> no_translation ->
       (* hash collision: the translation exists but was evicted from the
-         direct-mapped stlb; refill from the chain *)
+         direct-mapped stlb; refill from the page table *)
+      let mapped = if e = seen then page else mapped_base (e - first_slot) in
       t.collision_count <- t.collision_count + 1;
       if Td_obs.Control.enabled () then begin
         Td_obs.Metrics.bump "stlb.miss";
@@ -306,7 +284,7 @@ let miss t addr =
       mark_referenced t page;
       Stlb.install t.stlb ~dom0_page:page ~mapped_page:mapped;
       addr lxor (page lxor mapped)
-  | None ->
+  | _ ->
       if Td_obs.Control.enabled () then begin
         Td_obs.Metrics.bump "stlb.miss";
         Td_obs.Trace.emit (Td_obs.Trace.Stlb_miss { addr; refill = false })
@@ -325,15 +303,16 @@ let miss t addr =
       end;
       if not ok then fault t addr "access outside dom0 address space";
       let mapped = match t.mode with
-        | Identity -> page
+        | Identity ->
+            add_entry t page seen;
+            page
         | Translate -> map_pair t page
       in
-      Page_tbl.replace t.chain page mapped;
       Stlb.install t.stlb ~dom0_page:page ~mapped_page:mapped;
       if Td_obs.Control.enabled () then
         Td_obs.Metrics.set
           (Td_obs.Metrics.gauge "svm.pages_mapped")
-          (float_of_int (Page_tbl.length t.chain));
+          (float_of_int t.mapped);
       addr lxor (page lxor mapped)
 
 let translate t addr =
@@ -350,9 +329,8 @@ let translate t addr =
 
 let persistent_map t addr =
   let mapped = translate t addr in
-  (match Page_tbl.find_opt t.slot_of_page (Td_mem.Layout.page_base addr) with
-  | Some i -> t.pinned.(i) <- true
-  | None -> ());
+  let e = entry t (Td_mem.Layout.page_base addr) in
+  if e >= first_slot then t.pinned.(e - first_slot) <- true;
   mapped
 
 let note_inline_hit t addr =
@@ -367,21 +345,21 @@ let note_inline_hit t addr =
 
 let invalidate_page t addr =
   let page = Td_mem.Layout.page_base addr in
-  Page_tbl.remove t.chain page;
+  let e = entry t page in
+  if e <> no_translation then remove_entry t page;
   Stlb.invalidate t.stlb ~dom0_page:page;
   (* release the window pair so the slot can be reused — otherwise a stale
      slot still claiming [page] could later be reclaimed and tear down a
      NEWER translation of the same page *)
-  (match Page_tbl.find_opt t.slot_of_page page with
-  | Some i ->
-      guard_release t i;
-      Page_tbl.remove t.slot_of_page page;
-      let vpage = Td_mem.Layout.page_of (mapped_base i) in
-      Td_mem.Addr_space.unmap t.target ~vpage;
-      Td_mem.Addr_space.unmap t.target ~vpage:(vpage + 1);
-      clear_slot t i;
-      t.free_slots <- i :: t.free_slots
-  | None -> ());
+  if e >= first_slot then begin
+    let i = e - first_slot in
+    guard_release t i;
+    let vpage = Td_mem.Layout.page_of (mapped_base i) in
+    Td_mem.Addr_space.unmap t.target ~vpage;
+    Td_mem.Addr_space.unmap t.target ~vpage:(vpage + 1);
+    clear_slot t i;
+    t.free_slots <- i :: t.free_slots
+  end;
   update_inuse_gauge t
 
 (* Tear down every translation the instance ever established: the
@@ -389,7 +367,8 @@ let invalidate_page t addr =
    restarts an aborted driver. Pinned pairs go too — the caller re-pins
    whatever must persist (the sk_buff pool) on the fresh instance. *)
 let flush t =
-  Page_tbl.reset t.chain;
+  Bytes.fill t.table 0 (Bytes.length t.table) '\000';
+  t.mapped <- 0;
   Stlb.clear t.stlb;
   Array.iteri
     (fun i page ->
@@ -401,7 +380,6 @@ let flush t =
         clear_slot t i
       end)
     t.slot_page;
-  Page_tbl.reset t.slot_of_page;
   t.window_next <- 0;
   t.free_slots <- [];
   t.clock_hand <- 0;
@@ -412,12 +390,14 @@ let window_slots t =
     (fun i page -> if page < 0 then None else Some (page, t.refbit.(i)))
     t.slot_page
 
-let slot_of_page t page = Page_tbl.find_opt t.slot_of_page page
+let slot_of_page t page =
+  let e = entry t page in
+  if e >= first_slot then Some (e - first_slot) else None
 
 let misses t = t.miss_count
 let collisions t = t.collision_count
 let faults t = t.fault_count
-let pages_mapped t = Page_tbl.length t.chain
+let pages_mapped t = t.mapped
 
 let mode_suffix t = match t.mode with Translate -> "hyp" | Identity -> "vm"
 let miss_symbol t = "__svm_miss@" ^ mode_suffix t

@@ -11,8 +11,13 @@
       original data addresses and functions correctly as before, except
       that it runs a little slower".
 
+    Behind the stlb sits a page table with one entry per dom0 page, the
+    model of §4.2's hash chain: it names the window slot mapping the page
+    (or, in [Identity] mode, that the page was validated), so a
+    translation the stlb evicted is refilled without validating again.
+
     The mapped-page window is finite; when it fills, a clock (second
-    chance) policy reclaims a cold page-pair — dropping its hash-chain
+    chance) policy reclaims a cold page-pair — dropping its page-table
     entry, invalidating its stlb entry and unmapping the window pages — so
     an unbounded dom0 working set runs in steady state instead of
     exhausting the window. Pairs installed via {!persistent_map} are
@@ -40,7 +45,8 @@ val create_hypervisor :
     [map_pairs] (default true) maps two consecutive pages per miss as the
     paper prescribes; disabling it is the ablation that makes
     page-straddling accesses fault. [window_pages] (default
-    {!Td_mem.Layout.map_window_pages}, must be even) bounds the window;
+    {!Td_mem.Layout.map_window_pages}, even, at most 131,068: a
+    page-table entry names at most 65,534 slots) bounds the window;
     smaller windows reclaim sooner. When the successor page of a mapped
     pair has no dom0 mapping (edge of the dom0 range, or [map_pairs]
     off), its window page is backed by a poison device so a straddling
@@ -62,7 +68,7 @@ val stlb : t -> Stlb.t
 
 val miss : t -> int -> int
 (** [miss t addr] is the slow path: validate [addr], install a translation
-    (consulting the hash chain first), and return the translated full
+    (consulting the page table first), and return the translated full
     address. Raises {!Fault} for addresses outside dom0 space. *)
 
 val translate : t -> int -> int
@@ -78,11 +84,11 @@ val persistent_map : t -> int -> int
 
 val invalidate_page : t -> int -> unit
 (** Drop the translation for the page containing the given dom0 address
-    (stlb entry, hash chain, and window pair — the slot is released for
+    (stlb entry, page-table entry, and window pair — the slot is released for
     reuse). *)
 
 val flush : t -> unit
-(** Tear down {e every} translation: clear the stlb and hash chain and
+(** Tear down {e every} translation: clear the stlb and page table and
     unmap all window pairs, including pinned ones. The driver
     supervisor calls this when it destroys an aborted twin instance;
     persistent mappings must be re-established (and re-pinned) on the
@@ -122,7 +128,8 @@ val window_slots : t -> (int * bool) option array
     reference bit; [None] for a free slot. *)
 
 val slot_of_page : t -> int -> int option
-(** The slot the page table records for a dom0 page base. *)
+(** The slot the page table records for a dom0 page base; [None] for a
+    page outside the dom0 range. *)
 
 val set_window_guard : t -> window_guard -> unit
 (** Install per-domain window accounting. The quota subsystem lives in
@@ -133,7 +140,7 @@ val set_window_guard : t -> window_guard -> unit
 
 val misses : t -> int
 val collisions : t -> int
-(** Slow-path entries caused by hash collisions (chain hits). *)
+(** Slow-path entries caused by stlb collisions (page-table refills). *)
 
 val faults : t -> int
 val pages_mapped : t -> int

@@ -201,10 +201,71 @@ let test_probe_hit_allocates_nothing () =
   check bool_c (Printf.sprintf "%.0f minor words < 100" words) true
     (words < 100.)
 
-(* The probe-hit reference bit goes through a direct-mapped page -> slot
-   hint. Over random sequences of translations (stlb hits, chain
-   refills after stlb collisions, misses that reclaim), inline hits,
-   invalidations and flushes on a 4-slot window, the runtime must keep
+(* The page table covers the dom0 range and nothing else. An address
+   outside it (an arbitrary fuzz argument, or a register value an armed
+   bitflip changed) reads as "no translation": invalidating it or
+   crediting an inline hit to it changes no counter and no slot, it has
+   no slot, and translating it raises the typed fault, counted as one
+   miss and one fault. Slot 1's reference bit is clear, so a stray mark
+   would show. *)
+let test_out_of_range_pages () =
+  let m = Harness.make_machine () in
+  let rt =
+    Runtime.create_hypervisor ~window_pages:4 ~dom0:m.Harness.dom0
+      ~hyp:m.Harness.hyp ()
+  in
+  (* two pages fill both slots; a third sweeps both bits clear and
+     evicts the first *)
+  for _ = 1 to 3 do
+    ignore
+      (Runtime.translate rt (Addr_space.heap_alloc m.Harness.dom0 Layout.page_size))
+  done;
+  check bool_c "slot 1 unreferenced" true
+    (match (Runtime.window_slots rt).(1) with
+    | Some (_, referenced) -> not referenced
+    | None -> false);
+  let state () =
+    ( (Runtime.misses rt, Runtime.faults rt),
+      [ Runtime.collisions rt; Runtime.pages_mapped rt;
+        Runtime.window_pages_in_use rt; Runtime.window_reclaims rt ],
+      Runtime.window_slots rt )
+  in
+  List.iter
+    (fun addr ->
+      let name = Printf.sprintf "%#x" addr in
+      let ((misses, faults), others, slots) as before = state () in
+      Runtime.invalidate_page rt addr;
+      Runtime.note_inline_hit rt addr;
+      check bool_c (name ^ ": no slot") true
+        (Runtime.slot_of_page rt addr = None);
+      check bool_c (name ^ ": nothing changed") true (state () = before);
+      check bool_c (name ^ ": translate faults") true
+        (match Runtime.translate rt addr with
+        | exception Runtime.Fault _ -> true
+        | _ -> false);
+      check bool_c (name ^ ": one miss and one fault, nothing else") true
+        (state () = ((misses + 1, faults + 1), others, slots)))
+    [ 0; 0xBFFF_F000; Layout.vm_driver_code_base; -Layout.page_size ]
+
+(* A page-table entry names at most 65,534 slots, so that bounds the
+   window a hypervisor runtime accepts. *)
+let test_window_bound () =
+  let m = Harness.make_machine () in
+  let create window_pages =
+    Runtime.create_hypervisor ~window_pages ~dom0:m.Harness.dom0
+      ~hyp:m.Harness.hyp ()
+  in
+  check int_c "the widest window" 131_068
+    (Runtime.window_pages (create 131_068));
+  check bool_c "one pair wider is rejected" true
+    (match create 131_070 with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* The probe-hit reference bit is one page-table load. Over random
+   sequences of translations (stlb hits, page-table refills after stlb
+   collisions, misses that reclaim), inline hits, invalidations and
+   flushes on a 4-slot window, the runtime must keep
    [slot_of_page p = Some i] exactly when slot [i] maps [p], and its
    slots (so its reclaim victims) and reference bits must equal a
    reference window that finds slots through a hash table alone. *)
@@ -302,8 +363,8 @@ let window_op_gen =
       [ (5, map (fun k -> Tr k) page); (4, map (fun k -> Hit k) page);
         (1, map (fun k -> Inv k) page); (1, return Flush) ])
 
-let probe_hint_prop =
-  QCheck.Test.make ~name:"probe-hit hint marks what the page table would"
+let page_table_prop =
+  QCheck.Test.make ~name:"page table matches a hash-table window"
     ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map window_op_name ops))
@@ -372,5 +433,8 @@ let suite =
     Alcotest.test_case "window guard" `Quick test_window_guard;
     Alcotest.test_case "probe hit allocates nothing" `Quick
       test_probe_hit_allocates_nothing;
-    QCheck_alcotest.to_alcotest probe_hint_prop;
+    QCheck_alcotest.to_alcotest page_table_prop;
+    Alcotest.test_case "out-of-range pages change nothing" `Quick
+      test_out_of_range_pages;
+    Alcotest.test_case "window bound" `Quick test_window_bound;
   ]

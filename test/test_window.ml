@@ -39,7 +39,22 @@ let test_soak_reclaim () =
   done;
   check bool_c "reclaims happened" true (Runtime.window_reclaims rt > 0);
   check bool_c "window stays bounded" true
-    (Runtime.window_pages_in_use rt <= window_pages)
+    (Runtime.window_pages_in_use rt <= window_pages);
+  (* with observability off, a miss that reclaims allocates nothing (the
+     last page is left out: its successor may need a poison device) *)
+  let was_on = Td_obs.Control.enabled () in
+  Td_obs.Control.disable ();
+  let reclaims = Runtime.window_reclaims rt in
+  let before = Gc.minor_words () in
+  for i = 0 to pages - 2 do
+    ignore (Runtime.translate rt (base + (i * Layout.page_size)))
+  done;
+  let words = Gc.minor_words () -. before in
+  if was_on then Td_obs.Control.enable ();
+  check bool_c "every translation reclaimed" true
+    (Runtime.window_reclaims rt - reclaims = pages - 1);
+  check bool_c (Printf.sprintf "%.0f minor words < 100" words) true
+    (words < 100.)
 
 let test_soak_keeps_pinned_pages () =
   let m = Harness.make_machine () in
@@ -74,6 +89,47 @@ let test_all_pinned_fails_loudly () =
         (* the message must name the pinning, not the old hard 16 MB cap *)
         String.length msg > 0
     | _ -> false)
+
+(* A twin world pins its sk_buff pool in the map window at boot. A window
+   the pool overflows or fills exactly is a typed configuration error,
+   not a [Failure] on the first unpinned miss. A window with a pair to
+   spare, and window_batch's smallest (512 pages, 96 entries), boot and
+   still map an unpinned page. *)
+let test_pool_must_fit_window () =
+  let open Twindrivers in
+  let create ~window ~entries =
+    let tuning =
+      { Config.default_tuning with Config.map_window_pages = window }
+    in
+    World.create ~nics:1 ~pool_entries:entries ~tuning Config.Xen_twin
+  in
+  let rejected ~window ~entries =
+    match create ~window ~entries with
+    | exception Invalid_argument msg ->
+        Test_fault.contains ~sub:"map_window_pages" msg
+        && Test_fault.contains ~sub:"pool_entries" msg
+    | _ -> false
+  in
+  let maps_unpinned ~window ~entries =
+    let w = create ~window ~entries in
+    let rt = Option.get (World.svm w) in
+    let va = Addr_space.heap_alloc (World.dom0_space w) Layout.page_size in
+    ignore (Runtime.translate rt va);
+    Runtime.slot_of_page rt va <> None
+  in
+  check bool_c "the default pool overflows 32 pages" true
+    (rejected ~window:32 ~entries:1024);
+  let pinned =
+    Runtime.window_pages_in_use
+      (Option.get
+         (World.svm (create ~window:Layout.map_window_pages ~entries:8)))
+  in
+  check bool_c "a window the pool fills exactly" true
+    (rejected ~window:pinned ~entries:8);
+  check bool_c "one pair to spare" true
+    (maps_unpinned ~window:(pinned + 2) ~entries:8);
+  check bool_c "512 pages, 96 entries" true
+    (maps_unpinned ~window:512 ~entries:96)
 
 (* a mapped page whose dom0 successor does not exist must fault on a
    straddling access instead of silently reading a single-page mapping *)
@@ -351,6 +407,8 @@ let suite =
       test_soak_keeps_pinned_pages;
     Alcotest.test_case "all-pinned window fails loudly" `Quick
       test_all_pinned_fails_loudly;
+    Alcotest.test_case "pinned pool must fit the window" `Quick
+      test_pool_must_fit_window;
     Alcotest.test_case "straddle at dom0 boundary faults" `Quick
       test_straddle_boundary_faults;
     Alcotest.test_case "multi-frame pump (Linux)" `Quick
